@@ -169,9 +169,9 @@ def uniquely_pclean_count(r: RingTable, a) -> int:
 def strongly_pi_regular_element(r: RingTable, a) -> tuple[bool, int | None, int | None]:
     """Least n with a^n = a^(n+1) b for some b commuting with a.
 
-    The bare form a^n in a^(n+1) R is computed alongside and the two verdicts
-    are asserted to agree (they do in finite rings, where powers eventually
-    repeat).
+    The bare form a^n in a^(n+1) R is computed alongside, and PcleanError is
+    raised if the two verdicts disagree (they agree in finite rings, where
+    powers eventually repeat).
     """
     a = _index_of(r, a)
     idx = np.arange(r.order, dtype=np.int64)
@@ -191,7 +191,11 @@ def strongly_pi_regular_element(r: RingTable, a) -> tuple[bool, int | None, int 
         if found is not None and bare_found is not None:
             break
         x = nxt
-    assert (found is not None) == (bare_found is not None)
+    if (found is None) != (bare_found is None):
+        raise PcleanError(
+            f"{r.name}: commuting and bare strongly pi-regular tests disagree on "
+            f"{r.fmt_index(a)}"
+        )
     if found is None:
         return False, None, None
     return True, found[0], found[1]

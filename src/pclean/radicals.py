@@ -25,16 +25,22 @@ from .rings import (
 
 @dataclass
 class Ideal:
+    """A two-sided ideal of `ring`, given by its membership mask.
+
+    `_memo` holds derived data (indices, nilpotency index) and no reference to
+    the ring, so the ring's cache can keep it without forming a cycle.
+    """
+
     ring: RingTable
     mask: np.ndarray
-    _indices: np.ndarray | None = field(default=None, repr=False)
-    _nilpotency: tuple | None = field(default=None, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def indices(self) -> np.ndarray:
-        if self._indices is None:
-            self._indices = np.flatnonzero(self.mask)
-        return self._indices
+        idx = self._memo.get("indices")
+        if idx is None:
+            idx = self._memo["indices"] = np.flatnonzero(self.mask)
+        return idx
 
     @property
     def order(self) -> int:
@@ -92,12 +98,9 @@ def ideal_generated(r: RingTable, gens) -> Ideal:
 
 def nilpotency_index(I: Ideal) -> int | None:
     """Smallest k with I^k = 0, or None if the powers stabilize above zero."""
-    if I._nilpotency is not None:
-        return I._nilpotency[0]
-    r = I.ring
-    result = _ideal_nilpotency(r, I.mask)
-    I._nilpotency = (result,)
-    return result
+    if "nilpotency" not in I._memo:
+        I._memo["nilpotency"] = _ideal_nilpotency(I.ring, I.mask)
+    return I._memo["nilpotency"]
 
 
 def _ideal_nilpotency(r: RingTable, mask: np.ndarray) -> int | None:
@@ -158,7 +161,7 @@ def is_strongly_nilpotent(r: RingTable, a) -> tuple[bool, int | None]:
     hit = memo.get(a)
     if hit is not None:
         return hit
-    p = r.cache.get("prime_ideal")
+    p = _cached_ideal(r, "prime_ideal")
     if a == r.zero:
         res = (True, 1)
     elif p is not None and not p.mask[a]:
@@ -185,7 +188,7 @@ def prime_radical(r: RingTable) -> Ideal:
     its members are all strongly nilpotent, and sums of such ideals stay inside
     the radical, which collapses the scan to one test per coset.
     """
-    cached = r.cache.get("prime_ideal")
+    cached = _cached_ideal(r, "prime_ideal")
     if cached is not None:
         return cached
     n = r.order
@@ -213,9 +216,7 @@ def prime_radical(r: RingTable) -> Ideal:
     mask = classified == 1
     if not _certify_ideal(r, mask):
         raise RadicalNotIdeal(f"strongly nilpotent elements of {r.name} are not an ideal")
-    ideal = Ideal(r, mask)
-    r.cache["prime_ideal"] = ideal
-    return ideal
+    return _cache_ideal(r, "prime_ideal", mask)
 
 
 def jacobson_radical(r: RingTable) -> Ideal:
@@ -225,7 +226,7 @@ def jacobson_radical(r: RingTable) -> Ideal:
     in a finite ring J(R) is nilpotent, hence equals P(R); the inclusion
     P(R) <= J(R) is still verified by checking that 1 + P consists of units.
     """
-    cached = r.cache.get("jacobson_ideal")
+    cached = _cached_ideal(r, "jacobson_ideal")
     if cached is not None:
         return cached
     if r.order <= UNIT_SCAN_LIMIT:
@@ -249,8 +250,18 @@ def jacobson_radical(r: RingTable) -> Ideal:
         raise RadicalNotIdeal(f"Jacobson radical of {r.name} failed ideal closure")
     if not mask[prime_radical(r).indices].all():
         raise RadicalNotIdeal(f"{r.name}: prime radical not inside Jacobson radical")
+    return _cache_ideal(r, "jacobson_ideal", mask)
+
+
+def _cached_ideal(r: RingTable, key: str) -> Ideal | None:
+    hit = r.cache.get(key)
+    return None if hit is None else Ideal(r, *hit)
+
+
+def _cache_ideal(r: RingTable, key: str, mask: np.ndarray) -> Ideal:
+    # the cache keeps the mask and memo, not the Ideal, whose ring is r
     ideal = Ideal(r, mask)
-    r.cache["jacobson_ideal"] = ideal
+    r.cache[key] = (ideal.mask, ideal._memo)
     return ideal
 
 
@@ -313,7 +324,7 @@ def is_abelian(r: RingTable) -> bool:
 def is_locally_nilpotent(I: Ideal) -> bool:
     """Every element of I generates a nilpotent ideal."""
     r = I.ring
-    p = r.cache.get("prime_ideal")
+    p = _cached_ideal(r, "prime_ideal")
     if p is not None:
         return bool(p.mask[I.indices].all())
     return all(is_strongly_nilpotent(r, int(x))[0] for x in I.indices)

@@ -3,10 +3,19 @@
 Rings of order <= DENSE_TABLE_LIMIT carry full Cayley tables (uint16); larger
 rings compute on coordinates with identical observable behavior.  All bulk
 operations are numpy-vectorized over index arrays.
+
+Dense tables are built once, eagerly, by the RingTable constructor.  Rings
+whose index is a digit vector (matrix, triangular, constant-diagonal and
+product kernels) build them by running their digit formulas over the base
+rings' own tables on an open mesh with one axis per digit of each operand,
+and encode each block of rows in place into the uint16 table; every other
+kernel fills the tables block by block of rows through its vadd/vmul.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -174,46 +183,115 @@ class QuadExtKernel:
         return self._join(a % self.n, b % self.n)
 
 
-class _PositionalKernel:
-    """Shared machinery for rings whose elements are digit vectors over a base."""
+class _DigitKernel:
+    """A ring whose element index is a big-endian mixed-radix digit vector.
 
-    def __init__(self, base: "RingTable", npos: int):
-        self.base = base
-        self.npos = npos
-        self.m = base.order
-        self.order = self.m**npos
-        self.zero = 0
+    Digit j is an index into the RingTable ``parts[j]``.  Addition and
+    negation act digit by digit; each subclass gives its product as
+    ``mul_digits``.  vadd and vmul are ``_encode(<op>_digits(_digits(a),
+    _digits(b)))``, and ``fill_tables`` runs the same digit formulas to build
+    the dense tables.
+    """
+
+    def __init__(self, parts: list["RingTable"]):
+        self.parts = parts
+        self.npos = len(parts)
+        self.radices = [p.order for p in parts]
+        self.order = math.prod(self.radices)
+        self.zero = int(self._encode([p.zero for p in parts]))
 
     def _digits(self, a):
         a = np.asarray(a, np.int64).copy()
         out = np.empty((self.npos,) + a.shape, dtype=np.int64)
         for j in range(self.npos - 1, -1, -1):
-            out[j] = a % self.m
-            a //= self.m
+            out[j] = a % self.radices[j]
+            a //= self.radices[j]
         return out
 
-    def _encode(self, digits):
-        acc = np.zeros(np.shape(digits[0]), dtype=np.int64)
-        for j in range(self.npos):
-            acc = acc * self.m + np.asarray(digits[j], np.int64)
-        return acc
+    def _encode(self, digits, out=None):
+        """Index of the digit vector; written in place into `out` when given."""
+        if out is None:
+            out = np.array(digits[0], dtype=np.int64)
+        else:
+            out[...] = digits[0]
+        for rad, d in zip(self.radices[1:], digits[1:]):
+            out *= rad
+            out += d
+        return out
+
+    def add_digits(self, da, db):
+        return [p.vadd(x, y) for p, x, y in zip(self.parts, da, db)]
 
     def vadd(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        return self._encode([self.base.vadd(da[j], db[j]) for j in range(self.npos)])
+        return self._encode(self.add_digits(self._digits(a), self._digits(b)))
 
     def vneg(self, a):
-        da = self._digits(a)
-        return self._encode([self.base.vneg(da[j]) for j in range(self.npos)])
+        return self._encode([p.vneg(x) for p, x in zip(self.parts, self._digits(a))])
+
+    def vmul(self, a, b):
+        return self._encode(self.mul_digits(self._digits(a), self._digits(b)))
 
     def additive_generators(self):
         gens = []
-        for j in range(self.npos):
-            for g in self.base.additive_generators:
-                digits = [self.base.zero] * self.npos
+        for j, p in enumerate(self.parts):
+            for g in p.additive_generators:
+                digits = [q.zero for q in self.parts]
                 digits[j] = g
-                gens.append(int(self._encode([np.int64(d) for d in digits])))
+                gens.append(int(self._encode(digits)))
         return gens
+
+    def fill_tables(self, add_t, mul_t):
+        """Fill the n x n Cayley tables from an open mesh of digits.
+
+        Digit j of a varies on axis j and digit j of b on axis npos + j, so the
+        digit formulas run on the base rings' tables and each intermediate
+        spans only the axes its output digit reads.  Rows go in blocks aligned
+        to a's leading digits, at most _CHUNK lanes each, and each block is
+        encoded in place into its slice of the table.
+        """
+        rad, npos = self.radices, self.npos
+
+        def on_axis(j, values):
+            return values.reshape((1,) * j + (-1,) + (1,) * (2 * npos - j - 1))
+
+        db = [on_axis(npos + j, np.arange(r)) for j, r in enumerate(rad)]
+        # a block fixes a's digits before p-1, takes `run` consecutive values
+        # of digit p-1 and lets digits p.. vary fully
+        budget = max(1, _CHUNK // self.order)
+        p, span = npos, 1
+        while p > 1 and span * rad[p - 1] <= budget:
+            p -= 1
+            span *= rad[p]
+        run = min(rad[p - 1], budget // span)
+        tail = [on_axis(j, np.arange(rad[j])) for j in range(p, npos)]
+        blocks = (
+            list(lead) + [on_axis(p - 1, np.arange(lo, min(lo + run, rad[p - 1])))] + tail
+            for lead in itertools.product(*map(range, rad[: p - 1]))
+            for lo in range(0, rad[p - 1], run)
+        )
+        start = 0
+        for da in blocks:
+            a_shape = np.broadcast(*da, *db).shape[:npos]
+            stop = start + math.prod(a_shape)
+            for table, op in ((add_t, self.add_digits), (mul_t, self.mul_digits)):
+                # encode with b's axes merged into whole table rows: numpy
+                # iterates a few long axes far faster than many short ones
+                digits = [
+                    np.broadcast_to(d, d.shape[:npos] + tuple(rad))
+                    .astype(table.dtype, order="C")
+                    .reshape(d.shape[:npos] + (self.order,))
+                    for d in op(da, db)
+                ]
+                self._encode(digits, out=table[start:stop].reshape(a_shape + (self.order,)))
+            start = stop
+
+
+class _PositionalKernel(_DigitKernel):
+    """Digit vectors over one base ring: matrix-like rings."""
+
+    def __init__(self, base: "RingTable", npos: int):
+        self.base = base
+        super().__init__([base] * npos)
 
     def _dot(self, terms):
         acc = None
@@ -232,17 +310,15 @@ class MatrixKernel(_PositionalKernel):
         one = [base.zero] * self.npos
         for i in range(k):
             one[i * k + i] = base.one
-        self.one = int(self._encode([np.int64(d) for d in one]))
+        self.one = int(self._encode(one))
 
-    def vmul(self, a, b):
+    def mul_digits(self, da, db):
         k = self.k
-        da, db = self._digits(a), self._digits(b)
-        out = [
+        return [
             self._dot([(da[i * k + l], db[l * k + j]) for l in range(k)])
             for i in range(k)
             for j in range(k)
         ]
-        return self._encode(out)
 
     def fmt(self, idx: int) -> str:
         d = self._digits(np.int64(idx))
@@ -255,7 +331,7 @@ class MatrixKernel(_PositionalKernel):
 
     def parse_literal(self, lit: _Lit) -> int:
         entries = _parse_matrix_entries(lit, self.k, self.base)
-        return int(self._encode([np.int64(e) for row in entries for e in row]))
+        return int(self._encode([e for row in entries for e in row]))
 
 
 class TriangularKernel(_PositionalKernel):
@@ -269,18 +345,18 @@ class TriangularKernel(_PositionalKernel):
         one = [base.zero] * self.npos
         for i in range(k):
             one[self.pos_index[(i, i)]] = base.one
-        self.one = int(self._encode([np.int64(d) for d in one]))
+        self.one = int(self._encode(one))
 
-    def vmul(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        out = []
-        for i, j in self.positions:
-            terms = [
-                (da[self.pos_index[(i, l)]], db[self.pos_index[(l, j)]])
-                for l in range(i, j + 1)
-            ]
-            out.append(self._dot(terms))
-        return self._encode(out)
+    def mul_digits(self, da, db):
+        return [
+            self._dot(
+                [
+                    (da[self.pos_index[(i, l)]], db[self.pos_index[(l, j)]])
+                    for l in range(i, j + 1)
+                ]
+            )
+            for i, j in self.positions
+        ]
 
     def fmt(self, idx: int) -> str:
         d = self._digits(np.int64(idx))
@@ -308,7 +384,7 @@ class TriangularKernel(_PositionalKernel):
                     raise MalformedSpec(
                         "below-diagonal entry must be 0 in a triangular ring", start
                     )
-        return int(self._encode([np.int64(d) for d in digits]))
+        return int(self._encode(digits))
 
 
 class ConstDiagKernel(_PositionalKernel):
@@ -319,12 +395,9 @@ class ConstDiagKernel(_PositionalKernel):
         self.uppers = [(i, j) for i in range(k) for j in range(i + 1, k)]
         super().__init__(base, 1 + len(self.uppers))
         self.pos_index = {p: 1 + t for t, p in enumerate(self.uppers)}
-        self.one = int(
-            self._encode([np.int64(base.one)] + [np.int64(base.zero)] * len(self.uppers))
-        )
+        self.one = int(self._encode([base.one] + [base.zero] * len(self.uppers)))
 
-    def vmul(self, a, b):
-        da, db = self._digits(a), self._digits(b)
+    def mul_digits(self, da, db):
         out = [self.base.vmul(da[0], db[0])]
         for i, j in self.uppers:
             terms = [(da[0], db[self.pos_index[(i, j)]]), (da[self.pos_index[(i, j)]], db[0])]
@@ -333,7 +406,7 @@ class ConstDiagKernel(_PositionalKernel):
                 for l in range(i + 1, j)
             ]
             out.append(self._dot(terms))
-        return self._encode(out)
+        return out
 
     def fmt(self, idx: int) -> str:
         d = self._digits(np.int64(idx))
@@ -367,7 +440,7 @@ class ConstDiagKernel(_PositionalKernel):
                     raise MalformedSpec(
                         "below-diagonal entry must be 0 in a triangular ring", start
                     )
-        return int(self._encode([np.int64(d) for d in digits]))
+        return int(self._encode(digits))
 
 
 def _parse_matrix_entries(lit: _Lit, k: int, base: "RingTable"):
@@ -385,68 +458,28 @@ def _parse_matrix_entries(lit: _Lit, k: int, base: "RingTable"):
     return rows
 
 
-class ProductKernel:
+class ProductKernel(_DigitKernel):
+    """Direct product; digit t is an index into factor t."""
+
     def __init__(self, factors: list["RingTable"]):
-        self.factors = factors
-        self.radices = [f.order for f in factors]
-        self.order = 1
-        for rad in self.radices:
-            self.order *= rad
-        self.zero = self._encode_scalar([f.zero for f in factors])
-        self.one = self._encode_scalar([f.one for f in factors])
+        super().__init__(factors)
+        self.one = int(self._encode([f.one for f in factors]))
 
-    def _encode_scalar(self, parts):
-        acc = 0
-        for r, p in zip(self.radices, parts):
-            acc = acc * r + p
-        return acc
-
-    def _split(self, a):
-        a = np.asarray(a, np.int64).copy()
-        out = [None] * len(self.radices)
-        for t in range(len(self.radices) - 1, -1, -1):
-            out[t] = a % self.radices[t]
-            a //= self.radices[t]
-        return out
-
-    def _join(self, parts):
-        acc = np.zeros(np.shape(parts[0]), dtype=np.int64)
-        for r, p in zip(self.radices, parts):
-            acc = acc * r + np.asarray(p, np.int64)
-        return acc
-
-    def vadd(self, a, b):
-        pa, pb = self._split(a), self._split(b)
-        return self._join([f.vadd(x, y) for f, x, y in zip(self.factors, pa, pb)])
-
-    def vneg(self, a):
-        return self._join([f.vneg(x) for f, x in zip(self.factors, self._split(a))])
-
-    def vmul(self, a, b):
-        pa, pb = self._split(a), self._split(b)
-        return self._join([f.vmul(x, y) for f, x, y in zip(self.factors, pa, pb)])
-
-    def additive_generators(self):
-        gens = []
-        for t, f in enumerate(self.factors):
-            for g in f.additive_generators:
-                parts = [x.zero for x in self.factors]
-                parts[t] = g
-                gens.append(self._encode_scalar(parts))
-        return gens
+    def mul_digits(self, da, db):
+        return [f.vmul(x, y) for f, x, y in zip(self.parts, da, db)]
 
     def fmt(self, idx: int) -> str:
-        parts = self._split(np.int64(idx))
-        return "[" + ",".join(f.fmt_index(int(p)) for f, p in zip(self.factors, parts)) + "]"
+        parts = self._digits(np.int64(idx))
+        return "[" + ",".join(f.fmt_index(int(p)) for f, p in zip(self.parts, parts)) + "]"
 
     def parse_literal(self, lit: _Lit) -> int:
         lit.expect("[")
-        parts = [self.factors[0].kernel.parse_literal(lit)]
-        for f in self.factors[1:]:
+        parts = [self.parts[0].kernel.parse_literal(lit)]
+        for f in self.parts[1:]:
             lit.expect(",")
             parts.append(f.kernel.parse_literal(lit))
         lit.expect("]")
-        return self._encode_scalar(parts)
+        return int(self._encode(parts))
 
 
 class QuotientKernel:
@@ -647,11 +680,14 @@ class RingTable:
         idx = np.arange(n, dtype=np.int64)
         add_t = np.empty((n, n), dtype=np.uint16)
         mul_t = np.empty((n, n), dtype=np.uint16)
-        rows = max(1, _CHUNK // n)
-        for s in range(0, n, rows):
-            block = idx[s : s + rows, None]
-            add_t[s : s + rows] = self.kernel.vadd(block, idx[None, :])
-            mul_t[s : s + rows] = self.kernel.vmul(block, idx[None, :])
+        if isinstance(self.kernel, _DigitKernel):
+            self.kernel.fill_tables(add_t, mul_t)
+        else:
+            rows = max(1, _CHUNK // n)
+            for s in range(0, n, rows):
+                block = idx[s : s + rows, None]
+                add_t[s : s + rows] = self.kernel.vadd(block, idx[None, :])
+                mul_t[s : s + rows] = self.kernel.vmul(block, idx[None, :])
         self._add_t = add_t
         self._mul_t = mul_t
         self._neg_t = self.kernel.vneg(idx).astype(np.uint16)
@@ -816,9 +852,11 @@ class RingTable:
                     self.vmul(gens[None, :], gens[:, None]),
                 )
             )
-            if self._mul_t is not None:
-                # bilinearity makes the generator test exact; cross-check on tables
-                assert flag == bool(np.array_equal(self._mul_t, self._mul_t.T))
+            # bilinearity makes the generator test exact; cross-check on tables
+            if self._mul_t is not None and flag != np.array_equal(self._mul_t, self._mul_t.T):
+                raise PcleanError(
+                    f"{self.name}: generator commutativity test disagrees with the table"
+                )
             self.cache["commutative"] = flag
         return flag
 

@@ -3,8 +3,8 @@ import pytest
 
 from pclean import decompositions as dec
 from pclean import radicals as rad
-from pclean.errors import NotLiftable
-from pclean.rings import build_ring
+from pclean.errors import NotLiftable, PcleanError
+from pclean.rings import RingTable, TableKernel, build_ring
 from pclean.verifier import DEFAULT_CATALOG
 
 
@@ -199,3 +199,16 @@ def test_vectorized_mask_matches_scalar_path_on_structured_ring():
     sample = np.unique(rng.integers(0, m2.order, size=200))
     for i in map(int, sample):
         assert bool(mask[i]) == (dec.strongly_pclean_element(m2, i)[0] is not None)
+
+
+def test_pi_regular_disagreement_raises():
+    # Not a ring: 2*2 = 3, 3*2 = 4, 4*2 = 2, and 3*3 = 2 with 3 not commuting
+    # with 2, so 2 lies in 2^2 R but in no 2^(n+1) C(2).
+    add = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    mul = [[0] * 5 for _ in range(5)]
+    for x in range(5):
+        mul[1][x] = mul[x][1] = x
+    mul[2][2], mul[3][2], mul[4][2], mul[3][3] = 3, 4, 2, 2
+    r = RingTable(TableKernel(add, mul, zero=0, one=1), "broken")
+    with pytest.raises(PcleanError, match="pi-regular tests disagree"):
+        dec.strongly_pi_regular_element(r, 2)

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from pclean import decompositions as dec
 from pclean import radicals as rad
-from pclean.rings import build_ring
+from pclean.rings import ProductKernel, RingTable, build_ring
 from pclean.verifier import DEFAULT_CATALOG
 
 from oracles import (
@@ -191,3 +195,22 @@ def test_big_ring_radicals_match_small_path():
     r = build_ring("T2(Z4)")
     direct = rad.jacobson_radical(r)
     assert direct == rad.prime_radical(r)
+
+
+def test_dropped_ring_is_freed_without_the_cycle_collector():
+    factors = [build_ring("Z4"), build_ring("Z8")]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        r = RingTable(ProductKernel(factors), "Z4 x Z8")
+        p = rad.prime_radical(r)
+        assert rad.nilpotency_index(p) == 3
+        assert rad.jacobson_radical(r) == rad.jacobson_radical(r)
+        assert rad.prime_radical(r).ring is r and rad.nilpotency_index(rad.prime_radical(r)) == 3
+        dec.is_strongly_pclean_ring(r)
+        ref = weakref.ref(r)
+        del r, p
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

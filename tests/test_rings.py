@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pclean.errors import MalformedSpec, MixedRingOperands, OrderLimitExceeded
-from pclean.rings import build_ring, corner_ring, quotient_ring
+from pclean.errors import MalformedSpec, MixedRingOperands, OrderLimitExceeded, PcleanError
+from pclean.rings import RingTable, ZnKernel, build_ring, corner_ring, quotient_ring
 from pclean.verifier import DEFAULT_CATALOG
 
 from oracles import all_matrices, idempotents_of, mat_mul, units_zn
@@ -193,3 +193,47 @@ def test_size_one_matrix_families_degenerate_to_base():
             r.parse_element("[1]").index,
             r.parse_element("[3]").index,
         }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "M2(Z8)",
+        "T2(Z16)",
+        "T3(Z4)",
+        "Tc2(Z64)",
+        "Tc3(Z8)",
+        "Z64xZ64",
+        "M2(T2(Z2))",  # non-commutative base
+        "M2(Z4/(2))",  # quotient base
+        "T2(Z4xZ2)",
+        "Z4x(Z2xZ3)",  # nested product
+        "T2(Z4[i])",
+        "Z9xZ25xZ9",  # mixed radices, uneven last row block
+        "T1(M2(Z8))",  # a single digit split into row blocks
+    ],
+)
+def test_dense_tables_match_kernel_ops(name):
+    # the tables are filled on a digit mesh; the kernel ops run on coordinates
+    r = build_ring(name)
+    n = r.order
+    idx = np.arange(n, dtype=np.int64)
+    if n <= 1024:
+        starts = [0]
+        rows = n
+    else:
+        rows = 16
+        starts = np.linspace(0, n - rows, 9).astype(np.int64)
+    for s in starts:
+        block = idx[s : s + rows, None]
+        assert np.array_equal(r._add_t[s : s + rows], r.kernel.vadd(block, idx[None, :]))
+        assert np.array_equal(r._mul_t[s : s + rows], r.kernel.vmul(block, idx[None, :]))
+    assert np.array_equal(r._neg_t, r.kernel.vneg(idx))
+
+
+def test_commutativity_cross_check_raises_on_tampered_table():
+    r = RingTable(ZnKernel(4), "Z4")
+    r._mul_t = r._mul_t.copy()
+    r._mul_t[2, 3] = 0  # 2 * 3 = 2 in Z4; 3 * 2 stays 2
+    with pytest.raises(PcleanError, match="disagrees with the table"):
+        r.commutative

@@ -54,7 +54,6 @@ from .matrices import (
 )
 from .radicals import (
     Ideal,
-    descent_strongly_nilpotent_mask,
     ideal_generated,
     is_abelian,
     is_boolean,

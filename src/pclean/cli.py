@@ -201,6 +201,7 @@ def _element_analyze(args) -> tuple[dict, int]:
     r = build_ring(args.spec, limit=args.limit)
     x = r.parse_element(args.element)
     i = x.index
+    p = rad.prime_radical(r)  # before the element scans, which then read it
     nilp = rad.element_nilpotency(r, i)
     sn, sn_idx = rad.is_strongly_nilpotent(r, i)
     pcert, pcount = dec.strongly_pclean_element(r, i)
@@ -220,7 +221,7 @@ def _element_analyze(args) -> tuple[dict, int]:
         "unit": r.is_unit(i),
         "nilpotent": {"is": nilp is not None, "exponent": nilp},
         "strongly_nilpotent": {"is": sn, "ideal_nilpotency_index": sn_idx},
-        "in_prime_radical": rad.prime_radical(r).contains(i),
+        "in_prime_radical": p.contains(i),
         "in_jacobson_radical": rad.jacobson_radical(r).contains(i),
         "strongly_pclean": {"holds": pcert is not None, "count": pcount,
                             "certificate": _cert_report(pcert)},
@@ -354,10 +355,10 @@ def main(argv=None) -> int:
     }
     try:
         doc, status = handlers[args.command](args)
-    except (MalformedSpec, OrderLimitExceeded, UnknownTheoremId, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotCommutative, NotLocal, HypothesisViolated, PreconditionFailed, RingTooLarge) as exc:
+    except (
+        MalformedSpec, OrderLimitExceeded, UnknownTheoremId, FileNotFoundError,
+        NotCommutative, NotLocal, HypothesisViolated, PreconditionFailed, RingTooLarge,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

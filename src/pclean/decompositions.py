@@ -1,9 +1,11 @@
 """Element-level cleanness tests, certificates, and ring-level aggregates.
 
-Every certificate re-validates from its stored witness; aggregates report the
-least-index counterexample.  The uniquely-P-clean count deliberately drops the
-commutation requirement: uniqueness is over all idempotents e with a - e in
-P(R), which is what separates abelian from non-abelian rings.
+Strongly P-clean, clean, nil clean and J-clean differ only in the set a - e
+must lie in (P(R), units, nilpotents, J(R)); the "uniquely" notions count all
+idempotents e, commuting with a or not, which separates abelian rings from the
+rest.  Every test is a view on `_hits` (one element) or `_sweep` (the only
+loop over a ring's idempotents).  Certificates re-validate from their stored
+witness; aggregates report the least-index counterexample.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ class CleanCertificate:
     element: int
     idempotent: int
     remainder: int
-    witness: int | None  # P: nilpotency index of ideal(w); NIL: exponent of w;
-    #                      CLEAN: index of w^-1; J: None
+    witness: int | None  # P: nilpotency index of RwR; NIL: of w; CLEAN: w^-1; J: None
 
     def validate(self) -> bool:
         r = self.ring
@@ -54,116 +55,81 @@ class CleanCertificate:
             return radicals.jacobson_radical(r).contains(w)
         return False
 
-    def as_elements(self):
-        r = self.ring
-        return Element(r, self.element), Element(r, self.idempotent), Element(r, self.remainder)
-
     def __repr__(self):
-        r = self.ring
-        return (
-            f"{self.kind}({r.fmt_index(self.element)} = {r.fmt_index(self.idempotent)}"
-            f" + {r.fmt_index(self.remainder)})"
-        )
+        f = self.ring.fmt_index
+        return f"{self.kind}({f(self.element)} = {f(self.idempotent)} + {f(self.remainder)})"
 
 
 def _index_of(r: RingTable, a) -> int:
     return a.index if isinstance(a, Element) else int(a)
 
 
-def _commuting_idempotents(r: RingTable, a: int) -> np.ndarray:
+# per kind: the set a - e must lie in, and the certificate witness of w = a - e
+_KINDS = {
+    STRONGLY_P_CLEAN: (
+        lambda r: radicals.prime_radical(r).mask,
+        lambda r, w: radicals.is_strongly_nilpotent(r, w)[1],
+    ),
+    STRONGLY_CLEAN: (lambda r: r.unit_mask, lambda r, w: r.inverse(w)),
+    STRONGLY_NIL_CLEAN: (lambda r: radicals.nilpotent_mask(r), radicals.element_nilpotency),
+    STRONGLY_J_CLEAN: (lambda r: radicals.jacobson_radical(r).mask, lambda r, w: None),
+}
+
+
+def _hits(r: RingTable, kind: str, a: int, commuting: bool) -> np.ndarray:
+    """Idempotents e, ascending, with a - e in the set of `kind` (and ea = ae
+    when `commuting`).  P-membership never computes P(R) for one element."""
     idem = r.idempotent_indices
     aa = np.int64(a)
-    return idem[r.vmul(aa, idem) == r.vmul(idem, aa)]
+    if commuting:
+        idem = idem[r.vmul(aa, idem) == r.vmul(idem, aa)]
+    diff = r.vsub(aa, idem)
+    if kind == STRONGLY_P_CLEAN:
+        return idem[radicals.in_prime_radical(r, diff)]
+    return idem[_KINDS[kind][0](r)[diff]]
+
+
+def _certificate(r: RingTable, kind: str, a) -> tuple[CleanCertificate | None, int]:
+    """Certificate from the least qualifying commuting idempotent, and their count."""
+    a = _index_of(r, a)
+    good = _hits(r, kind, a, commuting=True)
+    if good.size == 0:
+        return None, 0
+    e = int(good[0])
+    w = r.sub(a, e)
+    return CleanCertificate(kind, r, a, e, w, _KINDS[kind][1](r, w)), int(good.size)
 
 
 def strongly_pclean_element(r: RingTable, a) -> tuple[CleanCertificate | None, int]:
-    """First commuting idempotent with strongly nilpotent remainder, plus how
-    many idempotents qualify."""
-    a = _index_of(r, a)
-    cand = _commuting_idempotents(r, a)
-    if "prime_ideal" in r.cache or r.order <= 65536:
-        pm = radicals.prime_radical(r).mask
-        good = cand[pm[r.vsub(np.int64(a), cand)]]
-    else:
-        good = np.asarray(
-            [e for e in cand if radicals.is_strongly_nilpotent(r, r.sub(a, int(e)))[0]],
-            np.int64,
-        )
-    if good.size == 0:
-        return None, 0
-    e = int(good[0])
-    w = r.sub(a, e)
-    _, witness = radicals.is_strongly_nilpotent(r, w)
-    return CleanCertificate(STRONGLY_P_CLEAN, r, a, e, w, witness), int(good.size)
-
-
-def _pclean_exists(r: RingTable, a: int) -> bool:
-    """Existence-only probe used by aggregates on large structured rings."""
-    cand = _commuting_idempotents(r, a)
-    if "prime_ideal" in r.cache:
-        return bool(radicals.prime_radical(r).mask[r.vsub(np.int64(a), cand)].any())
-    return any(
-        radicals.is_strongly_nilpotent(r, r.sub(a, int(e)))[0] for e in cand
-    )
+    """First commuting idempotent e with a - e strongly nilpotent, and their count."""
+    return _certificate(r, STRONGLY_P_CLEAN, a)
 
 
 def strongly_clean_element(r: RingTable, a) -> tuple[CleanCertificate | None, int]:
-    a = _index_of(r, a)
-    cand = _commuting_idempotents(r, a)
-    good = cand[r.unit_mask[r.vsub(np.int64(a), cand)]]
-    if good.size == 0:
-        return None, 0
-    e = int(good[0])
-    w = r.sub(a, e)
-    return CleanCertificate(STRONGLY_CLEAN, r, a, e, w, r.inverse(w)), int(good.size)
+    return _certificate(r, STRONGLY_CLEAN, a)
 
 
 def strongly_nilclean_element(r: RingTable, a) -> tuple[CleanCertificate | None, int]:
-    a = _index_of(r, a)
-    cand = _commuting_idempotents(r, a)
-    good = cand[radicals.nilpotent_mask(r)[r.vsub(np.int64(a), cand)]]
-    if good.size == 0:
-        return None, 0
-    e = int(good[0])
-    w = r.sub(a, e)
-    return (
-        CleanCertificate(STRONGLY_NIL_CLEAN, r, a, e, w, radicals.element_nilpotency(r, w)),
-        int(good.size),
-    )
+    return _certificate(r, STRONGLY_NIL_CLEAN, a)
 
 
 def strongly_jclean_element(r: RingTable, a) -> tuple[CleanCertificate | None, int]:
-    a = _index_of(r, a)
-    cand = _commuting_idempotents(r, a)
-    good = cand[radicals.jacobson_radical(r).mask[r.vsub(np.int64(a), cand)]]
-    if good.size == 0:
-        return None, 0
-    e = int(good[0])
-    w = r.sub(a, e)
-    return CleanCertificate(STRONGLY_J_CLEAN, r, a, e, w, None), int(good.size)
+    return _certificate(r, STRONGLY_J_CLEAN, a)
 
 
 def uniquely_clean_count(r: RingTable, a) -> int:
-    """Number of representations a = e + u, e idempotent, u a unit (no
-    commutation requirement)."""
-    a = _index_of(r, a)
-    idem = r.idempotent_indices
-    return int(r.unit_mask[r.vsub(np.int64(a), idem)].sum())
+    """Number of idempotents e with a - e a unit (no commutation requirement)."""
+    return int(_hits(r, STRONGLY_CLEAN, _index_of(r, a), commuting=False).size)
 
 
 def uniquely_nilclean_count(r: RingTable, a) -> int:
-    """Number of idempotents e with a - e nilpotent (no commutation: the
-    uniqueness notion that makes uniquely nil clean rings abelian)."""
-    a = _index_of(r, a)
-    idem = r.idempotent_indices
-    return int(radicals.nilpotent_mask(r)[r.vsub(np.int64(a), idem)].sum())
+    """Number of idempotents e with a - e nilpotent (no commutation requirement)."""
+    return int(_hits(r, STRONGLY_NIL_CLEAN, _index_of(r, a), commuting=False).size)
 
 
 def uniquely_pclean_count(r: RingTable, a) -> int:
     """Number of idempotents e with a - e in P(R) (no commutation requirement)."""
-    a = _index_of(r, a)
-    idem = r.idempotent_indices
-    return int(radicals.prime_radical(r).mask[r.vsub(np.int64(a), idem)].sum())
+    return int(_hits(r, STRONGLY_P_CLEAN, _index_of(r, a), commuting=False).size)
 
 
 def strongly_pi_regular_element(r: RingTable, a) -> tuple[bool, int | None, int | None]:
@@ -177,13 +143,11 @@ def strongly_pi_regular_element(r: RingTable, a) -> tuple[bool, int | None, int 
     idx = np.arange(r.order, dtype=np.int64)
     aa = np.int64(a)
     commutant = idx[r.vmul(aa, idx) == r.vmul(idx, aa)]
-    found = None
-    bare_found = None
+    found = bare_found = None
     x = a  # a^n
     for n in range(1, r.order + 2):
         nxt = r.mul(x, a)  # a^(n+1)
-        prods = r.vmul(np.int64(nxt), commutant)
-        hits = commutant[prods == x]
+        hits = commutant[r.vmul(np.int64(nxt), commutant) == x]
         if hits.size and found is None:
             found = (n, int(hits[0]))
         if bare_found is None and (r.vmul(np.int64(nxt), idx) == x).any():
@@ -196,9 +160,7 @@ def strongly_pi_regular_element(r: RingTable, a) -> tuple[bool, int | None, int 
             f"{r.name}: commuting and bare strongly pi-regular tests disagree on "
             f"{r.fmt_index(a)}"
         )
-    if found is None:
-        return False, None, None
-    return True, found[0], found[1]
+    return (False, None, None) if found is None else (True, *found)
 
 
 def idempotent_lift(r: RingTable, a) -> int:
@@ -217,13 +179,10 @@ def idempotent_lift(r: RingTable, a) -> int:
     apow = [r.one]
     for _ in range(2 * n):
         apow.append(r.mul(apow[-1], a))
-    bpow = [r.one]
-    for _ in range(n):
-        bpow.append(r.mul(bpow[-1], one_minus))
-    e = r.zero
+    e, b = r.zero, r.one  # b = (1 - a)^i
     for i in range(n + 1):
-        coeff = r.embed_int(math.comb(2 * n, i))
-        e = r.add(e, r.mul(coeff, r.mul(apow[2 * n - i], bpow[i])))
+        e = r.add(e, r.mul(r.embed_int(math.comb(2 * n, i)), r.mul(apow[2 * n - i], b)))
+        b = r.mul(b, one_minus)
     if r.mul(e, e) != e or r.mul(e, a) != r.mul(a, e):
         raise PcleanError(f"idempotent lift failed for {r.fmt_index(a)} in {r.name}")
     if radicals.element_nilpotency(r, r.sub(a, e)) is None:
@@ -238,112 +197,72 @@ def idempotent_lift(r: RingTable, a) -> int:
 # ring-level aggregates
 
 
-def _aggregate(r: RingTable, key: str, member_mask_fn, probe_fn) -> tuple[bool, int | None]:
-    cached = r.cache.get(key)
-    if cached is not None:
-        return cached
-    if r.order > 4096:
-        # counterexamples in structured rings tend to sit at tiny indices;
-        # probing them first avoids the full vectorized sweep
-        for x in range(min(_PROBE, r.order)):
-            if not probe_fn(x):
-                r.cache[key] = (False, x)
-                return False, x
-    idx = np.arange(r.order, dtype=np.int64)
-    acc = np.zeros(r.order, dtype=bool)
-    member = member_mask_fn()
-    for e in r.idempotent_indices:
-        ee = np.int64(e)
-        acc |= (r.vmul(idx, ee) == r.vmul(ee, idx)) & member[r.vsub(idx, ee)]
-        if acc.all():
-            break
-    if acc.all():
-        result = (True, None)
-    else:
-        result = (False, int(np.flatnonzero(~acc)[0]))
-    r.cache[key] = result
-    return result
+def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
+    """Per element x: whether some e with ex = xe has x - e in `member` (bool),
+    or else how many e have (uint8, saturated at 2).  Memoized per member set:
+    J = P always and Nil = P often share one pass."""
+    key = ("sweep", member.tobytes(), commuting)
+    if key not in r.cache:
+        need = 1 if commuting else 2
+        count = np.zeros(r.order, dtype=np.uint8)
+        for e in r.idempotent_indices:
+            x = np.flatnonzero(count < need)  # elements still undecided
+            if x.size == 0:
+                break
+            ee = np.int64(e)
+            x = x[member[r.vsub(x, ee)]]
+            if commuting:
+                x = x[r.vmul(x, ee) == r.vmul(ee, x)]
+            count[x] += 1
+        r.cache[key] = count.astype(bool) if commuting else count
+    return r.cache[key]
 
 
-def is_strongly_pclean_ring(r: RingTable) -> tuple[bool, int | None]:
-    return _aggregate(
-        r,
-        "agg_strongly_pclean",
-        lambda: radicals.prime_radical(r).mask,
-        lambda x: _pclean_exists(r, x),
-    )
+def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None]:
+    """Strongly (some commuting e) or uniquely (exactly one e) `kind`-clean."""
+    key = ("verdict", kind, commuting)
+    if key not in r.cache:
+        bad = None
+        if commuting and r.order > 4096:
+            # counterexamples in structured rings tend to sit at tiny indices;
+            # probing them first avoids the full vectorized sweep
+            probe = range(min(_PROBE, r.order))
+            bad = next((x for x in probe if not _hits(r, kind, x, True).size), None)
+        if bad is None:
+            cover = _sweep(r, _KINDS[kind][0](r), commuting)
+            gaps = np.flatnonzero(~cover if commuting else cover != 1)
+            bad = int(gaps[0]) if gaps.size else None
+        r.cache[key] = (bad is None, bad)
+    return r.cache[key]
 
 
 def strongly_pclean_mask(r: RingTable) -> np.ndarray:
     """Per-element strongly P-clean verdicts for the whole ring."""
-    mask = r.cache.get("pclean_mask")
-    if mask is None:
-        idx = np.arange(r.order, dtype=np.int64)
-        pm = radicals.prime_radical(r).mask
-        mask = np.zeros(r.order, dtype=bool)
-        for e in r.idempotent_indices:
-            ee = np.int64(e)
-            mask |= (r.vmul(idx, ee) == r.vmul(ee, idx)) & pm[r.vsub(idx, ee)]
-            if mask.all():
-                break
-        r.cache["pclean_mask"] = mask
-    return mask
+    return _sweep(r, radicals.prime_radical(r).mask, commuting=True)
+
+
+def is_strongly_pclean_ring(r: RingTable) -> tuple[bool, int | None]:
+    return _verdict(r, STRONGLY_P_CLEAN, commuting=True)
 
 
 def is_strongly_clean_ring(r: RingTable) -> tuple[bool, int | None]:
-    return _aggregate(
-        r,
-        "agg_strongly_clean",
-        lambda: r.unit_mask,
-        lambda x: strongly_clean_element(r, x)[0] is not None,
-    )
+    return _verdict(r, STRONGLY_CLEAN, commuting=True)
 
 
 def is_strongly_jclean_ring(r: RingTable) -> tuple[bool, int | None]:
-    return _aggregate(
-        r,
-        "agg_strongly_jclean",
-        lambda: radicals.jacobson_radical(r).mask,
-        lambda x: strongly_jclean_element(r, x)[0] is not None,
-    )
-
-
-def _unique_count_aggregate(r: RingTable, key: str, member_mask_fn, commuting: bool):
-    cached = r.cache.get(key)
-    if cached is not None:
-        return cached
-    idx = np.arange(r.order, dtype=np.int64)
-    counts = np.zeros(r.order, dtype=np.int64)
-    member = member_mask_fn()
-    for e in r.idempotent_indices:
-        ee = np.int64(e)
-        hit = member[r.vsub(idx, ee)]
-        if commuting:
-            hit &= r.vmul(idx, ee) == r.vmul(ee, idx)
-        counts += hit
-    bad = np.flatnonzero(counts != 1)
-    result = (True, None) if bad.size == 0 else (False, int(bad[0]))
-    r.cache[key] = result
-    return result
+    return _verdict(r, STRONGLY_J_CLEAN, commuting=True)
 
 
 def is_uniquely_pclean_ring(r: RingTable) -> tuple[bool, int | None]:
-    """Unique e = e^2 with x - e in P(R), uniqueness over all idempotents."""
-    return _unique_count_aggregate(
-        r, "agg_uniquely_pclean", lambda: radicals.prime_radical(r).mask, commuting=False
-    )
+    return _verdict(r, STRONGLY_P_CLEAN, commuting=False)
 
 
 def is_uniquely_clean_ring(r: RingTable) -> tuple[bool, int | None]:
-    return _unique_count_aggregate(
-        r, "agg_uniquely_clean", lambda: r.unit_mask, commuting=False
-    )
+    return _verdict(r, STRONGLY_CLEAN, commuting=False)
 
 
 def is_uniquely_nilclean_ring(r: RingTable) -> tuple[bool, int | None]:
-    return _unique_count_aggregate(
-        r, "agg_uniquely_nilclean", lambda: radicals.nilpotent_mask(r), commuting=False
-    )
+    return _verdict(r, STRONGLY_NIL_CLEAN, commuting=False)
 
 
 RING_VERDICTS = {
@@ -357,20 +276,15 @@ RING_VERDICTS = {
 
 
 def ring_verdicts(r: RingTable) -> dict:
-    """All six ring-level cleanness verdicts with counterexamples.
-
-    Verdicts whose member sets cannot be enumerated at this order (unit scans
-    on very large rings) are reported as None.
-    """
+    """All six ring-level cleanness verdicts with counterexamples; None where the
+    member set cannot be enumerated at this order (units of very large rings)."""
     out = {}
     for name, fn in RING_VERDICTS.items():
         try:
             holds, cex = fn(r)
         except RingTooLarge:
             out[name] = {"holds": None, "counterexample": None, "skipped": "order"}
-            continue
-        out[name] = {
-            "holds": holds,
-            "counterexample": None if cex is None else r.fmt_index(cex),
-        }
+        else:
+            cex = None if cex is None else r.fmt_index(cex)
+            out[name] = {"holds": holds, "counterexample": cex}
     return out

@@ -11,10 +11,11 @@ class MalformedSpec(PcleanError):
     """A ring descriptor or element literal could not be parsed."""
 
     def __init__(self, message: str, offset: int | None = None):
+        self.reason = message
+        self.offset = offset
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
-        self.offset = offset
 
 
 class OrderLimitExceeded(PcleanError):

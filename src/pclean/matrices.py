@@ -209,14 +209,29 @@ def _require_local(r: RingTable):
         raise NotLocal(f"{r.name} is not local")
 
 
+def m2_invariants(m2: RingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(entries, trace, det, disc) of every matrix of M2(r), as base indices.
+
+    entries has shape (4, |M2(r)|) in row-major order; disc = tr^2 - 4 det.
+    """
+    inv = m2.cache.get("m2_invariants")
+    if inv is None:
+        base = m2.kernel.base
+        d = m2.kernel._digits(np.arange(m2.order, dtype=np.int64))
+        tr = base.vadd(d[0], d[3])
+        det = base.vsub(base.vmul(d[0], d[3]), base.vmul(d[1], d[2]))
+        four = np.int64(base.embed_int(4))
+        disc = base.vsub(base.vmul(tr, tr), base.vmul(four, det))
+        inv = m2.cache["m2_invariants"] = (d, tr, det, disc)
+    return inv
+
+
 def entries_in_p_mask(m2: RingTable) -> np.ndarray:
     """Mask over M2(r) of matrices with every entry in P(r)."""
     mask = m2.cache.get("entries_in_p")
     if mask is None:
-        base = m2.kernel.base
-        pm = radicals.prime_radical(base).mask
-        d = m2.kernel._digits(np.arange(m2.order, dtype=np.int64))
-        mask = pm[d].all(axis=0)
+        pm = radicals.prime_radical(m2.kernel.base).mask
+        mask = pm[m2_invariants(m2)[0]].all(axis=0)
         m2.cache["entries_in_p"] = mask
     return mask
 
@@ -264,11 +279,8 @@ def roots_criterion_mask(m2: RingTable) -> np.ndarray:
     """Trichotomy (3): in M2(P), or I - A in M2(P), or a root in P and in 1+P."""
     mask = m2.cache.get("roots_criterion")
     if mask is None:
-        base = m2.kernel.base
-        has_p, has_1p = root_pair_table(base)
-        d = m2.kernel._digits(np.arange(m2.order, dtype=np.int64))
-        tr = base.vadd(d[0], d[3])
-        det = base.vsub(base.vmul(d[0], d[3]), base.vmul(d[1], d[2]))
+        has_p, has_1p = root_pair_table(m2.kernel.base)
+        _, tr, det, _ = m2_invariants(m2)
         mask = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | (has_p[tr, det] & has_1p[tr, det])
         m2.cache["roots_criterion"] = mask
     return mask
@@ -332,6 +344,9 @@ def classify_pclean_2x2(A: Matrix2) -> Classification:
 
     from .decompositions import strongly_pclean_element
 
+    if m2.order <= DEFAULT_ORDER_LIMIT:
+        # P(M2(r)) once per base ring serves the scan of every later matrix
+        radicals.prime_radical(m2)
     cert, _count = strongly_pclean_element(m2, aidx)
     crit_scan = cert is not None
 

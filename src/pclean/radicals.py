@@ -1,8 +1,8 @@
 """Ideals, nilpotency, strongly nilpotent elements, and the two radicals.
 
 Strong nilpotence is decided through the nilpotency of the two-sided ideal
-generated by the element; the descent-sequence definition is kept as an
-independent oracle for small rings (`descent_strongly_nilpotent_mask`).
+generated by the element; the tests compare it with the descent-sequence
+definition on small rings.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RadicalNotIdeal, RingTooLarge
+from .errors import RadicalNotIdeal
 from .rings import (
     _CHUNK,
     UNIT_SCAN_LIMIT,
@@ -177,8 +177,13 @@ def is_strongly_nilpotent(r: RingTable, a) -> tuple[bool, int | None]:
     return res
 
 
-def strongly_nilpotent_mask(r: RingTable) -> np.ndarray:
-    return prime_radical(r).mask
+def in_prime_radical(r: RingTable, xs: np.ndarray) -> np.ndarray:
+    """Membership of xs in P(R): read from P(R) when it is cached, otherwise
+    tested element by element, so a few queries never pay for all of P(R)."""
+    p = _cached_ideal(r, "prime_ideal")
+    if p is not None:
+        return p.mask[xs]
+    return np.fromiter((is_strongly_nilpotent(r, int(x))[0] for x in xs), bool, len(xs))
 
 
 def prime_radical(r: RingTable) -> Ideal:
@@ -323,94 +328,4 @@ def is_abelian(r: RingTable) -> bool:
 
 def is_locally_nilpotent(I: Ideal) -> bool:
     """Every element of I generates a nilpotent ideal."""
-    r = I.ring
-    p = _cached_ideal(r, "prime_ideal")
-    if p is not None:
-        return bool(p.mask[I.indices].all())
-    return all(is_strongly_nilpotent(r, int(x))[0] for x in I.indices)
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: the descent-sequence definition
-
-
-def descent_strongly_nilpotent_mask(r: RingTable, guard: int = 512) -> np.ndarray:
-    """Strong nilpotence decided directly on descent sequences a_{i+1} = a_i t a_i.
-
-    An element is strongly nilpotent iff no sequence of descents can avoid 0
-    forever; over a finite ring that happens exactly when no nonzero cycle in
-    the descent graph is reachable from it.  Exponential-flavored reference
-    path, guarded to small rings.
-    """
-    n = r.order
-    if n > guard:
-        raise RingTooLarge(f"descent oracle guarded to order <= {guard}")
-    idx = np.arange(n, dtype=np.int64)
-    children = [
-        np.unique(r.vmul(r.vmul(np.int64(x), idx), np.int64(x))) for x in range(n)
-    ]
-
-    # Tarjan SCC (iterative); nonzero SCCs with a cycle are unsafe cores.
-    index = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    stack: list[int] = []
-    bad = np.zeros(n, dtype=bool)
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            kids = children[v]
-            while pi < len(kids):
-                w = int(kids[pi])
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                cyclic = len(comp) > 1 or v in set(int(c) for c in children[v])
-                if cyclic:
-                    for w in comp:
-                        if w != r.zero:
-                            bad[w] = True
-            if work:
-                pv, _ = work[-1]
-                low[pv] = min(low[pv], low[v])
-
-    # unsafe = can reach a bad node
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in children[v]:
-            rev[int(w)].append(v)
-    unsafe = bad.copy()
-    frontier = list(np.flatnonzero(bad))
-    while frontier:
-        w = frontier.pop()
-        for v in rev[w]:
-            if not unsafe[v]:
-                unsafe[v] = True
-                frontier.append(v)
-    return ~unsafe
+    return bool(in_prime_radical(I.ring, I.indices).all())

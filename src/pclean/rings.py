@@ -569,47 +569,6 @@ class SubsetKernel:
         return p
 
 
-class TableKernel:
-    """A ring given by explicit addition/multiplication tables (test fixtures)."""
-
-    def __init__(self, add_table, mul_table, zero: int, one: int, labels=None):
-        self.add_table = np.asarray(add_table, np.int64)
-        self.mul_table = np.asarray(mul_table, np.int64)
-        self.order = self.add_table.shape[0]
-        self.zero = zero
-        self.one = one
-        self.labels = list(labels) if labels else [str(i) for i in range(self.order)]
-        neg = np.full(self.order, -1, dtype=np.int64)
-        rows, cols = np.nonzero(self.add_table == zero)
-        neg[rows] = cols
-        self._neg = neg
-
-    def vadd(self, a, b):
-        return self.add_table[np.asarray(a, np.int64), np.asarray(b, np.int64)]
-
-    def vneg(self, a):
-        return self._neg[np.asarray(a, np.int64)]
-
-    def vmul(self, a, b):
-        return self.mul_table[np.asarray(a, np.int64), np.asarray(b, np.int64)]
-
-    def additive_generators(self):
-        return None
-
-    def fmt(self, idx: int) -> str:
-        return self.labels[idx]
-
-    def parse_literal(self, lit: _Lit) -> int:
-        start = lit.pos
-        while lit.pos < len(lit.text) and lit.text[lit.pos] not in ",;])":
-            lit.pos += 1
-        tok = lit.text[start : lit.pos].strip()
-        try:
-            return self.labels.index(tok)
-        except ValueError:
-            raise MalformedSpec(f"unknown element label {tok!r}", start) from None
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -778,6 +737,7 @@ class RingTable:
 
     @property
     def unit_mask(self) -> np.ndarray:
+        """Units, found by one scan that also fills `unit_inverses`."""
         mask = self.cache.get("unit_mask")
         if mask is None:
             if self.order > UNIT_SCAN_LIMIT:
@@ -785,7 +745,7 @@ class RingTable:
                     f"unit enumeration needs order <= {UNIT_SCAN_LIMIT}, "
                     f"{self.name} has {self.order}"
                 )
-            mask = np.zeros(self.order, dtype=bool)
+            inv = np.full(self.order, -1, dtype=np.int64)
             idx = np.arange(self.order, dtype=np.int64)
             rows = max(1, _CHUNK // self.order)
             for s in range(0, self.order, rows):
@@ -793,10 +753,18 @@ class RingTable:
                 hits = np.nonzero(self.vmul(block[:, None], idx[None, :]) == self.one)
                 for xi, y in zip(*hits):
                     x = int(block[xi])
-                    if self.mul(int(y), x) == self.one:
-                        mask[x] = True
-            self.cache["unit_mask"] = mask
+                    if inv[x] < 0 and self.mul(int(y), x) == self.one:
+                        inv[x] = y
+            self.cache["unit_inverses"] = inv
+            mask = self.cache["unit_mask"] = inv >= 0
         return mask
+
+    @property
+    def unit_inverses(self) -> np.ndarray:
+        """x^-1 at index x for every unit x, -1 for non-units."""
+        if "unit_inverses" not in self.cache:
+            self.unit_mask  # the unit scan fills the table
+        return self.cache["unit_inverses"]
 
     @property
     def unit_indices(self) -> np.ndarray:
@@ -807,11 +775,12 @@ class RingTable:
         return idx
 
     def is_unit(self, x: int) -> bool:
-        if "unit_mask" in self.cache or self.order <= UNIT_SCAN_LIMIT:
-            return bool(self.unit_mask[x])
         return self.inverse(x) is not None
 
     def inverse(self, x: int) -> int | None:
+        if self.order <= UNIT_SCAN_LIMIT:
+            y = int(self.unit_inverses[x])
+            return None if y < 0 else y
         idx = np.arange(self.order, dtype=np.int64)
         for s in range(0, self.order, _CHUNK):
             block = idx[s : s + _CHUNK]

@@ -161,14 +161,20 @@ class _Scanner:
 
 
 def parse_ring_spec(text: str):
-    """Parse a ring descriptor; raises MalformedSpec with a byte offset."""
-    stripped = "".join(text.split())
+    """Parse a ring descriptor; raises MalformedSpec with the offset in `text`."""
+    kept = [i for i, ch in enumerate(text) if not ch.isspace()]
+    stripped = "".join(text[i] for i in kept)
     if not stripped:
         raise MalformedSpec("empty ring spec", 0)
     sc = _Scanner(stripped)
-    spec = _parse_product(sc)
-    if sc.pos != len(stripped):
-        raise MalformedSpec(f"trailing input {stripped[sc.pos:]!r}", sc.pos)
+    try:
+        spec = _parse_product(sc)
+        if sc.pos != len(stripped):
+            raise MalformedSpec(f"trailing input {stripped[sc.pos:]!r}", sc.pos)
+    except MalformedSpec as exc:
+        # the scanner saw the text without whitespace: map back to `text`
+        at = kept[exc.offset] if exc.offset < len(kept) else len(text)
+        raise MalformedSpec(exc.reason, at) from None
     return spec
 
 

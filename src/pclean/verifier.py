@@ -16,14 +16,17 @@ import numpy as np
 from . import decompositions as dec
 from . import radicals as rad
 from . import specs
-from .errors import UnknownTheoremId
+from .errors import PcleanError, UnknownTheoremId
 from .matrices import (
     Matrix2,
     definitional_mask,
     diff_in_p_mask,
     entries_in_p_mask,
+    m2_invariants,
+    matrix_from_index,
     matrix_ring,
     one_minus_in_p_mask,
+    quadratic_roots,
     roots_criterion_mask,
     triangular_ring,
 )
@@ -198,29 +201,13 @@ def _next_power(r: RingTable, cur: np.ndarray, base: np.ndarray) -> np.ndarray:
     return _ideal_product_mask(r, base, cur)
 
 
-def _unit_inverses(rt: RingTable) -> dict[int, int]:
-    table = rt.cache.get("unit_inverses")
-    if table is None:
-        table = {}
-        units = rt.unit_indices
-        for u in units:
-            hits = units[rt.vmul(np.int64(u), units) == rt.one]
-            for v in hits:
-                if rt.mul(int(v), int(u)) == rt.one:
-                    table[int(u)] = int(v)
-                    break
-        table = {u: table[u] for u in map(int, units)}
-        rt.cache["unit_inverses"] = table
-    return table
-
-
 def _conjugation_reach(rt: RingTable, qual: np.ndarray) -> np.ndarray:
     """Mask of A similar (via units of rt) to some element with qual set."""
     idx = np.arange(rt.order, dtype=np.int64)
     found = qual.copy()
-    inv = _unit_inverses(rt)
-    for u, v in inv.items():
-        conj = rt.vmul(rt.vmul(np.int64(v), idx), np.int64(u))
+    inv = rt.unit_inverses
+    for u in rt.unit_indices:
+        conj = rt.vmul(rt.vmul(inv[u], idx), np.int64(u))
         found |= qual[conj]
         if found.all():
             break
@@ -231,6 +218,23 @@ def _one_plus_p_mask(r: RingTable) -> np.ndarray:
     pm = rad.prime_radical(r).mask
     idx = np.arange(r.order, dtype=np.int64)
     return pm[r.vsub(idx, np.int64(r.one))]
+
+
+def _mask_check(ring: RingTable, kind: str, prop: str, actual, expected):
+    """HOLDS when two whole-ring masks agree, else the least index where they
+    differ as a `kind` ("element" or "matrix") counterexample."""
+    bad = np.flatnonzero(actual != expected)
+    if bad.size == 0:
+        return HOLDS, None
+    b = int(bad[0])
+    return COUNTEREXAMPLE, {
+        "kind": kind,
+        "ring": ring.name,
+        kind: ring.fmt_index(b),
+        "property": prop,
+        "expected": bool(expected[b]),
+        "actual": bool(actual[b]),
+    }
 
 
 def _first_diff(masks: list[np.ndarray]) -> int | None:
@@ -325,7 +329,7 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
         if pm[r.sub(a, r.mul(a, a))]:
             try:
                 e = dec.idempotent_lift(r, a)
-            except Exception as exc:  # lift failure is a genuine violation
+            except PcleanError as exc:  # a failed lift is a genuine violation
                 return COUNTEREXAMPLE, _element_cex(r, a, "idempotent_lift", "lift", repr(exc))
             if not pm[r.sub(a, e)]:
                 return COUNTEREXAMPLE, _element_cex(
@@ -625,18 +629,7 @@ def _check_p3_7(r: RingTable, env: VerifyEnv):
     pm = rad.prime_radical(r).mask
     onep = _one_plus_p_mask(r)
     ok_diag = (pm[digits[0]] | onep[digits[0]]) & (pm[digits[2]] | onep[digits[2]])
-    bad = np.flatnonzero(lhs != ok_diag)
-    if bad.size == 0:
-        return HOLDS, None
-    b = int(bad[0])
-    return COUNTEREXAMPLE, {
-        "kind": "element",
-        "ring": t2.name,
-        "element": t2.fmt_index(b),
-        "property": "pclean_iff_diagonal_in_P_or_1P",
-        "expected": bool(ok_diag[b]),
-        "actual": bool(lhs[b]),
-    }
+    return _mask_check(t2, "element", "pclean_iff_diagonal_in_P_or_1P", lhs, ok_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -650,18 +643,7 @@ def _check_l4_1(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
     lhs = rad.prime_radical(m2).mask  # element-wise strongly nilpotent scan
     rhs = entries_in_p_mask(m2)  # entries in P(base)
-    bad = np.flatnonzero(lhs != rhs)
-    if bad.size == 0:
-        return HOLDS, None
-    b = int(bad[0])
-    return COUNTEREXAMPLE, {
-        "kind": "matrix",
-        "ring": m2.name,
-        "matrix": m2.fmt_index(b),
-        "property": "radical_of_matrix_ring_is_matrix_of_radical",
-        "expected": bool(rhs[b]),
-        "actual": bool(lhs[b]),
-    }
+    return _mask_check(m2, "matrix", "radical_of_matrix_ring_is_matrix_of_radical", lhs, rhs)
 
 
 def _check_t4_2(r: RingTable, env: VerifyEnv):
@@ -670,8 +652,7 @@ def _check_t4_2(r: RingTable, env: VerifyEnv):
         return guard
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
-    k = m2.kernel
-    digits = k._digits(np.arange(m2.order, dtype=np.int64))
+    digits = m2_invariants(m2)[0]
     pm = rad.prime_radical(r).mask
     onep = _one_plus_p_mask(r)
     offdiag0 = (digits[1] == r.zero) & (digits[2] == r.zero)
@@ -680,18 +661,7 @@ def _check_t4_2(r: RingTable, env: VerifyEnv):
     )
     reach = _conjugation_reach(m2, qual)
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | reach
-    bad = np.flatnonzero(lhs != rhs)
-    if bad.size == 0:
-        return HOLDS, None
-    b = int(bad[0])
-    return COUNTEREXAMPLE, {
-        "kind": "matrix",
-        "ring": m2.name,
-        "matrix": m2.fmt_index(b),
-        "property": "pclean_iff_trivial_or_diag_similar",
-        "expected": bool(rhs[b]),
-        "actual": bool(lhs[b]),
-    }
+    return _mask_check(m2, "matrix", "pclean_iff_trivial_or_diag_similar", lhs, rhs)
 
 
 def _check_t4_4(r: RingTable, env: VerifyEnv):
@@ -729,28 +699,12 @@ def _check_c4_5(r: RingTable, env: VerifyEnv):
     sq_minus = r.vsub(r.vmul(base_idx, base_idx), base_idx)
     hit = r.vadd(sq_minus[:, None], base_idx[None, :]) == r.zero  # (x, c)
     ratio_root = (pm[:, None] & hit).any(axis=0)
-    inv = np.full(r.order, -1, dtype=np.int64)
-    for u in r.unit_indices:
-        inv[u] = _unit_inverses(r)[int(u)]
-    d = m2.kernel._digits(np.arange(m2.order, dtype=np.int64))
-    tr = r.vadd(d[0], d[3])
-    det = r.vsub(r.vmul(d[0], d[3]), r.vmul(d[1], d[2]))
+    _, tr, det, _ = m2_invariants(m2)
     tr_ok = onep[tr]
-    c = r.vmul(det, inv[r.vmul(tr, tr)] % r.order)  # garbage where tr not a unit
+    c = r.vmul(det, r.unit_inverses[r.vmul(tr, tr)] % r.order)  # garbage where tr not a unit
     branch = tr_ok & ratio_root[c]
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
-    bad = np.flatnonzero(lhs != rhs)
-    if bad.size == 0:
-        return HOLDS, None
-    b = int(bad[0])
-    return COUNTEREXAMPLE, {
-        "kind": "matrix",
-        "ring": m2.name,
-        "matrix": m2.fmt_index(b),
-        "property": "pclean_iff_ratio_equation_root_in_P",
-        "expected": bool(rhs[b]),
-        "actual": bool(lhs[b]),
-    }
+    return _mask_check(m2, "matrix", "pclean_iff_ratio_equation_root_in_P", lhs, rhs)
 
 
 def _e4_6_guard(r: RingTable, env: VerifyEnv):
@@ -817,24 +771,10 @@ def _check_t5_1(r: RingTable, env: VerifyEnv):
     lhs = definitional_mask(m2)
     onep = _one_plus_p_mask(r)
     sq1p, _ = _squares_of_one_plus_p(r)
-    d = m2.kernel._digits(np.arange(m2.order, dtype=np.int64))
-    tr = r.vadd(d[0], d[3])
-    det = r.vsub(r.vmul(d[0], d[3]), r.vmul(d[1], d[2]))
-    four = np.int64(r.embed_int(4))
-    disc = r.vsub(r.vmul(tr, tr), r.vmul(four, det))
+    _, tr, _, disc = m2_invariants(m2)
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | (onep[tr] & sq1p[disc])
-    bad = np.flatnonzero(lhs & ~rhs)  # necessity only
-    if bad.size == 0:
-        return HOLDS, None
-    b = int(bad[0])
-    return COUNTEREXAMPLE, {
-        "kind": "matrix",
-        "ring": m2.name,
-        "matrix": m2.fmt_index(b),
-        "property": "pclean_implies_discriminant_square_of_1P",
-        "expected": True,
-        "actual": False,
-    }
+    # necessity only: rhs must hold wherever lhs does
+    return _mask_check(m2, "matrix", "pclean_implies_discriminant_square_of_1P", rhs, rhs | lhs)
 
 
 def _check_c5_2(r: RingTable, env: VerifyEnv):
@@ -848,24 +788,12 @@ def _check_c5_2(r: RingTable, env: VerifyEnv):
     onep = _one_plus_p_mask(r)
     pm = rad.prime_radical(r).mask
     sq1p, least_u = _squares_of_one_plus_p(r)
-    d = m2.kernel._digits(np.arange(m2.order, dtype=np.int64))
-    tr = r.vadd(d[0], d[3])
-    det = r.vsub(r.vmul(d[0], d[3]), r.vmul(d[1], d[2]))
-    four = np.int64(r.embed_int(4))
-    disc = r.vsub(r.vmul(tr, tr), r.vmul(four, det))
+    _, tr, det, disc = m2_invariants(m2)
     branch = onep[tr] & sq1p[disc]
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
-    bad = np.flatnonzero(lhs != rhs)
-    if bad.size:
-        b = int(bad[0])
-        return COUNTEREXAMPLE, {
-            "kind": "matrix",
-            "ring": m2.name,
-            "matrix": m2.fmt_index(b),
-            "property": "pclean_iff_discriminant_square_of_1P",
-            "expected": bool(rhs[b]),
-            "actual": bool(lhs[b]),
-        }
+    verdict = _mask_check(m2, "matrix", "pclean_iff_discriminant_square_of_1P", lhs, rhs)
+    if verdict[0] == COUNTEREXAMPLE:
+        return verdict
     # the constructed half-roots must solve the characteristic equation
     half = np.int64(r.inverse(r.embed_int(2)))
     sel = np.flatnonzero(branch)
@@ -924,8 +852,7 @@ def _check_t5_4(r: RingTable, env: VerifyEnv):
         return guard
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
-    k = m2.kernel
-    digits = k._digits(np.arange(m2.order, dtype=np.int64))
+    digits = m2_invariants(m2)[0]
     pm = rad.prime_radical(r).mask
     onep = _one_plus_p_mask(r)
     qual = (
@@ -941,18 +868,7 @@ def _check_t5_4(r: RingTable, env: VerifyEnv):
     for a in map(int, need_pi):
         pi_ok[a] = dec.strongly_pi_regular_element(m2, a)[0]
     rhs = trivial | (reach & pi_ok)
-    bad = np.flatnonzero(lhs != rhs)
-    if bad.size == 0:
-        return HOLDS, None
-    b = int(bad[0])
-    return COUNTEREXAMPLE, {
-        "kind": "matrix",
-        "ring": m2.name,
-        "matrix": m2.fmt_index(b),
-        "property": "pclean_iff_pi_regular_and_companion_similar",
-        "expected": bool(rhs[b]),
-        "actual": bool(lhs[b]),
-    }
+    return _mask_check(m2, "matrix", "pclean_iff_pi_regular_and_companion_similar", lhs, rhs)
 
 
 def _check_p5_6(r: RingTable, env: VerifyEnv):
@@ -995,17 +911,6 @@ class CheckDef:
     applies: object | None = None  # (ring, env) -> None | (verdict, reason)
 
 
-def _with_guards(*guards):
-    def apply(r, env):
-        for g in guards:
-            res = g(r, env)
-            if res:
-                return res
-        return None
-
-    return apply
-
-
 _CHECKS: list[CheckDef] = [
     CheckDef("T2.1", "strongly P-clean iff strongly clean + Boolean mod J + J locally nilpotent", _check_t2_1),
     CheckDef("T2.4", "four characterizations incl. Boolean mod P and the idempotent lift", _check_t2_4),
@@ -1041,10 +946,6 @@ _CHECKS: list[CheckDef] = [
 CHECK_IDS = [c.id for c in _CHECKS]
 _CHECK_BY_ID = {c.id: c for c in _CHECKS}
 _ID_ORDER = {cid: i for i, cid in enumerate(CHECK_IDS)}
-
-
-def check_summaries() -> dict:
-    return {c.id: c.summary for c in _CHECKS}
 
 
 def _run_one(cd: CheckDef, ring: RingTable, env: VerifyEnv) -> TheoremCheck:
@@ -1212,36 +1113,19 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
 
 
 def _recompute_matrix_criteria(m2: RingTable, idx: int) -> dict:
-    from .decompositions import strongly_pclean_element
-
     base = m2.kernel.base
     pm = rad.prime_radical(base).mask
-    d = [int(x) for x in m2.kernel._digits(np.int64(idx))]
-    scan = strongly_pclean_element(m2, idx)[0] is not None
-    sq = m2.mul(idx, idx)
-    dd = [int(x) for x in m2.kernel._digits(np.int64(m2.sub(idx, sq)))]
-    diff = all(pm[e] for e in dd)
-    tr = base.add(d[0], d[3])
-    det = base.sub(base.mul(d[0], d[3]), base.mul(d[1], d[2]))
-    in_p = all(pm[e] for e in d)
-    one_minus = all(
-        pm[e]
-        for e in (
-            base.sub(base.one, d[0]),
-            base.neg(d[1]),
-            base.neg(d[2]),
-            base.sub(base.one, d[3]),
-        )
-    )
-    from .matrices import quadratic_roots as qroots
+    A = matrix_from_index(m2, idx)
 
-    roots = qroots(base, tr, det)
-    classes = {c for _, c in roots}
-    crit_roots = in_p or one_minus or ({"P", "1+P"} <= classes)
+    def in_p(M: Matrix2) -> bool:
+        return all(pm[e] for e in M.entries())
+
+    classes = {c for _, c in quadratic_roots(base, A.trace, A.det)}
     return {
-        "idempotent_scan": scan,
-        "difference_in_radical": diff,
-        "quadratic_roots": crit_roots,
+        "idempotent_scan": dec.strongly_pclean_element(m2, idx)[0] is not None,
+        "difference_in_radical": in_p(A - A * A),
+        "quadratic_roots": in_p(A) or in_p(Matrix2.identity(base) - A)
+        or {"P", "1+P"} <= classes,
     }
 
 

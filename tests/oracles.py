@@ -1,11 +1,17 @@
 """Tiny self-contained reference implementations used as independent oracles.
 
-Everything here works on plain Python ints/tuples and never touches the
+Most of this works on plain Python ints/tuples and never touches the
 package's index machinery, so a test comparing against these functions checks
-the library along a genuinely different route.
+the library along a genuinely different route.  The ring-level oracles at the
+end read only a ring's scalar or vector operations and decide each property
+from its definition.
 """
 
 from itertools import product
+
+import numpy as np
+
+from pclean.errors import RingTooLarge
 
 
 def mat_mul(A, B, mod, k=2):
@@ -102,4 +108,151 @@ def ideal_nilpotency(ideal, mul, add, zero, cap=64):
             return None
         cur = nxt
         k += 1
+    return None
+
+
+# ---------------------------------------------------------------------------
+# strong nilpotence by the descent-sequence definition
+
+
+def descent_strongly_nilpotent_mask(r, guard: int = 512) -> np.ndarray:
+    """Strong nilpotence decided directly on descent sequences a_{i+1} = a_i t a_i.
+
+    An element is strongly nilpotent iff no sequence of descents can avoid 0
+    forever; over a finite ring that happens exactly when no nonzero cycle in
+    the descent graph is reachable from it.  Exponential-flavored reference
+    path, guarded to small rings.
+    """
+    n = r.order
+    if n > guard:
+        raise RingTooLarge(f"descent oracle guarded to order <= {guard}")
+    idx = np.arange(n, dtype=np.int64)
+    children = [
+        np.unique(r.vmul(r.vmul(np.int64(x), idx), np.int64(x))) for x in range(n)
+    ]
+
+    # Tarjan SCC (iterative); nonzero SCCs with a cycle are unsafe cores.
+    index = np.full(n, -1, dtype=np.int64)
+    low = np.zeros(n, dtype=np.int64)
+    on_stack = np.zeros(n, dtype=bool)
+    stack: list[int] = []
+    bad = np.zeros(n, dtype=bool)
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            kids = children[v]
+            while pi < len(kids):
+                w = int(kids[pi])
+                pi += 1
+                if index[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                cyclic = len(comp) > 1 or v in set(int(c) for c in children[v])
+                if cyclic:
+                    for w in comp:
+                        if w != r.zero:
+                            bad[w] = True
+            if work:
+                pv, _ = work[-1]
+                low[pv] = min(low[pv], low[v])
+
+    # unsafe = can reach a bad node
+    rev: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w in children[v]:
+            rev[int(w)].append(v)
+    unsafe = bad.copy()
+    frontier = list(np.flatnonzero(bad))
+    while frontier:
+        w = frontier.pop()
+        for v in rev[w]:
+            if not unsafe[v]:
+                unsafe[v] = True
+                frontier.append(v)
+    return ~unsafe
+
+
+# ---------------------------------------------------------------------------
+# clean decompositions, element by element from the definitions
+
+
+def clean_oracle(r):
+    """Per-element counts and ring verdicts of the six cleanness notions.
+
+    Reads only the ring's scalar operations (and the descent oracle for the
+    strongly nilpotent elements).  Returns (counts, verdicts): counts maps a
+    name to a list over the elements, verdicts maps a name to
+    (holds, least counterexample or None).
+    """
+    n = r.order
+    els = range(n)
+    idem = [e for e in els if r.mul(e, e) == e]
+    unit = [any(r.mul(x, y) == r.one == r.mul(y, x) for y in els) for x in els]
+
+    def nilpotent(x):
+        y = x
+        for _ in range(n):
+            if y == r.zero:
+                return True
+            y = r.mul(y, x)
+        return False
+
+    nil = [nilpotent(x) for x in els]
+    p = [bool(v) for v in descent_strongly_nilpotent_mask(r)]
+    jac = [all(unit[r.sub(r.one, r.mul(y, x))] for y in els) for x in els]
+    sets = {"pclean": p, "clean": unit, "nilclean": nil, "jclean": jac}
+    counts = {}
+    for name, member in sets.items():
+        counts[f"strongly_{name}"] = [
+            sum(1 for e in idem if r.mul(a, e) == r.mul(e, a) and member[r.sub(a, e)])
+            for a in els
+        ]
+        counts[f"uniquely_{name}"] = [sum(1 for e in idem if member[r.sub(a, e)]) for a in els]
+    del counts["uniquely_jclean"]
+
+    def verdict(ok):
+        bad = [a for a in els if not ok(a)]
+        return (not bad, bad[0] if bad else None)
+
+    verdicts = {
+        "strongly_pclean": verdict(lambda a: counts["strongly_pclean"][a] > 0),
+        "uniquely_pclean": verdict(lambda a: counts["uniquely_pclean"][a] == 1),
+        "strongly_clean": verdict(lambda a: counts["strongly_clean"][a] > 0),
+        "uniquely_clean": verdict(lambda a: counts["uniquely_clean"][a] == 1),
+        "uniquely_nilclean": verdict(lambda a: counts["uniquely_nilclean"][a] == 1),
+        "strongly_jclean": verdict(lambda a: counts["strongly_jclean"][a] > 0),
+    }
+    return counts, verdicts
+
+
+def inverse_oracle(r, x):
+    """The two-sided inverse of x found by trying every element, or None."""
+    for y in range(r.order):
+        if r.mul(x, y) == r.one == r.mul(y, x):
+            return y
     return None

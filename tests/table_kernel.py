@@ -1,0 +1,51 @@
+"""Test fixture: a ring kernel backed by explicit Cayley tables."""
+
+import numpy as np
+
+from pclean.errors import MalformedSpec
+
+
+class TableKernel:
+    """A ring given by explicit addition/multiplication tables.
+
+    Implements the kernel interface a RingTable reads (order, zero, one, vadd,
+    vneg, vmul, additive_generators, fmt, parse_literal), so tests can wrap
+    hand-made or deliberately broken tables in a RingTable.
+    """
+
+    def __init__(self, add_table, mul_table, zero: int, one: int, labels=None):
+        self.add_table = np.asarray(add_table, np.int64)
+        self.mul_table = np.asarray(mul_table, np.int64)
+        self.order = self.add_table.shape[0]
+        self.zero = zero
+        self.one = one
+        self.labels = list(labels) if labels else [str(i) for i in range(self.order)]
+        neg = np.full(self.order, -1, dtype=np.int64)
+        rows, cols = np.nonzero(self.add_table == zero)
+        neg[rows] = cols
+        self._neg = neg
+
+    def vadd(self, a, b):
+        return self.add_table[np.asarray(a, np.int64), np.asarray(b, np.int64)]
+
+    def vneg(self, a):
+        return self._neg[np.asarray(a, np.int64)]
+
+    def vmul(self, a, b):
+        return self.mul_table[np.asarray(a, np.int64), np.asarray(b, np.int64)]
+
+    def additive_generators(self):
+        return None
+
+    def fmt(self, idx: int) -> str:
+        return self.labels[idx]
+
+    def parse_literal(self, lit) -> int:
+        start = lit.pos
+        while lit.pos < len(lit.text) and lit.text[lit.pos] not in ",;])":
+            lit.pos += 1
+        tok = lit.text[start : lit.pos].strip()
+        try:
+            return self.labels.index(tok)
+        except ValueError:
+            raise MalformedSpec(f"unknown element label {tok!r}", start) from None

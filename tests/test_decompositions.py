@@ -4,8 +4,11 @@ import pytest
 from pclean import decompositions as dec
 from pclean import radicals as rad
 from pclean.errors import NotLiftable, PcleanError
-from pclean.rings import RingTable, TableKernel, build_ring
+from pclean.rings import ProductKernel, RingTable, build_ring
 from pclean.verifier import DEFAULT_CATALOG
+
+from oracles import clean_oracle
+from table_kernel import TableKernel
 
 
 def test_pclean_element_z4():
@@ -212,3 +215,47 @@ def test_pi_regular_disagreement_raises():
     r = RingTable(TableKernel(add, mul, zero=0, one=1), "broken")
     with pytest.raises(PcleanError, match="pi-regular tests disagree"):
         dec.strongly_pi_regular_element(r, 2)
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG)
+def test_engine_matches_definitions(name):
+    # every verdict, count and certificate against the element-by-element
+    # definitions; M2(Z2) and M2(Z4) have Nil != P, so sets that differ must
+    # not share a memoized sweep
+    r = build_ring(name)
+    counts, verdicts = clean_oracle(r)
+    for key, fn in dec.RING_VERDICTS.items():
+        assert fn(r) == verdicts[key], key
+    element_fns = {
+        "strongly_pclean": dec.strongly_pclean_element,
+        "strongly_clean": dec.strongly_clean_element,
+        "strongly_nilclean": dec.strongly_nilclean_element,
+        "strongly_jclean": dec.strongly_jclean_element,
+    }
+    count_fns = {
+        "uniquely_pclean": dec.uniquely_pclean_count,
+        "uniquely_clean": dec.uniquely_clean_count,
+        "uniquely_nilclean": dec.uniquely_nilclean_count,
+    }
+    for a in range(r.order):
+        for key, fn in element_fns.items():
+            cert, count = fn(r, a)
+            assert count == counts[key][a], (key, a)
+            assert (cert is None) == (count == 0)
+        for key, fn in count_fns.items():
+            assert fn(r, a) == counts[key][a], (key, a)
+    assert np.array_equal(
+        dec.strongly_pclean_mask(r), np.asarray(counts["strongly_pclean"]) > 0
+    )
+
+
+def test_probe_never_computes_the_prime_radical(monkeypatch):
+    # the product is refuted at index 4 from per-element strong nilpotence;
+    # computing P of this 65536-element ring would cost seconds
+    def refuse(r):
+        raise AssertionError(f"prime radical of {r.name} computed")
+
+    m2 = build_ring("M2(Z4)")
+    prod = RingTable(ProductKernel([m2, m2]), "M2(Z4) x M2(Z4)")
+    monkeypatch.setattr(rad, "prime_radical", refuse)
+    assert dec.is_strongly_pclean_ring(prod) == (False, 4)

@@ -10,6 +10,7 @@ from pclean.rings import ProductKernel, RingTable, build_ring
 from pclean.verifier import DEFAULT_CATALOG
 
 from oracles import (
+    descent_strongly_nilpotent_mask,
     gauss_add,
     gauss_mul,
     ideal_nilpotency,
@@ -149,7 +150,7 @@ def test_descent_oracle_agrees(name):
     r = build_ring(name)
     if r.order > 256:
         pytest.skip("descent oracle guarded to small rings")
-    assert np.array_equal(rad.descent_strongly_nilpotent_mask(r), rad.prime_radical(r).mask)
+    assert np.array_equal(descent_strongly_nilpotent_mask(r), rad.prime_radical(r).mask)
 
 
 def test_lemma_4_1_instances():

@@ -5,7 +5,7 @@ from pclean.errors import MalformedSpec, MixedRingOperands, OrderLimitExceeded, 
 from pclean.rings import RingTable, ZnKernel, build_ring, corner_ring, quotient_ring
 from pclean.verifier import DEFAULT_CATALOG
 
-from oracles import all_matrices, idempotents_of, mat_mul, units_zn
+from oracles import all_matrices, idempotents_of, inverse_oracle, mat_mul, units_zn
 
 SMALL_CATALOG = [n for n in DEFAULT_CATALOG]
 
@@ -237,3 +237,20 @@ def test_commutativity_cross_check_raises_on_tampered_table():
     r._mul_t[2, 3] = 0  # 2 * 3 = 2 in Z4; 3 * 2 stays 2
     with pytest.raises(PcleanError, match="disagrees with the table"):
         r.commutative
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG)
+def test_inverse_matches_brute_force(name):
+    r = build_ring(name)
+    for x in range(r.order):
+        assert r.inverse(x) == inverse_oracle(r, x), r.fmt_index(x)
+    assert np.array_equal(r.unit_inverses >= 0, r.unit_mask)
+
+
+def test_inverse_above_the_unit_scan_limit():
+    r = build_ring("T2(Z32)")  # order 32768: inverses by scanning, no table
+    u = r.parse_element("[3,1;0,5]").index
+    v = r.inverse(u)
+    assert r.mul(u, v) == r.one == r.mul(v, u)
+    assert r.inverse(r.parse_element("[2,1;0,1]").index) is None
+    assert "unit_inverses" not in r.cache

@@ -82,3 +82,11 @@ def test_quotient_generator_must_parse_in_base():
 
     with pytest.raises(MalformedSpec):
         build_ring("Z4/(i)")
+
+
+@pytest.mark.parametrize("text,offset", [("Z4 extra", 3), ("M2( Z4", 6), ("  Q5", 2)])
+def test_error_offset_points_into_the_given_text(text, offset):
+    # offsets index the text as typed, whitespace included
+    with pytest.raises(MalformedSpec) as exc:
+        parse_ring_spec(text)
+    assert exc.value.offset == offset

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from pclean.errors import UnknownTheoremId
-from pclean.rings import RingTable, TableKernel, build_ring
+from pclean import decompositions as dec
+from pclean.errors import NotLiftable, UnknownTheoremId
+from pclean.rings import RingTable, build_ring
 from pclean.verifier import (
     CHECK_IDS,
     TheoremReport,
@@ -14,6 +15,8 @@ from pclean.verifier import (
     run_suite,
     verify,
 )
+
+from table_kernel import TableKernel
 
 
 def test_check_ids_cover_the_numbered_claims():
@@ -193,3 +196,22 @@ def test_ring_too_large_guard_for_unit_enumeration():
     big = build_ring("T2(Z9[w])", limit=540_000)
     with pytest.raises(RingTooLarge):
         big.unit_mask
+
+
+def test_t2_4_lets_non_library_errors_propagate(monkeypatch):
+    def broken(r, a):
+        raise ZeroDivisionError("bug inside the lift")
+
+    monkeypatch.setattr(dec, "idempotent_lift", broken)
+    with pytest.raises(ZeroDivisionError):
+        verify("T2.4", ["Z4"])
+
+
+def test_t2_4_reports_a_failed_lift_as_counterexample(monkeypatch):
+    def refuse(r, a):
+        raise NotLiftable("no lift")
+
+    monkeypatch.setattr(dec, "idempotent_lift", refuse)
+    (check,) = verify("T2.4", ["Z4"])
+    assert check.verdict == "COUNTEREXAMPLE"
+    assert check.counterexample["property"] == "idempotent_lift"

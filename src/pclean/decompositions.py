@@ -25,6 +25,7 @@ STRONGLY_J_CLEAN = "STRONGLY_J_CLEAN"
 STRONGLY_P_CLEAN = "STRONGLY_P_CLEAN"
 
 _PROBE = 64  # ascending per-element probe before vectorized full scans
+_PROBE_ABOVE = 4096  # ring order above which commuting verdicts probe first
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,7 @@ def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None
     key = ("verdict", kind, commuting)
     if key not in r.cache:
         bad = None
-        if commuting and r.order > 4096:
+        if commuting and r.order > _PROBE_ABOVE:
             # counterexamples in structured rings tend to sit at tiny indices;
             # probing them first avoids the full vectorized sweep
             probe = range(min(_PROBE, r.order))

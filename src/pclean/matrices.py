@@ -32,12 +32,12 @@ from .errors import (
 from .rings import (
     DEFAULT_ORDER_LIMIT,
     Element,
-    MatrixKernel,
     RingTable,
-    TriangularKernel,
     _Lit,
     _parse_matrix_entries,
+    derived_ring,
 )
+from .specs import derived_order
 
 IN_P = "IN_P"
 ONE_MINUS_IN_P = "ONE_MINUS_IN_P"
@@ -170,24 +170,17 @@ class SimilarityWitness:
 
 
 def matrix_ring(r: RingTable, limit: int = DEFAULT_ORDER_LIMIT * 1024) -> RingTable:
-    m2 = r.cache.get("m2_ring")
-    if m2 is None:
-        if r.order**4 > limit:
-            raise PreconditionFailed(f"M2({r.name}) exceeds the materialization limit")
-        m2 = RingTable(MatrixKernel(2, r), f"M2({r.name})")
-        r.cache["m2_ring"] = m2
-    return m2
+    """M2(r), the same object as build_ring("M2(<r>)") gives."""
+    if derived_order("M", 2, r.order) > limit:
+        raise PreconditionFailed(f"M2({r.name}) exceeds the materialization limit")
+    return derived_ring("M", 2, r)
 
 
 def triangular_ring(r: RingTable, k: int = 2, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
-    key = f"t{k}_ring"
-    tk = r.cache.get(key)
-    if tk is None:
-        if r.order ** (k * (k + 1) // 2) > limit:
-            raise PreconditionFailed(f"T{k}({r.name}) exceeds the materialization limit")
-        tk = RingTable(TriangularKernel(k, r), f"T{k}({r.name})")
-        r.cache[key] = tk
-    return tk
+    """T_k(r), the same object as build_ring("T<k>(<r>)") gives."""
+    if derived_order("T", k, r.order) > limit:
+        raise PreconditionFailed(f"T{k}({r.name}) exceeds the materialization limit")
+    return derived_ring("T", k, r)
 
 
 def matrix_to_index(m2: RingTable, A: Matrix2) -> int:

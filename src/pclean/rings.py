@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -967,51 +968,39 @@ def ideal_closure_mask(r: RingTable, gens) -> np.ndarray:
 
 _RING_CACHE: OrderedDict[str, RingTable] = OrderedDict()
 _RING_CACHE_MAX = 48
+# every live ring build_ring has made, so one evicted from the LRU but still
+# referenced (say as the base of a derived ring) is not built a second time
+_LIVE_RINGS: weakref.WeakValueDictionary[str, RingTable] = weakref.WeakValueDictionary()
 
 
 def build_ring(spec, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
     """Materialize a ring from a spec (or its text form), deterministically.
 
-    Raises OrderLimitExceeded if the described order exceeds `limit`, and
+    A spec names one object while that object is alive.  Raises
+    OrderLimitExceeded if the described order exceeds `limit`, and
     MalformedSpec for unparseable descriptors or quotient generators.
     """
     if isinstance(spec, str):
         spec = specs.parse_ring_spec(spec)
     name = specs.canon(spec)
-    cached = _RING_CACHE.get(name)
-    if cached is not None:
-        if cached.order <= limit:
-            _RING_CACHE.move_to_end(name)
-            return cached
-        raise OrderLimitExceeded(
-            f"{name} has order {cached.order} > limit {limit}"
-        )
-    order = specs.spec_order(spec)
-    if order > limit:
-        raise OrderLimitExceeded(f"{name} describes order {order} > limit {limit}")
-    ring = RingTable(_make_kernel(spec, limit), name)
+    ring = _LIVE_RINGS.get(name)
+    if ring is None:
+        order = specs.spec_order(spec)
+        if order > limit:
+            raise OrderLimitExceeded(f"{name} describes order {order} > limit {limit}")
+        ring = _LIVE_RINGS[name] = _make_ring(spec, name, limit)
+    elif ring.order > limit:
+        raise OrderLimitExceeded(f"{name} has order {ring.order} > limit {limit}")
     _RING_CACHE[name] = ring
+    _RING_CACHE.move_to_end(name)
     if len(_RING_CACHE) > _RING_CACHE_MAX:
         _RING_CACHE.popitem(last=False)
     return ring
 
 
-def _make_kernel(spec, limit: int):
-    if isinstance(spec, specs.ZnSpec):
-        return ZnKernel(spec.n)
-    if isinstance(spec, specs.GaussianSpec):
-        return QuadExtKernel(spec.n, c0=spec.n - 1, c1=0, symbol="i")
-    if isinstance(spec, specs.EisensteinSpec):
-        # w^2 = -1 - w
-        return QuadExtKernel(spec.n, c0=spec.n - 1, c1=spec.n - 1, symbol="w")
-    if isinstance(spec, specs.ProductSpec):
-        return ProductKernel([build_ring(f, limit) for f in spec.factors])
-    if isinstance(spec, specs.MatrixSpec):
-        return MatrixKernel(spec.k, build_ring(spec.base, limit))
-    if isinstance(spec, specs.TriangularSpec):
-        return TriangularKernel(spec.k, build_ring(spec.base, limit))
-    if isinstance(spec, specs.ConstDiagSpec):
-        return ConstDiagKernel(spec.k, build_ring(spec.base, limit))
+def _make_ring(spec, name: str, limit: int) -> RingTable:
+    if isinstance(spec, (specs.MatrixSpec, specs.TriangularSpec)):
+        return derived_ring(spec.family, spec.k, build_ring(spec.base, limit))
     if isinstance(spec, specs.QuotientSpec):
         base = build_ring(spec.base, limit)
         gens = []
@@ -1022,14 +1011,49 @@ def _make_kernel(spec, limit: int):
                 raise MalformedSpec(
                     f"quotient generator {lit!r} is not an element of {base.name}: {exc}"
                 ) from exc
-        mask = ideal_closure_mask(base, np.asarray(gens, np.int64))
-        kernel = QuotientKernel(base, np.flatnonzero(mask))
-        if kernel.order == 1:
-            raise MalformedSpec(
-                f"{specs.canon(spec)}: quotient collapses to the zero ring"
-            )
-        return kernel
-    raise MalformedSpec(f"not a ring spec: {spec!r}")
+        return _quotient(base, gens, name, f"{name}: quotient collapses to the zero ring")
+    if isinstance(spec, specs.ZnSpec):
+        kernel = ZnKernel(spec.n)
+    elif isinstance(spec, specs.GaussianSpec):
+        kernel = QuadExtKernel(spec.n, c0=spec.n - 1, c1=0, symbol="i")
+    elif isinstance(spec, specs.EisensteinSpec):
+        # w^2 = -1 - w
+        kernel = QuadExtKernel(spec.n, c0=spec.n - 1, c1=spec.n - 1, symbol="w")
+    elif isinstance(spec, specs.ProductSpec):
+        kernel = ProductKernel([build_ring(f, limit) for f in spec.factors])
+    elif isinstance(spec, specs.ConstDiagSpec):
+        kernel = ConstDiagKernel(spec.k, build_ring(spec.base, limit))
+    else:
+        raise MalformedSpec(f"not a ring spec: {spec!r}")
+    return RingTable(kernel, name)
+
+
+_DERIVED_KERNELS = {"M": MatrixKernel, "T": TriangularKernel}
+
+
+def derived_ring(family: str, k: int, base: RingTable) -> RingTable:
+    """The one M_k(base) (family "M") or T_k(base) (family "T") ring.
+
+    Memoized in base.cache, so build_ring, matrix_ring and triangular_ring
+    share one object, which lives as long as its base does.  No size cap:
+    callers check the order first.
+    """
+    key = ("derived", family, k)
+    ring = base.cache.get(key)
+    if ring is None:
+        kernel = _DERIVED_KERNELS[family](k, base)
+        ring = base.cache[key] = RingTable(kernel, f"{family}{k}({base.name})")
+    return ring
+
+
+def _quotient(r: RingTable, idxs, name: str, collapsed: str) -> RingTable:
+    """r modulo the two-sided ideal generated by the indices `idxs`;
+    MalformedSpec(`collapsed`) when that ideal is all of r."""
+    mask = ideal_closure_mask(r, np.asarray(idxs, np.int64))
+    kernel = QuotientKernel(r, np.flatnonzero(mask))
+    if kernel.order == 1:
+        raise MalformedSpec(collapsed)
+    return RingTable(kernel, name)
 
 
 def quotient_ring(r: RingTable, gens) -> tuple[RingTable, np.ndarray]:
@@ -1039,14 +1063,11 @@ def quotient_ring(r: RingTable, gens) -> tuple[RingTable, np.ndarray]:
     quotient index).  gens may be Elements of r or raw indices.
     """
     idxs = [g.index if isinstance(g, Element) else int(g) for g in gens]
-    mask = ideal_closure_mask(r, np.asarray(idxs, np.int64))
-    kernel = QuotientKernel(r, np.flatnonzero(mask))
-    if kernel.order == 1:
-        raise MalformedSpec(f"quotient of {r.name} collapses to the zero ring")
     lits = ",".join(r.fmt_index(i) for i in idxs) if idxs else "0"
-    table = RingTable(kernel, f"{r.name}/({lits})")
-    projection = kernel.pos_of[kernel.rep_of]
-    return table, projection
+    table = _quotient(
+        r, idxs, f"{r.name}/({lits})", f"quotient of {r.name} collapses to the zero ring"
+    )
+    return table, table.kernel.pos_of[table.kernel.rep_of]
 
 
 def units(r: RingTable) -> list[Element]:

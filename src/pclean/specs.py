@@ -19,6 +19,7 @@ quotient a product, e.g. ``(Z4xZ2)/([2,0])``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import MalformedSpec
 
@@ -47,18 +48,21 @@ class ProductSpec:
 class MatrixSpec:
     k: int
     base: object
+    family: ClassVar[str] = "M"
 
 
 @dataclass(frozen=True)
 class TriangularSpec:
     k: int
     base: object
+    family: ClassVar[str] = "T"
 
 
 @dataclass(frozen=True)
 class ConstDiagSpec:
     k: int
     base: object
+    family: ClassVar[str] = "Tc"
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,15 @@ RingSpec = (
     | ConstDiagSpec
     | QuotientSpec
 )
+_DERIVED = (MatrixSpec, TriangularSpec, ConstDiagSpec)
+
+
+def derived_order(family: str, k: int, base_order: int) -> int:
+    """Order of the k x k family "M" (all matrices), "T" (upper triangular)
+    or "Tc" (upper triangular, constant diagonal) over a base of that order:
+    one base digit per free position."""
+    positions = {"M": k * k, "T": k * (k + 1) // 2, "Tc": 1 + k * (k - 1) // 2}
+    return base_order ** positions[family]
 
 
 def spec_order(spec) -> int:
@@ -94,12 +107,8 @@ def spec_order(spec) -> int:
         for f in spec.factors:
             p *= spec_order(f)
         return p
-    if isinstance(spec, MatrixSpec):
-        return spec_order(spec.base) ** (spec.k * spec.k)
-    if isinstance(spec, TriangularSpec):
-        return spec_order(spec.base) ** (spec.k * (spec.k + 1) // 2)
-    if isinstance(spec, ConstDiagSpec):
-        return spec_order(spec.base) ** (1 + spec.k * (spec.k - 1) // 2)
+    if isinstance(spec, _DERIVED):
+        return derived_order(spec.family, spec.k, spec_order(spec.base))
     if isinstance(spec, QuotientSpec):
         return spec_order(spec.base)
     raise MalformedSpec(f"not a ring spec: {spec!r}")
@@ -119,12 +128,8 @@ def canon(spec) -> str:
             s = canon(f)
             parts.append(f"({s})" if isinstance(f, (ProductSpec, QuotientSpec)) else s)
         return "x".join(parts)
-    if isinstance(spec, MatrixSpec):
-        return f"M{spec.k}({canon(spec.base)})"
-    if isinstance(spec, TriangularSpec):
-        return f"T{spec.k}({canon(spec.base)})"
-    if isinstance(spec, ConstDiagSpec):
-        return f"Tc{spec.k}({canon(spec.base)})"
+    if isinstance(spec, _DERIVED):
+        return f"{spec.family}{spec.k}({canon(spec.base)})"
     if isinstance(spec, QuotientSpec):
         base = canon(spec.base)
         if isinstance(spec.base, (ProductSpec, QuotientSpec)):

@@ -66,12 +66,15 @@ DEFAULT_CATALOG = [
 ]
 
 
+IDEAL_ENUM_LIMIT = 64  # ring order for ideal-lattice enumeration
+MASK_BUDGET = 16384  # matrix-ring order for whole-space mask checks
+SIM_BUDGET = 4096  # matrix/triangular order for GL-conjugation scans
+COMMUTANT_BUDGET = 4096  # ring order for T2.4's per-element double-commutant scan
+
+
 @dataclass
 class VerifyEnv:
     limit: int = DEFAULT_ORDER_LIMIT  # materialization cap for derived rings
-    ideal_enum_limit: int = 64  # ideal-lattice enumeration bound
-    mask_budget: int = 16384  # matrix-ring order for whole-space mask checks
-    sim_budget: int = 4096  # matrix/triangular order for GL-conjugation scans
 
 
 @dataclass
@@ -246,24 +249,44 @@ def _first_diff(masks: list[np.ndarray]) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _local_only(r: RingTable, env: VerifyEnv):
-    if not rad.is_local(r):
-        return (HYPOTHESIS_NOT_MET, "ring is not local")
-    return None
+# Guards: (ring, env) -> None, or the (verdict, note) that replaces the check.
 
 
-def _comm_local_only(r: RingTable, env: VerifyEnv):
-    if not r.commutative:
-        return (HYPOTHESIS_NOT_MET, "ring is not commutative")
-    if not rad.is_local(r):
-        return (HYPOTHESIS_NOT_MET, "ring is not local")
-    return None
+def _requires(holds, note: str, verdict: str = HYPOTHESIS_NOT_MET):
+    """Guard replacing a check by (verdict, note) on rings where holds(r) fails."""
+    return lambda r, env: None if holds(r) else (verdict, note)
 
 
-def _m2_budget(r: RingTable, env: VerifyEnv, budget: int):
-    if r.order**4 > budget:
-        return (SKIPPED, f"M2 order {r.order ** 4} exceeds budget {budget}")
-    return None
+def _has_residue_z2(r: RingTable) -> bool:
+    j = rad.jacobson_radical(r)
+    return r.order == 2 * j.order and rad.nilpotency_index(j) is not None
+
+
+_local = _requires(rad.is_local, "ring is not local")
+_commutative = _requires(lambda r: r.commutative, "ring is not commutative")
+_two_is_unit = _requires(lambda r: r.is_unit(r.embed_int(2)), "2 is not a unit")
+_residue_z2 = _requires(_has_residue_z2, "needs R/J = Z_2 with J nilpotent")
+_ideal_enum = _requires(
+    lambda r: r.order <= IDEAL_ENUM_LIMIT,
+    f"ideal enumeration limited to order <= {IDEAL_ENUM_LIMIT}",
+    SKIPPED,
+)
+_z4_only = _requires(lambda r: r.name == "Z4", "worked example is specific to Z4", SKIPPED)
+
+
+def _budget(family: str, budget: int | None = None):
+    """Guard skipping a check whose ring family_2(r) is larger than `budget`,
+    or than env.limit when no budget is given."""
+
+    def guard(r: RingTable, env: VerifyEnv):
+        order = specs.derived_order(family, 2, r.order)
+        if budget is None and order > env.limit:
+            return (SKIPPED, f"{family}2 order {order} beyond limit {env.limit}")
+        if budget is not None and order > budget:
+            return (SKIPPED, f"{family}2 order {order} exceeds budget {budget}")
+        return None
+
+    return guard
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +330,7 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
         "boolean_mod_prime": c2,
         "idempotent_within_radical_for_all": c3,
     }
-    if r.order <= 4096:
+    if r.order <= COMMUTANT_BUDGET:
         c4 = True
         for x in range(r.order):
             comm = idx[r.vmul(np.int64(x), idx) == r.vmul(idx, np.int64(x))]
@@ -351,12 +374,6 @@ def _check_c2_5(r: RingTable, env: VerifyEnv):
         cex["witness"] = r.fmt_index(int(r.add(r.one, int(bad[0]))))
     cex["note"] = "periodicity holds in every finite ring"
     return COUNTEREXAMPLE, cex
-
-
-def _ideal_checks_guard(r: RingTable, env: VerifyEnv):
-    if r.order > env.ideal_enum_limit:
-        return (SKIPPED, f"ideal enumeration limited to order <= {env.ideal_enum_limit}")
-    return None
 
 
 def _check_l2_6(r: RingTable, env: VerifyEnv):
@@ -467,10 +484,13 @@ def _check_c2_12(r: RingTable, env: VerifyEnv):
         return HYPOTHESIS_NOT_MET, None
     note = []
     for k in (2, 3):
-        order = r.order ** (1 + k * (k - 1) // 2)
+        order = specs.derived_order("Tc", k, r.order)
         if order > env.limit:
             note.append(f"Tc{k} order {order} beyond limit")
             continue
+        # one-shot, unlike M_k/T_k: memoized on r, every Tc_k(r) of the
+        # catalog would stay alive for the rest of the suite (about 130 MB
+        # more peak RSS in run_suite())
         t = RingTable(ConstDiagKernel(k, r), f"Tc{k}({r.name})")
         holds, cex = dec.is_strongly_pclean_ring(t)
         if not holds:
@@ -582,7 +602,7 @@ def _check_t3_5(r: RingTable, env: VerifyEnv):
     }
     notes = []
     for k in (2, 3):
-        order = r.order ** (k * (k + 1) // 2)
+        order = specs.derived_order("T", k, r.order)
         if order > env.limit:
             notes.append(f"T{k} order {order} beyond limit")
             continue
@@ -594,10 +614,8 @@ def _check_t3_5(r: RingTable, env: VerifyEnv):
 
 
 def _check_c3_6(r: RingTable, env: VerifyEnv):
-    if r.order**3 > env.sim_budget:
-        return SKIPPED, f"T2 order {r.order ** 3} exceeds budget {env.sim_budget}"
     lhs = dec.is_strongly_pclean_ring(r)[0]
-    t2 = triangular_ring(r, 2, limit=env.sim_budget)
+    t2 = triangular_ring(r)
     k = t2.kernel
     digits = k._digits(np.arange(t2.order, dtype=np.int64))
     pm = rad.prime_radical(r).mask
@@ -621,8 +639,6 @@ def _check_c3_6(r: RingTable, env: VerifyEnv):
 
 
 def _check_p3_7(r: RingTable, env: VerifyEnv):
-    if r.order**3 > env.limit:
-        return SKIPPED, f"T2 order {r.order ** 3} beyond limit {env.limit}"
     t2 = triangular_ring(r, 2, limit=env.limit)
     lhs = dec.strongly_pclean_mask(t2)
     digits = t2.kernel._digits(np.arange(t2.order, dtype=np.int64))
@@ -637,9 +653,6 @@ def _check_p3_7(r: RingTable, env: VerifyEnv):
 
 
 def _check_l4_1(r: RingTable, env: VerifyEnv):
-    guard = _m2_budget(r, env, env.mask_budget)
-    if guard:
-        return guard
     m2 = matrix_ring(r)
     lhs = rad.prime_radical(m2).mask  # element-wise strongly nilpotent scan
     rhs = entries_in_p_mask(m2)  # entries in P(base)
@@ -647,9 +660,6 @@ def _check_l4_1(r: RingTable, env: VerifyEnv):
 
 
 def _check_t4_2(r: RingTable, env: VerifyEnv):
-    guard = _m2_budget(r, env, env.sim_budget)
-    if guard:
-        return guard
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
     digits = m2_invariants(m2)[0]
@@ -665,9 +675,6 @@ def _check_t4_2(r: RingTable, env: VerifyEnv):
 
 
 def _check_t4_4(r: RingTable, env: VerifyEnv):
-    guard = _m2_budget(r, env, env.mask_budget)
-    if guard:
-        return guard
     m2 = matrix_ring(r)
     masks = [definitional_mask(m2), diff_in_p_mask(m2), roots_criterion_mask(m2)]
     bad = _first_diff(masks)
@@ -687,9 +694,6 @@ def _check_t4_4(r: RingTable, env: VerifyEnv):
 
 
 def _check_c4_5(r: RingTable, env: VerifyEnv):
-    guard = _m2_budget(r, env, env.mask_budget)
-    if guard:
-        return guard
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
     base_idx = np.arange(r.order, dtype=np.int64)
@@ -705,12 +709,6 @@ def _check_c4_5(r: RingTable, env: VerifyEnv):
     branch = tr_ok & ratio_root[c]
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
     return _mask_check(m2, "matrix", "pclean_iff_ratio_equation_root_in_P", lhs, rhs)
-
-
-def _e4_6_guard(r: RingTable, env: VerifyEnv):
-    if r.name != "Z4":
-        return (SKIPPED, "worked example is specific to Z4")
-    return None
 
 
 def _check_e4_6(r: RingTable, env: VerifyEnv):
@@ -764,9 +762,6 @@ def _squares_of_one_plus_p(r: RingTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_t5_1(r: RingTable, env: VerifyEnv):
-    guard = _m2_budget(r, env, env.mask_budget)
-    if guard:
-        return guard
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
     onep = _one_plus_p_mask(r)
@@ -778,11 +773,6 @@ def _check_t5_1(r: RingTable, env: VerifyEnv):
 
 
 def _check_c5_2(r: RingTable, env: VerifyEnv):
-    if r.inverse(r.embed_int(2)) is None:
-        return HYPOTHESIS_NOT_MET, "2 is not a unit"
-    guard = _m2_budget(r, env, env.mask_budget)
-    if guard:
-        return guard
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
     onep = _one_plus_p_mask(r)
@@ -818,9 +808,6 @@ def _check_c5_2(r: RingTable, env: VerifyEnv):
 
 
 def _check_e5_3(r: RingTable, env: VerifyEnv):
-    guard = _m2_budget(r, env, env.mask_budget)
-    if guard:
-        return guard
     m2 = matrix_ring(r)
     lhs_all = definitional_mask(m2)
     pm = rad.prime_radical(r).mask
@@ -847,9 +834,6 @@ def _check_e5_3(r: RingTable, env: VerifyEnv):
 
 
 def _check_t5_4(r: RingTable, env: VerifyEnv):
-    guard = _m2_budget(r, env, env.sim_budget)
-    if guard:
-        return guard
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
     digits = m2_invariants(m2)[0]
@@ -872,14 +856,6 @@ def _check_t5_4(r: RingTable, env: VerifyEnv):
 
 
 def _check_p5_6(r: RingTable, env: VerifyEnv):
-    if not r.commutative:
-        return HYPOTHESIS_NOT_MET, "ring is not commutative"
-    j = rad.jacobson_radical(r)
-    if r.order != 2 * j.order or rad.nilpotency_index(j) is None:
-        return HYPOTHESIS_NOT_MET, "needs R/J = Z_2 with J nilpotent"
-    guard = _m2_budget(r, env, env.sim_budget)
-    if guard:
-        return guard
     m2 = matrix_ring(r)
     pcl = definitional_mask(m2)
     nil = rad.nilpotent_mask(m2)
@@ -908,18 +884,18 @@ class CheckDef:
     id: str
     summary: str
     run: object  # (ring, env) -> (verdict, cex_or_note)
-    applies: object | None = None  # (ring, env) -> None | (verdict, reason)
+    applies: tuple = ()  # guards, tried in order; the first hit replaces the check
 
 
 _CHECKS: list[CheckDef] = [
     CheckDef("T2.1", "strongly P-clean iff strongly clean + Boolean mod J + J locally nilpotent", _check_t2_1),
     CheckDef("T2.4", "four characterizations incl. Boolean mod P and the idempotent lift", _check_t2_4),
     CheckDef("C2.5", "strongly P-clean iff periodic and 1+U(R) strongly nilpotent", _check_c2_5),
-    CheckDef("L2.6", "homomorphic images stay strongly P-clean", _check_l2_6, _ideal_checks_guard),
-    CheckDef("L2.7", "P-cleanness passes through quotients by nilpotent ideals", _check_l2_7, _ideal_checks_guard),
-    CheckDef("T2.8", "R/I vs R/I^n strongly P-clean", _check_t2_8, _ideal_checks_guard),
+    CheckDef("L2.6", "homomorphic images stay strongly P-clean", _check_l2_6, (_ideal_enum,)),
+    CheckDef("L2.7", "P-cleanness passes through quotients by nilpotent ideals", _check_l2_7, (_ideal_enum,)),
+    CheckDef("T2.8", "R/I vs R/I^n strongly P-clean", _check_t2_8, (_ideal_enum,)),
     CheckDef("L2.9", "finite direct products (restricted form)", None),  # pairs driver
-    CheckDef("P2.10", "quotients by I, J vs IJ and their intersection", _check_p2_10, _ideal_checks_guard),
+    CheckDef("P2.10", "quotients by I, J vs IJ and their intersection", _check_p2_10, (_ideal_enum,)),
     CheckDef("T2.10", "uniquely P-clean iff abelian + strongly P-clean", _check_t2_10),
     CheckDef("C2.11", "uniquely P-clean implies uniquely clean", _check_c2_11),
     CheckDef("C2.12", "constant-diagonal triangular rings over uniquely P-clean bases", _check_c2_12),
@@ -928,19 +904,19 @@ _CHECKS: list[CheckDef] = [
     CheckDef("L3.1", "annihilators of a carry to its idempotent part", _check_l3_1),
     CheckDef("T3.2", "P-cleanness agrees between R and its corners fRf", _check_t3_2),
     CheckDef("C3.3", "ring P-clean iff every corner is", _check_c3_3),
-    CheckDef("T3.5", "local ring: P-clean iff uniquely iff residue Z_2 iff T_n P-clean", _check_t3_5, _local_only),
-    CheckDef("C3.6", "T2 elements: trivial classes or unit-diagonalizable", _check_c3_6, _local_only),
-    CheckDef("P3.7", "triangular matrix P-clean iff diagonal in P or 1+P", _check_p3_7, _local_only),
-    CheckDef("L4.1", "P(M_2(R)) = M_2(P(R)) element-wise", _check_l4_1),
-    CheckDef("T4.2", "split P-clean matrices are unit-diagonalizable", _check_t4_2, _local_only),
-    CheckDef("T4.4", "three 2x2 criteria agree on every matrix", _check_t4_4, _comm_local_only),
-    CheckDef("C4.5", "ratio-form quadratic criterion", _check_c4_5, _comm_local_only),
-    CheckDef("E4.6", "worked example over Z_4", _check_e4_6, _e4_6_guard),
-    CheckDef("T5.1", "necessity of the discriminant-square condition", _check_t5_1, _comm_local_only),
-    CheckDef("C5.2", "discriminant equivalence when 2 is a unit", _check_c5_2, _comm_local_only),
-    CheckDef("E5.3", "the [[p+1,p],[q,p]] family", _check_e5_3, _comm_local_only),
-    CheckDef("T5.4", "P-clean iff pi-regular and companion-similar", _check_t5_4, _comm_local_only),
-    CheckDef("P5.6", "pi-regular trichotomy over residue-Z_2 rings", _check_p5_6),
+    CheckDef("T3.5", "local ring: P-clean iff uniquely iff residue Z_2 iff T_n P-clean", _check_t3_5, (_local,)),
+    CheckDef("C3.6", "T2 elements: trivial classes or unit-diagonalizable", _check_c3_6, (_local, _budget("T", SIM_BUDGET))),
+    CheckDef("P3.7", "triangular matrix P-clean iff diagonal in P or 1+P", _check_p3_7, (_local, _budget("T"))),
+    CheckDef("L4.1", "P(M_2(R)) = M_2(P(R)) element-wise", _check_l4_1, (_budget("M", MASK_BUDGET),)),
+    CheckDef("T4.2", "split P-clean matrices are unit-diagonalizable", _check_t4_2, (_local, _budget("M", SIM_BUDGET))),
+    CheckDef("T4.4", "three 2x2 criteria agree on every matrix", _check_t4_4, (_commutative, _local, _budget("M", MASK_BUDGET))),
+    CheckDef("C4.5", "ratio-form quadratic criterion", _check_c4_5, (_commutative, _local, _budget("M", MASK_BUDGET))),
+    CheckDef("E4.6", "worked example over Z_4", _check_e4_6, (_z4_only,)),
+    CheckDef("T5.1", "necessity of the discriminant-square condition", _check_t5_1, (_commutative, _local, _budget("M", MASK_BUDGET))),
+    CheckDef("C5.2", "discriminant equivalence when 2 is a unit", _check_c5_2, (_commutative, _local, _two_is_unit, _budget("M", MASK_BUDGET))),
+    CheckDef("E5.3", "the [[p+1,p],[q,p]] family", _check_e5_3, (_commutative, _local, _budget("M", MASK_BUDGET))),
+    CheckDef("T5.4", "P-clean iff pi-regular and companion-similar", _check_t5_4, (_commutative, _local, _budget("M", SIM_BUDGET))),
+    CheckDef("P5.6", "pi-regular trichotomy over residue-Z_2 rings", _check_p5_6, (_commutative, _residue_z2, _budget("M", SIM_BUDGET))),
 ]
 
 CHECK_IDS = [c.id for c in _CHECKS]
@@ -950,9 +926,8 @@ _ID_ORDER = {cid: i for i, cid in enumerate(CHECK_IDS)}
 
 def _run_one(cd: CheckDef, ring: RingTable, env: VerifyEnv) -> TheoremCheck:
     start = time.perf_counter()
-    note = None
-    if cd.applies is not None:
-        guard = cd.applies(ring, env)
+    for applies in cd.applies:
+        guard = applies(ring, env)
         if guard:
             verdict, reason = guard
             millis = (time.perf_counter() - start) * 1000
@@ -980,6 +955,8 @@ def _run_l2_9(rings: list[RingTable], env: VerifyEnv) -> list[TheoremCheck]:
                     )
                 )
                 continue
+            # one-shot: each pair is checked once, and a product memoized on
+            # its factors would keep every catalog pair alive for the suite
             prod = RingTable(ProductKernel([ra, rb]), name)
             lhs = dec.is_strongly_pclean_ring(prod)[0]
             rhs = dec.is_strongly_pclean_ring(ra)[0] and dec.is_strongly_pclean_ring(rb)[0]

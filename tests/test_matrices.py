@@ -232,6 +232,12 @@ def test_triangular_pclean_eisenstein():
     assert cert_w is not None and cert_w.validate()
 
 
+def test_triangular_pclean_keeps_the_t2_order_cap():
+    # the CLI reports this error as the triangular-rule note
+    with pytest.raises(PreconditionFailed):
+        triangular_pclean(build_ring("Z64"), 1, 0, 0)
+
+
 def test_triangular_matches_t2_scan_over_z4():
     from pclean.decompositions import strongly_pclean_mask
 

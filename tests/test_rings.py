@@ -110,12 +110,39 @@ def test_mixed_ring_operands_rejected():
 def test_build_is_deterministic():
     import pclean.rings as rings
 
-    rings._RING_CACHE.pop("M2(Z2)", None)
-    r1 = build_ring("M2(Z2)")
-    t1 = (r1._add_t.copy(), r1._mul_t.copy())
-    rings._RING_CACHE.pop("M2(Z2)", None)
-    r2 = build_ring("M2(Z2)")
-    assert np.array_equal(t1[0], r2._add_t) and np.array_equal(t1[1], r2._mul_t)
+    z2 = build_ring("Z2")
+    r1 = rings.RingTable(rings.MatrixKernel(2, z2), "M2(Z2)")
+    r2 = rings.RingTable(rings.MatrixKernel(2, z2), "M2(Z2)")
+    assert np.array_equal(r1._add_t, r2._add_t) and np.array_equal(r1._mul_t, r2._mul_t)
+
+
+def test_matrix_spec_and_matrix_ring_are_one_object():
+    from pclean.matrices import matrix_ring
+
+    assert build_ring("M2(Z4)") is matrix_ring(build_ring("Z4"))
+
+
+def test_triangular_spec_and_triangular_ring_are_one_object():
+    from pclean.matrices import triangular_ring
+
+    assert build_ring("T2(Z4[i])") is triangular_ring(build_ring("Z4[i]"))
+
+
+def test_elements_of_one_matrix_ring_combine_across_constructors():
+    from pclean.matrices import matrix_ring
+
+    a = build_ring("M2(Z2)").element(5)
+    b = matrix_ring(build_ring("Z2")).element(3)
+    assert (a + b).index == build_ring("M2(Z2)").add(5, 3)
+
+
+def test_live_ring_survives_cache_eviction():
+    import pclean.rings as rings
+
+    m2 = build_ring("M2(Z4)")
+    rings._RING_CACHE.clear()
+    assert build_ring("Z4") is m2.kernel.base
+    assert build_ring("M2(Z4)") is m2
 
 
 def test_order_limit_enforced():

@@ -173,6 +173,26 @@ def test_t3_5_notes_skipped_triangular_sizes():
     assert "T3" in (check.note or "")
 
 
+@pytest.mark.parametrize(
+    "tid, ring, verdict, note",
+    [
+        ("L4.1", "Z4[i]", "SKIPPED", "M2 order 65536 exceeds budget 16384"),
+        ("T4.2", "Z9", "SKIPPED", "M2 order 6561 exceeds budget 4096"),
+        ("T5.4", "Z9", "SKIPPED", "M2 order 6561 exceeds budget 4096"),
+        ("C5.2", "Z4", "HYPOTHESIS_NOT_MET", "2 is not a unit"),
+        ("P5.6", "Z9", "HYPOTHESIS_NOT_MET", "needs R/J = Z_2 with J nilpotent"),
+        ("P5.6", "T2(Z2)", "HYPOTHESIS_NOT_MET", "ring is not commutative"),
+        ("P3.7", "Z9[w]", "SKIPPED", "T2 order 531441 beyond limit 65536"),
+        ("C3.6", "Z9[w]", "SKIPPED", "T2 order 531441 exceeds budget 4096"),
+        ("L2.7", "M2(Z4)", "SKIPPED", "ideal enumeration limited to order <= 64"),
+        ("T3.5", "Z8", "HOLDS", "T3 order 262144 beyond limit"),
+    ],
+)
+def test_guard_verdicts_and_notes(tid, ring, verdict, note):
+    (check,) = verify(tid, [ring])
+    assert (check.verdict, check.note) == (verdict, note)
+
+
 def test_verify_accepts_env_limits():
     env = VerifyEnv(limit=540_000)
     (check,) = verify("T3.5", ["Z9[w]"], env)

@@ -205,7 +205,13 @@ def _element_analyze(args) -> tuple[dict, int]:
     nilp = rad.element_nilpotency(r, i)
     sn, sn_idx = rad.is_strongly_nilpotent(r, i)
     pcert, pcount = dec.strongly_pclean_element(r, i)
-    ccert, ccount = dec.strongly_clean_element(r, i)
+    try:  # both need the unit mask, which is not enumerated at every order
+        ccert, ccount = dec.strongly_clean_element(r, i)
+        clean = {"holds": ccert is not None, "count": ccount,
+                 "certificate": _cert_report(ccert)}
+        clean_count = dec.uniquely_clean_count(r, i)
+    except RingTooLarge:
+        clean = clean_count = {"skipped": "order"}
     ncert, ncount = dec.strongly_nilclean_element(r, i)
     jcert, jcount = dec.strongly_jclean_element(r, i)
     pi_ok, pi_n, pi_b = dec.strongly_pi_regular_element(r, i)
@@ -225,8 +231,7 @@ def _element_analyze(args) -> tuple[dict, int]:
         "in_jacobson_radical": rad.jacobson_radical(r).contains(i),
         "strongly_pclean": {"holds": pcert is not None, "count": pcount,
                             "certificate": _cert_report(pcert)},
-        "strongly_clean": {"holds": ccert is not None, "count": ccount,
-                           "certificate": _cert_report(ccert)},
+        "strongly_clean": clean,
         "strongly_nilclean": {"holds": ncert is not None, "count": ncount,
                               "certificate": _cert_report(ncert)},
         "strongly_jclean": {"holds": jcert is not None, "count": jcount,
@@ -238,7 +243,7 @@ def _element_analyze(args) -> tuple[dict, int]:
         },
         "unique_counts": {
             "pclean_idempotents": dec.uniquely_pclean_count(r, i),
-            "clean_idempotents": dec.uniquely_clean_count(r, i),
+            "clean_idempotents": clean_count,
             "nilclean_idempotents": dec.uniquely_nilclean_count(r, i),
         },
         "idempotent_lift": lift,

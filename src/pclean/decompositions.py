@@ -77,17 +77,24 @@ _KINDS = {
 }
 
 
-def _hits(r: RingTable, kind: str, a: int, commuting: bool) -> np.ndarray:
+def _hits(
+    r: RingTable, kind: str, a: int, commuting: bool, first: bool = False
+) -> np.ndarray:
     """Idempotents e, ascending, with a - e in the set of `kind` (and ea = ae
-    when `commuting`).  P-membership never computes P(R) for one element."""
+    when `commuting`).  P-membership never computes P(R) for one element; with
+    `first` it stops at the least hit, the only one then returned."""
     idem = r.idempotent_indices
     aa = np.int64(a)
     if commuting:
         idem = idem[r.vmul(aa, idem) == r.vmul(idem, aa)]
     diff = r.vsub(aa, idem)
-    if kind == STRONGLY_P_CLEAN:
-        return idem[radicals.in_prime_radical(r, diff)]
-    return idem[_KINDS[kind][0](r)[diff]]
+    if kind != STRONGLY_P_CLEAN:
+        return idem[_KINDS[kind][0](r)[diff]]
+    if first:
+        in_p = (radicals.in_prime_radical(r, diff[i : i + 1])[0] for i in range(diff.size))
+        i = next((i for i, hit in enumerate(in_p) if hit), diff.size)
+        return idem[i : i + 1]
+    return idem[radicals.in_prime_radical(r, diff)]
 
 
 def _certificate(r: RingTable, kind: str, a) -> tuple[CleanCertificate | None, int]:
@@ -201,20 +208,27 @@ def idempotent_lift(r: RingTable, a) -> int:
 def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
     """Per element x: whether some e with ex = xe has x - e in `member` (bool),
     or else how many e have (uint8, saturated at 2).  Memoized per member set:
-    J = P always and Nil = P often share one pass."""
+    J = P always and Nil = P often share one pass.
+
+    Each idempotent e scatters onto x = e + w for the members w (only those
+    with ew = we when `commuting`: x commutes with e exactly when w does), so
+    a pass costs |member| lanes whatever the counts are.  w -> e + w is
+    injective, so no x repeats within a pass.
+    """
     key = ("sweep", member.tobytes(), commuting)
     if key not in r.cache:
         need = 1 if commuting else 2
+        members = np.flatnonzero(member)
         count = np.zeros(r.order, dtype=np.uint8)
         for e in r.idempotent_indices:
-            x = np.flatnonzero(count < need)  # elements still undecided
-            if x.size == 0:
-                break
             ee = np.int64(e)
-            x = x[member[r.vsub(x, ee)]]
+            w = members
             if commuting:
-                x = x[r.vmul(x, ee) == r.vmul(ee, x)]
-            count[x] += 1
+                w = w[r.vmul(w, ee) == r.vmul(ee, w)]
+            x = r.vadd(w, ee)
+            count[x] = np.minimum(count[x] + 1, 2)
+            if count.min() >= need:
+                break
         r.cache[key] = count.astype(bool) if commuting else count
     return r.cache[key]
 
@@ -228,7 +242,7 @@ def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None
             # counterexamples in structured rings tend to sit at tiny indices;
             # probing them first avoids the full vectorized sweep
             probe = range(min(_PROBE, r.order))
-            bad = next((x for x in probe if not _hits(r, kind, x, True).size), None)
+            bad = next((x for x in probe if not _hits(r, kind, x, True, first=True).size), None)
         if bad is None:
             cover = _sweep(r, _KINDS[kind][0](r), commuting)
             gaps = np.flatnonzero(~cover if commuting else cover != 1)

@@ -609,8 +609,7 @@ def pi_regular_trichotomy(A: Matrix2) -> str:
     """
     r = A.ring
     _require_commutative(r)
-    j = radicals.jacobson_radical(r)
-    if r.order != 2 * j.order or radicals.nilpotency_index(j) is None:
+    if not radicals.residue_is_z2(r):
         raise HypothesisViolated(
             f"{r.name} needs R/J(R) = Z_2 with J(R) nilpotent for the trichotomy"
         )

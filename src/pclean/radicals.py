@@ -326,6 +326,13 @@ def is_abelian(r: RingTable) -> bool:
     return flag
 
 
+def residue_is_z2(r: RingTable) -> bool:
+    """R/J(R) = Z_2 with J(R) nilpotent: the hypothesis of the pi-regular
+    trichotomy for 2x2 matrices."""
+    j = jacobson_radical(r)
+    return r.order == 2 * j.order and nilpotency_index(j) is not None
+
+
 def is_locally_nilpotent(I: Ideal) -> bool:
     """Every element of I generates a nilpotent ideal."""
     return bool(in_prime_radical(I.ring, I.indices).all())

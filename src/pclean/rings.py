@@ -192,6 +192,13 @@ class _DigitKernel:
     ``mul_digits``.  vadd and vmul are ``_encode(<op>_digits(_digits(a),
     _digits(b)))``, and ``fill_tables`` runs the same digit formulas to build
     the dense tables.
+
+    ``_digits`` gathers from a digit table of shape (npos, order), built on
+    first use and kept with the kernel: column x holds the digits of x in the
+    smallest unsigned dtype that fits every radix (one byte per digit for
+    radices up to 256, so 1.6 MB for T2(Z9[w])).  Digits are only used as
+    indices into the parts, whose ops widen to int64, and ``_encode``
+    accumulates in int64.
     """
 
     def __init__(self, parts: list["RingTable"]):
@@ -199,15 +206,15 @@ class _DigitKernel:
         self.npos = len(parts)
         self.radices = [p.order for p in parts]
         self.order = math.prod(self.radices)
+        self._digit_table = None
         self.zero = int(self._encode([p.zero for p in parts]))
 
     def _digits(self, a):
-        a = np.asarray(a, np.int64).copy()
-        out = np.empty((self.npos,) + a.shape, dtype=np.int64)
-        for j in range(self.npos - 1, -1, -1):
-            out[j] = a % self.radices[j]
-            a //= self.radices[j]
-        return out
+        if self._digit_table is None:
+            dtype = np.min_scalar_type(max(self.radices) - 1)
+            self._digit_table = np.indices(self.radices, dtype).reshape(self.npos, -1)
+        # np.take gathers several times faster than fancy indexing table[:, a]
+        return np.take(self._digit_table, a, axis=1)
 
     def _encode(self, digits, out=None):
         """Index of the digit vector; written in place into `out` when given."""
@@ -966,11 +973,22 @@ def ideal_closure_mask(r: RingTable, gens) -> np.ndarray:
 # construction
 
 
-_RING_CACHE: OrderedDict[str, RingTable] = OrderedDict()
+# the rings build_ring or derived_ring handed out most recently, keyed by id
+# (two distinct rings may share a name); this LRU is what keeps them alive
+_RING_CACHE: OrderedDict[int, RingTable] = OrderedDict()
 _RING_CACHE_MAX = 48
 # every live ring build_ring has made, so one evicted from the LRU but still
 # referenced (say as the base of a derived ring) is not built a second time
 _LIVE_RINGS: weakref.WeakValueDictionary[str, RingTable] = weakref.WeakValueDictionary()
+
+
+def _hold(ring: RingTable) -> RingTable:
+    """Mark `ring` most recently used in the LRU, evicting the oldest."""
+    _RING_CACHE[id(ring)] = ring
+    _RING_CACHE.move_to_end(id(ring))
+    if len(_RING_CACHE) > _RING_CACHE_MAX:
+        _RING_CACHE.popitem(last=False)
+    return ring
 
 
 def build_ring(spec, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
@@ -991,11 +1009,7 @@ def build_ring(spec, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
         ring = _LIVE_RINGS[name] = _make_ring(spec, name, limit)
     elif ring.order > limit:
         raise OrderLimitExceeded(f"{name} has order {ring.order} > limit {limit}")
-    _RING_CACHE[name] = ring
-    _RING_CACHE.move_to_end(name)
-    if len(_RING_CACHE) > _RING_CACHE_MAX:
-        _RING_CACHE.popitem(last=False)
-    return ring
+    return _hold(ring)
 
 
 def _make_ring(spec, name: str, limit: int) -> RingTable:
@@ -1035,15 +1049,18 @@ def derived_ring(family: str, k: int, base: RingTable) -> RingTable:
     """The one M_k(base) (family "M") or T_k(base) (family "T") ring.
 
     Memoized in base.cache, so build_ring, matrix_ring and triangular_ring
-    share one object, which lives as long as its base does.  No size cap:
-    callers check the order first.
+    share one object while it is alive; the LRU of build_ring keeps it alive.
+    The memo is a weak reference because the ring holds its base (as
+    kernel.base): a strong one would make a cycle that only the cyclic
+    garbage collector frees.  No size cap: callers check the order first.
     """
     key = ("derived", family, k)
-    ring = base.cache.get(key)
+    ref = base.cache.get(key)
+    ring = None if ref is None else ref()
     if ring is None:
-        kernel = _DERIVED_KERNELS[family](k, base)
-        ring = base.cache[key] = RingTable(kernel, f"{family}{k}({base.name})")
-    return ring
+        ring = RingTable(_DERIVED_KERNELS[family](k, base), f"{family}{k}({base.name})")
+        base.cache[key] = weakref.ref(ring)
+    return _hold(ring)
 
 
 def _quotient(r: RingTable, idxs, name: str, collapsed: str) -> RingTable:

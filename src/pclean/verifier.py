@@ -257,15 +257,10 @@ def _requires(holds, note: str, verdict: str = HYPOTHESIS_NOT_MET):
     return lambda r, env: None if holds(r) else (verdict, note)
 
 
-def _has_residue_z2(r: RingTable) -> bool:
-    j = rad.jacobson_radical(r)
-    return r.order == 2 * j.order and rad.nilpotency_index(j) is not None
-
-
 _local = _requires(rad.is_local, "ring is not local")
 _commutative = _requires(lambda r: r.commutative, "ring is not commutative")
 _two_is_unit = _requires(lambda r: r.is_unit(r.embed_int(2)), "2 is not a unit")
-_residue_z2 = _requires(_has_residue_z2, "needs R/J = Z_2 with J nilpotent")
+_residue_z2 = _requires(rad.residue_is_z2, "needs R/J = Z_2 with J nilpotent")
 _ideal_enum = _requires(
     lambda r: r.order <= IDEAL_ENUM_LIMIT,
     f"ideal enumeration limited to order <= {IDEAL_ENUM_LIMIT}",

@@ -256,3 +256,31 @@ def inverse_oracle(r, x):
         if r.mul(x, y) == r.one == r.mul(y, x):
             return y
     return None
+
+
+def gather_sweep(r, member, commuting):
+    """The idempotent sweep gathered over the undecided elements: for each
+    idempotent e, the x still below the target count with x - e in `member`
+    (and xe = ex when `commuting`) gain one.  Returns a bool mask when
+    `commuting`, else uint8 counts saturated at 2."""
+    need = 1 if commuting else 2
+    count = np.zeros(r.order, dtype=np.uint8)
+    for e in r.idempotent_indices:
+        x = np.flatnonzero(count < need)
+        ee = np.int64(e)
+        x = x[member[r.vsub(x, ee)]]
+        if commuting:
+            x = x[r.vmul(x, ee) == r.vmul(ee, x)]
+        count[x] += 1
+    return count.astype(bool) if commuting else count
+
+
+def divmod_digits(radices, a):
+    """Big-endian mixed-radix digits of the indices `a` by repeated divmod;
+    shape (len(radices),) + np.shape(a)."""
+    a = np.asarray(a, np.int64).copy()
+    out = np.empty((len(radices),) + a.shape, dtype=np.int64)
+    for j in range(len(radices) - 1, -1, -1):
+        out[j] = a % radices[j]
+        a //= radices[j]
+    return out

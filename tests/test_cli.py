@@ -117,3 +117,17 @@ def test_limit_env_default(capsys, monkeypatch):
 def test_parse_error_cites_offset(capsys):
     status, _, err = run_cli(capsys, "element", "analyze", "Z8[i]", "1+q")
     assert status == 2 and "offset" in err
+
+
+def test_element_analyze_above_the_unit_scan_limit(capsys):
+    # T2(Z32) has 32768 elements: the unit mask is not enumerated, so the two
+    # fields that need it are skipped and the rest is reported
+    status, doc, err = run_json(
+        capsys, "element", "analyze", "T2(Z32)", "[1,2;0,3]", "--limit", "540000"
+    )
+    assert status == 0 and err == ""
+    assert doc["strongly_clean"] == {"skipped": "order"}
+    assert doc["unique_counts"]["clean_idempotents"] == {"skipped": "order"}
+    assert doc["unit"] is True
+    assert doc["strongly_pclean"]["holds"] is True
+    assert doc["strongly_pclean"]["certificate"]["valid"] is True

@@ -7,7 +7,7 @@ from pclean.errors import NotLiftable, PcleanError
 from pclean.rings import ProductKernel, RingTable, build_ring
 from pclean.verifier import DEFAULT_CATALOG
 
-from oracles import clean_oracle
+from oracles import clean_oracle, gather_sweep
 from table_kernel import TableKernel
 
 
@@ -259,3 +259,31 @@ def test_probe_never_computes_the_prime_radical(monkeypatch):
     prod = RingTable(ProductKernel([m2, m2]), "M2(Z4) x M2(Z4)")
     monkeypatch.setattr(rad, "prime_radical", refuse)
     assert dec.is_strongly_pclean_ring(prod) == (False, 4)
+
+
+def test_probe_stops_at_the_first_witness(monkeypatch):
+    # each probed element needs one strongly nilpotent remainder, not all of
+    # them: testing every commuting idempotent took 1196 calls here
+    calls = []
+    counted = rad.is_strongly_nilpotent
+
+    def counting(r, a):
+        calls.append(a)
+        return counted(r, a)
+
+    m2 = build_ring("M2(Z4)")
+    prod = RingTable(ProductKernel([m2, m2]), "M2(Z4) x M2(Z4)")
+    monkeypatch.setattr(rad, "is_strongly_nilpotent", counting)
+    assert dec.is_strongly_pclean_ring(prod) == (False, 4)
+    assert 0 < len(calls) < 200
+
+
+@pytest.mark.parametrize("name", [*DEFAULT_CATALOG, "T2(Z32)"])
+def test_sweep_matches_gather_oracle(name):
+    # T2(Z32) has 32768 elements, so its sweep runs on the coordinate path
+    r = build_ring(name)
+    for member in (rad.prime_radical(r).mask, rad.nilpotent_mask(r)):
+        for commuting in (True, False):
+            got = dec._sweep(r, member, commuting)
+            want = gather_sweep(r, member, commuting)
+            assert got.dtype == want.dtype and np.array_equal(got, want), commuting

@@ -311,11 +311,17 @@ def test_pi_regular_trichotomy_examples():
 
 
 def test_pi_regular_trichotomy_hypotheses():
+    # the trichotomy and the P5.6 guard test one hypothesis
     from pclean.errors import HypothesisViolated
 
-    r = build_ring("Z9")
-    with pytest.raises(HypothesisViolated):
-        pi_regular_trichotomy(Matrix2.identity(r))
+    for name in ("Z9", "Z3", "Z6", "Z2", "Z8"):
+        r = build_ring(name)
+        assert rad.residue_is_z2(r) == (name in ("Z2", "Z8"))
+        if rad.residue_is_z2(r):
+            assert pi_regular_trichotomy(Matrix2.identity(r)) == "UNIT"
+            continue
+        with pytest.raises(HypothesisViolated, match=r"needs R/J\(R\) = Z_2 with J\(R\) nil"):
+            pi_regular_trichotomy(Matrix2.identity(r))
 
 
 def test_det_multiplicative_trace_additive_sampled():

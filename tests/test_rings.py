@@ -5,7 +5,14 @@ from pclean.errors import MalformedSpec, MixedRingOperands, OrderLimitExceeded, 
 from pclean.rings import RingTable, ZnKernel, build_ring, corner_ring, quotient_ring
 from pclean.verifier import DEFAULT_CATALOG
 
-from oracles import all_matrices, idempotents_of, inverse_oracle, mat_mul, units_zn
+from oracles import (
+    all_matrices,
+    divmod_digits,
+    idempotents_of,
+    inverse_oracle,
+    mat_mul,
+    units_zn,
+)
 
 SMALL_CATALOG = [n for n in DEFAULT_CATALOG]
 
@@ -143,6 +150,44 @@ def test_live_ring_survives_cache_eviction():
     rings._RING_CACHE.clear()
     assert build_ring("Z4") is m2.kernel.base
     assert build_ring("M2(Z4)") is m2
+
+
+def test_evicted_derived_ring_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    import pclean.rings as rings
+
+    gc.collect()
+    gc.disable()
+    try:
+        m2 = build_ring("M2(Z3)")
+        refs = [weakref.ref(m2), weakref.ref(m2.kernel.base)]
+        del m2
+        rings._RING_CACHE.clear()
+        assert [ref() for ref in refs] == [None, None]
+        assert "M2(Z3)" not in rings._LIVE_RINGS and "Z3" not in rings._LIVE_RINGS
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "name, dtype",
+    [("T2(Z9[w])", np.uint8), ("T2(Z8)xZ9", np.uint16), ("T2(Z64)xZ2", np.uint32)],
+)
+def test_digit_table_matches_divmod_codec(name, dtype):
+    # largest radix 81, 512 and 262144: one table dtype each
+    r = build_ring(name, limit=540_000)
+    k = r.kernel
+    rng = np.random.default_rng(5)
+    flat = rng.integers(0, r.order, size=1000)
+    for a in (flat, flat.reshape(40, 25), np.int64(r.order - 1), np.array(7), r.order // 3):
+        got = k._digits(a)
+        assert got.shape == (k.npos,) + np.shape(a)
+        assert np.array_equal(got, divmod_digits(k.radices, a))
+        assert np.array_equal(k._encode(got), a)
+    assert k._digit_table.dtype == dtype
+    assert k._digit_table.shape == (k.npos, r.order)
 
 
 def test_order_limit_enforced():

@@ -1,8 +1,9 @@
 """Ideals, nilpotency, strongly nilpotent elements, and the two radicals.
 
 Strong nilpotence is decided through the nilpotency of the two-sided ideal
-generated by the element; the tests compare it with the descent-sequence
-definition on small rings.
+generated by the element, whose powers I^(k+1) = I * I^k are spans of basis
+products (`ideal_product_mask`); the tests compare it with the
+descent-sequence definition on small rings.
 """
 
 from __future__ import annotations
@@ -65,19 +66,21 @@ class Ideal:
         return f"Ideal({self.ring.name}, order={self.order})"
 
 
+def _additively_closed(r: RingTable, mask: np.ndarray) -> bool:
+    """Whether the set `mask` is closed under addition.  Every member lies in
+    the span of the set's subgroup basis, so adding the basis is enough."""
+    idx = np.flatnonzero(mask)
+    return bool(mask[r.vadd(idx[:, None], subgroup_basis(r, idx)[None, :])].all())
+
+
 def _certify_ideal(r: RingTable, mask: np.ndarray) -> bool:
     idx = np.flatnonzero(mask)
     if not mask[r.zero]:
         return False
     if not mask[r.vneg(idx)].all():
         return False
-    if idx.size <= 2048:
-        if not mask[r.vadd(idx[:, None], idx[None, :])].all():
-            return False
-    else:
-        basis = subgroup_basis(r, idx)
-        if not mask[r.vadd(idx[:, None], basis[None, :])].all():
-            return False
+    if not _additively_closed(r, mask):
+        return False
     gens = np.unique(np.append(np.asarray(r.additive_generators, np.int64), r.one))
     for g in gens:
         if not mask[r.vmul(np.int64(g), idx)].all():
@@ -104,25 +107,30 @@ def nilpotency_index(I: Ideal) -> int | None:
 
 
 def _ideal_nilpotency(r: RingTable, mask: np.ndarray) -> int | None:
-    count = int(mask.sum())
-    if count == 1:
-        return 1
-    gens1 = subgroup_basis(r, np.flatnonzero(mask))
-    cur_gens = gens1
-    cur_count = count
-    k = 1
-    while k <= r.order:
-        prods = np.unique(r.vmul(gens1[:, None], cur_gens[None, :]).ravel())
-        nxt = additive_closure_mask(r, prods)
-        k += 1
-        cnt = int(nxt.sum())
-        if cnt == 1:
+    for k, power in enumerate(ideal_powers(r, mask), 1):
+        if power.sum() == 1:
             return k
-        if cnt == cur_count:  # I^k = I^(k-1) != 0
-            return None
-        cur_count = cnt
-        cur_gens = subgroup_basis(r, np.flatnonzero(nxt))
     return None
+
+
+def ideal_powers(r: RingTable, mask: np.ndarray):
+    """Masks of the powers I, I^2, ... of the ideal I with mask `mask`, each
+    I^(k+1) = I * I^k, up to the first power equal to the next one."""
+    cur = mask
+    while True:
+        yield cur
+        nxt = ideal_product_mask(r, mask, cur)
+        if np.array_equal(nxt, cur):
+            return
+        cur = nxt
+
+
+def ideal_product_mask(r: RingTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the product AB of the ideals with masks a and b: the additive
+    span of the products of their bases."""
+    ga = subgroup_basis(r, np.flatnonzero(a))
+    gb = subgroup_basis(r, np.flatnonzero(b))
+    return additive_closure_mask(r, r.vmul(ga[:, None], gb[None, :]))
 
 
 def element_nilpotency(r: RingTable, a: int) -> int | None:
@@ -201,23 +209,16 @@ def prime_radical(r: RingTable) -> Ideal:
     classified = np.full(n, -1, dtype=np.int8)
     classified[~nil] = 0
     classified[r.zero] = 1
-    known_mask = np.zeros(n, dtype=bool)
-    known_mask[r.zero] = True
-    known_basis = np.asarray([], np.int64)
+    known = additive_closure_mask(r, [])
     for x in range(n):
         if classified[x] != -1:
             continue
-        ok, witness = is_strongly_nilpotent(r, x)
-        if ok:
+        if is_strongly_nilpotent(r, x)[0]:
             part = ideal_closure_mask(r, np.asarray([x], np.int64))
-            seeds = np.concatenate(
-                [known_basis, subgroup_basis(r, np.flatnonzero(part))]
-            )
-            known_mask = additive_closure_mask(r, seeds)
-            known_basis = subgroup_basis(r, np.flatnonzero(known_mask))
-            classified[known_mask] = 1
+            known = additive_closure_mask(r, np.flatnonzero(known | part))
+            classified[known] = 1
         else:
-            classified[r.vadd(np.int64(x), np.flatnonzero(known_mask))] = 0
+            classified[r.vadd(np.int64(x), np.flatnonzero(known))] = 0
     mask = classified == 1
     if not _certify_ideal(r, mask):
         raise RadicalNotIdeal(f"strongly nilpotent elements of {r.name} are not an ideal")
@@ -298,14 +299,7 @@ def is_local(r: RingTable) -> bool:
     flag = r.cache.get("is_local")
     if flag is None:
         if r.order <= UNIT_SCAN_LIMIT:
-            nonunits = np.flatnonzero(~r.unit_mask)
-            flag = True
-            rows = max(1, _CHUNK // max(1, nonunits.size))
-            for s in range(0, nonunits.size, rows):
-                block = r.vadd(nonunits[s : s + rows, None], nonunits[None, :])
-                if r.unit_mask[block].any():
-                    flag = False
-                    break
+            flag = _additively_closed(r, ~r.unit_mask)
         else:
             flag = r.idempotent_indices.size == 2
         r.cache["is_local"] = flag

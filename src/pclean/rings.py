@@ -10,6 +10,13 @@ product kernels) build them by running their digit formulas over the base
 rings' own tables on an open mesh with one axis per digit of each operand,
 and encode each block of rows in place into the uint16 table; every other
 kernel fills the tables block by block of rows through its vadd/vmul.
+
+Every additive span is grown by one doubling step, `_extend`: it adds x to a
+subgroup H by adding the shifted copy H + 2^k x for k = 0, 1, ... until no new
+element appears, so a cyclic span of order m costs log2(m) vector ops.
+Additive and ideal closures, subgroup bases, ideal products and powers fold
+this step over their seeds, and quotient rings pick coset representatives
+(least indices) by the same doubling over a basis of the ideal.
 """
 
 from __future__ import annotations
@@ -495,13 +502,17 @@ class QuotientKernel:
 
     def __init__(self, base: "RingTable", ideal_indices: np.ndarray):
         self.base = base
-        ideal_indices = np.unique(np.asarray(ideal_indices, np.int64))
         n = base.order
-        rep_of = np.empty(n, dtype=np.int64)
-        chunk = max(1, _CHUNK // max(1, ideal_indices.size))
-        for s in range(0, n, chunk):
-            idx = np.arange(s, min(s + chunk, n), dtype=np.int64)
-            rep_of[idx] = base.vadd(idx[:, None], ideal_indices[None, :]).min(axis=1)
+        # after basis element g_j, rep_of[x] = min of x + <g_1..g_j>; each pass
+        # takes the min over one more power-of-two multiple of g_j
+        rep_of = idx = np.arange(n, dtype=np.int64)
+        for step in subgroup_basis(base, ideal_indices).tolist():
+            while True:
+                nxt = np.minimum(rep_of, rep_of[base.vadd(idx, np.int64(step))])
+                if np.array_equal(nxt, rep_of):
+                    break
+                rep_of = nxt
+                step = base.add(step, step)
         self.rep_of = rep_of
         self.reps = np.unique(rep_of)
         self.pos_of = np.full(n, -1, dtype=np.int64)
@@ -804,18 +815,8 @@ class RingTable:
         if gens is None:
             gens = self.kernel.additive_generators()
             if gens is None:
-                gens = self._greedy_additive_generators()
+                gens = subgroup_basis(self, np.arange(self.order)).tolist()
             self.cache["additive_generators"] = gens
-        return gens
-
-    def _greedy_additive_generators(self) -> list[int]:
-        gens: list[int] = []
-        mask = np.zeros(self.order, dtype=bool)
-        mask[self.zero] = True
-        for x in range(self.order):
-            if not mask[x]:
-                gens.append(x)
-                mask = additive_closure_mask(self, np.asarray(gens, np.int64))
         return gens
 
     @property
@@ -858,115 +859,57 @@ class RingTable:
     def elements(self):
         return (Element(self, i) for i in range(self.order))
 
-    # -- validation
-
-    def check_axioms(self, full_limit: int = 512, samples: int = 4096, seed: int = 0):
-        """Verify ring axioms; exhaustive for order <= full_limit, sampled above.
-
-        Raises PcleanError on the first violated axiom.
-        """
-        n = self.order
-        idx = np.arange(n, dtype=np.int64)
-        if self.add(self.zero, self.one) != self.one:
-            raise PcleanError(f"{self.name}: 0 + 1 != 1")
-        if not np.array_equal(self.vadd(idx, self.zero), idx):
-            raise PcleanError(f"{self.name}: 0 is not an additive identity")
-        if not np.array_equal(self.vadd(idx, self.vneg(idx)), np.full(n, self.zero)):
-            raise PcleanError(f"{self.name}: negation is not an additive inverse")
-        if not np.array_equal(self.vmul(idx, self.one), idx) or not np.array_equal(
-            self.vmul(np.full(n, self.one), idx), idx
-        ):
-            raise PcleanError(f"{self.name}: 1 is not a multiplicative identity")
-        pair_rows = max(1, _CHUNK // n)
-        for s in range(0, n, pair_rows):
-            block = idx[s : s + pair_rows]
-            if not np.array_equal(
-                self.vadd(block[:, None], idx[None, :]),
-                self.vadd(idx[None, :], block[:, None]),
-            ):
-                raise PcleanError(f"{self.name}: addition is not commutative")
-
-        def triple_chunks():
-            if n <= full_limit:
-                total = n * n * n
-                for s in range(0, total, _CHUNK):
-                    t = np.arange(s, min(s + _CHUNK, total), dtype=np.int64)
-                    yield t // (n * n), (t // n) % n, t % n
-            else:
-                rng = np.random.default_rng(seed)
-                yield rng.integers(0, n, size=(3, samples), dtype=np.int64)
-
-        for aa, bb, cc in triple_chunks():
-            if not np.array_equal(
-                self.vadd(self.vadd(aa, bb), cc), self.vadd(aa, self.vadd(bb, cc))
-            ):
-                raise PcleanError(f"{self.name}: addition is not associative")
-            if not np.array_equal(
-                self.vmul(self.vmul(aa, bb), cc), self.vmul(aa, self.vmul(bb, cc))
-            ):
-                raise PcleanError(f"{self.name}: multiplication is not associative")
-            if not np.array_equal(
-                self.vmul(aa, self.vadd(bb, cc)),
-                self.vadd(self.vmul(aa, bb), self.vmul(aa, cc)),
-            ):
-                raise PcleanError(f"{self.name}: left distributivity fails")
-            if not np.array_equal(
-                self.vmul(self.vadd(aa, bb), cc),
-                self.vadd(self.vmul(aa, cc), self.vmul(bb, cc)),
-            ):
-                raise PcleanError(f"{self.name}: right distributivity fails")
-
 
 # ---------------------------------------------------------------------------
 # additive / ideal closures (shared by quotients and the radical machinery)
 
 
-def additive_closure_mask(r: RingTable, seeds) -> np.ndarray:
-    """Boolean mask of the additive subgroup generated by `seeds`."""
+def _extend(r: RingTable, mask: np.ndarray, x: int) -> bool:
+    """Grow the additive subgroup `mask` in place to mask + <x> by doubling;
+    True if x was not already in it."""
+    if mask[x]:
+        return False
+    step = x
+    while True:
+        shifted = r.vadd(np.flatnonzero(mask), np.int64(step))
+        if mask[shifted].all():
+            return True
+        mask[shifted] = True
+        step = r.add(step, step)
+
+
+def _span(r: RingTable, seeds) -> tuple[np.ndarray, list[int]]:
+    """Fold _extend over `seeds` in order: the mask of their span and the
+    seeds that were new.  Seeds already in the span are dropped in bulk."""
     mask = np.zeros(r.order, dtype=bool)
     mask[r.zero] = True
-    seeds = np.unique(np.asarray(seeds, np.int64))
-    if seeds.size == 0:
-        return mask
-    frontier = np.array([r.zero], dtype=np.int64)
-    lanes = max(1, _CHUNK // seeds.size)
-    while frontier.size:
-        parts = []
-        for s in range(0, frontier.size, lanes):
-            parts.append(r.vadd(frontier[s : s + lanes, None], seeds[None, :]).ravel())
-        nxt = np.unique(np.concatenate(parts))
-        nxt = nxt[~mask[nxt]]
-        mask[nxt] = True
-        frontier = nxt
-    return mask
+    new = []
+    seeds = np.asarray(seeds, np.int64).ravel()
+    while seeds.size:
+        if _extend(r, mask, int(seeds[0])):
+            new.append(int(seeds[0]))
+        seeds = seeds[1:][~mask[seeds[1:]]]
+    return mask, new
+
+
+def additive_closure_mask(r: RingTable, seeds) -> np.ndarray:
+    """Boolean mask of the additive subgroup generated by `seeds`."""
+    return _span(r, seeds)[0]
 
 
 def subgroup_basis(r: RingTable, members) -> np.ndarray:
-    """A small additive generating set for the subgroup formed by `members`."""
-    members = np.unique(np.asarray(members, np.int64))
-    gens: list[int] = []
-    mask = np.zeros(r.order, dtype=bool)
-    mask[r.zero] = True
-    for x in members:
-        if not mask[x]:
-            gens.append(int(x))
-            mask = additive_closure_mask(r, np.asarray(gens, np.int64))
-    return np.asarray(gens, np.int64)
+    """The members, in ascending order, that lie outside the span of the
+    members before them: a small additive generating set of their span."""
+    return np.asarray(_span(r, np.sort(np.asarray(members, np.int64).ravel()))[1], np.int64)
 
 
 def ideal_closure_mask(r: RingTable, gens) -> np.ndarray:
-    """Mask of the two-sided ideal generated by the given element indices."""
-    gens = np.unique(np.asarray(gens, np.int64))
-    if gens.size == 0:
-        mask = np.zeros(r.order, dtype=bool)
-        mask[r.zero] = True
-        return mask
-    G = np.unique(np.append(np.asarray(r.additive_generators, np.int64), r.one))
-    seeds = []
-    for x in gens:
-        left = r.vmul(G, np.int64(x))
-        seeds.append(r.vmul(left[:, None], G[None, :]).ravel())
-    return additive_closure_mask(r, np.concatenate(seeds))
+    """Mask of the two-sided ideal generated by the given element indices:
+    the span of g*x*h over x in gens and g, h among 1 and the additive
+    generators."""
+    G = np.append(np.asarray(r.additive_generators, np.int64), r.one)
+    gens = np.asarray(gens, np.int64).ravel()
+    return additive_closure_mask(r, r.vmul(r.vmul(G[:, None], gens[None, :]), G[:, None, None]))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .rings import (
     build_ring,
     corner_ring,
     ideal_closure_mask,
+    subgroup_basis,
 )
 
 HOLDS = "HOLDS"
@@ -132,8 +133,6 @@ def _sides(**named) -> dict:
 
 
 def _ideal_gens(r: RingTable, mask: np.ndarray) -> list[str]:
-    from .rings import subgroup_basis
-
     return [r.fmt_index(int(i)) for i in subgroup_basis(r, np.flatnonzero(mask))]
 
 
@@ -189,19 +188,6 @@ def enumerate_ideals(r: RingTable) -> list[np.ndarray]:
     out = sorted(seen.values(), key=lambda m: (int(m.sum()), m.tobytes()))
     r.cache["ideal_enum"] = out
     return out
-
-
-def _ideal_product_mask(r: RingTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    from .rings import additive_closure_mask, subgroup_basis
-
-    ga = subgroup_basis(r, np.flatnonzero(a))
-    gb = subgroup_basis(r, np.flatnonzero(b))
-    prods = np.unique(r.vmul(ga[:, None], gb[None, :]).ravel())
-    return additive_closure_mask(r, prods)
-
-
-def _next_power(r: RingTable, cur: np.ndarray, base: np.ndarray) -> np.ndarray:
-    return _ideal_product_mask(r, base, cur)
 
 
 def _conjugation_reach(rt: RingTable, qual: np.ndarray) -> np.ndarray:
@@ -410,12 +396,7 @@ def _check_l2_7(r: RingTable, env: VerifyEnv):
 def _check_t2_8(r: RingTable, env: VerifyEnv):
     for mask in enumerate_ideals(r):
         v1 = _quotient_pclean(r, mask)
-        cur = mask
-        while True:
-            nxt = _next_power(r, cur, mask)
-            if np.array_equal(nxt, cur):
-                break
-            cur = nxt
+        for cur in list(rad.ideal_powers(r, mask))[1:]:
             if _quotient_pclean(r, cur) != v1:
                 return COUNTEREXAMPLE, {
                     "kind": "ideal",
@@ -436,7 +417,7 @@ def _check_p2_10(r: RingTable, env: VerifyEnv):
         va = _quotient_pclean(r, ma)
         for mb in ideals[i:]:
             v1 = va and _quotient_pclean(r, mb)
-            v2 = _quotient_pclean(r, _ideal_product_mask(r, ma, mb))
+            v2 = _quotient_pclean(r, rad.ideal_product_mask(r, ma, mb))
             v3 = _quotient_pclean(r, ma & mb)
             if not (v1 == v2 == v3):
                 return COUNTEREXAMPLE, {
@@ -1056,14 +1037,9 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
         if int(mask.sum()) != payload["ideal_order"]:
             return False
         if payload["property"] == "pclean_quotient_stable_under_ideal_powers":
-            cur = mask
-            while True:
-                nxt = _next_power(r, cur, mask)
-                if np.array_equal(nxt, cur):
-                    break
-                cur = nxt
-                if int(cur.sum()) == payload["power_order"]:
-                    break
+            powers = list(rad.ideal_powers(r, mask))
+            order = payload["power_order"]
+            cur = next((p for p in powers[1:] if p.sum() == order), powers[-1])
             return _quotient_pclean(r, cur) == payload["actual"]
         return _quotient_pclean(r, mask) == payload["actual"]
     if kind == "ideal_pair":
@@ -1074,7 +1050,7 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
         ]
         ma, mb = masks
         v1 = _quotient_pclean(r, ma) and _quotient_pclean(r, mb)
-        v2 = _quotient_pclean(r, _ideal_product_mask(r, ma, mb))
+        v2 = _quotient_pclean(r, rad.ideal_product_mask(r, ma, mb))
         v3 = _quotient_pclean(r, ma & mb)
         return (v1, v2, v3) == (
             payload["both_quotients"],

@@ -11,7 +11,8 @@ from itertools import product
 
 import numpy as np
 
-from pclean.errors import RingTooLarge
+from pclean.errors import PcleanError, RingTooLarge
+from pclean.rings import _CHUNK
 
 
 def mat_mul(A, B, mod, k=2):
@@ -284,3 +285,76 @@ def divmod_digits(radices, a):
         out[j] = a % radices[j]
         a //= radices[j]
     return out
+
+
+# ---------------------------------------------------------------------------
+# ring axioms and additive spans, from a ring's own operations
+
+
+def check_axioms(r, full_limit: int = 512, samples: int = 4096, seed: int = 0):
+    """Verify ring axioms; exhaustive for order <= full_limit, sampled above.
+
+    Raises PcleanError on the first violated axiom.
+    """
+    n = r.order
+    idx = np.arange(n, dtype=np.int64)
+    if r.add(r.zero, r.one) != r.one:
+        raise PcleanError(f"{r.name}: 0 + 1 != 1")
+    if not np.array_equal(r.vadd(idx, r.zero), idx):
+        raise PcleanError(f"{r.name}: 0 is not an additive identity")
+    if not np.array_equal(r.vadd(idx, r.vneg(idx)), np.full(n, r.zero)):
+        raise PcleanError(f"{r.name}: negation is not an additive inverse")
+    if not np.array_equal(r.vmul(idx, r.one), idx) or not np.array_equal(
+        r.vmul(np.full(n, r.one), idx), idx
+    ):
+        raise PcleanError(f"{r.name}: 1 is not a multiplicative identity")
+    pair_rows = max(1, _CHUNK // n)
+    for s in range(0, n, pair_rows):
+        block = idx[s : s + pair_rows]
+        if not np.array_equal(
+            r.vadd(block[:, None], idx[None, :]),
+            r.vadd(idx[None, :], block[:, None]),
+        ):
+            raise PcleanError(f"{r.name}: addition is not commutative")
+
+    def triple_chunks():
+        if n <= full_limit:
+            total = n * n * n
+            for s in range(0, total, _CHUNK):
+                t = np.arange(s, min(s + _CHUNK, total), dtype=np.int64)
+                yield t // (n * n), (t // n) % n, t % n
+        else:
+            rng = np.random.default_rng(seed)
+            yield rng.integers(0, n, size=(3, samples), dtype=np.int64)
+
+    for aa, bb, cc in triple_chunks():
+        if not np.array_equal(r.vadd(r.vadd(aa, bb), cc), r.vadd(aa, r.vadd(bb, cc))):
+            raise PcleanError(f"{r.name}: addition is not associative")
+        if not np.array_equal(r.vmul(r.vmul(aa, bb), cc), r.vmul(aa, r.vmul(bb, cc))):
+            raise PcleanError(f"{r.name}: multiplication is not associative")
+        if not np.array_equal(
+            r.vmul(aa, r.vadd(bb, cc)),
+            r.vadd(r.vmul(aa, bb), r.vmul(aa, cc)),
+        ):
+            raise PcleanError(f"{r.name}: left distributivity fails")
+        if not np.array_equal(
+            r.vmul(r.vadd(aa, bb), cc),
+            r.vadd(r.vmul(aa, cc), r.vmul(bb, cc)),
+        ):
+            raise PcleanError(f"{r.name}: right distributivity fails")
+
+
+def additive_span(r, seeds):
+    """The additive subgroup generated by `seeds`, as a set of indices: the
+    fixpoint of adding a seed to a member, by scalar r.add."""
+    seeds = [int(s) for s in seeds]
+    span = {r.zero}
+    todo = [r.zero]
+    while todo:
+        x = todo.pop()
+        for s in seeds:
+            y = r.add(x, s)
+            if y not in span:
+                span.add(y)
+                todo.append(y)
+    return span

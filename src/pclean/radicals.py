@@ -1,8 +1,8 @@
 """Ideals, nilpotency, strongly nilpotent elements, and the two radicals.
 
 Strong nilpotence is decided through the nilpotency of the two-sided ideal
-generated by the element, whose powers I^(k+1) = I * I^k are spans of basis
-products (`ideal_product_mask`); the tests compare it with the
+generated by the element, whose powers I^(k+1) = I * I^k are spans of
+products of generators (`ideal_powers`); the tests compare it with the
 descent-sequence definition on small rings.
 """
 
@@ -18,6 +18,7 @@ from .rings import (
     UNIT_SCAN_LIMIT,
     Element,
     RingTable,
+    _span,
     additive_closure_mask,
     ideal_closure_mask,
     subgroup_basis,
@@ -115,11 +116,14 @@ def _ideal_nilpotency(r: RingTable, mask: np.ndarray) -> int | None:
 
 def ideal_powers(r: RingTable, mask: np.ndarray):
     """Masks of the powers I, I^2, ... of the ideal I with mask `mask`, each
-    I^(k+1) = I * I^k, up to the first power equal to the next one."""
+    I^(k+1) = I * I^k, up to the first power equal to the next one.  Each
+    span hands back the products it needed, which generate I^(k+1), so a
+    basis of I is the only basis computed."""
+    basis = gens = subgroup_basis(r, np.flatnonzero(mask))
     cur = mask
     while True:
         yield cur
-        nxt = ideal_product_mask(r, mask, cur)
+        nxt, gens = _span(r, r.vmul(basis[:, None], np.asarray(gens, np.int64)[None, :]))
         if np.array_equal(nxt, cur):
             return
         cur = nxt
@@ -236,14 +240,12 @@ def jacobson_radical(r: RingTable) -> Ideal:
     if cached is not None:
         return cached
     if r.order <= UNIT_SCAN_LIMIT:
-        units = r.unit_mask
-        idx = np.arange(r.order, dtype=np.int64)
-        mask = np.zeros(r.order, dtype=bool)
-        cols = max(1, _CHUNK // r.order)
-        for s in range(0, r.order, cols):
-            block = idx[s : s + cols]
-            t = r.vmul(idx[:, None], block[None, :])
-            mask[block] = units[r.vadd(r.one, r.vneg(t))].all(axis=0)
+        # om[t] says whether 1 - t is a unit; column x of the rows r of the
+        # multiplication table holds every rx
+        om = r.unit_mask[r.vsub(np.int64(r.one), np.arange(r.order))]
+        mask = np.ones(r.order, dtype=bool)
+        for _, _, block in r.row_blocks():
+            mask &= om[block].all(axis=0)
     else:
         p = prime_radical(r)
         one_plus = r.vadd(r.one, p.indices)

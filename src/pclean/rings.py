@@ -4,12 +4,14 @@ Rings of order <= DENSE_TABLE_LIMIT carry full Cayley tables (uint16); larger
 rings compute on coordinates with identical observable behavior.  All bulk
 operations are numpy-vectorized over index arrays.
 
-Dense tables are built once, eagerly, by the RingTable constructor.  Rings
-whose index is a digit vector (matrix, triangular, constant-diagonal and
-product kernels) build them by running their digit formulas over the base
-rings' own tables on an open mesh with one axis per digit of each operand,
-and encode each block of rows in place into the uint16 table; every other
-kernel fills the tables block by block of rows through its vadd/vmul.
+Whole rows of a ring's Cayley tables come from one producer,
+`RingTable.row_blocks`: slices of the dense table once it exists, else blocks
+that digit kernels (matrix, triangular, constant-diagonal, product) build by
+running their digit formulas over the base rings' own tables on an open mesh
+of digits, and that other kernels build through their vadd/vmul.  It has three
+consumers: the constructor, which encodes the blocks in place into the uint16
+tables of rings of order <= DENSE_TABLE_LIMIT; the unit scan
+(`RingTable.unit_mask`); and the Jacobson scan (`radicals.jacobson_radical`).
 
 Every additive span is grown by one doubling step, `_extend`: it adds x to a
 subgroup H by adding the shifted copy H + 2^k x for k = 0, 1, ... until no new
@@ -197,15 +199,16 @@ class _DigitKernel:
     Digit j is an index into the RingTable ``parts[j]``.  Addition and
     negation act digit by digit; each subclass gives its product as
     ``mul_digits``.  vadd and vmul are ``_encode(<op>_digits(_digits(a),
-    _digits(b)))``, and ``fill_tables`` runs the same digit formulas to build
-    the dense tables.
+    _digits(b)))``, and ``row_blocks`` runs the same digit formulas on an open
+    mesh to produce whole rows of the Cayley tables.
 
     ``_digits`` gathers from a digit table of shape (npos, order), built on
     first use and kept with the kernel: column x holds the digits of x in the
     smallest unsigned dtype that fits every radix (one byte per digit for
     radices up to 256, so 1.6 MB for T2(Z9[w])).  Digits are only used as
-    indices into the parts, whose ops widen to int64, and ``_encode``
-    accumulates in int64.
+    indices into the parts' tables or ops, and ``_encode`` accumulates in
+    int64, so the digit formulas also keep a dense part's uint16 table
+    entries as digits without widening them.
     """
 
     def __init__(self, parts: list["RingTable"]):
@@ -234,8 +237,16 @@ class _DigitKernel:
             out += d
         return out
 
+    @staticmethod
+    def _part_add(p, x, y):
+        return p.vadd(x, y) if p._add_t is None else p._add_t[x, y]
+
+    @staticmethod
+    def _part_mul(p, x, y):
+        return p.vmul(x, y) if p._mul_t is None else p._mul_t[x, y]
+
     def add_digits(self, da, db):
-        return [p.vadd(x, y) for p, x, y in zip(self.parts, da, db)]
+        return [self._part_add(p, x, y) for p, x, y in zip(self.parts, da, db)]
 
     def vadd(self, a, b):
         return self._encode(self.add_digits(self._digits(a), self._digits(b)))
@@ -255,16 +266,18 @@ class _DigitKernel:
                 gens.append(int(self._encode(digits)))
         return gens
 
-    def fill_tables(self, add_t, mul_t):
-        """Fill the n x n Cayley tables from an open mesh of digits.
+    def row_blocks(self, op: str, out=None):
+        """Row blocks of the "add" or "mul" table from an open mesh of digits.
 
         Digit j of a varies on axis j and digit j of b on axis npos + j, so the
         digit formulas run on the base rings' tables and each intermediate
         spans only the axes its output digit reads.  Rows go in blocks aligned
         to a's leading digits, at most _CHUNK lanes each, and each block is
-        encoded in place into its slice of the table.
+        encoded in place: into its slice of `out` when given, else into a new
+        array of the smallest unsigned dtype that holds every index.
         """
-        rad, npos = self.radices, self.npos
+        rad, npos, n = self.radices, self.npos, self.order
+        op = self.add_digits if op == "add" else self.mul_digits
 
         def on_axis(j, values):
             return values.reshape((1,) * j + (-1,) + (1,) * (2 * npos - j - 1))
@@ -272,7 +285,7 @@ class _DigitKernel:
         db = [on_axis(npos + j, np.arange(r)) for j, r in enumerate(rad)]
         # a block fixes a's digits before p-1, takes `run` consecutive values
         # of digit p-1 and lets digits p.. vary fully
-        budget = max(1, _CHUNK // self.order)
+        budget = max(1, _CHUNK // n)
         p, span = npos, 1
         while p > 1 and span * rad[p - 1] <= budget:
             p -= 1
@@ -288,21 +301,27 @@ class _DigitKernel:
         for da in blocks:
             a_shape = np.broadcast(*da, *db).shape[:npos]
             stop = start + math.prod(a_shape)
-            for table, op in ((add_t, self.add_digits), (mul_t, self.mul_digits)):
-                # encode with b's axes merged into whole table rows: numpy
-                # iterates a few long axes far faster than many short ones
-                digits = [
-                    np.broadcast_to(d, d.shape[:npos] + tuple(rad))
-                    .astype(table.dtype, order="C")
-                    .reshape(d.shape[:npos] + (self.order,))
-                    for d in op(da, db)
-                ]
-                self._encode(digits, out=table[start:stop].reshape(a_shape + (self.order,)))
+            shape, dtype = (stop - start, n), np.min_scalar_type(n - 1)
+            block = np.empty(shape, dtype) if out is None else out[start:stop]
+            # encode with b's axes merged into whole table rows: numpy
+            # iterates a few long axes far faster than many short ones
+            digits = [
+                np.broadcast_to(d, d.shape[:npos] + tuple(rad))
+                .astype(block.dtype, order="C")
+                .reshape(d.shape[:npos] + (n,))
+                for d in op(da, db)
+            ]
+            self._encode(digits, out=block.reshape(a_shape + (n,)))
+            yield start, stop, block
             start = stop
 
 
 class _PositionalKernel(_DigitKernel):
-    """Digit vectors over one base ring: matrix-like rings."""
+    """Digit vectors over one base ring: k x k matrix-like rings.
+
+    ``pos_index`` maps each entry (i, j) that is stored to its digit; entries
+    left out are 0, and entries sharing a digit are equal.
+    """
 
     def __init__(self, base: "RingTable", npos: int):
         self.base = base
@@ -311,9 +330,35 @@ class _PositionalKernel(_DigitKernel):
     def _dot(self, terms):
         acc = None
         for x, y in terms:
-            p = self.base.vmul(x, y)
-            acc = p if acc is None else self.base.vadd(acc, p)
+            p = self._part_mul(self.base, x, y)
+            acc = p if acc is None else self._part_add(self.base, acc, p)
         return acc
+
+    def fmt(self, idx: int) -> str:
+        d = self._digits(np.int64(idx))
+
+        def entry(i, j):
+            t = self.pos_index.get((i, j))
+            return self.base.fmt_index(self.base.zero if t is None else int(d[t]))
+
+        rows = (",".join(entry(i, j) for j in range(self.k)) for i in range(self.k))
+        return "[" + ";".join(rows) + "]"
+
+    def parse_literal(self, lit: _Lit) -> int:
+        start = lit.pos
+        entries = _parse_matrix_entries(lit, self.k, self.base)
+        digits = [None] * self.npos
+        for i, j in itertools.product(range(self.k), repeat=2):
+            t, e = self.pos_index.get((i, j)), entries[i][j]
+            if t is None:
+                if e != self.base.zero:
+                    msg = "below-diagonal entry must be 0 in a triangular ring"
+                    raise MalformedSpec(msg, start)
+            elif digits[t] not in (None, e):
+                raise MalformedSpec("diagonal entries must all be equal", start)
+            else:
+                digits[t] = e
+        return int(self._encode(digits))
 
 
 class MatrixKernel(_PositionalKernel):
@@ -322,6 +367,7 @@ class MatrixKernel(_PositionalKernel):
     def __init__(self, k: int, base: "RingTable"):
         super().__init__(base, k * k)
         self.k = k
+        self.pos_index = {(i, j): i * k + j for i in range(k) for j in range(k)}
         one = [base.zero] * self.npos
         for i in range(k):
             one[i * k + i] = base.one
@@ -334,19 +380,6 @@ class MatrixKernel(_PositionalKernel):
             for i in range(k)
             for j in range(k)
         ]
-
-    def fmt(self, idx: int) -> str:
-        d = self._digits(np.int64(idx))
-        k = self.k
-        rows = [
-            ",".join(self.base.fmt_index(int(d[i * k + j])) for j in range(k))
-            for i in range(k)
-        ]
-        return "[" + ";".join(rows) + "]"
-
-    def parse_literal(self, lit: _Lit) -> int:
-        entries = _parse_matrix_entries(lit, self.k, self.base)
-        return int(self._encode([e for row in entries for e in row]))
 
 
 class TriangularKernel(_PositionalKernel):
@@ -373,34 +406,6 @@ class TriangularKernel(_PositionalKernel):
             for i, j in self.positions
         ]
 
-    def fmt(self, idx: int) -> str:
-        d = self._digits(np.int64(idx))
-        zero = self.base.fmt_index(self.base.zero)
-        rows = []
-        for i in range(self.k):
-            row = []
-            for j in range(self.k):
-                if i <= j:
-                    row.append(self.base.fmt_index(int(d[self.pos_index[(i, j)]])))
-                else:
-                    row.append(zero)
-            rows.append(",".join(row))
-        return "[" + ";".join(rows) + "]"
-
-    def parse_literal(self, lit: _Lit) -> int:
-        start = lit.pos
-        entries = _parse_matrix_entries(lit, self.k, self.base)
-        digits = [self.base.zero] * self.npos
-        for i in range(self.k):
-            for j in range(self.k):
-                if i <= j:
-                    digits[self.pos_index[(i, j)]] = entries[i][j]
-                elif entries[i][j] != self.base.zero:
-                    raise MalformedSpec(
-                        "below-diagonal entry must be 0 in a triangular ring", start
-                    )
-        return int(self._encode(digits))
-
 
 class ConstDiagKernel(_PositionalKernel):
     """Upper triangular k x k with a single shared diagonal entry (digit 0)."""
@@ -409,11 +414,12 @@ class ConstDiagKernel(_PositionalKernel):
         self.k = k
         self.uppers = [(i, j) for i in range(k) for j in range(i + 1, k)]
         super().__init__(base, 1 + len(self.uppers))
-        self.pos_index = {p: 1 + t for t, p in enumerate(self.uppers)}
+        self.pos_index = {(i, i): 0 for i in range(k)}
+        self.pos_index.update({p: 1 + t for t, p in enumerate(self.uppers)})
         self.one = int(self._encode([base.one] + [base.zero] * len(self.uppers)))
 
     def mul_digits(self, da, db):
-        out = [self.base.vmul(da[0], db[0])]
+        out = [self._part_mul(self.base, da[0], db[0])]
         for i, j in self.uppers:
             terms = [(da[0], db[self.pos_index[(i, j)]]), (da[self.pos_index[(i, j)]], db[0])]
             terms += [
@@ -422,40 +428,6 @@ class ConstDiagKernel(_PositionalKernel):
             ]
             out.append(self._dot(terms))
         return out
-
-    def fmt(self, idx: int) -> str:
-        d = self._digits(np.int64(idx))
-        zero = self.base.fmt_index(self.base.zero)
-        diag = self.base.fmt_index(int(d[0]))
-        rows = []
-        for i in range(self.k):
-            row = []
-            for j in range(self.k):
-                if i == j:
-                    row.append(diag)
-                elif i < j:
-                    row.append(self.base.fmt_index(int(d[self.pos_index[(i, j)]])))
-                else:
-                    row.append(zero)
-            rows.append(",".join(row))
-        return "[" + ";".join(rows) + "]"
-
-    def parse_literal(self, lit: _Lit) -> int:
-        start = lit.pos
-        entries = _parse_matrix_entries(lit, self.k, self.base)
-        diag = entries[0][0]
-        digits = [diag] + [self.base.zero] * len(self.uppers)
-        for i in range(self.k):
-            for j in range(self.k):
-                if i == j and entries[i][j] != diag:
-                    raise MalformedSpec("diagonal entries must all be equal", start)
-                if i < j:
-                    digits[self.pos_index[(i, j)]] = entries[i][j]
-                if i > j and entries[i][j] != self.base.zero:
-                    raise MalformedSpec(
-                        "below-diagonal entry must be 0 in a triangular ring", start
-                    )
-        return int(self._encode(digits))
 
 
 def _parse_matrix_entries(lit: _Lit, k: int, base: "RingTable"):
@@ -481,7 +453,7 @@ class ProductKernel(_DigitKernel):
         self.one = int(self._encode([f.one for f in factors]))
 
     def mul_digits(self, da, db):
-        return [f.vmul(x, y) for f, x, y in zip(self.parts, da, db)]
+        return [self._part_mul(f, x, y) for f, x, y in zip(self.parts, da, db)]
 
     def fmt(self, idx: int) -> str:
         parts = self._digits(np.int64(idx))
@@ -655,20 +627,36 @@ class RingTable:
 
     def _build_tables(self):
         n = self.order
-        idx = np.arange(n, dtype=np.int64)
         add_t = np.empty((n, n), dtype=np.uint16)
         mul_t = np.empty((n, n), dtype=np.uint16)
-        if isinstance(self.kernel, _DigitKernel):
-            self.kernel.fill_tables(add_t, mul_t)
-        else:
-            rows = max(1, _CHUNK // n)
-            for s in range(0, n, rows):
-                block = idx[s : s + rows, None]
-                add_t[s : s + rows] = self.kernel.vadd(block, idx[None, :])
-                mul_t[s : s + rows] = self.kernel.vmul(block, idx[None, :])
-        self._add_t = add_t
-        self._mul_t = mul_t
-        self._neg_t = self.kernel.vneg(idx).astype(np.uint16)
+        for op, table in (("add", add_t), ("mul", mul_t)):
+            for _ in self.row_blocks(op, out=table):
+                pass  # each block is written in place into its rows of table
+        self._add_t, self._mul_t = add_t, mul_t
+        self._neg_t = self.kernel.vneg(np.arange(n, dtype=np.int64)).astype(np.uint16)
+
+    def row_blocks(self, op: str = "mul", out=None):
+        """Yield (start, stop, block) with block[i, y] = (start + i) <op> y for
+        op "mul" or "add", in ascending blocks of whole rows, at most _CHUNK
+        entries each: slices of the dense table once it exists, else blocks
+        built on the digit mesh of a digit kernel or by chunks of the kernel's
+        vector op.  With `out`, an (n, n) array, each block is written into
+        out[start:stop] and is that view."""
+        n = self.order
+        table = self._mul_t if op == "mul" else self._add_t
+        if table is None and isinstance(self.kernel, _DigitKernel):
+            yield from self.kernel.row_blocks(op, out)
+            return
+        vop = self.kernel.vmul if op == "mul" else self.kernel.vadd
+        idx = np.arange(n, dtype=np.int64)
+        rows = max(1, _CHUNK // n)
+        for s in range(0, n, rows):
+            t = min(s + rows, n)
+            block = vop(idx[s:t, None], idx[None, :]) if table is None else table[s:t]
+            if out is not None:
+                out[s:t] = block
+                block = out[s:t]
+            yield s, t, block
 
     # -- vector ops (index arrays in, index arrays out)
 
@@ -756,7 +744,8 @@ class RingTable:
 
     @property
     def unit_mask(self) -> np.ndarray:
-        """Units, found by one scan that also fills `unit_inverses`."""
+        """Units, found by one scan that also fills `unit_inverses`: the
+        least y with x*y = 1 = y*x is x's inverse."""
         mask = self.cache.get("unit_mask")
         if mask is None:
             if self.order > UNIT_SCAN_LIMIT:
@@ -764,16 +753,17 @@ class RingTable:
                     f"unit enumeration needs order <= {UNIT_SCAN_LIMIT}, "
                     f"{self.name} has {self.order}"
                 )
+            xs, ys = [], []
+            for start, _, block in self.row_blocks():
+                xi, y = np.nonzero(block == self.one)
+                xs.append(start + xi)
+                ys.append(y)
+            x, y = np.concatenate(xs), np.concatenate(ys)
+            both = self.vmul(y, x) == self.one
+            # hits come in ascending (x, y) order: the first per x has least y
+            x, first = np.unique(x[both], return_index=True)
             inv = np.full(self.order, -1, dtype=np.int64)
-            idx = np.arange(self.order, dtype=np.int64)
-            rows = max(1, _CHUNK // self.order)
-            for s in range(0, self.order, rows):
-                block = np.arange(s, min(s + rows, self.order), dtype=np.int64)
-                hits = np.nonzero(self.vmul(block[:, None], idx[None, :]) == self.one)
-                for xi, y in zip(*hits):
-                    x = int(block[xi])
-                    if inv[x] < 0 and self.mul(int(y), x) == self.one:
-                        inv[x] = y
+            inv[x] = y[both][first]
             self.cache["unit_inverses"] = inv
             mask = self.cache["unit_mask"] = inv >= 0
         return mask

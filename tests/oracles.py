@@ -259,6 +259,37 @@ def inverse_oracle(r, x):
     return None
 
 
+def lane_unit_inverses(r):
+    """The unit scan lane by lane: x*y for a block of rows x against every y
+    through r.vmul, then y*x = 1 checked hit by hit with r.mul; the least such
+    y is x's inverse.  -1 marks a non-unit."""
+    n = r.order
+    inv = np.full(n, -1, dtype=np.int64)
+    idx = np.arange(n, dtype=np.int64)
+    rows = max(1, _CHUNK // n)
+    for s in range(0, n, rows):
+        block = idx[s : s + rows]
+        for xi, y in zip(*np.nonzero(r.vmul(block[:, None], idx[None, :]) == r.one)):
+            x = int(block[xi])
+            if inv[x] < 0 and r.mul(int(y), x) == r.one:
+                inv[x] = y
+    return inv
+
+
+def one_minus_rx_jacobson_mask(r, units):
+    """{x : 1 - rx is a unit for every r}, with rx and 1 - rx computed lane by
+    lane through r.vmul and r.vsub for a block of columns x at a time."""
+    n = r.order
+    idx = np.arange(n, dtype=np.int64)
+    mask = np.zeros(n, dtype=bool)
+    cols = max(1, _CHUNK // n)
+    for s in range(0, n, cols):
+        block = idx[s : s + cols]
+        t = r.vmul(idx[:, None], block[None, :])
+        mask[block] = units[r.vsub(np.int64(r.one), t)].all(axis=0)
+    return mask
+
+
 def gather_sweep(r, member, commuting):
     """The idempotent sweep gathered over the undecided elements: for each
     idempotent e, the x still below the target count with x - e in `member`

@@ -73,6 +73,26 @@ def test_nilpotency_indexes():
     assert rad.nilpotency_index(whole) is None
 
 
+@pytest.mark.parametrize(
+    "name, gen", [("Z64", "2"), ("T2(Z8)", "[2,1;0,2]"), ("M2(Z2)", "[0,1;0,0]")]
+)
+def test_ideal_powers_compute_one_basis(monkeypatch, name, gen):
+    r = build_ring(name)
+    mask = rad.ideal_generated(r, [r.parse_element(gen)]).mask
+    want = [mask]  # I^(k+1) = I * I^k, each product from two fresh bases
+    while True:
+        nxt = rad.ideal_product_mask(r, mask, want[-1])
+        if np.array_equal(nxt, want[-1]):
+            break
+        want.append(nxt)
+    calls = []
+    real = rad.subgroup_basis
+    monkeypatch.setattr(rad, "subgroup_basis", lambda *a: calls.append(a) or real(*a))
+    got = list(rad.ideal_powers(r, mask))
+    assert len(got) == len(want) and all(map(np.array_equal, got, want))
+    assert len(calls) == 1
+
+
 def test_strongly_nilpotent_examples():
     z4 = build_ring("Z4")
     assert rad.is_strongly_nilpotent(z4, 2) == (True, 2)

@@ -191,6 +191,20 @@ def test_digit_table_matches_divmod_codec(name, dtype):
     assert k._digit_table.shape == (k.npos, r.order)
 
 
+@pytest.mark.parametrize("name", ["T2(Z8)xZ9", "T2(Z64)xZ2"])
+def test_product_ops_act_part_by_part(name):
+    # parts with a table (T2(Z8), Z9, Z2) and without one (T2(Z64))
+    r = build_ring(name, limit=540_000)
+    parts, radices = r.kernel.parts, r.kernel.radices
+    weights = [int(np.prod(radices[j + 1 :])) for j in range(len(radices))]
+    rng = np.random.default_rng(9)
+    a, b = rng.integers(0, r.order, size=(2, 3000))
+    da, db = divmod_digits(radices, a), divmod_digits(radices, b)
+    for op in ("vadd", "vmul"):
+        want = sum(w * getattr(p, op)(x, y) for w, p, x, y in zip(weights, parts, da, db))
+        assert np.array_equal(getattr(r, op)(a, b), want)
+
+
 def test_order_limit_enforced():
     with pytest.raises(OrderLimitExceeded):
         build_ring("M2(M2(Z4))")  # order 4^16

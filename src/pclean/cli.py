@@ -15,6 +15,7 @@ materialized ring.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,7 +53,10 @@ from .verifier import (
 _LIST_CAP = 64  # element lists beyond this size are elided from reports
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; the --limit default is
+    None, resolved from PCLEAN_LIMIT on every main() call."""
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps leaf occurrences from clobbering values given up front
     common.add_argument(
@@ -82,10 +86,7 @@ def _make_parser() -> argparse.ArgumentParser:
             "parse errors cite the byte offset of the offending character"
         ),
     )
-    parser.set_defaults(
-        json=False,
-        limit=int(os.environ.get("PCLEAN_LIMIT", DEFAULT_ORDER_LIMIT)),
-    )
+    parser.set_defaults(json=False, limit=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="ring-level analysis", parents=[common])
@@ -346,11 +347,12 @@ def _render_human(doc: dict, out):
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _make_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.limit is None:
+        args.limit = int(os.environ.get("PCLEAN_LIMIT", DEFAULT_ORDER_LIMIT))
     handlers = {
         "ring": _ring_analyze,
         "element": _element_analyze,

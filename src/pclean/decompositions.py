@@ -145,20 +145,22 @@ def strongly_pi_regular_element(r: RingTable, a) -> tuple[bool, int | None, int 
 
     The bare form a^n in a^(n+1) R is computed alongside, and PcleanError is
     raised if the two verdicts disagree (they agree in finite rings, where
-    powers eventually repeat).
+    powers eventually repeat).  One Cayley-table row per power serves both
+    tests: row a^(n+1) holds a^(n+1) y for every y, read at the commutant of
+    a for the first and whole for the second; its entry at a is the next power.
     """
     a = _index_of(r, a)
-    idx = np.arange(r.order, dtype=np.int64)
-    aa = np.int64(a)
-    commutant = idx[r.vmul(aa, idx) == r.vmul(idx, aa)]
+    row = r.mul_row(a)
+    commutant = np.flatnonzero(row == r.mul_col(a))
     found = bare_found = None
-    x = a  # a^n
+    x = a  # a^n, and row is its row
     for n in range(1, r.order + 2):
-        nxt = r.mul(x, a)  # a^(n+1)
-        hits = commutant[r.vmul(np.int64(nxt), commutant) == x]
+        nxt = int(row[a])  # a^(n+1)
+        row = r.mul_row(nxt)
+        hits = commutant[row[commutant] == x]
         if hits.size and found is None:
             found = (n, int(hits[0]))
-        if bare_found is None and (r.vmul(np.int64(nxt), idx) == x).any():
+        if bare_found is None and (row == x).any():
             bare_found = n
         if found is not None and bare_found is not None:
             break

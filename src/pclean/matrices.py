@@ -295,7 +295,7 @@ def quadratic_roots(r: RingTable, t, d) -> list[tuple[int, str]]:
     _require_commutative(r)
     t, d = _as_index(r, t), _as_index(r, d)
     idx = np.arange(r.order, dtype=np.int64)
-    val = r.vadd(r.vsub(r.vmul(idx, idx), r.vmul(np.int64(t), idx)), np.int64(d))
+    val = r.vadd(r.vsub(r.vmul(idx, idx), r.mul_row(t)), np.int64(d))
     pm = radicals.prime_radical(r).mask
     out = []
     for x in np.flatnonzero(val == r.zero):

@@ -312,10 +312,9 @@ def is_abelian(r: RingTable) -> bool:
     """Every idempotent is central."""
     flag = r.cache.get("is_abelian")
     if flag is None:
-        idx = np.arange(r.order, dtype=np.int64)
         flag = True
         for e in r.idempotent_indices:
-            if not np.array_equal(r.vmul(np.int64(e), idx), r.vmul(idx, np.int64(e))):
+            if not np.array_equal(r.mul_row(e), r.mul_col(e)):
                 flag = False
                 break
         r.cache["is_abelian"] = flag

@@ -12,6 +12,11 @@ of digits, and that other kernels build through their vadd/vmul.  It has three
 consumers: the constructor, which encodes the blocks in place into the uint16
 tables of rings of order <= DENSE_TABLE_LIMIT; the unit scan
 (`RingTable.unit_mask`); and the Jacobson scan (`radicals.jacobson_radical`).
+`RingTable.mul_row` and `RingTable.mul_col` are the single-row and
+single-column form of the same producer and the only way to get one whole
+row or column: a slice of the dense table, one evaluation of the same digit
+formulas with one operand's digits as scalars and the other's on the mesh,
+or one vmul against every index.
 
 Every additive span is grown by one doubling step, `_extend`: it adds x to a
 subgroup H by adding the shifted copy H + 2^k x for k = 0, 1, ... until no new
@@ -193,6 +198,11 @@ class QuadExtKernel:
         return self._join(a % self.n, b % self.n)
 
 
+def _on_axis(j: int, values: np.ndarray, ndim: int) -> np.ndarray:
+    """`values` laid along axis j of an ndim-axis open mesh."""
+    return values.reshape((1,) * j + (-1,) + (1,) * (ndim - j - 1))
+
+
 class _DigitKernel:
     """A ring whose element index is a big-endian mixed-radix digit vector.
 
@@ -266,6 +276,16 @@ class _DigitKernel:
                 gens.append(int(self._encode(digits)))
         return gens
 
+    def mul_line(self, x, col: bool = False) -> np.ndarray:
+        """x*y for every y (y*x with `col`) as int64: one evaluation of
+        mul_digits with x's digits as scalars and y's on an open mesh, the
+        formula and axis layout of row_blocks, encoded into an order-sized
+        array."""
+        dx = list(self._digits(np.int64(x)))
+        dy = [_on_axis(j, np.arange(r), self.npos) for j, r in enumerate(self.radices)]
+        digits = self.mul_digits(dy, dx) if col else self.mul_digits(dx, dy)
+        return self._encode(digits, out=np.empty(self.radices, np.int64)).reshape(-1)
+
     def row_blocks(self, op: str, out=None):
         """Row blocks of the "add" or "mul" table from an open mesh of digits.
 
@@ -278,11 +298,7 @@ class _DigitKernel:
         """
         rad, npos, n = self.radices, self.npos, self.order
         op = self.add_digits if op == "add" else self.mul_digits
-
-        def on_axis(j, values):
-            return values.reshape((1,) * j + (-1,) + (1,) * (2 * npos - j - 1))
-
-        db = [on_axis(npos + j, np.arange(r)) for j, r in enumerate(rad)]
+        db = [_on_axis(npos + j, np.arange(r), 2 * npos) for j, r in enumerate(rad)]
         # a block fixes a's digits before p-1, takes `run` consecutive values
         # of digit p-1 and lets digits p.. vary fully
         budget = max(1, _CHUNK // n)
@@ -291,9 +307,11 @@ class _DigitKernel:
             p -= 1
             span *= rad[p]
         run = min(rad[p - 1], budget // span)
-        tail = [on_axis(j, np.arange(rad[j])) for j in range(p, npos)]
+        tail = [_on_axis(j, np.arange(rad[j]), 2 * npos) for j in range(p, npos)]
         blocks = (
-            list(lead) + [on_axis(p - 1, np.arange(lo, min(lo + run, rad[p - 1])))] + tail
+            list(lead)
+            + [_on_axis(p - 1, np.arange(lo, min(lo + run, rad[p - 1])), 2 * npos)]
+            + tail
             for lead in itertools.product(*map(range, rad[: p - 1]))
             for lo in range(0, rad[p - 1], run)
         )
@@ -658,6 +676,23 @@ class RingTable:
                 block = out[s:t]
             yield s, t, block
 
+    def mul_row(self, x: int) -> np.ndarray:
+        """x*y for every y, as int64: row x of the multiplication table."""
+        return self._mul_line(x, col=False)
+
+    def mul_col(self, x: int) -> np.ndarray:
+        """y*x for every y, as int64: column x of the multiplication table."""
+        return self._mul_line(x, col=True)
+
+    def _mul_line(self, x: int, col: bool) -> np.ndarray:
+        # a slice of the dense table, one digit-mesh evaluation, or one vmul
+        if self._mul_t is not None:
+            return (self._mul_t[:, x] if col else self._mul_t[x]).astype(np.int64)
+        if isinstance(self.kernel, _DigitKernel):
+            return self.kernel.mul_line(x, col)
+        idx, x = np.arange(self.order, dtype=np.int64), np.int64(x)
+        return self.kernel.vmul(idx, x) if col else self.kernel.vmul(x, idx)
+
     # -- vector ops (index arrays in, index arrays out)
 
     def vadd(self, a, b):
@@ -790,13 +825,9 @@ class RingTable:
         if self.order <= UNIT_SCAN_LIMIT:
             y = int(self.unit_inverses[x])
             return None if y < 0 else y
-        idx = np.arange(self.order, dtype=np.int64)
-        for s in range(0, self.order, _CHUNK):
-            block = idx[s : s + _CHUNK]
-            ys = block[self.vmul(x, block) == self.one]
-            for y in ys:
-                if self.mul(int(y), x) == self.one:
-                    return int(y)
+        for y in np.flatnonzero(self.mul_row(x) == self.one).tolist():
+            if self.mul(y, x) == self.one:
+                return y
         return None
 
     @property
@@ -1039,8 +1070,7 @@ def corner_ring(r: RingTable, f: int) -> tuple[RingTable, np.ndarray]:
         raise PreconditionFailed(f"{r.fmt_index(f)} is not idempotent in {r.name}")
     if f == r.zero:
         raise PreconditionFailed("the zero corner is the zero ring")
-    idx = np.arange(r.order, dtype=np.int64)
-    members = np.unique(r.vmul(r.vmul(np.int64(f), idx), np.int64(f)))
+    members = np.unique(r.mul_col(f)[r.mul_row(f)])  # (f*y)*f for every y
     kernel = SubsetKernel(r, members, f)
     table = RingTable(kernel, f"{r.name}|{r.fmt_index(f)}")
     return table, kernel.members

@@ -192,11 +192,10 @@ def enumerate_ideals(r: RingTable) -> list[np.ndarray]:
 
 def _conjugation_reach(rt: RingTable, qual: np.ndarray) -> np.ndarray:
     """Mask of A similar (via units of rt) to some element with qual set."""
-    idx = np.arange(rt.order, dtype=np.int64)
     found = qual.copy()
     inv = rt.unit_inverses
     for u in rt.unit_indices:
-        conj = rt.vmul(rt.vmul(inv[u], idx), np.int64(u))
+        conj = rt.mul_col(u)[rt.mul_row(inv[u])]  # (u^-1 * y) * u for every y
         found |= qual[conj]
         if found.all():
             break
@@ -314,7 +313,7 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
     if r.order <= COMMUTANT_BUDGET:
         c4 = True
         for x in range(r.order):
-            comm = idx[r.vmul(np.int64(x), idx) == r.vmul(idx, np.int64(x))]
+            comm = np.flatnonzero(r.mul_row(x) == r.mul_col(x))
             cand = r.idempotent_indices[pm[r.vsub(np.int64(x), r.idempotent_indices)]]
             ok = False
             for e in cand:
@@ -492,7 +491,6 @@ def _check_t2_13(r: RingTable, env: VerifyEnv):
 
 
 def _check_l3_1(r: RingTable, env: VerifyEnv):
-    idx = np.arange(r.order, dtype=np.int64)
     pm = rad.prime_radical(r).mask
     for a in range(r.order):
         aa = np.int64(a)
@@ -502,12 +500,11 @@ def _check_l3_1(r: RingTable, env: VerifyEnv):
         ]
         if valid.size == 0:
             continue
-        left_a = r.vmul(idx, aa) == r.zero
-        right_a = r.vmul(aa, idx) == r.zero
+        left_a = r.mul_col(a) == r.zero
+        right_a = r.mul_row(a) == r.zero
         for e in valid:
-            ee = np.int64(e)
-            if (left_a & (r.vmul(idx, ee) != r.zero)).any() or (
-                right_a & (r.vmul(ee, idx) != r.zero)
+            if (left_a & (r.mul_col(e) != r.zero)).any() or (
+                right_a & (r.mul_row(e) != r.zero)
             ).any():
                 return COUNTEREXAMPLE, {
                     "kind": "element",

@@ -290,6 +290,32 @@ def one_minus_rx_jacobson_mask(r, units):
     return mask
 
 
+def pi_regular_oracle(r, a):
+    """Strong pi-regularity of a power by power from whole-ring products:
+    the commutant of a by two vmul calls, then per power n two more, one for
+    the commuting test a^n = a^(n+1) b with b in the commutant and one for the
+    bare test a^n in a^(n+1) R.  Returns (ok, n, b) with the least n and the
+    least b; raises PcleanError when the two tests disagree."""
+    idx = np.arange(r.order, dtype=np.int64)
+    aa = np.int64(a)
+    commutant = idx[r.vmul(aa, idx) == r.vmul(idx, aa)]
+    found = bare_found = None
+    x = a  # a^n
+    for n in range(1, r.order + 2):
+        nxt = r.mul(x, a)  # a^(n+1)
+        hits = commutant[r.vmul(np.int64(nxt), commutant) == x]
+        if hits.size and found is None:
+            found = (n, int(hits[0]))
+        if bare_found is None and (r.vmul(np.int64(nxt), idx) == x).any():
+            bare_found = n
+        if found is not None and bare_found is not None:
+            break
+        x = nxt
+    if (found is None) != (bare_found is None):
+        raise PcleanError(f"{r.name}: commuting and bare strongly pi-regular tests disagree")
+    return (False, None, None) if found is None else (True, *found)
+
+
 def gather_sweep(r, member, commuting):
     """The idempotent sweep gathered over the undecided elements: for each
     idempotent e, the x still below the target count with x - e in `member`

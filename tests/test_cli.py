@@ -1,5 +1,6 @@
 import json
 
+from pclean import cli
 from pclean.cli import main
 
 
@@ -112,6 +113,16 @@ def test_limit_env_default(capsys, monkeypatch):
     monkeypatch.setenv("PCLEAN_LIMIT", "5000")
     status, doc, _ = run_json(capsys, "ring", "analyze", "M2(Z8)")
     assert status == 0 and doc["order"] == 4096
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    cli._make_parser.cache_clear()
+    monkeypatch.setenv("PCLEAN_LIMIT", "100")
+    assert run_cli(capsys, "ring", "analyze", "M2(Z8)")[0] == 2
+    monkeypatch.setenv("PCLEAN_LIMIT", "5000")
+    assert run_cli(capsys, "ring", "analyze", "M2(Z8)")[0] == 0
+    info = cli._make_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_parse_error_cites_offset(capsys):

@@ -7,7 +7,7 @@ from pclean.errors import NotLiftable, PcleanError
 from pclean.rings import ProductKernel, RingTable, build_ring
 from pclean.verifier import DEFAULT_CATALOG
 
-from oracles import clean_oracle, gather_sweep
+from oracles import clean_oracle, gather_sweep, pi_regular_oracle
 from table_kernel import TableKernel
 
 
@@ -215,6 +215,21 @@ def test_pi_regular_disagreement_raises():
     r = RingTable(TableKernel(add, mul, zero=0, one=1), "broken")
     with pytest.raises(PcleanError, match="pi-regular tests disagree"):
         dec.strongly_pi_regular_element(r, 2)
+
+
+@pytest.mark.parametrize(
+    "name, sample",
+    [("Z8", None), ("T2(Z2)", None), ("M2(Z2)", None), ("M2(Z4)", None),
+     ("M2(Z9)", 30), ("M2(Z4[i])", 30)],
+)
+def test_pi_regular_matches_power_by_power_oracle(name, sample):
+    # one table row per power against two whole-ring products per power
+    r = build_ring(name)
+    elements = range(r.order)
+    if sample is not None:
+        elements = np.random.default_rng(5).integers(0, r.order, size=sample).tolist()
+    for a in elements:
+        assert dec.strongly_pi_regular_element(r, a) == pi_regular_oracle(r, a), a
 
 
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)

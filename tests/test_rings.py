@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from pclean.errors import MalformedSpec, MixedRingOperands, OrderLimitExceeded, PcleanError
-from pclean.rings import RingTable, ZnKernel, build_ring, corner_ring, quotient_ring
+from pclean.rings import (
+    RingTable,
+    ZnKernel,
+    _DigitKernel,
+    build_ring,
+    corner_ring,
+    quotient_ring,
+)
 from pclean.verifier import DEFAULT_CATALOG
 
 from oracles import (
@@ -14,6 +21,7 @@ from oracles import (
     mat_mul,
     units_zn,
 )
+from table_kernel import TableKernel
 
 SMALL_CATALOG = [n for n in DEFAULT_CATALOG]
 
@@ -341,3 +349,44 @@ def test_inverse_above_the_unit_scan_limit():
     assert r.mul(u, v) == r.one == r.mul(v, u)
     assert r.inverse(r.parse_element("[2,1;0,1]").index) is None
     assert "unit_inverses" not in r.cache
+
+
+def _line_ring(name: str) -> RingTable:
+    if name == "corner":  # a subset ring: e11 M2(Z4[i]) e11
+        m2 = build_ring("M2(Z4[i])")
+        return corner_ring(m2, m2.parse_element("[1,0;0,0]").index)[0]
+    if name == "tables":  # a ring known only by its tables, non-commutative
+        m2 = build_ring("M2(Z2)")
+        return RingTable(TableKernel(m2._add_t, m2._mul_t, m2.zero, m2.one), "tables")
+    return build_ring(name, limit=1 << 20)
+
+
+@pytest.mark.parametrize(
+    "name, dense",
+    [
+        ("Z8", True),
+        ("Z4[i]", True),
+        ("M2(Z4)", True),
+        ("M2(Z9)", False),
+        ("T2(Z9[w])", False),
+        ("Tc3(Z4)", True),
+        ("M2(Z9)xZ2", False),  # a product over a factor without tables
+        ("Z4/(2)", True),
+        ("corner", True),
+        ("tables", True),
+        ("Z16384", False),
+    ],
+)
+def test_mul_row_and_col_match_vmul(name, dense):
+    r = _line_ring(name)
+    assert (r._mul_t is not None) == dense
+    idx = np.arange(r.order, dtype=np.int64)
+    rng = np.random.default_rng(13)
+    for x in [r.zero, r.one, *rng.integers(0, r.order, size=6).tolist()]:
+        row, col = r.mul_row(x), r.mul_col(x)
+        assert row.dtype == col.dtype == np.int64
+        assert np.array_equal(row, r.vmul(np.int64(x), idx)), x
+        assert np.array_equal(col, r.vmul(idx, np.int64(x))), x
+        if isinstance(r.kernel, _DigitKernel):  # the digit mesh, on dense rings too
+            assert np.array_equal(r.kernel.mul_line(x), row), x
+            assert np.array_equal(r.kernel.mul_line(x, col=True), col), x

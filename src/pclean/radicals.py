@@ -76,19 +76,10 @@ def _additively_closed(r: RingTable, mask: np.ndarray) -> bool:
 
 def _certify_ideal(r: RingTable, mask: np.ndarray) -> bool:
     idx = np.flatnonzero(mask)
-    if not mask[r.zero]:
-        return False
-    if not mask[r.vneg(idx)].all():
-        return False
-    if not _additively_closed(r, mask):
+    if not (mask[r.zero] and mask[r.vneg(idx)].all() and _additively_closed(r, mask)):
         return False
     gens = np.unique(np.append(np.asarray(r.additive_generators, np.int64), r.one))
-    for g in gens:
-        if not mask[r.vmul(np.int64(g), idx)].all():
-            return False
-        if not mask[r.vmul(idx, np.int64(g))].all():
-            return False
-    return True
+    return all(mask[r.vmul(g, idx)].all() and mask[r.vmul(idx, g)].all() for g in gens)
 
 
 def ideal_generated(r: RingTable, gens) -> Ideal:
@@ -151,10 +142,16 @@ def element_nilpotency(r: RingTable, a: int) -> int | None:
 
 
 def nilpotent_mask(r: RingTable) -> np.ndarray:
-    """Mask of nilpotent elements (x^(2^m) = 0 for 2^m >= |R|)."""
+    """Mask of the x with x^(2^p) = 0, p = ceil(log2 ceil(log2 |R|)).
+
+    That is every nilpotent x: if x has index m, the left ideals
+    R > Rx > ... > Rx^m = 0 are subgroups, each proper in the one before
+    (Rx^i = Rx^(i+1) with i < m gives x^i = s^m x^(i+m) = 0), so |R| >= 2^m
+    and m <= 2^p.  The bound is tight: 2 has index k in Z_(2^k).
+    """
     mask = r.cache.get("nilpotent_mask")
     if mask is None:
-        passes = max(1, int(np.ceil(np.log2(max(2, r.order)))))
+        passes = ((r.order - 1).bit_length() - 1).bit_length()
         mask = np.zeros(r.order, dtype=bool)
         for s in range(0, r.order, _CHUNK):
             y = np.arange(s, min(s + _CHUNK, r.order), dtype=np.int64)
@@ -199,34 +196,37 @@ def in_prime_radical(r: RingTable, xs: np.ndarray) -> np.ndarray:
 
 
 def prime_radical(r: RingTable) -> Ideal:
-    """The set of strongly nilpotent elements, verified to be an ideal.
+    """The set of strongly nilpotent elements, by filter-then-certify.
 
-    Elements are classified one by one; once some ideal RaR is known nilpotent
-    its members are all strongly nilpotent, and sums of such ideals stay inside
-    the radical, which collapses the scan to one test per coset.
+    P(R) is an ideal of nilpotent elements, so it lies in the candidates C:
+    Nil(R), filtered to the x with g*x nilpotent for the rows g of the
+    additive generators, then of all elements in doubling blocks.  A C that
+    is a nilpotent ideal, tested before each block, lies in P, so C = P.
+    With every row used C = J(R), which is nilpotent: failing is a bug trap.
     """
     cached = _cached_ideal(r, "prime_ideal")
     if cached is not None:
         return cached
     n = r.order
     nil = nilpotent_mask(r)
-    classified = np.full(n, -1, dtype=np.int8)
-    classified[~nil] = 0
-    classified[r.zero] = 1
-    known = additive_closure_mask(r, [])
-    for x in range(n):
-        if classified[x] != -1:
-            continue
-        if is_strongly_nilpotent(r, x)[0]:
-            part = ideal_closure_mask(r, np.asarray([x], np.int64))
-            known = additive_closure_mask(r, np.flatnonzero(known | part))
-            classified[known] = 1
-        else:
-            classified[r.vadd(np.int64(x), np.flatnonzero(known))] = 0
-    mask = classified == 1
-    if not _certify_ideal(r, mask):
-        raise RadicalNotIdeal(f"strongly nilpotent elements of {r.name} are not an ideal")
-    return _cache_ideal(r, "prime_ideal", mask)
+    cand = np.flatnonzero(nil)
+    blocks = [np.asarray(r.additive_generators, np.int64), np.arange(1)]
+    blocks += [np.arange(1 << k, min(2 << k, n)) for k in range((n - 1).bit_length())]
+    tested = -1
+    for rows in blocks + [None]:
+        if cand.size != tested:  # C only shrinks: the same size is the same C
+            tested, mask = cand.size, np.zeros(n, dtype=bool)
+            mask[cand] = True
+            if _certify_ideal(r, mask) and (k := _ideal_nilpotency(r, mask)) is not None:
+                p = _cache_ideal(r, "prime_ideal", mask)
+                p._memo["nilpotency"] = k
+                return p
+        if rows is None:
+            break
+        step = max(1, _CHUNK // cand.size)
+        for s in range(0, rows.size, step):
+            cand = cand[nil[r.vmul(rows[s : s + step, None], cand[None, :])].all(axis=0)]
+    raise RadicalNotIdeal(f"strongly nilpotent elements of {r.name} are not an ideal")
 
 
 def jacobson_radical(r: RingTable) -> Ideal:

@@ -627,7 +627,7 @@ def _check_p3_7(r: RingTable, env: VerifyEnv):
 
 def _check_l4_1(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    lhs = rad.prime_radical(m2).mask  # element-wise strongly nilpotent scan
+    lhs = rad.prime_radical(m2).mask  # filtered from Nil(M2(R)), then certified
     rhs = entries_in_p_mask(m2)  # entries in P(base)
     return _mask_check(m2, "matrix", "radical_of_matrix_ring_is_matrix_of_radical", lhs, rhs)
 

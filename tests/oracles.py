@@ -11,8 +11,9 @@ from itertools import product
 
 import numpy as np
 
-from pclean.errors import PcleanError, RingTooLarge
-from pclean.rings import _CHUNK
+from pclean import radicals as rad
+from pclean.errors import PcleanError, RadicalNotIdeal, RingTooLarge
+from pclean.rings import _CHUNK, additive_closure_mask, ideal_closure_mask
 
 
 def mat_mul(A, B, mod, k=2):
@@ -196,6 +197,53 @@ def descent_strongly_nilpotent_mask(r, guard: int = 512) -> np.ndarray:
                 unsafe[v] = True
                 frontier.append(v)
     return ~unsafe
+
+
+def coset_walk_prime_radical(r) -> np.ndarray:
+    """Mask of the strongly nilpotent elements by an element-wise scan in
+    index order with two shortcuts.
+
+    Elements are classified one by one; once some ideal RaR is known nilpotent
+    its members are all strongly nilpotent, and sums of such ideals stay inside
+    the radical, which collapses the scan to one test per coset.  Each test
+    goes through `radicals.is_strongly_nilpotent`, which reads a cached P(R),
+    so the ring must not hold one; its memo of answers is dropped first, since
+    they may have been read from an earlier P(R).
+    """
+    if "prime_ideal" in r.cache:
+        raise PcleanError(f"{r.name}: P(R) is cached; the walk would read it back")
+    r.cache.pop("sn_memo", None)
+    n = r.order
+    nil = rad.nilpotent_mask(r)
+    classified = np.full(n, -1, dtype=np.int8)
+    classified[~nil] = 0
+    classified[r.zero] = 1
+    known = additive_closure_mask(r, [])
+    for x in range(n):
+        if classified[x] != -1:
+            continue
+        if rad.is_strongly_nilpotent(r, x)[0]:
+            part = ideal_closure_mask(r, np.asarray([x], np.int64))
+            known = additive_closure_mask(r, np.flatnonzero(known | part))
+            classified[known] = 1
+        else:
+            classified[r.vadd(np.int64(x), np.flatnonzero(known))] = 0
+    mask = classified == 1
+    if not rad._certify_ideal(r, mask):
+        raise RadicalNotIdeal(f"strongly nilpotent elements of {r.name} are not an ideal")
+    return mask
+
+
+def order_powers(r) -> np.ndarray:
+    """x^|R| for every x, by square-and-multiply over the whole ring.  A
+    nilpotent x has x^|R| = 0, since its powers before 0 are distinct."""
+    idx = np.arange(r.order, dtype=np.int64)
+    out, base, e = np.full(r.order, r.one, dtype=np.int64), idx, r.order
+    while e:
+        if e & 1:
+            out = r.vmul(out, base)
+        base, e = r.vmul(base, base), e >> 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 runtime.  Tolerances are exact (set equality / boolean equality) except for the
 stated wall-clock bounds."""
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 from pclean import decompositions as dec
 from pclean import radicals as rad
@@ -177,12 +180,23 @@ def test_criterion_09_phi_solver_totality():
     _report(9, dt, f"{checked} (a, b, v) triples solved exactly over Z4 and Z8")
 
 
+VERIFY_REF = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "catalog_verify.json"
+
+
 def test_criterion_10_full_suite():
     t0 = time.perf_counter()
     report = run_suite(DEFAULT_CATALOG)
     assert report.exit_status == 0
     summary = report.summary
     assert summary["COUNTEREXAMPLE"] == 0
+    # the report minus the timings is the recorded one, check for check
+    doc = report.to_dict()
+    for c in doc["checks"]:
+        del c["millis"]
+    ref = json.loads(VERIFY_REF.read_text())
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == ref["sha256"]
+    assert doc["summary"] == ref["summary"]
     assert summary["HOLDS"] > 0
     c214 = [c for c in report.checks if c.id == "C2.14"]
     assert len(c214) == 1 and c214[0].verdict == "SKIPPED"

@@ -1,4 +1,5 @@
 import gc
+import time
 import weakref
 
 import numpy as np
@@ -6,14 +7,17 @@ import pytest
 
 from pclean import decompositions as dec
 from pclean import radicals as rad
+from pclean.errors import RadicalNotIdeal
 from pclean.rings import ProductKernel, RingTable, build_ring
-from pclean.verifier import DEFAULT_CATALOG
+from pclean.verifier import DEFAULT_CATALOG, MASK_BUDGET
 
 from oracles import (
+    coset_walk_prime_radical,
     descent_strongly_nilpotent_mask,
     gauss_add,
     gauss_mul,
     ideal_nilpotency,
+    order_powers,
     two_sided_ideal,
 )
 
@@ -235,3 +239,55 @@ def test_dropped_ring_is_freed_without_the_cycle_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _derived_within_budget():
+    out = []
+    for base in DEFAULT_CATALOG:
+        n = build_ring(base).order
+        out += [f"{fam}({base})" for fam, k in (("M2", 4), ("T2", 3)) if n**k <= MASK_BUDGET]
+    return out
+
+
+@pytest.mark.parametrize(
+    "name",
+    DEFAULT_CATALOG + _derived_within_budget() + ["T2(Z32)", "M2(Z4[i])", "Tc3(Z4[i])"],
+)
+def test_prime_radical_matches_coset_walk(name):
+    r = build_ring(name)
+    r.cache.pop("prime_ideal", None)  # the walk must not read P(R) back
+    want = coset_walk_prime_radical(r)
+    assert np.array_equal(rad.prime_radical(r).mask, want)
+
+
+@pytest.mark.parametrize(
+    "name",
+    dict.fromkeys(DEFAULT_CATALOG + [f"Z{2**k}" for k in range(1, 15)] + ["T4(Z2)", "Tc3(Z8)"]),
+)
+def test_nilpotent_mask_matches_element_nilpotency(name):
+    # each claimed nilpotent is walked power by power to 0; each claimed
+    # non-nilpotent has x^|R| != 0 (walking a unit's whole cycle element by
+    # element takes a minute on Z16384)
+    r = build_ring(name)
+    mask = rad.nilpotent_mask(r)
+    assert all(rad.element_nilpotency(r, int(x)) is not None for x in np.flatnonzero(mask))
+    assert np.array_equal(order_powers(r) == r.zero, mask)
+
+
+def test_prime_radical_of_m2_m2_z2_is_fast():
+    # the coset walk needed over 180 s here: every nilpotent of M2(M2(Z2)) is
+    # tested, and none is strongly nilpotent
+    r = build_ring("M2(M2(Z2))")
+    r.cache.pop("prime_ideal", None)
+    t0 = time.perf_counter()
+    p = rad.prime_radical(r)
+    assert time.perf_counter() - t0 <= 10.0
+    assert p.indices.tolist() == [r.zero]
+    assert rad.nilpotency_index(p) == 1
+
+
+def test_failed_certificate_raises_instead_of_looping(monkeypatch):
+    r = RingTable(build_ring("Z8").kernel, "Z8")
+    monkeypatch.setattr(rad, "_certify_ideal", lambda r, mask: False)
+    with pytest.raises(RadicalNotIdeal, match="are not an ideal"):
+        rad.prime_radical(r)

@@ -129,10 +129,14 @@ def ideal_product_mask(r: RingTable, a: np.ndarray, b: np.ndarray) -> np.ndarray
 
 
 def element_nilpotency(r: RingTable, a: int) -> int | None:
-    """Smallest e >= 1 with a^e = 0, or None if a is not nilpotent."""
+    """Smallest e >= 1 with a^e = 0, or None if a is not nilpotent.
+
+    The walk stops at a repeated power or after a^top, top = floor(log2 |R|):
+    a nilpotent element of index m has 2^m <= |R| (see nilpotent_mask).
+    """
     seen = set()
-    x, e = a, 1
-    while x not in seen:
+    x, e, top = a, 1, r.order.bit_length() - 1
+    while e <= top and x not in seen:
         if x == r.zero:
             return e
         seen.add(x)
@@ -234,26 +238,32 @@ def jacobson_radical(r: RingTable) -> Ideal:
 
     Above the unit-scan guard the radical is produced from the prime radical:
     in a finite ring J(R) is nilpotent, hence equals P(R); the inclusion
-    P(R) <= J(R) is still verified by checking that 1 + P consists of units.
+    P(R) <= J(R) is still verified by an explicit inverse of every 1 + p.
     """
     cached = _cached_ideal(r, "jacobson_ideal")
     if cached is not None:
         return cached
-    if r.order <= UNIT_SCAN_LIMIT:
-        # om[t] says whether 1 - t is a unit; column x of the rows r of the
-        # multiplication table holds every rx
-        om = r.unit_mask[r.vsub(np.int64(r.one), np.arange(r.order))]
-        mask = np.ones(r.order, dtype=bool)
-        for _, _, block in r.row_blocks():
-            mask &= om[block].all(axis=0)
-    else:
+    if r.order > UNIT_SCAN_LIMIT:
+        # P(R) is a certified ideal, so only P <= J is left to check: 1 + p
+        # has the two-sided inverse u = sum_{i<m} (-p)^i, as p^m = 0
         p = prime_radical(r)
-        one_plus = r.vadd(r.one, p.indices)
-        if not _all_units_by_powers(r, one_plus):
+        m = nilpotency_index(p)
+        one_plus, neg = r.vadd(r.one, p.indices), r.vneg(p.indices)
+        u = np.full(p.order, r.one, dtype=np.int64)
+        for _ in range(1, m or 0):  # Horner: u = 1 + (-p)u
+            u = r.vadd(r.one, r.vmul(neg, u))
+        inverse = (r.vmul(one_plus, u) == r.one).all() and (r.vmul(u, one_plus) == r.one).all()
+        if m is None or not inverse:
             raise RadicalNotIdeal(
                 f"{r.name}: some 1 + p with p in P(R) is not a unit (bug trap)"
             )
-        mask = p.mask.copy()
+        return _cache_ideal(r, "jacobson_ideal", p.mask.copy())
+    # om[t] says whether 1 - t is a unit; column x of the rows r of the
+    # multiplication table holds every rx
+    om = r.unit_mask[r.vsub(np.int64(r.one), np.arange(r.order))]
+    mask = np.ones(r.order, dtype=bool)
+    for _, _, block in r.row_blocks():
+        mask &= om[block].all(axis=0)
     if not _certify_ideal(r, mask):
         raise RadicalNotIdeal(f"Jacobson radical of {r.name} failed ideal closure")
     if not mask[prime_radical(r).indices].all():
@@ -271,18 +281,6 @@ def _cache_ideal(r: RingTable, key: str, mask: np.ndarray) -> Ideal:
     ideal = Ideal(r, mask)
     r.cache[key] = (ideal.mask, ideal._memo)
     return ideal
-
-
-def _all_units_by_powers(r: RingTable, xs: np.ndarray) -> bool:
-    """True iff every x has some power equal to 1 (units of finite order)."""
-    z = xs.copy()
-    pending = np.ones(xs.size, dtype=bool)
-    for _ in range(r.order + 1):
-        pending &= z != r.one
-        if not pending.any():
-            return True
-        z = r.vmul(z, xs)
-    return False
 
 
 def is_boolean(r: RingTable) -> bool:

@@ -938,21 +938,47 @@ def ideal_closure_mask(r: RingTable, gens) -> np.ndarray:
 
 
 # the rings build_ring or derived_ring handed out most recently, keyed by id
-# (two distinct rings may share a name); this LRU is what keeps them alive
+# (two distinct rings may share a name); this LRU is what keeps them alive.
+# It holds at most _RING_CACHE_MAX rings and, among them, dense tables of at
+# most _RING_CACHE_BYTES: an order-4096 ring carries 64 MB of tables, and 192
+# MB keeps the 129 MB of tables that warm element queries cycle through.
 _RING_CACHE: OrderedDict[int, RingTable] = OrderedDict()
 _RING_CACHE_MAX = 48
+_RING_CACHE_BYTES = 192 << 20
+_held_bytes = 0  # dense-table bytes of the rings in _RING_CACHE
 # every live ring build_ring has made, so one evicted from the LRU but still
 # referenced (say as the base of a derived ring) is not built a second time
 _LIVE_RINGS: weakref.WeakValueDictionary[str, RingTable] = weakref.WeakValueDictionary()
 
 
+def _table_bytes(ring: RingTable) -> int:
+    return 0 if ring._add_t is None else ring._add_t.nbytes + ring._mul_t.nbytes
+
+
 def _hold(ring: RingTable) -> RingTable:
-    """Mark `ring` most recently used in the LRU, evicting the oldest."""
+    """Mark `ring` most recently used in the LRU.  Past the count cap the
+    oldest ring leaves; past the byte budget the oldest rings that carry
+    tables leave, never `ring` itself."""
+    global _held_bytes
+    if id(ring) not in _RING_CACHE:
+        _held_bytes += _table_bytes(ring)
     _RING_CACHE[id(ring)] = ring
     _RING_CACHE.move_to_end(id(ring))
     if len(_RING_CACHE) > _RING_CACHE_MAX:
-        _RING_CACHE.popitem(last=False)
+        _held_bytes -= _table_bytes(_RING_CACHE.popitem(last=False)[1])
+    while _held_bytes > _RING_CACHE_BYTES:
+        key = next((k for k, r in _RING_CACHE.items() if r is not ring and _table_bytes(r)), None)
+        if key is None:
+            break
+        _held_bytes -= _table_bytes(_RING_CACHE.pop(key))
     return ring
+
+
+def _clear_ring_cache() -> None:
+    """Empty the LRU, so rings no caller references are freed."""
+    global _held_bytes
+    _RING_CACHE.clear()
+    _held_bytes = 0
 
 
 def build_ring(spec, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:

@@ -246,6 +246,32 @@ def order_powers(r) -> np.ndarray:
     return out
 
 
+def walk_nilpotency(r, a):
+    """Smallest e >= 1 with a^e = 0, or None: the powers of a walked one by
+    one until they reach 0 or repeat, with no bound on the exponent."""
+    seen = set()
+    x, e = a, 1
+    while x not in seen:
+        if x == r.zero:
+            return e
+        seen.add(x)
+        x = r.mul(x, a)
+        e += 1
+    return None
+
+
+def all_units_by_powers(r, xs):
+    """True iff every x has some power equal to 1 (units of finite order)."""
+    z = xs.copy()
+    pending = np.ones(xs.size, dtype=bool)
+    for _ in range(r.order + 1):
+        pending &= z != r.one
+        if not pending.any():
+            return True
+        z = r.vmul(z, xs)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # clean decompositions, element by element from the definitions
 

@@ -12,6 +12,7 @@ from pclean.rings import ProductKernel, RingTable, build_ring
 from pclean.verifier import DEFAULT_CATALOG, MASK_BUDGET
 
 from oracles import (
+    all_units_by_powers,
     coset_walk_prime_radical,
     descent_strongly_nilpotent_mask,
     gauss_add,
@@ -19,6 +20,7 @@ from oracles import (
     ideal_nilpotency,
     order_powers,
     two_sided_ideal,
+    walk_nilpotency,
 )
 
 
@@ -291,3 +293,49 @@ def test_failed_certificate_raises_instead_of_looping(monkeypatch):
     monkeypatch.setattr(rad, "_certify_ideal", lambda r, mask: False)
     with pytest.raises(RadicalNotIdeal, match="are not an ideal"):
         rad.prime_radical(r)
+
+
+@pytest.mark.parametrize("name", ["T2(Z32)", "T2(Z64)"])
+def test_jacobson_above_the_scan_limit_is_p(name):
+    # above UNIT_SCAN_LIMIT J(R) is P(R), once every 1 + p has an explicit
+    # inverse; the powers oracle must find the same units
+    r = RingTable(build_ring(name, limit=540_000).kernel, name)  # fresh caches
+    p = rad.prime_radical(r)
+    assert rad.jacobson_radical(r) == p
+    assert all_units_by_powers(r, r.vadd(r.one, p.indices))
+
+
+def test_jacobson_traps_a_prime_radical_with_a_non_nilpotent_element():
+    r = RingTable(build_ring("T2(Z32)").kernel, "T2(Z32)")
+    p = rad.prime_radical(r)
+    e = r.parse_element("[1,0;0,0]").index  # an idempotent, not nilpotent
+    mask = p.mask.copy()
+    mask[e] = True
+    r.cache["prime_ideal"] = (mask, {"nilpotency": rad.nilpotency_index(p)})
+    assert rad.element_nilpotency(r, e) is None
+    with pytest.raises(RadicalNotIdeal, match="is not a unit"):
+        rad.jacobson_radical(r)
+
+
+def _nilpotency_cases():
+    rng = np.random.default_rng(10)
+    cases = [(name, range(build_ring(name).order)) for name in DEFAULT_CATALOG]
+    return cases + [(f"Z{n}", rng.integers(0, n, 500).tolist()) for n in (16384, 8192)]
+
+
+@pytest.mark.parametrize("name, elements", _nilpotency_cases(), ids=[c[0] for c in _nilpotency_cases()])
+def test_element_nilpotency_matches_the_unbounded_walk(name, elements):
+    r = build_ring(name)
+    assert [rad.element_nilpotency(r, x) for x in elements] == [
+        walk_nilpotency(r, x) for x in elements
+    ]
+
+
+def test_element_nilpotency_is_bounded_by_log2_order():
+    # the unbounded walk took 54 s over every element of Z16384
+    r = build_ring("Z16384")
+    t0 = time.perf_counter()
+    got = [rad.element_nilpotency(r, x) for x in range(r.order)]
+    assert time.perf_counter() - t0 <= 10.0
+    assert [x for x, k in enumerate(got) if k is not None] == list(range(0, r.order, 2))
+    assert max(k for k in got if k is not None) == 14

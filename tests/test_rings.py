@@ -156,7 +156,7 @@ def test_live_ring_survives_cache_eviction():
     import pclean.rings as rings
 
     m2 = build_ring("M2(Z4)")
-    rings._RING_CACHE.clear()
+    rings._clear_ring_cache()
     assert build_ring("Z4") is m2.kernel.base
     assert build_ring("M2(Z4)") is m2
 
@@ -173,11 +173,74 @@ def test_evicted_derived_ring_is_freed_without_the_cycle_collector():
         m2 = build_ring("M2(Z3)")
         refs = [weakref.ref(m2), weakref.ref(m2.kernel.base)]
         del m2
-        rings._RING_CACHE.clear()
+        rings._clear_ring_cache()
         assert [ref() for ref in refs] == [None, None]
         assert "M2(Z3)" not in rings._LIVE_RINGS and "Z3" not in rings._LIVE_RINGS
     finally:
         gc.enable()
+
+
+def test_ring_lru_keeps_the_element_query_rings_without_rebuilding(monkeypatch):
+    # the rings warm element and matrix queries cycle through carry 129 MB of
+    # tables (M2(Z8) and T2(Z4[i]) 64 MB each); with two other order-4096
+    # rings held first, the byte budget must evict those, never this set
+    import pclean.rings as rings
+    from pclean.matrices import matrix_ring, triangular_ring
+
+    built = []
+    build_tables = RingTable._build_tables
+
+    def counting(self):
+        built.append(self.name)
+        build_tables(self)
+
+    monkeypatch.setattr(RingTable, "_build_tables", counting)
+    rings._clear_ring_cache()
+    for spec in ("M2(Z4xZ2)", "T2(Z16)"):
+        build_ring(spec)
+
+    def one_round():
+        for spec in ("M2(Z4)", "T2(Z4[i])", "M2(Z9)"):
+            build_ring(spec)
+        for base in ("Z8", "Z4[i]"):
+            matrix_ring(build_ring(base)), triangular_ring(build_ring(base))
+
+    one_round()
+    assert {"M2(Z8)", "T2(Z4[i])"} <= set(built)
+    built.clear()
+    one_round()
+    assert built == []
+
+
+def test_ring_lru_bounds_held_table_bytes_during_the_suite(monkeypatch):
+    import pclean.rings as rings
+    from pclean.verifier import run_suite
+
+    hold = rings._hold
+    big = set()  # names of the order-4096 rings handed out
+
+    def checked_hold(ring):
+        before = list(rings._RING_CACHE.values())
+        hold(ring)
+        held = list(rings._RING_CACHE.values())
+        assert held[-1] is ring
+        table_bytes = sum(rings._table_bytes(r) for r in held)
+        assert table_bytes == rings._held_bytes <= rings._RING_CACHE_BYTES
+        gone = [r for r in before if all(r is not h for h in held)]
+        for r in gone:
+            if rings._table_bytes(r) == 0:  # only the count cap evicts these
+                assert r is before[0] and len(before) == rings._RING_CACHE_MAX
+        if ring.order == 4096:
+            big.add(ring.name)
+        return ring
+
+    monkeypatch.setattr(rings, "_hold", checked_hold)
+    rings._clear_ring_cache()
+    build_ring("Z8192")  # table-less, so the oldest ring is one without tables
+    report = run_suite(["Z8", "Z4xZ2", "T2(Z2)", "Z4[i]"])
+    assert report.summary["COUNTEREXAMPLE"] == 0
+    # four 64 MB rings overflow the 192 MB budget if none is evicted
+    assert len(big) >= 4 and 4 * (64 << 20) > rings._RING_CACHE_BYTES
 
 
 @pytest.mark.parametrize(

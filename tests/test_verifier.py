@@ -89,6 +89,16 @@ def test_report_shape_and_determinism():
     assert json.dumps(strip(r1))  # JSON serializable
 
 
+def test_ring_major_suite_equals_theorem_major_verify():
+    # run_suite loops ring by ring; the report must be what one verify per
+    # theorem over the whole catalog gives, sorted by (id, ring)
+    cat = ["Z2", "Z4", "Z6", "T2(Z2)", "Z3[w]", "Z4xZ2"]
+    strip = lambda checks: [{k: v for k, v in c.to_dict().items() if k != "millis"} for c in checks]
+    want = [c for tid in CHECK_IDS for c in verify(tid, cat)]
+    want.sort(key=lambda c: (CHECK_IDS.index(c.id), c.ring))
+    assert strip(run_suite(cat).checks) == strip(want)
+
+
 def _corrupted_z4(row: int, col: int, val: int, name: str) -> RingTable:
     z4 = build_ring("Z4")
     add = np.array([[z4.add(a, b) for b in range(4)] for a in range(4)])

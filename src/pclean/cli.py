@@ -352,7 +352,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.limit is None:
-        args.limit = int(os.environ.get("PCLEAN_LIMIT", DEFAULT_ORDER_LIMIT))
+        try:
+            args.limit = int(os.environ.get("PCLEAN_LIMIT", DEFAULT_ORDER_LIMIT))
+        except ValueError:
+            limit = os.environ["PCLEAN_LIMIT"]
+            print(f"error: PCLEAN_LIMIT={limit!r} is not an integer", file=sys.stderr)
+            return 2
     handlers = {
         "ring": _ring_analyze,
         "element": _element_analyze,

@@ -109,12 +109,15 @@ def ideal_powers(r: RingTable, mask: np.ndarray):
     """Masks of the powers I, I^2, ... of the ideal I with mask `mask`, each
     I^(k+1) = I * I^k, up to the first power equal to the next one.  Each
     span hands back the products it needed, which generate I^(k+1), so a
-    basis of I is the only basis computed."""
+    basis of I is the only basis computed.  In a ring I^(k+1) lies in I^k, so
+    a power that escapes the one before it raises RadicalNotIdeal (bug trap)."""
     basis = gens = subgroup_basis(r, np.flatnonzero(mask))
     cur = mask
     while True:
         yield cur
         nxt, gens = _span(r, r.vmul(basis[:, None], np.asarray(gens, np.int64)[None, :]))
+        if (nxt & ~cur).any():
+            raise RadicalNotIdeal(f"{r.name}: an ideal power escapes the one before it")
         if np.array_equal(nxt, cur):
             return
         cur = nxt

@@ -6,17 +6,18 @@ operations are numpy-vectorized over index arrays.
 
 Whole rows of a ring's Cayley tables come from one producer,
 `RingTable.row_blocks`: slices of the dense table once it exists, else blocks
-that digit kernels (matrix, triangular, constant-diagonal, product) build by
-running their digit formulas over the base rings' own tables on an open mesh
-of digits, and that other kernels build through their vadd/vmul.  It has three
-consumers: the constructor, which encodes the blocks in place into the uint16
-tables of rings of order <= DENSE_TABLE_LIMIT; the unit scan
-(`RingTable.unit_mask`); and the Jacobson scan (`radicals.jacobson_radical`).
-`RingTable.mul_row` and `RingTable.mul_col` are the single-row and
-single-column form of the same producer and the only way to get one whole
-row or column: a slice of the dense table, one evaluation of the same digit
-formulas with one operand's digits as scalars and the other's on the mesh,
-or one vmul against every index.
+that digit kernels (matrix, triangular, constant-diagonal, product, Z_n[i] and
+Z_n[w]) build by running their digit formulas over the base rings' own tables
+on an open mesh of digits, and that the other kernels (Z_n, quotient, subset)
+build through their vadd/vmul.  It has three consumers: the constructor, which
+encodes the blocks in place into the uint16 tables of rings of order <=
+DENSE_TABLE_LIMIT; the unit scan (`RingTable.unit_mask`); and the Jacobson
+scan (`radicals.jacobson_radical`).  `RingTable.mul_row` and
+`RingTable.mul_col` are the single-row and single-column form of the same
+producer and the only way to get one whole row or column: a slice of the
+dense table, one evaluation of the same digit formulas with one operand's
+digits as scalars and the other's on the mesh, or one vmul against every
+index.
 
 Every additive span is grown by one doubling step, `_extend`: it adds x to a
 subgroup H by adding the shifted copy H + 2^k x for k = 0, 1, ... until no new
@@ -122,80 +123,6 @@ class ZnKernel:
 
     def parse_literal(self, lit: _Lit) -> int:
         return lit.parse_int() % self.n
-
-
-class QuadExtKernel:
-    """Z_n adjoin t with t^2 = c0 + c1*t; element a + b*t has index a*n + b."""
-
-    def __init__(self, n: int, c0: int, c1: int, symbol: str):
-        self.n = n
-        self.c0 = c0 % n
-        self.c1 = c1 % n
-        self.symbol = symbol
-        self.order = n * n
-        self.zero = 0
-        self.one = (1 % n) * n
-
-    def _parts(self, a):
-        a = np.asarray(a, np.int64)
-        return a // self.n, a % self.n
-
-    def _join(self, x, y):
-        return x * self.n + y
-
-    def vadd(self, a, b):
-        xa, ya = self._parts(a)
-        xb, yb = self._parts(b)
-        return self._join((xa + xb) % self.n, (ya + yb) % self.n)
-
-    def vneg(self, a):
-        x, y = self._parts(a)
-        return self._join((-x) % self.n, (-y) % self.n)
-
-    def vmul(self, a, b):
-        xa, ya = self._parts(a)
-        xb, yb = self._parts(b)
-        cross = ya * yb
-        x = (xa * xb + cross * self.c0) % self.n
-        y = (xa * yb + ya * xb + cross * self.c1) % self.n
-        return self._join(x, y)
-
-    def additive_generators(self):
-        return [self._join(1, 0), self._join(0, 1)]
-
-    def fmt(self, i: int) -> str:
-        a, b = i // self.n, i % self.n
-        if b == 0:
-            return str(a)
-        bi = self.symbol if b == 1 else f"{b}{self.symbol}"
-        return bi if a == 0 else f"{a}+{bi}"
-
-    def parse_literal(self, lit: _Lit) -> int:
-        a = b = 0
-        first = True
-        while True:
-            ch = lit.peek()
-            sign = 1
-            if ch and ch in "+-":
-                sign = -1 if ch == "-" else 1
-                lit.take()
-            elif not first:
-                break
-            ch = lit.peek()
-            if ch.isdigit():
-                v = lit.parse_int()
-                if lit.peek().lower() == self.symbol:
-                    lit.take()
-                    b += sign * v
-                else:
-                    a += sign * v
-            elif ch.lower() == self.symbol:
-                lit.take()
-                b += sign
-            else:
-                raise MalformedSpec("expected a coefficient term", lit.pos)
-            first = False
-        return self._join(a % self.n, b % self.n)
 
 
 def _on_axis(j: int, values: np.ndarray, ndim: int) -> np.ndarray:
@@ -335,10 +262,11 @@ class _DigitKernel:
 
 
 class _PositionalKernel(_DigitKernel):
-    """Digit vectors over one base ring: k x k matrix-like rings.
+    """Digit vectors over one base ring: k x k matrix-like rings and Z_n[t].
 
-    ``pos_index`` maps each entry (i, j) that is stored to its digit; entries
-    left out are 0, and entries sharing a digit are equal.
+    In the matrix-like rings ``pos_index`` maps each entry (i, j) that is
+    stored to its digit; entries left out are 0, and entries sharing a digit
+    are equal.
     """
 
     def __init__(self, base: "RingTable", npos: int):
@@ -446,6 +374,60 @@ class ConstDiagKernel(_PositionalKernel):
             ]
             out.append(self._dot(terms))
         return out
+
+
+class QuadExtKernel(_PositionalKernel):
+    """Z_n adjoin t with t^2 = c0 + c1*t: digits (a, b) of a + b*t over the
+    ring Z_n, so a + b*t has index a*n + b."""
+
+    def __init__(self, base: "RingTable", c0: int, c1: int, symbol: str):
+        super().__init__(base, 2)
+        self.n = base.order
+        self.c0, self.c1 = c0 % self.n, c1 % self.n
+        self.symbol = symbol
+        self.one = int(self._encode([base.one, base.zero]))
+
+    def mul_digits(self, da, db):
+        # (a + bt)(c + dt) = (ac + c0*bd) + (ad + bc + c1*bd)t
+        (a, b), (c, d) = da, db
+        mul = self._part_mul
+        x = self._dot([(a, c), (b, mul(self.base, d, self.c0))])
+        terms = [(a, d), (b, c)] + ([(b, mul(self.base, d, self.c1))] if self.c1 else [])
+        return [x, self._dot(terms)]
+
+    def fmt(self, i: int) -> str:
+        a, b = divmod(i, self.n)
+        if b == 0:
+            return str(a)
+        bi = self.symbol if b == 1 else f"{b}{self.symbol}"
+        return bi if a == 0 else f"{a}+{bi}"
+
+    def parse_literal(self, lit: _Lit) -> int:
+        a = b = 0
+        first = True
+        while True:
+            ch = lit.peek()
+            sign = 1
+            if ch and ch in "+-":
+                sign = -1 if ch == "-" else 1
+                lit.take()
+            elif not first:
+                break
+            ch = lit.peek()
+            if ch.isdigit():
+                v = lit.parse_int()
+                if lit.peek().lower() == self.symbol:
+                    lit.take()
+                    b += sign * v
+                else:
+                    a += sign * v
+            elif ch.lower() == self.symbol:
+                lit.take()
+                b += sign
+            else:
+                raise MalformedSpec("expected a coefficient term", lit.pos)
+            first = False
+        return int(self._encode([a % self.n, b % self.n]))
 
 
 def _parse_matrix_entries(lit: _Lit, k: int, base: "RingTable"):
@@ -1019,10 +1001,9 @@ def _make_ring(spec, name: str, limit: int) -> RingTable:
     if isinstance(spec, specs.ZnSpec):
         kernel = ZnKernel(spec.n)
     elif isinstance(spec, specs.GaussianSpec):
-        kernel = QuadExtKernel(spec.n, c0=spec.n - 1, c1=0, symbol="i")
-    elif isinstance(spec, specs.EisensteinSpec):
-        # w^2 = -1 - w
-        kernel = QuadExtKernel(spec.n, c0=spec.n - 1, c1=spec.n - 1, symbol="w")
+        kernel = QuadExtKernel(build_ring(specs.ZnSpec(spec.n), limit), -1, 0, "i")
+    elif isinstance(spec, specs.EisensteinSpec):  # w^2 = -1 - w
+        kernel = QuadExtKernel(build_ring(specs.ZnSpec(spec.n), limit), -1, -1, "w")
     elif isinstance(spec, specs.ProductSpec):
         kernel = ProductKernel([build_ring(f, limit) for f in spec.factors])
     elif isinstance(spec, specs.ConstDiagSpec):

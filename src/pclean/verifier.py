@@ -136,15 +136,23 @@ def _ideal_gens(r: RingTable, mask: np.ndarray) -> list[str]:
     return [r.fmt_index(int(i)) for i in subgroup_basis(r, np.flatnonzero(mask))]
 
 
-def _element_cex(r: RingTable, idx: int, prop: str, expected, actual) -> dict:
+def _cex(kind: str, ring: RingTable, prop: str, expected, actual, **subject) -> dict:
+    """A counterexample payload: what was checked, where, and both sides."""
     return {
-        "kind": "element",
-        "ring": r.name,
-        "element": r.fmt_index(idx),
-        "property": prop,
-        "expected": expected,
-        "actual": actual,
+        "kind": kind, "ring": ring.name, **subject,
+        "property": prop, "expected": expected, "actual": actual,
     }
+
+
+def _element_cex(r: RingTable, idx: int, prop: str, expected, actual) -> dict:
+    return _cex("element", r, prop, expected, actual, element=r.fmt_index(idx))
+
+
+def _ideal_cex(r: RingTable, mask: np.ndarray, prop: str, expected, actual, **extra) -> dict:
+    return _cex(
+        "ideal", r, prop, expected, actual,
+        ideal_gens=_ideal_gens(r, mask), ideal_order=int(mask.sum()), **extra,
+    )
 
 
 def _quotient_table(r: RingTable, mask: np.ndarray) -> RingTable | None:
@@ -153,6 +161,12 @@ def _quotient_table(r: RingTable, mask: np.ndarray) -> RingTable | None:
         return None
     kernel = QuotientKernel(r, np.flatnonzero(mask))
     return RingTable(kernel, f"{r.name}/I")
+
+
+def _boolean_mod(r: RingTable, mask: np.ndarray) -> bool:
+    """Whether r modulo the closed ideal `mask` is Boolean (the zero ring is)."""
+    q = _quotient_table(r, mask)
+    return True if q is None else rad.is_boolean(q)
 
 
 def _quotient_pclean(r: RingTable, mask: np.ndarray) -> bool:
@@ -215,14 +229,9 @@ def _mask_check(ring: RingTable, kind: str, prop: str, actual, expected):
     if bad.size == 0:
         return HOLDS, None
     b = int(bad[0])
-    return COUNTEREXAMPLE, {
-        "kind": kind,
-        "ring": ring.name,
-        kind: ring.fmt_index(b),
-        "property": prop,
-        "expected": bool(expected[b]),
-        "actual": bool(actual[b]),
-    }
+    return COUNTEREXAMPLE, _cex(
+        kind, ring, prop, bool(expected[b]), bool(actual[b]), **{kind: ring.fmt_index(b)}
+    )
 
 
 def _first_diff(masks: list[np.ndarray]) -> int | None:
@@ -277,8 +286,7 @@ def _check_t2_1(r: RingTable, env: VerifyEnv):
     lhs, lhs_cex = dec.is_strongly_pclean_ring(r)
     sc, sc_cex = dec.is_strongly_clean_ring(r)
     j = rad.jacobson_radical(r)
-    q = _quotient_table(r, j.mask)
-    boolean_mod_j = True if q is None else rad.is_boolean(q)
+    boolean_mod_j = _boolean_mod(r, j.mask)
     loc_nilp = rad.is_locally_nilpotent(j)
     rhs = sc and boolean_mod_j and loc_nilp
     if lhs == rhs:
@@ -299,8 +307,7 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
     idx = np.arange(r.order, dtype=np.int64)
     pm = rad.prime_radical(r).mask
     c1 = dec.is_strongly_pclean_ring(r)[0]
-    q = _quotient_table(r, pm)
-    c2 = True if q is None else rad.is_boolean(q)
+    c2 = _boolean_mod(r, pm)
     acc3 = np.zeros(r.order, dtype=bool)
     for e in r.idempotent_indices:
         acc3 |= pm[r.vsub(idx, np.int64(e))]
@@ -315,12 +322,7 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
         for x in range(r.order):
             comm = np.flatnonzero(r.mul_row(x) == r.mul_col(x))
             cand = r.idempotent_indices[pm[r.vsub(np.int64(x), r.idempotent_indices)]]
-            ok = False
-            for e in cand:
-                if np.array_equal(r.vmul(np.int64(e), comm), r.vmul(comm, np.int64(e))):
-                    ok = True
-                    break
-            if not ok:
+            if not any(np.array_equal(r.vmul(e, comm), r.vmul(comm, e)) for e in cand):
                 c4 = False
                 break
         conditions["double_commutant_idempotent_for_all"] = c4
@@ -335,9 +337,7 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
             except PcleanError as exc:  # a failed lift is a genuine violation
                 return COUNTEREXAMPLE, _element_cex(r, a, "idempotent_lift", "lift", repr(exc))
             if not pm[r.sub(a, e)]:
-                return COUNTEREXAMPLE, _element_cex(
-                    r, a, "lift_remainder_in_radical", True, False
-                )
+                return COUNTEREXAMPLE, _element_cex(r, a, "lift_remainder_in_radical", True, False)
     return HOLDS, None
 
 
@@ -361,15 +361,7 @@ def _check_l2_6(r: RingTable, env: VerifyEnv):
         return HYPOTHESIS_NOT_MET, None
     for mask in enumerate_ideals(r):
         if not _quotient_pclean(r, mask):
-            return COUNTEREXAMPLE, {
-                "kind": "ideal",
-                "ring": r.name,
-                "ideal_gens": _ideal_gens(r, mask),
-                "ideal_order": int(mask.sum()),
-                "property": "quotient_strongly_pclean",
-                "expected": True,
-                "actual": False,
-            }
+            return COUNTEREXAMPLE, _ideal_cex(r, mask, "quotient_strongly_pclean", True, False)
     return HOLDS, None
 
 
@@ -380,15 +372,8 @@ def _check_l2_7(r: RingTable, env: VerifyEnv):
             continue
         qv = _quotient_pclean(r, mask)
         if qv != base_verdict:
-            return COUNTEREXAMPLE, {
-                "kind": "ideal",
-                "ring": r.name,
-                "ideal_gens": _ideal_gens(r, mask),
-                "ideal_order": int(mask.sum()),
-                "property": "pclean_iff_quotient_by_nilpotent_pclean",
-                "expected": base_verdict,
-                "actual": qv,
-            }
+            prop = "pclean_iff_quotient_by_nilpotent_pclean"
+            return COUNTEREXAMPLE, _ideal_cex(r, mask, prop, base_verdict, qv)
     return HOLDS, None
 
 
@@ -397,16 +382,10 @@ def _check_t2_8(r: RingTable, env: VerifyEnv):
         v1 = _quotient_pclean(r, mask)
         for cur in list(rad.ideal_powers(r, mask))[1:]:
             if _quotient_pclean(r, cur) != v1:
-                return COUNTEREXAMPLE, {
-                    "kind": "ideal",
-                    "ring": r.name,
-                    "ideal_gens": _ideal_gens(r, mask),
-                    "ideal_order": int(mask.sum()),
-                    "power_order": int(cur.sum()),
-                    "property": "pclean_quotient_stable_under_ideal_powers",
-                    "expected": v1,
-                    "actual": not v1,
-                }
+                prop = "pclean_quotient_stable_under_ideal_powers"
+                return COUNTEREXAMPLE, _ideal_cex(
+                    r, mask, prop, v1, not v1, power_order=int(cur.sum())
+                )
     return HOLDS, None
 
 
@@ -469,9 +448,7 @@ def _check_c2_12(r: RingTable, env: VerifyEnv):
         t = RingTable(ConstDiagKernel(k, r), f"Tc{k}({r.name})")
         holds, cex = dec.is_strongly_pclean_ring(t)
         if not holds:
-            return COUNTEREXAMPLE, _element_cex(
-                t, cex, "strongly_pclean", True, False
-            )
+            return COUNTEREXAMPLE, _element_cex(t, cex, "strongly_pclean", True, False)
     return HOLDS, ("; ".join(note) or None)
 
 
@@ -506,15 +483,10 @@ def _check_l3_1(r: RingTable, env: VerifyEnv):
             if (left_a & (r.mul_col(e) != r.zero)).any() or (
                 right_a & (r.mul_row(e) != r.zero)
             ).any():
-                return COUNTEREXAMPLE, {
-                    "kind": "element",
-                    "ring": r.name,
-                    "element": r.fmt_index(a),
-                    "idempotent": r.fmt_index(int(e)),
-                    "property": "annihilators_carry_to_idempotent",
-                    "expected": True,
-                    "actual": False,
-                }
+                return COUNTEREXAMPLE, _cex(
+                    "element", r, "annihilators_carry_to_idempotent", True, False,
+                    element=r.fmt_index(a), idempotent=r.fmt_index(int(e)),
+                )
     return HOLDS, None
 
 
@@ -528,15 +500,10 @@ def _check_t3_2(r: RingTable, env: VerifyEnv):
         in_c = dec.strongly_pclean_mask(corner)
         for pos, m in enumerate(members):
             if bool(in_r[m]) != bool(in_c[pos]):
-                return COUNTEREXAMPLE, {
-                    "kind": "element",
-                    "ring": r.name,
-                    "corner": r.fmt_index(f),
-                    "element": r.fmt_index(int(m)),
-                    "property": "pclean_in_ring_iff_in_corner",
-                    "expected": bool(in_r[m]),
-                    "actual": bool(in_c[pos]),
-                }
+                return COUNTEREXAMPLE, _cex(
+                    "element", r, "pclean_in_ring_iff_in_corner", bool(in_r[m]),
+                    bool(in_c[pos]), corner=r.fmt_index(f), element=r.fmt_index(int(m)),
+                )
     return HOLDS, None
 
 
@@ -690,14 +657,9 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
     A = Matrix2.parse(r, "[1,2;2,2]")
     diff = A - A * A
     if repr(diff) != "[0,0;0,2]":
-        return COUNTEREXAMPLE, {
-            "kind": "matrix",
-            "ring": r.name,
-            "matrix": repr(A),
-            "property": "A_minus_A_squared",
-            "expected": "[0,0;0,2]",
-            "actual": repr(diff),
-        }
+        return COUNTEREXAMPLE, _cex(
+            "matrix", r, "A_minus_A_squared", "[0,0;0,2]", repr(diff), matrix=repr(A)
+        )
     res = classify_pclean_2x2(A)
     ok = (
         res.kind == SPLIT
@@ -708,14 +670,8 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
     )
     if ok:
         return HOLDS, None
-    return COUNTEREXAMPLE, {
-        "kind": "matrix",
-        "ring": r.name,
-        "matrix": repr(A),
-        "property": "worked_example_split_with_valid_certificate",
-        "expected": True,
-        "actual": res.kind,
-    }
+    prop = "worked_example_split_with_valid_certificate"
+    return COUNTEREXAMPLE, _cex("matrix", r, prop, True, res.kind, matrix=repr(A))
 
 
 # ---------------------------------------------------------------------------
@@ -769,14 +725,8 @@ def _check_c5_2(r: RingTable, env: VerifyEnv):
         offending |= (val != r.zero) | ~want[roots]
     if offending.any():
         b = int(sel[np.flatnonzero(offending)[0]])
-        return COUNTEREXAMPLE, {
-            "kind": "matrix",
-            "ring": m2.name,
-            "matrix": m2.fmt_index(b),
-            "property": "half_roots_solve_characteristic_equation",
-            "expected": True,
-            "actual": False,
-        }
+        prop = "half_roots_solve_characteristic_equation"
+        return COUNTEREXAMPLE, _cex("matrix", m2, prop, True, False, matrix=m2.fmt_index(b))
     return HOLDS, None
 
 
@@ -795,14 +745,10 @@ def _check_e5_3(r: RingTable, env: VerifyEnv):
             want = bool(sq1p[r.add(r.one, r.mul(r.embed_int(4), r.mul(p, q)))])
             got = bool(lhs_all[aidx])
             if want != got:
-                return COUNTEREXAMPLE, {
-                    "kind": "matrix",
-                    "ring": m2.name,
-                    "matrix": m2.fmt_index(aidx),
-                    "property": "family_pclean_iff_1_plus_4pq_square",
-                    "expected": want,
-                    "actual": got,
-                }
+                prop = "family_pclean_iff_1_plus_4pq_square"
+                return COUNTEREXAMPLE, _cex(
+                    "matrix", m2, prop, want, got, matrix=m2.fmt_index(aidx)
+                )
     return HOLDS, None
 
 
@@ -837,14 +783,8 @@ def _check_p5_6(r: RingTable, env: VerifyEnv):
         pi = dec.strongly_pi_regular_element(m2, a)[0]
         rhs = bool(units[a] or nil[a] or pcl[a])
         if pi != rhs:
-            return COUNTEREXAMPLE, {
-                "kind": "matrix",
-                "ring": m2.name,
-                "matrix": m2.fmt_index(a),
-                "property": "pi_regular_iff_unit_or_nilpotent_or_pclean",
-                "expected": rhs,
-                "actual": pi,
-            }
+            prop = "pi_regular_iff_unit_or_nilpotent_or_pclean"
+            return COUNTEREXAMPLE, _cex("matrix", m2, prop, rhs, pi, matrix=m2.fmt_index(a))
     return HOLDS, None
 
 
@@ -1091,12 +1031,8 @@ _RING_PROPS = {
     "uniquely_clean_ring": lambda r: dec.is_uniquely_clean_ring(r)[0],
     "uniquely_nilclean_ring": lambda r: dec.is_uniquely_nilclean_ring(r)[0],
     "abelian": rad.is_abelian,
-    "boolean_mod_jacobson": lambda r: (
-        lambda q: True if q is None else rad.is_boolean(q)
-    )(_quotient_table(r, rad.jacobson_radical(r).mask)),
-    "boolean_mod_prime": lambda r: (
-        lambda q: True if q is None else rad.is_boolean(q)
-    )(_quotient_table(r, rad.prime_radical(r).mask)),
+    "boolean_mod_jacobson": lambda r: _boolean_mod(r, rad.jacobson_radical(r).mask),
+    "boolean_mod_prime": lambda r: _boolean_mod(r, rad.prime_radical(r).mask),
     "jacobson_locally_nilpotent": lambda r: rad.is_locally_nilpotent(
         rad.jacobson_radical(r)
     ),

@@ -54,10 +54,11 @@ def idempotents_of(elements, mul):
     return [a for a in elements if mul(a, a) == a]
 
 
-def gauss_mul(x, y, n):
+def quad_mul(x, y, n, c0=-1, c1=0):
+    """(a + bt)(c + dt) in Z_n[t] with t^2 = c0 + c1*t; the defaults give Z_n[i]."""
     a, b = x
     c, d = y
-    return ((a * c - b * d) % n, (a * d + b * c) % n)
+    return ((a * c + c0 * b * d) % n, (a * d + b * c + c1 * b * d) % n)
 
 
 def gauss_add(x, y, n):

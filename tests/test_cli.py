@@ -115,6 +115,13 @@ def test_limit_env_default(capsys, monkeypatch):
     assert status == 0 and doc["order"] == 4096
 
 
+def test_malformed_limit_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PCLEAN_LIMIT", "abc")
+    status, out, err = run_cli(capsys, "ring", "analyze", "Z4")
+    assert status == 2 and out == ""
+    assert err == "error: PCLEAN_LIMIT='abc' is not an integer\n"
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     cli._make_parser.cache_clear()
     monkeypatch.setenv("PCLEAN_LIMIT", "100")

@@ -16,9 +16,9 @@ from oracles import (
     coset_walk_prime_radical,
     descent_strongly_nilpotent_mask,
     gauss_add,
-    gauss_mul,
     ideal_nilpotency,
     order_powers,
+    quad_mul,
     two_sided_ideal,
     walk_nilpotency,
 )
@@ -43,7 +43,7 @@ def test_ideal_generated_gaussian_against_oracle():
     oracle = two_sided_ideal(
         [(1, 1)],
         elements,
-        lambda x, y: gauss_mul(x, y, n),
+        lambda x, y: quad_mul(x, y, n),
         lambda x, y: gauss_add(x, y, n),
         (0, 0),
     )
@@ -66,11 +66,11 @@ def test_nilpotency_indexes():
     n = 4
     elements = [(a, b) for a in range(n) for b in range(n)]
     oracle_ideal = two_sided_ideal(
-        [(1, 1)], elements, lambda x, y: gauss_mul(x, y, n),
+        [(1, 1)], elements, lambda x, y: quad_mul(x, y, n),
         lambda x, y: gauss_add(x, y, n), (0, 0),
     )
     assert ideal_nilpotency(
-        oracle_ideal, lambda x, y: gauss_mul(x, y, n),
+        oracle_ideal, lambda x, y: quad_mul(x, y, n),
         lambda x, y: gauss_add(x, y, n), (0, 0),
     ) == 4
 

@@ -19,6 +19,7 @@ from oracles import (
     idempotents_of,
     inverse_oracle,
     mat_mul,
+    quad_mul,
     units_zn,
 )
 from table_kernel import TableKernel
@@ -389,6 +390,26 @@ def test_dense_tables_match_kernel_ops(name):
     assert np.array_equal(r._neg_t, r.kernel.vneg(idx))
 
 
+@pytest.mark.parametrize(
+    "name, n, c0, c1",
+    [("Z8[i]", 8, -1, 0), ("Z9[w]", 9, -1, -1), ("Z65[i]", 65, -1, 0)],
+)
+def test_quadratic_extension_ops_match_integer_arithmetic(name, n, c0, c1):
+    # a + bt has index a*n + b; the oracle works on the integer pairs (a, b)
+    r = build_ring(name)
+    pair, index = (lambda i: divmod(i, n)), (lambda p: p[0] * n + p[1])
+    mul = lambda i, j: index(quad_mul(pair(i), pair(j), n, c0, c1))
+    add = lambda i, j: index(((pair(i)[0] + pair(j)[0]) % n, (pair(i)[1] + pair(j)[1]) % n))
+    x, y = np.random.default_rng(5).integers(0, r.order, size=(2, 3000))
+    for ops in (r, r.kernel):  # the tables (when dense) and the digit formulas
+        assert ops.vmul(x, y).tolist() == [mul(i, j) for i, j in zip(x.tolist(), y.tolist())]
+        assert ops.vadd(x, y).tolist() == [add(i, j) for i, j in zip(x.tolist(), y.tolist())]
+        assert ops.vneg(x).tolist() == [index((-a % n, -b % n)) for a, b in map(pair, x.tolist())]
+    for i in (r.one, int(x[0])):
+        assert r.mul_row(i).tolist() == [mul(i, j) for j in range(r.order)]
+        assert r.mul_col(i).tolist() == [mul(j, i) for j in range(r.order)]
+
+
 def test_commutativity_cross_check_raises_on_tampered_table():
     r = RingTable(ZnKernel(4), "Z4")
     r._mul_t = r._mul_t.copy()
@@ -438,6 +459,7 @@ def _line_ring(name: str) -> RingTable:
         ("corner", True),
         ("tables", True),
         ("Z16384", False),
+        ("Z65[i]", False),  # Z_n[t] above DENSE_TABLE_LIMIT: the digit mesh
     ],
 )
 def test_mul_row_and_col_match_vmul(name, dense):

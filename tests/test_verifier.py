@@ -148,6 +148,65 @@ def test_self_test_traps_fire_on_radical_breaking_corruption():
         rad.jacobson_radical(bad)
 
 
+@pytest.mark.parametrize("tid", ["L2.7", "T2.8"])
+def test_ideal_power_trap_fires_when_a_power_escapes(tid):
+    # with 2*2 = 1 the powers of {0, 2} would alternate {0, 2} -> R -> {0, 2}
+    from pclean.errors import RadicalNotIdeal
+
+    bad = _corrupted_z4(2, 2, 1, "Z4c_221")
+    with pytest.raises(RadicalNotIdeal, match="escapes"):
+        verify(tid, [bad])
+
+
+# one counterexample per payload shape (element, matrix, ideal, ideal pair,
+# criteria) and per extra field (idempotent, power_order), from four
+# corrupted Z4 tables; (row, col, val) sets mul[row][col] = val
+PINNED_PAYLOADS = [
+    ((0, 1, 2), "L2.7", '{"kind": "ideal", "ring": "Z4c_012", "ideal_gens": ["2"], "ideal_order": 2, "property": "pclean_iff_quotient_by_nilpotent_pclean", "expected": false, "actual": true}'),
+    ((0, 1, 2), "T2.8", '{"kind": "ideal", "ring": "Z4c_012", "ideal_gens": ["2"], "ideal_order": 2, "power_order": 1, "property": "pclean_quotient_stable_under_ideal_powers", "expected": true, "actual": false}'),
+    ((0, 1, 2), "P2.10", '{"kind": "ideal_pair", "ring": "Z4c_012", "ideal_gens": [["2"], ["2"]], "orders": [2, 2], "both_quotients": true, "mod_product": false, "mod_intersection": true}'),
+    ((0, 1, 2), "C2.12", '{"kind": "element", "ring": "Tc2(Z4c_012)", "element": "[0,1;0,0]", "property": "strongly_pclean", "expected": true, "actual": false}'),
+    ((0, 1, 2), "L3.1", '{"kind": "element", "ring": "Z4c_012", "element": "3", "idempotent": "1", "property": "annihilators_carry_to_idempotent", "expected": true, "actual": false}'),
+    ((0, 2, 1), "P3.7", '{"kind": "element", "ring": "T2(Z4c_021)", "element": "[0,0;0,2]", "property": "pclean_iff_diagonal_in_P_or_1P", "expected": true, "actual": false}'),
+    ((0, 2, 1), "L4.1", '{"kind": "matrix", "ring": "M2(Z4c_021)", "matrix": "[0,0;0,2]", "property": "radical_of_matrix_ring_is_matrix_of_radical", "expected": true, "actual": false}'),
+    ((2, 2, 1), "T4.2", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,0;0,3]", "property": "pclean_iff_trivial_or_diag_similar", "expected": true, "actual": false}'),
+    ((2, 2, 1), "T4.4", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[2,1;2,3]", "property": "three_criteria_agree", "criteria": {"idempotent_scan": false, "difference_in_radical": false, "quadratic_roots": true}}'),
+    ((2, 2, 1), "C4.5", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[2,1;2,3]", "property": "pclean_iff_ratio_equation_root_in_P", "expected": true, "actual": false}'),
+    ((2, 2, 1), "T5.1", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[2,2;2,2]", "property": "pclean_implies_discriminant_square_of_1P", "expected": true, "actual": false}'),
+    ((2, 2, 1), "C5.2", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,1;1,1]", "property": "pclean_iff_discriminant_square_of_1P", "expected": true, "actual": false}'),
+    ((2, 2, 1), "T5.4", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,0;0,3]", "property": "pclean_iff_pi_regular_and_companion_similar", "expected": true, "actual": false}'),
+    ((3, 3, 2), "C2.11", '{"kind": "element", "ring": "Z4c_332", "element": "0", "property": "uniquely_clean_count", "expected": 1, "actual": 0}'),
+]
+# checks whose payload property replay_counterexample can recompute; the
+# others compare two whole-ring masks that replay does not rebuild
+REPLAYABLE = {"L2.7", "T2.8", "P2.10", "C2.12", "T4.4", "C2.11"}
+
+
+def _payload_ring(bad: RingTable, name: str) -> RingTable:
+    from pclean.matrices import matrix_ring, triangular_ring
+    from pclean.rings import ConstDiagKernel
+
+    if name.startswith("Tc2("):
+        return RingTable(ConstDiagKernel(2, bad), name)
+    if name.startswith("T2("):
+        return triangular_ring(bad)
+    return matrix_ring(bad) if name.startswith("M2(") else bad
+
+
+@pytest.mark.parametrize(
+    "corruption, tid, payload", PINNED_PAYLOADS, ids=[tid for _, tid, _ in PINNED_PAYLOADS]
+)
+def test_counterexample_payloads_are_pinned_and_replay(corruption, tid, payload):
+    bad = _corrupted_z4(*corruption, "Z4c_%d%d%d" % corruption)
+    (check,) = verify(tid, [bad])
+    assert check.verdict == "COUNTEREXAMPLE"
+    assert json.dumps(check.counterexample) == payload
+    # the serialized payload alone is enough to replay it
+    check.counterexample = json.loads(payload)
+    ring = _payload_ring(bad, check.counterexample["ring"])
+    assert replay_counterexample(check, ring=ring) == (tid in REPLAYABLE)
+
+
 def test_catalog_file_loading(tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_text("# comment line\nZ4\n  z8[i]  # inline\n\nT2(Z2)\n")

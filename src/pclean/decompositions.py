@@ -17,7 +17,7 @@ import numpy as np
 
 from . import radicals
 from .errors import NotLiftable, PcleanError, RingTooLarge
-from .rings import Element, RingTable
+from .rings import Element, RingTable, cached
 
 STRONGLY_CLEAN = "STRONGLY_CLEAN"
 STRONGLY_NIL_CLEAN = "STRONGLY_NIL_CLEAN"
@@ -210,15 +210,15 @@ def idempotent_lift(r: RingTable, a) -> int:
 def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
     """Per element x: whether some e with ex = xe has x - e in `member` (bool),
     or else how many e have (uint8, saturated at 2).  Memoized per member set:
-    J = P always and Nil = P often share one pass.
+    J = P always and Nil = P often share one pass, and T2.4 reads P's counts.
 
     Each idempotent e scatters onto x = e + w for the members w (only those
     with ew = we when `commuting`: x commutes with e exactly when w does), so
     a pass costs |member| lanes whatever the counts are.  w -> e + w is
     injective, so no x repeats within a pass.
     """
-    key = ("sweep", member.tobytes(), commuting)
-    if key not in r.cache:
+
+    def make():
         need = 1 if commuting else 2
         members = np.flatnonzero(member)
         count = np.zeros(r.order, dtype=np.uint8)
@@ -231,14 +231,15 @@ def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
             count[x] = np.minimum(count[x] + 1, 2)
             if count.min() >= need:
                 break
-        r.cache[key] = count.astype(bool) if commuting else count
-    return r.cache[key]
+        return count.astype(bool) if commuting else count
+
+    return cached(r, ("sweep", member.tobytes(), commuting), make)
 
 
 def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None]:
     """Strongly (some commuting e) or uniquely (exactly one e) `kind`-clean."""
-    key = ("verdict", kind, commuting)
-    if key not in r.cache:
+
+    def make():
         bad = None
         if commuting and r.order > _PROBE_ABOVE:
             # counterexamples in structured rings tend to sit at tiny indices;
@@ -249,8 +250,9 @@ def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None
             cover = _sweep(r, _KINDS[kind][0](r), commuting)
             gaps = np.flatnonzero(~cover if commuting else cover != 1)
             bad = int(gaps[0]) if gaps.size else None
-        r.cache[key] = (bad is None, bad)
-    return r.cache[key]
+        return (bad is None, bad)
+
+    return cached(r, ("verdict", kind, commuting), make)
 
 
 def strongly_pclean_mask(r: RingTable) -> np.ndarray:

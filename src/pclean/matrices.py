@@ -1,9 +1,10 @@
 """Decision procedures for 2x2 matrices over commutative local rings.
 
-Covers the quadratic-root criterion, the A - A^2 radical-membership test, the
-definitional idempotent scan (the three are cross-validated on every call),
-explicit diagonal and companion similarity witnesses, the Sylvester-style
-phi-map solver for triangular matrices, and the discriminant records.
+Covers the quadratic-root criterion, the A - A^2 radical-membership test,
+the definitional idempotent scan (the three come from `pclean_criteria`,
+which the classifier cross-checks and replay re-evaluates), explicit
+diagonal and companion similarity witnesses, the Sylvester-style phi-map
+solver for triangular matrices, and the discriminant records.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from . import radicals
 from .decompositions import (
     STRONGLY_P_CLEAN,
     CleanCertificate,
+    _index_of,
+    strongly_pclean_element,
     strongly_pi_regular_element,
 )
 from .errors import (
@@ -31,10 +34,10 @@ from .errors import (
 )
 from .rings import (
     DEFAULT_ORDER_LIMIT,
-    Element,
     RingTable,
     _Lit,
     _parse_matrix_entries,
+    cached,
     derived_ring,
 )
 from .specs import derived_order
@@ -207,76 +210,75 @@ def m2_invariants(m2: RingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
     entries has shape (4, |M2(r)|) in row-major order; disc = tr^2 - 4 det.
     """
-    inv = m2.cache.get("m2_invariants")
-    if inv is None:
+
+    def make():
         base = m2.kernel.base
         d = m2.kernel._digits(np.arange(m2.order, dtype=np.int64))
         tr = base.vadd(d[0], d[3])
         det = base.vsub(base.vmul(d[0], d[3]), base.vmul(d[1], d[2]))
         four = np.int64(base.embed_int(4))
         disc = base.vsub(base.vmul(tr, tr), base.vmul(four, det))
-        inv = m2.cache["m2_invariants"] = (d, tr, det, disc)
-    return inv
+        return (d, tr, det, disc)
+
+    return cached(m2, "m2_invariants", make)
 
 
 def entries_in_p_mask(m2: RingTable) -> np.ndarray:
     """Mask over M2(r) of matrices with every entry in P(r)."""
-    mask = m2.cache.get("entries_in_p")
-    if mask is None:
+
+    def make():
         pm = radicals.prime_radical(m2.kernel.base).mask
-        mask = pm[m2_invariants(m2)[0]].all(axis=0)
-        m2.cache["entries_in_p"] = mask
-    return mask
+        return pm[m2_invariants(m2)[0]].all(axis=0)
+
+    return cached(m2, "entries_in_p", make)
 
 
 def one_minus_in_p_mask(m2: RingTable) -> np.ndarray:
-    mask = m2.cache.get("one_minus_in_p")
-    if mask is None:
+    """Mask over M2(r) of matrices A with I - A in M2(P(r))."""
+
+    def make():
         idx = np.arange(m2.order, dtype=np.int64)
-        mask = entries_in_p_mask(m2)[m2.vsub(np.int64(m2.one), idx)]
-        m2.cache["one_minus_in_p"] = mask
-    return mask
+        return entries_in_p_mask(m2)[m2.vsub(np.int64(m2.one), idx)]
+
+    return cached(m2, "one_minus_in_p", make)
 
 
 def diff_in_p_mask(m2: RingTable) -> np.ndarray:
     """Criterion A - A^2 in M2(P(r)), vectorized over the whole matrix ring."""
-    mask = m2.cache.get("diff_in_p")
-    if mask is None:
+
+    def make():
         idx = np.arange(m2.order, dtype=np.int64)
-        diff = m2.vsub(idx, m2.vmul(idx, idx))
-        mask = entries_in_p_mask(m2)[diff]
-        m2.cache["diff_in_p"] = mask
-    return mask
+        return entries_in_p_mask(m2)[m2.vsub(idx, m2.vmul(idx, idx))]
+
+    return cached(m2, "diff_in_p", make)
 
 
 def root_pair_table(r: RingTable) -> tuple[np.ndarray, np.ndarray]:
     """For every (t, d): does x^2 - t x + d = 0 have a root in P / in 1+P."""
-    cached = r.cache.get("root_pair_table")
-    if cached is None:
+
+    def make():
         n = r.order
         idx = np.arange(n, dtype=np.int64)
-        pm = radicals.prime_radical(r).mask
-        one_plus = pm[r.vsub(idx, np.int64(r.one))]
         xx = r.vmul(idx, idx)
         # zero[x, t, d] <=> x^2 - t*x + d = 0
         quad = r.vsub(xx[:, None], r.vmul(idx[None, :], idx[:, None]))  # (x, t)
         zero = r.vadd(quad[:, :, None], idx[None, None, :]) == r.zero  # (x, t, d)
-        has_p = np.tensordot(pm.astype(np.int64), zero, axes=1) > 0
-        has_1p = np.tensordot(one_plus.astype(np.int64), zero, axes=1) > 0
-        cached = (has_p, has_1p)
-        r.cache["root_pair_table"] = cached
-    return cached
+        has_p = np.tensordot(radicals.prime_radical(r).mask.astype(np.int64), zero, axes=1) > 0
+        has_1p = np.tensordot(radicals.one_plus_p_mask(r).astype(np.int64), zero, axes=1) > 0
+        return (has_p, has_1p)
+
+    return cached(r, "root_pair_table", make)
 
 
 def roots_criterion_mask(m2: RingTable) -> np.ndarray:
     """Trichotomy (3): in M2(P), or I - A in M2(P), or a root in P and in 1+P."""
-    mask = m2.cache.get("roots_criterion")
-    if mask is None:
+
+    def make():
         has_p, has_1p = root_pair_table(m2.kernel.base)
         _, tr, det, _ = m2_invariants(m2)
-        mask = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | (has_p[tr, det] & has_1p[tr, det])
-        m2.cache["roots_criterion"] = mask
-    return mask
+        return entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | (has_p[tr, det] & has_1p[tr, det])
+
+    return cached(m2, "roots_criterion", make)
 
 
 def definitional_mask(m2: RingTable) -> np.ndarray:
@@ -293,24 +295,23 @@ def definitional_mask(m2: RingTable) -> np.ndarray:
 def quadratic_roots(r: RingTable, t, d) -> list[tuple[int, str]]:
     """All x with x^2 - t x + d = 0, classified against P(r)."""
     _require_commutative(r)
-    t, d = _as_index(r, t), _as_index(r, d)
+    return _roots(r, _index_of(r, t), _index_of(r, d))
+
+
+def _roots(r: RingTable, t: int, d: int) -> list[tuple[int, str]]:
     idx = np.arange(r.order, dtype=np.int64)
     val = r.vadd(r.vsub(r.vmul(idx, idx), r.mul_row(t)), np.int64(d))
-    pm = radicals.prime_radical(r).mask
-    out = []
-    for x in np.flatnonzero(val == r.zero):
-        if pm[x]:
-            cls = CLASS_P
-        elif pm[r.sub(int(x), r.one)]:
-            cls = CLASS_ONE_PLUS_P
-        else:
-            cls = CLASS_OTHER
-        out.append((int(x), cls))
-    return out
+    pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
+    return [
+        (int(x), CLASS_P if pm[x] else CLASS_ONE_PLUS_P if onep[x] else CLASS_OTHER)
+        for x in np.flatnonzero(val == r.zero)
+    ]
 
 
-def _as_index(r: RingTable, x) -> int:
-    return x.index if isinstance(x, Element) else int(x)
+def _in_p(M: Matrix2) -> bool:
+    """Every entry of M lies in P(r)."""
+    pm = radicals.prime_radical(M.ring).mask
+    return bool(all(pm[e] for e in M.entries()))
 
 
 @dataclass
@@ -322,52 +323,47 @@ class Classification:
     roots: list
 
 
-def classify_pclean_2x2(A: Matrix2) -> Classification:
-    """Evaluate all three strong P-cleanness criteria for A and cross-check.
+def pclean_criteria(A: Matrix2) -> dict:
+    """The three criteria for A: (i) the idempotent scan in M2(r), (ii) A - A^2
+    in M2(P(r)), (iii) A or I - A in M2(P(r)), or roots of the characteristic
+    polynomial in P and in 1+P.  Raises nothing: no hypothesis or agreement
+    is tested, so replay can evaluate it where the criteria disagree."""
+    return _criteria(A)[0]
 
-    (i) definitional idempotent scan in M2(r), (ii) A - A^2 entrywise in P(r),
-    (iii) trivial classes or quadratic roots in P and 1+P.  Disagreement
-    raises CriterionMismatch.
-    """
+
+def _criteria(A: Matrix2) -> tuple[dict, CleanCertificate | None, list]:
+    """pclean_criteria(A), the scan's certificate, and the roots."""
     r = A.ring
-    _require_commutative(r)
-    _require_local(r)
     m2 = matrix_ring(r)
-    aidx = matrix_to_index(m2, A)
-
-    from .decompositions import strongly_pclean_element
-
     if m2.order <= DEFAULT_ORDER_LIMIT:
         # P(M2(r)) once per base ring serves the scan of every later matrix
         radicals.prime_radical(m2)
-    cert, _count = strongly_pclean_element(m2, aidx)
-    crit_scan = cert is not None
-
-    pm = radicals.prime_radical(r).mask
-    diff = A - A * A
-    crit_diff = bool(all(pm[e] for e in diff.entries()))
-
-    in_p = bool(all(pm[e] for e in A.entries()))
-    one_minus = bool(all(pm[e] for e in (Matrix2.identity(r) - A).entries()))
-    roots = quadratic_roots(r, A.trace, A.det)
-    root_classes = {c for _, c in roots}
-    crit_roots = in_p or one_minus or (CLASS_P in root_classes and CLASS_ONE_PLUS_P in root_classes)
-
+    cert = strongly_pclean_element(m2, matrix_to_index(m2, A))[0]
+    roots = _roots(r, A.trace, A.det)
+    trivial = _in_p(A) or _in_p(Matrix2.identity(r) - A)
     criteria = {
-        "idempotent_scan": crit_scan,
-        "difference_in_radical": crit_diff,
-        "quadratic_roots": crit_roots,
+        "idempotent_scan": cert is not None,
+        "difference_in_radical": _in_p(A - A * A),
+        "quadratic_roots": trivial or {CLASS_P, CLASS_ONE_PLUS_P} <= {c for _, c in roots},
     }
-    if not (crit_scan == crit_diff == crit_roots):
-        raise CriterionMismatch(f"criteria disagree for {A} over {r.name}: {criteria}")
+    return criteria, cert, roots
 
+
+def classify_pclean_2x2(A: Matrix2) -> Classification:
+    """Evaluate the three criteria of `pclean_criteria` for A and cross-check:
+    disagreement raises CriterionMismatch."""
+    r = A.ring
+    _require_commutative(r)
+    _require_local(r)
+    criteria, cert, roots = _criteria(A)
+    if len(set(criteria.values())) > 1:
+        raise CriterionMismatch(f"criteria disagree for {A} over {r.name}: {criteria}")
     witness = None
-    if not crit_scan:
+    if cert is None:
         kind = NOT_PCLEAN
-        cert = None
-    elif in_p:
+    elif _in_p(A):
         kind = IN_P
-    elif one_minus:
+    elif _in_p(Matrix2.identity(r) - A):
         kind = ONE_MINUS_IN_P
     else:
         kind = SPLIT
@@ -378,9 +374,10 @@ def classify_pclean_2x2(A: Matrix2) -> Classification:
 def diagonalize_split(A: Matrix2, cert: CleanCertificate) -> SimilarityWitness:
     """Conjugate a split strongly P-clean matrix to diag(1 + v11, v22).
 
-    The conjugator is built by pairing an E-fixed column having a unit entry
-    with an E-killed column; exhaustive GL2 search remains as a fallback for
-    tiny bases.
+    Over a commutative local ring the image of a nontrivial idempotent E is
+    free of rank 1, and so is that of I - E.  A column of E and one of I - E,
+    each with a unit entry, form an invertible G, and G^-1 A G is diagonal
+    with entries in 1+P and P; PcleanError if it is not (bug trap).
     """
     r = A.ring
     _require_commutative(r)
@@ -391,7 +388,7 @@ def diagonalize_split(A: Matrix2, cert: CleanCertificate) -> SimilarityWitness:
     if E == Matrix2.zero(r) or E == ident:
         raise TrivialIdempotent(f"idempotent {E} cannot be split-diagonalized")
 
-    pm = radicals.prime_radical(r).mask
+    pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
     units = r.unit_mask
 
     def unit_column(M: Matrix2):
@@ -407,34 +404,10 @@ def diagonalize_split(A: Matrix2, cert: CleanCertificate) -> SimilarityWitness:
         if r.is_unit(G.det):
             H = G.inverse()
             C = H * A * G
-            if (
-                C.a12 == r.zero
-                and C.a21 == r.zero
-                and pm[r.sub(C.a11, r.one)]
-                and pm[C.a22]
-            ):
+            if C.a12 == r.zero and C.a21 == r.zero and onep[C.a11] and pm[C.a22]:
                 w = SimilarityWitness(H, G, "DIAGONAL", C.a11, C.a22)
                 if w.validate(A):
                     return w
-    # fallback: exhaustive search over GL2(r) for tiny bases
-    if r.order <= 16:
-        idx = range(r.order)
-        for h11 in idx:
-            for h12 in idx:
-                for h21 in idx:
-                    for h22 in idx:
-                        H = Matrix2(r, h11, h12, h21, h22)
-                        if not units[H.det]:
-                            continue
-                        Hi = H.inverse()
-                        C = H * A * Hi
-                        if (
-                            C.a12 == r.zero
-                            and C.a21 == r.zero
-                            and pm[r.sub(C.a11, r.one)]
-                            and pm[C.a22]
-                        ):
-                            return SimilarityWitness(H, Hi, "DIAGONAL", C.a11, C.a22)
     raise PcleanError(f"no diagonalizing conjugator found for {A} over {r.name}")
 
 
@@ -446,7 +419,7 @@ def companion_form(r: RingTable, alpha, beta) -> SimilarityWitness:
     displayed identity itself is regression-tested; pre: alpha - beta a unit.
     """
     _require_commutative(r)
-    alpha, beta = _as_index(r, alpha), _as_index(r, beta)
+    alpha, beta = _index_of(r, alpha), _index_of(r, beta)
     dinv = r.inverse(r.sub(alpha, beta))
     if dinv is None:
         raise NotInvertible(f"alpha - beta is not a unit in {r.name}")
@@ -479,7 +452,7 @@ def companion_form(r: RingTable, alpha, beta) -> SimilarityWitness:
 
 def solve_phi(r: RingTable, a, b, v) -> int:
     """x = sum a^-(k+1) v b^k solving a x - x b = v (a a unit, b nilpotent)."""
-    a, b, v = _as_index(r, a), _as_index(r, b), _as_index(r, v)
+    a, b, v = _index_of(r, a), _index_of(r, b), _index_of(r, v)
     ainv = r.inverse(a)
     if ainv is None:
         raise PreconditionFailed(f"{r.fmt_index(a)} is not a unit in {r.name}")
@@ -507,17 +480,15 @@ def triangular_pclean(
     phi-map in the mixed cases), or None when a or b avoids P and 1+P.
     """
     _require_local(r)
-    a, b, v = _as_index(r, a), _as_index(r, b), _as_index(r, v)
-    pm = radicals.prime_radical(r).mask
-    in_p = lambda x: bool(pm[x])
-    in_1p = lambda x: bool(pm[r.sub(x, r.one)])
-    if not ((in_p(a) or in_1p(a)) and (in_p(b) or in_1p(b))):
+    a, b, v = _index_of(r, a), _index_of(r, b), _index_of(r, v)
+    pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
+    if not ((pm[a] or onep[a]) and (pm[b] or onep[b])):
         return None
-    if in_p(a) and in_p(b):
+    if pm[a] and pm[b]:
         e11, e12, e22 = r.zero, r.zero, r.zero
-    elif in_1p(a) and in_1p(b):
+    elif onep[a] and onep[b]:
         e11, e12, e22 = r.one, r.zero, r.one
-    elif in_1p(a) and in_p(b):
+    elif onep[a] and pm[b]:
         x = solve_phi(r, a, b, v)
         e11, e12, e22 = r.one, x, r.zero
     else:
@@ -556,21 +527,17 @@ def discriminant_criteria(A: Matrix2) -> DiscriminantRecord:
     r = A.ring
     _require_commutative(r)
     _require_local(r)
-    pm = radicals.prime_radical(r).mask
+    pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
     tr, det = A.trace, A.det
     four = r.embed_int(4)
     disc = r.sub(r.mul(tr, tr), r.mul(four, det))
     idx = np.arange(r.order, dtype=np.int64)
-    one_plus = pm[r.vsub(idx, np.int64(r.one))]
     squares = r.vmul(idx, idx)
-    sq_witnesses = [int(u) for u in np.flatnonzero(one_plus & (squares == disc))]
+    sq_witnesses = [int(u) for u in np.flatnonzero(onep & (squares == disc))]
 
     ratio_roots = []
     trinv = r.inverse(tr)
-    if trinv is None:
-        tr_in_1p = False
-    else:
-        tr_in_1p = bool(pm[r.sub(tr, r.one)])
+    if trinv is not None:
         c = r.mul(det, r.mul(trinv, trinv))
         val = r.vadd(r.vsub(squares, idx), np.int64(c))  # x^2 - x + det/tr^2
         ratio_roots = [int(x) for x in np.flatnonzero((val == r.zero) & pm)]
@@ -584,9 +551,9 @@ def discriminant_criteria(A: Matrix2) -> DiscriminantRecord:
     return DiscriminantRecord(
         trace=tr,
         det=det,
-        in_p=bool(all(pm[e] for e in A.entries())),
-        one_minus_in_p=bool(all(pm[e] for e in (Matrix2.identity(r) - A).entries())),
-        trace_in_one_plus_p=tr_in_1p,
+        in_p=_in_p(A),
+        one_minus_in_p=_in_p(Matrix2.identity(r) - A),
+        trace_in_one_plus_p=bool(onep[tr]),
         disc=disc,
         square_witnesses=sq_witnesses,
         ratio_roots_in_p=ratio_roots,
@@ -613,17 +580,15 @@ def pi_regular_trichotomy(A: Matrix2) -> str:
         raise HypothesisViolated(
             f"{r.name} needs R/J(R) = Z_2 with J(R) nilpotent for the trichotomy"
         )
+    m2 = matrix_ring(r)
+    aidx = matrix_to_index(m2, A)
     if r.is_unit(A.det):
         kind = UNIT
+    elif radicals.element_nilpotency(m2, aidx) is not None:
+        kind = NILPOTENT
     else:
-        m2 = matrix_ring(r)
-        aidx = matrix_to_index(m2, A)
-        if radicals.element_nilpotency(m2, aidx) is not None:
-            kind = NILPOTENT
-        else:
-            kind = PCLEAN if classify_pclean_2x2(A).kind != NOT_PCLEAN else NOT_PI_REGULAR
-    m2 = matrix_ring(r)
-    pi_reg, _, _ = strongly_pi_regular_element(m2, matrix_to_index(m2, A))
+        kind = PCLEAN if classify_pclean_2x2(A).kind != NOT_PCLEAN else NOT_PI_REGULAR
+    pi_reg, _, _ = strongly_pi_regular_element(m2, aidx)
     if pi_reg != (kind != NOT_PI_REGULAR):
         raise CriterionMismatch(
             f"pi-regular trichotomy disagrees with the definitional scan for {A}"

@@ -20,6 +20,7 @@ from .rings import (
     RingTable,
     _span,
     additive_closure_mask,
+    cached,
     ideal_closure_mask,
     subgroup_basis,
 )
@@ -156,8 +157,8 @@ def nilpotent_mask(r: RingTable) -> np.ndarray:
     (Rx^i = Rx^(i+1) with i < m gives x^i = s^m x^(i+m) = 0), so |R| >= 2^m
     and m <= 2^p.  The bound is tight: 2 has index k in Z_(2^k).
     """
-    mask = r.cache.get("nilpotent_mask")
-    if mask is None:
+
+    def make():
         passes = ((r.order - 1).bit_length() - 1).bit_length()
         mask = np.zeros(r.order, dtype=bool)
         for s in range(0, r.order, _CHUNK):
@@ -165,24 +166,25 @@ def nilpotent_mask(r: RingTable) -> np.ndarray:
             for _ in range(passes):
                 y = r.vmul(y, y)
             mask[s : s + y.size] = y == r.zero
-        r.cache["nilpotent_mask"] = mask
-    return mask
+        return mask
+
+    return cached(r, "nilpotent_mask", make)
 
 
 def is_strongly_nilpotent(r: RingTable, a) -> tuple[bool, int | None]:
     """Whether RaR is nilpotent; the witness is that ideal's nilpotency index."""
     if isinstance(a, Element):
         a = a.index
-    memo = r.cache.setdefault("sn_memo", {})
+    memo = cached(r, "sn_memo", dict)
     hit = memo.get(a)
     if hit is not None:
         return hit
-    p = _cached_ideal(r, "prime_ideal")
+    pm = _known_prime_mask(r)
     if a == r.zero:
         res = (True, 1)
-    elif p is not None and not p.mask[a]:
+    elif pm is not None and not pm[a]:
         res = (False, None)
-    elif p is None and element_nilpotency(r, a) is None:
+    elif pm is None and element_nilpotency(r, a) is None:
         # a = 1*a*1 lies in RaR, so a non-nilpotent element cannot qualify
         res = (False, None)
     else:
@@ -193,12 +195,18 @@ def is_strongly_nilpotent(r: RingTable, a) -> tuple[bool, int | None]:
     return res
 
 
+def _known_prime_mask(r: RingTable) -> np.ndarray | None:
+    """P(R)'s mask if it is cached already; never computes it."""
+    hit = r.cache.get("prime_ideal")
+    return None if hit is None else hit[0]
+
+
 def in_prime_radical(r: RingTable, xs: np.ndarray) -> np.ndarray:
     """Membership of xs in P(R): read from P(R) when it is cached, otherwise
     tested element by element, so a few queries never pay for all of P(R)."""
-    p = _cached_ideal(r, "prime_ideal")
-    if p is not None:
-        return p.mask[xs]
+    pm = _known_prime_mask(r)
+    if pm is not None:
+        return pm[xs]
     return np.fromiter((is_strongly_nilpotent(r, int(x))[0] for x in xs), bool, len(xs))
 
 
@@ -211,9 +219,11 @@ def prime_radical(r: RingTable) -> Ideal:
     is a nilpotent ideal, tested before each block, lies in P, so C = P.
     With every row used C = J(R), which is nilpotent: failing is a bug trap.
     """
-    cached = _cached_ideal(r, "prime_ideal")
-    if cached is not None:
-        return cached
+    # the cache keeps the mask and memo, not the Ideal, whose ring is r
+    return Ideal(r, *cached(r, "prime_ideal", lambda: _filter_then_certify(r)))
+
+
+def _filter_then_certify(r: RingTable) -> tuple[np.ndarray, dict]:
     n = r.order
     nil = nilpotent_mask(r)
     cand = np.flatnonzero(nil)
@@ -225,9 +235,7 @@ def prime_radical(r: RingTable) -> Ideal:
             tested, mask = cand.size, np.zeros(n, dtype=bool)
             mask[cand] = True
             if _certify_ideal(r, mask) and (k := _ideal_nilpotency(r, mask)) is not None:
-                p = _cache_ideal(r, "prime_ideal", mask)
-                p._memo["nilpotency"] = k
-                return p
+                return mask, {"nilpotency": k}
         if rows is None:
             break
         step = max(1, _CHUNK // cand.size)
@@ -243,9 +251,20 @@ def jacobson_radical(r: RingTable) -> Ideal:
     in a finite ring J(R) is nilpotent, hence equals P(R); the inclusion
     P(R) <= J(R) is still verified by an explicit inverse of every 1 + p.
     """
-    cached = _cached_ideal(r, "jacobson_ideal")
-    if cached is not None:
-        return cached
+    return Ideal(r, *cached(r, "jacobson_ideal", lambda: (_jacobson_mask(r), {})))
+
+
+def one_plus_p_mask(r: RingTable) -> np.ndarray:
+    """Mask of 1 + P(R): the x with x - 1 in P(R)."""
+
+    def make():
+        idx = np.arange(r.order, dtype=np.int64)
+        return prime_radical(r).mask[r.vsub(idx, np.int64(r.one))]
+
+    return cached(r, "one_plus_p", make)
+
+
+def _jacobson_mask(r: RingTable) -> np.ndarray:
     if r.order > UNIT_SCAN_LIMIT:
         # P(R) is a certified ideal, so only P <= J is left to check: 1 + p
         # has the two-sided inverse u = sum_{i<m} (-p)^i, as p^m = 0
@@ -260,7 +279,7 @@ def jacobson_radical(r: RingTable) -> Ideal:
             raise RadicalNotIdeal(
                 f"{r.name}: some 1 + p with p in P(R) is not a unit (bug trap)"
             )
-        return _cache_ideal(r, "jacobson_ideal", p.mask.copy())
+        return p.mask.copy()
     # om[t] says whether 1 - t is a unit; column x of the rows r of the
     # multiplication table holds every rx
     om = r.unit_mask[r.vsub(np.int64(r.one), np.arange(r.order))]
@@ -271,19 +290,7 @@ def jacobson_radical(r: RingTable) -> Ideal:
         raise RadicalNotIdeal(f"Jacobson radical of {r.name} failed ideal closure")
     if not mask[prime_radical(r).indices].all():
         raise RadicalNotIdeal(f"{r.name}: prime radical not inside Jacobson radical")
-    return _cache_ideal(r, "jacobson_ideal", mask)
-
-
-def _cached_ideal(r: RingTable, key: str) -> Ideal | None:
-    hit = r.cache.get(key)
-    return None if hit is None else Ideal(r, *hit)
-
-
-def _cache_ideal(r: RingTable, key: str, mask: np.ndarray) -> Ideal:
-    # the cache keeps the mask and memo, not the Ideal, whose ring is r
-    ideal = Ideal(r, mask)
-    r.cache[key] = (ideal.mask, ideal._memo)
-    return ideal
+    return mask
 
 
 def is_boolean(r: RingTable) -> bool:
@@ -299,27 +306,19 @@ def is_local(r: RingTable) -> bool:
     the nilpotent radical, so a finite ring is local iff its only idempotents
     are 0 and 1).
     """
-    flag = r.cache.get("is_local")
-    if flag is None:
+
+    def make():
         if r.order <= UNIT_SCAN_LIMIT:
-            flag = _additively_closed(r, ~r.unit_mask)
-        else:
-            flag = r.idempotent_indices.size == 2
-        r.cache["is_local"] = flag
-    return flag
+            return _additively_closed(r, ~r.unit_mask)
+        return r.idempotent_indices.size == 2
+
+    return cached(r, "is_local", make)
 
 
 def is_abelian(r: RingTable) -> bool:
     """Every idempotent is central."""
-    flag = r.cache.get("is_abelian")
-    if flag is None:
-        flag = True
-        for e in r.idempotent_indices:
-            if not np.array_equal(r.mul_row(e), r.mul_col(e)):
-                flag = False
-                break
-        r.cache["is_abelian"] = flag
-    return flag
+    central = lambda e: np.array_equal(r.mul_row(e), r.mul_col(e))
+    return cached(r, "is_abelian", lambda: all(map(central, r.idempotent_indices)))
 
 
 def residue_is_z2(r: RingTable) -> bool:

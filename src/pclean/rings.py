@@ -11,7 +11,7 @@ Z_n[w]) build by running their digit formulas over the base rings' own tables
 on an open mesh of digits, and that the other kernels (Z_n, quotient, subset)
 build through their vadd/vmul.  It has three consumers: the constructor, which
 encodes the blocks in place into the uint16 tables of rings of order <=
-DENSE_TABLE_LIMIT; the unit scan (`RingTable.unit_mask`); and the Jacobson
+DENSE_TABLE_LIMIT; the unit scan (`RingTable.unit_inverses`); and the Jacobson
 scan (`radicals.jacobson_radical`).  `RingTable.mul_row` and
 `RingTable.mul_col` are the single-row and single-column form of the same
 producer and the only way to get one whole row or column: a slice of the
@@ -25,6 +25,10 @@ element appears, so a cyclic span of order m costs log2(m) vector ops.
 Additive and ideal closures, subgroup bases, ideal products and powers fold
 this step over their seeds, and quotient rings pick coset representatives
 (least indices) by the same doubling over a basis of the ideal.
+
+Every fact derived from a ring (idempotents, units, radicals, sweeps,
+verdicts, criterion masks) has one slot in `RingTable.cache`, filled through
+the one memo `cached`.
 """
 
 from __future__ import annotations
@@ -608,6 +612,15 @@ class Element:
 # the ring table
 
 
+def cached(r: "RingTable", key, make):
+    """r.cache[key], filled by make() on first use: the one memo of every fact
+    derived from a ring (masks, verdicts, sweeps, tables), so no fact is
+    computed twice and each has exactly one slot."""
+    if key not in r.cache:
+        r.cache[key] = make()
+    return r.cache[key]
+
+
 class RingTable:
     def __init__(self, kernel, name: str):
         self.kernel = kernel
@@ -742,29 +755,30 @@ class RingTable:
 
     @property
     def idempotent_mask(self) -> np.ndarray:
-        mask = self.cache.get("idempotent_mask")
-        if mask is None:
+        def scan():
             mask = np.zeros(self.order, dtype=bool)
             for s in range(0, self.order, _CHUNK):
                 idx = np.arange(s, min(s + _CHUNK, self.order), dtype=np.int64)
                 mask[idx] = self.vmul(idx, idx) == idx
-            self.cache["idempotent_mask"] = mask
-        return mask
+            return mask
+
+        return cached(self, "idempotent_mask", scan)
 
     @property
     def idempotent_indices(self) -> np.ndarray:
-        idx = self.cache.get("idempotent_indices")
-        if idx is None:
-            idx = np.flatnonzero(self.idempotent_mask)
-            self.cache["idempotent_indices"] = idx
-        return idx
+        return cached(self, "idempotent_indices", lambda: np.flatnonzero(self.idempotent_mask))
 
     @property
     def unit_mask(self) -> np.ndarray:
-        """Units, found by one scan that also fills `unit_inverses`: the
-        least y with x*y = 1 = y*x is x's inverse."""
-        mask = self.cache.get("unit_mask")
-        if mask is None:
+        """Units: the x with a two-sided inverse."""
+        return cached(self, "unit_mask", lambda: self.unit_inverses >= 0)
+
+    @property
+    def unit_inverses(self) -> np.ndarray:
+        """x^-1 at index x for every unit x, -1 for non-units, by one scan:
+        the least y with x*y = 1 = y*x is x's inverse."""
+
+        def scan():
             if self.order > UNIT_SCAN_LIMIT:
                 raise RingTooLarge(
                     f"unit enumeration needs order <= {UNIT_SCAN_LIMIT}, "
@@ -781,24 +795,13 @@ class RingTable:
             x, first = np.unique(x[both], return_index=True)
             inv = np.full(self.order, -1, dtype=np.int64)
             inv[x] = y[both][first]
-            self.cache["unit_inverses"] = inv
-            mask = self.cache["unit_mask"] = inv >= 0
-        return mask
+            return inv
 
-    @property
-    def unit_inverses(self) -> np.ndarray:
-        """x^-1 at index x for every unit x, -1 for non-units."""
-        if "unit_inverses" not in self.cache:
-            self.unit_mask  # the unit scan fills the table
-        return self.cache["unit_inverses"]
+        return cached(self, "unit_inverses", scan)
 
     @property
     def unit_indices(self) -> np.ndarray:
-        idx = self.cache.get("unit_indices")
-        if idx is None:
-            idx = np.flatnonzero(self.unit_mask)
-            self.cache["unit_indices"] = idx
-        return idx
+        return cached(self, "unit_indices", lambda: np.flatnonzero(self.unit_mask))
 
     def is_unit(self, x: int) -> bool:
         return self.inverse(x) is not None
@@ -814,18 +817,15 @@ class RingTable:
 
     @property
     def additive_generators(self) -> list[int]:
-        gens = self.cache.get("additive_generators")
-        if gens is None:
+        def make():
             gens = self.kernel.additive_generators()
-            if gens is None:
-                gens = subgroup_basis(self, np.arange(self.order)).tolist()
-            self.cache["additive_generators"] = gens
-        return gens
+            return subgroup_basis(self, np.arange(self.order)).tolist() if gens is None else gens
+
+        return cached(self, "additive_generators", make)
 
     @property
     def commutative(self) -> bool:
-        flag = self.cache.get("commutative")
-        if flag is None:
+        def test():
             gens = np.asarray(self.additive_generators, np.int64)
             flag = bool(
                 np.array_equal(
@@ -838,8 +838,9 @@ class RingTable:
                 raise PcleanError(
                     f"{self.name}: generator commutativity test disagrees with the table"
                 )
-            self.cache["commutative"] = flag
-        return flag
+            return flag
+
+        return cached(self, "commutative", test)
 
     # -- element interface
 

@@ -2,8 +2,10 @@
 
 Every check computes the two sides of its statement independently from
 primitives (scans, closures, quotients); no side is derived from the other.
-Counterexample payloads carry element/matrix literals so a violation can be
-re-verified without re-running the scan.
+Idempotents enter only through the sweep and hits of `decompositions`, 1+P
+through `radicals.one_plus_p_mask`, ideals through the exact lattice of
+`enumerate_ideals`.  `replay_counterexample` re-verifies every payload kind
+(element/matrix literals, ideal generators) by recomputing its recorded side.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from .matrices import (
     Matrix2,
     definitional_mask,
     diff_in_p_mask,
+    discriminant_criteria,
     entries_in_p_mask,
     m2_invariants,
     matrix_from_index,
     matrix_ring,
+    matrix_to_index,
     one_minus_in_p_mask,
-    quadratic_roots,
+    pclean_criteria,
     roots_criterion_mask,
     triangular_ring,
 )
@@ -36,7 +40,9 @@ from .rings import (
     ProductKernel,
     QuotientKernel,
     RingTable,
+    additive_closure_mask,
     build_ring,
+    cached,
     corner_ring,
     ideal_closure_mask,
     subgroup_basis,
@@ -170,38 +176,41 @@ def _boolean_mod(r: RingTable, mask: np.ndarray) -> bool:
 
 
 def _quotient_pclean(r: RingTable, mask: np.ndarray) -> bool:
+    memo = cached(r, "quotient_pclean_memo", dict)
     key = ("qp", mask.tobytes())
-    memo = r.cache.setdefault("quotient_pclean_memo", {})
-    if key in memo:
-        return memo[key]
-    q = _quotient_table(r, mask)
-    val = True if q is None else dec.is_strongly_pclean_ring(q)[0]
-    memo[key] = val
-    return val
+    if key not in memo:
+        q = _quotient_table(r, mask)
+        memo[key] = True if q is None else dec.is_strongly_pclean_ring(q)[0]
+    return memo[key]
 
 
 def enumerate_ideals(r: RingTable) -> list[np.ndarray]:
-    """All ideals generated by at most two elements, deduplicated."""
-    cached = r.cache.get("ideal_enum")
-    if cached is not None:
-        return cached
-    seen = {}
-    zero_mask = ideal_closure_mask(r, np.asarray([], np.int64))
-    seen[zero_mask.tobytes()] = zero_mask
-    singles = []
-    for a in range(r.order):
-        m = ideal_closure_mask(r, np.asarray([a], np.int64))
-        seen.setdefault(m.tobytes(), m)
-        singles.append(m)
-    for a in range(r.order):
-        for b in range(a + 1, r.order):
-            if singles[a][b] or singles[b][a]:
-                continue  # pair ideal equals a single-generator closure
-            m = ideal_closure_mask(r, np.asarray([a, b], np.int64))
-            seen.setdefault(m.tobytes(), m)
-    out = sorted(seen.values(), key=lambda m: (int(m.sum()), m.tobytes()))
-    r.cache["ideal_enum"] = out
-    return out
+    """Every two-sided ideal, sorted by (order, mask bytes).
+
+    Every ideal is a finite join of principal ideals, so the lattice is the
+    distinct principal ideals closed under joins with them: each newly found
+    ideal I is joined with each principal P as the additive span of I | P.
+    """
+
+    def make():
+        principal = {}
+        for a in range(r.order):
+            m = ideal_closure_mask(r, np.asarray([a], np.int64))
+            principal.setdefault(m.tobytes(), m)
+        seen, new = dict(principal), list(principal.values())
+        while new:
+            found = []
+            for ideal in new:
+                for p in principal.values():
+                    if (p & ~ideal).any():
+                        m = additive_closure_mask(r, np.flatnonzero(ideal | p))
+                        if m.tobytes() not in seen:
+                            seen[m.tobytes()] = m
+                            found.append(m)
+            new = found
+        return sorted(seen.values(), key=lambda m: (int(m.sum()), m.tobytes()))
+
+    return cached(r, "ideal_enum", make)
 
 
 def _conjugation_reach(rt: RingTable, qual: np.ndarray) -> np.ndarray:
@@ -216,10 +225,9 @@ def _conjugation_reach(rt: RingTable, qual: np.ndarray) -> np.ndarray:
     return found
 
 
-def _one_plus_p_mask(r: RingTable) -> np.ndarray:
-    pm = rad.prime_radical(r).mask
-    idx = np.arange(r.order, dtype=np.int64)
-    return pm[r.vsub(idx, np.int64(r.one))]
+def _in_p_and_1p(r: RingTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per lane: x in P(r) and y in 1+P(r)."""
+    return rad.prime_radical(r).mask[x] & rad.one_plus_p_mask(r)[y]
 
 
 def _mask_check(ring: RingTable, kind: str, prop: str, actual, expected):
@@ -232,15 +240,6 @@ def _mask_check(ring: RingTable, kind: str, prop: str, actual, expected):
     return COUNTEREXAMPLE, _cex(
         kind, ring, prop, bool(expected[b]), bool(actual[b]), **{kind: ring.fmt_index(b)}
     )
-
-
-def _first_diff(masks: list[np.ndarray]) -> int | None:
-    agree = masks[0]
-    acc = np.ones_like(agree)
-    for m in masks[1:]:
-        acc &= m == agree
-    bad = np.flatnonzero(~acc)
-    return int(bad[0]) if bad.size else None
 
 
 # Guards: (ring, env) -> None, or the (verdict, note) that replaces the check.
@@ -304,14 +303,12 @@ def _check_t2_1(r: RingTable, env: VerifyEnv):
 
 
 def _check_t2_4(r: RingTable, env: VerifyEnv):
-    idx = np.arange(r.order, dtype=np.int64)
     pm = rad.prime_radical(r).mask
     c1 = dec.is_strongly_pclean_ring(r)[0]
     c2 = _boolean_mod(r, pm)
-    acc3 = np.zeros(r.order, dtype=bool)
-    for e in r.idempotent_indices:
-        acc3 |= pm[r.vsub(idx, np.int64(e))]
-    c3 = bool(acc3.all())
+    # some idempotent e with x - e in P, commuting or not: the uniquely
+    # P-clean pass counts them for every x
+    c3 = bool((dec._sweep(r, pm, commuting=False) > 0).all())
     conditions = {
         "strongly_pclean_ring": c1,
         "boolean_mod_prime": c2,
@@ -321,7 +318,7 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
         c4 = True
         for x in range(r.order):
             comm = np.flatnonzero(r.mul_row(x) == r.mul_col(x))
-            cand = r.idempotent_indices[pm[r.vsub(np.int64(x), r.idempotent_indices)]]
+            cand = dec._hits(r, dec.STRONGLY_P_CLEAN, x, commuting=False)
             if not any(np.array_equal(r.vmul(e, comm), r.vmul(comm, e)) for e in cand):
                 c4 = False
                 break
@@ -467,25 +464,21 @@ def _check_t2_13(r: RingTable, env: VerifyEnv):
 # section 3 checks
 
 
+def _annihilators_carry(r: RingTable, a: int, e: int) -> bool:
+    """l.ann(a) <= l.ann(e) and r.ann(a) <= r.ann(e)."""
+    left = (r.mul_col(a) == r.zero) & (r.mul_col(e) != r.zero)
+    right = (r.mul_row(a) == r.zero) & (r.mul_row(e) != r.zero)
+    return not (left.any() or right.any())
+
+
 def _check_l3_1(r: RingTable, env: VerifyEnv):
-    pm = rad.prime_radical(r).mask
+    rad.prime_radical(r)  # the commuting idempotents of each a read P(R) back
     for a in range(r.order):
-        aa = np.int64(a)
-        cand = r.idempotent_indices
-        valid = cand[
-            (r.vmul(aa, cand) == r.vmul(cand, aa)) & pm[r.vsub(aa, cand)]
-        ]
-        if valid.size == 0:
-            continue
-        left_a = r.mul_col(a) == r.zero
-        right_a = r.mul_row(a) == r.zero
-        for e in valid:
-            if (left_a & (r.mul_col(e) != r.zero)).any() or (
-                right_a & (r.mul_row(e) != r.zero)
-            ).any():
+        for e in dec._hits(r, dec.STRONGLY_P_CLEAN, a, commuting=True).tolist():
+            if not _annihilators_carry(r, a, e):
                 return COUNTEREXAMPLE, _cex(
                     "element", r, "annihilators_carry_to_idempotent", True, False,
-                    element=r.fmt_index(a), idempotent=r.fmt_index(int(e)),
+                    element=r.fmt_index(a), idempotent=r.fmt_index(e),
                 )
     return HOLDS, None
 
@@ -556,17 +549,9 @@ def _check_t3_5(r: RingTable, env: VerifyEnv):
 def _check_c3_6(r: RingTable, env: VerifyEnv):
     lhs = dec.is_strongly_pclean_ring(r)[0]
     t2 = triangular_ring(r)
-    k = t2.kernel
-    digits = k._digits(np.arange(t2.order, dtype=np.int64))
-    pm = rad.prime_radical(r).mask
-    onep = _one_plus_p_mask(r)
-    diag0 = digits[1] == r.zero
-    qual = diag0 & (
-        (pm[digits[0]] & onep[digits[2]]) | (onep[digits[0]] & pm[digits[2]])
-    )
-    pt2 = rad.prime_radical(t2).mask
-    idx = np.arange(t2.order, dtype=np.int64)
-    triv = pt2 | pt2[t2.vsub(np.int64(t2.one), idx)]
+    d = t2.kernel._digits(np.arange(t2.order, dtype=np.int64))
+    qual = (d[1] == r.zero) & (_in_p_and_1p(r, d[0], d[2]) | _in_p_and_1p(r, d[2], d[0]))
+    triv = rad.prime_radical(t2).mask | rad.one_plus_p_mask(t2)
     reach = _conjugation_reach(t2, qual)
     rhs = bool((triv | reach).all())
     if lhs == rhs:
@@ -581,10 +566,9 @@ def _check_c3_6(r: RingTable, env: VerifyEnv):
 def _check_p3_7(r: RingTable, env: VerifyEnv):
     t2 = triangular_ring(r, 2, limit=env.limit)
     lhs = dec.strongly_pclean_mask(t2)
-    digits = t2.kernel._digits(np.arange(t2.order, dtype=np.int64))
-    pm = rad.prime_radical(r).mask
-    onep = _one_plus_p_mask(r)
-    ok_diag = (pm[digits[0]] | onep[digits[0]]) & (pm[digits[2]] | onep[digits[2]])
+    d = t2.kernel._digits(np.arange(t2.order, dtype=np.int64))
+    p_or_1p = rad.prime_radical(r).mask | rad.one_plus_p_mask(r)
+    ok_diag = p_or_1p[d[0]] & p_or_1p[d[2]]
     return _mask_check(t2, "element", "pclean_iff_diagonal_in_P_or_1P", lhs, ok_diag)
 
 
@@ -602,13 +586,9 @@ def _check_l4_1(r: RingTable, env: VerifyEnv):
 def _check_t4_2(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
-    digits = m2_invariants(m2)[0]
-    pm = rad.prime_radical(r).mask
-    onep = _one_plus_p_mask(r)
-    offdiag0 = (digits[1] == r.zero) & (digits[2] == r.zero)
-    qual = offdiag0 & (
-        (pm[digits[0]] & onep[digits[3]]) | (onep[digits[0]] & pm[digits[3]])
-    )
+    d = m2_invariants(m2)[0]
+    offdiag0 = (d[1] == r.zero) & (d[2] == r.zero)
+    qual = offdiag0 & (_in_p_and_1p(r, d[0], d[3]) | _in_p_and_1p(r, d[3], d[0]))
     reach = _conjugation_reach(m2, qual)
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | reach
     return _mask_check(m2, "matrix", "pclean_iff_trivial_or_diag_similar", lhs, rhs)
@@ -617,9 +597,10 @@ def _check_t4_2(r: RingTable, env: VerifyEnv):
 def _check_t4_4(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
     masks = [definitional_mask(m2), diff_in_p_mask(m2), roots_criterion_mask(m2)]
-    bad = _first_diff(masks)
-    if bad is None:
+    diff = np.flatnonzero((masks[0] != masks[1]) | (masks[0] != masks[2]))
+    if diff.size == 0:
         return HOLDS, None
+    bad = int(diff[0])
     return COUNTEREXAMPLE, {
         "kind": "matrix",
         "ring": m2.name,
@@ -638,13 +619,12 @@ def _check_c4_5(r: RingTable, env: VerifyEnv):
     lhs = definitional_mask(m2)
     base_idx = np.arange(r.order, dtype=np.int64)
     pm = rad.prime_radical(r).mask
-    onep = _one_plus_p_mask(r)
     # ratio_root[c] <=> x^2 - x + c = 0 has a root in P
     sq_minus = r.vsub(r.vmul(base_idx, base_idx), base_idx)
     hit = r.vadd(sq_minus[:, None], base_idx[None, :]) == r.zero  # (x, c)
     ratio_root = (pm[:, None] & hit).any(axis=0)
     _, tr, det, _ = m2_invariants(m2)
-    tr_ok = onep[tr]
+    tr_ok = rad.one_plus_p_mask(r)[tr]
     c = r.vmul(det, r.unit_inverses[r.vmul(tr, tr)] % r.order)  # garbage where tr not a unit
     branch = tr_ok & ratio_root[c]
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
@@ -679,24 +659,24 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
 
 
 def _squares_of_one_plus_p(r: RingTable) -> tuple[np.ndarray, np.ndarray]:
-    onep_idx = np.flatnonzero(_one_plus_p_mask(r))
-    sq = np.zeros(r.order, dtype=bool)
+    """Per y: whether y = u^2 for some u in 1+P, and the least such u (else -1)."""
+    u = np.flatnonzero(rad.one_plus_p_mask(r))
+    y, first = np.unique(r.vmul(u, u), return_index=True)
     least = np.full(r.order, -1, dtype=np.int64)
-    for u in onep_idx:
-        y = r.mul(int(u), int(u))
-        if not sq[y]:
-            sq[y] = True
-            least[y] = u
-    return sq, least
+    least[y] = u[first]
+    return least >= 0, least
+
+
+def _discriminant_branch(r: RingTable, m2: RingTable) -> np.ndarray:
+    """Per matrix: tr in 1+P and disc = tr^2 - 4 det the square of some u in 1+P."""
+    _, tr, _, disc = m2_invariants(m2)
+    return rad.one_plus_p_mask(r)[tr] & _squares_of_one_plus_p(r)[0][disc]
 
 
 def _check_t5_1(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
-    onep = _one_plus_p_mask(r)
-    sq1p, _ = _squares_of_one_plus_p(r)
-    _, tr, _, disc = m2_invariants(m2)
-    rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | (onep[tr] & sq1p[disc])
+    rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | _discriminant_branch(r, m2)
     # necessity only: rhs must hold wherever lhs does
     return _mask_check(m2, "matrix", "pclean_implies_discriminant_square_of_1P", rhs, rhs | lhs)
 
@@ -704,23 +684,20 @@ def _check_t5_1(r: RingTable, env: VerifyEnv):
 def _check_c5_2(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
-    onep = _one_plus_p_mask(r)
-    pm = rad.prime_radical(r).mask
-    sq1p, least_u = _squares_of_one_plus_p(r)
-    _, tr, det, disc = m2_invariants(m2)
-    branch = onep[tr] & sq1p[disc]
+    branch = _discriminant_branch(r, m2)
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
     verdict = _mask_check(m2, "matrix", "pclean_iff_discriminant_square_of_1P", lhs, rhs)
     if verdict[0] == COUNTEREXAMPLE:
         return verdict
     # the constructed half-roots must solve the characteristic equation
+    _, tr, det, disc = m2_invariants(m2)
     half = np.int64(r.inverse(r.embed_int(2)))
     sel = np.flatnonzero(branch)
-    u = least_u[disc[sel]]
+    u = _squares_of_one_plus_p(r)[1][disc[sel]]
     x1 = r.vmul(half, r.vsub(tr[sel], u))
     x2 = r.vmul(half, r.vadd(tr[sel], u))
     offending = np.zeros(sel.size, dtype=bool)
-    for roots, want in ((x1, pm), (x2, onep)):
+    for roots, want in ((x1, rad.prime_radical(r).mask), (x2, rad.one_plus_p_mask(r))):
         val = r.vadd(r.vsub(r.vmul(roots, roots), r.vmul(tr[sel], roots)), det[sel])
         offending |= (val != r.zero) | ~want[roots]
     if offending.any():
@@ -735,13 +712,10 @@ def _check_e5_3(r: RingTable, env: VerifyEnv):
     lhs_all = definitional_mask(m2)
     pm = rad.prime_radical(r).mask
     sq1p, _ = _squares_of_one_plus_p(r)
-    enc = m2.kernel._encode
     for p in map(int, np.flatnonzero(pm)):
         p1 = r.add(p, r.one)
         for q in range(r.order):
-            aidx = int(
-                enc([np.int64(p1), np.int64(p), np.int64(q), np.int64(p)])
-            )
+            aidx = matrix_to_index(m2, Matrix2(r, p1, p, q, p))
             want = bool(sq1p[r.add(r.one, r.mul(r.embed_int(4), r.mul(p, q)))])
             got = bool(lhs_all[aidx])
             if want != got:
@@ -755,15 +729,8 @@ def _check_e5_3(r: RingTable, env: VerifyEnv):
 def _check_t5_4(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
     lhs = definitional_mask(m2)
-    digits = m2_invariants(m2)[0]
-    pm = rad.prime_radical(r).mask
-    onep = _one_plus_p_mask(r)
-    qual = (
-        (digits[0] == r.zero)
-        & (digits[2] == r.one)
-        & pm[digits[1]]
-        & onep[digits[3]]
-    )
+    d = m2_invariants(m2)[0]
+    qual = (d[0] == r.zero) & (d[2] == r.one) & _in_p_and_1p(r, d[1], d[3])
     reach = _conjugation_reach(m2, qual)
     trivial = entries_in_p_mask(m2) | one_minus_in_p_mask(m2)
     need_pi = np.flatnonzero(reach & ~trivial)
@@ -969,13 +936,10 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
         r = ring if ring is not None else build_ring(payload["ring"])
         idx = r.parse_element(payload.get("element") or payload["matrix"]).index
         if "criteria" in payload:  # a three-way criterion disagreement
-            got = _recompute_matrix_criteria(r, idx)
+            got = pclean_criteria(matrix_from_index(r, idx))
             return got == payload["criteria"] and len(set(got.values())) > 1
-        prop = payload["property"]
-        actual = _recompute_element_property(r, idx, prop)
-        if actual is None:
-            return False
-        return actual == payload.get("actual")
+        recompute = _ELEMENT_PROPS.get(payload["property"])
+        return recompute is not None and recompute(r, idx, payload) == payload.get("actual")
     if kind == "ideal":
         r = ring if ring is not None else build_ring(payload["ring"])
         mask = rad.ideal_generated(
@@ -1007,23 +971,6 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
     return False
 
 
-def _recompute_matrix_criteria(m2: RingTable, idx: int) -> dict:
-    base = m2.kernel.base
-    pm = rad.prime_radical(base).mask
-    A = matrix_from_index(m2, idx)
-
-    def in_p(M: Matrix2) -> bool:
-        return all(pm[e] for e in M.entries())
-
-    classes = {c for _, c in quadratic_roots(base, A.trace, A.det)}
-    return {
-        "idempotent_scan": dec.strongly_pclean_element(m2, idx)[0] is not None,
-        "difference_in_radical": in_p(A - A * A),
-        "quadratic_roots": in_p(A) or in_p(Matrix2.identity(base) - A)
-        or {"P", "1+P"} <= classes,
-    }
-
-
 _RING_PROPS = {
     "strongly_pclean_ring": lambda r: dec.is_strongly_pclean_ring(r)[0],
     "uniquely_pclean_ring": lambda r: dec.is_uniquely_pclean_ring(r)[0],
@@ -1050,13 +997,32 @@ def _recompute_properties(r: RingTable, vals: dict) -> dict:
     return out
 
 
-def _recompute_element_property(r: RingTable, idx: int, prop: str):
-    if prop == "strongly_pclean":
-        return dec.strongly_pclean_element(r, idx)[0] is not None
-    if prop == "strongly_clean":
-        return dec.strongly_clean_element(r, idx)[0] is not None
-    if prop == "uniquely_clean_count":
-        return dec.uniquely_clean_count(r, idx)
-    if prop == "uniquely_pclean_count":
-        return dec.uniquely_pclean_count(r, idx)
-    return None
+def _pclean_at(r: RingTable, idx: int, payload: dict) -> bool:
+    return dec.strongly_pclean_element(r, idx)[0] is not None
+
+
+def _discriminant_side(r: RingTable, idx: int, payload: dict) -> bool:
+    rec = discriminant_criteria(matrix_from_index(r, idx))
+    branch = rec.trace_in_one_plus_p and bool(rec.square_witnesses)
+    return rec.in_p or rec.one_minus_in_p or branch
+
+
+# per element property of a payload: its `actual` side at that one element
+_ELEMENT_PROPS = {
+    "strongly_pclean": _pclean_at,
+    "strongly_clean": lambda r, x, p: dec.strongly_clean_element(r, x)[0] is not None,
+    "uniquely_clean_count": lambda r, x, p: dec.uniquely_clean_count(r, x),
+    "uniquely_pclean_count": lambda r, x, p: dec.uniquely_pclean_count(r, x),
+    "annihilators_carry_to_idempotent": lambda r, x, p: _annihilators_carry(
+        r, x, r.parse_element(p["idempotent"]).index
+    ),
+    "pclean_iff_diagonal_in_P_or_1P": _pclean_at,
+    "radical_of_matrix_ring_is_matrix_of_radical": (
+        lambda r, x, p: rad.is_strongly_nilpotent(r, x)[0]
+    ),
+    "pclean_iff_trivial_or_diag_similar": _pclean_at,
+    "pclean_iff_ratio_equation_root_in_P": _pclean_at,
+    "pclean_implies_discriminant_square_of_1P": _discriminant_side,
+    "pclean_iff_discriminant_square_of_1P": _pclean_at,
+    "pclean_iff_pi_regular_and_companion_similar": _pclean_at,
+}

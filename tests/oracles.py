@@ -490,3 +490,108 @@ def additive_span(r, seeds):
                 span.add(y)
                 todo.append(y)
     return span
+
+
+def ideals_by_subgroups(r):
+    """Every two-sided ideal of a small ring, as frozensets of indices.
+
+    Brute force: grow every additive subgroup from {0} one element at a time
+    (each span by scalar r.add from the generators that built it), then keep
+    the subgroups that absorb multiplication by every element on both sides.
+    """
+    found = {frozenset([r.zero]): []}
+    todo = list(found)
+    while todo:
+        h = todo.pop()
+        for x in range(r.order):
+            if x not in h:
+                gens = found[h] + [x]
+                g = frozenset(additive_span(r, gens))
+                if g not in found:
+                    found[g] = gens
+                    todo.append(g)
+    els = range(r.order)
+    return {
+        h for h in found if all(r.mul(a, x) in h and r.mul(x, a) in h for x in h for a in els)
+    }
+
+
+class M2Oracle:
+    """2x2 matrices over a small commutative ring r in pure Python.
+
+    Matrices are 4-tuples (a11, a12, a21, a22) of element indices; every sum
+    and product reads r's tables, copied once into nested lists.  P(r) is
+    taken as Nil(r): in a commutative ring the prime radical is the
+    nilradical.  Idempotents of M2(r) come from squaring every matrix.
+    """
+
+    def __init__(self, r):
+        n = r.order
+        self.n, self.zero, self.one = n, r.zero, r.one
+        self.add = [[r.add(a, b) for b in range(n)] for a in range(n)]
+        self.mul = [[r.mul(a, b) for b in range(n)] for a in range(n)]
+        self.neg = [self.add[a].index(r.zero) for a in range(n)]
+        self.nil = {a for a in range(n) if self._nilpotent(a)}
+        self.one_plus_nil = {self.add[self.one][p] for p in self.nil}
+        self.idempotents = [E for E in product(range(n), repeat=4) if self.mm(E, E) == E]
+
+    def _nilpotent(self, a):
+        x = a
+        for _ in range(self.n):
+            if x == self.zero:
+                return True
+            x = self.mul[x][a]
+        return False
+
+    def mm(self, A, B):
+        ad, mu = self.add, self.mul
+        a, b, c, d = A
+        e, f, g, h = B
+        return (
+            ad[mu[a][e]][mu[b][g]], ad[mu[a][f]][mu[b][h]],
+            ad[mu[c][e]][mu[d][g]], ad[mu[c][f]][mu[d][h]],
+        )
+
+    def msub(self, A, B):
+        return tuple(self.add[x][self.neg[y]] for x, y in zip(A, B))
+
+    def in_p(self, A):
+        return all(x in self.nil for x in A)
+
+    def trace_det(self, A):
+        a, b, c, d = A
+        return self.add[a][d], self.add[self.mul[a][d]][self.neg[self.mul[b][c]]]
+
+    def roots(self, t, d):
+        """x with x^2 - t x + d = 0, ascending, classed P / 1+P / OTHER."""
+        ad, mu, neg = self.add, self.mul, self.neg
+        out = []
+        for x in range(self.n):
+            if ad[ad[mu[x][x]][neg[mu[t][x]]]][d] == self.zero:
+                cls = "P" if x in self.nil else "1+P" if x in self.one_plus_nil else "OTHER"
+                out.append((x, cls))
+        return out
+
+    def criteria(self, A):
+        """The three strong P-cleanness criteria, each from its definition."""
+        ident = (self.one, self.zero, self.zero, self.one)
+        scan = any(
+            self.mm(E, A) == self.mm(A, E) and self.in_p(self.msub(A, E))
+            for E in self.idempotents
+        )
+        classes = {c for _, c in self.roots(*self.trace_det(A))}
+        return {
+            "idempotent_scan": scan,
+            "difference_in_radical": self.in_p(self.msub(A, self.mm(A, A))),
+            "quadratic_roots": self.in_p(A)
+            or self.in_p(self.msub(ident, A))
+            or {"P", "1+P"} <= classes,
+        }
+
+    def square_witnesses(self, A):
+        """u in 1+P, ascending, with u^2 = tr^2 - 4 det."""
+        t, det = self.trace_det(A)
+        ad, mu = self.add, self.mul
+        four = ad[ad[self.one][self.one]][ad[self.one][self.one]]
+        disc = ad[mu[t][t]][self.neg[mu[four][det]]]
+        return [u for u in sorted(self.one_plus_nil) if mu[u][u] == disc]

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pclean import radicals as rad
 from pclean.decompositions import strongly_pclean_element
@@ -25,6 +29,7 @@ from pclean.matrices import (
     matrix_from_index,
     matrix_ring,
     matrix_to_index,
+    pclean_criteria,
     pi_regular_trichotomy,
     quadratic_roots,
     roots_criterion_mask,
@@ -33,6 +38,8 @@ from pclean.matrices import (
     triangular_ring,
 )
 from pclean.rings import build_ring
+
+from oracles import M2Oracle
 
 
 def test_quadratic_roots_examples():
@@ -333,3 +340,39 @@ def test_det_multiplicative_trace_additive_sampled():
             b = Matrix2(r, *(int(x) for x in rng.integers(0, r.order, 4)))
             assert (a * b).det == r.mul(a.det, b.det)
             assert (a + b).trace == r.add(a.trace, b.trace)
+
+
+# ---------------------------------------------------------------------------
+# the per-matrix functions against pure-Python 2x2 arithmetic on base tables
+
+M2_BASES = ["Z4", "Z8", "Z9", "Z2[i]", "Z3[w]", "Z4[i]"]
+
+
+@functools.cache
+def _m2_oracle(name):
+    return M2Oracle(build_ring(name))
+
+
+def _entries(name):
+    return st.tuples(*[st.integers(0, build_ring(name).order - 1)] * 4)
+
+
+@pytest.mark.parametrize("name", M2_BASES)
+@given(data=st.data())
+def test_2x2_criteria_match_pure_python_oracle(name, data):
+    r, entries = build_ring(name), data.draw(_entries(name))
+    A = Matrix2(r, *entries)
+    want = _m2_oracle(name).criteria(entries)
+    assert pclean_criteria(A) == want
+    assert classify_pclean_2x2(A).criteria == want
+
+
+@pytest.mark.parametrize("name", M2_BASES)
+@given(data=st.data())
+def test_roots_and_square_witnesses_match_pure_python_oracle(name, data):
+    r, entries = build_ring(name), data.draw(_entries(name))
+    oracle = _m2_oracle(name)
+    A = Matrix2(r, *entries)
+    assert (A.trace, A.det) == oracle.trace_det(entries)
+    assert quadratic_roots(r, A.trace, A.det) == oracle.roots(A.trace, A.det)
+    assert discriminant_criteria(A).square_witnesses == oracle.square_witnesses(entries)

@@ -24,7 +24,7 @@ from pclean.verifier import (
     replay_counterexample,
 )
 
-from oracles import additive_span, ideal_nilpotency
+from oracles import additive_span, ideal_nilpotency, ideals_by_subgroups
 
 
 def _corner():
@@ -114,6 +114,34 @@ def test_radical_nilpotency_indexes_match_oracle(name):
     for ideal in (rad.prime_radical(r), rad.jacobson_radical(r)):
         members = set(ideal.indices.tolist())
         assert rad.nilpotency_index(ideal) == ideal_nilpotency(members, r.mul, r.add, r.zero)
+
+
+# an order-16 quotient whose maximal ideal needs three generators
+TC4_QUOTIENT = (
+    "Tc4(Z2)/([0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0],[0,0,0,0;0,0,0,1;0,0,0,0;0,0,0,0])"
+)
+IDEAL_LATTICE_RINGS = [n for n in DEFAULT_CATALOG if build_ring(n).order <= 16] + [
+    TC4_QUOTIENT, "Tc3(Z2)", "Z2xZ2xZ2", "Z8xZ2",
+]
+
+
+@pytest.mark.parametrize("name", IDEAL_LATTICE_RINGS)
+def test_enumerate_ideals_is_every_ideal(name):
+    r = build_ring(name)
+    got = [frozenset(np.flatnonzero(m).tolist()) for m in enumerate_ideals(r)]
+    assert len(set(got)) == len(got)
+    assert set(got) == ideals_by_subgroups(r)
+
+
+def test_enumerate_ideals_finds_an_ideal_that_needs_three_generators():
+    # ideals generated by at most two elements miss the maximal ideal here
+    r = build_ring(TC4_QUOTIENT)
+    ideals = enumerate_ideals(r)
+    assert len(ideals) == 17
+    maximal = ideals[-2]
+    assert [int(m.sum()) for m in ideals][-2:] == [8, 16]
+    pairs = ((a, b) for a in range(r.order) for b in range(a, r.order))
+    assert not any(np.array_equal(ideal_closure_mask(r, pair), maximal) for pair in pairs)
 
 
 def test_ideal_powers_stop_at_zero_or_where_they_stabilize():

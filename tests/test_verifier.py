@@ -177,9 +177,6 @@ PINNED_PAYLOADS = [
     ((2, 2, 1), "T5.4", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,0;0,3]", "property": "pclean_iff_pi_regular_and_companion_similar", "expected": true, "actual": false}'),
     ((3, 3, 2), "C2.11", '{"kind": "element", "ring": "Z4c_332", "element": "0", "property": "uniquely_clean_count", "expected": 1, "actual": 0}'),
 ]
-# checks whose payload property replay_counterexample can recompute; the
-# others compare two whole-ring masks that replay does not rebuild
-REPLAYABLE = {"L2.7", "T2.8", "P2.10", "C2.12", "T4.4", "C2.11"}
 
 
 def _payload_ring(bad: RingTable, name: str) -> RingTable:
@@ -201,10 +198,15 @@ def test_counterexample_payloads_are_pinned_and_replay(corruption, tid, payload)
     (check,) = verify(tid, [bad])
     assert check.verdict == "COUNTEREXAMPLE"
     assert json.dumps(check.counterexample) == payload
-    # the serialized payload alone is enough to replay it
+    # the serialized payload alone is enough to replay it, whatever its kind
     check.counterexample = json.loads(payload)
     ring = _payload_ring(bad, check.counterexample["ring"])
-    assert replay_counterexample(check, ring=ring) == (tid in REPLAYABLE)
+    assert replay_counterexample(check, ring=ring)
+    # the recorded side is recomputed, not echoed: a flipped one fails
+    actual = check.counterexample.get("actual")
+    if actual is not None:
+        check.counterexample["actual"] = (not actual) if isinstance(actual, bool) else actual + 1
+        assert not replay_counterexample(check, ring=ring)
 
 
 def test_catalog_file_loading(tmp_path):
@@ -304,3 +306,19 @@ def test_t2_4_reports_a_failed_lift_as_counterexample(monkeypatch):
     (check,) = verify("T2.4", ["Z4"])
     assert check.verdict == "COUNTEREXAMPLE"
     assert check.counterexample["property"] == "idempotent_lift"
+
+
+@pytest.mark.parametrize("name", ["Z8", "Z9", "Z16", "Z4[i]", "Z3[w]"])
+def test_squares_of_one_plus_p_match_a_loop_over_one_plus_p(name):
+    from pclean import radicals as rad
+    from pclean.verifier import _squares_of_one_plus_p
+
+    r = build_ring(name)
+    pm = rad.prime_radical(r).mask
+    least = {}
+    for u in range(r.order):  # ascending, so the first u per square is the least
+        if pm[r.sub(u, r.one)]:
+            least.setdefault(r.mul(u, u), u)
+    is_square, got = _squares_of_one_plus_p(r)
+    assert {y: int(got[y]) for y in np.flatnonzero(is_square).tolist()} == least
+    assert (got[~is_square] == -1).all()

@@ -35,12 +35,11 @@ from .errors import (
 from .rings import (
     DEFAULT_ORDER_LIMIT,
     RingTable,
-    _Lit,
     _parse_matrix_entries,
     cached,
     derived_ring,
 )
-from .specs import derived_order
+from .specs import _Lit, derived_order
 
 IN_P = "IN_P"
 ONE_MINUS_IN_P = "ONE_MINUS_IN_P"

@@ -6,11 +6,11 @@ operations are numpy-vectorized over index arrays.
 
 Whole rows of a ring's Cayley tables come from one producer,
 `RingTable.row_blocks`: slices of the dense table once it exists, else blocks
-that digit kernels (matrix, triangular, constant-diagonal, product, Z_n[i] and
-Z_n[w]) build by running their digit formulas over the base rings' own tables
-on an open mesh of digits, and that the other kernels (Z_n, quotient, subset)
-build through their vadd/vmul.  It has three consumers: the constructor, which
-encodes the blocks in place into the uint16 tables of rings of order <=
+that digit kernels (the k x k families, product, Z_n[i] and Z_n[w]) build by
+running their digit formulas over the base rings' own tables on an open mesh
+of digits, and that the other kernels (Z_n, quotient, subset) build through
+their vadd/vmul.  It has three consumers: the constructor, which encodes the
+blocks in place into the uint16 tables of rings of order <=
 DENSE_TABLE_LIMIT; the unit scan (`RingTable.unit_inverses`); and the Jacobson
 scan (`radicals.jacobson_radical`).  `RingTable.mul_row` and
 `RingTable.mul_col` are the single-row and single-column form of the same
@@ -18,6 +18,11 @@ producer and the only way to get one whole row or column: a slice of the
 dense table, one evaluation of the same digit formulas with one operand's
 digits as scalars and the other's on the mesh, or one vmul against every
 index.
+
+One kernel, `_MatrixFamilyKernel`, serves M_k, T_k and Tc_k: its identity
+and product follow from `specs.positions`, which states once which entries
+each family stores.  One kernel, `_RemapKernel`, serves quotient and subset
+rings: their ops run in the base ring on member indices.
 
 Every additive span is grown by one doubling step, `_extend`: it adds x to a
 subgroup H by adding the shifted copy H + 2^k x for k = 0, 1, ... until no new
@@ -50,53 +55,12 @@ from .errors import (
     PreconditionFailed,
     RingTooLarge,
 )
+from .specs import _Lit
 
 DENSE_TABLE_LIMIT = 4096
 DEFAULT_ORDER_LIMIT = 65536
 UNIT_SCAN_LIMIT = 16384
 _CHUNK = 1 << 20  # lanes per chunk in whole-ring scans
-
-
-# ---------------------------------------------------------------------------
-# element literal scanning
-
-
-class _Lit:
-    """Cursor over an element literal; offsets refer to the original text."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise MalformedSpec(f"expected {ch!r} in element literal", self.pos)
-        self.pos += 1
-
-    def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        tok = self.text[start : self.pos]
-        if not tok or tok in "+-":
-            raise MalformedSpec("expected an integer", start)
-        return int(tok)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +230,7 @@ class _DigitKernel:
 
 
 class _PositionalKernel(_DigitKernel):
-    """Digit vectors over one base ring: k x k matrix-like rings and Z_n[t].
-
-    In the matrix-like rings ``pos_index`` maps each entry (i, j) that is
-    stored to its digit; entries left out are 0, and entries sharing a digit
-    are equal.
-    """
+    """Digit vectors over one base ring: the k x k families and Z_n[t]."""
 
     def __init__(self, base: "RingTable", npos: int):
         self.base = base
@@ -283,6 +242,33 @@ class _PositionalKernel(_DigitKernel):
             p = self._part_mul(self.base, x, y)
             acc = p if acc is None else self._part_add(self.base, acc, p)
         return acc
+
+
+class _MatrixFamilyKernel(_PositionalKernel):
+    """k x k matrices of a family whose stored entries (i, j) map to digits
+    by ``pos_index = specs.positions(family, k)``; entries left out are 0,
+    and entries sharing a digit are equal.  The identity and the product
+    follow from the map alone: digit t of a*b is the sum over l of
+    a_il * b_lj, over the stored (i, l) and (l, j), at t's first (i, j)."""
+
+    family: str
+
+    def __init__(self, k: int, base: "RingTable"):
+        self.k = k
+        pos = self.pos_index = specs.positions(self.family, k)
+        super().__init__(base, len(set(pos.values())))
+        first = [next(ij for ij, s in pos.items() if s == t) for t in range(self.npos)]
+        self._terms = [
+            [(pos[i, l], pos[l, j]) for l in range(k) if (i, l) in pos and (l, j) in pos]
+            for i, j in first
+        ]
+        one = [base.zero] * self.npos
+        for i in range(k):
+            one[pos[i, i]] = base.one
+        self.one = int(self._encode(one))
+
+    def mul_digits(self, da, db):
+        return [self._dot([(da[s], db[t]) for s, t in terms]) for terms in self._terms]
 
     def fmt(self, idx: int) -> str:
         d = self._digits(np.int64(idx))
@@ -311,73 +297,22 @@ class _PositionalKernel(_DigitKernel):
         return int(self._encode(digits))
 
 
-class MatrixKernel(_PositionalKernel):
+class MatrixKernel(_MatrixFamilyKernel):
     """k x k matrices, entries row-major, big-endian digit index."""
 
-    def __init__(self, k: int, base: "RingTable"):
-        super().__init__(base, k * k)
-        self.k = k
-        self.pos_index = {(i, j): i * k + j for i in range(k) for j in range(k)}
-        one = [base.zero] * self.npos
-        for i in range(k):
-            one[i * k + i] = base.one
-        self.one = int(self._encode(one))
-
-    def mul_digits(self, da, db):
-        k = self.k
-        return [
-            self._dot([(da[i * k + l], db[l * k + j]) for l in range(k)])
-            for i in range(k)
-            for j in range(k)
-        ]
+    family = "M"
 
 
-class TriangularKernel(_PositionalKernel):
+class TriangularKernel(_MatrixFamilyKernel):
     """Upper triangular k x k matrices; positions (i,j), i<=j, row-major."""
 
-    def __init__(self, k: int, base: "RingTable"):
-        self.k = k
-        self.positions = [(i, j) for i in range(k) for j in range(i, k)]
-        super().__init__(base, len(self.positions))
-        self.pos_index = {p: t for t, p in enumerate(self.positions)}
-        one = [base.zero] * self.npos
-        for i in range(k):
-            one[self.pos_index[(i, i)]] = base.one
-        self.one = int(self._encode(one))
-
-    def mul_digits(self, da, db):
-        return [
-            self._dot(
-                [
-                    (da[self.pos_index[(i, l)]], db[self.pos_index[(l, j)]])
-                    for l in range(i, j + 1)
-                ]
-            )
-            for i, j in self.positions
-        ]
+    family = "T"
 
 
-class ConstDiagKernel(_PositionalKernel):
+class ConstDiagKernel(_MatrixFamilyKernel):
     """Upper triangular k x k with a single shared diagonal entry (digit 0)."""
 
-    def __init__(self, k: int, base: "RingTable"):
-        self.k = k
-        self.uppers = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        super().__init__(base, 1 + len(self.uppers))
-        self.pos_index = {(i, i): 0 for i in range(k)}
-        self.pos_index.update({p: 1 + t for t, p in enumerate(self.uppers)})
-        self.one = int(self._encode([base.one] + [base.zero] * len(self.uppers)))
-
-    def mul_digits(self, da, db):
-        out = [self._part_mul(self.base, da[0], db[0])]
-        for i, j in self.uppers:
-            terms = [(da[0], db[self.pos_index[(i, j)]]), (da[self.pos_index[(i, j)]], db[0])]
-            terms += [
-                (da[self.pos_index[(i, l)]], db[self.pos_index[(l, j)]])
-                for l in range(i + 1, j)
-            ]
-            out.append(self._dot(terms))
-        return out
+    family = "Tc"
 
 
 class QuadExtKernel(_PositionalKernel):
@@ -418,7 +353,7 @@ class QuadExtKernel(_PositionalKernel):
             elif not first:
                 break
             ch = lit.peek()
-            if ch.isdigit():
+            if ch.isdecimal():
                 v = lit.parse_int()
                 if lit.peek().lower() == self.symbol:
                     lit.take()
@@ -473,11 +408,35 @@ class ProductKernel(_DigitKernel):
         return int(self._encode(parts))
 
 
-class QuotientKernel:
+class _RemapKernel:
+    """A ring on ``members``, indices of a base ring: element i stands for
+    members[i], ops run in the base, and each subclass's ``_back`` maps the
+    base results back to its own indices."""
+
+    def __init__(self, base: "RingTable", members: np.ndarray):
+        self.base = base
+        self.members = members
+        self.pos_of = np.full(base.order, -1, dtype=np.int64)
+        self.pos_of[members] = np.arange(members.size)
+        self.order = int(members.size)
+
+    def vadd(self, a, b):
+        return self._back(self.base.vadd(self.members[a], self.members[b]))
+
+    def vneg(self, a):
+        return self._back(self.base.vneg(self.members[a]))
+
+    def vmul(self, a, b):
+        return self._back(self.base.vmul(self.members[a], self.members[b]))
+
+    def fmt(self, idx: int) -> str:
+        return self.base.fmt_index(int(self.members[idx]))
+
+
+class QuotientKernel(_RemapKernel):
     """Cosets of a two-sided ideal; canonical representative = least index."""
 
     def __init__(self, base: "RingTable", ideal_indices: np.ndarray):
-        self.base = base
         n = base.order
         # after basis element g_j, rep_of[x] = min of x + <g_1..g_j>; each pass
         # takes the min over one more power-of-two multiple of g_j
@@ -490,70 +449,39 @@ class QuotientKernel:
                 rep_of = nxt
                 step = base.add(step, step)
         self.rep_of = rep_of
-        self.reps = np.unique(rep_of)
-        self.pos_of = np.full(n, -1, dtype=np.int64)
-        self.pos_of[self.reps] = np.arange(self.reps.size)
-        self.order = int(self.reps.size)
-        self.zero = int(self.pos_of[rep_of[base.zero]])
-        self.one = int(self.pos_of[rep_of[base.one]])
+        super().__init__(base, np.unique(rep_of))
+        self.zero = int(self._back(base.zero))
+        self.one = int(self._back(base.one))
 
-    def project(self, a):
+    def _back(self, a):
         return self.pos_of[self.rep_of[np.asarray(a, np.int64)]]
 
-    def vadd(self, a, b):
-        return self.project(self.base.vadd(self.reps[a], self.reps[b]))
-
-    def vneg(self, a):
-        return self.project(self.base.vneg(self.reps[a]))
-
-    def vmul(self, a, b):
-        return self.project(self.base.vmul(self.reps[a], self.reps[b]))
-
     def additive_generators(self):
-        gens = np.unique(self.project(np.asarray(self.base.additive_generators)))
+        gens = np.unique(self._back(np.asarray(self.base.additive_generators)))
         return [int(g) for g in gens if g != self.zero] or [self.zero]
 
-    def fmt(self, idx: int) -> str:
-        return self.base.fmt_index(int(self.reps[idx]))
-
     def parse_literal(self, lit: _Lit) -> int:
-        return int(self.project(self.base.kernel.parse_literal(lit)))
+        return int(self._back(self.base.kernel.parse_literal(lit)))
 
 
-class SubsetKernel:
+class SubsetKernel(_RemapKernel):
     """A unital subring on a closed subset of an ambient ring (e.g. a corner eRe)."""
 
     def __init__(self, base: "RingTable", members: np.ndarray, one_index: int):
-        self.base = base
-        self.members = np.unique(np.asarray(members, np.int64))
-        self.pos_of = np.full(base.order, -1, dtype=np.int64)
-        self.pos_of[self.members] = np.arange(self.members.size)
-        self.order = int(self.members.size)
+        super().__init__(base, np.unique(np.asarray(members, np.int64)))
         self.zero = int(self.pos_of[base.zero])
         self.one = int(self.pos_of[one_index])
         if self.zero < 0 or self.one < 0:
             raise PreconditionFailed("subset kernel must contain 0 and its identity")
 
-    def _lift(self, res):
+    def _back(self, res):
         out = self.pos_of[res]
         if np.any(out < 0):
             raise PreconditionFailed("subset is not closed under ring operations")
         return out
 
-    def vadd(self, a, b):
-        return self._lift(self.base.vadd(self.members[a], self.members[b]))
-
-    def vneg(self, a):
-        return self._lift(self.base.vneg(self.members[a]))
-
-    def vmul(self, a, b):
-        return self._lift(self.base.vmul(self.members[a], self.members[b]))
-
     def additive_generators(self):
         return None  # computed greedily by the RingTable
-
-    def fmt(self, idx: int) -> str:
-        return self.base.fmt_index(int(self.members[idx]))
 
     def parse_literal(self, lit: _Lit) -> int:
         start = lit.pos
@@ -986,7 +914,7 @@ def build_ring(spec, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
 
 
 def _make_ring(spec, name: str, limit: int) -> RingTable:
-    if isinstance(spec, (specs.MatrixSpec, specs.TriangularSpec)):
+    if isinstance(spec, specs.FamilySpec):
         return derived_ring(spec.family, spec.k, build_ring(spec.base, limit))
     if isinstance(spec, specs.QuotientSpec):
         base = build_ring(spec.base, limit)
@@ -1001,24 +929,21 @@ def _make_ring(spec, name: str, limit: int) -> RingTable:
         return _quotient(base, gens, name, f"{name}: quotient collapses to the zero ring")
     if isinstance(spec, specs.ZnSpec):
         kernel = ZnKernel(spec.n)
-    elif isinstance(spec, specs.GaussianSpec):
-        kernel = QuadExtKernel(build_ring(specs.ZnSpec(spec.n), limit), -1, 0, "i")
-    elif isinstance(spec, specs.EisensteinSpec):  # w^2 = -1 - w
-        kernel = QuadExtKernel(build_ring(specs.ZnSpec(spec.n), limit), -1, -1, "w")
+    elif isinstance(spec, specs.QuadExtSpec):  # i^2 = -1, w^2 = -1 - w
+        c1 = -1 if spec.symbol == "w" else 0
+        kernel = QuadExtKernel(build_ring(specs.ZnSpec(spec.n), limit), -1, c1, spec.symbol)
     elif isinstance(spec, specs.ProductSpec):
         kernel = ProductKernel([build_ring(f, limit) for f in spec.factors])
-    elif isinstance(spec, specs.ConstDiagSpec):
-        kernel = ConstDiagKernel(spec.k, build_ring(spec.base, limit))
     else:
         raise MalformedSpec(f"not a ring spec: {spec!r}")
     return RingTable(kernel, name)
 
 
-_DERIVED_KERNELS = {"M": MatrixKernel, "T": TriangularKernel}
+_DERIVED_KERNELS = {k.family: k for k in (MatrixKernel, TriangularKernel, ConstDiagKernel)}
 
 
 def derived_ring(family: str, k: int, base: RingTable) -> RingTable:
-    """The one M_k(base) (family "M") or T_k(base) (family "T") ring.
+    """The one M_k(base), T_k(base) or Tc_k(base) ring (family "M", "T", "Tc").
 
     Memoized in base.cache, so build_ring, matrix_ring and triangular_ring
     share one object while it is alive; the LRU of build_ring keeps it alive.

@@ -14,12 +14,15 @@ Grammar (case-insensitive, whitespace ignored)::
 
 A quotient suffix binds to the term directly before it; parenthesize to
 quotient a product, e.g. ``(Z4xZ2)/([2,0])``.
+
+Five spec types describe every ring: ZnSpec, QuadExtSpec (Z_n[i], Z_n[w]),
+ProductSpec, FamilySpec (M, T, Tc; `positions` gives their stored entries)
+and QuotientSpec.  `_Lit` is the one cursor over specs and element literals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 from .errors import MalformedSpec
 
@@ -30,13 +33,9 @@ class ZnSpec:
 
 
 @dataclass(frozen=True)
-class GaussianSpec:
+class QuadExtSpec:
     n: int
-
-
-@dataclass(frozen=True)
-class EisensteinSpec:
-    n: int
+    symbol: str  # "i" (i^2 = -1) or "w" (w^2 + w + 1 = 0)
 
 
 @dataclass(frozen=True)
@@ -45,24 +44,10 @@ class ProductSpec:
 
 
 @dataclass(frozen=True)
-class MatrixSpec:
+class FamilySpec:
+    family: str  # "M", "T" or "Tc"
     k: int
     base: object
-    family: ClassVar[str] = "M"
-
-
-@dataclass(frozen=True)
-class TriangularSpec:
-    k: int
-    base: object
-    family: ClassVar[str] = "T"
-
-
-@dataclass(frozen=True)
-class ConstDiagSpec:
-    k: int
-    base: object
-    family: ClassVar[str] = "Tc"
 
 
 @dataclass(frozen=True)
@@ -71,25 +56,25 @@ class QuotientSpec:
     gens: tuple  # element literals, parsed in the base ring
 
 
-RingSpec = (
-    ZnSpec
-    | GaussianSpec
-    | EisensteinSpec
-    | ProductSpec
-    | MatrixSpec
-    | TriangularSpec
-    | ConstDiagSpec
-    | QuotientSpec
-)
-_DERIVED = (MatrixSpec, TriangularSpec, ConstDiagSpec)
+RingSpec = ZnSpec | QuadExtSpec | ProductSpec | FamilySpec | QuotientSpec
+
+
+def positions(family: str, k: int) -> dict[tuple[int, int], int]:
+    """The digit of each stored entry (i, j) of a k x k matrix in the family
+    "M" (all matrices), "T" (upper triangular) or "Tc" (upper triangular,
+    constant diagonal), numbered row-major; entries left out are 0 and the
+    diagonal of "Tc" shares digit 0."""
+    pos: dict[tuple[int, int], int] = {}
+    for i in range(k):
+        for j in range(0 if family == "M" else i, k):
+            pos[i, j] = 0 if family == "Tc" and 0 < i == j else len(set(pos.values()))
+    return pos
 
 
 def derived_order(family: str, k: int, base_order: int) -> int:
-    """Order of the k x k family "M" (all matrices), "T" (upper triangular)
-    or "Tc" (upper triangular, constant diagonal) over a base of that order:
-    one base digit per free position."""
-    positions = {"M": k * k, "T": k * (k + 1) // 2, "Tc": 1 + k * (k - 1) // 2}
-    return base_order ** positions[family]
+    """Order of the k x k `family` ring over a base of that order: one base
+    digit per stored position."""
+    return base_order ** len(set(positions(family, k).values()))
 
 
 def spec_order(spec) -> int:
@@ -100,14 +85,14 @@ def spec_order(spec) -> int:
     """
     if isinstance(spec, ZnSpec):
         return spec.n
-    if isinstance(spec, (GaussianSpec, EisensteinSpec)):
+    if isinstance(spec, QuadExtSpec):
         return spec.n * spec.n
     if isinstance(spec, ProductSpec):
         p = 1
         for f in spec.factors:
             p *= spec_order(f)
         return p
-    if isinstance(spec, _DERIVED):
+    if isinstance(spec, FamilySpec):
         return derived_order(spec.family, spec.k, spec_order(spec.base))
     if isinstance(spec, QuotientSpec):
         return spec_order(spec.base)
@@ -118,17 +103,15 @@ def canon(spec) -> str:
     """Canonical text form; parse(canon(s)) == s."""
     if isinstance(spec, ZnSpec):
         return f"Z{spec.n}"
-    if isinstance(spec, GaussianSpec):
-        return f"Z{spec.n}[i]"
-    if isinstance(spec, EisensteinSpec):
-        return f"Z{spec.n}[w]"
+    if isinstance(spec, QuadExtSpec):
+        return f"Z{spec.n}[{spec.symbol}]"
     if isinstance(spec, ProductSpec):
         parts = []
         for f in spec.factors:
             s = canon(f)
             parts.append(f"({s})" if isinstance(f, (ProductSpec, QuotientSpec)) else s)
         return "x".join(parts)
-    if isinstance(spec, _DERIVED):
+    if isinstance(spec, FamilySpec):
         return f"{spec.family}{spec.k}({canon(spec.base)})"
     if isinstance(spec, QuotientSpec):
         base = canon(spec.base)
@@ -138,12 +121,20 @@ def canon(spec) -> str:
     raise MalformedSpec(f"not a ring spec: {spec!r}")
 
 
-class _Scanner:
+class _Lit:
+    """Cursor over a ring spec or an element literal that skips whitespace;
+    offsets refer to the text it was given."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
     def peek(self) -> str:
+        self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def take(self) -> str:
@@ -152,17 +143,21 @@ class _Scanner:
         return ch
 
     def expect(self, ch: str):
-        if self.peek().lower() != ch:
+        if self.peek() != ch:
             raise MalformedSpec(f"expected {ch!r}", self.pos)
         self.pos += 1
 
-    def integer(self) -> int:
+    def parse_int(self) -> int:
+        self.skip_ws()
         start = self.pos
-        while self.peek().isdigit():
+        if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        if start == self.pos:
-            raise MalformedSpec("expected an integer", self.pos)
-        return int(self.text[start : self.pos])
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        tok = self.text[start : self.pos]
+        if not tok or tok in "+-":
+            raise MalformedSpec("expected an integer", start)
+        return int(tok)
 
 
 def parse_ring_spec(text: str):
@@ -171,19 +166,26 @@ def parse_ring_spec(text: str):
     stripped = "".join(text[i] for i in kept)
     if not stripped:
         raise MalformedSpec("empty ring spec", 0)
-    sc = _Scanner(stripped)
+    sc = _Lit(stripped)
     try:
         spec = _parse_product(sc)
         if sc.pos != len(stripped):
             raise MalformedSpec(f"trailing input {stripped[sc.pos:]!r}", sc.pos)
     except MalformedSpec as exc:
-        # the scanner saw the text without whitespace: map back to `text`
+        # the cursor saw the text without whitespace: map back to `text`
         at = kept[exc.offset] if exc.offset < len(kept) else len(text)
         raise MalformedSpec(exc.reason, at) from None
     return spec
 
 
-def _parse_product(sc: _Scanner):
+def _size(sc: _Lit) -> int:
+    # moduli and matrix sizes are unsigned; signs belong to element literals
+    if not sc.peek().isdecimal():
+        raise MalformedSpec("expected an integer", sc.pos)
+    return sc.parse_int()
+
+
+def _parse_product(sc: _Lit):
     factors = [_parse_term(sc)]
     while sc.peek().lower() == "x":
         sc.take()
@@ -193,7 +195,7 @@ def _parse_product(sc: _Scanner):
     return ProductSpec(tuple(factors))
 
 
-def _parse_term(sc: _Scanner):
+def _parse_term(sc: _Lit):
     spec = _parse_atom(sc)
     while sc.peek() == "/":
         sc.take()
@@ -204,7 +206,7 @@ def _parse_term(sc: _Scanner):
     return spec
 
 
-def _parse_generator_list(sc: _Scanner) -> list[str]:
+def _parse_generator_list(sc: _Lit) -> list[str]:
     # Element literals may contain brackets/parens and commas inside them;
     # split on top-level commas only.
     gens = []
@@ -234,7 +236,7 @@ def _parse_generator_list(sc: _Scanner) -> list[str]:
     return gens
 
 
-def _parse_atom(sc: _Scanner):
+def _parse_atom(sc: _Lit):
     ch = sc.peek().lower()
     if ch == "(":
         sc.take()
@@ -243,39 +245,28 @@ def _parse_atom(sc: _Scanner):
         return spec
     if ch == "z":
         sc.take()
-        n = sc.integer()
+        n = _size(sc)
         if n < 2:
             raise MalformedSpec("modulus must be >= 2", sc.pos)
         if sc.peek() == "[":
             sc.take()
             sym = sc.take().lower()
             sc.expect("]")
-            if sym == "i":
-                return GaussianSpec(n)
-            if sym == "w":
-                return EisensteinSpec(n)
-            raise MalformedSpec(f"unknown adjoined symbol {sym!r}", sc.pos - 2)
+            if sym not in ("i", "w"):
+                raise MalformedSpec(f"unknown adjoined symbol {sym!r}", sc.pos - 2)
+            return QuadExtSpec(n, sym)
         return ZnSpec(n)
-    if ch == "t":
+    if ch and ch in "tm":  # "" is in every string
         sc.take()
-        const_diag = False
-        if sc.peek().lower() == "c":
+        family = ch.upper()
+        if family == "T" and sc.peek().lower() == "c":
             sc.take()
-            const_diag = True
-        k = sc.integer()
+            family = "Tc"
+        k = _size(sc)
         if k < 1:
             raise MalformedSpec("matrix size must be >= 1", sc.pos)
         sc.expect("(")
         base = _parse_product(sc)
         sc.expect(")")
-        return ConstDiagSpec(k, base) if const_diag else TriangularSpec(k, base)
-    if ch == "m":
-        sc.take()
-        k = sc.integer()
-        if k < 1:
-            raise MalformedSpec("matrix size must be >= 1", sc.pos)
-        sc.expect("(")
-        base = _parse_product(sc)
-        sc.expect(")")
-        return MatrixSpec(k, base)
+        return FamilySpec(family, k, base)
     raise MalformedSpec(f"unexpected character {sc.peek()!r}", sc.pos)

@@ -28,7 +28,6 @@ from .matrices import (
     m2_invariants,
     matrix_from_index,
     matrix_ring,
-    matrix_to_index,
     one_minus_in_p_mask,
     pclean_criteria,
     roots_criterion_mask,
@@ -491,12 +490,14 @@ def _check_t3_2(r: RingTable, env: VerifyEnv):
             continue
         corner, members = corner_ring(r, f)
         in_c = dec.strongly_pclean_mask(corner)
-        for pos, m in enumerate(members):
-            if bool(in_r[m]) != bool(in_c[pos]):
-                return COUNTEREXAMPLE, _cex(
-                    "element", r, "pclean_in_ring_iff_in_corner", bool(in_r[m]),
-                    bool(in_c[pos]), corner=r.fmt_index(f), element=r.fmt_index(int(m)),
-                )
+        differ = np.flatnonzero(in_r[members] != in_c)
+        if differ.size:
+            pos = int(differ[0])
+            m = int(members[pos])
+            return COUNTEREXAMPLE, _cex(
+                "element", r, "pclean_in_ring_iff_in_corner", bool(in_r[m]),
+                bool(in_c[pos]), corner=r.fmt_index(f), element=r.fmt_index(m),
+            )
     return HOLDS, None
 
 
@@ -709,20 +710,20 @@ def _check_c5_2(r: RingTable, env: VerifyEnv):
 
 def _check_e5_3(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    lhs_all = definitional_mask(m2)
-    pm = rad.prime_radical(r).mask
-    sq1p, _ = _squares_of_one_plus_p(r)
-    for p in map(int, np.flatnonzero(pm)):
-        p1 = r.add(p, r.one)
-        for q in range(r.order):
-            aidx = matrix_to_index(m2, Matrix2(r, p1, p, q, p))
-            want = bool(sq1p[r.add(r.one, r.mul(r.embed_int(4), r.mul(p, q)))])
-            got = bool(lhs_all[aidx])
-            if want != got:
-                prop = "family_pclean_iff_1_plus_4pq_square"
-                return COUNTEREXAMPLE, _cex(
-                    "matrix", m2, prop, want, got, matrix=m2.fmt_index(aidx)
-                )
+    # the family [[p+1, p], [q, p]] on the grid of p in P (rows) and q in R
+    p = np.flatnonzero(rad.prime_radical(r).mask)[:, None]
+    q = np.arange(r.order, dtype=np.int64)[None, :]
+    one = np.int64(r.one)
+    want = _squares_of_one_plus_p(r)[0][r.vadd(one, r.vmul(r.embed_int(4), r.vmul(p, q)))]
+    aidx = m2.kernel._encode(np.broadcast_arrays(r.vadd(p, one), p, q, p))
+    got = definitional_mask(m2)[aidx]
+    differ = np.flatnonzero(want != got)  # row-major: least p, then least q
+    if differ.size:
+        i = int(differ[0])
+        return COUNTEREXAMPLE, _cex(
+            "matrix", m2, "family_pclean_iff_1_plus_4pq_square", bool(want.flat[i]),
+            bool(got.flat[i]), matrix=m2.fmt_index(int(aidx.flat[i])),
+        )
     return HOLDS, None
 
 
@@ -1007,8 +1008,17 @@ def _discriminant_side(r: RingTable, idx: int, payload: dict) -> bool:
     return rec.in_p or rec.one_minus_in_p or branch
 
 
+def _lift_side(r: RingTable, idx: int, payload: dict) -> str:
+    try:
+        dec.idempotent_lift(r, idx)
+    except PcleanError as exc:
+        return repr(exc)
+    return "lift"
+
+
 # per element property of a payload: its `actual` side at that one element
 _ELEMENT_PROPS = {
+    "idempotent_lift": _lift_side,
     "strongly_pclean": _pclean_at,
     "strongly_clean": lambda r, x, p: dec.strongly_clean_element(r, x)[0] is not None,
     "uniquely_clean_count": lambda r, x, p: dec.uniquely_clean_count(r, x),

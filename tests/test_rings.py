@@ -112,6 +112,15 @@ def test_parse_rejects_trailing_and_reports_offset():
     assert exc.value.offset is not None
 
 
+@pytest.mark.parametrize(
+    "name, text", [("Z4", "\u00b2"), ("Z8[i]", "1+\u00b2i"), ("M2(Z4)", "[1,\u00b2;0,1]")]
+)
+def test_superscript_digits_are_a_malformed_literal(name, text):
+    # str.isdigit() accepts "\u00b2" (superscript two), which int() rejects
+    with pytest.raises(MalformedSpec):
+        build_ring(name).parse_element(text)
+
+
 def test_negative_coefficients_parse():
     r = build_ring("Z8[i]")
     assert r.parse_element("-1-i") == r.parse_element("7+7i")
@@ -408,6 +417,25 @@ def test_quadratic_extension_ops_match_integer_arithmetic(name, n, c0, c1):
     for i in (r.one, int(x[0])):
         assert r.mul_row(i).tolist() == [mul(i, j) for j in range(r.order)]
         assert r.mul_col(i).tolist() == [mul(j, i) for j in range(r.order)]
+
+
+@pytest.mark.parametrize(
+    "name, k, n", [("M3(Z2)", 3, 2), ("T3(Z3)", 3, 3), ("Tc3(Z4)", 3, 4), ("Tc4(Z2)", 4, 2)]
+)
+def test_k_by_k_family_products_match_the_matrix_oracle(name, k, n):
+    # the oracle multiplies the printed matrices as tuples of plain integers
+    r = build_ring(name)
+    rows = lambda i: r.fmt_index(i)[1:-1].split(";")
+    mat = lambda i: tuple(tuple(int(e) for e in row.split(",")) for row in rows(i))
+    assert mat(r.one) == tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    x, y = np.random.default_rng(11).integers(0, r.order, size=(2, 500))
+    want = [mat_mul(mat(i), mat(j), n, k) for i, j in zip(x.tolist(), y.tolist())]
+    for ops in (r, r.kernel):  # the tables (when dense) and the digit formulas
+        assert [mat(p) for p in ops.vmul(x, y).tolist()] == want
+    row = r.kernel.mul_line(int(x[0]))  # the digit formulas on the open mesh
+    assert [mat(p) for p in row.tolist()] == [
+        mat_mul(mat(int(x[0])), mat(j), n, k) for j in range(r.order)
+    ]
 
 
 def test_commutativity_cross_check_raises_on_tampered_table():

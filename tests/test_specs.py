@@ -2,13 +2,10 @@ import pytest
 
 from pclean.errors import MalformedSpec
 from pclean.specs import (
-    ConstDiagSpec,
-    EisensteinSpec,
-    GaussianSpec,
-    MatrixSpec,
+    FamilySpec,
     ProductSpec,
+    QuadExtSpec,
     QuotientSpec,
-    TriangularSpec,
     ZnSpec,
     canon,
     parse_ring_spec,
@@ -20,17 +17,17 @@ from pclean.specs import (
     "text,expected",
     [
         ("Z4", ZnSpec(4)),
-        ("z8[i]", GaussianSpec(8)),
-        ("Z9[w]", EisensteinSpec(9)),
-        ("M2(Z4)", MatrixSpec(2, ZnSpec(4))),
-        ("T2(Z2)", TriangularSpec(2, ZnSpec(2))),
-        ("Tc3(Z4)", ConstDiagSpec(3, ZnSpec(4))),
+        ("z8[i]", QuadExtSpec(8, "i")),
+        ("Z9[w]", QuadExtSpec(9, "w")),
+        ("M2(Z4)", FamilySpec("M", 2, ZnSpec(4))),
+        ("T2(Z2)", FamilySpec("T", 2, ZnSpec(2))),
+        ("Tc3(Z4)", FamilySpec("Tc", 3, ZnSpec(4))),
         ("Z4xZ2", ProductSpec((ZnSpec(4), ZnSpec(2)))),
         ("Z4/(2)", QuotientSpec(ZnSpec(4), ("2",))),
-        ("Z8[i]/(1+i)", QuotientSpec(GaussianSpec(8), ("1+i",))),
-        ("  m2( z4 x z2 ) ", MatrixSpec(2, ProductSpec((ZnSpec(4), ZnSpec(2))))),
+        ("Z8[i]/(1+i)", QuotientSpec(QuadExtSpec(8, "i"), ("1+i",))),
+        ("  m2( z4 x z2 ) ", FamilySpec("M", 2, ProductSpec((ZnSpec(4), ZnSpec(2))))),
         ("(Z4xZ2)/([2,0])", QuotientSpec(ProductSpec((ZnSpec(4), ZnSpec(2))), ("[2,0]",))),
-        ("T2(Z2)/([0,1;0,0])", QuotientSpec(TriangularSpec(2, ZnSpec(2)), ("[0,1;0,0]",))),
+        ("T2(Z2)/([0,1;0,0])", QuotientSpec(FamilySpec("T", 2, ZnSpec(2)), ("[0,1;0,0]",))),
     ],
 )
 def test_parse(text, expected):
@@ -64,7 +61,8 @@ def test_spec_order(text, order):
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "Z1", "Z", "Q4", "M0(Z2)", "Z4[q]", "Z4/(", "Z4 extra", "M2(Z4", "Z4//(2)"]
+    "bad",
+    ["", "Z1", "Z", "Q4", "M0(Z2)", "Z4[q]", "Z4/(", "Z4 extra", "M2(Z4", "Z4//(2)", "Z\u00b2"],
 )
 def test_parse_errors(bad):
     with pytest.raises(MalformedSpec):
@@ -84,7 +82,11 @@ def test_quotient_generator_must_parse_in_base():
         build_ring("Z4/(i)")
 
 
-@pytest.mark.parametrize("text,offset", [("Z4 extra", 3), ("M2( Z4", 6), ("  Q5", 2)])
+@pytest.mark.parametrize(
+    "text,offset",
+    # the last three: signs belong to element literals, never to sizes
+    [("Z4 extra", 3), ("M2( Z4", 6), ("  Q5", 2), ("Z+4", 1), ("M+2(Z4)", 1), ("Tc+2(Z2)", 2)],
+)
 def test_error_offset_points_into_the_given_text(text, offset):
     # offsets index the text as typed, whitespace included
     with pytest.raises(MalformedSpec) as exc:

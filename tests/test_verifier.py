@@ -159,7 +159,7 @@ def test_ideal_power_trap_fires_when_a_power_escapes(tid):
 
 
 # one counterexample per payload shape (element, matrix, ideal, ideal pair,
-# criteria) and per extra field (idempotent, power_order), from four
+# criteria) and per extra field (idempotent, power_order), from five
 # corrupted Z4 tables; (row, col, val) sets mul[row][col] = val
 PINNED_PAYLOADS = [
     ((0, 1, 2), "L2.7", '{"kind": "ideal", "ring": "Z4c_012", "ideal_gens": ["2"], "ideal_order": 2, "property": "pclean_iff_quotient_by_nilpotent_pclean", "expected": false, "actual": true}'),
@@ -175,6 +175,7 @@ PINNED_PAYLOADS = [
     ((2, 2, 1), "T5.1", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[2,2;2,2]", "property": "pclean_implies_discriminant_square_of_1P", "expected": true, "actual": false}'),
     ((2, 2, 1), "C5.2", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,1;1,1]", "property": "pclean_iff_discriminant_square_of_1P", "expected": true, "actual": false}'),
     ((2, 2, 1), "T5.4", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,0;0,3]", "property": "pclean_iff_pi_regular_and_companion_similar", "expected": true, "actual": false}'),
+    ((1, 1, 0), "T2.4", '{"kind": "element", "ring": "Z4c_110", "element": "3", "property": "idempotent_lift", "expected": "lift", "actual": "PcleanError(\'lift remainder not nilpotent for 3\')"}'),
     ((3, 3, 2), "C2.11", '{"kind": "element", "ring": "Z4c_332", "element": "0", "property": "uniquely_clean_count", "expected": 1, "actual": 0}'),
 ]
 
@@ -202,10 +203,10 @@ def test_counterexample_payloads_are_pinned_and_replay(corruption, tid, payload)
     check.counterexample = json.loads(payload)
     ring = _payload_ring(bad, check.counterexample["ring"])
     assert replay_counterexample(check, ring=ring)
-    # the recorded side is recomputed, not echoed: a flipped one fails
-    actual = check.counterexample.get("actual")
-    if actual is not None:
-        check.counterexample["actual"] = (not actual) if isinstance(actual, bool) else actual + 1
+    # the recorded side is recomputed, not echoed: with `actual` set to the
+    # expected side (no violation at all) the payload does not replay
+    if "actual" in check.counterexample:
+        check.counterexample["actual"] = check.counterexample["expected"]
         assert not replay_counterexample(check, ring=ring)
 
 

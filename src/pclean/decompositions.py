@@ -141,7 +141,8 @@ def uniquely_pclean_count(r: RingTable, a) -> int:
 
 
 def strongly_pi_regular_element(r: RingTable, a) -> tuple[bool, int | None, int | None]:
-    """Least n with a^n = a^(n+1) b for some b commuting with a.
+    """Least n with a^n = a^(n+1) b for some b commuting with a, and the least
+    such b: the CLI's per-element form and the oracle of the whole-ring mask.
 
     The bare form a^n in a^(n+1) R is computed alongside, and PcleanError is
     raised if the two verdicts disagree (they agree in finite rings, where
@@ -171,6 +172,30 @@ def strongly_pi_regular_element(r: RingTable, a) -> tuple[bool, int | None, int 
             f"{r.fmt_index(a)}"
         )
     return (False, None, None) if found is None else (True, *found)
+
+
+def strongly_pi_regular_mask(r: RingTable) -> np.ndarray:
+    """Per a: a^M = a^(M+1) b with b = a^(p-1) commuting with a, M = floor(log2 |R|)
+    and p >= 1 least with a^M a^p = a^M.  True for every a of a finite ring, as a^M
+    lies on the cycle of a's powers (aR > a^2 R > ... halves at each strict step);
+    on a table that is no ring, no p within |R| steps or a failed witness is False."""
+
+    def make():
+        c = a = np.arange(r.order, dtype=np.int64)
+        for _ in range(r.order.bit_length() - 2):
+            c = r.vmul(c, a)  # a^M
+        todo, x, y = np.ones(r.order, dtype=bool), c, np.full(r.order, r.one, np.int64)
+        wit = y.copy()
+        for _ in range(r.order):  # step k: x = a^M a^k, y = a^(k-1)
+            x = r.vmul(x, a)
+            hit = todo & (x == c)
+            wit[hit], todo = y[hit], todo & ~hit
+            if not todo.any():
+                break
+            y = r.vmul(y, a)
+        return ~todo & (r.vmul(r.vmul(c, a), wit) == c) & (r.vmul(a, wit) == r.vmul(wit, a))
+
+    return cached(r, "pi_regular_mask", make)
 
 
 def idempotent_lift(r: RingTable, a) -> int:

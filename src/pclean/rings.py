@@ -394,6 +394,13 @@ class ProductKernel(_DigitKernel):
     def mul_digits(self, da, db):
         return [self._part_mul(f, x, y) for f, x, y in zip(self.parts, da, db)]
 
+    def mul_line(self, x, col: bool = False) -> np.ndarray:
+        """Factor t's own row (column with `col`) of x's digit t on mesh axis t."""
+        dx = self._digits(np.int64(x)).tolist()
+        lines = [f.mul_col(d) if col else f.mul_row(d) for f, d in zip(self.parts, dx)]
+        lines = [_on_axis(t, v, self.npos) for t, v in enumerate(lines)]
+        return self._encode(lines, out=np.empty(self.radices, np.int64)).reshape(-1)
+
     def fmt(self, idx: int) -> str:
         parts = self._digits(np.int64(idx))
         return "[" + ",".join(f.fmt_index(int(p)) for f, p in zip(self.parts, parts)) + "]"
@@ -730,6 +737,25 @@ class RingTable:
     @property
     def unit_indices(self) -> np.ndarray:
         return cached(self, "unit_indices", lambda: np.flatnonzero(self.unit_mask))
+
+    @property
+    def unit_generators(self) -> list[int]:
+        """Units generating U(R) greedily: each unit, ascending, that the group
+        so far misses; the group is re-closed by right multiplying with every pick."""
+
+        def make():
+            group, gens = np.arange(self.order) == self.one, []
+            for u in self.unit_indices.tolist():
+                if not group[u]:
+                    gens.append(u)
+                    cols, new = [self.mul_col(s) for s in gens], np.flatnonzero(group)
+                    while new.size:
+                        new = np.unique(np.concatenate([c[new] for c in cols]))
+                        new = new[~group[new]]
+                        group[new] = True
+            return gens
+
+        return cached(self, "unit_generators", make)
 
     def is_unit(self, x: int) -> bool:
         return self.inverse(x) is not None

@@ -4,8 +4,10 @@ Every check computes the two sides of its statement independently from
 primitives (scans, closures, quotients); no side is derived from the other.
 Idempotents enter only through the sweep and hits of `decompositions`, 1+P
 through `radicals.one_plus_p_mask`, ideals through the exact lattice of
-`enumerate_ideals`.  `replay_counterexample` re-verifies every payload kind
-(element/matrix literals, ideal generators) by recomputing its recorded side.
+`enumerate_ideals`, similarity by a unit through the orbit maps of
+`_conjugation_reach`, strong pi-regularity through the one whole-ring mask.
+`replay_counterexample` re-verifies every payload kind (element/matrix
+literals, ideal generators) by recomputing its recorded side.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ DEFAULT_CATALOG = [
 
 IDEAL_ENUM_LIMIT = 64  # ring order for ideal-lattice enumeration
 MASK_BUDGET = 16384  # matrix-ring order for whole-space mask checks
-SIM_BUDGET = 4096  # matrix/triangular order for GL-conjugation scans
+SIM_BUDGET = 4096  # matrix/triangular order for unit-conjugation orbit maps
 COMMUTANT_BUDGET = 4096  # ring order for T2.4's per-element double-commutant scan
 
 
@@ -213,14 +215,13 @@ def enumerate_ideals(r: RingTable) -> list[np.ndarray]:
 
 
 def _conjugation_reach(rt: RingTable, qual: np.ndarray) -> np.ndarray:
-    """Mask of A similar (via units of rt) to some element with qual set."""
-    found = qual.copy()
-    inv = rt.unit_inverses
-    for u in rt.unit_indices:
-        conj = rt.mul_col(u)[rt.mul_row(inv[u])]  # (u^-1 * y) * u for every y
-        found |= qual[conj]
-        if found.all():
-            break
+    """Mask of A similar (via units of rt) to some element with qual set: qual's
+    orbits, one map per unit generator s (Holt, Eick and O'Brien, 4.1)."""
+    maps = [rt.mul_col(s)[rt.mul_row(rt.unit_inverses[s])] for s in rt.unit_generators]
+    found, size = qual.copy(), -1
+    while size != (size := int(found.sum())) and size < rt.order:
+        for m in maps:
+            found |= found[m]
     return found
 
 
@@ -552,12 +553,11 @@ def _check_c3_6(r: RingTable, env: VerifyEnv):
     t2 = triangular_ring(r)
     d = t2.kernel._digits(np.arange(t2.order, dtype=np.int64))
     qual = (d[1] == r.zero) & (_in_p_and_1p(r, d[0], d[2]) | _in_p_and_1p(r, d[2], d[0]))
-    triv = rad.prime_radical(t2).mask | rad.one_plus_p_mask(t2)
-    reach = _conjugation_reach(t2, qual)
-    rhs = bool((triv | reach).all())
+    ok = rad.prime_radical(t2).mask | rad.one_plus_p_mask(t2) | _conjugation_reach(t2, qual)
+    rhs = bool(ok.all())
     if lhs == rhs:
         return HOLDS, None
-    bad = np.flatnonzero(~(triv | reach))
+    bad = np.flatnonzero(~ok)
     cex = _sides(strongly_pclean_ring=lhs, every_t2_matrix_trivial_or_diagonalizable=rhs)
     if bad.size:
         cex["witness"] = t2.fmt_index(int(bad[0]))
@@ -590,8 +590,7 @@ def _check_t4_2(r: RingTable, env: VerifyEnv):
     d = m2_invariants(m2)[0]
     offdiag0 = (d[1] == r.zero) & (d[2] == r.zero)
     qual = offdiag0 & (_in_p_and_1p(r, d[0], d[3]) | _in_p_and_1p(r, d[3], d[0]))
-    reach = _conjugation_reach(m2, qual)
-    rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | reach
+    rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | _conjugation_reach(m2, qual)
     return _mask_check(m2, "matrix", "pclean_iff_trivial_or_diag_similar", lhs, rhs)
 
 
@@ -732,28 +731,16 @@ def _check_t5_4(r: RingTable, env: VerifyEnv):
     lhs = definitional_mask(m2)
     d = m2_invariants(m2)[0]
     qual = (d[0] == r.zero) & (d[2] == r.one) & _in_p_and_1p(r, d[1], d[3])
-    reach = _conjugation_reach(m2, qual)
-    trivial = entries_in_p_mask(m2) | one_minus_in_p_mask(m2)
-    need_pi = np.flatnonzero(reach & ~trivial)
-    pi_ok = np.zeros(m2.order, dtype=bool)
-    for a in map(int, need_pi):
-        pi_ok[a] = dec.strongly_pi_regular_element(m2, a)[0]
-    rhs = trivial | (reach & pi_ok)
+    reach = _conjugation_reach(m2, qual) & dec.strongly_pi_regular_mask(m2)
+    rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | reach
     return _mask_check(m2, "matrix", "pclean_iff_pi_regular_and_companion_similar", lhs, rhs)
 
 
 def _check_p5_6(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    pcl = definitional_mask(m2)
-    nil = rad.nilpotent_mask(m2)
-    units = m2.unit_mask
-    for a in range(m2.order):
-        pi = dec.strongly_pi_regular_element(m2, a)[0]
-        rhs = bool(units[a] or nil[a] or pcl[a])
-        if pi != rhs:
-            prop = "pi_regular_iff_unit_or_nilpotent_or_pclean"
-            return COUNTEREXAMPLE, _cex("matrix", m2, prop, rhs, pi, matrix=m2.fmt_index(a))
-    return HOLDS, None
+    rhs = m2.unit_mask | rad.nilpotent_mask(m2) | definitional_mask(m2)
+    prop = "pi_regular_iff_unit_or_nilpotent_or_pclean"
+    return _mask_check(m2, "matrix", prop, dec.strongly_pi_regular_mask(m2), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,4 +1022,6 @@ _ELEMENT_PROPS = {
     "pclean_implies_discriminant_square_of_1P": _discriminant_side,
     "pclean_iff_discriminant_square_of_1P": _pclean_at,
     "pclean_iff_pi_regular_and_companion_similar": _pclean_at,
+    "family_pclean_iff_1_plus_4pq_square": _pclean_at,
+    "pi_regular_iff_unit_or_nilpotent_or_pclean": lambda r, x, p: dec.strongly_pi_regular_element(r, x)[0],
 }

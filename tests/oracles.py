@@ -391,6 +391,16 @@ def pi_regular_oracle(r, a):
     return (False, None, None) if found is None else (True, *found)
 
 
+def conjugation_reach_oracle(rt, qual):
+    """Mask of the y with u^-1 y u in qual for some unit u: one conjugation
+    pass per unit of rt, read from its rows and columns."""
+    found = qual.copy()
+    inv = rt.unit_inverses
+    for u in rt.unit_indices:
+        found |= qual[rt.mul_col(u)[rt.mul_row(inv[u])]]
+    return found
+
+
 def gather_sweep(r, member, commuting):
     """The idempotent sweep gathered over the undecided elements: for each
     idempotent e, the x still below the target count with x - e in `member`

@@ -232,6 +232,19 @@ def test_pi_regular_matches_power_by_power_oracle(name, sample):
         assert dec.strongly_pi_regular_element(r, a) == pi_regular_oracle(r, a), a
 
 
+@pytest.mark.parametrize(
+    "name, sample", [("M2(Z4)", None), ("T2(Z8)", None), ("M2(Z9)", 300), ("M2(Z4[i])", 300)]
+)
+def test_pi_regular_mask_matches_the_per_element_test(name, sample):
+    r = build_ring(name)
+    mask = dec.strongly_pi_regular_mask(r)
+    elements = range(r.order)
+    if sample is not None:
+        elements = np.random.default_rng(17).integers(0, r.order, size=sample).tolist()
+    for a in elements:
+        assert mask[a] == dec.strongly_pi_regular_element(r, a)[0], r.fmt_index(a)
+
+
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)
 def test_engine_matches_definitions(name):
     # every verdict, count and certificate against the element-by-element

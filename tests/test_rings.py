@@ -463,6 +463,19 @@ def test_inverse_above_the_unit_scan_limit():
     assert "unit_inverses" not in r.cache
 
 
+@pytest.mark.parametrize("name", ["Z9", "Z4[i]", "T2(Z4)", "M2(Z2)", "M2(Z4)", "Tc2(Z4)", "Z4xZ2"])
+def test_unit_generators_generate_the_unit_group(name):
+    # the products of the picks, grown one scalar product at a time
+    r = build_ring(name)
+    gens = r.unit_generators
+    group, frontier = {r.one}, [r.one]
+    while frontier:
+        frontier = [p for p in {r.mul(g, s) for g in frontier for s in gens} if p not in group]
+        group.update(frontier)
+    assert group == set(r.unit_indices.tolist())
+    assert len(gens) <= 8
+
+
 def _line_ring(name: str) -> RingTable:
     if name == "corner":  # a subset ring: e11 M2(Z4[i]) e11
         m2 = build_ring("M2(Z4[i])")
@@ -483,6 +496,7 @@ def _line_ring(name: str) -> RingTable:
         ("T2(Z9[w])", False),
         ("Tc3(Z4)", True),
         ("M2(Z9)xZ2", False),  # a product over a factor without tables
+        ("Z9[w]xM2(Z4)", False),  # a product without tables over factors with them
         ("Z4/(2)", True),
         ("corner", True),
         ("tables", True),

@@ -16,6 +16,7 @@ from pclean.verifier import (
     verify,
 )
 
+from oracles import conjugation_reach_oracle
 from table_kernel import TableKernel
 
 
@@ -99,10 +100,11 @@ def test_ring_major_suite_equals_theorem_major_verify():
     assert strip(run_suite(cat).checks) == strip(want)
 
 
-def _corrupted_z4(row: int, col: int, val: int, name: str) -> RingTable:
-    z4 = build_ring("Z4")
-    add = np.array([[z4.add(a, b) for b in range(4)] for a in range(4)])
-    mul = np.array([[z4.mul(a, b) for b in range(4)] for a in range(4)])
+def _corrupted_z4(row: int, col: int, val: int, name: str, n: int = 4) -> RingTable:
+    """Z_n's tables (Z4 unless n is given) with mul[row][col] = val."""
+    zn = build_ring(f"Z{n}")
+    add = np.array([[zn.add(a, b) for b in range(n)] for a in range(n)])
+    mul = np.array([[zn.mul(a, b) for b in range(n)] for a in range(n)])
     mul[row][col] = val
     return RingTable(TableKernel(add, mul, zero=0, one=1), name)
 
@@ -160,23 +162,26 @@ def test_ideal_power_trap_fires_when_a_power_escapes(tid):
 
 # one counterexample per payload shape (element, matrix, ideal, ideal pair,
 # criteria) and per extra field (idempotent, power_order), from five
-# corrupted Z4 tables; (row, col, val) sets mul[row][col] = val
+# corrupted Z4 tables and one Z8 table; "Z<n>c_<row><col><val>" is Z_n with
+# mul[row][col] = val
 PINNED_PAYLOADS = [
-    ((0, 1, 2), "L2.7", '{"kind": "ideal", "ring": "Z4c_012", "ideal_gens": ["2"], "ideal_order": 2, "property": "pclean_iff_quotient_by_nilpotent_pclean", "expected": false, "actual": true}'),
-    ((0, 1, 2), "T2.8", '{"kind": "ideal", "ring": "Z4c_012", "ideal_gens": ["2"], "ideal_order": 2, "power_order": 1, "property": "pclean_quotient_stable_under_ideal_powers", "expected": true, "actual": false}'),
-    ((0, 1, 2), "P2.10", '{"kind": "ideal_pair", "ring": "Z4c_012", "ideal_gens": [["2"], ["2"]], "orders": [2, 2], "both_quotients": true, "mod_product": false, "mod_intersection": true}'),
-    ((0, 1, 2), "C2.12", '{"kind": "element", "ring": "Tc2(Z4c_012)", "element": "[0,1;0,0]", "property": "strongly_pclean", "expected": true, "actual": false}'),
-    ((0, 1, 2), "L3.1", '{"kind": "element", "ring": "Z4c_012", "element": "3", "idempotent": "1", "property": "annihilators_carry_to_idempotent", "expected": true, "actual": false}'),
-    ((0, 2, 1), "P3.7", '{"kind": "element", "ring": "T2(Z4c_021)", "element": "[0,0;0,2]", "property": "pclean_iff_diagonal_in_P_or_1P", "expected": true, "actual": false}'),
-    ((0, 2, 1), "L4.1", '{"kind": "matrix", "ring": "M2(Z4c_021)", "matrix": "[0,0;0,2]", "property": "radical_of_matrix_ring_is_matrix_of_radical", "expected": true, "actual": false}'),
-    ((2, 2, 1), "T4.2", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,0;0,3]", "property": "pclean_iff_trivial_or_diag_similar", "expected": true, "actual": false}'),
-    ((2, 2, 1), "T4.4", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[2,1;2,3]", "property": "three_criteria_agree", "criteria": {"idempotent_scan": false, "difference_in_radical": false, "quadratic_roots": true}}'),
-    ((2, 2, 1), "C4.5", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[2,1;2,3]", "property": "pclean_iff_ratio_equation_root_in_P", "expected": true, "actual": false}'),
-    ((2, 2, 1), "T5.1", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[2,2;2,2]", "property": "pclean_implies_discriminant_square_of_1P", "expected": true, "actual": false}'),
-    ((2, 2, 1), "C5.2", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,1;1,1]", "property": "pclean_iff_discriminant_square_of_1P", "expected": true, "actual": false}'),
-    ((2, 2, 1), "T5.4", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,0;0,3]", "property": "pclean_iff_pi_regular_and_companion_similar", "expected": true, "actual": false}'),
-    ((1, 1, 0), "T2.4", '{"kind": "element", "ring": "Z4c_110", "element": "3", "property": "idempotent_lift", "expected": "lift", "actual": "PcleanError(\'lift remainder not nilpotent for 3\')"}'),
-    ((3, 3, 2), "C2.11", '{"kind": "element", "ring": "Z4c_332", "element": "0", "property": "uniquely_clean_count", "expected": 1, "actual": 0}'),
+    ("Z4c_012", "L2.7", '{"kind": "ideal", "ring": "Z4c_012", "ideal_gens": ["2"], "ideal_order": 2, "property": "pclean_iff_quotient_by_nilpotent_pclean", "expected": false, "actual": true}'),
+    ("Z4c_012", "T2.8", '{"kind": "ideal", "ring": "Z4c_012", "ideal_gens": ["2"], "ideal_order": 2, "power_order": 1, "property": "pclean_quotient_stable_under_ideal_powers", "expected": true, "actual": false}'),
+    ("Z4c_012", "P2.10", '{"kind": "ideal_pair", "ring": "Z4c_012", "ideal_gens": [["2"], ["2"]], "orders": [2, 2], "both_quotients": true, "mod_product": false, "mod_intersection": true}'),
+    ("Z4c_012", "C2.12", '{"kind": "element", "ring": "Tc2(Z4c_012)", "element": "[0,1;0,0]", "property": "strongly_pclean", "expected": true, "actual": false}'),
+    ("Z4c_012", "L3.1", '{"kind": "element", "ring": "Z4c_012", "element": "3", "idempotent": "1", "property": "annihilators_carry_to_idempotent", "expected": true, "actual": false}'),
+    ("Z4c_021", "P3.7", '{"kind": "element", "ring": "T2(Z4c_021)", "element": "[0,0;0,2]", "property": "pclean_iff_diagonal_in_P_or_1P", "expected": true, "actual": false}'),
+    ("Z4c_021", "L4.1", '{"kind": "matrix", "ring": "M2(Z4c_021)", "matrix": "[0,0;0,2]", "property": "radical_of_matrix_ring_is_matrix_of_radical", "expected": true, "actual": false}'),
+    ("Z4c_221", "T4.2", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,0;0,3]", "property": "pclean_iff_trivial_or_diag_similar", "expected": true, "actual": false}'),
+    ("Z4c_221", "T4.4", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[2,1;2,3]", "property": "three_criteria_agree", "criteria": {"idempotent_scan": false, "difference_in_radical": false, "quadratic_roots": true}}'),
+    ("Z4c_221", "C4.5", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[2,1;2,3]", "property": "pclean_iff_ratio_equation_root_in_P", "expected": true, "actual": false}'),
+    ("Z4c_221", "T5.1", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[2,2;2,2]", "property": "pclean_implies_discriminant_square_of_1P", "expected": true, "actual": false}'),
+    ("Z4c_221", "C5.2", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,1;1,1]", "property": "pclean_iff_discriminant_square_of_1P", "expected": true, "actual": false}'),
+    ("Z4c_221", "T5.4", '{"kind": "matrix", "ring": "M2(Z4c_221)", "matrix": "[0,0;0,3]", "property": "pclean_iff_pi_regular_and_companion_similar", "expected": true, "actual": false}'),
+    ("Z4c_110", "T2.4", '{"kind": "element", "ring": "Z4c_110", "element": "3", "property": "idempotent_lift", "expected": "lift", "actual": "PcleanError(\'lift remainder not nilpotent for 3\')"}'),
+    ("Z4c_332", "C2.11", '{"kind": "element", "ring": "Z4c_332", "element": "0", "property": "uniquely_clean_count", "expected": 1, "actual": 0}'),
+    ("Z8c_220", "E5.3", '{"kind": "matrix", "ring": "M2(Z8c_220)", "matrix": "[3,2;3,2]", "property": "family_pclean_iff_1_plus_4pq_square", "expected": true, "actual": false}'),
+    ("Z8c_220", "P5.6", '{"kind": "matrix", "ring": "M2(Z8c_220)", "matrix": "[0,0;6,3]", "property": "pi_regular_iff_unit_or_nilpotent_or_pclean", "expected": false, "actual": true}'),
 ]
 
 
@@ -192,10 +197,10 @@ def _payload_ring(bad: RingTable, name: str) -> RingTable:
 
 
 @pytest.mark.parametrize(
-    "corruption, tid, payload", PINNED_PAYLOADS, ids=[tid for _, tid, _ in PINNED_PAYLOADS]
+    "name, tid, payload", PINNED_PAYLOADS, ids=[tid for _, tid, _ in PINNED_PAYLOADS]
 )
-def test_counterexample_payloads_are_pinned_and_replay(corruption, tid, payload):
-    bad = _corrupted_z4(*corruption, "Z4c_%d%d%d" % corruption)
+def test_counterexample_payloads_are_pinned_and_replay(name, tid, payload):
+    bad = _corrupted_z4(*map(int, name[-3:]), name, n=int(name[1]))
     (check,) = verify(tid, [bad])
     assert check.verdict == "COUNTEREXAMPLE"
     assert json.dumps(check.counterexample) == payload
@@ -323,3 +328,47 @@ def test_squares_of_one_plus_p_match_a_loop_over_one_plus_p(name):
     is_square, got = _squares_of_one_plus_p(r)
     assert {y: int(got[y]) for y in np.flatnonzero(is_square).tolist()} == least
     assert (got[~is_square] == -1).all()
+
+
+@pytest.mark.parametrize(
+    "name, tids",
+    [
+        ("M2(Z4)", ("T4.2", "T5.4")),
+        ("M2(Z8)", ("T4.2", "T5.4")),
+        ("M2(Z2[i])", ("T4.2", "T5.4")),
+        ("M2(Z3)", ("T4.2", "T5.4")),
+        ("T2(Z4[i])", ("C3.6",)),
+        ("T2(Z8)", ("C3.6",)),
+        ("T2(Z9)", ("C3.6",)),
+    ],
+)
+def test_conjugation_orbits_match_the_per_unit_loop(monkeypatch, name, tids):
+    # the masks the checks conjugate, recorded on their way in, and seeded
+    # random ones, against one conjugation pass per unit
+    from pclean import verifier
+
+    reach, seen = verifier._conjugation_reach, []
+
+    def recorded(rt, qual):
+        seen.append((rt, qual))
+        return reach(rt, qual)
+
+    monkeypatch.setattr(verifier, "_conjugation_reach", recorded)
+    for tid in tids:
+        (check,) = verify(tid, [name[3:-1]])
+        assert check.verdict == "HOLDS"
+    rt = build_ring(name)
+    assert [r for r, _ in seen] == [rt] * len(tids)
+    rng = np.random.default_rng(7)
+    masks = [q for _, q in seen] + [rng.random(rt.order) < p for p in (0.003, 0.02, 0.1)]
+    for qual in masks:
+        assert np.array_equal(reach(rt, qual), conjugation_reach_oracle(rt, qual))
+
+
+def test_pi_regular_mask_returns_on_a_table_that_is_no_ring():
+    # lanes that never return to a^M, or whose witness fails, read False
+    from pclean.matrices import matrix_ring
+
+    m2 = matrix_ring(_corrupted_z4(2, 2, 1, "Z4c_221p"))
+    mask = dec.strongly_pi_regular_mask(m2)
+    assert mask.shape == (m2.order,) and mask.dtype == bool and not mask.all()

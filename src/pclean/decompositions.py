@@ -77,12 +77,9 @@ _KINDS = {
 }
 
 
-def _hits(
-    r: RingTable, kind: str, a: int, commuting: bool, first: bool = False
-) -> np.ndarray:
+def _hits(r: RingTable, kind: str, a: int, commuting: bool) -> np.ndarray:
     """Idempotents e, ascending, with a - e in the set of `kind` (and ea = ae
-    when `commuting`).  P-membership never computes P(R) for one element; with
-    `first` it stops at the least hit, the only one then returned."""
+    when `commuting`).  P-membership never computes P(R) for one element."""
     idem = r.idempotent_indices
     aa = np.int64(a)
     if commuting:
@@ -90,10 +87,6 @@ def _hits(
     diff = r.vsub(aa, idem)
     if kind != STRONGLY_P_CLEAN:
         return idem[_KINDS[kind][0](r)[diff]]
-    if first:
-        in_p = (radicals.in_prime_radical(r, diff[i : i + 1])[0] for i in range(diff.size))
-        i = next((i for i, hit in enumerate(in_p) if hit), diff.size)
-        return idem[i : i + 1]
     return idem[radicals.in_prime_radical(r, diff)]
 
 
@@ -265,14 +258,13 @@ def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None
     """Strongly (some commuting e) or uniquely (exactly one e) `kind`-clean."""
 
     def make():
-        bad = None
+        member, bad = _KINDS[kind][0](r), None
         if commuting and r.order > _PROBE_ABOVE:
             # counterexamples in structured rings tend to sit at tiny indices;
-            # probing them first avoids the full vectorized sweep
-            probe = range(min(_PROBE, r.order))
-            bad = next((x for x in probe if not _hits(r, kind, x, True, first=True).size), None)
+            # probing them against the member set avoids the full sweep
+            bad = next((x for x in range(_PROBE) if not _hits(r, kind, x, True).size), None)
         if bad is None:
-            cover = _sweep(r, _KINDS[kind][0](r), commuting)
+            cover = _sweep(r, member, commuting)
             gaps = np.flatnonzero(~cover if commuting else cover != 1)
             bad = int(gaps[0]) if gaps.size else None
         return (bad is None, bad)

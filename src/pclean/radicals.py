@@ -236,7 +236,7 @@ def _filter_then_certify(r: RingTable) -> tuple[np.ndarray, dict]:
             mask[cand] = True
             if _certify_ideal(r, mask) and (k := _ideal_nilpotency(r, mask)) is not None:
                 return mask, {"nilpotency": k}
-        if rows is None:
+        if rows is None or cand.size == 0:  # C lost even 0: the table is no ring
             break
         step = max(1, _CHUNK // cand.size)
         for s in range(0, rows.size, step):

@@ -6,8 +6,12 @@ Idempotents enter only through the sweep and hits of `decompositions`, 1+P
 through `radicals.one_plus_p_mask`, ideals through the exact lattice of
 `enumerate_ideals`, similarity by a unit through the orbit maps of
 `_conjugation_reach`, strong pi-regularity through the one whole-ring mask.
-`replay_counterexample` re-verifies every payload kind (element/matrix
-literals, ideal generators) by recomputing its recorded side.
+Every ring-level side has one definition, in `_RING_PROPS`, which the checks
+and `replay_counterexample` both read.  One driver, `_run_one`, times every
+check on every subject its `CheckDef.subjects` names (each ring, each
+unordered pair of rings, or once) and tries its guards.
+`replay_counterexample` re-verifies every payload kind (ring-level sides,
+element/matrix literals, ideal generators) by recomputing its recorded sides.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .rings import (
     build_ring,
     cached,
     corner_ring,
+    derived_ring,
     ideal_closure_mask,
     subgroup_basis,
 )
@@ -135,10 +140,6 @@ class TheoremReport:
 # shared helpers
 
 
-def _sides(**named) -> dict:
-    return {"kind": "sides", "values": {k: v for k, v in named.items()}}
-
-
 def _ideal_gens(r: RingTable, mask: np.ndarray) -> list[str]:
     return [r.fmt_index(int(i)) for i in subgroup_basis(r, np.flatnonzero(mask))]
 
@@ -177,12 +178,11 @@ def _boolean_mod(r: RingTable, mask: np.ndarray) -> bool:
 
 
 def _quotient_pclean(r: RingTable, mask: np.ndarray) -> bool:
-    memo = cached(r, "quotient_pclean_memo", dict)
-    key = ("qp", mask.tobytes())
-    if key not in memo:
+    def make():
         q = _quotient_table(r, mask)
-        memo[key] = True if q is None else dec.is_strongly_pclean_ring(q)[0]
-    return memo[key]
+        return True if q is None else _strongly_pclean(q)
+
+    return cached(r, ("qp", mask.tobytes()), make)
 
 
 def enumerate_ideals(r: RingTable) -> list[np.ndarray]:
@@ -242,7 +242,7 @@ def _mask_check(ring: RingTable, kind: str, prop: str, actual, expected):
     )
 
 
-# Guards: (ring, env) -> None, or the (verdict, note) that replaces the check.
+# Guards: (subject, env) -> None, or the (verdict, note) that replaces the check.
 
 
 def _requires(holds, note: str, verdict: str = HYPOTHESIS_NOT_MET):
@@ -262,19 +262,116 @@ _ideal_enum = _requires(
 _z4_only = _requires(lambda r: r.name == "Z4", "worked example is specific to Z4", SKIPPED)
 
 
+def _within_limit(family: str, r: RingTable, env: VerifyEnv) -> tuple[list[int], str | None]:
+    """The k in (2, 3) whose family_k(r) fits env.limit, and a note naming the rest."""
+    orders = {k: specs.derived_order(family, k, r.order) for k in (2, 3)}
+    over = [f"{family}{k} order {n} beyond limit" for k, n in orders.items() if n > env.limit]
+    return [k for k, n in orders.items() if n <= env.limit], "; ".join(over) or None
+
+
 def _budget(family: str, budget: int | None = None):
     """Guard skipping a check whose ring family_2(r) is larger than `budget`,
     or than env.limit when no budget is given."""
 
     def guard(r: RingTable, env: VerifyEnv):
         order = specs.derived_order(family, 2, r.order)
-        if budget is None and order > env.limit:
-            return (SKIPPED, f"{family}2 order {order} beyond limit {env.limit}")
-        if budget is not None and order > budget:
-            return (SKIPPED, f"{family}2 order {order} exceeds budget {budget}")
+        if order > (budget or env.limit):
+            why = f"exceeds budget {budget}" if budget else f"beyond limit {env.limit}"
+            return (SKIPPED, f"{family}2 order {order} {why}")
         return None
 
     return guard
+
+
+# ---------------------------------------------------------------------------
+# ring-level sides: the one definition of every property a `sides` payload
+# records, read by the checks and by replay
+
+
+def _double_commutant_idempotent(r: RingTable) -> bool:
+    """Every x has an idempotent e with x - e in P that commutes with every
+    element commuting with x."""
+
+    def ok(x: int) -> bool:
+        comm = np.flatnonzero(r.mul_row(x) == r.mul_col(x))
+        cand = dec._hits(r, dec.STRONGLY_P_CLEAN, x, commuting=False)
+        return any(np.array_equal(r.vmul(e, comm), r.vmul(comm, e)) for e in cand)
+
+    return all(map(ok, range(r.order)))
+
+
+def _bad_corner(r: RingTable):
+    """(f, fRf, least failing index of fRf) for the first nonzero idempotent f
+    whose corner is not strongly P-clean; None when every corner is (the
+    zero corner is the zero ring, trivially clean)."""
+    for f in r.idempotent_indices.tolist():
+        if f != r.zero:
+            corner, _ = corner_ring(r, f)
+            ok, cex = dec.is_strongly_pclean_ring(corner)
+            if not ok:
+                return f, corner, cex
+    return None
+
+
+def _t2_trivial_or_diagonalizable(r: RingTable) -> tuple[RingTable, np.ndarray]:
+    """T2(r) and, per element, whether it lies in P, in 1+P, or is similar by
+    a unit to a diagonal matrix with one entry in P and the other in 1+P."""
+    t2 = triangular_ring(r)
+    d = t2.kernel._digits(np.arange(t2.order, dtype=np.int64))
+    qual = (d[1] == r.zero) & (_in_p_and_1p(r, d[0], d[2]) | _in_p_and_1p(r, d[2], d[0]))
+    return t2, rad.prime_radical(t2).mask | rad.one_plus_p_mask(t2) | _conjugation_reach(t2, qual)
+
+
+def _strongly_pclean(r: RingTable) -> bool:
+    return dec.is_strongly_pclean_ring(r)[0]
+
+
+_RING_PROPS = {
+    "strongly_pclean_ring": _strongly_pclean,
+    "uniquely_pclean_ring": lambda r: dec.is_uniquely_pclean_ring(r)[0],
+    "strongly_clean_ring": lambda r: dec.is_strongly_clean_ring(r)[0],
+    "uniquely_nilclean_ring": lambda r: dec.is_uniquely_nilclean_ring(r)[0],
+    "abelian": rad.is_abelian,
+    "boolean_mod_jacobson": lambda r: _boolean_mod(r, rad.jacobson_radical(r).mask),
+    "boolean_mod_prime": lambda r: _boolean_mod(r, rad.prime_radical(r).mask),
+    "jacobson_locally_nilpotent": lambda r: rad.is_locally_nilpotent(
+        rad.jacobson_radical(r)
+    ),
+    "one_plus_units_strongly_nilpotent": lambda r: bool(
+        rad.prime_radical(r).mask[r.vadd(np.int64(r.one), r.unit_indices)].all()
+    ),
+    # some idempotent e with x - e in P, commuting or not: the uniquely
+    # P-clean pass counts them for every x
+    "idempotent_within_radical_for_all": lambda r: bool(
+        (dec._sweep(r, rad.prime_radical(r).mask, commuting=False) > 0).all()
+    ),
+    "double_commutant_idempotent_for_all": _double_commutant_idempotent,
+    "all_corners_strongly_pclean": lambda r: _bad_corner(r) is None,
+    "residue_z2_and_locally_nilpotent": lambda r: (
+        r.order == 2 * (j := rad.jacobson_radical(r)).order and rad.is_locally_nilpotent(j)
+    ),
+    # no size cap: T3.5 names T_k(r) only within its limit
+    "triangular_2_strongly_pclean": lambda r: _strongly_pclean(derived_ring("T", 2, r)),
+    "triangular_3_strongly_pclean": lambda r: _strongly_pclean(derived_ring("T", 3, r)),
+    "every_t2_matrix_trivial_or_diagonalizable": lambda r: bool(
+        _t2_trivial_or_diagonalizable(r)[1].all()
+    ),
+    "product_strongly_pclean": _strongly_pclean,
+    # None on a ring that is no direct product, so no recorded side matches
+    "both_factors_strongly_pclean": lambda r: (
+        all(map(_strongly_pclean, r.kernel.parts)) if isinstance(r.kernel, ProductKernel) else None
+    ),
+}
+
+
+def _side_verdict(r: RingTable, names, all_agree: bool = False, note: str | None = None):
+    """HOLDS (with `note`) when the first named side equals the AND of the
+    rest, or with `all_agree` when all sides agree; otherwise the `sides`
+    payload of every value, in the order of `names`."""
+    vals = {name: _RING_PROPS[name](r) for name in names}
+    first, *rest = vals.values()
+    holds = len(set(vals.values())) == 1 if all_agree else first == all(rest)
+    return (HOLDS, note) if holds else (COUNTEREXAMPLE, {"kind": "sides", "values": vals})
 
 
 # ---------------------------------------------------------------------------
@@ -282,50 +379,25 @@ def _budget(family: str, budget: int | None = None):
 
 
 def _check_t2_1(r: RingTable, env: VerifyEnv):
-    lhs, lhs_cex = dec.is_strongly_pclean_ring(r)
-    sc, sc_cex = dec.is_strongly_clean_ring(r)
-    j = rad.jacobson_radical(r)
-    boolean_mod_j = _boolean_mod(r, j.mask)
-    loc_nilp = rad.is_locally_nilpotent(j)
-    rhs = sc and boolean_mod_j and loc_nilp
-    if lhs == rhs:
-        return HOLDS, None
-    cex = _sides(
-        strongly_pclean_ring=lhs,
-        strongly_clean_ring=sc,
-        boolean_mod_jacobson=boolean_mod_j,
-        jacobson_locally_nilpotent=loc_nilp,
-    )
-    wit = lhs_cex if lhs_cex is not None else sc_cex
-    if wit is not None:
-        cex["witness"] = r.fmt_index(wit)
-    return COUNTEREXAMPLE, cex
+    sides = ("strongly_pclean_ring", "strongly_clean_ring", "boolean_mod_jacobson",
+             "jacobson_locally_nilpotent")
+    verdict, cex = _side_verdict(r, sides)
+    if verdict == COUNTEREXAMPLE:
+        lhs_cex, sc_cex = dec.is_strongly_pclean_ring(r)[1], dec.is_strongly_clean_ring(r)[1]
+        wit = lhs_cex if lhs_cex is not None else sc_cex
+        if wit is not None:
+            cex["witness"] = r.fmt_index(wit)
+    return verdict, cex
 
 
 def _check_t2_4(r: RingTable, env: VerifyEnv):
     pm = rad.prime_radical(r).mask
-    c1 = dec.is_strongly_pclean_ring(r)[0]
-    c2 = _boolean_mod(r, pm)
-    # some idempotent e with x - e in P, commuting or not: the uniquely
-    # P-clean pass counts them for every x
-    c3 = bool((dec._sweep(r, pm, commuting=False) > 0).all())
-    conditions = {
-        "strongly_pclean_ring": c1,
-        "boolean_mod_prime": c2,
-        "idempotent_within_radical_for_all": c3,
-    }
+    sides = ["strongly_pclean_ring", "boolean_mod_prime", "idempotent_within_radical_for_all"]
     if r.order <= COMMUTANT_BUDGET:
-        c4 = True
-        for x in range(r.order):
-            comm = np.flatnonzero(r.mul_row(x) == r.mul_col(x))
-            cand = dec._hits(r, dec.STRONGLY_P_CLEAN, x, commuting=False)
-            if not any(np.array_equal(r.vmul(e, comm), r.vmul(comm, e)) for e in cand):
-                c4 = False
-                break
-        conditions["double_commutant_idempotent_for_all"] = c4
-    vals = set(conditions.values())
-    if len(vals) != 1:
-        return COUNTEREXAMPLE, _sides(**conditions)
+        sides.append("double_commutant_idempotent_for_all")
+    verdict = _side_verdict(r, sides, all_agree=True)
+    if verdict[0] == COUNTEREXAMPLE:
+        return verdict
     # constructive lifting: a - a^2 in P must lift to an idempotent inside P
     for a in range(r.order):
         if pm[r.sub(a, r.mul(a, a))]:
@@ -339,18 +411,14 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
 
 
 def _check_c2_5(r: RingTable, env: VerifyEnv):
-    lhs = dec.is_strongly_pclean_ring(r)[0]
-    pm = rad.prime_radical(r).mask
-    shifted = r.vadd(np.int64(r.one), r.unit_indices)
-    rhs = bool(pm[shifted].all())
-    if lhs == rhs:
-        return HOLDS, None
-    bad = r.unit_indices[~pm[shifted]]
-    cex = _sides(strongly_pclean_ring=lhs, one_plus_units_strongly_nilpotent=rhs)
-    if bad.size:
-        cex["witness"] = r.fmt_index(int(r.add(r.one, int(bad[0]))))
-    cex["note"] = "periodicity holds in every finite ring"
-    return COUNTEREXAMPLE, cex
+    verdict, cex = _side_verdict(r, ("strongly_pclean_ring", "one_plus_units_strongly_nilpotent"))
+    if verdict == COUNTEREXAMPLE:
+        shifted = r.vadd(np.int64(r.one), r.unit_indices)
+        bad = shifted[~rad.prime_radical(r).mask[shifted]]
+        if bad.size:
+            cex["witness"] = r.fmt_index(int(bad[0]))
+        cex["note"] = "periodicity holds in every finite ring"
+    return verdict, cex
 
 
 def _check_l2_6(r: RingTable, env: VerifyEnv):
@@ -386,37 +454,38 @@ def _check_t2_8(r: RingTable, env: VerifyEnv):
     return HOLDS, None
 
 
+def _pair_sides(r: RingTable, ma: np.ndarray, mb: np.ndarray) -> dict:
+    """P2.10's three sides for ideals I, J: R/I and R/J strongly P-clean,
+    R/IJ strongly P-clean, R/(I & J) strongly P-clean."""
+    return {
+        "both_quotients": _quotient_pclean(r, ma) and _quotient_pclean(r, mb),
+        "mod_product": _quotient_pclean(r, rad.ideal_product_mask(r, ma, mb)),
+        "mod_intersection": _quotient_pclean(r, ma & mb),
+    }
+
+
 def _check_p2_10(r: RingTable, env: VerifyEnv):
     ideals = enumerate_ideals(r)
     for i, ma in enumerate(ideals):
-        va = _quotient_pclean(r, ma)
         for mb in ideals[i:]:
-            v1 = va and _quotient_pclean(r, mb)
-            v2 = _quotient_pclean(r, rad.ideal_product_mask(r, ma, mb))
-            v3 = _quotient_pclean(r, ma & mb)
-            if not (v1 == v2 == v3):
+            sides = _pair_sides(r, ma, mb)
+            if len(set(sides.values())) > 1:
                 return COUNTEREXAMPLE, {
                     "kind": "ideal_pair",
                     "ring": r.name,
                     "ideal_gens": [_ideal_gens(r, ma), _ideal_gens(r, mb)],
                     "orders": [int(ma.sum()), int(mb.sum())],
-                    "both_quotients": v1,
-                    "mod_product": v2,
-                    "mod_intersection": v3,
+                    **sides,
                 }
     return HOLDS, None
 
 
 def _check_t2_10(r: RingTable, env: VerifyEnv):
-    lhs, lhs_cex = dec.is_uniquely_pclean_ring(r)
-    ab = rad.is_abelian(r)
-    sp = dec.is_strongly_pclean_ring(r)[0]
-    if lhs == (ab and sp):
-        return HOLDS, None
-    cex = _sides(uniquely_pclean_ring=lhs, abelian=ab, strongly_pclean_ring=sp)
-    if lhs_cex is not None:
+    verdict, cex = _side_verdict(r, ("uniquely_pclean_ring", "abelian", "strongly_pclean_ring"))
+    lhs_cex = dec.is_uniquely_pclean_ring(r)[1]
+    if verdict == COUNTEREXAMPLE and lhs_cex is not None:
         cex["witness"] = r.fmt_index(lhs_cex)
-    return COUNTEREXAMPLE, cex
+    return verdict, cex
 
 
 def _check_c2_11(r: RingTable, env: VerifyEnv):
@@ -433,12 +502,8 @@ def _check_c2_11(r: RingTable, env: VerifyEnv):
 def _check_c2_12(r: RingTable, env: VerifyEnv):
     if not dec.is_uniquely_pclean_ring(r)[0]:
         return HYPOTHESIS_NOT_MET, None
-    note = []
-    for k in (2, 3):
-        order = specs.derived_order("Tc", k, r.order)
-        if order > env.limit:
-            note.append(f"Tc{k} order {order} beyond limit")
-            continue
+    sizes, note = _within_limit("Tc", r, env)
+    for k in sizes:
         # one-shot, unlike M_k/T_k: memoized on r, every Tc_k(r) of the
         # catalog would stay alive for the rest of the suite (about 130 MB
         # more peak RSS in run_suite())
@@ -446,18 +511,12 @@ def _check_c2_12(r: RingTable, env: VerifyEnv):
         holds, cex = dec.is_strongly_pclean_ring(t)
         if not holds:
             return COUNTEREXAMPLE, _element_cex(t, cex, "strongly_pclean", True, False)
-    return HOLDS, ("; ".join(note) or None)
+    return HOLDS, note
 
 
 def _check_t2_13(r: RingTable, env: VerifyEnv):
-    lhs = dec.is_uniquely_pclean_ring(r)[0]
-    sp = dec.is_strongly_pclean_ring(r)[0]
-    un = dec.is_uniquely_nilclean_ring(r)[0]
-    if lhs == (sp and un):
-        return HOLDS, None
-    return COUNTEREXAMPLE, _sides(
-        uniquely_pclean_ring=lhs, strongly_pclean_ring=sp, uniquely_nilclean_ring=un
-    )
+    sides = ("uniquely_pclean_ring", "strongly_pclean_ring", "uniquely_nilclean_ring")
+    return _side_verdict(r, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -503,65 +562,33 @@ def _check_t3_2(r: RingTable, env: VerifyEnv):
 
 
 def _check_c3_3(r: RingTable, env: VerifyEnv):
-    lhs = dec.is_strongly_pclean_ring(r)[0]
-    rhs = True
-    witness = None
-    for f in r.idempotent_indices:
-        f = int(f)
-        if f == r.zero:
-            continue  # the zero corner is the zero ring, trivially clean
-        corner, _ = corner_ring(r, f)
-        ok, cex = dec.is_strongly_pclean_ring(corner)
-        if not ok:
-            rhs = False
-            witness = (f, cex, corner)
-            break
-    if lhs == rhs:
-        return HOLDS, None
-    cex_payload = _sides(strongly_pclean_ring=lhs, all_corners_strongly_pclean=rhs)
-    if witness:
-        f, cex, corner = witness
-        cex_payload["corner"] = r.fmt_index(f)
-        cex_payload["witness"] = corner.fmt_index(cex)
-    return COUNTEREXAMPLE, cex_payload
+    verdict, cex = _side_verdict(r, ("strongly_pclean_ring", "all_corners_strongly_pclean"))
+    bad = _bad_corner(r) if verdict == COUNTEREXAMPLE else None
+    if bad:
+        f, corner, w = bad
+        cex["corner"] = r.fmt_index(f)
+        cex["witness"] = corner.fmt_index(w)
+    return verdict, cex
 
 
 def _check_t3_5(r: RingTable, env: VerifyEnv):
-    j = rad.jacobson_radical(r)
-    conditions = {
-        "strongly_pclean_ring": dec.is_strongly_pclean_ring(r)[0],
-        "uniquely_pclean_ring": dec.is_uniquely_pclean_ring(r)[0],
-        "residue_z2_and_locally_nilpotent": (
-            r.order == 2 * j.order and rad.is_locally_nilpotent(j)
-        ),
-    }
-    notes = []
-    for k in (2, 3):
-        order = specs.derived_order("T", k, r.order)
-        if order > env.limit:
-            notes.append(f"T{k} order {order} beyond limit")
-            continue
-        t = triangular_ring(r, k, limit=env.limit)
-        conditions[f"triangular_{k}_strongly_pclean"] = dec.is_strongly_pclean_ring(t)[0]
-    if len(set(conditions.values())) == 1:
-        return HOLDS, ("; ".join(notes) or None)
-    return COUNTEREXAMPLE, _sides(**conditions)
+    # J(R) first: on a table that is no ring, its error is the one raised
+    rad.jacobson_radical(r)
+    sizes, note = _within_limit("T", r, env)
+    sides = ["strongly_pclean_ring", "uniquely_pclean_ring", "residue_z2_and_locally_nilpotent"]
+    sides += [f"triangular_{k}_strongly_pclean" for k in sizes]
+    return _side_verdict(r, sides, all_agree=True, note=note)
 
 
 def _check_c3_6(r: RingTable, env: VerifyEnv):
-    lhs = dec.is_strongly_pclean_ring(r)[0]
-    t2 = triangular_ring(r)
-    d = t2.kernel._digits(np.arange(t2.order, dtype=np.int64))
-    qual = (d[1] == r.zero) & (_in_p_and_1p(r, d[0], d[2]) | _in_p_and_1p(r, d[2], d[0]))
-    ok = rad.prime_radical(t2).mask | rad.one_plus_p_mask(t2) | _conjugation_reach(t2, qual)
-    rhs = bool(ok.all())
-    if lhs == rhs:
-        return HOLDS, None
-    bad = np.flatnonzero(~ok)
-    cex = _sides(strongly_pclean_ring=lhs, every_t2_matrix_trivial_or_diagonalizable=rhs)
-    if bad.size:
-        cex["witness"] = t2.fmt_index(int(bad[0]))
-    return COUNTEREXAMPLE, cex
+    sides = ("strongly_pclean_ring", "every_t2_matrix_trivial_or_diagonalizable")
+    verdict, cex = _side_verdict(r, sides)
+    if verdict == COUNTEREXAMPLE:  # the orbit mask again, for the least failing matrix
+        t2, ok = _t2_trivial_or_diagonalizable(r)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            cex["witness"] = t2.fmt_index(int(bad[0]))
+    return verdict, cex
 
 
 def _check_p3_7(r: RingTable, env: VerifyEnv):
@@ -601,17 +628,10 @@ def _check_t4_4(r: RingTable, env: VerifyEnv):
     if diff.size == 0:
         return HOLDS, None
     bad = int(diff[0])
-    return COUNTEREXAMPLE, {
-        "kind": "matrix",
-        "ring": m2.name,
-        "matrix": m2.fmt_index(bad),
-        "property": "three_criteria_agree",
-        "criteria": {
-            "idempotent_scan": bool(masks[0][bad]),
-            "difference_in_radical": bool(masks[1][bad]),
-            "quadratic_roots": bool(masks[2][bad]),
-        },
-    }
+    names = ("idempotent_scan", "difference_in_radical", "quadratic_roots")
+    crit = {name: bool(m[bad]) for name, m in zip(names, masks)}
+    return COUNTEREXAMPLE, {"kind": "matrix", "ring": m2.name, "matrix": m2.fmt_index(bad),
+                            "property": "three_criteria_agree", "criteria": crit}
 
 
 def _check_c4_5(r: RingTable, env: VerifyEnv):
@@ -641,14 +661,9 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
             "matrix", r, "A_minus_A_squared", "[0,0;0,2]", repr(diff), matrix=repr(A)
         )
     res = classify_pclean_2x2(A)
-    ok = (
-        res.kind == SPLIT
-        and res.certificate is not None
-        and res.certificate.validate()
-        and res.witness is not None
-        and res.witness.validate(A)
-    )
-    if ok:
+    cert, wit = res.certificate, res.witness
+    split = res.kind == SPLIT and cert is not None and cert.validate()
+    if split and wit is not None and wit.validate(A):
         return HOLDS, None
     prop = "worked_example_split_with_valid_certificate"
     return COUNTEREXAMPLE, _cex("matrix", r, prop, True, res.kind, matrix=repr(A))
@@ -747,12 +762,41 @@ def _check_p5_6(r: RingTable, env: VerifyEnv):
 # registry and drivers
 
 
+def _check_l2_9(pair, env: VerifyEnv):
+    ra, rb = pair
+    # one-shot: each pair is checked once, and a product memoized on its
+    # factors would keep every catalog pair alive for the suite
+    prod = RingTable(ProductKernel([ra, rb]), f"{ra.name} x {rb.name}")
+    return _side_verdict(prod, ("product_strongly_pclean", "both_factors_strongly_pclean"))
+
+
+def _product_within_limit(pair, env: VerifyEnv):
+    order = pair[0].order * pair[1].order
+    return None if order <= env.limit else (SKIPPED, f"product order {order} beyond limit")
+
+
+# Subjects: the ring tables of a run -> [(report name, subject)].
+
+
+def _each_ring(tables):
+    return [(r.name, r) for r in tables]
+
+
+def _each_pair(tables):
+    return [(f"{a.name} x {b.name}", (a, b)) for i, a in enumerate(tables) for b in tables[i:]]
+
+
+def _once(tables):
+    return [("*", None)]
+
+
 @dataclass(frozen=True)
 class CheckDef:
     id: str
     summary: str
-    run: object  # (ring, env) -> (verdict, cex_or_note)
+    run: object  # (subject, env) -> (verdict, cex_or_note)
     applies: tuple = ()  # guards, tried in order; the first hit replaces the check
+    subjects: object = _each_ring
 
 
 _CHECKS: list[CheckDef] = [
@@ -762,13 +806,16 @@ _CHECKS: list[CheckDef] = [
     CheckDef("L2.6", "homomorphic images stay strongly P-clean", _check_l2_6, (_ideal_enum,)),
     CheckDef("L2.7", "P-cleanness passes through quotients by nilpotent ideals", _check_l2_7, (_ideal_enum,)),
     CheckDef("T2.8", "R/I vs R/I^n strongly P-clean", _check_t2_8, (_ideal_enum,)),
-    CheckDef("L2.9", "finite direct products (restricted form)", None),  # pairs driver
+    CheckDef("L2.9", "finite direct products (restricted form)", _check_l2_9, (_product_within_limit,), _each_pair),
     CheckDef("P2.10", "quotients by I, J vs IJ and their intersection", _check_p2_10, (_ideal_enum,)),
     CheckDef("T2.10", "uniquely P-clean iff abelian + strongly P-clean", _check_t2_10),
     CheckDef("C2.11", "uniquely P-clean implies uniquely clean", _check_c2_11),
     CheckDef("C2.12", "constant-diagonal triangular rings over uniquely P-clean bases", _check_c2_12),
     CheckDef("T2.13", "uniquely P-clean iff strongly P-clean + uniquely nil clean", _check_t2_13),
-    CheckDef("C2.14", "Boolean iff uniquely P-clean + primary ideals prime", None),  # skipped
+    CheckDef(
+        "C2.14", "Boolean iff uniquely P-clean + primary ideals prime",
+        lambda _, env: (SKIPPED, "primary-ideal machinery is out of scope"), (), _once,
+    ),
     CheckDef("L3.1", "annihilators of a carry to its idempotent part", _check_l3_1),
     CheckDef("T3.2", "P-cleanness agrees between R and its corners fRf", _check_t3_2),
     CheckDef("C3.3", "ring P-clean iff every corner is", _check_c3_3),
@@ -789,57 +836,18 @@ _CHECKS: list[CheckDef] = [
 
 CHECK_IDS = [c.id for c in _CHECKS]
 _CHECK_BY_ID = {c.id: c for c in _CHECKS}
-_ID_ORDER = {cid: i for i, cid in enumerate(CHECK_IDS)}
 
 
-def _run_one(cd: CheckDef, ring: RingTable, env: VerifyEnv) -> TheoremCheck:
+def _run_one(cd: CheckDef, name: str, subject, env: VerifyEnv) -> TheoremCheck:
+    """The one driver: time check `cd` on `subject`, reported as `name`; the
+    first guard that fires replaces the check."""
     start = time.perf_counter()
-    for applies in cd.applies:
-        guard = applies(ring, env)
-        if guard:
-            verdict, reason = guard
-            millis = (time.perf_counter() - start) * 1000
-            return TheoremCheck(cd.id, ring.name, verdict, None, millis, reason)
-    verdict, payload = cd.run(ring, env)
+    hit = next(filter(None, (guard(subject, env) for guard in cd.applies)), None)
+    verdict, payload = hit or cd.run(subject, env)
     millis = (time.perf_counter() - start) * 1000
-    if verdict == COUNTEREXAMPLE:
-        return TheoremCheck(cd.id, ring.name, verdict, payload, millis)
+    cex = payload if verdict == COUNTEREXAMPLE else None
     note = payload if isinstance(payload, str) else None
-    return TheoremCheck(cd.id, ring.name, verdict, None, millis, note)
-
-
-def _run_l2_9(rings: list[RingTable], env: VerifyEnv) -> list[TheoremCheck]:
-    out = []
-    for i, ra in enumerate(rings):
-        for rb in rings[i:]:
-            start = time.perf_counter()
-            name = f"{ra.name} x {rb.name}"
-            if ra.order * rb.order > env.limit:
-                millis = (time.perf_counter() - start) * 1000
-                out.append(
-                    TheoremCheck(
-                        "L2.9", name, SKIPPED, None, millis,
-                        f"product order {ra.order * rb.order} beyond limit",
-                    )
-                )
-                continue
-            # one-shot: each pair is checked once, and a product memoized on
-            # its factors would keep every catalog pair alive for the suite
-            prod = RingTable(ProductKernel([ra, rb]), name)
-            lhs = dec.is_strongly_pclean_ring(prod)[0]
-            rhs = dec.is_strongly_pclean_ring(ra)[0] and dec.is_strongly_pclean_ring(rb)[0]
-            millis = (time.perf_counter() - start) * 1000
-            if lhs == rhs:
-                out.append(TheoremCheck("L2.9", name, HOLDS, None, millis))
-            else:
-                out.append(
-                    TheoremCheck(
-                        "L2.9", name, COUNTEREXAMPLE,
-                        _sides(product_strongly_pclean=lhs, both_factors_strongly_pclean=rhs),
-                        millis,
-                    )
-                )
-    return out
+    return TheoremCheck(cd.id, name, verdict, cex, millis, note)
 
 
 def verify(theorem_id: str, rings, env: VerifyEnv | None = None) -> list[TheoremCheck]:
@@ -848,17 +856,8 @@ def verify(theorem_id: str, rings, env: VerifyEnv | None = None) -> list[Theorem
     if theorem_id not in _CHECK_BY_ID:
         raise UnknownTheoremId(f"{theorem_id!r}; known ids: {', '.join(CHECK_IDS)}")
     tables = [r if isinstance(r, RingTable) else build_ring(r, env.limit) for r in rings]
-    if theorem_id == "C2.14":
-        return [
-            TheoremCheck(
-                "C2.14", "*", SKIPPED, None, 0.0,
-                "primary-ideal machinery is out of scope",
-            )
-        ]
-    if theorem_id == "L2.9":
-        return _run_l2_9(tables, env)
     cd = _CHECK_BY_ID[theorem_id]
-    return [_run_one(cd, r, env) for r in tables]
+    return [_run_one(cd, name, subject, env) for name, subject in cd.subjects(tables)]
 
 
 def run_suite(
@@ -868,10 +867,11 @@ def run_suite(
 ) -> TheoremReport:
     """Run every registered check (or a single id) over the catalog.
 
-    The full suite runs ring-major: every single-ring check on one catalog
-    ring before the next, so the derived rings one ring needs can leave the
-    ring LRU before the next ring's are built.  The pairs driver (L2.9) and
-    C2.14 follow; the report is sorted by (id, ring) either way.
+    The full suite runs ring-major: every check with one subject per ring on
+    one catalog ring before the next, so the derived rings one ring needs can
+    leave the ring LRU before the next ring's are built.  The checks over
+    pairs (L2.9) or run once (C2.14) follow; the report is sorted by
+    (id, ring) either way.
     """
     env = env or VerifyEnv()
     names = list(catalog) if catalog is not None else list(DEFAULT_CATALOG)
@@ -879,13 +879,14 @@ def run_suite(
     if only:
         report.checks = verify(only, names, env)
     else:
+        per_ring = [cd for cd in _CHECKS if cd.subjects is _each_ring]
         for name in names:
             ring = build_ring(name, env.limit)
-            report.checks += [_run_one(cd, ring, env) for cd in _CHECKS if cd.run]
+            report.checks += [_run_one(cd, ring.name, ring, env) for cd in per_ring]
         for cd in _CHECKS:
-            if cd.run is None:  # L2.9's pairs driver and the skipped C2.14
-                report.checks.extend(verify(cd.id, names, env))
-    report.checks.sort(key=lambda c: (_ID_ORDER[c.id], c.ring))
+            if cd.subjects is not _each_ring:
+                report.checks += verify(cd.id, names, env)
+    report.checks.sort(key=lambda c: (CHECK_IDS.index(c.id), c.ring))
     return report
 
 
@@ -908,81 +909,39 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
     """Re-verify a serialized counterexample from its payload alone.
 
     Returns True when the recorded violation is reproduced.  `ring` overrides
-    the payload's ring lookup (needed for fixture rings with no spec).
+    the payload's ring lookup (needed for fixture rings with no spec); a
+    `sides` payload names no ring, so it replays only on the `ring` given,
+    and only when every recorded side is a known property with that value.
     """
     payload = check.counterexample
-    if not payload:
-        return False
-    kind = payload.get("kind")
+    kind = payload and payload.get("kind")
     if kind == "sides":
-        if ring is None:
-            return False  # sides name ring-level properties; caller re-runs verify
         vals = payload["values"]
-        recomputed = _recompute_properties(ring, vals)
-        return recomputed == vals
-    if kind in ("element", "matrix"):
-        r = ring if ring is not None else build_ring(payload["ring"])
-        idx = r.parse_element(payload.get("element") or payload["matrix"]).index
-        if "criteria" in payload:  # a three-way criterion disagreement
-            got = pclean_criteria(matrix_from_index(r, idx))
-            return got == payload["criteria"] and len(set(got.values())) > 1
-        recompute = _ELEMENT_PROPS.get(payload["property"])
-        return recompute is not None and recompute(r, idx, payload) == payload.get("actual")
+        return ring is not None and bool(vals) and all(
+            name in _RING_PROPS and _RING_PROPS[name](ring) == v for name, v in vals.items()
+        )
+    if kind not in ("element", "matrix", "ideal", "ideal_pair"):
+        return False
+    r = ring if ring is not None else build_ring(payload["ring"])
+    ideal = lambda gens: rad.ideal_generated(r, [r.parse_element(g).index for g in gens]).mask
+    if kind == "ideal_pair":
+        got = _pair_sides(r, *map(ideal, payload["ideal_gens"]))
+        return all(payload[k] == v for k, v in got.items()) and len(set(got.values())) > 1
     if kind == "ideal":
-        r = ring if ring is not None else build_ring(payload["ring"])
-        mask = rad.ideal_generated(
-            r, [r.parse_element(g).index for g in payload["ideal_gens"]]
-        ).mask
+        mask = ideal(payload["ideal_gens"])
         if int(mask.sum()) != payload["ideal_order"]:
             return False
         if payload["property"] == "pclean_quotient_stable_under_ideal_powers":
             powers = list(rad.ideal_powers(r, mask))
             order = payload["power_order"]
-            cur = next((p for p in powers[1:] if p.sum() == order), powers[-1])
-            return _quotient_pclean(r, cur) == payload["actual"]
+            mask = next((p for p in powers[1:] if p.sum() == order), powers[-1])
         return _quotient_pclean(r, mask) == payload["actual"]
-    if kind == "ideal_pair":
-        r = ring if ring is not None else build_ring(payload["ring"])
-        masks = [
-            rad.ideal_generated(r, [r.parse_element(g).index for g in gens]).mask
-            for gens in payload["ideal_gens"]
-        ]
-        ma, mb = masks
-        v1 = _quotient_pclean(r, ma) and _quotient_pclean(r, mb)
-        v2 = _quotient_pclean(r, rad.ideal_product_mask(r, ma, mb))
-        v3 = _quotient_pclean(r, ma & mb)
-        return (v1, v2, v3) == (
-            payload["both_quotients"],
-            payload["mod_product"],
-            payload["mod_intersection"],
-        ) and not (v1 == v2 == v3)
-    return False
-
-
-_RING_PROPS = {
-    "strongly_pclean_ring": lambda r: dec.is_strongly_pclean_ring(r)[0],
-    "uniquely_pclean_ring": lambda r: dec.is_uniquely_pclean_ring(r)[0],
-    "strongly_clean_ring": lambda r: dec.is_strongly_clean_ring(r)[0],
-    "uniquely_clean_ring": lambda r: dec.is_uniquely_clean_ring(r)[0],
-    "uniquely_nilclean_ring": lambda r: dec.is_uniquely_nilclean_ring(r)[0],
-    "abelian": rad.is_abelian,
-    "boolean_mod_jacobson": lambda r: _boolean_mod(r, rad.jacobson_radical(r).mask),
-    "boolean_mod_prime": lambda r: _boolean_mod(r, rad.prime_radical(r).mask),
-    "jacobson_locally_nilpotent": lambda r: rad.is_locally_nilpotent(
-        rad.jacobson_radical(r)
-    ),
-    "one_plus_units_strongly_nilpotent": lambda r: bool(
-        rad.prime_radical(r).mask[r.vadd(np.int64(r.one), r.unit_indices)].all()
-    ),
-}
-
-
-def _recompute_properties(r: RingTable, vals: dict) -> dict:
-    out = {}
-    for name, old in vals.items():
-        fn = _RING_PROPS.get(name)
-        out[name] = fn(r) if fn is not None else old
-    return out
+    idx = r.parse_element(payload.get("element") or payload["matrix"]).index
+    if "criteria" in payload:  # a three-way criterion disagreement
+        got = pclean_criteria(matrix_from_index(r, idx))
+        return got == payload["criteria"] and len(set(got.values())) > 1
+    recompute = _ELEMENT_PROPS.get(payload["property"])
+    return recompute is not None and recompute(r, idx, payload) == payload.get("actual")
 
 
 def _pclean_at(r: RingTable, idx: int, payload: dict) -> bool:
@@ -1007,9 +966,7 @@ def _lift_side(r: RingTable, idx: int, payload: dict) -> str:
 _ELEMENT_PROPS = {
     "idempotent_lift": _lift_side,
     "strongly_pclean": _pclean_at,
-    "strongly_clean": lambda r, x, p: dec.strongly_clean_element(r, x)[0] is not None,
     "uniquely_clean_count": lambda r, x, p: dec.uniquely_clean_count(r, x),
-    "uniquely_pclean_count": lambda r, x, p: dec.uniquely_pclean_count(r, x),
     "annihilators_carry_to_idempotent": lambda r, x, p: _annihilators_carry(
         r, x, r.parse_element(p["idempotent"]).index
     ),

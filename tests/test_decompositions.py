@@ -277,21 +277,25 @@ def test_engine_matches_definitions(name):
     )
 
 
-def test_probe_never_computes_the_prime_radical(monkeypatch):
-    # the product is refuted at index 4 from per-element strong nilpotence;
-    # computing P of this 65536-element ring would cost seconds
-    def refuse(r):
-        raise AssertionError(f"prime radical of {r.name} computed")
+def _refuse_sweep(monkeypatch):
+    def refuse(r, member, commuting):
+        raise AssertionError(f"sweep of {r.name} computed")
 
+    monkeypatch.setattr(dec, "_sweep", refuse)
+
+
+def test_probe_refutes_without_the_sweep(monkeypatch):
+    # the product is refuted at index 4 by the 64-element probe, so the
+    # whole-ring idempotent sweep never runs
     m2 = build_ring("M2(Z4)")
     prod = RingTable(ProductKernel([m2, m2]), "M2(Z4) x M2(Z4)")
-    monkeypatch.setattr(rad, "prime_radical", refuse)
+    _refuse_sweep(monkeypatch)
     assert dec.is_strongly_pclean_ring(prod) == (False, 4)
 
 
-def test_probe_stops_at_the_first_witness(monkeypatch):
-    # each probed element needs one strongly nilpotent remainder, not all of
-    # them: testing every commuting idempotent took 1196 calls here
+def test_probe_reads_the_prime_radical(monkeypatch):
+    # the probe tests P-membership against the verdict's member set P(R),
+    # computed once, not element by element through strong nilpotence
     calls = []
     counted = rad.is_strongly_nilpotent
 
@@ -302,8 +306,9 @@ def test_probe_stops_at_the_first_witness(monkeypatch):
     m2 = build_ring("M2(Z4)")
     prod = RingTable(ProductKernel([m2, m2]), "M2(Z4) x M2(Z4)")
     monkeypatch.setattr(rad, "is_strongly_nilpotent", counting)
+    _refuse_sweep(monkeypatch)
     assert dec.is_strongly_pclean_ring(prod) == (False, 4)
-    assert 0 < len(calls) < 200
+    assert "prime_ideal" in prod.cache and calls == []
 
 
 @pytest.mark.parametrize("name", [*DEFAULT_CATALOG, "T2(Z32)"])

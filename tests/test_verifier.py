@@ -372,3 +372,84 @@ def test_pi_regular_mask_returns_on_a_table_that_is_no_ring():
     m2 = matrix_ring(_corrupted_z4(2, 2, 1, "Z4c_221p"))
     mask = dec.strongly_pi_regular_mask(m2)
     assert mask.shape == (m2.order,) and mask.dtype == bool and not mask.all()
+
+
+@pytest.mark.parametrize(
+    "ring, values",
+    [
+        ("Z4xZ2", {"product_strongly_pclean": True, "both_factors_strongly_pclean": False}),
+        ("Z4xZ2", {"product_strongly_pclean": False, "both_factors_strongly_pclean": True}),
+        ("Z4", {"strongly_pclean_ring": True, "all_corners_strongly_pclean": False}),
+        ("Z4", {"strongly_pclean_ring": True, "every_t2_matrix_trivial_or_diagonalizable": False}),
+        ("Z4", {"strongly_pclean_ring": True, "boolean_mod_prime": True,
+                "idempotent_within_radical_for_all": True,
+                "double_commutant_idempotent_for_all": False}),
+        ("Z4", {"strongly_pclean_ring": True, "no_such_property": False}),
+        ("Z4", {"product_strongly_pclean": True, "both_factors_strongly_pclean": True}),
+        ("Z4", {}),
+    ],
+)
+def test_made_up_sides_payloads_do_not_replay(ring, values):
+    # every recorded side is recomputed; a name without a definition, or a
+    # product side on a ring that is no product, never replays
+    from pclean.verifier import TheoremCheck
+
+    check = TheoremCheck("T2.1", ring, "COUNTEREXAMPLE", {"kind": "sides", "values": values}, 0.0)
+    assert not replay_counterexample(check, ring=build_ring(ring))
+
+
+# SHA-256 of the JSON list of every `sides` counterexample that the ten
+# side-recording checks give over the single-entry corruptions of Z4's
+# multiplication table, as the checks produced them before the side table
+SIDES_DIGEST = "636945d4b11841080b47866ec668ab2ecf6e93230f4a9b9e2e800a00907d9911"
+
+
+def test_genuine_sides_payloads_are_unchanged_and_replay():
+    import hashlib
+
+    from pclean.errors import PcleanError
+    from pclean.rings import ProductKernel
+
+    tids = ["T2.1", "T2.4", "C2.5", "T2.10", "T2.13", "C3.3", "T3.5", "C3.6", "L2.9"]
+    zn = build_ring("Z4")
+    payloads = []
+    for row, col, val in np.ndindex(4, 4, 4):
+        if zn.mul(row, col) == val:
+            continue
+        name = f"Z4c_{row}{col}{val}"
+        for tid in tids:
+            bad = _corrupted_z4(row, col, val, name)
+            try:
+                checks = verify(tid, [bad])
+            except PcleanError:
+                continue  # the table is no ring, and the library says so
+            for c in checks:
+                if c.verdict == "COUNTEREXAMPLE" and c.counterexample["kind"] == "sides":
+                    ring = RingTable(ProductKernel([bad, bad]), c.ring) if tid == "L2.9" else bad
+                    assert replay_counterexample(c, ring=ring), (name, tid)
+                    payloads.append([name, tid, c.counterexample])
+    assert len(payloads) == 113
+    digest = hashlib.sha256(json.dumps(payloads).encode()).hexdigest()
+    assert digest == SIDES_DIGEST
+
+
+def test_l2_9_pair_above_the_limit_is_skipped_with_its_note():
+    checks = verify("L2.9", ["Z4", "M2(Z4)"], VerifyEnv(limit=4096))
+    by_pair = {c.ring: (c.verdict, c.note) for c in checks}
+    assert by_pair == {
+        "Z4 x Z4": ("HOLDS", None),
+        "Z4 x M2(Z4)": ("HOLDS", None),
+        "M2(Z4) x M2(Z4)": ("SKIPPED", "product order 65536 beyond limit"),
+    }
+
+
+@pytest.mark.parametrize("val", [1, 2])
+def test_no_surviving_candidate_raises_radical_not_ideal(val):
+    # with 0*0 != 0 no nilpotent candidate survives the first filter block
+    from pclean import radicals as rad
+    from pclean.errors import RadicalNotIdeal
+
+    with pytest.raises(RadicalNotIdeal):
+        rad.prime_radical(_corrupted_z4(0, 0, val, f"Z4c_00{val}"))
+    with pytest.raises(RadicalNotIdeal):
+        verify("P5.6", [_corrupted_z4(0, 0, val, f"Z4c_00{val}")])

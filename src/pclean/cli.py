@@ -38,6 +38,7 @@ from .matrices import (
     Matrix2,
     classify_pclean_2x2,
     discriminant_criteria,
+    matrix_ring,
     pi_regular_trichotomy,
     triangular_pclean,
 )
@@ -254,6 +255,7 @@ def _element_analyze(args) -> tuple[dict, int]:
 
 def _matrix_analyze(args) -> tuple[dict, int]:
     r = build_ring(args.spec, limit=args.limit)
+    matrix_ring(r, args.limit)  # --limit caps M2(r) too, before any scan
     A = Matrix2.parse(r, args.matrix)
     res = classify_pclean_2x2(A)
     report = {

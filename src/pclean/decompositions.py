@@ -17,15 +17,14 @@ import numpy as np
 
 from . import radicals
 from .errors import NotLiftable, PcleanError, RingTooLarge
-from .rings import Element, RingTable, cached
+from .rings import DENSE_TABLE_LIMIT, Element, RingTable, cached
 
 STRONGLY_CLEAN = "STRONGLY_CLEAN"
 STRONGLY_NIL_CLEAN = "STRONGLY_NIL_CLEAN"
 STRONGLY_J_CLEAN = "STRONGLY_J_CLEAN"
 STRONGLY_P_CLEAN = "STRONGLY_P_CLEAN"
 
-_PROBE = 64  # ascending per-element probe before vectorized full scans
-_PROBE_ABOVE = 4096  # ring order above which commuting verdicts probe first
+_PROBE = 64  # ascending per-element probe before the full sweep of a ring without tables
 
 
 @dataclass(frozen=True)
@@ -259,7 +258,7 @@ def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None
 
     def make():
         member, bad = _KINDS[kind][0](r), None
-        if commuting and r.order > _PROBE_ABOVE:
+        if commuting and r.order > DENSE_TABLE_LIMIT:
             # counterexamples in structured rings tend to sit at tiny indices;
             # probing them against the member set avoids the full sweep
             bad = next((x for x in range(_PROBE) if not _hits(r, kind, x, True).size), None)

@@ -1,5 +1,7 @@
 """Decision procedures for 2x2 matrices over commutative local rings.
 
+A `Matrix2` is an element of M2(R) (`rings.derived_ring("M", 2, R)`): its +,
+- and * are that ring's add, sub and mul (tables or the one-element codec).
 Covers the quadratic-root criterion, the A - A^2 radical-membership test,
 the definitional idempotent scan (the three come from `pclean_criteria`,
 which the classifier cross-checks and replay re-evaluates), explicit
@@ -24,7 +26,7 @@ from .decompositions import (
 from .errors import (
     CriterionMismatch,
     HypothesisViolated,
-    MalformedSpec,
+    MixedRingOperands,
     NotCommutative,
     NotInvertible,
     NotLocal,
@@ -32,14 +34,8 @@ from .errors import (
     PreconditionFailed,
     TrivialIdempotent,
 )
-from .rings import (
-    DEFAULT_ORDER_LIMIT,
-    RingTable,
-    _parse_matrix_entries,
-    cached,
-    derived_ring,
-)
-from .specs import _Lit, derived_order
+from .rings import DEFAULT_ORDER_LIMIT, RingTable, cached, derived_ring
+from .specs import derived_order
 
 IN_P = "IN_P"
 ONE_MINUS_IN_P = "ONE_MINUS_IN_P"
@@ -51,24 +47,28 @@ CLASS_ONE_PLUS_P = "1+P"
 CLASS_OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
 class Matrix2:
-    """2x2 matrix over a commutative base ring, entries as dense indices."""
+    """A 2x2 matrix over a commutative base ring `ring`: its element `index` of
+    M2(ring), whose ring operations are its +, - and *.  The object holds m2,
+    the index and the entries a11..a22, so no attribute access decodes."""
 
-    ring: RingTable
-    a11: int
-    a12: int
-    a21: int
-    a22: int
+    __slots__ = ("ring", "m2", "index", "a11", "a12", "a21", "a22")
+
+    def __init__(self, r: RingTable, a11: int, a12: int, a21: int, a22: int):
+        entries, m2 = (a11, a12, a21, a22), derived_ring("M", 2, r)
+        if min(entries) < 0 or max(entries) >= r.order:  # else the index would alias
+            raise PreconditionFailed(f"matrix entries {entries} are not indices of {r.name}")
+        self._view(m2, m2.kernel.index_of(entries))
+
+    def _view(self, m2: RingTable, index: int) -> "Matrix2":
+        self.ring, self.m2, self.index = m2.kernel.base, m2, int(index)
+        self.a11, self.a12, self.a21, self.a22 = m2.kernel.digits_of(self.index)
+        return self
 
     @classmethod
     def parse(cls, r: RingTable, text: str) -> "Matrix2":
-        lit = _Lit(text)
-        entries = _parse_matrix_entries(lit, 2, r)
-        lit.skip_ws()
-        if lit.pos != len(lit.text):
-            raise MalformedSpec(f"trailing input in matrix literal {text!r}", lit.pos)
-        return cls(r, entries[0][0], entries[0][1], entries[1][0], entries[1][1])
+        m2 = derived_ring("M", 2, r)
+        return matrix_from_index(m2, m2.parse_element(text).index)
 
     @classmethod
     def identity(cls, r: RingTable) -> "Matrix2":
@@ -85,32 +85,22 @@ class Matrix2:
     def entries(self):
         return (self.a11, self.a12, self.a21, self.a22)
 
+    def _combine(self, op, other: "Matrix2") -> "Matrix2":
+        if other.m2 is not self.m2:
+            raise MixedRingOperands(f"cannot combine {self.m2.name} and {other.m2.name}")
+        return matrix_from_index(self.m2, op(self.index, other.index))
+
     def __add__(self, other: "Matrix2") -> "Matrix2":
-        r = self.ring
-        return Matrix2(
-            r,
-            r.add(self.a11, other.a11),
-            r.add(self.a12, other.a12),
-            r.add(self.a21, other.a21),
-            r.add(self.a22, other.a22),
-        )
+        return self._combine(self.m2.add, other)
 
     def __sub__(self, other: "Matrix2") -> "Matrix2":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix2":
-        r = self.ring
-        return Matrix2(r, r.neg(self.a11), r.neg(self.a12), r.neg(self.a21), r.neg(self.a22))
+        return self._combine(self.m2.sub, other)
 
     def __mul__(self, other: "Matrix2") -> "Matrix2":
-        r = self.ring
-        return Matrix2(
-            r,
-            r.add(r.mul(self.a11, other.a11), r.mul(self.a12, other.a21)),
-            r.add(r.mul(self.a11, other.a12), r.mul(self.a12, other.a22)),
-            r.add(r.mul(self.a21, other.a11), r.mul(self.a22, other.a21)),
-            r.add(r.mul(self.a21, other.a12), r.mul(self.a22, other.a22)),
-        )
+        return self._combine(self.m2.mul, other)
+
+    def __neg__(self) -> "Matrix2":
+        return matrix_from_index(self.m2, self.m2.neg(self.index))
 
     @property
     def trace(self) -> int:
@@ -126,20 +116,20 @@ class Matrix2:
         dinv = r.inverse(self.det)
         if dinv is None:
             raise NotInvertible(f"matrix {self} has non-unit determinant")
-        return Matrix2(
-            r,
-            r.mul(dinv, self.a22),
-            r.mul(dinv, r.neg(self.a12)),
-            r.mul(dinv, r.neg(self.a21)),
-            r.mul(dinv, self.a11),
-        )
+        adj = Matrix2(r, self.a22, r.neg(self.a12), r.neg(self.a21), self.a11)
+        return Matrix2.diag(r, dinv, dinv) * adj
 
     def is_upper_triangular(self) -> bool:
         return self.a21 == self.ring.zero
 
+    def __eq__(self, other):
+        return isinstance(other, Matrix2) and other.m2 is self.m2 and other.index == self.index
+
+    def __hash__(self):
+        return hash((id(self.m2), self.index))
+
     def __repr__(self):
-        f = self.ring.fmt_index
-        return f"[{f(self.a11)},{f(self.a12)};{f(self.a21)},{f(self.a22)}]"
+        return self.m2.fmt_index(self.index)
 
 
 @dataclass(frozen=True)
@@ -174,24 +164,23 @@ class SimilarityWitness:
 def matrix_ring(r: RingTable, limit: int = DEFAULT_ORDER_LIMIT * 1024) -> RingTable:
     """M2(r), the same object as build_ring("M2(<r>)") gives."""
     if derived_order("M", 2, r.order) > limit:
-        raise PreconditionFailed(f"M2({r.name}) exceeds the materialization limit")
+        raise PreconditionFailed(f"M2({r.name}) exceeds the materialization limit {limit}")
     return derived_ring("M", 2, r)
 
 
 def triangular_ring(r: RingTable, k: int = 2, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
     """T_k(r), the same object as build_ring("T<k>(<r>)") gives."""
     if derived_order("T", k, r.order) > limit:
-        raise PreconditionFailed(f"T{k}({r.name}) exceeds the materialization limit")
+        raise PreconditionFailed(f"T{k}({r.name}) exceeds the materialization limit {limit}")
     return derived_ring("T", k, r)
 
 
 def matrix_to_index(m2: RingTable, A: Matrix2) -> int:
-    k = m2.kernel
-    return int(k._encode([np.int64(e) for e in A.entries()]))
+    return m2.kernel.index_of(A.entries())
+
 
 def matrix_from_index(m2: RingTable, idx: int) -> Matrix2:
-    d = m2.kernel._digits(np.int64(idx))
-    return Matrix2(m2.kernel.base, int(d[0]), int(d[1]), int(d[2]), int(d[3]))
+    return Matrix2.__new__(Matrix2)._view(m2, idx)
 
 
 def _require_commutative(r: RingTable):
@@ -337,7 +326,7 @@ def _criteria(A: Matrix2) -> tuple[dict, CleanCertificate | None, list]:
     if m2.order <= DEFAULT_ORDER_LIMIT:
         # P(M2(r)) once per base ring serves the scan of every later matrix
         radicals.prime_radical(m2)
-    cert = strongly_pclean_element(m2, matrix_to_index(m2, A))[0]
+    cert = strongly_pclean_element(m2, A.index)[0]
     roots = _roots(r, A.trace, A.det)
     trivial = _in_p(A) or _in_p(Matrix2.identity(r) - A)
     criteria = {
@@ -494,9 +483,7 @@ def triangular_pclean(
         y = solve_phi(r, b, a, v)
         e11, e12, e22 = r.zero, y, r.one
     t2 = triangular_ring(r, 2, limit)
-    k = t2.kernel
-    aidx = int(k._encode([np.int64(a), np.int64(v), np.int64(b)]))
-    eidx = int(k._encode([np.int64(e11), np.int64(e12), np.int64(e22)]))
+    aidx, eidx = t2.kernel.index_of([a, v, b]), t2.kernel.index_of([e11, e12, e22])
     widx = t2.sub(aidx, eidx)
     ok, witness = radicals.is_strongly_nilpotent(t2, widx)
     if not ok:
@@ -580,14 +567,13 @@ def pi_regular_trichotomy(A: Matrix2) -> str:
             f"{r.name} needs R/J(R) = Z_2 with J(R) nilpotent for the trichotomy"
         )
     m2 = matrix_ring(r)
-    aidx = matrix_to_index(m2, A)
     if r.is_unit(A.det):
         kind = UNIT
-    elif radicals.element_nilpotency(m2, aidx) is not None:
+    elif radicals.element_nilpotency(m2, A.index) is not None:
         kind = NILPOTENT
     else:
         kind = PCLEAN if classify_pclean_2x2(A).kind != NOT_PCLEAN else NOT_PI_REGULAR
-    pi_reg, _, _ = strongly_pi_regular_element(m2, aidx)
+    pi_reg, _, _ = strongly_pi_regular_element(m2, A.index)
     if pi_reg != (kind != NOT_PI_REGULAR):
         raise CriterionMismatch(
             f"pi-regular trichotomy disagrees with the definitional scan for {A}"

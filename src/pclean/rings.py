@@ -34,6 +34,11 @@ this step over their seeds, and quotient rings pick coset representatives
 Every fact derived from a ring (idempotents, units, radicals, sweeps,
 verdicts, criterion masks) has one slot in `RingTable.cache`, filled through
 the one memo `cached`.
+
+Scalar ops of a digit ring without tables, its fmt and mul_line use the
+one-element codec (`digits_of`, `index_of`) on Python ints and build no digit
+table, so `matrices.Matrix2`, an element of M2(R), costs microseconds per op
+even on M2(Z9[w]) (order 43M).
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ class _DigitKernel:
         self.radices = [p.order for p in parts]
         self.order = math.prod(self.radices)
         self._digit_table = None
-        self.zero = int(self._encode([p.zero for p in parts]))
+        self.zero = self.index_of([p.zero for p in parts])
 
     def _digits(self, a):
         if self._digit_table is None:
@@ -142,6 +147,21 @@ class _DigitKernel:
             out += d
         return out
 
+    def digits_of(self, x: int) -> list[int]:
+        """The digits of the one index x, by divmod on Python ints."""
+        x, digits = int(x), []
+        for rad in reversed(self.radices):
+            x, d = divmod(x, rad)
+            digits.append(d)
+        return digits[::-1]
+
+    def index_of(self, digits) -> int:
+        """The index of one digit vector, by Horner's rule on Python ints."""
+        x = 0
+        for rad, d in zip(self.radices, digits):
+            x = x * rad + int(d)
+        return x
+
     @staticmethod
     def _part_add(p, x, y):
         return p.vadd(x, y) if p._add_t is None else p._add_t[x, y]
@@ -156,27 +176,29 @@ class _DigitKernel:
     def vadd(self, a, b):
         return self._encode(self.add_digits(self._digits(a), self._digits(b)))
 
+    def neg_digits(self, da):
+        return [p.vneg(x) if p._neg_t is None else p._neg_t[x] for p, x in zip(self.parts, da)]
+
     def vneg(self, a):
-        return self._encode([p.vneg(x) for p, x in zip(self.parts, self._digits(a))])
+        return self._encode(self.neg_digits(self._digits(a)))
 
     def vmul(self, a, b):
         return self._encode(self.mul_digits(self._digits(a), self._digits(b)))
 
     def additive_generators(self):
-        gens = []
-        for j, p in enumerate(self.parts):
-            for g in p.additive_generators:
-                digits = [q.zero for q in self.parts]
-                digits[j] = g
-                gens.append(int(self._encode(digits)))
-        return gens
+        zeros = [p.zero for p in self.parts]
+        return [
+            self.index_of(zeros[:j] + [g] + zeros[j + 1 :])
+            for j, p in enumerate(self.parts)
+            for g in p.additive_generators
+        ]
 
     def mul_line(self, x, col: bool = False) -> np.ndarray:
         """x*y for every y (y*x with `col`) as int64: one evaluation of
         mul_digits with x's digits as scalars and y's on an open mesh, the
         formula and axis layout of row_blocks, encoded into an order-sized
         array."""
-        dx = list(self._digits(np.int64(x)))
+        dx = self.digits_of(x)
         dy = [_on_axis(j, np.arange(r), self.npos) for j, r in enumerate(self.radices)]
         digits = self.mul_digits(dy, dx) if col else self.mul_digits(dx, dy)
         return self._encode(digits, out=np.empty(self.radices, np.int64)).reshape(-1)
@@ -265,27 +287,33 @@ class _MatrixFamilyKernel(_PositionalKernel):
         one = [base.zero] * self.npos
         for i in range(k):
             one[pos[i, i]] = base.one
-        self.one = int(self._encode(one))
+        self.one = self.index_of(one)
 
     def mul_digits(self, da, db):
         return [self._dot([(da[s], db[t]) for s, t in terms]) for terms in self._terms]
 
     def fmt(self, idx: int) -> str:
-        d = self._digits(np.int64(idx))
+        d = self.digits_of(idx)
 
         def entry(i, j):
             t = self.pos_index.get((i, j))
-            return self.base.fmt_index(self.base.zero if t is None else int(d[t]))
+            return self.base.fmt_index(self.base.zero if t is None else d[t])
 
         rows = (",".join(entry(i, j) for j in range(self.k)) for i in range(self.k))
         return "[" + ";".join(rows) + "]"
 
     def parse_literal(self, lit: _Lit) -> int:
         start = lit.pos
-        entries = _parse_matrix_entries(lit, self.k, self.base)
-        digits = [None] * self.npos
+        lit.expect("[")
+        entries = {}
         for i, j in itertools.product(range(self.k), repeat=2):
-            t, e = self.pos_index.get((i, j)), entries[i][j]
+            if i or j:
+                lit.expect("," if j else ";")
+            entries[i, j] = self.base.kernel.parse_literal(lit)
+        lit.expect("]")
+        digits = [None] * self.npos
+        for (i, j), e in entries.items():
+            t = self.pos_index.get((i, j))
             if t is None:
                 if e != self.base.zero:
                     msg = "below-diagonal entry must be 0 in a triangular ring"
@@ -294,7 +322,7 @@ class _MatrixFamilyKernel(_PositionalKernel):
                 raise MalformedSpec("diagonal entries must all be equal", start)
             else:
                 digits[t] = e
-        return int(self._encode(digits))
+        return self.index_of(digits)
 
 
 class MatrixKernel(_MatrixFamilyKernel):
@@ -324,7 +352,7 @@ class QuadExtKernel(_PositionalKernel):
         self.n = base.order
         self.c0, self.c1 = c0 % self.n, c1 % self.n
         self.symbol = symbol
-        self.one = int(self._encode([base.one, base.zero]))
+        self.one = self.index_of([base.one, base.zero])
 
     def mul_digits(self, da, db):
         # (a + bt)(c + dt) = (ac + c0*bd) + (ad + bc + c1*bd)t
@@ -366,22 +394,7 @@ class QuadExtKernel(_PositionalKernel):
             else:
                 raise MalformedSpec("expected a coefficient term", lit.pos)
             first = False
-        return int(self._encode([a % self.n, b % self.n]))
-
-
-def _parse_matrix_entries(lit: _Lit, k: int, base: "RingTable"):
-    lit.expect("[")
-    rows = []
-    for i in range(k):
-        row = [base.kernel.parse_literal(lit)]
-        for _ in range(k - 1):
-            lit.expect(",")
-            row.append(base.kernel.parse_literal(lit))
-        rows.append(row)
-        if i < k - 1:
-            lit.expect(";")
-    lit.expect("]")
-    return rows
+        return self.index_of([a % self.n, b % self.n])
 
 
 class ProductKernel(_DigitKernel):
@@ -389,21 +402,14 @@ class ProductKernel(_DigitKernel):
 
     def __init__(self, factors: list["RingTable"]):
         super().__init__(factors)
-        self.one = int(self._encode([f.one for f in factors]))
+        self.one = self.index_of([f.one for f in factors])
 
     def mul_digits(self, da, db):
         return [self._part_mul(f, x, y) for f, x, y in zip(self.parts, da, db)]
 
-    def mul_line(self, x, col: bool = False) -> np.ndarray:
-        """Factor t's own row (column with `col`) of x's digit t on mesh axis t."""
-        dx = self._digits(np.int64(x)).tolist()
-        lines = [f.mul_col(d) if col else f.mul_row(d) for f, d in zip(self.parts, dx)]
-        lines = [_on_axis(t, v, self.npos) for t, v in enumerate(lines)]
-        return self._encode(lines, out=np.empty(self.radices, np.int64)).reshape(-1)
-
     def fmt(self, idx: int) -> str:
-        parts = self._digits(np.int64(idx))
-        return "[" + ",".join(f.fmt_index(int(p)) for f, p in zip(self.parts, parts)) + "]"
+        parts = self.digits_of(idx)
+        return "[" + ",".join(f.fmt_index(p) for f, p in zip(self.parts, parts)) + "]"
 
     def parse_literal(self, lit: _Lit) -> int:
         lit.expect("[")
@@ -412,7 +418,7 @@ class ProductKernel(_DigitKernel):
             lit.expect(",")
             parts.append(f.kernel.parse_literal(lit))
         lit.expect("]")
-        return int(self._encode(parts))
+        return self.index_of(parts)
 
 
 class _RemapKernel:
@@ -648,17 +654,24 @@ class RingTable:
     def add(self, a: int, b: int) -> int:
         if self._add_t is not None:
             return int(self._add_t[a, b])
-        return int(self.kernel.vadd(a, b))
+        return self._one_lane("add", a, b)
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_t is not None:
             return int(self._mul_t[a, b])
-        return int(self.kernel.vmul(a, b))
+        return self._one_lane("mul", a, b)
 
     def neg(self, a: int) -> int:
         if self._neg_t is not None:
             return int(self._neg_t[a])
-        return int(self.kernel.vneg(a))
+        return self._one_lane("neg", a)
+
+    def _one_lane(self, op: str, *xs: int) -> int:
+        # off the tables: <op>_digits on the one-element codec, else one vector lane
+        k = self.kernel
+        if isinstance(k, _DigitKernel):
+            return k.index_of(getattr(k, op + "_digits")(*map(k.digits_of, xs)))
+        return int(getattr(k, "v" + op)(*xs))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -952,7 +965,8 @@ def _make_ring(spec, name: str, limit: int) -> RingTable:
                 raise MalformedSpec(
                     f"quotient generator {lit!r} is not an element of {base.name}: {exc}"
                 ) from exc
-        return _quotient(base, gens, name, f"{name}: quotient collapses to the zero ring")
+        mask = ideal_closure_mask(base, gens)
+        return _quotient(base, mask, name, f"{name}: quotient collapses to the zero ring")
     if isinstance(spec, specs.ZnSpec):
         kernel = ZnKernel(spec.n)
     elif isinstance(spec, specs.QuadExtSpec):  # i^2 = -1, w^2 = -1 - w
@@ -986,14 +1000,12 @@ def derived_ring(family: str, k: int, base: RingTable) -> RingTable:
     return _hold(ring)
 
 
-def _quotient(r: RingTable, idxs, name: str, collapsed: str) -> RingTable:
-    """r modulo the two-sided ideal generated by the indices `idxs`;
-    MalformedSpec(`collapsed`) when that ideal is all of r."""
-    mask = ideal_closure_mask(r, np.asarray(idxs, np.int64))
-    kernel = QuotientKernel(r, np.flatnonzero(mask))
-    if kernel.order == 1:
+def _quotient(r: RingTable, mask: np.ndarray, name: str, collapsed: str) -> RingTable:
+    """The one constructor of quotient rings: r modulo the closed two-sided
+    ideal `mask`; MalformedSpec(`collapsed`) when that ideal is all of r."""
+    if mask.all():
         raise MalformedSpec(collapsed)
-    return RingTable(kernel, name)
+    return RingTable(QuotientKernel(r, np.flatnonzero(mask)), name)
 
 
 def quotient_ring(r: RingTable, gens) -> tuple[RingTable, np.ndarray]:
@@ -1005,7 +1017,8 @@ def quotient_ring(r: RingTable, gens) -> tuple[RingTable, np.ndarray]:
     idxs = [g.index if isinstance(g, Element) else int(g) for g in gens]
     lits = ",".join(r.fmt_index(i) for i in idxs) if idxs else "0"
     table = _quotient(
-        r, idxs, f"{r.name}/({lits})", f"quotient of {r.name} collapses to the zero ring"
+        r, ideal_closure_mask(r, idxs), f"{r.name}/({lits})",
+        f"quotient of {r.name} collapses to the zero ring",
     )
     return table, table.kernel.pos_of[table.kernel.rep_of]
 

@@ -43,8 +43,8 @@ from .rings import (
     DEFAULT_ORDER_LIMIT,
     ConstDiagKernel,
     ProductKernel,
-    QuotientKernel,
     RingTable,
+    _quotient,
     additive_closure_mask,
     build_ring,
     cached,
@@ -165,22 +165,19 @@ def _ideal_cex(r: RingTable, mask: np.ndarray, prop: str, expected, actual, **ex
 
 def _quotient_table(r: RingTable, mask: np.ndarray) -> RingTable | None:
     """Quotient by an already-closed ideal; None encodes the zero ring."""
-    if mask.all():
-        return None
-    kernel = QuotientKernel(r, np.flatnonzero(mask))
-    return RingTable(kernel, f"{r.name}/I")
+    return None if mask.all() else _quotient(r, mask, f"{r.name}/I", "zero ring")
 
 
 def _boolean_mod(r: RingTable, mask: np.ndarray) -> bool:
     """Whether r modulo the closed ideal `mask` is Boolean (the zero ring is)."""
     q = _quotient_table(r, mask)
-    return True if q is None else rad.is_boolean(q)
+    return q is None or rad.is_boolean(q)
 
 
 def _quotient_pclean(r: RingTable, mask: np.ndarray) -> bool:
     def make():
         q = _quotient_table(r, mask)
-        return True if q is None else _strongly_pclean(q)
+        return q is None or _strongly_pclean(q)
 
     return cached(r, ("qp", mask.tobytes()), make)
 
@@ -393,8 +390,10 @@ def _check_t2_1(r: RingTable, env: VerifyEnv):
 def _check_t2_4(r: RingTable, env: VerifyEnv):
     pm = rad.prime_radical(r).mask
     sides = ["strongly_pclean_ring", "boolean_mod_prime", "idempotent_within_radical_for_all"]
+    note = f"double-commutant side limited to order <= {COMMUTANT_BUDGET}"
     if r.order <= COMMUTANT_BUDGET:
         sides.append("double_commutant_idempotent_for_all")
+        note = None
     verdict = _side_verdict(r, sides, all_agree=True)
     if verdict[0] == COUNTEREXAMPLE:
         return verdict
@@ -407,7 +406,7 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
                 return COUNTEREXAMPLE, _element_cex(r, a, "idempotent_lift", "lift", repr(exc))
             if not pm[r.sub(a, e)]:
                 return COUNTEREXAMPLE, _element_cex(r, a, "lift_remainder_in_radical", True, False)
-    return HOLDS, None
+    return HOLDS, note
 
 
 def _check_c2_5(r: RingTable, env: VerifyEnv):

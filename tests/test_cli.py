@@ -149,3 +149,14 @@ def test_element_analyze_above_the_unit_scan_limit(capsys):
     assert doc["unit"] is True
     assert doc["strongly_pclean"]["holds"] is True
     assert doc["strongly_pclean"]["certificate"]["valid"] is True
+
+
+def test_matrix_analyze_limit_caps_the_matrix_ring(capsys):
+    # Z9[w] (order 81) fits --limit 100, but M2(Z9[w]) has order 81^4
+    status, out, err = run_cli(
+        capsys, "matrix", "analyze", "Z9[w]", "[1,0;0,2]", "--limit", "100", "--json"
+    )
+    assert status == 2 and out == ""
+    assert err == "error: M2(Z9[w]) exceeds the materialization limit 100\n"
+    status, doc, _ = run_json(capsys, "matrix", "analyze", "Z4[i]", "[1,i;2,1+i]")
+    assert status == 0 and doc["matrix"] == "[1,i;2,1+i]"  # M2 order 65536 = default limit

@@ -342,6 +342,47 @@ def test_det_multiplicative_trace_additive_sampled():
             assert (a + b).trace == r.add(a.trace, b.trace)
 
 
+@pytest.mark.parametrize("name", ["Z4", "Z8", "Z8[i]"])
+def test_matrix2_is_its_element_of_m2(name):
+    # M2(Z4) and M2(Z8) have tables, M2(Z8[i]) (order 64^4) runs on the codec
+    r = build_ring(name)
+    m2 = matrix_ring(r)
+    add, mul = r.add, r.mul
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        a, b = (Matrix2(r, *rng.integers(0, r.order, 4).tolist()) for _ in range(2))
+        (p, q, s, t), (e, f, g, h) = a.entries(), b.entries()
+        i, j = matrix_to_index(m2, a), matrix_to_index(m2, b)
+        assert (a * b).entries() == (
+            add(mul(p, e), mul(q, g)), add(mul(p, f), mul(q, h)),
+            add(mul(s, e), mul(t, g)), add(mul(s, f), mul(t, h)),
+        )
+        assert (a + b).entries() == tuple(map(add, a.entries(), b.entries()))
+        assert matrix_to_index(m2, a * b) == m2.mul(i, j)
+        assert matrix_to_index(m2, a + b) == m2.add(i, j)
+        assert matrix_to_index(m2, a - b) == m2.sub(i, j)
+        assert matrix_to_index(m2, -a) == m2.neg(i)
+        assert repr(a) == m2.fmt_index(i) == "[{},{};{},{}]".format(*map(r.fmt_index, (p, q, s, t)))
+        assert matrix_from_index(m2, i) == a == Matrix2.parse(r, repr(a))
+        assert hash(matrix_from_index(m2, i)) == hash(a)
+        if r.is_unit(a.det):
+            assert a.inverse() * a == Matrix2.identity(r) == a * a.inverse()
+
+
+def test_matrix2_over_two_rings_do_not_combine():
+    from pclean.errors import MixedRingOperands
+
+    with pytest.raises(MixedRingOperands):
+        Matrix2.identity(build_ring("Z4")) + Matrix2.identity(build_ring("Z8"))
+
+
+@pytest.mark.parametrize("entries", [(0, 4, 0, 0), (0, 0, 0, -1)])
+def test_matrix2_entries_must_be_base_indices(entries):
+    # (0, 4, 0, 0) over Z4 would encode as the index of [1,0;0,0]
+    with pytest.raises(PreconditionFailed):
+        Matrix2(build_ring("Z4"), *entries)
+
+
 # ---------------------------------------------------------------------------
 # the per-matrix functions against pure-Python 2x2 arithmetic on base tables
 

@@ -3,6 +3,7 @@ import pytest
 
 from pclean.errors import MalformedSpec, MixedRingOperands, OrderLimitExceeded, PcleanError
 from pclean.rings import (
+    MatrixKernel,
     RingTable,
     ZnKernel,
     _DigitKernel,
@@ -270,6 +271,38 @@ def test_digit_table_matches_divmod_codec(name, dtype):
         assert np.array_equal(k._encode(got), a)
     assert k._digit_table.dtype == dtype
     assert k._digit_table.shape == (k.npos, r.order)
+
+
+@pytest.mark.parametrize(
+    "name", ["M2(Z9)", "Tc3(Z9)", "T2(Z9[w])", "Z128[i]", "M2(Z9)xZ2"]
+)
+def test_scalar_ops_without_tables_are_one_vector_lane(name):
+    # scalar ops run the digit formulas through the one-element codec,
+    # vector ops through the digit table
+    r = build_ring(name, limit=540_000)
+    assert r._add_t is None
+    a, b = (v.tolist() for v in np.random.default_rng(7).integers(0, r.order, size=(2, 300)))
+    assert [r.add(x, y) for x, y in zip(a, b)] == r.vadd(a, b).tolist()
+    assert [r.mul(x, y) for x, y in zip(a, b)] == r.vmul(a, b).tolist()
+    assert [r.sub(x, y) for x, y in zip(a, b)] == r.vsub(a, b).tolist()
+    assert [r.neg(x) for x in a] == r.vneg(a).tolist()
+    assert [r.parse_element(r.fmt_index(x)).index for x in a] == a
+
+
+def test_one_element_codec_builds_no_digit_table():
+    # M2(Z9[w]) has order 81^4: a digit table would take 164 MB
+    base = build_ring("Z9[w]")
+    r = RingTable(MatrixKernel(2, base), "M2(Z9[w])")
+    x, y = 12_345_678, 40_000_000
+    (a, b, c, d), (e, f, g, h) = divmod_digits([81] * 4, np.array([x, y])).T.tolist()
+    want = [
+        base.add(base.mul(a, e), base.mul(b, g)), base.add(base.mul(a, f), base.mul(b, h)),
+        base.add(base.mul(c, e), base.mul(d, g)), base.add(base.mul(c, f), base.mul(d, h)),
+    ]
+    assert divmod_digits([81] * 4, np.array([r.mul(x, y)]))[:, 0].tolist() == want
+    assert r.add(r.neg(x), x) == r.zero and r.sub(y, y) == r.zero
+    assert r.parse_element(r.fmt_index(x)).index == x
+    assert r.kernel._digit_table is None
 
 
 @pytest.mark.parametrize("name", ["T2(Z8)xZ9", "T2(Z64)xZ2"])

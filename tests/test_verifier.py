@@ -453,3 +453,12 @@ def test_no_surviving_candidate_raises_radical_not_ideal(val):
         rad.prime_radical(_corrupted_z4(0, 0, val, f"Z4c_00{val}"))
     with pytest.raises(RadicalNotIdeal):
         verify("P5.6", [_corrupted_z4(0, 0, val, f"Z4c_00{val}")])
+
+
+def test_t2_4_notes_the_double_commutant_budget(monkeypatch):
+    from pclean import verifier
+
+    assert verify("T2.4", ["Z8"])[0].note is None
+    monkeypatch.setattr(verifier, "COMMUTANT_BUDGET", 4)
+    (check,) = verify("T2.4", ["Z8"])
+    assert (check.verdict, check.note) == ("HOLDS", "double-commutant side limited to order <= 4")

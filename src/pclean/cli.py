@@ -8,8 +8,8 @@ Usage:
     pclean catalog list
 
 Exit codes: 0 success / all checks hold, 1 a verification counterexample,
-2 usage or parse error.  --limit (or PCLEAN_LIMIT) caps the order of any
-materialized ring.
+2 usage, parse or catalog-read error.  --limit (or PCLEAN_LIMIT) caps the
+order of any materialized ring.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     try:
         doc, status = handlers[args.command](args)
     except (
-        MalformedSpec, OrderLimitExceeded, UnknownTheoremId, FileNotFoundError,
+        MalformedSpec, OrderLimitExceeded, UnknownTheoremId, OSError, UnicodeDecodeError,
         NotCommutative, NotLocal, HypothesisViolated, PreconditionFailed, RingTooLarge,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,11 +58,11 @@ class Matrix2:
         entries, m2 = (a11, a12, a21, a22), derived_ring("M", 2, r)
         if min(entries) < 0 or max(entries) >= r.order:  # else the index would alias
             raise PreconditionFailed(f"matrix entries {entries} are not indices of {r.name}")
-        self._view(m2, m2.kernel.index_of(entries))
+        self._view(m2, m2.kernel.encode(entries))
 
     def _view(self, m2: RingTable, index: int) -> "Matrix2":
         self.ring, self.m2, self.index = m2.kernel.base, m2, int(index)
-        self.a11, self.a12, self.a21, self.a22 = m2.kernel.digits_of(self.index)
+        self.a11, self.a12, self.a21, self.a22 = m2.kernel.digits(self.index)
         return self
 
     @classmethod
@@ -176,7 +176,7 @@ def triangular_ring(r: RingTable, k: int = 2, limit: int = DEFAULT_ORDER_LIMIT) 
 
 
 def matrix_to_index(m2: RingTable, A: Matrix2) -> int:
-    return m2.kernel.index_of(A.entries())
+    return m2.kernel.encode(A.entries())
 
 
 def matrix_from_index(m2: RingTable, idx: int) -> Matrix2:
@@ -201,7 +201,7 @@ def m2_invariants(m2: RingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
     def make():
         base = m2.kernel.base
-        d = m2.kernel._digits(np.arange(m2.order, dtype=np.int64))
+        d = m2.kernel.digits(np.arange(m2.order, dtype=np.int64))
         tr = base.vadd(d[0], d[3])
         det = base.vsub(base.vmul(d[0], d[3]), base.vmul(d[1], d[2]))
         four = np.int64(base.embed_int(4))
@@ -483,7 +483,7 @@ def triangular_pclean(
         y = solve_phi(r, b, a, v)
         e11, e12, e22 = r.zero, y, r.one
     t2 = triangular_ring(r, 2, limit)
-    aidx, eidx = t2.kernel.index_of([a, v, b]), t2.kernel.index_of([e11, e12, e22])
+    aidx, eidx = t2.kernel.encode([a, v, b]), t2.kernel.encode([e11, e12, e22])
     widx = t2.sub(aidx, eidx)
     ok, witness = radicals.is_strongly_nilpotent(t2, widx)
     if not ok:

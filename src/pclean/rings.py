@@ -35,10 +35,12 @@ Every fact derived from a ring (idempotents, units, radicals, sweeps,
 verdicts, criterion masks) has one slot in `RingTable.cache`, filled through
 the one memo `cached`.
 
-Scalar ops of a digit ring without tables, its fmt and mul_line use the
-one-element codec (`digits_of`, `index_of`) on Python ints and build no digit
-table, so `matrices.Matrix2`, an element of M2(R), costs microseconds per op
-even on M2(Z9[w]) (order 43M).
+`RingTable` alone reads the dense tables: its vector ops return what the
+table stores (uint16), or the kernel's result when it has none, and its
+scalar ops are one lane of them.  A digit kernel's one codec
+(`_DigitKernel.digits`/`encode`) runs one element on Python ints, so scalar
+ops, fmt and mul_line build no digit table, and `matrices.Matrix2`, an
+element of M2(R), costs microseconds per op even on M2(Z9[w]) (order 43M).
 """
 
 from __future__ import annotations
@@ -106,19 +108,24 @@ def _on_axis(j: int, values: np.ndarray, ndim: int) -> np.ndarray:
 class _DigitKernel:
     """A ring whose element index is a big-endian mixed-radix digit vector.
 
-    Digit j is an index into the RingTable ``parts[j]``.  Addition and
-    negation act digit by digit; each subclass gives its product as
-    ``mul_digits``.  vadd and vmul are ``_encode(<op>_digits(_digits(a),
-    _digits(b)))``, and ``row_blocks`` runs the same digit formulas on an open
+    Digit j is an index into the RingTable ``parts[j]``, and the digit
+    formulas reach each part only through its ring ops (``p.vadd``,
+    ``p.vmul``, ``p.vneg``), so the part alone picks its dense table or its
+    kernel.  Addition and negation act digit by digit; each subclass gives
+    its product as ``mul_digits``.  vadd, vneg and vmul are
+    ``encode(<op>_digits(digits(a), digits(b)))`` for one element and for
+    arrays alike, and ``row_blocks`` runs the same digit formulas on an open
     mesh to produce whole rows of the Cayley tables.
 
-    ``_digits`` gathers from a digit table of shape (npos, order), built on
-    first use and kept with the kernel: column x holds the digits of x in the
-    smallest unsigned dtype that fits every radix (one byte per digit for
-    radices up to 256, so 1.6 MB for T2(Z9[w])).  Digits are only used as
-    indices into the parts' tables or ops, and ``_encode`` accumulates in
-    int64, so the digit formulas also keep a dense part's uint16 table
-    entries as digits without widening them.
+    ``digits`` and ``encode`` are the one codec and the only code that tells
+    one element from many.  One integer goes by divmod and Horner's rule on
+    Python ints and builds nothing.  An array gathers from a digit table of
+    shape (npos, order), built on first use and kept with the kernel: column
+    x holds the digits of x in the smallest unsigned dtype that fits every
+    radix (one byte per digit for radices up to 256, so 1.6 MB for
+    T2(Z9[w])).  Digits are only used as indices into the parts' ops, and
+    ``encode`` accumulates arrays in int64, so a dense part's uint16 table
+    entries serve as digits without widening.
     """
 
     def __init__(self, parts: list["RingTable"]):
@@ -127,68 +134,58 @@ class _DigitKernel:
         self.radices = [p.order for p in parts]
         self.order = math.prod(self.radices)
         self._digit_table = None
-        self.zero = self.index_of([p.zero for p in parts])
+        self.zero = self.encode([p.zero for p in parts])
 
-    def _digits(self, a):
+    def digits(self, a):
+        """The digits of index a: Python ints by divmod for one integer, else
+        an (npos,) + shape(a) gather from the digit table."""
+        if isinstance(a, (int, np.integer)):
+            a, out = int(a), []
+            for rad in reversed(self.radices):
+                a, d = divmod(a, rad)
+                out.append(d)
+            return out[::-1]
         if self._digit_table is None:
             dtype = np.min_scalar_type(max(self.radices) - 1)
             self._digit_table = np.indices(self.radices, dtype).reshape(self.npos, -1)
         # np.take gathers several times faster than fancy indexing table[:, a]
         return np.take(self._digit_table, a, axis=1)
 
-    def _encode(self, digits, out=None):
-        """Index of the digit vector; written in place into `out` when given."""
-        if out is None:
-            out = np.array(digits[0], dtype=np.int64)
-        else:
+    def encode(self, digits, out=None):
+        """The index of a digit vector by Horner's rule: a Python int when
+        every digit is one integer, else int64, written in place into `out`
+        when given."""
+        if out is not None:
             out[...] = digits[0]
+        elif all(isinstance(d, (int, np.integer)) for d in digits):
+            digits = [int(d) for d in digits]  # so uint16 digits never overflow
+            out = digits[0]
+        else:
+            out = np.array(digits[0], dtype=np.int64)
         for rad, d in zip(self.radices[1:], digits[1:]):
             out *= rad
             out += d
         return out
 
-    def digits_of(self, x: int) -> list[int]:
-        """The digits of the one index x, by divmod on Python ints."""
-        x, digits = int(x), []
-        for rad in reversed(self.radices):
-            x, d = divmod(x, rad)
-            digits.append(d)
-        return digits[::-1]
-
-    def index_of(self, digits) -> int:
-        """The index of one digit vector, by Horner's rule on Python ints."""
-        x = 0
-        for rad, d in zip(self.radices, digits):
-            x = x * rad + int(d)
-        return x
-
-    @staticmethod
-    def _part_add(p, x, y):
-        return p.vadd(x, y) if p._add_t is None else p._add_t[x, y]
-
-    @staticmethod
-    def _part_mul(p, x, y):
-        return p.vmul(x, y) if p._mul_t is None else p._mul_t[x, y]
-
     def add_digits(self, da, db):
-        return [self._part_add(p, x, y) for p, x, y in zip(self.parts, da, db)]
+        return [p.vadd(x, y) for p, x, y in zip(self.parts, da, db)]
 
     def vadd(self, a, b):
-        return self._encode(self.add_digits(self._digits(a), self._digits(b)))
+        return self.encode(self.add_digits(self.digits(a), self.digits(b)))
 
     def neg_digits(self, da):
-        return [p.vneg(x) if p._neg_t is None else p._neg_t[x] for p, x in zip(self.parts, da)]
+        return [p.vneg(x) for p, x in zip(self.parts, da)]
 
     def vneg(self, a):
-        return self._encode(self.neg_digits(self._digits(a)))
+        return self.encode(self.neg_digits(self.digits(a)))
 
     def vmul(self, a, b):
-        return self._encode(self.mul_digits(self._digits(a), self._digits(b)))
+        return self.encode(self.mul_digits(self.digits(a), self.digits(b)))
 
     def additive_generators(self):
         zeros = [p.zero for p in self.parts]
         return [
-            self.index_of(zeros[:j] + [g] + zeros[j + 1 :])
+            self.encode(zeros[:j] + [g] + zeros[j + 1 :])
             for j, p in enumerate(self.parts)
             for g in p.additive_generators
         ]
@@ -198,10 +195,10 @@ class _DigitKernel:
         mul_digits with x's digits as scalars and y's on an open mesh, the
         formula and axis layout of row_blocks, encoded into an order-sized
         array."""
-        dx = self.digits_of(x)
+        dx = self.digits(int(x))
         dy = [_on_axis(j, np.arange(r), self.npos) for j, r in enumerate(self.radices)]
         digits = self.mul_digits(dy, dx) if col else self.mul_digits(dx, dy)
-        return self._encode(digits, out=np.empty(self.radices, np.int64)).reshape(-1)
+        return self.encode(digits, out=np.empty(self.radices, np.int64)).reshape(-1)
 
     def row_blocks(self, op: str, out=None):
         """Row blocks of the "add" or "mul" table from an open mesh of digits.
@@ -246,7 +243,7 @@ class _DigitKernel:
                 .reshape(d.shape[:npos] + (n,))
                 for d in op(da, db)
             ]
-            self._encode(digits, out=block.reshape(a_shape + (n,)))
+            self.encode(digits, out=block.reshape(a_shape + (n,)))
             yield start, stop, block
             start = stop
 
@@ -261,8 +258,8 @@ class _PositionalKernel(_DigitKernel):
     def _dot(self, terms):
         acc = None
         for x, y in terms:
-            p = self._part_mul(self.base, x, y)
-            acc = p if acc is None else self._part_add(self.base, acc, p)
+            p = self.base.vmul(x, y)
+            acc = p if acc is None else self.base.vadd(acc, p)
         return acc
 
 
@@ -287,13 +284,13 @@ class _MatrixFamilyKernel(_PositionalKernel):
         one = [base.zero] * self.npos
         for i in range(k):
             one[pos[i, i]] = base.one
-        self.one = self.index_of(one)
+        self.one = self.encode(one)
 
     def mul_digits(self, da, db):
         return [self._dot([(da[s], db[t]) for s, t in terms]) for terms in self._terms]
 
     def fmt(self, idx: int) -> str:
-        d = self.digits_of(idx)
+        d = self.digits(idx)
 
         def entry(i, j):
             t = self.pos_index.get((i, j))
@@ -322,7 +319,7 @@ class _MatrixFamilyKernel(_PositionalKernel):
                 raise MalformedSpec("diagonal entries must all be equal", start)
             else:
                 digits[t] = e
-        return self.index_of(digits)
+        return self.encode(digits)
 
 
 class MatrixKernel(_MatrixFamilyKernel):
@@ -352,14 +349,13 @@ class QuadExtKernel(_PositionalKernel):
         self.n = base.order
         self.c0, self.c1 = c0 % self.n, c1 % self.n
         self.symbol = symbol
-        self.one = self.index_of([base.one, base.zero])
+        self.one = self.encode([base.one, base.zero])
 
     def mul_digits(self, da, db):
         # (a + bt)(c + dt) = (ac + c0*bd) + (ad + bc + c1*bd)t
-        (a, b), (c, d) = da, db
-        mul = self._part_mul
-        x = self._dot([(a, c), (b, mul(self.base, d, self.c0))])
-        terms = [(a, d), (b, c)] + ([(b, mul(self.base, d, self.c1))] if self.c1 else [])
+        (a, b), (c, d), mul = da, db, self.base.vmul
+        x = self._dot([(a, c), (b, mul(d, self.c0))])
+        terms = [(a, d), (b, c)] + ([(b, mul(d, self.c1))] if self.c1 else [])
         return [x, self._dot(terms)]
 
     def fmt(self, i: int) -> str:
@@ -394,7 +390,7 @@ class QuadExtKernel(_PositionalKernel):
             else:
                 raise MalformedSpec("expected a coefficient term", lit.pos)
             first = False
-        return self.index_of([a % self.n, b % self.n])
+        return self.encode([a % self.n, b % self.n])
 
 
 class ProductKernel(_DigitKernel):
@@ -402,13 +398,13 @@ class ProductKernel(_DigitKernel):
 
     def __init__(self, factors: list["RingTable"]):
         super().__init__(factors)
-        self.one = self.index_of([f.one for f in factors])
+        self.one = self.encode([f.one for f in factors])
 
     def mul_digits(self, da, db):
-        return [self._part_mul(f, x, y) for f, x, y in zip(self.parts, da, db)]
+        return [f.vmul(x, y) for f, x, y in zip(self.parts, da, db)]
 
     def fmt(self, idx: int) -> str:
-        parts = self.digits_of(idx)
+        parts = self.digits(idx)
         return "[" + ",".join(f.fmt_index(p) for f, p in zip(self.parts, parts)) + "]"
 
     def parse_literal(self, lit: _Lit) -> int:
@@ -418,7 +414,7 @@ class ProductKernel(_DigitKernel):
             lit.expect(",")
             parts.append(f.kernel.parse_literal(lit))
         lit.expect("]")
-        return self.index_of(parts)
+        return self.encode(parts)
 
 
 class _RemapKernel:
@@ -629,22 +625,17 @@ class RingTable:
         idx, x = np.arange(self.order, dtype=np.int64), np.int64(x)
         return self.kernel.vmul(idx, x) if col else self.kernel.vmul(x, idx)
 
-    # -- vector ops (index arrays in, index arrays out)
+    # -- vector ops (index arrays in, index arrays out in the table's uint16
+    # or the kernel's dtype)
 
     def vadd(self, a, b):
-        if self._add_t is not None:
-            return self._add_t[a, b].astype(np.int64, copy=False)
-        return self.kernel.vadd(a, b)
+        return self.kernel.vadd(a, b) if self._add_t is None else self._add_t[a, b]
 
     def vmul(self, a, b):
-        if self._mul_t is not None:
-            return self._mul_t[a, b].astype(np.int64, copy=False)
-        return self.kernel.vmul(a, b)
+        return self.kernel.vmul(a, b) if self._mul_t is None else self._mul_t[a, b]
 
     def vneg(self, a):
-        if self._neg_t is not None:
-            return self._neg_t[a].astype(np.int64, copy=False)
-        return self.kernel.vneg(a)
+        return self.kernel.vneg(a) if self._neg_t is None else self._neg_t[a]
 
     def vsub(self, a, b):
         return self.vadd(a, self.vneg(b))
@@ -652,26 +643,13 @@ class RingTable:
     # -- scalar ops
 
     def add(self, a: int, b: int) -> int:
-        if self._add_t is not None:
-            return int(self._add_t[a, b])
-        return self._one_lane("add", a, b)
+        return int(self.vadd(a, b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return int(self._mul_t[a, b])
-        return self._one_lane("mul", a, b)
+        return int(self.vmul(a, b))
 
     def neg(self, a: int) -> int:
-        if self._neg_t is not None:
-            return int(self._neg_t[a])
-        return self._one_lane("neg", a)
-
-    def _one_lane(self, op: str, *xs: int) -> int:
-        # off the tables: <op>_digits on the one-element codec, else one vector lane
-        k = self.kernel
-        if isinstance(k, _DigitKernel):
-            return k.index_of(getattr(k, op + "_digits")(*map(k.digits_of, xs)))
-        return int(getattr(k, "v" + op)(*xs))
+        return int(self.vneg(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -314,7 +314,7 @@ def _t2_trivial_or_diagonalizable(r: RingTable) -> tuple[RingTable, np.ndarray]:
     """T2(r) and, per element, whether it lies in P, in 1+P, or is similar by
     a unit to a diagonal matrix with one entry in P and the other in 1+P."""
     t2 = triangular_ring(r)
-    d = t2.kernel._digits(np.arange(t2.order, dtype=np.int64))
+    d = t2.kernel.digits(np.arange(t2.order, dtype=np.int64))
     qual = (d[1] == r.zero) & (_in_p_and_1p(r, d[0], d[2]) | _in_p_and_1p(r, d[2], d[0]))
     return t2, rad.prime_radical(t2).mask | rad.one_plus_p_mask(t2) | _conjugation_reach(t2, qual)
 
@@ -593,7 +593,7 @@ def _check_c3_6(r: RingTable, env: VerifyEnv):
 def _check_p3_7(r: RingTable, env: VerifyEnv):
     t2 = triangular_ring(r, 2, limit=env.limit)
     lhs = dec.strongly_pclean_mask(t2)
-    d = t2.kernel._digits(np.arange(t2.order, dtype=np.int64))
+    d = t2.kernel.digits(np.arange(t2.order, dtype=np.int64))
     p_or_1p = rad.prime_radical(r).mask | rad.one_plus_p_mask(r)
     ok_diag = p_or_1p[d[0]] & p_or_1p[d[2]]
     return _mask_check(t2, "element", "pclean_iff_diagonal_in_P_or_1P", lhs, ok_diag)
@@ -728,7 +728,7 @@ def _check_e5_3(r: RingTable, env: VerifyEnv):
     q = np.arange(r.order, dtype=np.int64)[None, :]
     one = np.int64(r.one)
     want = _squares_of_one_plus_p(r)[0][r.vadd(one, r.vmul(r.embed_int(4), r.vmul(p, q)))]
-    aidx = m2.kernel._encode(np.broadcast_arrays(r.vadd(p, one), p, q, p))
+    aidx = m2.kernel.encode(np.broadcast_arrays(r.vadd(p, one), p, q, p))
     got = definitional_mask(m2)[aidx]
     differ = np.flatnonzero(want != got)  # row-major: least p, then least q
     if differ.size:

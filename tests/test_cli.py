@@ -80,6 +80,16 @@ def test_verify_catalog_file(capsys, tmp_path):
     assert {c["ring"] for c in doc["checks"]} == {"Z4", "Z6"}
 
 
+def test_unreadable_catalog_exits_two(capsys, tmp_path):
+    # exit 1 means a counterexample, so a catalog that cannot be read is a
+    # usage error: a directory, or a file that is not UTF-8
+    binary = tmp_path / "rings.bin"
+    binary.write_bytes(b"Z4\n\xff\n")
+    for path in (tmp_path, binary):
+        status, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+        assert status == 2 and out == "" and err.startswith("error: ")
+
+
 def test_catalog_list(capsys):
     status, doc, _ = run_json(capsys, "catalog", "list")
     assert status == 0

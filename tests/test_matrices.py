@@ -254,7 +254,7 @@ def test_triangular_matches_t2_scan_over_z4():
     pm = rad.prime_radical(r).mask
     onep = pm[r.vsub(np.arange(r.order, dtype=np.int64), np.int64(r.one))]
     for idx in range(t2.order):
-        d = t2.kernel._digits(np.int64(idx))
+        d = t2.kernel.digits(np.int64(idx))
         a, v, b = int(d[0]), int(d[1]), int(d[2])
         cert = triangular_pclean(r, a, b, v)
         assert (cert is not None) == bool(mask[idx])

@@ -185,7 +185,7 @@ def test_lemma_4_1_instances():
         m2 = build_ring(f"M2({base})")
         pm_base = rad.prime_radical(r).mask
         lhs = rad.prime_radical(m2).mask
-        digits = m2.kernel._digits(np.arange(m2.order, dtype=np.int64))
+        digits = m2.kernel.digits(np.arange(m2.order, dtype=np.int64))
         rhs = pm_base[digits].all(axis=0)
         assert np.array_equal(lhs, rhs)
 

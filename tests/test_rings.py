@@ -4,6 +4,7 @@ import pytest
 from pclean.errors import MalformedSpec, MixedRingOperands, OrderLimitExceeded, PcleanError
 from pclean.rings import (
     MatrixKernel,
+    ProductKernel,
     RingTable,
     ZnKernel,
     _DigitKernel,
@@ -265,10 +266,10 @@ def test_digit_table_matches_divmod_codec(name, dtype):
     rng = np.random.default_rng(5)
     flat = rng.integers(0, r.order, size=1000)
     for a in (flat, flat.reshape(40, 25), np.int64(r.order - 1), np.array(7), r.order // 3):
-        got = k._digits(a)
-        assert got.shape == (k.npos,) + np.shape(a)
+        got = k.digits(a)
+        assert np.shape(got) == (k.npos,) + np.shape(a)
         assert np.array_equal(got, divmod_digits(k.radices, a))
-        assert np.array_equal(k._encode(got), a)
+        assert np.array_equal(k.encode(got), a)
     assert k._digit_table.dtype == dtype
     assert k._digit_table.shape == (k.npos, r.order)
 
@@ -303,6 +304,19 @@ def test_one_element_codec_builds_no_digit_table():
     assert r.add(r.neg(x), x) == r.zero and r.sub(y, y) == r.zero
     assert r.parse_element(r.fmt_index(x)).index == x
     assert r.kernel._digit_table is None
+    # a product reaches its table-less M2(Z9) part through the part's own
+    # scalar ops, so one lane builds no digit table there either
+    m2 = RingTable(MatrixKernel(2, build_ring("Z9")), "M2(Z9)")
+    r = RingTable(ProductKernel([m2, build_ring("Z2")]), "M2(Z9)xZ2")
+    a, b = np.random.default_rng(3).integers(0, r.order, size=(2, 50)).tolist()
+    lanes = [
+        [r.add(x, y) for x, y in zip(a, b)],
+        [r.mul(x, y) for x, y in zip(a, b)],
+        [r.neg(x) for x in a],
+    ]
+    assert [r.parse_element(r.fmt_index(x)).index for x in a] == a
+    assert m2.kernel._digit_table is None
+    assert lanes == [r.vadd(a, b).tolist(), r.vmul(a, b).tolist(), r.vneg(a).tolist()]
 
 
 @pytest.mark.parametrize("name", ["T2(Z8)xZ9", "T2(Z64)xZ2"])

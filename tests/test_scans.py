@@ -90,7 +90,7 @@ def test_m2_of_a_local_ring_of_order_9(name, maximal_ideal):
     assert units.size == 3888
     inv = r.unit_inverses[units]
     assert np.all(r.vmul(units, inv) == r.one) and np.all(r.vmul(inv, units) == r.one)
-    entries = r.kernel._digits(np.arange(r.order))
+    entries = r.kernel.digits(np.arange(r.order))
     assert np.array_equal(rad.jacobson_radical(r).mask, m[entries].all(axis=0))
 
 

@@ -49,6 +49,7 @@ import itertools
 import math
 import weakref
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -867,9 +868,12 @@ def ideal_closure_mask(r: RingTable, gens) -> np.ndarray:
 
 # the rings build_ring or derived_ring handed out most recently, keyed by id
 # (two distinct rings may share a name); this LRU is what keeps them alive.
-# It holds at most _RING_CACHE_MAX rings and, among them, dense tables of at
-# most _RING_CACHE_BYTES: an order-4096 ring carries 64 MB of tables, and 192
-# MB keeps the 129 MB of tables that warm element queries cycle through.
+# The verifier bounds what it holds itself: the rings one subject's checks
+# first held leave when that subject is done (_release_new_holds).  For every
+# other caller the LRU holds at most _RING_CACHE_MAX rings and, among them,
+# dense tables of at most _RING_CACHE_BYTES: an order-4096 ring carries 64 MB
+# of tables, and 192 MB keeps the 129 MB of tables that warm element queries
+# cycle through.
 _RING_CACHE: OrderedDict[int, RingTable] = OrderedDict()
 _RING_CACHE_MAX = 48
 _RING_CACHE_BYTES = 192 << 20
@@ -907,6 +911,20 @@ def _clear_ring_cache() -> None:
     global _held_bytes
     _RING_CACHE.clear()
     _held_bytes = 0
+
+
+@contextmanager
+def _release_new_holds():
+    """Rings first held in the LRU inside the block leave it when the block
+    ends, so those no caller references are freed; rings held before the
+    block stay held."""
+    global _held_bytes
+    keep = set(_RING_CACHE)
+    try:
+        yield
+    finally:
+        for key in [k for k in _RING_CACHE if k not in keep]:
+            _held_bytes -= _table_bytes(_RING_CACHE.pop(key))
 
 
 def build_ring(spec, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:

@@ -24,7 +24,7 @@ import numpy as np
 from . import decompositions as dec
 from . import radicals as rad
 from . import specs
-from .errors import PcleanError, UnknownTheoremId
+from .errors import OrderLimitExceeded, PcleanError, UnknownTheoremId
 from .matrices import (
     Matrix2,
     definitional_mask,
@@ -45,6 +45,7 @@ from .rings import (
     ProductKernel,
     RingTable,
     _quotient,
+    _release_new_holds,
     additive_closure_mask,
     build_ring,
     cached,
@@ -347,7 +348,8 @@ _RING_PROPS = {
     "residue_z2_and_locally_nilpotent": lambda r: (
         r.order == 2 * (j := rad.jacobson_radical(r)).order and rad.is_locally_nilpotent(j)
     ),
-    # no size cap: T3.5 names T_k(r) only within its limit
+    # no size cap: T3.5 names T_k(r) only within its limit, and replay
+    # checks the order of T_k(r) first
     "triangular_2_strongly_pclean": lambda r: _strongly_pclean(derived_ring("T", 2, r)),
     "triangular_3_strongly_pclean": lambda r: _strongly_pclean(derived_ring("T", 3, r)),
     "every_t2_matrix_trivial_or_diagonalizable": lambda r: bool(
@@ -850,13 +852,22 @@ def _run_one(cd: CheckDef, name: str, subject, env: VerifyEnv) -> TheoremCheck:
 
 
 def verify(theorem_id: str, rings, env: VerifyEnv | None = None) -> list[TheoremCheck]:
-    """Run one theorem check over the given rings (RingTables or spec strings)."""
+    """Run one theorem check over the given rings (RingTables or spec strings).
+
+    The rings are built once and held for the whole call; every ring first
+    held in the ring LRU while one subject's check ran (its T3 or M2 ring,
+    say) leaves the LRU when that subject is done.
+    """
     env = env or VerifyEnv()
     if theorem_id not in _CHECK_BY_ID:
         raise UnknownTheoremId(f"{theorem_id!r}; known ids: {', '.join(CHECK_IDS)}")
     tables = [r if isinstance(r, RingTable) else build_ring(r, env.limit) for r in rings]
     cd = _CHECK_BY_ID[theorem_id]
-    return [_run_one(cd, name, subject, env) for name, subject in cd.subjects(tables)]
+    checks = []
+    for name, subject in cd.subjects(tables):
+        with _release_new_holds():
+            checks.append(_run_one(cd, name, subject, env))
+    return checks
 
 
 def run_suite(
@@ -866,11 +877,13 @@ def run_suite(
 ) -> TheoremReport:
     """Run every registered check (or a single id) over the catalog.
 
-    The full suite runs ring-major: every check with one subject per ring on
-    one catalog ring before the next, so the derived rings one ring needs can
-    leave the ring LRU before the next ring's are built.  The checks over
-    pairs (L2.9) or run once (C2.14) follow; the report is sorted by
-    (id, ring) either way.
+    The catalog rings are built once and held for the whole run.  The full
+    suite runs ring-major: every check with one subject per ring on one
+    catalog ring before the next, and the rings those checks first held
+    leave the ring LRU before the next ring's checks start, so the suite
+    holds one catalog ring's derived tables at a time.  The checks over pairs
+    (L2.9) or run once (C2.14) follow, releasing theirs per subject as
+    `verify` does; the report is sorted by (id, ring) either way.
     """
     env = env or VerifyEnv()
     names = list(catalog) if catalog is not None else list(DEFAULT_CATALOG)
@@ -878,13 +891,14 @@ def run_suite(
     if only:
         report.checks = verify(only, names, env)
     else:
+        tables = [build_ring(name, env.limit) for name in names]
         per_ring = [cd for cd in _CHECKS if cd.subjects is _each_ring]
-        for name in names:
-            ring = build_ring(name, env.limit)
-            report.checks += [_run_one(cd, ring.name, ring, env) for cd in per_ring]
+        for ring in tables:
+            with _release_new_holds():
+                report.checks += [_run_one(cd, ring.name, ring, env) for cd in per_ring]
         for cd in _CHECKS:
             if cd.subjects is not _each_ring:
-                report.checks += verify(cd.id, names, env)
+                report.checks += verify(cd.id, tables, env)
     report.checks.sort(key=lambda c: (CHECK_IDS.index(c.id), c.ring))
     return report
 
@@ -911,14 +925,22 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
     the payload's ring lookup (needed for fixture rings with no spec); a
     `sides` payload names no ring, so it replays only on the `ring` given,
     and only when every recorded side is a known property with that value.
+    Raises OrderLimitExceeded when a recorded side names a T_k(ring) above
+    DEFAULT_ORDER_LIMIT.
     """
     payload = check.counterexample
     kind = payload and payload.get("kind")
     if kind == "sides":
         vals = payload["values"]
-        return ring is not None and bool(vals) and all(
-            name in _RING_PROPS and _RING_PROPS[name](ring) == v for name, v in vals.items()
-        )
+        if ring is None or not vals:
+            return False
+        for k in (2, 3):
+            order = specs.derived_order("T", k, ring.order)
+            if f"triangular_{k}_strongly_pclean" in vals and order > DEFAULT_ORDER_LIMIT:
+                raise OrderLimitExceeded(
+                    f"T{k}({ring.name}) has order {order} > limit {DEFAULT_ORDER_LIMIT}"
+                )
+        return all(name in _RING_PROPS and _RING_PROPS[name](ring) == v for name, v in vals.items())
     if kind not in ("element", "matrix", "ideal", "ideal_pair"):
         return False
     r = ring if ring is not None else build_ring(payload["ring"])

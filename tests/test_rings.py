@@ -251,8 +251,68 @@ def test_ring_lru_bounds_held_table_bytes_during_the_suite(monkeypatch):
     build_ring("Z8192")  # table-less, so the oldest ring is one without tables
     report = run_suite(["Z8", "Z4xZ2", "T2(Z2)", "Z4[i]"])
     assert report.summary["COUNTEREXAMPLE"] == 0
-    # four 64 MB rings overflow the 192 MB budget if none is evicted
+    # the suite hands out more 64 MB rings than the 192 MB budget holds at
+    # once; what bounds it is that each catalog ring's derived rings leave
+    # the LRU after its checks (the next test), while the budget stays the
+    # guard for library callers (test_ring_lru_keeps_the_element_query_rings_...)
     assert len(big) >= 4 and 4 * (64 << 20) > rings._RING_CACHE_BYTES
+
+
+def test_suite_holds_one_catalog_rings_derived_tables_at_a_time(monkeypatch):
+    # T3(Z4) and T3(Z2[i]) carry 64 MB of tables each; the suite holds
+    # only the derived rings of the catalog ring it is checking
+    import pclean.rings as rings
+    from pclean.verifier import run_suite
+
+    hold = rings._hold
+    held_bytes = []
+
+    def recording_hold(ring):
+        hold(ring)
+        held_bytes.append(sum(map(rings._table_bytes, rings._RING_CACHE.values())))
+        assert held_bytes[-1] == rings._held_bytes
+        return ring
+
+    monkeypatch.setattr(rings, "_hold", recording_hold)
+    rings._clear_ring_cache()
+    report = run_suite(["Z4", "Z8", "Z2[i]"])
+    assert report.summary["COUNTEREXAMPLE"] == 0
+    assert (64 << 20) < max(held_bytes) < (96 << 20)
+
+
+def test_verifier_releases_the_rings_each_subject_first_held(monkeypatch):
+    # rings the caller held before the run stay held, as the same objects
+    # with their memos; every ring first held during one subject's checks
+    # leaves the LRU before the next subject starts
+    import pclean.rings as rings
+    import pclean.verifier as verifier
+    from pclean.radicals import prime_radical
+
+    def lru():
+        return {r.name: r for r in rings._RING_CACHE.values()}
+
+    run_one = verifier._run_one
+    at_start = {}  # subject -> LRU names when its first check started
+
+    def recording_run_one(cd, name, subject, env):
+        at_start.setdefault(name, set(lru()))
+        return run_one(cd, name, subject, env)
+
+    monkeypatch.setattr(verifier, "_run_one", recording_run_one)
+    for run, catalog, mine in (
+        (lambda: verifier.run_suite(["Z2", "Z4"]), {"Z2", "Z4"}, "M2(Z2)"),
+        (lambda: verifier.verify("T3.5", ["Z4"]), {"Z4"}, "T2(Z4)"),
+    ):
+        rings._clear_ring_cache()
+        at_start.clear()
+        ring = build_ring(mine)
+        prime_radical(ring)
+        memo = dict(ring.cache)
+        run()
+        assert set(lru()) == {mine} | catalog and lru()[mine] is ring
+        assert all(ring.cache[k] is v for k, v in memo.items())
+        assert at_start and all(names == {mine} | catalog for names in at_start.values())
+        assert "T3(Z4)" not in lru()
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pclean import decompositions as dec
-from pclean.errors import NotLiftable, UnknownTheoremId
+from pclean.errors import NotLiftable, OrderLimitExceeded, UnknownTheoremId
 from pclean.rings import RingTable, build_ring
 from pclean.verifier import (
     CHECK_IDS,
@@ -431,6 +431,18 @@ def test_genuine_sides_payloads_are_unchanged_and_replay():
     assert len(payloads) == 113
     digest = hashlib.sha256(json.dumps(payloads).encode()).hexdigest()
     assert digest == SIDES_DIGEST
+
+
+def test_replay_of_a_triangular_side_above_the_default_limit_raises():
+    # T3(Z8) has order 8**6 = 262,144; replay has no limit of its own to
+    # raise, so it refuses before building the ring
+    from pclean.verifier import TheoremCheck
+
+    payload = {"kind": "sides", "values": {"strongly_pclean_ring": True,
+                                           "triangular_3_strongly_pclean": False}}
+    check = TheoremCheck("T3.5", "Z8", "COUNTEREXAMPLE", payload, 0.0)
+    with pytest.raises(OrderLimitExceeded, match=r"T3\(Z8\) has order 262144 > limit 65536"):
+        replay_counterexample(check, ring=build_ring("Z8"))
 
 
 def test_l2_9_pair_above_the_limit_is_skipped_with_its_note():

@@ -572,7 +572,7 @@ def pi_regular_trichotomy(A: Matrix2) -> str:
     elif radicals.element_nilpotency(m2, A.index) is not None:
         kind = NILPOTENT
     else:
-        kind = PCLEAN if classify_pclean_2x2(A).kind != NOT_PCLEAN else NOT_PI_REGULAR
+        kind = PCLEAN if strongly_pclean_element(m2, A.index)[0] is not None else NOT_PI_REGULAR
     pi_reg, _, _ = strongly_pi_regular_element(m2, A.index)
     if pi_reg != (kind != NOT_PI_REGULAR):
         raise CriterionMismatch(

@@ -877,10 +877,11 @@ def ideal_closure_mask(r: RingTable, gens) -> np.ndarray:
 _RING_CACHE: OrderedDict[int, RingTable] = OrderedDict()
 _RING_CACHE_MAX = 48
 _RING_CACHE_BYTES = 192 << 20
-_held_bytes = 0  # dense-table bytes of the rings in _RING_CACHE
-# every live ring build_ring has made, so one evicted from the LRU but still
-# referenced (say as the base of a derived ring) is not built a second time
-_LIVE_RINGS: weakref.WeakValueDictionary[str, RingTable] = weakref.WeakValueDictionary()
+# every live ring handed out, so one evicted from the LRU but still
+# referenced (say as the base of a derived ring) is not built a second time:
+# build_ring's rings by canonical name, derived_ring's by (family, k,
+# id(base)), which stays unique while the ring lives because it holds its base
+_LIVE_RINGS: weakref.WeakValueDictionary[str | tuple, RingTable] = weakref.WeakValueDictionary()
 
 
 def _table_bytes(ring: RingTable) -> int:
@@ -891,26 +892,16 @@ def _hold(ring: RingTable) -> RingTable:
     """Mark `ring` most recently used in the LRU.  Past the count cap the
     oldest ring leaves; past the byte budget the oldest rings that carry
     tables leave, never `ring` itself."""
-    global _held_bytes
-    if id(ring) not in _RING_CACHE:
-        _held_bytes += _table_bytes(ring)
     _RING_CACHE[id(ring)] = ring
     _RING_CACHE.move_to_end(id(ring))
     if len(_RING_CACHE) > _RING_CACHE_MAX:
-        _held_bytes -= _table_bytes(_RING_CACHE.popitem(last=False)[1])
-    while _held_bytes > _RING_CACHE_BYTES:
+        _RING_CACHE.popitem(last=False)
+    while sum(map(_table_bytes, _RING_CACHE.values())) > _RING_CACHE_BYTES:
         key = next((k for k, r in _RING_CACHE.items() if r is not ring and _table_bytes(r)), None)
         if key is None:
             break
-        _held_bytes -= _table_bytes(_RING_CACHE.pop(key))
+        del _RING_CACHE[key]
     return ring
-
-
-def _clear_ring_cache() -> None:
-    """Empty the LRU, so rings no caller references are freed."""
-    global _held_bytes
-    _RING_CACHE.clear()
-    _held_bytes = 0
 
 
 @contextmanager
@@ -918,13 +909,12 @@ def _release_new_holds():
     """Rings first held in the LRU inside the block leave it when the block
     ends, so those no caller references are freed; rings held before the
     block stay held."""
-    global _held_bytes
     keep = set(_RING_CACHE)
     try:
         yield
     finally:
         for key in [k for k in _RING_CACHE if k not in keep]:
-            _held_bytes -= _table_bytes(_RING_CACHE.pop(key))
+            del _RING_CACHE[key]
 
 
 def build_ring(spec, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
@@ -981,18 +971,15 @@ _DERIVED_KERNELS = {k.family: k for k in (MatrixKernel, TriangularKernel, ConstD
 def derived_ring(family: str, k: int, base: RingTable) -> RingTable:
     """The one M_k(base), T_k(base) or Tc_k(base) ring (family "M", "T", "Tc").
 
-    Memoized in base.cache, so build_ring, matrix_ring and triangular_ring
-    share one object while it is alive; the LRU of build_ring keeps it alive.
-    The memo is a weak reference because the ring holds its base (as
-    kernel.base): a strong one would make a cycle that only the cyclic
-    garbage collector frees.  No size cap: callers check the order first.
+    Registered in _LIVE_RINGS, so build_ring, matrix_ring, triangular_ring
+    and the verifier share one object while it is alive; the LRU of
+    build_ring keeps it alive.  No size cap: callers check the order first.
     """
-    key = ("derived", family, k)
-    ref = base.cache.get(key)
-    ring = None if ref is None else ref()
+    key = (family, k, id(base))
+    ring = _LIVE_RINGS.get(key)
     if ring is None:
-        ring = RingTable(_DERIVED_KERNELS[family](k, base), f"{family}{k}({base.name})")
-        base.cache[key] = weakref.ref(ring)
+        kernel = _DERIVED_KERNELS[family](k, base)
+        ring = _LIVE_RINGS[key] = RingTable(kernel, f"{family}{k}({base.name})")
     return _hold(ring)
 
 

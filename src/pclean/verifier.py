@@ -41,7 +41,6 @@ from .matrices import (
 )
 from .rings import (
     DEFAULT_ORDER_LIMIT,
-    ConstDiagKernel,
     ProductKernel,
     RingTable,
     _quotient,
@@ -268,15 +267,16 @@ def _within_limit(family: str, r: RingTable, env: VerifyEnv) -> tuple[list[int],
 
 
 def _budget(family: str, budget: int | None = None):
-    """Guard skipping a check whose ring family_2(r) is larger than `budget`,
-    or than env.limit when no budget is given."""
+    """Guard skipping a check whose ring family_2(r) is larger than env.limit
+    or than `budget`, with a note naming the smaller bound."""
 
     def guard(r: RingTable, env: VerifyEnv):
         order = specs.derived_order(family, 2, r.order)
-        if order > (budget or env.limit):
-            why = f"exceeds budget {budget}" if budget else f"beyond limit {env.limit}"
-            return (SKIPPED, f"{family}2 order {order} {why}")
-        return None
+        if budget is not None and budget < env.limit:
+            bound, why = budget, f"exceeds budget {budget}"
+        else:
+            bound, why = env.limit, f"beyond limit {env.limit}"
+        return (SKIPPED, f"{family}2 order {order} {why}") if order > bound else None
 
     return guard
 
@@ -505,13 +505,13 @@ def _check_c2_12(r: RingTable, env: VerifyEnv):
         return HYPOTHESIS_NOT_MET, None
     sizes, note = _within_limit("Tc", r, env)
     for k in sizes:
-        # one-shot, unlike M_k/T_k: memoized on r, every Tc_k(r) of the
-        # catalog would stay alive for the rest of the suite (about 130 MB
-        # more peak RSS in run_suite())
-        t = RingTable(ConstDiagKernel(k, r), f"Tc{k}({r.name})")
-        holds, cex = dec.is_strongly_pclean_ring(t)
-        if not holds:
-            return COUNTEREXAMPLE, _element_cex(t, cex, "strongly_pclean", True, False)
+        # released right after its sweep, not with the subject: Tc3(Z8) and
+        # M2(Z8) (64 MB of tables each) would otherwise be held together
+        with _release_new_holds():
+            t = derived_ring("Tc", k, r)
+            holds, cex = dec.is_strongly_pclean_ring(t)
+            if not holds:
+                return COUNTEREXAMPLE, _element_cex(t, cex, "strongly_pclean", True, False)
     return HOLDS, note
 
 
@@ -765,8 +765,8 @@ def _check_p5_6(r: RingTable, env: VerifyEnv):
 
 def _check_l2_9(pair, env: VerifyEnv):
     ra, rb = pair
-    # one-shot: each pair is checked once, and a product memoized on its
-    # factors would keep every catalog pair alive for the suite
+    # built directly, outside the ring registry: no other check reads a
+    # product, so it is dropped when this check returns
     prod = RingTable(ProductKernel([ra, rb]), f"{ra.name} x {rb.name}")
     return _side_verdict(prod, ("product_strongly_pclean", "both_factors_strongly_pclean"))
 
@@ -827,7 +827,7 @@ _CHECKS: list[CheckDef] = [
     CheckDef("T4.2", "split P-clean matrices are unit-diagonalizable", _check_t4_2, (_local, _budget("M", SIM_BUDGET))),
     CheckDef("T4.4", "three 2x2 criteria agree on every matrix", _check_t4_4, (_commutative, _local, _budget("M", MASK_BUDGET))),
     CheckDef("C4.5", "ratio-form quadratic criterion", _check_c4_5, (_commutative, _local, _budget("M", MASK_BUDGET))),
-    CheckDef("E4.6", "worked example over Z_4", _check_e4_6, (_z4_only,)),
+    CheckDef("E4.6", "worked example over Z_4", _check_e4_6, (_z4_only, _budget("M"))),
     CheckDef("T5.1", "necessity of the discriminant-square condition", _check_t5_1, (_commutative, _local, _budget("M", MASK_BUDGET))),
     CheckDef("C5.2", "discriminant equivalence when 2 is a unit", _check_c5_2, (_commutative, _local, _two_is_unit, _budget("M", MASK_BUDGET))),
     CheckDef("E5.3", "the [[p+1,p],[q,p]] family", _check_e5_3, (_commutative, _local, _budget("M", MASK_BUDGET))),
@@ -851,23 +851,29 @@ def _run_one(cd: CheckDef, name: str, subject, env: VerifyEnv) -> TheoremCheck:
     return TheoremCheck(cd.id, name, verdict, cex, millis, note)
 
 
-def verify(theorem_id: str, rings, env: VerifyEnv | None = None) -> list[TheoremCheck]:
-    """Run one theorem check over the given rings (RingTables or spec strings).
+def _run_checks(cds: list[CheckDef], tables: list[RingTable], env: VerifyEnv) -> list[TheoremCheck]:
+    """The one subject loop: the per-ring checks of `cds` ring-major (all of
+    them on one ring before the next), then each pair or once check subject
+    by subject.  The rings first held in the ring LRU during one subject (its
+    T3 or M2 ring, say) leave it when that subject is done."""
+    per_ring = [cd for cd in cds if cd.subjects is _each_ring]
+    groups = [(per_ring, s) for s in _each_ring(tables)]
+    groups += [([cd], s) for cd in cds if cd.subjects is not _each_ring for s in cd.subjects(tables)]
+    checks = []
+    for group, (name, subject) in groups:
+        with _release_new_holds():
+            checks += [_run_one(cd, name, subject, env) for cd in group]
+    return checks
 
-    The rings are built once and held for the whole call; every ring first
-    held in the ring LRU while one subject's check ran (its T3 or M2 ring,
-    say) leaves the LRU when that subject is done.
-    """
+
+def verify(theorem_id: str, rings, env: VerifyEnv | None = None) -> list[TheoremCheck]:
+    """Run one theorem check over the given rings (RingTables or spec strings),
+    built once and held for the whole call (see `_run_checks`)."""
     env = env or VerifyEnv()
     if theorem_id not in _CHECK_BY_ID:
         raise UnknownTheoremId(f"{theorem_id!r}; known ids: {', '.join(CHECK_IDS)}")
     tables = [r if isinstance(r, RingTable) else build_ring(r, env.limit) for r in rings]
-    cd = _CHECK_BY_ID[theorem_id]
-    checks = []
-    for name, subject in cd.subjects(tables):
-        with _release_new_holds():
-            checks.append(_run_one(cd, name, subject, env))
-    return checks
+    return _run_checks([_CHECK_BY_ID[theorem_id]], tables, env)
 
 
 def run_suite(
@@ -877,13 +883,10 @@ def run_suite(
 ) -> TheoremReport:
     """Run every registered check (or a single id) over the catalog.
 
-    The catalog rings are built once and held for the whole run.  The full
-    suite runs ring-major: every check with one subject per ring on one
-    catalog ring before the next, and the rings those checks first held
-    leave the ring LRU before the next ring's checks start, so the suite
-    holds one catalog ring's derived tables at a time.  The checks over pairs
-    (L2.9) or run once (C2.14) follow, releasing theirs per subject as
-    `verify` does; the report is sorted by (id, ring) either way.
+    The catalog rings are built once and held for the whole run, and the
+    checks run through `verify`'s subject loop (`_run_checks`), so the suite
+    holds one catalog ring's derived tables at a time; the report is sorted
+    by (id, ring).
     """
     env = env or VerifyEnv()
     names = list(catalog) if catalog is not None else list(DEFAULT_CATALOG)
@@ -891,14 +894,7 @@ def run_suite(
     if only:
         report.checks = verify(only, names, env)
     else:
-        tables = [build_ring(name, env.limit) for name in names]
-        per_ring = [cd for cd in _CHECKS if cd.subjects is _each_ring]
-        for ring in tables:
-            with _release_new_holds():
-                report.checks += [_run_one(cd, ring.name, ring, env) for cd in per_ring]
-        for cd in _CHECKS:
-            if cd.subjects is not _each_ring:
-                report.checks += verify(cd.id, tables, env)
+        report.checks = _run_checks(_CHECKS, [build_ring(name, env.limit) for name in names], env)
     report.checks.sort(key=lambda c: (CHECK_IDS.index(c.id), c.ring))
     return report
 

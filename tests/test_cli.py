@@ -80,6 +80,18 @@ def test_verify_catalog_file(capsys, tmp_path):
     assert {c["ring"] for c in doc["checks"]} == {"Z4", "Z6"}
 
 
+def test_verify_limit_caps_the_matrix_ring_of_a_budgeted_check(capsys, tmp_path):
+    cat = tmp_path / "rings.txt"
+    cat.write_text("Z4\n")
+    status, doc, _ = run_json(
+        capsys, "verify", "--theorem", "L4.1", "--catalog", str(cat), "--limit", "100"
+    )
+    assert status == 0
+    assert [(c["verdict"], c.get("note")) for c in doc["checks"]] == [
+        ("SKIPPED", "M2 order 256 beyond limit 100")
+    ]
+
+
 def test_unreadable_catalog_exits_two(capsys, tmp_path):
     # exit 1 means a counterexample, so a catalog that cannot be read is a
     # usage error: a directory, or a file that is not UTF-8

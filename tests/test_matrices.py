@@ -317,6 +317,16 @@ def test_pi_regular_trichotomy_examples():
     assert pi_regular_trichotomy(Matrix2.parse(r, "[1,2;2,2]")) == "PCLEAN"
 
 
+def test_pi_regular_trichotomy_reads_the_scan_without_classifying(monkeypatch):
+    import pclean.matrices as matrices
+
+    def no_classify(A):
+        raise AssertionError("pi_regular_trichotomy reran the 2x2 classification")
+
+    monkeypatch.setattr(matrices, "classify_pclean_2x2", no_classify)
+    assert pi_regular_trichotomy(Matrix2.parse(build_ring("Z4"), "[1,2;2,2]")) == "PCLEAN"
+
+
 def test_pi_regular_trichotomy_hypotheses():
     # the trichotomy and the P5.6 guard test one hypothesis
     from pclean.errors import HypothesisViolated

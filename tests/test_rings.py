@@ -168,7 +168,7 @@ def test_live_ring_survives_cache_eviction():
     import pclean.rings as rings
 
     m2 = build_ring("M2(Z4)")
-    rings._clear_ring_cache()
+    rings._RING_CACHE.clear()
     assert build_ring("Z4") is m2.kernel.base
     assert build_ring("M2(Z4)") is m2
 
@@ -185,11 +185,24 @@ def test_evicted_derived_ring_is_freed_without_the_cycle_collector():
         m2 = build_ring("M2(Z3)")
         refs = [weakref.ref(m2), weakref.ref(m2.kernel.base)]
         del m2
-        rings._clear_ring_cache()
+        rings._RING_CACHE.clear()
         assert [ref() for ref in refs] == [None, None]
         assert "M2(Z3)" not in rings._LIVE_RINGS and "Z3" not in rings._LIVE_RINGS
     finally:
         gc.enable()
+
+
+def test_derived_rings_leave_no_memo_in_their_base():
+    # derived rings live in the one registry, not as weak references in the
+    # base's fact cache
+    import weakref
+
+    from pclean.rings import derived_ring
+
+    z4 = build_ring("Z4")
+    derived = [build_ring(s) for s in ("M2(Z4)", "T2(Z4)", "T3(Z4)", "Tc2(Z4)")]
+    assert derived_ring("Tc", 2, z4) is derived[-1]
+    assert not any(isinstance(v, weakref.ref) for v in z4.cache.values())
 
 
 def test_ring_lru_keeps_the_element_query_rings_without_rebuilding(monkeypatch):
@@ -207,7 +220,7 @@ def test_ring_lru_keeps_the_element_query_rings_without_rebuilding(monkeypatch):
         build_tables(self)
 
     monkeypatch.setattr(RingTable, "_build_tables", counting)
-    rings._clear_ring_cache()
+    rings._RING_CACHE.clear()
     for spec in ("M2(Z4xZ2)", "T2(Z16)"):
         build_ring(spec)
 
@@ -237,7 +250,7 @@ def test_ring_lru_bounds_held_table_bytes_during_the_suite(monkeypatch):
         held = list(rings._RING_CACHE.values())
         assert held[-1] is ring
         table_bytes = sum(rings._table_bytes(r) for r in held)
-        assert table_bytes == rings._held_bytes <= rings._RING_CACHE_BYTES
+        assert table_bytes <= rings._RING_CACHE_BYTES
         gone = [r for r in before if all(r is not h for h in held)]
         for r in gone:
             if rings._table_bytes(r) == 0:  # only the count cap evicts these
@@ -247,7 +260,7 @@ def test_ring_lru_bounds_held_table_bytes_during_the_suite(monkeypatch):
         return ring
 
     monkeypatch.setattr(rings, "_hold", checked_hold)
-    rings._clear_ring_cache()
+    rings._RING_CACHE.clear()
     build_ring("Z8192")  # table-less, so the oldest ring is one without tables
     report = run_suite(["Z8", "Z4xZ2", "T2(Z2)", "Z4[i]"])
     assert report.summary["COUNTEREXAMPLE"] == 0
@@ -270,11 +283,10 @@ def test_suite_holds_one_catalog_rings_derived_tables_at_a_time(monkeypatch):
     def recording_hold(ring):
         hold(ring)
         held_bytes.append(sum(map(rings._table_bytes, rings._RING_CACHE.values())))
-        assert held_bytes[-1] == rings._held_bytes
         return ring
 
     monkeypatch.setattr(rings, "_hold", recording_hold)
-    rings._clear_ring_cache()
+    rings._RING_CACHE.clear()
     report = run_suite(["Z4", "Z8", "Z2[i]"])
     assert report.summary["COUNTEREXAMPLE"] == 0
     assert (64 << 20) < max(held_bytes) < (96 << 20)
@@ -303,7 +315,7 @@ def test_verifier_releases_the_rings_each_subject_first_held(monkeypatch):
         (lambda: verifier.run_suite(["Z2", "Z4"]), {"Z2", "Z4"}, "M2(Z2)"),
         (lambda: verifier.verify("T3.5", ["Z4"]), {"Z4"}, "T2(Z4)"),
     ):
-        rings._clear_ring_cache()
+        rings._RING_CACHE.clear()
         at_start.clear()
         ring = build_ring(mine)
         prime_radical(ring)

@@ -455,6 +455,51 @@ def test_l2_9_pair_above_the_limit_is_skipped_with_its_note():
     }
 
 
+def test_c2_12_sweeps_the_catalogs_own_tc_ring(monkeypatch):
+    swept = []
+    sweep = dec.is_strongly_pclean_ring
+
+    def recording_sweep(r):
+        swept.append(r)
+        return sweep(r)
+
+    monkeypatch.setattr(dec, "is_strongly_pclean_ring", recording_sweep)
+    checks = verify("C2.12", ["Z4", "Tc2(Z4)"])
+    assert [c.verdict for c in checks] == ["HOLDS", "HOLDS"]
+    tc2 = [r for r in swept if r.name == "Tc2(Z4)"]
+    assert tc2 and all(r is build_ring("Tc2(Z4)") for r in tc2)
+
+
+def test_env_limit_caps_every_ring_the_checks_build(monkeypatch):
+    # the limit bounds every materialized ring, also under a check's larger
+    # budget: M2(Z4) and M2(Z2[i]) (order 256) stay unbuilt at limit 100
+    import gc
+
+    import pclean.rings as rings
+
+    seen = []
+    init, hold = RingTable.__init__, rings._hold
+
+    def recording_init(self, kernel, name):
+        init(self, kernel, name)
+        seen.append((self.order, name))
+
+    def recording_hold(ring):
+        seen.append((ring.order, ring.name))
+        return hold(ring)
+
+    monkeypatch.setattr(RingTable, "__init__", recording_init)
+    monkeypatch.setattr(rings, "_hold", recording_hold)
+    rings._RING_CACHE.clear()
+    gc.collect()
+    env = VerifyEnv(limit=100)
+    for theorem_id in CHECK_IDS:
+        verify(theorem_id, ["Z2", "Z3", "Z4", "Z2[i]"], env)
+    assert seen and [s for s in seen if s[0] > 100] == []
+    (check,) = verify("L4.1", ["Z4"], env)
+    assert (check.verdict, check.note) == ("SKIPPED", "M2 order 256 beyond limit 100")
+
+
 @pytest.mark.parametrize("val", [1, 2])
 def test_no_surviving_candidate_raises_radical_not_ideal(val):
     # with 0*0 != 0 no nilpotent candidate survives the first filter block

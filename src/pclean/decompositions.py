@@ -80,10 +80,12 @@ def _hits(r: RingTable, kind: str, a: int, commuting: bool) -> np.ndarray:
     """Idempotents e, ascending, with a - e in the set of `kind` (and ea = ae
     when `commuting`).  P-membership never computes P(R) for one element."""
     idem = r.idempotent_indices
+    neg = cached(r, "idempotent_negatives", lambda: r.vneg(idem))
     aa = np.int64(a)
     if commuting:
-        idem = idem[r.vmul(aa, idem) == r.vmul(idem, aa)]
-    diff = r.vsub(aa, idem)
+        keep = r.vmul(aa, idem) == r.vmul(idem, aa)
+        idem, neg = idem[keep], neg[keep]
+    diff = r.vadd(aa, neg)
     if kind != STRONGLY_P_CLEAN:
         return idem[_KINDS[kind][0](r)[diff]]
     return idem[radicals.in_prime_radical(r, diff)]
@@ -202,14 +204,16 @@ def idempotent_lift(r: RingTable, a) -> int:
     n = radicals.element_nilpotency(r, d)
     if n is None:
         raise NotLiftable(f"{r.fmt_index(a)} - its square is not nilpotent in {r.name}")
-    one_minus = r.sub(r.one, a)
-    apow = [r.one]
-    for _ in range(2 * n):
-        apow.append(r.mul(apow[-1], a))
-    e, b = r.zero, r.one  # b = (1 - a)^i
+    # every term of f has degree >= n, so f(t) = t^n g(t) with integer
+    # coefficients g[k]; g(a) by Horner's rule takes 2n ring ops, not 6n
+    g = [0] * (n + 1)
     for i in range(n + 1):
-        e = r.add(e, r.mul(r.embed_int(math.comb(2 * n, i)), r.mul(apow[2 * n - i], b)))
-        b = r.mul(b, one_minus)
+        for j in range(i + 1):
+            g[n - i + j] += math.comb(2 * n, i) * math.comb(i, j) * (-1) ** j
+    e = r.embed_int(g[n])
+    for c in reversed(g[:n]):
+        e = r.add(r.mul(e, a), r.embed_int(c))
+    e = r.mul(e, r.power(a, n))
     if r.mul(e, e) != e or r.mul(e, a) != r.mul(a, e):
         raise PcleanError(f"idempotent lift failed for {r.fmt_index(a)} in {r.name}")
     if radicals.element_nilpotency(r, r.sub(a, e)) is None:

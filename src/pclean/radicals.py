@@ -136,8 +136,12 @@ def element_nilpotency(r: RingTable, a: int) -> int | None:
     """Smallest e >= 1 with a^e = 0, or None if a is not nilpotent.
 
     The walk stops at a repeated power or after a^top, top = floor(log2 |R|):
-    a nilpotent element of index m has 2^m <= |R| (see nilpotent_mask).
+    a nilpotent element of index m has 2^m <= |R| (see nilpotent_mask).  It
+    is skipped when nilpotent_mask is cached and rules a out.
     """
+    nil = r.cache.get("nilpotent_mask")
+    if nil is not None and not nil[a]:
+        return None
     seen = set()
     x, e, top = a, 1, r.order.bit_length() - 1
     while e <= top and x not in seen:

@@ -1,8 +1,10 @@
 """Finite unital rings materialized over a dense element index 0..|R|-1.
 
-Rings of order <= DENSE_TABLE_LIMIT carry full Cayley tables (uint16); larger
-rings compute on coordinates with identical observable behavior.  All bulk
-operations are numpy-vectorized over index arrays.
+Rings of order <= DENSE_TABLE_LIMIT (1024) carry full Cayley tables (uint16,
+at most 4 MiB a ring, so the ring LRU needs no byte budget); larger rings
+compute on coordinates with identical observable behavior.  A kernel result
+outside 0..|R|-1 is rejected when the tables are built.  All bulk operations
+are numpy-vectorized over index arrays.
 
 Whole rows of a ring's Cayley tables come from one producer,
 `RingTable.row_blocks`: slices of the dense table once it exists, else blocks
@@ -24,12 +26,13 @@ and product follow from `specs.positions`, which states once which entries
 each family stores.  One kernel, `_RemapKernel`, serves quotient and subset
 rings: their ops run in the base ring on member indices.
 
-Every additive span is grown by one doubling step, `_extend`: it adds x to a
-subgroup H by adding the shifted copy H + 2^k x for k = 0, 1, ... until no new
-element appears, so a cyclic span of order m costs log2(m) vector ops.
-Additive and ideal closures, subgroup bases, ideal products and powers fold
-this step over their seeds, and quotient rings pick coset representatives
-(least indices) by the same doubling over a basis of the ideal.
+Every additive span is grown by one doubling step in `_span`: it adds x to
+a subgroup H, kept as its member list, by adding the shifted copy H + 2^k x
+for k = 0, 1, ... until no new element appears, so a cyclic span of order m
+costs log2(m) vector ops over the members.  Additive and ideal closures,
+subgroup bases, ideal products and powers are spans of their seeds, and
+quotient rings pick coset representatives (least indices) by the same
+doubling over a basis of the ideal.
 
 Every fact derived from a ring (idempotents, units, radicals, sweeps,
 verdicts, criterion masks) has one slot in `RingTable.cache`, filled through
@@ -65,7 +68,7 @@ from .errors import (
 )
 from .specs import _Lit
 
-DENSE_TABLE_LIMIT = 4096
+DENSE_TABLE_LIMIT = 1024
 DEFAULT_ORDER_LIMIT = 65536
 UNIT_SCAN_LIMIT = 16384
 _CHUNK = 1 << 20  # lanes per chunk in whole-ring scans
@@ -133,6 +136,7 @@ class _DigitKernel:
         self.parts = parts
         self.npos = len(parts)
         self.radices = [p.order for p in parts]
+        self.places = [math.prod(self.radices[j + 1 :]) for j in range(self.npos)]
         self.order = math.prod(self.radices)
         self._digit_table = None
         self.zero = self.encode([p.zero for p in parts])
@@ -141,11 +145,8 @@ class _DigitKernel:
         """The digits of index a: Python ints by divmod for one integer, else
         an (npos,) + shape(a) gather from the digit table."""
         if isinstance(a, (int, np.integer)):
-            a, out = int(a), []
-            for rad in reversed(self.radices):
-                a, d = divmod(a, rad)
-                out.append(d)
-            return out[::-1]
+            a = int(a)
+            return [a // w % rad for w, rad in zip(self.places, self.radices)]
         if self._digit_table is None:
             dtype = np.min_scalar_type(max(self.radices) - 1)
             self._digit_table = np.indices(self.radices, dtype).reshape(self.npos, -1)
@@ -153,16 +154,16 @@ class _DigitKernel:
         return np.take(self._digit_table, a, axis=1)
 
     def encode(self, digits, out=None):
-        """The index of a digit vector by Horner's rule: a Python int when
-        every digit is one integer, else int64, written in place into `out`
-        when given."""
-        if out is not None:
-            out[...] = digits[0]
-        elif all(isinstance(d, (int, np.integer)) for d in digits):
-            digits = [int(d) for d in digits]  # so uint16 digits never overflow
-            out = digits[0]
-        else:
+        """The index of a digit vector: a Python int, the digits weighted by
+        their place values, when every digit is one integer; else int64 by
+        Horner's rule, written in place into `out` when given."""
+        if out is None and all(isinstance(d, (int, np.integer)) for d in digits):
+            # int(d), so uint16 digits never overflow
+            return sum(int(d) * w for d, w in zip(digits, self.places))
+        if out is None:
             out = np.array(digits[0], dtype=np.int64)
+        else:
+            out[...] = digits[0]
         for rad, d in zip(self.radices[1:], digits[1:]):
             out *= rad
             out += d
@@ -194,12 +195,18 @@ class _DigitKernel:
     def mul_line(self, x, col: bool = False) -> np.ndarray:
         """x*y for every y (y*x with `col`) as int64: one evaluation of
         mul_digits with x's digits as scalars and y's on an open mesh, the
-        formula and axis layout of row_blocks, encoded into an order-sized
-        array."""
+        formula and axis layout of row_blocks.  Each output digit, weighted
+        by its place value, spans only the mesh axes it reads; terms of one
+        shape are summed first, so only the last add fills the whole ring."""
         dx = self.digits(int(x))
         dy = [_on_axis(j, np.arange(r), self.npos) for j, r in enumerate(self.radices)]
         digits = self.mul_digits(dy, dx) if col else self.mul_digits(dx, dy)
-        return self.encode(digits, out=np.empty(self.radices, np.int64)).reshape(-1)
+        terms: dict[tuple, np.ndarray] = {}
+        for j, d in enumerate(digits):
+            t = np.asarray(d, np.int64) * self.places[j]
+            terms[t.shape] = terms[t.shape] + t if t.shape in terms else t
+        *head, last = sorted(terms.values(), key=np.size)
+        return np.add(sum(head, np.int64(0)), last, out=np.empty(self.radices, np.int64)).ravel()
 
     def row_blocks(self, op: str, out=None):
         """Row blocks of the "add" or "mul" table from an open mesh of digits.
@@ -583,8 +590,12 @@ class RingTable:
         for op, table in (("add", add_t), ("mul", mul_t)):
             for _ in self.row_blocks(op, out=table):
                 pass  # each block is written in place into its rows of table
-        self._add_t, self._mul_t = add_t, mul_t
-        self._neg_t = self.kernel.vneg(np.arange(n, dtype=np.int64)).astype(np.uint16)
+        neg_t = self.kernel.vneg(np.arange(n, dtype=np.int64)).astype(np.uint16)
+        # a kernel result outside 0..n-1 (say -1 for "no negative", 65535 in
+        # uint16) would surface later as an untyped IndexError
+        if max(t.max() for t in (add_t, mul_t, neg_t)) >= n:
+            raise PcleanError(f"{self.name}: a ring operation leaves the indices 0..{n - 1}")
+        self._add_t, self._mul_t, self._neg_t = add_t, mul_t, neg_t
 
     def row_blocks(self, op: str = "mul", out=None):
         """Yield (start, stop, block) with block[i, y] = (start + i) <op> y for
@@ -667,16 +678,19 @@ class RingTable:
         return acc
 
     def embed_int(self, m: int) -> int:
-        """m * 1 computed by double-and-add, safe in any characteristic."""
-        neg = m < 0
-        m = abs(m)
-        acc, base = self.zero, self.one
-        while m:
-            if m & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            m >>= 1
-        return self.neg(acc) if neg else acc
+        """m * 1, safe in any characteristic: entry m mod char of the cached
+        multiples k * 1 (0 <= k < char), listed by doubling: each vadd appends
+        ones + len(ones) * 1, until a 0 past index 0 cuts the list."""
+
+        def multiples():
+            ones = np.array([self.zero], np.int64)
+            while ones.size <= self.order and not (ones[1:] == self.zero).any():
+                ones = np.append(ones, self.vadd(ones, self.add(int(ones[-1]), self.one)))
+            zero = np.flatnonzero(ones[1:] == self.zero)
+            return ones[: zero[0] + 1] if zero.size else ones
+
+        ones = cached(self, "multiples_of_one", multiples)
+        return int(ones[m % ones.size])
 
     # -- cached structure
 
@@ -814,30 +828,30 @@ class RingTable:
 # additive / ideal closures (shared by quotients and the radical machinery)
 
 
-def _extend(r: RingTable, mask: np.ndarray, x: int) -> bool:
-    """Grow the additive subgroup `mask` in place to mask + <x> by doubling;
-    True if x was not already in it."""
-    if mask[x]:
-        return False
-    step = x
-    while True:
-        shifted = r.vadd(np.flatnonzero(mask), np.int64(step))
-        if mask[shifted].all():
-            return True
-        mask[shifted] = True
-        step = r.add(step, step)
-
-
 def _span(r: RingTable, seeds) -> tuple[np.ndarray, list[int]]:
-    """Fold _extend over `seeds` in order: the mask of their span and the
-    seeds that were new.  Seeds already in the span are dropped in bulk."""
+    """The mask of the additive span of `seeds` and the seeds that were new,
+    in order.  Each new seed x joins the span H by doubling: H_k = H + {0..2^k
+    - 1}x grows by its shifted copy H_k + 2^k x until 2^k x lies in H_k, which
+    makes H_k = H + <x>.  H is kept as its member list, so a step is one vadd
+    over the members whose last lane yields the next shift 2^(k+1) x.  Seeds
+    already in the span are dropped in bulk."""
     mask = np.zeros(r.order, dtype=bool)
     mask[r.zero] = True
-    new = []
+    members, new = np.array([r.zero], np.int64), []
     seeds = np.asarray(seeds, np.int64).ravel()
+    seeds = seeds[~mask[seeds]]
     while seeds.size:
-        if _extend(r, mask, int(seeds[0])):
-            new.append(int(seeds[0]))
+        step = seeds[0]
+        new.append(int(step))
+        while not mask[step]:
+            shifted = r.vadd(np.append(members, step), step)
+            step, shifted = shifted[-1], shifted[:-1]
+            shifted = shifted[~mask[shifted]]
+            mask[shifted] = True
+            members = np.concatenate([members, shifted])
+            # in a group a step adds at least 0 + step and never a member twice
+            if members.size > r.order or not shifted.size:
+                raise PcleanError(f"{r.name}: addition is not a group")
         seeds = seeds[1:][~mask[seeds[1:]]]
     return mask, new
 
@@ -870,13 +884,11 @@ def ideal_closure_mask(r: RingTable, gens) -> np.ndarray:
 # (two distinct rings may share a name); this LRU is what keeps them alive.
 # The verifier bounds what it holds itself: the rings one subject's checks
 # first held leave when that subject is done (_release_new_holds).  For every
-# other caller the LRU holds at most _RING_CACHE_MAX rings and, among them,
-# dense tables of at most _RING_CACHE_BYTES: an order-4096 ring carries 64 MB
-# of tables, and 192 MB keeps the 129 MB of tables that warm element queries
-# cycle through.
+# other caller the LRU holds at most _RING_CACHE_MAX rings; a ring carries at
+# most 4 MiB of dense tables (order <= DENSE_TABLE_LIMIT = 1024), so the held
+# tables never exceed 192 MiB.
 _RING_CACHE: OrderedDict[int, RingTable] = OrderedDict()
 _RING_CACHE_MAX = 48
-_RING_CACHE_BYTES = 192 << 20
 # every live ring handed out, so one evicted from the LRU but still
 # referenced (say as the base of a derived ring) is not built a second time:
 # build_ring's rings by canonical name, derived_ring's by (family, k,
@@ -884,23 +896,13 @@ _RING_CACHE_BYTES = 192 << 20
 _LIVE_RINGS: weakref.WeakValueDictionary[str | tuple, RingTable] = weakref.WeakValueDictionary()
 
 
-def _table_bytes(ring: RingTable) -> int:
-    return 0 if ring._add_t is None else ring._add_t.nbytes + ring._mul_t.nbytes
-
-
 def _hold(ring: RingTable) -> RingTable:
-    """Mark `ring` most recently used in the LRU.  Past the count cap the
-    oldest ring leaves; past the byte budget the oldest rings that carry
-    tables leave, never `ring` itself."""
+    """Mark `ring` most recently used in the LRU; past the count cap the
+    oldest ring leaves."""
     _RING_CACHE[id(ring)] = ring
     _RING_CACHE.move_to_end(id(ring))
     if len(_RING_CACHE) > _RING_CACHE_MAX:
         _RING_CACHE.popitem(last=False)
-    while sum(map(_table_bytes, _RING_CACHE.values())) > _RING_CACHE_BYTES:
-        key = next((k for k, r in _RING_CACHE.items() if r is not ring and _table_bytes(r)), None)
-        if key is None:
-            break
-        del _RING_CACHE[key]
     return ring
 
 

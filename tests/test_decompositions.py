@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,21 @@ def test_idempotent_lift_fixes_idempotents():
         r = build_ring(name)
         for e in map(int, r.idempotent_indices):
             assert dec.idempotent_lift(r, e) == e
+
+
+@pytest.mark.parametrize("name", ["Z8", "Z9", "M2(Z4)", "T2(Z3[w])", "T2(Z4[i])"])
+def test_idempotent_lift_is_the_binomial_sum(name):
+    # the reference: f(a) = sum C(2n,i) a^(2n-i) (1-a)^i, term by term
+    r = build_ring(name)
+    for a in np.random.default_rng(4).integers(0, r.order, 60).tolist():
+        n = rad.element_nilpotency(r, r.sub(a, r.mul(a, a)))
+        if n is None:
+            continue
+        want = r.zero
+        for i in range(n + 1):
+            term = r.mul(r.power(a, 2 * n - i), r.power(r.sub(r.one, a), i))
+            want = r.add(want, r.mul(r.embed_int(math.comb(2 * n, i)), term))
+        assert dec.idempotent_lift(r, a) == want
 
 
 def test_idempotent_lift_rejects_non_nilpotent_defect():

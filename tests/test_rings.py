@@ -205,21 +205,25 @@ def test_derived_rings_leave_no_memo_in_their_base():
     assert not any(isinstance(v, weakref.ref) for v in z4.cache.values())
 
 
+def _table_bytes(r: RingTable) -> int:
+    return 0 if r._add_t is None else r._add_t.nbytes + r._mul_t.nbytes
+
+
 def test_ring_lru_keeps_the_element_query_rings_without_rebuilding(monkeypatch):
-    # the rings warm element and matrix queries cycle through carry 129 MB of
-    # tables (M2(Z8) and T2(Z4[i]) 64 MB each); with two other order-4096
-    # rings held first, the byte budget must evict those, never this set
+    # warm element and matrix queries cycle through these rings; with two
+    # other order-4096 rings held first, the LRU keeps them all, so a second
+    # round constructs none of them again
     import pclean.rings as rings
     from pclean.matrices import matrix_ring, triangular_ring
 
     built = []
-    build_tables = RingTable._build_tables
+    init = RingTable.__init__
 
-    def counting(self):
-        built.append(self.name)
-        build_tables(self)
+    def counting(self, kernel, name):
+        built.append(name)
+        init(self, kernel, name)
 
-    monkeypatch.setattr(RingTable, "_build_tables", counting)
+    monkeypatch.setattr(RingTable, "__init__", counting)
     rings._RING_CACHE.clear()
     for spec in ("M2(Z4xZ2)", "T2(Z16)"):
         build_ring(spec)
@@ -249,47 +253,59 @@ def test_ring_lru_bounds_held_table_bytes_during_the_suite(monkeypatch):
         hold(ring)
         held = list(rings._RING_CACHE.values())
         assert held[-1] is ring
-        table_bytes = sum(rings._table_bytes(r) for r in held)
-        assert table_bytes <= rings._RING_CACHE_BYTES
+        # at most 4 MiB of tables per ring, so the count cap bounds the bytes
+        assert sum(map(_table_bytes, held)) <= rings._RING_CACHE_MAX * (4 << 20)
         gone = [r for r in before if all(r is not h for h in held)]
-        for r in gone:
-            if rings._table_bytes(r) == 0:  # only the count cap evicts these
-                assert r is before[0] and len(before) == rings._RING_CACHE_MAX
+        if gone:  # only the count cap evicts, the oldest ring first
+            assert gone == [before[0]] and len(before) == rings._RING_CACHE_MAX
         if ring.order == 4096:
             big.add(ring.name)
+            assert _table_bytes(ring) == 0
         return ring
 
     monkeypatch.setattr(rings, "_hold", checked_hold)
     rings._RING_CACHE.clear()
-    build_ring("Z8192")  # table-less, so the oldest ring is one without tables
     report = run_suite(["Z8", "Z4xZ2", "T2(Z2)", "Z4[i]"])
     assert report.summary["COUNTEREXAMPLE"] == 0
-    # the suite hands out more 64 MB rings than the 192 MB budget holds at
-    # once; what bounds it is that each catalog ring's derived rings leave
-    # the LRU after its checks (the next test), while the budget stays the
-    # guard for library callers (test_ring_lru_keeps_the_element_query_rings_...)
-    assert len(big) >= 4 and 4 * (64 << 20) > rings._RING_CACHE_BYTES
+    # the suite hands out order-4096 rings, none of them with tables
+    assert len(big) >= 4
 
 
 def test_suite_holds_one_catalog_rings_derived_tables_at_a_time(monkeypatch):
-    # T3(Z4) and T3(Z2[i]) carry 64 MB of tables each; the suite holds
-    # only the derived rings of the catalog ring it is checking
+    # T3(Z4) and T3(Z2[i]) are first held during their catalog ring's
+    # checks and have left the LRU before the next subject starts
     import pclean.rings as rings
-    from pclean.verifier import run_suite
+    import pclean.verifier as verifier
 
-    hold = rings._hold
-    held_bytes = []
+    hold, run_one = rings._hold, verifier._run_one
+    held_bytes, held_during, lru_at_start = [], {}, {}
+    current = []  # the subject whose checks are running
 
     def recording_hold(ring):
         hold(ring)
-        held_bytes.append(sum(map(rings._table_bytes, rings._RING_CACHE.values())))
+        held_bytes.append(sum(map(_table_bytes, rings._RING_CACHE.values())))
+        if current:
+            held_during.setdefault(current[-1], set()).add(ring.name)
         return ring
 
+    def recording_run_one(cd, name, subject, env):
+        if name not in lru_at_start:
+            lru_at_start[name] = {r.name for r in rings._RING_CACHE.values()}
+            current.append(name)
+        return run_one(cd, name, subject, env)
+
     monkeypatch.setattr(rings, "_hold", recording_hold)
+    monkeypatch.setattr(verifier, "_run_one", recording_run_one)
     rings._RING_CACHE.clear()
-    report = run_suite(["Z4", "Z8", "Z2[i]"])
+    report = verifier.run_suite(["Z4", "Z8", "Z2[i]"])
     assert report.summary["COUNTEREXAMPLE"] == 0
-    assert (64 << 20) < max(held_bytes) < (96 << 20)
+    subjects = list(lru_at_start)
+    assert subjects[:3] == ["Z4", "Z8", "Z2[i]"]
+    for ring, derived in (("Z4", "T3(Z4)"), ("Z2[i]", "T3(Z2[i])")):
+        assert derived in held_during[ring]
+        following = subjects[subjects.index(ring) + 1]
+        assert derived not in lru_at_start[following]
+    assert max(held_bytes) < (16 << 20)
 
 
 def test_verifier_releases_the_rings_each_subject_first_held(monkeypatch):
@@ -470,6 +486,30 @@ def test_embed_int_characteristic_safe():
     assert r.embed_int(-1) == r.neg(r.one)
 
 
+@pytest.mark.parametrize("name, char", [("Z8", 8), ("Z4[i]", 4), ("T2(Z4)xZ3", 12), ("M2(Z8)", 8)])
+def test_embed_int_is_repeated_addition(name, char):
+    # m * 1 is the m-fold sum of 1, negated for m < 0, across two periods
+    r = build_ring(name)
+    fold = [r.zero]
+    for _ in range(2 * char):
+        fold.append(r.add(fold[-1], r.one))
+    assert fold.index(r.zero, 1) == char
+    for m in range(-2 * char, 2 * char + 1):
+        assert r.embed_int(m) == (fold[m] if m >= 0 else r.neg(fold[-m]))
+
+
+def test_kernel_result_outside_the_indices_is_a_typed_error():
+    # Z4 with add[1][3] = 1 leaves 1 without a negative, which TableKernel
+    # marks -1; as a uint16 table entry that was 65535, and the checks then
+    # raised an untyped IndexError
+    z4 = build_ring("Z4")
+    add = np.array([[z4.add(a, b) for b in range(4)] for a in range(4)])
+    mul = np.array([[z4.mul(a, b) for b in range(4)] for a in range(4)])
+    add[1][3] = 1
+    with pytest.raises(PcleanError, match=r"Z4add131: a ring operation leaves the indices 0\.\.3"):
+        RingTable(TableKernel(add, mul, zero=0, one=1), "Z4add131")
+
+
 def test_size_one_matrix_families_degenerate_to_base():
     for name in ("M1(Z4)", "T1(Z4)", "Tc1(Z4)"):
         r = build_ring(name)
@@ -503,6 +543,9 @@ def test_size_one_matrix_families_degenerate_to_base():
 def test_dense_tables_match_kernel_ops(name):
     # the tables are filled on a digit mesh; the kernel ops run on coordinates
     r = build_ring(name)
+    if r._add_t is None:  # above DENSE_TABLE_LIMIT: build them on a fresh copy
+        r = RingTable(r.kernel, name)
+        r._build_tables()
     n = r.order
     idx = np.arange(n, dtype=np.int64)
     if n <= 1024:
@@ -621,6 +664,12 @@ def _line_ring(name: str) -> RingTable:
         ("tables", True),
         ("Z16384", False),
         ("Z65[i]", False),  # Z_n[t] above DENSE_TABLE_LIMIT: the digit mesh
+        # order 4096 and 65536: the place-value encode of the digit mesh
+        ("M2(Z8)", False),
+        ("T2(Z4[i])", False),
+        ("Tc2(Z64)", False),
+        ("Z64xZ64", False),
+        ("M2(Z4[i])", False),
     ],
 )
 def test_mul_row_and_col_match_vmul(name, dense):

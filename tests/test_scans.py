@@ -28,9 +28,10 @@ def _ring(name):
     return build_ring(name)
 
 
-# one ring per kernel family, with several row blocks where the order is
-# above 1024; rings of order <= DENSE_TABLE_LIMIT yield slices of their tables,
-# and digit kernels' mesh blocks are read on those same rings too
+# one ring per kernel family; above DENSE_TABLE_LIMIT (1024) a ring has no
+# tables and several row blocks (mesh blocks of a digit kernel, chunks of the
+# vector op otherwise), while a ring with tables yields one slice of them, and
+# a digit kernel's mesh blocks are read on such a ring too
 PRODUCER_RINGS = [
     "Z1500",  # Zn
     "Z4099",  # Zn above DENSE_TABLE_LIMIT: chunks of the kernel's vmul
@@ -40,6 +41,7 @@ PRODUCER_RINGS = [
     "Tc2(Z36)",  # ConstDiag
     "Z9xZ25xZ9",  # Product, uneven last block
     "T2(Z8)xZ9",  # Product above DENSE_TABLE_LIMIT: mesh blocks only
+    "T2(Z4)xZ3",  # Product with tables: the slice and the mesh blocks
     "(Z64xZ64)/([8,0])",  # Quotient
     "M2(Z8)|e11",  # Subset
 ]

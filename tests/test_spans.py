@@ -91,6 +91,20 @@ def test_subgroup_basis_is_the_greedy_ascending_basis(case):
     assert additive_span(r, basis) == additive_span(r, members)
 
 
+@pytest.mark.parametrize("name", ["T2(Z4[i])", "M2(Z8)"])
+def test_spans_without_tables_match_oracle(name):
+    # order 4096, above DENSE_TABLE_LIMIT: the spans run on the digit kernel
+    r = build_ring(name)
+    assert r._add_t is None
+    rng = np.random.default_rng(3)
+    for seeds in ([], [r.one], *rng.integers(0, r.order, (3, 3)).tolist(), r.additive_generators):
+        want = additive_span(r, seeds)
+        assert _members(additive_closure_mask(r, np.asarray(seeds, np.int64))) == want
+        basis = subgroup_basis(r, np.asarray(seeds, np.int64)).tolist()
+        assert basis == sorted(set(basis)) and additive_span(r, basis) == want
+        assert all(b not in additive_span(r, basis[:i]) for i, b in enumerate(basis))
+
+
 @given(ring_and_seeds(names=tuple(SMALL), most=2))
 def test_ideal_closure_matches_oracle(case):
     r, gens = case

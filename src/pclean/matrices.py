@@ -3,10 +3,10 @@
 A `Matrix2` is an element of M2(R) (`rings.derived_ring("M", 2, R)`): its +,
 - and * are that ring's add, sub and mul (tables or the one-element codec).
 Covers the quadratic-root criterion, the A - A^2 radical-membership test,
-the definitional idempotent scan (the three come from `pclean_criteria`,
-which the classifier cross-checks and replay re-evaluates), explicit
-diagonal and companion similarity witnesses, the Sylvester-style phi-map
-solver for triangular matrices, and the discriminant records.
+the definitional idempotent scan (the three criteria the classifier
+cross-checks per matrix, each also as a whole-ring mask), explicit diagonal
+and companion similarity witnesses, the Sylvester-style phi-map solver for
+triangular matrices, and the discriminant records.
 """
 
 from __future__ import annotations
@@ -104,12 +104,11 @@ class Matrix2:
 
     @property
     def trace(self) -> int:
-        return self.ring.add(self.a11, self.a22)
+        return int(invariants(self.ring, *self.entries())[0])
 
     @property
     def det(self) -> int:
-        r = self.ring
-        return r.sub(r.mul(self.a11, self.a22), r.mul(self.a12, self.a21))
+        return int(invariants(self.ring, *self.entries())[1])
 
     def inverse(self) -> "Matrix2":
         r = self.ring
@@ -193,6 +192,19 @@ def _require_local(r: RingTable):
         raise NotLocal(f"{r.name} is not local")
 
 
+def invariants(r: RingTable, a11, a12, a21, a22):
+    """(tr, det, disc = tr^2 - 4 det) of [[a11, a12], [a21, a22]] over r, for
+    indices or index arrays alike: the one formula of each."""
+    tr = r.vadd(a11, a22)
+    det = r.vsub(r.vmul(a11, a22), r.vmul(a12, a21))
+    return tr, det, r.vsub(r.vmul(tr, tr), r.vmul(r.embed_int(4), det))
+
+
+def quadratic(r: RingTable, x, t, d):
+    """x^2 - t x + d over r, for indices or index arrays alike."""
+    return r.vadd(r.vsub(r.vmul(x, x), r.vmul(t, x)), d)
+
+
 def m2_invariants(m2: RingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(entries, trace, det, disc) of every matrix of M2(r), as base indices.
 
@@ -200,13 +212,8 @@ def m2_invariants(m2: RingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     """
 
     def make():
-        base = m2.kernel.base
         d = m2.kernel.digits(np.arange(m2.order, dtype=np.int64))
-        tr = base.vadd(d[0], d[3])
-        det = base.vsub(base.vmul(d[0], d[3]), base.vmul(d[1], d[2]))
-        four = np.int64(base.embed_int(4))
-        disc = base.vsub(base.vmul(tr, tr), base.vmul(four, det))
-        return (d, tr, det, disc)
+        return (d, *invariants(m2.kernel.base, *d))
 
     return cached(m2, "m2_invariants", make)
 
@@ -245,12 +252,9 @@ def root_pair_table(r: RingTable) -> tuple[np.ndarray, np.ndarray]:
     """For every (t, d): does x^2 - t x + d = 0 have a root in P / in 1+P."""
 
     def make():
-        n = r.order
-        idx = np.arange(n, dtype=np.int64)
-        xx = r.vmul(idx, idx)
+        idx = np.arange(r.order, dtype=np.int64)
         # zero[x, t, d] <=> x^2 - t*x + d = 0
-        quad = r.vsub(xx[:, None], r.vmul(idx[None, :], idx[:, None]))  # (x, t)
-        zero = r.vadd(quad[:, :, None], idx[None, None, :]) == r.zero  # (x, t, d)
+        zero = quadratic(r, idx[:, None, None], idx[None, :, None], idx[None, None, :]) == r.zero
         has_p = np.tensordot(radicals.prime_radical(r).mask.astype(np.int64), zero, axes=1) > 0
         has_1p = np.tensordot(radicals.one_plus_p_mask(r).astype(np.int64), zero, axes=1) > 0
         return (has_p, has_1p)
@@ -287,8 +291,7 @@ def quadratic_roots(r: RingTable, t, d) -> list[tuple[int, str]]:
 
 
 def _roots(r: RingTable, t: int, d: int) -> list[tuple[int, str]]:
-    idx = np.arange(r.order, dtype=np.int64)
-    val = r.vadd(r.vsub(r.vmul(idx, idx), r.mul_row(t)), np.int64(d))
+    val = quadratic(r, np.arange(r.order, dtype=np.int64), t, d)
     pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
     return [
         (int(x), CLASS_P if pm[x] else CLASS_ONE_PLUS_P if onep[x] else CLASS_OTHER)
@@ -311,16 +314,10 @@ class Classification:
     roots: list
 
 
-def pclean_criteria(A: Matrix2) -> dict:
+def _criteria(A: Matrix2) -> tuple[dict, CleanCertificate | None, list]:
     """The three criteria for A: (i) the idempotent scan in M2(r), (ii) A - A^2
     in M2(P(r)), (iii) A or I - A in M2(P(r)), or roots of the characteristic
-    polynomial in P and in 1+P.  Raises nothing: no hypothesis or agreement
-    is tested, so replay can evaluate it where the criteria disagree."""
-    return _criteria(A)[0]
-
-
-def _criteria(A: Matrix2) -> tuple[dict, CleanCertificate | None, list]:
-    """pclean_criteria(A), the scan's certificate, and the roots."""
+    polynomial in P and in 1+P; the scan's certificate; and the roots."""
     r = A.ring
     m2 = matrix_ring(r)
     if m2.order <= DEFAULT_ORDER_LIMIT:
@@ -338,7 +335,7 @@ def _criteria(A: Matrix2) -> tuple[dict, CleanCertificate | None, list]:
 
 
 def classify_pclean_2x2(A: Matrix2) -> Classification:
-    """Evaluate the three criteria of `pclean_criteria` for A and cross-check:
+    """Evaluate the three criteria of `_criteria` for A and cross-check:
     disagreement raises CriterionMismatch."""
     r = A.ring
     _require_commutative(r)
@@ -514,9 +511,7 @@ def discriminant_criteria(A: Matrix2) -> DiscriminantRecord:
     _require_commutative(r)
     _require_local(r)
     pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
-    tr, det = A.trace, A.det
-    four = r.embed_int(4)
-    disc = r.sub(r.mul(tr, tr), r.mul(four, det))
+    tr, det, disc = map(int, invariants(r, *A.entries()))
     idx = np.arange(r.order, dtype=np.int64)
     squares = r.vmul(idx, idx)
     sq_witnesses = [int(u) for u in np.flatnonzero(onep & (squares == disc))]
@@ -525,7 +520,7 @@ def discriminant_criteria(A: Matrix2) -> DiscriminantRecord:
     trinv = r.inverse(tr)
     if trinv is not None:
         c = r.mul(det, r.mul(trinv, trinv))
-        val = r.vadd(r.vsub(squares, idx), np.int64(c))  # x^2 - x + det/tr^2
+        val = quadratic(r, idx, r.one, c)  # x^2 - x + det/tr^2
         ratio_roots = [int(x) for x in np.flatnonzero((val == r.zero) & pm)]
 
     half = r.inverse(r.embed_int(2))

@@ -574,7 +574,7 @@ class RingTable:
         self.zero = kernel.zero
         self.one = kernel.one
         if self.zero == self.one:
-            raise MalformedSpec(f"{name}: ring collapses to the zero ring (0 = 1)")
+            raise PcleanError(f"{name}: ring collapses to the zero ring (0 = 1)")
         self.cache: dict = {}
         self._add_t = self._mul_t = self._neg_t = None
         if self.order <= DENSE_TABLE_LIMIT:

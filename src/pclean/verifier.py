@@ -6,10 +6,12 @@ Idempotents enter only through the sweep and hits of `decompositions`, 1+P
 through `radicals.one_plus_p_mask`, ideals through the exact lattice of
 `enumerate_ideals`, similarity by a unit through the orbit maps of
 `_conjugation_reach`, strong pi-regularity through the one whole-ring mask.
-Every ring-level side has one definition, in `_RING_PROPS`, which the checks
-and `replay_counterexample` both read.  One driver, `_run_one`, times every
-check on every subject its `CheckDef.subjects` names (each ring, each
-unordered pair of rings, or once) and tries its guards.
+Every ring-level side has one definition, in `_RING_PROPS`, and every
+element or matrix side that a mask check records has one whole-ring mask, in
+`_MASK_PROPS` (T4.4's three criteria in `_CRITERIA`); the checks and
+`replay_counterexample` both read these tables.  One driver, `_run_one`,
+times every check on every subject its `CheckDef.subjects` names (each ring,
+each unordered pair of rings, or once) and tries its guards.
 `replay_counterexample` re-verifies every payload kind (ring-level sides,
 element/matrix literals, ideal generators) by recomputing its recorded sides.
 """
@@ -29,13 +31,12 @@ from .matrices import (
     Matrix2,
     definitional_mask,
     diff_in_p_mask,
-    discriminant_criteria,
     entries_in_p_mask,
     m2_invariants,
-    matrix_from_index,
     matrix_ring,
     one_minus_in_p_mask,
-    pclean_criteria,
+    quadratic,
+    root_pair_table,
     roots_criterion_mask,
     triangular_ring,
 )
@@ -227,9 +228,11 @@ def _in_p_and_1p(r: RingTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return rad.prime_radical(r).mask[x] & rad.one_plus_p_mask(r)[y]
 
 
-def _mask_check(ring: RingTable, kind: str, prop: str, actual, expected):
-    """HOLDS when two whole-ring masks agree, else the least index where they
-    differ as a `kind` ("element" or "matrix") counterexample."""
+def _mask_check(ring: RingTable, kind: str, prop: str, expected: np.ndarray):
+    """HOLDS when the whole-ring mask of `prop` (its actual side, from
+    `_MASK_PROPS`) equals `expected`, else the least index where they differ
+    as a `kind` ("element" or "matrix") counterexample."""
+    actual = _MASK_PROPS[prop](ring)
     bad = np.flatnonzero(actual != expected)
     if bad.size == 0:
         return HOLDS, None
@@ -360,6 +363,46 @@ _RING_PROPS = {
     "both_factors_strongly_pclean": lambda r: (
         all(map(_strongly_pclean, r.kernel.parts)) if isinstance(r.kernel, ProductKernel) else None
     ),
+}
+
+
+def _squares_of_one_plus_p(r: RingTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per y: whether y = u^2 for some u in 1+P, and the least such u (else -1)."""
+    u = np.flatnonzero(rad.one_plus_p_mask(r))
+    y, first = np.unique(r.vmul(u, u), return_index=True)
+    least = np.full(r.order, -1, dtype=np.int64)
+    least[y] = u[first]
+    return least >= 0, least
+
+
+def _discriminant_branch(m2: RingTable) -> np.ndarray:
+    """Per matrix: tr in 1+P and disc = tr^2 - 4 det the square of some u in 1+P."""
+    r, (_, tr, _, disc) = m2.kernel.base, m2_invariants(m2)
+    return rad.one_plus_p_mask(r)[tr] & _squares_of_one_plus_p(r)[0][disc]
+
+
+# element and matrix sides: per property a mask check records, the one
+# whole-ring mask whose entry at the recorded element is its `actual` side
+_MASK_PROPS = {
+    "strongly_pclean": dec.strongly_pclean_mask,
+    "pclean_iff_diagonal_in_P_or_1P": dec.strongly_pclean_mask,
+    "radical_of_matrix_ring_is_matrix_of_radical": lambda m2: rad.prime_radical(m2).mask,
+    "pclean_iff_trivial_or_diag_similar": definitional_mask,
+    "pclean_iff_ratio_equation_root_in_P": definitional_mask,
+    "pclean_iff_discriminant_square_of_1P": definitional_mask,
+    "family_pclean_iff_1_plus_4pq_square": definitional_mask,
+    "pclean_iff_pi_regular_and_companion_similar": definitional_mask,
+    "pclean_implies_discriminant_square_of_1P": lambda m2: (
+        entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | _discriminant_branch(m2)
+    ),
+    "pi_regular_iff_unit_or_nilpotent_or_pclean": dec.strongly_pi_regular_mask,
+}
+
+# T4.4's three criteria (see matrices._criteria), one whole-ring mask each
+_CRITERIA = {
+    "idempotent_scan": definitional_mask,
+    "difference_in_radical": diff_in_p_mask,
+    "quadratic_roots": roots_criterion_mask,
 }
 
 
@@ -505,13 +548,10 @@ def _check_c2_12(r: RingTable, env: VerifyEnv):
         return HYPOTHESIS_NOT_MET, None
     sizes, note = _within_limit("Tc", r, env)
     for k in sizes:
-        # released right after its sweep, not with the subject: Tc3(Z8) and
-        # M2(Z8) (64 MB of tables each) would otherwise be held together
-        with _release_new_holds():
-            t = derived_ring("Tc", k, r)
-            holds, cex = dec.is_strongly_pclean_ring(t)
-            if not holds:
-                return COUNTEREXAMPLE, _element_cex(t, cex, "strongly_pclean", True, False)
+        t = derived_ring("Tc", k, r)
+        verdict = _mask_check(t, "element", "strongly_pclean", np.ones(t.order, dtype=bool))
+        if verdict[0] == COUNTEREXAMPLE:
+            return verdict
     return HOLDS, note
 
 
@@ -594,11 +634,10 @@ def _check_c3_6(r: RingTable, env: VerifyEnv):
 
 def _check_p3_7(r: RingTable, env: VerifyEnv):
     t2 = triangular_ring(r, 2, limit=env.limit)
-    lhs = dec.strongly_pclean_mask(t2)
     d = t2.kernel.digits(np.arange(t2.order, dtype=np.int64))
     p_or_1p = rad.prime_radical(r).mask | rad.one_plus_p_mask(r)
     ok_diag = p_or_1p[d[0]] & p_or_1p[d[2]]
-    return _mask_check(t2, "element", "pclean_iff_diagonal_in_P_or_1P", lhs, ok_diag)
+    return _mask_check(t2, "element", "pclean_iff_diagonal_in_P_or_1P", ok_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -607,49 +646,40 @@ def _check_p3_7(r: RingTable, env: VerifyEnv):
 
 def _check_l4_1(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    lhs = rad.prime_radical(m2).mask  # filtered from Nil(M2(R)), then certified
-    rhs = entries_in_p_mask(m2)  # entries in P(base)
-    return _mask_check(m2, "matrix", "radical_of_matrix_ring_is_matrix_of_radical", lhs, rhs)
+    prop = "radical_of_matrix_ring_is_matrix_of_radical"
+    return _mask_check(m2, "matrix", prop, entries_in_p_mask(m2))
 
 
 def _check_t4_2(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    lhs = definitional_mask(m2)
     d = m2_invariants(m2)[0]
     offdiag0 = (d[1] == r.zero) & (d[2] == r.zero)
     qual = offdiag0 & (_in_p_and_1p(r, d[0], d[3]) | _in_p_and_1p(r, d[3], d[0]))
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | _conjugation_reach(m2, qual)
-    return _mask_check(m2, "matrix", "pclean_iff_trivial_or_diag_similar", lhs, rhs)
+    return _mask_check(m2, "matrix", "pclean_iff_trivial_or_diag_similar", rhs)
 
 
 def _check_t4_4(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    masks = [definitional_mask(m2), diff_in_p_mask(m2), roots_criterion_mask(m2)]
+    masks = [crit(m2) for crit in _CRITERIA.values()]
     diff = np.flatnonzero((masks[0] != masks[1]) | (masks[0] != masks[2]))
     if diff.size == 0:
         return HOLDS, None
     bad = int(diff[0])
-    names = ("idempotent_scan", "difference_in_radical", "quadratic_roots")
-    crit = {name: bool(m[bad]) for name, m in zip(names, masks)}
+    crit = {name: bool(m[bad]) for name, m in zip(_CRITERIA, masks)}
     return COUNTEREXAMPLE, {"kind": "matrix", "ring": m2.name, "matrix": m2.fmt_index(bad),
                             "property": "three_criteria_agree", "criteria": crit}
 
 
 def _check_c4_5(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    lhs = definitional_mask(m2)
-    base_idx = np.arange(r.order, dtype=np.int64)
-    pm = rad.prime_radical(r).mask
-    # ratio_root[c] <=> x^2 - x + c = 0 has a root in P
-    sq_minus = r.vsub(r.vmul(base_idx, base_idx), base_idx)
-    hit = r.vadd(sq_minus[:, None], base_idx[None, :]) == r.zero  # (x, c)
-    ratio_root = (pm[:, None] & hit).any(axis=0)
+    ratio_root = root_pair_table(r)[0][r.one]  # per c: x^2 - x + c = 0 has a root in P
     _, tr, det, _ = m2_invariants(m2)
     tr_ok = rad.one_plus_p_mask(r)[tr]
     c = r.vmul(det, r.unit_inverses[r.vmul(tr, tr)] % r.order)  # garbage where tr not a unit
     branch = tr_ok & ratio_root[c]
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
-    return _mask_check(m2, "matrix", "pclean_iff_ratio_equation_root_in_P", lhs, rhs)
+    return _mask_check(m2, "matrix", "pclean_iff_ratio_equation_root_in_P", rhs)
 
 
 def _check_e4_6(r: RingTable, env: VerifyEnv):
@@ -674,35 +704,18 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
 # section 5 checks
 
 
-def _squares_of_one_plus_p(r: RingTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per y: whether y = u^2 for some u in 1+P, and the least such u (else -1)."""
-    u = np.flatnonzero(rad.one_plus_p_mask(r))
-    y, first = np.unique(r.vmul(u, u), return_index=True)
-    least = np.full(r.order, -1, dtype=np.int64)
-    least[y] = u[first]
-    return least >= 0, least
-
-
-def _discriminant_branch(r: RingTable, m2: RingTable) -> np.ndarray:
-    """Per matrix: tr in 1+P and disc = tr^2 - 4 det the square of some u in 1+P."""
-    _, tr, _, disc = m2_invariants(m2)
-    return rad.one_plus_p_mask(r)[tr] & _squares_of_one_plus_p(r)[0][disc]
-
-
 def _check_t5_1(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    lhs = definitional_mask(m2)
-    rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | _discriminant_branch(r, m2)
-    # necessity only: rhs must hold wherever lhs does
-    return _mask_check(m2, "matrix", "pclean_implies_discriminant_square_of_1P", rhs, rhs | lhs)
+    prop = "pclean_implies_discriminant_square_of_1P"
+    # necessity only: the side must hold wherever the definitional scan does
+    return _mask_check(m2, "matrix", prop, _MASK_PROPS[prop](m2) | definitional_mask(m2))
 
 
 def _check_c5_2(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    lhs = definitional_mask(m2)
-    branch = _discriminant_branch(r, m2)
+    branch = _discriminant_branch(m2)
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
-    verdict = _mask_check(m2, "matrix", "pclean_iff_discriminant_square_of_1P", lhs, rhs)
+    verdict = _mask_check(m2, "matrix", "pclean_iff_discriminant_square_of_1P", rhs)
     if verdict[0] == COUNTEREXAMPLE:
         return verdict
     # the constructed half-roots must solve the characteristic equation
@@ -714,8 +727,7 @@ def _check_c5_2(r: RingTable, env: VerifyEnv):
     x2 = r.vmul(half, r.vadd(tr[sel], u))
     offending = np.zeros(sel.size, dtype=bool)
     for roots, want in ((x1, rad.prime_radical(r).mask), (x2, rad.one_plus_p_mask(r))):
-        val = r.vadd(r.vsub(r.vmul(roots, roots), r.vmul(tr[sel], roots)), det[sel])
-        offending |= (val != r.zero) | ~want[roots]
+        offending |= (quadratic(r, roots, tr[sel], det[sel]) != r.zero) | ~want[roots]
     if offending.any():
         b = int(sel[np.flatnonzero(offending)[0]])
         prop = "half_roots_solve_characteristic_equation"
@@ -731,7 +743,7 @@ def _check_e5_3(r: RingTable, env: VerifyEnv):
     one = np.int64(r.one)
     want = _squares_of_one_plus_p(r)[0][r.vadd(one, r.vmul(r.embed_int(4), r.vmul(p, q)))]
     aidx = m2.kernel.encode(np.broadcast_arrays(r.vadd(p, one), p, q, p))
-    got = definitional_mask(m2)[aidx]
+    got = _MASK_PROPS["family_pclean_iff_1_plus_4pq_square"](m2)[aidx]
     differ = np.flatnonzero(want != got)  # row-major: least p, then least q
     if differ.size:
         i = int(differ[0])
@@ -744,19 +756,18 @@ def _check_e5_3(r: RingTable, env: VerifyEnv):
 
 def _check_t5_4(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    lhs = definitional_mask(m2)
     d = m2_invariants(m2)[0]
     qual = (d[0] == r.zero) & (d[2] == r.one) & _in_p_and_1p(r, d[1], d[3])
     reach = _conjugation_reach(m2, qual) & dec.strongly_pi_regular_mask(m2)
     rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | reach
-    return _mask_check(m2, "matrix", "pclean_iff_pi_regular_and_companion_similar", lhs, rhs)
+    return _mask_check(m2, "matrix", "pclean_iff_pi_regular_and_companion_similar", rhs)
 
 
 def _check_p5_6(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
     rhs = m2.unit_mask | rad.nilpotent_mask(m2) | definitional_mask(m2)
     prop = "pi_regular_iff_unit_or_nilpotent_or_pclean"
-    return _mask_check(m2, "matrix", prop, dec.strongly_pi_regular_mask(m2), rhs)
+    return _mask_check(m2, "matrix", prop, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -955,20 +966,13 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
         return _quotient_pclean(r, mask) == payload["actual"]
     idx = r.parse_element(payload.get("element") or payload["matrix"]).index
     if "criteria" in payload:  # a three-way criterion disagreement
-        got = pclean_criteria(matrix_from_index(r, idx))
+        got = {name: bool(crit(r)[idx]) for name, crit in _CRITERIA.items()}
         return got == payload["criteria"] and len(set(got.values())) > 1
-    recompute = _ELEMENT_PROPS.get(payload["property"])
+    prop = payload["property"]
+    if prop in _MASK_PROPS:
+        return bool(_MASK_PROPS[prop](r)[idx]) == payload.get("actual")
+    recompute = _ELEMENT_PROPS.get(prop)
     return recompute is not None and recompute(r, idx, payload) == payload.get("actual")
-
-
-def _pclean_at(r: RingTable, idx: int, payload: dict) -> bool:
-    return dec.strongly_pclean_element(r, idx)[0] is not None
-
-
-def _discriminant_side(r: RingTable, idx: int, payload: dict) -> bool:
-    rec = discriminant_criteria(matrix_from_index(r, idx))
-    branch = rec.trace_in_one_plus_p and bool(rec.square_witnesses)
-    return rec.in_p or rec.one_minus_in_p or branch
 
 
 def _lift_side(r: RingTable, idx: int, payload: dict) -> str:
@@ -979,23 +983,12 @@ def _lift_side(r: RingTable, idx: int, payload: dict) -> str:
     return "lift"
 
 
-# per element property of a payload: its `actual` side at that one element
+# the properties a check evaluates one element at a time: their `actual`
+# side at the recorded element
 _ELEMENT_PROPS = {
     "idempotent_lift": _lift_side,
-    "strongly_pclean": _pclean_at,
     "uniquely_clean_count": lambda r, x, p: dec.uniquely_clean_count(r, x),
     "annihilators_carry_to_idempotent": lambda r, x, p: _annihilators_carry(
         r, x, r.parse_element(p["idempotent"]).index
     ),
-    "pclean_iff_diagonal_in_P_or_1P": _pclean_at,
-    "radical_of_matrix_ring_is_matrix_of_radical": (
-        lambda r, x, p: rad.is_strongly_nilpotent(r, x)[0]
-    ),
-    "pclean_iff_trivial_or_diag_similar": _pclean_at,
-    "pclean_iff_ratio_equation_root_in_P": _pclean_at,
-    "pclean_implies_discriminant_square_of_1P": _discriminant_side,
-    "pclean_iff_discriminant_square_of_1P": _pclean_at,
-    "pclean_iff_pi_regular_and_companion_similar": _pclean_at,
-    "family_pclean_iff_1_plus_4pq_square": _pclean_at,
-    "pi_regular_iff_unit_or_nilpotent_or_pclean": lambda r, x, p: dec.strongly_pi_regular_element(r, x)[0],
 }

@@ -1,0 +1,115 @@
+"""Run every single-entry corruption of the Cayley tables of Z2, Z3 and Z4
+through the verifier's checks, and replay every counterexample they record.
+
+    PYTHONPATH=src python tests/corruption_sweep.py
+
+A table with one wrong entry is (almost always) no ring.  Each check must
+still give a verdict or raise a typed `PcleanError`, and each element, matrix
+or criteria payload must replay True twice: warm, on the rings the check
+read (the table's M2, T2 and Tc2 are held from before the check), and fresh,
+on a new `RingTable` over the same tables.  The script exits 1 on an untyped
+exception, on a case (one table, one id, its replays) slower than
+`WALL_BOUND_S`, or on such a payload that does not replay both ways.  It
+prints the outcome counts and how many ideal and ideal-pair payloads replay,
+which it does not gate.  `tests/test_verifier.py` runs `run_case` over a
+part of this sweep in tier-1.
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+import time
+import traceback
+from collections import Counter
+
+import numpy as np
+
+from pclean.errors import PcleanError
+from pclean.rings import build_ring, derived_ring
+from pclean.verifier import CHECK_IDS, COUNTEREXAMPLE, replay_counterexample, verify
+
+from table_kernel import corrupted_zn
+
+WALL_BOUND_S = 5.0
+GATED_KINDS = ("element", "matrix")  # criteria payloads are matrix payloads
+
+
+def corruptions(ns=(2, 3, 4), ops=("add", "mul")):
+    """(n, op, row, col, val) for every entry of Z_n's op table changed to
+    each other value."""
+    for n in ns:
+        zn = build_ring(f"Z{n}")
+        for op in ops:
+            for row, col, val in np.ndindex(n, n, n):
+                if getattr(zn, op)(row, col) != val:
+                    yield n, op, row, col, val
+
+
+def payload_ring(base, name: str):
+    """The ring a payload names: `base` itself or its M_k, T_k or Tc_k ring."""
+    m = re.fullmatch(r"(M|T|Tc)(\d)\((.*)\)", name)
+    return derived_ring(m[1], int(m[2]), base) if m else base
+
+
+def _replays(check, base) -> bool:
+    try:
+        return replay_counterexample(check, ring=payload_ring(base, check.counterexample["ring"]))
+    except PcleanError:
+        return False
+
+
+def run_case(case, tid: str) -> tuple[str, list[tuple[str, bool, bool]]]:
+    """Run check `tid` on the corrupted table `case`: its outcome (a verdict
+    or the name of the exception raised) and, for every non-`sides`
+    counterexample, (kind, replays warm, replays fresh)."""
+    n, op, row, col, val = case
+    name = f"Z{n}{op}{row}{col}{val}"
+    try:
+        bad = corrupted_zn(row, col, val, name, n, op)
+        # held from before the check, so the check reads these very rings
+        warm = [derived_ring(fam, 2, bad) for fam in ("M", "T", "Tc")]
+        (check,) = verify(tid, [bad])
+    except PcleanError as exc:
+        return type(exc).__name__, []
+    if check.verdict != COUNTEREXAMPLE or check.counterexample["kind"] == "sides":
+        return check.verdict, []
+    fresh = corrupted_zn(row, col, val, name, n, op)
+    kind = check.counterexample["kind"]
+    return check.verdict, [(kind, _replays(check, bad), _replays(check, fresh))]
+
+
+def main() -> int:
+    outcomes, replayed, failures = Counter(), Counter(), []
+    slowest, start = (0.0, None), time.perf_counter()
+    for case in corruptions():
+        for tid in CHECK_IDS:
+            t0 = time.perf_counter()
+            try:
+                outcome, replays = run_case(case, tid)
+            except Exception:  # an untyped error is what this sweep looks for
+                outcome, replays = "untyped", []
+                failures.append(f"{case} {tid}: untyped exception\n{traceback.format_exc()}")
+            wall = time.perf_counter() - t0
+            slowest = max(slowest, (wall, (case, tid)), key=lambda s: s[0])
+            if wall > WALL_BOUND_S:
+                failures.append(f"{case} {tid}: {wall:.2f} s > {WALL_BOUND_S} s")
+            outcomes[outcome] += 1
+            for kind, warm, fresh in replays:
+                replayed[kind, warm, fresh] += 1
+                if kind in GATED_KINDS and not (warm and fresh):
+                    failures.append(f"{case} {tid}: {kind} payload replays warm={warm} fresh={fresh}")
+    print(f"{sum(outcomes.values())} cases in {time.perf_counter() - start:.1f} s, "
+          f"slowest {slowest[0]:.3f} s ({slowest[1]})")
+    for outcome, count in sorted(outcomes.items()):
+        print(f"  {outcome}: {count}")
+    print("non-sides payloads (kind, replays warm, replays fresh):")
+    for key, count in sorted(replayed.items()):
+        print(f"  {key}: {count}")
+    for line in failures:
+        print("FAIL", line)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

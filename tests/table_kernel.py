@@ -3,6 +3,7 @@
 import numpy as np
 
 from pclean.errors import MalformedSpec
+from pclean.rings import RingTable, build_ring
 
 
 class TableKernel:
@@ -49,3 +50,13 @@ class TableKernel:
             return self.labels.index(tok)
         except ValueError:
             raise MalformedSpec(f"unknown element label {tok!r}", start) from None
+
+
+def corrupted_zn(row: int, col: int, val: int, name: str, n: int = 4, op: str = "mul") -> RingTable:
+    """Z_n's tables (Z4 unless n is given) with op[row][col] = val, where op
+    is "mul" or "add"."""
+    zn = build_ring(f"Z{n}")
+    tables = {f: np.array([[getattr(zn, f)(a, b) for b in range(n)] for a in range(n)])
+              for f in ("add", "mul")}
+    tables[op][row][col] = val
+    return RingTable(TableKernel(tables["add"], tables["mul"], zero=0, one=1), name)

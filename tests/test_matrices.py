@@ -29,7 +29,6 @@ from pclean.matrices import (
     matrix_from_index,
     matrix_ring,
     matrix_to_index,
-    pclean_criteria,
     pi_regular_trichotomy,
     quadratic_roots,
     roots_criterion_mask,
@@ -414,7 +413,6 @@ def test_2x2_criteria_match_pure_python_oracle(name, data):
     r, entries = build_ring(name), data.draw(_entries(name))
     A = Matrix2(r, *entries)
     want = _m2_oracle(name).criteria(entries)
-    assert pclean_criteria(A) == want
     assert classify_pclean_2x2(A).criteria == want
 
 

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from pclean import decompositions as dec
 from pclean.errors import NotLiftable, OrderLimitExceeded, UnknownTheoremId
+from pclean.matrices import discriminant_criteria, matrix_from_index, matrix_ring
 from pclean.rings import RingTable, build_ring
 from pclean.verifier import (
     CHECK_IDS,
@@ -17,7 +21,7 @@ from pclean.verifier import (
 )
 
 from oracles import conjugation_reach_oracle
-from table_kernel import TableKernel
+from table_kernel import corrupted_zn
 
 
 def test_check_ids_cover_the_numbered_claims():
@@ -100,17 +104,8 @@ def test_ring_major_suite_equals_theorem_major_verify():
     assert strip(run_suite(cat).checks) == strip(want)
 
 
-def _corrupted_z4(row: int, col: int, val: int, name: str, n: int = 4) -> RingTable:
-    """Z_n's tables (Z4 unless n is given) with mul[row][col] = val."""
-    zn = build_ring(f"Z{n}")
-    add = np.array([[zn.add(a, b) for b in range(n)] for a in range(n)])
-    mul = np.array([[zn.mul(a, b) for b in range(n)] for a in range(n)])
-    mul[row][col] = val
-    return RingTable(TableKernel(add, mul, zero=0, one=1), name)
-
-
 def test_corrupted_table_surfaces_counterexample():
-    bad = _corrupted_z4(0, 2, 1, "Z4c_021")  # 0*2 = 1 breaks commutativity
+    bad = corrupted_zn(0, 2, 1, "Z4c_021")  # 0*2 = 1 breaks commutativity
     (check,) = verify("T2.10", [bad])
     assert check.verdict == "COUNTEREXAMPLE"
     vals = check.counterexample["values"]
@@ -124,7 +119,7 @@ def test_corrupted_table_surfaces_counterexample():
 def test_corrupted_table_breaks_matrix_criteria():
     from pclean.matrices import matrix_ring
 
-    bad = _corrupted_z4(2, 2, 2, "Z4c_222")  # 2*2 = 2 desynchronizes the criteria
+    bad = corrupted_zn(2, 2, 2, "Z4c_222")  # 2*2 = 2 desynchronizes the criteria
     (check,) = verify("T4.4", [bad])
     assert check.verdict == "COUNTEREXAMPLE"
     crit = check.counterexample["criteria"]
@@ -133,7 +128,7 @@ def test_corrupted_table_breaks_matrix_criteria():
 
 
 def test_replay_detects_stale_payload():
-    bad = _corrupted_z4(0, 2, 1, "Z4c_021b")
+    bad = corrupted_zn(0, 2, 1, "Z4c_021b")
     (check,) = verify("T2.10", [bad])
     check.counterexample["values"]["abelian"] = True  # tamper
     assert not replay_counterexample(check, ring=bad)
@@ -145,7 +140,7 @@ def test_self_test_traps_fire_on_radical_breaking_corruption():
     from pclean import radicals as rad
     from pclean.errors import RadicalNotIdeal
 
-    bad = _corrupted_z4(3, 3, 0, "Z4c_330")
+    bad = corrupted_zn(3, 3, 0, "Z4c_330")
     with pytest.raises(RadicalNotIdeal):
         rad.jacobson_radical(bad)
 
@@ -155,7 +150,7 @@ def test_ideal_power_trap_fires_when_a_power_escapes(tid):
     # with 2*2 = 1 the powers of {0, 2} would alternate {0, 2} -> R -> {0, 2}
     from pclean.errors import RadicalNotIdeal
 
-    bad = _corrupted_z4(2, 2, 1, "Z4c_221")
+    bad = corrupted_zn(2, 2, 1, "Z4c_221")
     with pytest.raises(RadicalNotIdeal, match="escapes"):
         verify(tid, [bad])
 
@@ -200,7 +195,7 @@ def _payload_ring(bad: RingTable, name: str) -> RingTable:
     "name, tid, payload", PINNED_PAYLOADS, ids=[tid for _, tid, _ in PINNED_PAYLOADS]
 )
 def test_counterexample_payloads_are_pinned_and_replay(name, tid, payload):
-    bad = _corrupted_z4(*map(int, name[-3:]), name, n=int(name[1]))
+    bad = corrupted_zn(*map(int, name[-3:]), name, n=int(name[1]))
     (check,) = verify(tid, [bad])
     assert check.verdict == "COUNTEREXAMPLE"
     assert json.dumps(check.counterexample) == payload
@@ -213,6 +208,61 @@ def test_counterexample_payloads_are_pinned_and_replay(name, tid, payload):
     if "actual" in check.counterexample:
         check.counterexample["actual"] = check.counterexample["expected"]
         assert not replay_counterexample(check, ring=ring)
+
+
+def test_corrupted_tables_give_typed_outcomes_and_payloads_that_replay():
+    # every single-entry corruption of the multiplication tables of Z2, Z3
+    # and Z4 and of Z4's addition table, through the mask-checked ids: each
+    # outcome is a verdict or a PcleanError (anything else propagates), and
+    # each payload replays on the rings the check read and on a fresh copy
+    # of the table (tests/corruption_sweep.py runs every table and id)
+    from corruption_sweep import corruptions, run_case
+
+    tids = ["C2.12", "P3.7", "L4.1", "T4.2", "T4.4", "C4.5", "T5.1", "C5.2", "E5.3", "T5.4", "P5.6"]
+    cases = [*corruptions(ops=("mul",)), *corruptions(ns=(4,), ops=("add",))]
+    assert len(cases) == 118
+    replays = [(case, tid, *r) for case in cases for tid in tids for r in run_case(case, tid)[1]]
+    assert len(replays) == 228
+    assert [r for r in replays if not (r[-2] and r[-1])] == []
+
+
+@pytest.mark.parametrize("tid", ["T2.4", "L2.6", "L2.7", "T2.8", "P2.10"])
+def test_a_collapsed_quotient_of_a_table_is_no_spec_error(tid):
+    # Z4 with add[1][0] = 0: a quotient inside the check has 0 = 1, but the
+    # input was a table, not a spec
+    from pclean.errors import MalformedSpec, PcleanError
+
+    bad = corrupted_zn(1, 0, 0, "Z4add100", op="add")
+    with pytest.raises(PcleanError, match=r"Z4add100/I: ring collapses") as exc:
+        verify(tid, [bad])
+    assert not isinstance(exc.value, MalformedSpec)
+
+
+def _t5_1_side_from_the_record(m2, idx: int) -> bool:
+    rec = discriminant_criteria(matrix_from_index(m2, idx))
+    return rec.in_p or rec.one_minus_in_p or (rec.trace_in_one_plus_p and bool(rec.square_witnesses))
+
+
+# T5.1's scope in the catalog: every matrix where M2 has order <= 4096, a
+# sample on the two order-6561 M2 rings
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z8", "Z2[i]"])
+def test_t5_1_side_matches_the_discriminant_record(name):
+    from pclean import verifier
+
+    m2 = matrix_ring(build_ring(name))
+    side = verifier._MASK_PROPS["pclean_implies_discriminant_square_of_1P"](m2)
+    assert side.tolist() == [_t5_1_side_from_the_record(m2, i) for i in range(m2.order)]
+
+
+@pytest.mark.parametrize("name", ["Z9", "Z3[w]"])
+@given(data=st.data())
+def test_t5_1_side_matches_the_discriminant_record_sampled(name, data):
+    from pclean import verifier
+
+    m2 = matrix_ring(build_ring(name))
+    side = verifier._MASK_PROPS["pclean_implies_discriminant_square_of_1P"](m2)
+    idx = data.draw(st.integers(0, m2.order - 1))
+    assert side[idx] == _t5_1_side_from_the_record(m2, idx)
 
 
 def test_catalog_file_loading(tmp_path):
@@ -280,7 +330,7 @@ def test_criterion_mismatch_raised_on_corrupt_base():
     from pclean.errors import CriterionMismatch
     from pclean.matrices import Matrix2, classify_pclean_2x2
 
-    bad = _corrupted_z4(2, 2, 2, "Z4c_222b")
+    bad = corrupted_zn(2, 2, 2, "Z4c_222b")
     with pytest.raises(CriterionMismatch):
         for idx in range(bad.order**4 // 16):  # scan until the criteria split
             A = Matrix2(bad, idx // 4, idx % 4, 0, 2)
@@ -369,7 +419,7 @@ def test_pi_regular_mask_returns_on_a_table_that_is_no_ring():
     # lanes that never return to a^M, or whose witness fails, read False
     from pclean.matrices import matrix_ring
 
-    m2 = matrix_ring(_corrupted_z4(2, 2, 1, "Z4c_221p"))
+    m2 = matrix_ring(corrupted_zn(2, 2, 1, "Z4c_221p"))
     mask = dec.strongly_pi_regular_mask(m2)
     assert mask.shape == (m2.order,) and mask.dtype == bool and not mask.all()
 
@@ -418,7 +468,7 @@ def test_genuine_sides_payloads_are_unchanged_and_replay():
             continue
         name = f"Z4c_{row}{col}{val}"
         for tid in tids:
-            bad = _corrupted_z4(row, col, val, name)
+            bad = corrupted_zn(row, col, val, name)
             try:
                 checks = verify(tid, [bad])
             except PcleanError:
@@ -456,14 +506,16 @@ def test_l2_9_pair_above_the_limit_is_skipped_with_its_note():
 
 
 def test_c2_12_sweeps_the_catalogs_own_tc_ring(monkeypatch):
+    from pclean import verifier
+
     swept = []
-    sweep = dec.is_strongly_pclean_ring
+    sweep = verifier._MASK_PROPS["strongly_pclean"]
 
     def recording_sweep(r):
         swept.append(r)
         return sweep(r)
 
-    monkeypatch.setattr(dec, "is_strongly_pclean_ring", recording_sweep)
+    monkeypatch.setitem(verifier._MASK_PROPS, "strongly_pclean", recording_sweep)
     checks = verify("C2.12", ["Z4", "Tc2(Z4)"])
     assert [c.verdict for c in checks] == ["HOLDS", "HOLDS"]
     tc2 = [r for r in swept if r.name == "Tc2(Z4)"]
@@ -507,9 +559,9 @@ def test_no_surviving_candidate_raises_radical_not_ideal(val):
     from pclean.errors import RadicalNotIdeal
 
     with pytest.raises(RadicalNotIdeal):
-        rad.prime_radical(_corrupted_z4(0, 0, val, f"Z4c_00{val}"))
+        rad.prime_radical(corrupted_zn(0, 0, val, f"Z4c_00{val}"))
     with pytest.raises(RadicalNotIdeal):
-        verify("P5.6", [_corrupted_z4(0, 0, val, f"Z4c_00{val}")])
+        verify("P5.6", [corrupted_zn(0, 0, val, f"Z4c_00{val}")])
 
 
 def test_t2_4_notes_the_double_commutant_budget(monkeypatch):

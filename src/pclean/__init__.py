@@ -69,10 +69,7 @@ from .rings import (
     RingTable,
     build_ring,
     corner_ring,
-    idempotents,
-    is_commutative,
     quotient_ring,
-    units,
 )
 from .specs import canon, parse_ring_spec, spec_order
 from .verifier import (

@@ -4,8 +4,9 @@ Strongly P-clean, clean, nil clean and J-clean differ only in the set a - e
 must lie in (P(R), units, nilpotents, J(R)); the "uniquely" notions count all
 idempotents e, commuting with a or not, which separates abelian rings from the
 rest.  Every test is a view on `_hits` (one element) or `_sweep` (the only
-loop over a ring's idempotents).  Certificates re-validate from their stored
-witness; aggregates report the least-index counterexample.
+loop over a ring's idempotents).  Both read membership through `_in_set`,
+and a certificate re-validates through that same test and the witness map
+of `_KINDS`; aggregates report the least-index counterexample.
 """
 
 from __future__ import annotations
@@ -39,21 +40,16 @@ class CleanCertificate:
     witness: int | None  # P: nilpotency index of RwR; NIL: of w; CLEAN: w^-1; J: None
 
     def validate(self) -> bool:
-        r = self.ring
-        a, e, w = self.element, self.idempotent, self.remainder
+        """Re-check through the definitions that made the certificate: the
+        kind's membership test and witness map."""
+        r, a, e, w = self.ring, self.element, self.idempotent, self.remainder
         if r.mul(e, e) != e or r.add(e, w) != a or r.mul(e, w) != r.mul(w, e):
             return False
-        if self.kind == STRONGLY_P_CLEAN:
-            ok, idx = radicals.is_strongly_nilpotent(r, w)
-            return ok and idx == self.witness
-        if self.kind == STRONGLY_NIL_CLEAN:
-            return radicals.element_nilpotency(r, w) == self.witness
-        if self.kind == STRONGLY_CLEAN:
-            u = self.witness
-            return u is not None and r.mul(w, u) == r.one and r.mul(u, w) == r.one
-        if self.kind == STRONGLY_J_CLEAN:
-            return radicals.jacobson_radical(r).contains(w)
-        return False
+        return bool(
+            self.kind in _KINDS
+            and _in_set(r, self.kind, [w])[0]
+            and _KINDS[self.kind][1](r, w) == self.witness
+        )
 
     def __repr__(self):
         f = self.ring.fmt_index
@@ -76,19 +72,24 @@ _KINDS = {
 }
 
 
+def _in_set(r: RingTable, kind: str, xs) -> np.ndarray:
+    """Membership of xs in the set of `kind`; P-membership never computes
+    P(R) for a few elements."""
+    if kind == STRONGLY_P_CLEAN:
+        return radicals.in_prime_radical(r, xs)
+    return _KINDS[kind][0](r)[xs]
+
+
 def _hits(r: RingTable, kind: str, a: int, commuting: bool) -> np.ndarray:
     """Idempotents e, ascending, with a - e in the set of `kind` (and ea = ae
-    when `commuting`).  P-membership never computes P(R) for one element."""
+    when `commuting`)."""
     idem = r.idempotent_indices
     neg = cached(r, "idempotent_negatives", lambda: r.vneg(idem))
     aa = np.int64(a)
     if commuting:
         keep = r.vmul(aa, idem) == r.vmul(idem, aa)
         idem, neg = idem[keep], neg[keep]
-    diff = r.vadd(aa, neg)
-    if kind != STRONGLY_P_CLEAN:
-        return idem[_KINDS[kind][0](r)[diff]]
-    return idem[radicals.in_prime_radical(r, diff)]
+    return idem[_in_set(r, kind, r.vadd(aa, neg))]
 
 
 def _certificate(r: RingTable, kind: str, a) -> tuple[CleanCertificate | None, int]:

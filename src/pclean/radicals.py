@@ -54,9 +54,6 @@ class Ideal:
             x = x.index
         return bool(self.mask[x])
 
-    def elements(self):
-        return [Element(self.ring, int(i)) for i in self.indices]
-
     def __eq__(self, other):
         return (
             isinstance(other, Ideal)

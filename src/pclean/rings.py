@@ -820,9 +820,6 @@ class RingTable:
             raise MalformedSpec(f"trailing input in element literal {text!r}", lit.pos)
         return Element(self, int(idx))
 
-    def elements(self):
-        return (Element(self, i) for i in range(self.order))
-
 
 # ---------------------------------------------------------------------------
 # additive / ideal closures (shared by quotients and the radical machinery)
@@ -1006,19 +1003,6 @@ def quotient_ring(r: RingTable, gens) -> tuple[RingTable, np.ndarray]:
         f"quotient of {r.name} collapses to the zero ring",
     )
     return table, table.kernel.pos_of[table.kernel.rep_of]
-
-
-def units(r: RingTable) -> list[Element]:
-    """Exact unit set by exhaustive scan (both-sided inverses)."""
-    return [Element(r, int(i)) for i in r.unit_indices]
-
-
-def idempotents(r: RingTable) -> list[Element]:
-    return [Element(r, int(i)) for i in r.idempotent_indices]
-
-
-def is_commutative(r: RingTable) -> bool:
-    return r.commutative
 
 
 def corner_ring(r: RingTable, f: int) -> tuple[RingTable, np.ndarray]:

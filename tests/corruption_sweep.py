@@ -4,15 +4,15 @@ through the verifier's checks, and replay every counterexample they record.
     PYTHONPATH=src python tests/corruption_sweep.py
 
 A table with one wrong entry is (almost always) no ring.  Each check must
-still give a verdict or raise a typed `PcleanError`, and each element, matrix
-or criteria payload must replay True twice: warm, on the rings the check
-read (the table's M2, T2 and Tc2 are held from before the check), and fresh,
-on a new `RingTable` over the same tables.  The script exits 1 on an untyped
-exception, on a case (one table, one id, its replays) slower than
-`WALL_BOUND_S`, or on such a payload that does not replay both ways.  It
-prints the outcome counts and how many ideal and ideal-pair payloads replay,
-which it does not gate.  `tests/test_verifier.py` runs `run_case` over a
-part of this sweep in tier-1.
+still give a verdict or raise a typed `PcleanError`, and each payload that
+is not a `sides` payload (element, matrix, criteria, ideal or ideal pair)
+must replay True twice: warm, on the rings the check read (the table's M2,
+T2 and Tc2 are held from before the check), and fresh, on a new `RingTable`
+over the same tables.  The script exits 1 on an untyped exception, on a
+case (one table, one id, its replays) slower than `WALL_BOUND_S`, or on
+such a payload that does not replay both ways.  It prints the outcome
+counts and the replay counts per payload kind.  `tests/test_verifier.py`
+runs `run_case` over a part of this sweep in tier-1.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from pclean.verifier import CHECK_IDS, COUNTEREXAMPLE, replay_counterexample, ve
 from table_kernel import corrupted_zn
 
 WALL_BOUND_S = 5.0
-GATED_KINDS = ("element", "matrix")  # criteria payloads are matrix payloads
 
 
 def corruptions(ns=(2, 3, 4), ops=("add", "mul")):
@@ -97,7 +96,7 @@ def main() -> int:
             outcomes[outcome] += 1
             for kind, warm, fresh in replays:
                 replayed[kind, warm, fresh] += 1
-                if kind in GATED_KINDS and not (warm and fresh):
+                if not (warm and fresh):
                     failures.append(f"{case} {tid}: {kind} payload replays warm={warm} fresh={fresh}")
     print(f"{sum(outcomes.values())} cases in {time.perf_counter() - start:.1f} s, "
           f"slowest {slowest[0]:.3f} s ({slowest[1]})")

@@ -92,6 +92,21 @@ def test_verify_limit_caps_the_matrix_ring_of_a_budgeted_check(capsys, tmp_path)
     ]
 
 
+def test_verify_text_output_lists_the_catalog_each_check_and_the_summary(capsys, tmp_path):
+    cat = tmp_path / "rings.txt"
+    cat.write_text("Z4\n")
+    status, out, _ = run_cli(
+        capsys, "verify", "--theorem", "L4.1", "--catalog", str(cat), "--limit", "100"
+    )
+    assert status == 0
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "catalog: Z4"
+    assert lines[1].split()[:3] == ["L4.1", "Z4", "SKIPPED"]
+    assert lines[1].endswith("(M2 order 256 beyond limit 100)")
+    assert lines[2] == "summary: {HOLDS=0, COUNTEREXAMPLE=0, HYPOTHESIS_NOT_MET=0, SKIPPED=1}"
+
+
 def test_unreadable_catalog_exits_two(capsys, tmp_path):
     # exit 1 means a counterexample, so a catalog that cannot be read is a
     # usage error: a directory, or a file that is not UTF-8

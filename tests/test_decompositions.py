@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclean import decompositions as dec
 from pclean import radicals as rad
@@ -130,6 +132,38 @@ def test_certificate_soundness_fuzz(name):
             else:
                 assert count >= 1
                 assert cert.validate()
+
+
+_ELEMENT_FNS = {
+    dec.STRONGLY_P_CLEAN: dec.strongly_pclean_element,
+    dec.STRONGLY_CLEAN: dec.strongly_clean_element,
+    dec.STRONGLY_NIL_CLEAN: dec.strongly_nilclean_element,
+    dec.STRONGLY_J_CLEAN: dec.strongly_jclean_element,
+}
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_certificates_validate_exactly_the_decompositions_in_their_set(data):
+    # a = e + (a - e) with e a commuting idempotent validates iff a - e lies
+    # in the kind's set; the kind's own certificate of a validates, and it
+    # exists iff its count is positive and iff the whole-ring sweep covers a
+    r = build_ring(data.draw(st.sampled_from(DEFAULT_CATALOG)))
+    a = data.draw(st.integers(0, r.order - 1))
+    kind = data.draw(st.sampled_from(sorted(_ELEMENT_FNS)))
+    e = data.draw(st.sampled_from([e for e in r.idempotent_indices.tolist()
+                                   if r.mul(a, e) == r.mul(e, a)]))
+    member, witness = dec._KINDS[kind]
+    w = r.sub(a, e)
+    assert dec.CleanCertificate(kind, r, a, e, w, witness(r, w)).validate() == bool(member(r)[w])
+    cert, count = _ELEMENT_FNS[kind](r, a)
+    assert cert is None or cert.validate()
+    assert (cert is not None) == (count > 0) == bool(dec._sweep(r, member(r), commuting=True)[a])
+
+
+def test_nil_clean_certificate_needs_a_nilpotent_remainder():
+    # 1 = 0 + 1 in Z4, and 1 is not nilpotent
+    assert not dec.CleanCertificate(dec.STRONGLY_NIL_CLEAN, build_ring("Z4"), 1, 0, 1, None).validate()
 
 
 def test_ring_verdict_table_matches_published_values():

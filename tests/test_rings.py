@@ -465,6 +465,20 @@ def test_corner_ring_of_matrix_idempotent():
     check_axioms(corner)
 
 
+def test_quotient_literals_parse_to_their_coset():
+    q = build_ring("Z8/(4)")
+    assert q.parse_element("5") == q.parse_element("1")
+
+
+def test_corner_literals_parse_inside_the_corner_only():
+    r = build_ring("M2(Z4)")
+    corner, members = corner_ring(r, r.parse_element("[1,0;0,0]").index)
+    x = corner.parse_element("[3,0;0,0]")
+    assert members[x.index] == r.parse_element("[3,0;0,0]").index
+    with pytest.raises(MalformedSpec, match="element lies outside the subring"):
+        corner.parse_element("[0,1;0,0]")
+
+
 def test_structured_ring_matches_table_ring():
     # identical observable behavior on either side of the dense-table limit
     import pclean.rings as rings

@@ -212,17 +212,19 @@ def test_counterexample_payloads_are_pinned_and_replay(name, tid, payload):
 
 def test_corrupted_tables_give_typed_outcomes_and_payloads_that_replay():
     # every single-entry corruption of the multiplication tables of Z2, Z3
-    # and Z4 and of Z4's addition table, through the mask-checked ids: each
-    # outcome is a verdict or a PcleanError (anything else propagates), and
-    # each payload replays on the rings the check read and on a fresh copy
-    # of the table (tests/corruption_sweep.py runs every table and id)
+    # and Z4 and of Z4's addition table, through the mask-checked ids and the
+    # ideal-lattice ids: each outcome is a verdict or a PcleanError (anything
+    # else propagates), and each payload replays on the rings the check read
+    # and on a fresh copy of the table (tests/corruption_sweep.py runs every
+    # table and id)
     from corruption_sweep import corruptions, run_case
 
     tids = ["C2.12", "P3.7", "L4.1", "T4.2", "T4.4", "C4.5", "T5.1", "C5.2", "E5.3", "T5.4", "P5.6"]
+    tids += ["L2.6", "L2.7", "T2.8", "P2.10"]
     cases = [*corruptions(ops=("mul",)), *corruptions(ns=(4,), ops=("add",))]
     assert len(cases) == 118
     replays = [(case, tid, *r) for case in cases for tid in tids for r in run_case(case, tid)[1]]
-    assert len(replays) == 228
+    assert len(replays) == 288
     assert [r for r in replays if not (r[-2] and r[-1])] == []
 
 

@@ -3,10 +3,10 @@
 Strongly P-clean, clean, nil clean and J-clean differ only in the set a - e
 must lie in (P(R), units, nilpotents, J(R)); the "uniquely" notions count all
 idempotents e, commuting with a or not, which separates abelian rings from the
-rest.  Every test is a view on `_hits` (one element) or `_sweep` (the only
-loop over a ring's idempotents).  Both read membership through `_in_set`,
-and a certificate re-validates through that same test and the witness map
-of `_KINDS`; aggregates report the least-index counterexample.
+rest.  Every test is a view on `_hits` (one element) or `_sweep` (the one
+loop over a ring's idempotents, by cosets of P(R)); both read membership
+through `_in_set`, and a certificate re-validates through that test and
+the witness map of `_KINDS`.  Aggregates report the least counterexample.
 """
 
 from __future__ import annotations
@@ -87,7 +87,12 @@ def _hits(r: RingTable, kind: str, a: int, commuting: bool) -> np.ndarray:
     neg = cached(r, "idempotent_negatives", lambda: r.vneg(idem))
     aa = np.int64(a)
     if commuting:
-        keep = r.vmul(aa, idem) == r.vmul(idem, aa)
+        # one slot, the last a's filter: the four certificates of one element
+        # share it, and it does not grow with the number of elements asked
+        last, keep = r.cache.get("commuting_idempotents", (None, None))
+        if last != a:
+            keep = r.vmul(aa, idem) == r.vmul(idem, aa)
+            r.cache["commuting_idempotents"] = (a, keep)
         idem, neg = idem[keep], neg[keep]
     return idem[_in_set(r, kind, r.vadd(aa, neg))]
 
@@ -234,25 +239,37 @@ def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
     or else how many e have (uint8, saturated at 2).  Memoized per member set:
     J = P always and Nil = P often share one pass, and T2.4 reads P's counts.
 
-    Each idempotent e scatters onto x = e + w for the members w (only those
-    with ew = we when `commuting`: x commutes with e exactly when w does), so
-    a pass costs |member| lanes whatever the counts are.  w -> e + w is
-    injective, so no x repeats within a pass.
+    The idempotents go in classes, ascending, and a class with least member
+    e0 scatters onto its coset x = e0 + w of the members w.  In a ring by
+    construction P(R) is an additive subgroup, so with member P a class is
+    every e with e - e0 in P, and distinct classes have disjoint cosets;
+    otherwise each e is its own class.  Counting adds min(|class|, 2) at
+    once.  Commuting marks the open x that e commutes with: for e0 as
+    e0 w = w e0, for the rest as ex = xe, the same in a ring.  A pass costs
+    |member| lanes per class and a row and a column of R per commuting e.
     """
 
     def make():
         need = 1 if commuting else 2
         members = np.flatnonzero(member)
+        cosets = r.by_construction and np.array_equal(member, radicals._known_prime_mask(r))
         count = np.zeros(r.order, dtype=np.uint8)
-        for e in r.idempotent_indices:
-            ee = np.int64(e)
-            w = members
-            if commuting:
-                w = w[r.vmul(w, ee) == r.vmul(ee, w)]
-            x = r.vadd(w, ee)
-            count[x] = np.minimum(count[x] + 1, 2)
-            if count.min() >= need:
-                break
+        rest = r.idempotent_indices
+        while rest.size and count.min() < need:
+            e0 = np.int64(rest[0])
+            same = member[r.vsub(rest, e0)] if cosets else rest == e0
+            cls, rest, x = rest[same], rest[~same], r.vadd(members, e0)
+            if not commuting:
+                count[x] = np.minimum(count[x] + min(cls.size, 2), 2)
+                continue
+            lanes = members  # e0 tests its remainders w, the rest of the class x
+            for e in cls.tolist():
+                todo = np.flatnonzero(count[x] == 0)
+                if not todo.size:
+                    break
+                t = lanes[todo]
+                count[x[todo[r.mul_row(e)[t] == r.mul_col(e)[t]]]] = 1
+                lanes = x
         return count.astype(bool) if commuting else count
 
     return cached(r, ("sweep", member.tobytes(), commuting), make)

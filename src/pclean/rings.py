@@ -802,6 +802,17 @@ class RingTable:
 
         return cached(self, "commutative", test)
 
+    @property
+    def by_construction(self) -> bool:
+        """Whether the kernel's formulas make the ring axioms hold: Z_n, and
+        the digit and remap kernels over such rings; never given tables."""
+        k = self.kernel
+        if isinstance(k, _DigitKernel):
+            return all(p.by_construction for p in k.parts)
+        if isinstance(k, _RemapKernel):
+            return k.base.by_construction
+        return isinstance(k, ZnKernel)
+
     # -- element interface
 
     def element(self, i: int) -> Element:

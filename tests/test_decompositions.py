@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from pclean import decompositions as dec
 from pclean import radicals as rad
 from pclean.errors import NotLiftable, PcleanError
-from pclean.rings import ProductKernel, RingTable, build_ring
+from pclean.rings import ProductKernel, RingTable, TriangularKernel, build_ring
 from pclean.verifier import DEFAULT_CATALOG
 
 from oracles import clean_oracle, gather_sweep, pi_regular_oracle
-from table_kernel import TableKernel
+from table_kernel import TableKernel, corrupted_zn
 
 
 def test_pclean_element_z4():
@@ -362,12 +362,61 @@ def test_probe_reads_the_prime_radical(monkeypatch):
     assert "prime_ideal" in prod.cache and calls == []
 
 
-@pytest.mark.parametrize("name", [*DEFAULT_CATALOG, "T2(Z32)"])
+@pytest.mark.parametrize("name", [*DEFAULT_CATALOG, "T2(Z32)", "M2(Z8)", "T2(Z4[i])", "Z4add110"])
 def test_sweep_matches_gather_oracle(name):
-    # T2(Z32) has 32768 elements, so its sweep runs on the coordinate path
-    r = build_ring(name)
-    for member in (rad.prime_radical(r).mask, rad.nilpotent_mask(r)):
+    # T2(Z32), M2(Z8) and T2(Z4[i]) lie above DENSE_TABLE_LIMIT, so their
+    # sweeps run on the coordinate path, and the last two have several
+    # idempotents per coset of P(R); Z4 with 1 + 1 = 0 is no ring, so each of
+    # its idempotents is a class of its own
+    r = corrupted_zn(1, 1, 0, name, op="add") if name == "Z4add110" else build_ring(name)
+    masks = rad.prime_radical(r).mask, rad.jacobson_radical(r).mask, rad.nilpotent_mask(r)
+    for member in masks:
         for commuting in (True, False):
             got = dec._sweep(r, member, commuting)
             want = gather_sweep(r, member, commuting)
             assert got.dtype == want.dtype and np.array_equal(got, want), commuting
+
+
+def test_counting_sweep_scatters_once_per_coset_class(monkeypatch):
+    # the 66 idempotents of T2(Z32) fall into 4 cosets of P(R), one per
+    # diagonal mod 2, and the counting sweep adds each coset once
+    r = RingTable(TriangularKernel(2, build_ring("Z32")), "T2(Z32)")
+    p = rad.prime_radical(r).mask
+    lanes = []
+    vadd = RingTable.vadd
+
+    def recording(self, a, b):
+        if self is r:  # not the digit ops of the base ring Z32
+            lanes.append(np.broadcast(a, b).size)
+        return vadd(self, a, b)
+
+    monkeypatch.setattr(RingTable, "vadd", recording)
+    dec._sweep(r, p, commuting=False)
+    assert r.idempotent_indices.size == 66
+    assert lanes.count(int(p.sum())) == 4
+
+
+def test_certificates_of_one_element_share_one_commuting_filter(monkeypatch):
+    # the filter of the idempotents commuting with a takes two vmuls over
+    # them; the four certificates of a reuse it, and the next element
+    # replaces it rather than adding a slot.  The member sets are filled
+    # first, so no other vmul has one lane per idempotent.
+    r = RingTable(TriangularKernel(2, build_ring("Z4[i]")), "T2(Z4[i])")
+    idem = r.idempotent_indices
+    for member in dec._KINDS.values():
+        member[0](r)
+    lanes = []
+    vmul = RingTable.vmul
+
+    def recording(self, a, b):
+        if self is r:
+            lanes.append(np.broadcast(a, b).size)
+        return vmul(self, a, b)
+
+    monkeypatch.setattr(RingTable, "vmul", recording)
+    sizes = []
+    for a in (5, 6):
+        for certificate in _ELEMENT_FNS.values():
+            certificate(r, a)
+        sizes.append(len(r.cache))
+    assert lanes.count(idem.size) == 4 and sizes[0] == sizes[1]

@@ -235,18 +235,22 @@ def idempotent_lift(r: RingTable, a) -> int:
 
 
 def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
-    """Per element x: whether some e with ex = xe has x - e in `member` (bool),
-    or else how many e have (uint8, saturated at 2).  Memoized per member set:
-    J = P always and Nil = P often share one pass, and T2.4 reads P's counts.
+    """Per element x: whether some idempotent marks x (bool), or else how many
+    do (uint8, saturated at 2).  Memoized per member set: J = P always and
+    Nil = P often share one pass, and T2.4 reads P's counts.
 
-    The idempotents go in classes, ascending, and a class with least member
-    e0 scatters onto its coset x = e0 + w of the members w.  In a ring by
-    construction P(R) is an additive subgroup, so with member P a class is
-    every e with e - e0 in P, and distinct classes have disjoint cosets;
-    otherwise each e is its own class.  Counting adds min(|class|, 2) at
-    once.  Commuting marks the open x that e commutes with: for e0 as
-    e0 w = w e0, for the rest as ex = xe, the same in a ring.  A pass costs
-    |member| lanes per class and a row and a column of R per commuting e.
+    On any table: the idempotents go in classes, ascending, and a class with
+    least member e0 scatters onto its coset x = w + e0 of the members w.
+    Counting lets each e of the class mark every x of the coset (adding
+    min(|class|, 2) at once).  Commuting lets e mark the open x it commutes
+    with, tested as e0 w = w e0 for e0 and as ex = xe for the rest of the
+    class.  In a ring this is the per-x condition: some e with ex = xe has
+    x - e in `member` (or how many e have), as e0 w = w e0 there exactly
+    when e0 x = x e0.  In a ring by construction P(R) is an additive
+    subgroup, so with member P a class is every e with e - e0 in P, and
+    distinct classes have disjoint cosets; otherwise each e is its own
+    class.  A pass costs |member| lanes per class and a row and a column of
+    R per commuting e.
     """
 
     def make():

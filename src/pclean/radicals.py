@@ -157,17 +157,21 @@ def nilpotent_mask(r: RingTable) -> np.ndarray:
     R > Rx > ... > Rx^m = 0 are subgroups, each proper in the one before
     (Rx^i = Rx^(i+1) with i < m gives x^i = s^m x^(i+m) = 0), so |R| >= 2^m
     and m <= 2^p.  The bound is tight: 2 has index k in Z_(2^k).
+
+    The squaring map sq[x] = x*x is evaluated once; p gathers y = sq[y] from
+    the identity give x^(2^p), each gather being the pass y = y*y.
     """
 
     def make():
         passes = ((r.order - 1).bit_length() - 1).bit_length()
-        mask = np.zeros(r.order, dtype=bool)
+        sq = np.empty(r.order, dtype=np.int64)
         for s in range(0, r.order, _CHUNK):
-            y = np.arange(s, min(s + _CHUNK, r.order), dtype=np.int64)
-            for _ in range(passes):
-                y = r.vmul(y, y)
-            mask[s : s + y.size] = y == r.zero
-        return mask
+            x = np.arange(s, min(s + _CHUNK, r.order), dtype=np.int64)
+            sq[s : s + x.size] = r.vmul(x, x)
+        y = np.arange(r.order, dtype=np.int64)
+        for _ in range(passes):
+            y = sq[y]
+        return y == r.zero
 
     return cached(r, "nilpotent_mask", make)
 

@@ -576,7 +576,7 @@ class RingTable:
         if self.zero == self.one:
             raise PcleanError(f"{name}: ring collapses to the zero ring (0 = 1)")
         self.cache: dict = {}
-        self._add_t = self._mul_t = self._neg_t = None
+        self._add_t = self._mul_t = self._neg_t = self._add_f = self._mul_f = None
         if self.order <= DENSE_TABLE_LIMIT:
             self._build_tables()
 
@@ -596,6 +596,9 @@ class RingTable:
         if max(t.max() for t in (add_t, mul_t, neg_t)) >= n:
             raise PcleanError(f"{self.name}: a ring operation leaves the indices 0..{n - 1}")
         self._add_t, self._mul_t, self._neg_t = add_t, mul_t, neg_t
+        # flat views for the vector ops; n as np.intp, so uint8 and uint16
+        # index arrays promote to intp in a * n + b instead of wrapping
+        self._add_f, self._mul_f, self._n = add_t.ravel(), mul_t.ravel(), np.intp(n)
 
     def row_blocks(self, op: str = "mul", out=None):
         """Yield (start, stop, block) with block[i, y] = (start + i) <op> y for
@@ -638,13 +641,15 @@ class RingTable:
         return self.kernel.vmul(idx, x) if col else self.kernel.vmul(x, idx)
 
     # -- vector ops (index arrays in, index arrays out in the table's uint16
-    # or the kernel's dtype)
+    # or the kernel's dtype).  Operands are integers or integer arrays in
+    # 0..order-1: a dense op reads the flat table at a * order + b, where an
+    # out-of-range b lands in another row instead of raising.
 
     def vadd(self, a, b):
-        return self.kernel.vadd(a, b) if self._add_t is None else self._add_t[a, b]
+        return self.kernel.vadd(a, b) if self._add_f is None else self._add_f[a * self._n + b]
 
     def vmul(self, a, b):
-        return self.kernel.vmul(a, b) if self._mul_t is None else self._mul_t[a, b]
+        return self.kernel.vmul(a, b) if self._mul_f is None else self._mul_f[a * self._n + b]
 
     def vneg(self, a):
         return self.kernel.vneg(a) if self._neg_t is None else self._neg_t[a]

@@ -247,6 +247,20 @@ def order_powers(r) -> np.ndarray:
     return out
 
 
+def repeated_squaring_nilpotent_mask(r) -> np.ndarray:
+    """Mask of the x with x^(2^p) = 0, p = ceil(log2 ceil(log2 |R|)), by p
+    whole-ring vmul passes y = y*y in blocks of _CHUNK lanes: the loop that
+    rad.nilpotent_mask replaced by gathers through the squaring map."""
+    passes = ((r.order - 1).bit_length() - 1).bit_length()
+    mask = np.zeros(r.order, dtype=bool)
+    for s in range(0, r.order, _CHUNK):
+        y = np.arange(s, min(s + _CHUNK, r.order), dtype=np.int64)
+        for _ in range(passes):
+            y = r.vmul(y, y)
+        mask[s : s + y.size] = y == r.zero
+    return mask
+
+
 def walk_nilpotency(r, a):
     """Smallest e >= 1 with a^e = 0, or None: the powers of a walked one by
     one until they reach 0 or repeat, with no bound on the exponent."""
@@ -405,7 +419,12 @@ def gather_sweep(r, member, commuting):
     """The idempotent sweep gathered over the undecided elements: for each
     idempotent e, the x still below the target count with x - e in `member`
     (and xe = ex when `commuting`) gain one.  Returns a bool mask when
-    `commuting`, else uint8 counts saturated at 2."""
+    `commuting`, else uint8 counts saturated at 2.
+
+    This per-x condition is what `_sweep` computes only in a ring: `_sweep`
+    scatters onto x = w + e0 and tests e0 w = w e0, so on a table that is no
+    ring the two may disagree (they agree on some, such as Z4 with 1 + 1 = 0),
+    and this is an oracle only on rings."""
     need = 1 if commuting else 2
     count = np.zeros(r.order, dtype=np.uint8)
     for e in r.idempotent_indices:

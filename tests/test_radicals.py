@@ -7,7 +7,7 @@ import pytest
 
 from pclean import decompositions as dec
 from pclean import radicals as rad
-from pclean.errors import RadicalNotIdeal
+from pclean.errors import PcleanError, RadicalNotIdeal
 from pclean.rings import ProductKernel, RingTable, build_ring
 from pclean.verifier import DEFAULT_CATALOG, MASK_BUDGET
 
@@ -19,9 +19,11 @@ from oracles import (
     ideal_nilpotency,
     order_powers,
     quad_mul,
+    repeated_squaring_nilpotent_mask,
     two_sided_ideal,
     walk_nilpotency,
 )
+from table_kernel import corrupted_zn
 
 
 def test_ideal_generated_z4():
@@ -274,6 +276,33 @@ def test_nilpotent_mask_matches_element_nilpotency(name):
     mask = rad.nilpotent_mask(r)
     assert all(rad.element_nilpotency(r, int(x)) is not None for x in np.flatnonzero(mask))
     assert np.array_equal(order_powers(r) == r.zero, mask)
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG)
+def test_nilpotent_mask_matches_repeated_squaring_and_the_walk(name):
+    r = build_ring(name)
+    r.cache.pop("nilpotent_mask", None)  # the walk must not read the mask back
+    walked = [rad.element_nilpotency(r, x) is not None for x in range(r.order)]
+    mask = rad.nilpotent_mask(r)
+    assert mask.tolist() == walked
+    assert np.array_equal(mask, repeated_squaring_nilpotent_mask(r))
+
+
+def test_nilpotent_mask_matches_repeated_squaring_on_corrupted_tables():
+    # a gather through the squaring map is one pass y = y*y on any table, so
+    # the masks agree on tables that are no ring, order 2 (no pass) included
+    from corruption_sweep import corruptions
+
+    built = 0
+    for n, op, row, col, val in corruptions():
+        try:
+            r = corrupted_zn(row, col, val, f"Z{n}{op}{row}{col}{val}", n, op)
+        except PcleanError:  # an addition table with no negative for some x
+            continue
+        built += 1
+        want = repeated_squaring_nilpotent_mask(r)
+        assert np.array_equal(rad.nilpotent_mask(r), want), r.name
+    assert built == 120
 
 
 def test_prime_radical_of_m2_m2_z2_is_fast():

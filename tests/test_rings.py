@@ -575,6 +575,41 @@ def test_dense_tables_match_kernel_ops(name):
     assert np.array_equal(r._neg_t, r.kernel.vneg(idx))
 
 
+# Z1024 is the largest ring with its own tables; M2(Z8) (order 4096) gets
+# them on a fresh copy, as above, so its flat index reaches 4096^2 - 1
+@pytest.mark.parametrize("name", ["Z2", "Z4", "Z9[w]", "T2(Z4)", "M2(Z4)", "Z1024", "M2(Z8)"])
+def test_flat_table_ops_match_the_2d_tables(name):
+    # vadd/vmul gather the flat tables at a * n + b: same values, dtype and
+    # shape as indexing the (n, n) tables at [a, b], for every operand kind
+    r = build_ring(name)
+    if r._add_t is None:
+        r = RingTable(r.kernel, name)
+        r._build_tables()
+    n = r.order
+    a, b = np.random.default_rng(17).integers(0, n, size=(2, 64))
+    a[0], b[1] = n - 1, n - 1  # the last row and the last column
+    cases = [
+        (int(a[0]), int(b[0])),
+        (np.int64(a[1]), np.uint16(b[1])),
+        (np.uint8(a[2] % 256), int(b[2])),
+        (np.array(a[3]), np.array(b[3])),
+        (a[:8, None], b[None, :12]),
+    ]
+    for dtype in (np.uint8, np.uint16, np.int64):
+        # up to the largest index the dtype holds: a * n in uint8 or uint16
+        # would wrap, so the flat index must be computed in intp
+        top = min(n, np.iinfo(dtype).max + 1)
+        x, y = a % top, b % top
+        x[0] = y[1] = top - 1
+        x, y = x.astype(dtype), y.astype(dtype)
+        cases += [(x, y), (x[:5, None], y[None, :])]
+    for x, y in cases:
+        for op, table in ((r.vadd, r._add_t), (r.vmul, r._mul_t)):
+            got, want = op(x, y), table[x, y]
+            assert type(got) is type(want) and got.dtype == want.dtype, (x, y)
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (x, y)
+
+
 @pytest.mark.parametrize(
     "name, n, c0, c1",
     [("Z8[i]", 8, -1, 0), ("Z9[w]", 9, -1, -1), ("Z65[i]", 65, -1, 0)],

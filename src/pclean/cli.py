@@ -203,7 +203,7 @@ def _element_analyze(args) -> tuple[dict, int]:
     r = build_ring(args.spec, limit=args.limit)
     x = r.parse_element(args.element)
     i = x.index
-    p = rad.prime_radical(r)  # before the element scans, which then read it
+    p = rad.prime_radical(r)  # computed on first use; the element scans read its mask
     nilp = rad.element_nilpotency(r, i)
     sn, sn_idx = rad.is_strongly_nilpotent(r, i)
     pcert, pcount = dec.strongly_pclean_element(r, i)
@@ -304,7 +304,7 @@ def _matrix_analyze(args) -> tuple[dict, int]:
                 "strongly_pclean": cert is not None,
                 "certificate": _cert_report(cert),
             }
-        except PreconditionFailed as exc:
+        except OrderLimitExceeded as exc:
             report["triangular_rule"] = {"note": str(exc)}
     return report, 0
 

@@ -5,8 +5,9 @@ must lie in (P(R), units, nilpotents, J(R)); the "uniquely" notions count all
 idempotents e, commuting with a or not, which separates abelian rings from the
 rest.  Every test is a view on `_hits` (one element) or `_sweep` (the one
 loop over a ring's idempotents, by cosets of P(R)); both read membership
-through `_in_set`, and a certificate re-validates through that test and
-the witness map of `_KINDS`.  Aggregates report the least counterexample.
+from the kind's mask in `_KINDS`, computed on first use and cached on the
+ring, and a certificate re-validates through that mask and the kind's
+witness map.  Aggregates report the least counterexample.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class CleanCertificate:
             return False
         return bool(
             self.kind in _KINDS
-            and _in_set(r, self.kind, [w])[0]
+            and _KINDS[self.kind][0](r)[w]
             and _KINDS[self.kind][1](r, w) == self.witness
         )
 
@@ -60,7 +61,9 @@ def _index_of(r: RingTable, a) -> int:
     return a.index if isinstance(a, Element) else int(a)
 
 
-# per kind: the set a - e must lie in, and the certificate witness of w = a - e
+# per kind: the mask of the set a - e must lie in, the one membership test
+# (computed on first use, then read from the ring's cache), and the
+# certificate witness of w = a - e
 _KINDS = {
     STRONGLY_P_CLEAN: (
         lambda r: radicals.prime_radical(r).mask,
@@ -70,14 +73,6 @@ _KINDS = {
     STRONGLY_NIL_CLEAN: (lambda r: radicals.nilpotent_mask(r), radicals.element_nilpotency),
     STRONGLY_J_CLEAN: (lambda r: radicals.jacobson_radical(r).mask, lambda r, w: None),
 }
-
-
-def _in_set(r: RingTable, kind: str, xs) -> np.ndarray:
-    """Membership of xs in the set of `kind`; P-membership never computes
-    P(R) for a few elements."""
-    if kind == STRONGLY_P_CLEAN:
-        return radicals.in_prime_radical(r, xs)
-    return _KINDS[kind][0](r)[xs]
 
 
 def _hits(r: RingTable, kind: str, a: int, commuting: bool) -> np.ndarray:
@@ -94,7 +89,7 @@ def _hits(r: RingTable, kind: str, a: int, commuting: bool) -> np.ndarray:
             keep = r.vmul(aa, idem) == r.vmul(idem, aa)
             r.cache["commuting_idempotents"] = (a, keep)
         idem, neg = idem[keep], neg[keep]
-    return idem[_in_set(r, kind, r.vadd(aa, neg))]
+    return idem[_KINDS[kind][0](r)[r.vadd(aa, neg)]]
 
 
 def _certificate(r: RingTable, kind: str, a) -> tuple[CleanCertificate | None, int]:

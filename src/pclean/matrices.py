@@ -34,7 +34,7 @@ from .errors import (
     PreconditionFailed,
     TrivialIdempotent,
 )
-from .rings import DEFAULT_ORDER_LIMIT, RingTable, cached, derived_ring
+from .rings import DEFAULT_ORDER_LIMIT, RingTable, cached, derived_ring, require_order
 from .specs import derived_order
 
 IN_P = "IN_P"
@@ -160,17 +160,15 @@ class SimilarityWitness:
 # M2(r) / T2(r) as rings, with cached criteria masks
 
 
-def matrix_ring(r: RingTable, limit: int = DEFAULT_ORDER_LIMIT * 1024) -> RingTable:
+def matrix_ring(r: RingTable, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
     """M2(r), the same object as build_ring("M2(<r>)") gives."""
-    if derived_order("M", 2, r.order) > limit:
-        raise PreconditionFailed(f"M2({r.name}) exceeds the materialization limit {limit}")
+    require_order(f"M2({r.name})", derived_order("M", 2, r.order), limit)
     return derived_ring("M", 2, r)
 
 
 def triangular_ring(r: RingTable, k: int = 2, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
     """T_k(r), the same object as build_ring("T<k>(<r>)") gives."""
-    if derived_order("T", k, r.order) > limit:
-        raise PreconditionFailed(f"T{k}({r.name}) exceeds the materialization limit {limit}")
+    require_order(f"T{k}({r.name})", derived_order("T", k, r.order), limit)
     return derived_ring("T", k, r)
 
 
@@ -319,11 +317,7 @@ def _criteria(A: Matrix2) -> tuple[dict, CleanCertificate | None, list]:
     in M2(P(r)), (iii) A or I - A in M2(P(r)), or roots of the characteristic
     polynomial in P and in 1+P; the scan's certificate; and the roots."""
     r = A.ring
-    m2 = matrix_ring(r)
-    if m2.order <= DEFAULT_ORDER_LIMIT:
-        # P(M2(r)) once per base ring serves the scan of every later matrix
-        radicals.prime_radical(m2)
-    cert = strongly_pclean_element(m2, A.index)[0]
+    cert = strongly_pclean_element(A.m2, A.index)[0]
     roots = _roots(r, A.trace, A.det)
     trivial = _in_p(A) or _in_p(Matrix2.identity(r) - A)
     criteria = {
@@ -367,8 +361,7 @@ def diagonalize_split(A: Matrix2, cert: CleanCertificate) -> SimilarityWitness:
     r = A.ring
     _require_commutative(r)
     _require_local(r)
-    m2 = matrix_ring(r)
-    E = matrix_from_index(m2, cert.idempotent)
+    E = matrix_from_index(A.m2, cert.idempotent)
     ident = Matrix2.identity(r)
     if E == Matrix2.zero(r) or E == ident:
         raise TrivialIdempotent(f"idempotent {E} cannot be split-diagonalized")
@@ -561,7 +554,7 @@ def pi_regular_trichotomy(A: Matrix2) -> str:
         raise HypothesisViolated(
             f"{r.name} needs R/J(R) = Z_2 with J(R) nilpotent for the trichotomy"
         )
-    m2 = matrix_ring(r)
+    m2 = A.m2
     if r.is_unit(A.det):
         kind = UNIT
     elif radicals.element_nilpotency(m2, A.index) is not None:

@@ -206,15 +206,6 @@ def _known_prime_mask(r: RingTable) -> np.ndarray | None:
     return None if hit is None else hit[0]
 
 
-def in_prime_radical(r: RingTable, xs: np.ndarray) -> np.ndarray:
-    """Membership of xs in P(R): read from P(R) when it is cached, otherwise
-    tested element by element, so a few queries never pay for all of P(R)."""
-    pm = _known_prime_mask(r)
-    if pm is not None:
-        return pm[xs]
-    return np.fromiter((is_strongly_nilpotent(r, int(x))[0] for x in xs), bool, len(xs))
-
-
 def prime_radical(r: RingTable) -> Ideal:
     """The set of strongly nilpotent elements, by filter-then-certify.
 
@@ -334,5 +325,6 @@ def residue_is_z2(r: RingTable) -> bool:
 
 
 def is_locally_nilpotent(I: Ideal) -> bool:
-    """Every element of I generates a nilpotent ideal."""
-    return bool(in_prime_radical(I.ring, I.indices).all())
+    """Every element of I generates a nilpotent ideal: I lies in P(R), read
+    from P(R)'s mask, computed on first use."""
+    return bool(prime_radical(I.ring).mask[I.indices].all())

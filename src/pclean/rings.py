@@ -932,6 +932,13 @@ def _release_new_holds():
             del _RING_CACHE[key]
 
 
+def require_order(name: str, order: int, limit: int) -> None:
+    """The one error of a ring over its limit, built or about to be derived:
+    OrderLimitExceeded when the ring `name` of `order` elements exceeds `limit`."""
+    if order > limit:
+        raise OrderLimitExceeded(f"{name} has order {order} > limit {limit}")
+
+
 def build_ring(spec, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
     """Materialize a ring from a spec (or its text form), deterministically.
 
@@ -948,8 +955,8 @@ def build_ring(spec, limit: int = DEFAULT_ORDER_LIMIT) -> RingTable:
         if order > limit:
             raise OrderLimitExceeded(f"{name} describes order {order} > limit {limit}")
         ring = _LIVE_RINGS[name] = _make_ring(spec, name, limit)
-    elif ring.order > limit:
-        raise OrderLimitExceeded(f"{name} has order {ring.order} > limit {limit}")
+    else:
+        require_order(name, ring.order, limit)
     return _hold(ring)
 
 

@@ -269,4 +269,6 @@ def _parse_atom(sc: _Lit):
         base = _parse_product(sc)
         sc.expect(")")
         return FamilySpec(family, k, base)
+    if not ch:
+        raise MalformedSpec("unexpected end of spec", sc.pos)
     raise MalformedSpec(f"unexpected character {sc.peek()!r}", sc.pos)

@@ -27,7 +27,7 @@ import numpy as np
 from . import decompositions as dec
 from . import radicals as rad
 from . import specs
-from .errors import OrderLimitExceeded, PcleanError, UnknownTheoremId
+from .errors import PcleanError, UnknownTheoremId
 from .matrices import (
     Matrix2,
     definitional_mask,
@@ -53,6 +53,7 @@ from .rings import (
     corner_ring,
     derived_ring,
     ideal_closure_mask,
+    require_order,
     subgroup_basis,
 )
 
@@ -572,7 +573,6 @@ def _annihilators_carry(r: RingTable, a: int, e: int) -> bool:
 
 
 def _check_l3_1(r: RingTable, env: VerifyEnv):
-    rad.prime_radical(r)  # the commuting idempotents of each a read P(R) back
     for a in range(r.order):
         for e in dec._hits(r, dec.STRONGLY_P_CLEAN, a, commuting=True).tolist():
             if not _annihilators_carry(r, a, e):
@@ -633,7 +633,7 @@ def _check_c3_6(r: RingTable, env: VerifyEnv):
 
 
 def _check_p3_7(r: RingTable, env: VerifyEnv):
-    t2 = triangular_ring(r, 2, limit=env.limit)
+    t2 = derived_ring("T", 2, r)  # the guard has checked env.limit
     d = t2.kernel.digits(np.arange(t2.order, dtype=np.int64))
     p_or_1p = rad.prime_radical(r).mask | rad.one_plus_p_mask(r)
     ok_diag = p_or_1p[d[0]] & p_or_1p[d[2]]
@@ -942,11 +942,9 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
         if ring is None or not vals:
             return False
         for k in (2, 3):
-            order = specs.derived_order("T", k, ring.order)
-            if f"triangular_{k}_strongly_pclean" in vals and order > DEFAULT_ORDER_LIMIT:
-                raise OrderLimitExceeded(
-                    f"T{k}({ring.name}) has order {order} > limit {DEFAULT_ORDER_LIMIT}"
-                )
+            if f"triangular_{k}_strongly_pclean" in vals:
+                order = specs.derived_order("T", k, ring.order)
+                require_order(f"T{k}({ring.name})", order, DEFAULT_ORDER_LIMIT)
         return all(name in _RING_PROPS and _RING_PROPS[name](ring) == v for name, v in vals.items())
     if kind not in ("element", "matrix", "ideal", "ideal_pair"):
         return False

@@ -194,6 +194,6 @@ def test_matrix_analyze_limit_caps_the_matrix_ring(capsys):
         capsys, "matrix", "analyze", "Z9[w]", "[1,0;0,2]", "--limit", "100", "--json"
     )
     assert status == 2 and out == ""
-    assert err == "error: M2(Z9[w]) exceeds the materialization limit 100\n"
+    assert err == "error: M2(Z9[w]) has order 43046721 > limit 100\n"
     status, doc, _ = run_json(capsys, "matrix", "analyze", "Z4[i]", "[1,i;2,1+i]")
     assert status == 0 and doc["matrix"] == "[1,i;2,1+i]"  # M2 order 65536 = default limit

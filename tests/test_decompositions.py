@@ -362,6 +362,28 @@ def test_probe_reads_the_prime_radical(monkeypatch):
     assert "prime_ideal" in prod.cache and calls == []
 
 
+def test_per_element_answers_read_the_prime_radical_mask(monkeypatch):
+    # a fresh T2(Z8), whose P(R) no caller has computed: P-membership is
+    # read from P(R)'s mask, computed on first use, and strong nilpotence
+    # is asked only for the certificate witness of the remainder
+    calls = []
+    counted = rad.is_strongly_nilpotent
+
+    def counting(r, a):
+        calls.append(a)
+        return counted(r, a)
+
+    r = RingTable(TriangularKernel(2, build_ring("Z8")), "T2(Z8)")
+    a = r.parse_element("[3,2;0,4]").index
+    monkeypatch.setattr(rad, "is_strongly_nilpotent", counting)
+    assert dec.uniquely_pclean_count(r, a) == 8
+    assert "prime_ideal" in r.cache and calls == []
+    cert, count = dec.strongly_pclean_element(r, a)
+    assert count == 1 and r.fmt_index(cert.remainder) == "[2,4;0,4]" and cert.witness == 3
+    assert calls == [cert.remainder]
+    assert cert.validate() and calls == [cert.remainder] * 2
+
+
 @pytest.mark.parametrize("name", [*DEFAULT_CATALOG, "T2(Z32)", "M2(Z8)", "T2(Z4[i])", "Z4add110"])
 def test_sweep_matches_gather_oracle(name):
     # T2(Z32), M2(Z8) and T2(Z4[i]) lie above DENSE_TABLE_LIMIT, so their

@@ -11,6 +11,7 @@ from pclean.errors import (
     NotCommutative,
     NotInvertible,
     NotLocal,
+    OrderLimitExceeded,
     PreconditionFailed,
     TrivialIdempotent,
 )
@@ -36,7 +37,7 @@ from pclean.matrices import (
     triangular_pclean,
     triangular_ring,
 )
-from pclean.rings import build_ring
+from pclean.rings import build_ring, derived_ring
 
 from oracles import M2Oracle
 
@@ -240,7 +241,7 @@ def test_triangular_pclean_eisenstein():
 
 def test_triangular_pclean_keeps_the_t2_order_cap():
     # the CLI reports this error as the triangular-rule note
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(OrderLimitExceeded, match=r"^T2\(Z64\) has order 262144 > limit 65536$"):
         triangular_pclean(build_ring("Z64"), 1, 0, 0)
 
 
@@ -353,9 +354,10 @@ def test_det_multiplicative_trace_additive_sampled():
 
 @pytest.mark.parametrize("name", ["Z4", "Z8", "Z8[i]"])
 def test_matrix2_is_its_element_of_m2(name):
-    # M2(Z4) and M2(Z8) have tables, M2(Z8[i]) (order 64^4) runs on the codec
+    # M2(Z4) and M2(Z8) have tables, M2(Z8[i]) (order 64^4, above the
+    # default limit of matrix_ring) runs on the codec
     r = build_ring(name)
-    m2 = matrix_ring(r)
+    m2 = derived_ring("M", 2, r)
     add, mul = r.add, r.mul
     rng = np.random.default_rng(13)
     for _ in range(100):

@@ -69,6 +69,13 @@ def test_parse_errors(bad):
         parse_ring_spec(bad)
 
 
+@pytest.mark.parametrize("text,offset", [("Z2x", 3), ("M2(", 3), ("Z4xZ2x", 6)])
+def test_spec_cut_short_says_end_of_spec(text, offset):
+    with pytest.raises(MalformedSpec) as exc:
+        parse_ring_spec(text)
+    assert str(exc.value) == f"unexpected end of spec (at byte offset {offset})"
+
+
 def test_error_carries_offset():
     with pytest.raises(MalformedSpec) as exc:
         parse_ring_spec("Z4[q]")

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from pclean import decompositions as dec
 from pclean.errors import NotLiftable, OrderLimitExceeded, UnknownTheoremId
-from pclean.matrices import discriminant_criteria, matrix_from_index, matrix_ring
+from pclean.matrices import (
+    discriminant_criteria,
+    matrix_from_index,
+    matrix_ring,
+    triangular_pclean,
+    triangular_ring,
+)
 from pclean.rings import RingTable, build_ring
 from pclean.verifier import (
     CHECK_IDS,
@@ -495,6 +501,38 @@ def test_replay_of_a_triangular_side_above_the_default_limit_raises():
     check = TheoremCheck("T3.5", "Z8", "COUNTEREXAMPLE", payload, 0.0)
     with pytest.raises(OrderLimitExceeded, match=r"T3\(Z8\) has order 262144 > limit 65536"):
         replay_counterexample(check, ring=build_ring("Z8"))
+
+
+def _replay_side_on_z64(tid: str, side: str) -> bool:
+    from pclean.verifier import TheoremCheck
+
+    payload = {"kind": "sides", "values": {side: False}}
+    return replay_counterexample(TheoremCheck(tid, "Z64", "COUNTEREXAMPLE", payload, 0.0),
+                                 ring=build_ring("Z64"))
+
+
+_T2_Z64_OVER = "T2(Z64) has order 262144 > limit 65536"
+
+
+@pytest.mark.parametrize(
+    "call,want",
+    [
+        (lambda: matrix_ring(build_ring("Z64")), "M2(Z64) has order 16777216 > limit 65536"),
+        (lambda: triangular_ring(build_ring("Z64")), _T2_Z64_OVER),
+        (lambda: triangular_pclean(build_ring("Z64"), 1, 0, 0), _T2_Z64_OVER),
+        (lambda: _replay_side_on_z64("C3.6", "every_t2_matrix_trivial_or_diagonalizable"),
+         _T2_Z64_OVER),
+        (lambda: _replay_side_on_z64("T3.5", "triangular_2_strongly_pclean"), _T2_Z64_OVER),
+        # the live-ring branch: T2(Z64) exists, built under a larger limit
+        (lambda: build_ring("T2(Z64)", limit=1 << 20) and build_ring("T2(Z64)"), _T2_Z64_OVER),
+    ],
+    ids=["matrix_ring", "triangular_ring", "triangular_pclean", "replay_C3.6", "replay_T3.5",
+         "build_ring_live"],
+)
+def test_a_ring_over_its_limit_raises_one_error(call, want):
+    with pytest.raises(OrderLimitExceeded) as exc:
+        call()
+    assert str(exc.value) == want
 
 
 def test_l2_9_pair_above_the_limit_is_skipped_with_its_note():

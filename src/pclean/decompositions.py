@@ -241,22 +241,22 @@ def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
     with, tested as e0 w = w e0 for e0 and as ex = xe for the rest of the
     class.  In a ring this is the per-x condition: some e with ex = xe has
     x - e in `member` (or how many e have), as e0 w = w e0 there exactly
-    when e0 x = x e0.  In a ring by construction P(R) is an additive
-    subgroup, so with member P a class is every e with e - e0 in P, and
-    distinct classes have disjoint cosets; otherwise each e is its own
-    class.  A pass costs |member| lanes per class and a row and a column of
-    R per commuting e.
+    when e0 x = x e0.  In a ring by construction a class is every e with
+    e - e0 in P(R), computed on first use: each member set M here (P, J,
+    the units, the nilpotents) has M + P = M in a finite ring, so M + e =
+    M + e0.  On any other table each e is its own class.  A pass costs
+    |member| lanes per class and a row and a column of R per commuting e.
     """
 
     def make():
         need = 1 if commuting else 2
         members = np.flatnonzero(member)
-        cosets = r.by_construction and np.array_equal(member, radicals._known_prime_mask(r))
+        pm = radicals.prime_radical(r).mask if r.by_construction else None
         count = np.zeros(r.order, dtype=np.uint8)
         rest = r.idempotent_indices
         while rest.size and count.min() < need:
             e0 = np.int64(rest[0])
-            same = member[r.vsub(rest, e0)] if cosets else rest == e0
+            same = rest == e0 if pm is None else pm[r.vsub(rest, e0)]
             cls, rest, x = rest[same], rest[~same], r.vadd(members, e0)
             if not commuting:
                 count[x] = np.minimum(count[x] + min(cls.size, 2), 2)

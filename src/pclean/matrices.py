@@ -236,6 +236,11 @@ def one_minus_in_p_mask(m2: RingTable) -> np.ndarray:
     return cached(m2, "one_minus_in_p", make)
 
 
+def trivial_or_mask(m2: RingTable, branch: np.ndarray) -> np.ndarray:
+    """Mask over M2(r): A in M2(P(r)), or I - A in M2(P(r)), or `branch`."""
+    return entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
+
+
 def diff_in_p_mask(m2: RingTable) -> np.ndarray:
     """Criterion A - A^2 in M2(P(r)), vectorized over the whole matrix ring."""
 
@@ -266,7 +271,7 @@ def roots_criterion_mask(m2: RingTable) -> np.ndarray:
     def make():
         has_p, has_1p = root_pair_table(m2.kernel.base)
         _, tr, det, _ = m2_invariants(m2)
-        return entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | (has_p[tr, det] & has_1p[tr, det])
+        return trivial_or_mask(m2, has_p[tr, det] & has_1p[tr, det])
 
     return cached(m2, "roots_criterion", make)
 

@@ -6,15 +6,16 @@ Idempotents enter only through the sweep and hits of `decompositions`, 1+P
 through `radicals.one_plus_p_mask`, ideals through the exact lattice of
 `enumerate_ideals`, similarity by a unit through the orbit maps of
 `_conjugation_reach`, strong pi-regularity through the one whole-ring mask.
-Every ring-level side has one definition, in `_RING_PROPS`, and every
-element or matrix side that a mask check records has one whole-ring mask, in
-`_MASK_PROPS` (T4.4's three criteria in `_CRITERIA`); the checks and
-`replay_counterexample` both read these tables.  One driver, `_run_one`,
-times every check on every subject its `CheckDef.subjects` names (each ring,
-each unordered pair of rings, or once) and tries its guards.
-`replay_counterexample` re-verifies every payload kind (ring-level sides,
-element/matrix literals, ideals as the span of their recorded additive
-basis) by recomputing its recorded sides.
+Every ring-level side has one definition, in `_RING_PROPS`; every element
+or matrix property a mask check records has its pair of whole-ring masks
+(expected, actual) in `_MASK_SIDES` (T4.4's three criteria in `_CRITERIA`),
+and every ideal or per-element property its pair of sides in `_IDEAL_SIDES`
+or `_ELEMENT_SIDES`.  The checks and `replay_counterexample` both read these
+tables.  One driver, `_run_one`, times every check on every subject its
+`CheckDef.subjects` names (each ring, each unordered pair of rings, or once)
+and tries its guards.  Replay re-derives both recorded sides of every
+payload kind (ring-level sides, element/matrix literals, ideals as the span
+of their recorded additive basis) and reproduces only a disagreement.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .matrices import (
     entries_in_p_mask,
     m2_invariants,
     matrix_ring,
-    one_minus_in_p_mask,
     quadratic,
     root_pair_table,
     roots_criterion_mask,
     triangular_ring,
+    trivial_or_mask,
 )
 from .rings import (
     DEFAULT_ORDER_LIMIT,
@@ -155,10 +156,6 @@ def _cex(kind: str, ring: RingTable, prop: str, expected, actual, **subject) -> 
     }
 
 
-def _element_cex(r: RingTable, idx: int, prop: str, expected, actual) -> dict:
-    return _cex("element", r, prop, expected, actual, element=r.fmt_index(idx))
-
-
 def _ideal_cex(r: RingTable, mask: np.ndarray, prop: str, expected, actual, **extra) -> dict:
     return _cex(
         "ideal", r, prop, expected, actual,
@@ -230,29 +227,39 @@ def _in_p_and_1p(r: RingTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return rad.prime_radical(r).mask[x] & rad.one_plus_p_mask(r)[y]
 
 
-def _mask_check(ring: RingTable, kind: str, prop: str, expected: np.ndarray):
-    """HOLDS when the whole-ring mask of `prop` (its actual side, from
-    `_MASK_PROPS`) equals `expected`, else the least index where they differ
-    as a `kind` ("element" or "matrix") counterexample."""
-    actual = _MASK_PROPS[prop](ring)
-    bad = np.flatnonzero(actual != expected)
+def _mask_check(ring: RingTable, kind: str, prop: str, at: np.ndarray | None = None):
+    """HOLDS when the two whole-ring masks of `prop` in `_MASK_SIDES`
+    (expected, actual) agree at the indices `at` (every index when None),
+    else the first index of `at` where they differ as a `kind` ("element"
+    or "matrix") counterexample."""
+    expected, actual = _MASK_SIDES[prop](ring)
+    differ = expected != actual
+    bad = np.flatnonzero(differ) if at is None else at[differ[at]]
     if bad.size == 0:
         return HOLDS, None
     b = int(bad[0])
     return COUNTEREXAMPLE, _cex(
-        kind, ring, prop, bool(expected[b]), bool(actual[b]), **{kind: ring.fmt_index(b)}
+        kind, ring, prop, expected[b].item(), actual[b].item(), **{kind: ring.fmt_index(b)}
     )
+
+
+def _mask_run(family: str, prop: str):
+    """A check's run as one mask check of `prop` on family_2(r), whose order its guards check."""
+    kind = "matrix" if family == "M" else "element"
+    return lambda r, env: _mask_check(derived_ring(family, 2, r), kind, prop)
 
 
 # Guards: (subject, env) -> None, or the (verdict, note) that replaces the check.
 
 
-def _requires(holds, note: str, verdict: str = HYPOTHESIS_NOT_MET):
+def _requires(holds, note: str | None, verdict: str = HYPOTHESIS_NOT_MET):
     """Guard replacing a check by (verdict, note) on rings where holds(r) fails."""
     return lambda r, env: None if holds(r) else (verdict, note)
 
 
 _local = _requires(rad.is_local, "ring is not local")
+_pclean_ring = _requires(lambda r: dec.is_strongly_pclean_ring(r)[0], None)
+_uniquely_pclean_ring = _requires(lambda r: dec.is_uniquely_pclean_ring(r)[0], None)
 _commutative = _requires(lambda r: r.commutative, "ring is not commutative")
 _two_is_unit = _requires(lambda r: r.is_unit(r.embed_int(2)), "2 is not a unit")
 _residue_z2 = _requires(rad.residue_is_z2, "needs R/J = Z_2 with J nilpotent")
@@ -383,21 +390,79 @@ def _discriminant_branch(m2: RingTable) -> np.ndarray:
     return rad.one_plus_p_mask(r)[tr] & _squares_of_one_plus_p(r)[0][disc]
 
 
-# element and matrix sides: per property a mask check records, the one
-# whole-ring mask whose entry at the recorded element is its `actual` side
-_MASK_PROPS = {
-    "strongly_pclean": dec.strongly_pclean_mask,
-    "pclean_iff_diagonal_in_P_or_1P": dec.strongly_pclean_mask,
-    "radical_of_matrix_ring_is_matrix_of_radical": lambda m2: rad.prime_radical(m2).mask,
-    "pclean_iff_trivial_or_diag_similar": definitional_mask,
-    "pclean_iff_ratio_equation_root_in_P": definitional_mask,
-    "pclean_iff_discriminant_square_of_1P": definitional_mask,
-    "family_pclean_iff_1_plus_4pq_square": definitional_mask,
-    "pclean_iff_pi_regular_and_companion_similar": definitional_mask,
-    "pclean_implies_discriminant_square_of_1P": lambda m2: (
-        entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | _discriminant_branch(m2)
+def _diagonal_in_p_or_1p(t2: RingTable) -> np.ndarray:
+    """Per element of T2(r): both diagonal entries in P(r) or in 1+P(r)."""
+    r, d = t2.kernel.base, t2.kernel.digits(np.arange(t2.order, dtype=np.int64))
+    p_or_1p = rad.prime_radical(r).mask | rad.one_plus_p_mask(r)
+    return p_or_1p[d[0]] & p_or_1p[d[2]]
+
+
+def _diag_similar(m2: RingTable) -> np.ndarray:
+    """Per matrix: similar by a unit to diag(x, y), x in P and y in 1+P or back."""
+    r, d = m2.kernel.base, m2_invariants(m2)[0]
+    diag = (d[1] == r.zero) & (d[2] == r.zero)
+    return _conjugation_reach(m2, diag & (_in_p_and_1p(r, d[0], d[3]) | _in_p_and_1p(r, d[3], d[0])))
+
+
+def _ratio_branch(m2: RingTable) -> np.ndarray:
+    """Per matrix: tr in 1+P and x^2 - x + det/tr^2 = 0 has a root in P."""
+    r = m2.kernel.base
+    ratio_root = root_pair_table(r)[0][r.one]  # per c: x^2 - x + c = 0 has a root in P
+    _, tr, det, _ = m2_invariants(m2)
+    c = r.vmul(det, r.unit_inverses[r.vmul(tr, tr)] % r.order)  # garbage where tr not a unit
+    return rad.one_plus_p_mask(r)[tr] & ratio_root[c]
+
+
+def _companion_similar(m2: RingTable) -> np.ndarray:
+    """Per matrix: strongly pi-regular and similar by a unit to [0,p;1,u], p in P, u in 1+P."""
+    r, d = m2.kernel.base, m2_invariants(m2)[0]
+    qual = (d[0] == r.zero) & (d[2] == r.one) & _in_p_and_1p(r, d[1], d[3])
+    return _conjugation_reach(m2, qual) & dec.strongly_pi_regular_mask(m2)
+
+
+def _e5_3_sides(m2: RingTable) -> tuple[np.ndarray, np.ndarray]:
+    """On the family [[p+1, p], [q, p]] with p in P (False elsewhere): 1+4pq
+    the square of some u in 1+P, and strongly P-clean."""
+    r, d = m2.kernel.base, m2_invariants(m2)[0]
+    one = np.int64(r.one)
+    family = rad.prime_radical(r).mask[d[1]] & (d[0] == r.vadd(d[1], one)) & (d[3] == d[1])
+    four_pq = r.vmul(r.embed_int(4), r.vmul(d[1], d[2]))
+    return family & _squares_of_one_plus_p(r)[0][r.vadd(one, four_pq)], family & definitional_mask(m2)
+
+
+def _pclean_iff_trivial_or(branch):
+    """The sides of "A is strongly P-clean iff A is trivial or in `branch`"."""
+    return lambda m2: (trivial_or_mask(m2, branch(m2)), definitional_mask(m2))
+
+
+# element and matrix sides: per property a mask check records, its two
+# whole-ring masks (expected, actual), computed in that order, whose entries
+# at the recorded element are its sides; the checks and replay read them here
+_MASK_SIDES = {
+    "strongly_pclean": lambda t: (np.ones(t.order, dtype=bool), dec.strongly_pclean_mask(t)),
+    "pclean_iff_diagonal_in_P_or_1P": lambda t: (_diagonal_in_p_or_1p(t), dec.strongly_pclean_mask(t)),
+    "radical_of_matrix_ring_is_matrix_of_radical": lambda m2: (
+        entries_in_p_mask(m2), rad.prime_radical(m2).mask
     ),
-    "pi_regular_iff_unit_or_nilpotent_or_pclean": dec.strongly_pi_regular_mask,
+    "pclean_iff_trivial_or_diag_similar": _pclean_iff_trivial_or(_diag_similar),
+    "pclean_iff_ratio_equation_root_in_P": _pclean_iff_trivial_or(_ratio_branch),
+    "pclean_iff_discriminant_square_of_1P": _pclean_iff_trivial_or(_discriminant_branch),
+    "pclean_iff_pi_regular_and_companion_similar": _pclean_iff_trivial_or(_companion_similar),
+    "family_pclean_iff_1_plus_4pq_square": _e5_3_sides,
+    # necessity only: the side must hold wherever the definitional scan does
+    "pclean_implies_discriminant_square_of_1P": lambda m2: (
+        (side := trivial_or_mask(m2, _discriminant_branch(m2))) | definitional_mask(m2), side
+    ),
+    # the counts the ring verdict reads (saturated at 2): the claim predicts 1
+    # at every x of a uniquely P-clean ring, and nothing (0) on other rings
+    "uniquely_clean_count": lambda r: (
+        np.full(r.order, dec.is_uniquely_pclean_ring(r)[0], np.uint8),
+        dec._sweep(r, r.unit_mask, commuting=False),
+    ),
+    "pi_regular_iff_unit_or_nilpotent_or_pclean": lambda m2: (
+        m2.unit_mask | rad.nilpotent_mask(m2) | definitional_mask(m2),
+        dec.strongly_pi_regular_mask(m2),
+    ),
 }
 
 # T4.4's three criteria (see matrices._criteria), one whole-ring mask each
@@ -405,6 +470,46 @@ _CRITERIA = {
     "idempotent_scan": definitional_mask,
     "difference_in_radical": diff_in_p_mask,
     "quadratic_roots": roots_criterion_mask,
+}
+
+# ideal sides: per property an ideal payload records, (expected, actual) on
+# the recorded ideal; None where the claim says nothing, so no record matches
+_IDEAL_SIDES = {
+    "quotient_strongly_pclean": lambda r, mask, p: (_strongly_pclean(r), _quotient_pclean(r, mask)),
+    "pclean_iff_quotient_by_nilpotent_pclean": lambda r, mask, p: (
+        _strongly_pclean(r),
+        _quotient_pclean(r, mask) if rad.nilpotency_index(rad.Ideal(r, mask)) is not None else None,
+    ),
+    # R/I^n for the power I^n, n >= 2, of the recorded order
+    "pclean_quotient_stable_under_ideal_powers": lambda r, mask, p: (
+        _quotient_pclean(r, mask),
+        next((_quotient_pclean(r, q) for q in list(rad.ideal_powers(r, mask))[1:]
+              if q.sum() == p["power_order"]), None),
+    ),
+}
+
+
+def _lift_sides(r: RingTable, x: int, payload=None) -> tuple:
+    """T2.4's lift at x where x - x^2 lies in P: ("lift", "lift" or the error
+    of the failed lift); elsewhere the claim says nothing: (None, None)."""
+    if not rad.prime_radical(r).mask[r.sub(x, r.mul(x, x))]:
+        return None, None
+    try:
+        dec.idempotent_lift(r, x)
+    except PcleanError as exc:  # a failed lift is a genuine violation
+        return "lift", repr(exc)
+    return "lift", "lift"
+
+
+# the properties a check evaluates one element at a time: (expected, actual)
+# at the recorded element, or (None, None) where the claim says nothing
+_ELEMENT_SIDES = {
+    "idempotent_lift": _lift_sides,
+    "annihilators_carry_to_idempotent": lambda r, x, p: (
+        (True, _annihilators_carry(r, x, e))
+        if (e := r.parse_element(p["idempotent"]).index) in dec._hits(r, dec.STRONGLY_P_CLEAN, x, True)
+        else (None, None)
+    ),
 }
 
 
@@ -435,7 +540,6 @@ def _check_t2_1(r: RingTable, env: VerifyEnv):
 
 
 def _check_t2_4(r: RingTable, env: VerifyEnv):
-    pm = rad.prime_radical(r).mask
     sides = ["strongly_pclean_ring", "boolean_mod_prime", "idempotent_within_radical_for_all"]
     note = f"double-commutant side limited to order <= {COMMUTANT_BUDGET}"
     if r.order <= COMMUTANT_BUDGET:
@@ -445,13 +549,12 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
     if verdict[0] == COUNTEREXAMPLE:
         return verdict
     # constructive lifting: a - a^2 in P must lift to an idempotent inside P
-    # (idempotent_lift raises when the remainder escapes P)
     for a in range(r.order):
-        if pm[r.sub(a, r.mul(a, a))]:
-            try:
-                dec.idempotent_lift(r, a)
-            except PcleanError as exc:  # a failed lift is a genuine violation
-                return COUNTEREXAMPLE, _element_cex(r, a, "idempotent_lift", "lift", repr(exc))
+        expected, actual = _lift_sides(r, a)
+        if actual != expected:
+            return COUNTEREXAMPLE, _cex(
+                "element", r, "idempotent_lift", expected, actual, element=r.fmt_index(a)
+            )
     return HOLDS, note
 
 
@@ -466,25 +569,19 @@ def _check_c2_5(r: RingTable, env: VerifyEnv):
     return verdict, cex
 
 
-def _check_l2_6(r: RingTable, env: VerifyEnv):
-    if not dec.is_strongly_pclean_ring(r)[0]:
-        return HYPOTHESIS_NOT_MET, None
-    for mask in enumerate_ideals(r):
-        if not _quotient_pclean(r, mask):
-            return COUNTEREXAMPLE, _ideal_cex(r, mask, "quotient_strongly_pclean", True, False)
-    return HOLDS, None
+def _ideal_run(prop: str):
+    """A check's run over the ideals I of r, in `enumerate_ideals` order: the first I where
+    the two sides of `prop` differ, skipping those the claim says nothing of (actual None)."""
 
+    def run(r: RingTable, env: VerifyEnv):
+        _strongly_pclean(r)  # first: on a table that is no ring, P(R)'s error is raised
+        for mask in enumerate_ideals(r):
+            expected, actual = _IDEAL_SIDES[prop](r, mask, None)
+            if actual is not None and actual != expected:
+                return COUNTEREXAMPLE, _ideal_cex(r, mask, prop, expected, actual)
+        return HOLDS, None
 
-def _check_l2_7(r: RingTable, env: VerifyEnv):
-    base_verdict = dec.is_strongly_pclean_ring(r)[0]
-    for mask in enumerate_ideals(r):
-        if rad.nilpotency_index(rad.Ideal(r, mask)) is None:
-            continue
-        qv = _quotient_pclean(r, mask)
-        if qv != base_verdict:
-            prop = "pclean_iff_quotient_by_nilpotent_pclean"
-            return COUNTEREXAMPLE, _ideal_cex(r, mask, prop, base_verdict, qv)
-    return HOLDS, None
+    return run
 
 
 def _check_t2_8(r: RingTable, env: VerifyEnv):
@@ -533,24 +630,10 @@ def _check_t2_10(r: RingTable, env: VerifyEnv):
     return verdict, cex
 
 
-def _check_c2_11(r: RingTable, env: VerifyEnv):
-    if not dec.is_uniquely_pclean_ring(r)[0]:
-        return HYPOTHESIS_NOT_MET, None
-    uc, cex = dec.is_uniquely_clean_ring(r)
-    if uc:
-        return HOLDS, None
-    return COUNTEREXAMPLE, _element_cex(
-        r, cex, "uniquely_clean_count", 1, dec.uniquely_clean_count(r, cex)
-    )
-
-
 def _check_c2_12(r: RingTable, env: VerifyEnv):
-    if not dec.is_uniquely_pclean_ring(r)[0]:
-        return HYPOTHESIS_NOT_MET, None
     sizes, note = _within_limit("Tc", r, env)
     for k in sizes:
-        t = derived_ring("Tc", k, r)
-        verdict = _mask_check(t, "element", "strongly_pclean", np.ones(t.order, dtype=bool))
+        verdict = _mask_check(derived_ring("Tc", k, r), "element", "strongly_pclean")
         if verdict[0] == COUNTEREXAMPLE:
             return verdict
     return HOLDS, note
@@ -632,31 +715,8 @@ def _check_c3_6(r: RingTable, env: VerifyEnv):
     return verdict, cex
 
 
-def _check_p3_7(r: RingTable, env: VerifyEnv):
-    t2 = derived_ring("T", 2, r)  # the guard has checked env.limit
-    d = t2.kernel.digits(np.arange(t2.order, dtype=np.int64))
-    p_or_1p = rad.prime_radical(r).mask | rad.one_plus_p_mask(r)
-    ok_diag = p_or_1p[d[0]] & p_or_1p[d[2]]
-    return _mask_check(t2, "element", "pclean_iff_diagonal_in_P_or_1P", ok_diag)
-
-
 # ---------------------------------------------------------------------------
 # section 4 checks
-
-
-def _check_l4_1(r: RingTable, env: VerifyEnv):
-    m2 = matrix_ring(r)
-    prop = "radical_of_matrix_ring_is_matrix_of_radical"
-    return _mask_check(m2, "matrix", prop, entries_in_p_mask(m2))
-
-
-def _check_t4_2(r: RingTable, env: VerifyEnv):
-    m2 = matrix_ring(r)
-    d = m2_invariants(m2)[0]
-    offdiag0 = (d[1] == r.zero) & (d[2] == r.zero)
-    qual = offdiag0 & (_in_p_and_1p(r, d[0], d[3]) | _in_p_and_1p(r, d[3], d[0]))
-    rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | _conjugation_reach(m2, qual)
-    return _mask_check(m2, "matrix", "pclean_iff_trivial_or_diag_similar", rhs)
 
 
 def _check_t4_4(r: RingTable, env: VerifyEnv):
@@ -669,17 +729,6 @@ def _check_t4_4(r: RingTable, env: VerifyEnv):
     crit = {name: bool(m[bad]) for name, m in zip(_CRITERIA, masks)}
     return COUNTEREXAMPLE, {"kind": "matrix", "ring": m2.name, "matrix": m2.fmt_index(bad),
                             "property": "three_criteria_agree", "criteria": crit}
-
-
-def _check_c4_5(r: RingTable, env: VerifyEnv):
-    m2 = matrix_ring(r)
-    ratio_root = root_pair_table(r)[0][r.one]  # per c: x^2 - x + c = 0 has a root in P
-    _, tr, det, _ = m2_invariants(m2)
-    tr_ok = rad.one_plus_p_mask(r)[tr]
-    c = r.vmul(det, r.unit_inverses[r.vmul(tr, tr)] % r.order)  # garbage where tr not a unit
-    branch = tr_ok & ratio_root[c]
-    rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
-    return _mask_check(m2, "matrix", "pclean_iff_ratio_equation_root_in_P", rhs)
 
 
 def _check_e4_6(r: RingTable, env: VerifyEnv):
@@ -704,24 +753,15 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
 # section 5 checks
 
 
-def _check_t5_1(r: RingTable, env: VerifyEnv):
-    m2 = matrix_ring(r)
-    prop = "pclean_implies_discriminant_square_of_1P"
-    # necessity only: the side must hold wherever the definitional scan does
-    return _mask_check(m2, "matrix", prop, _MASK_PROPS[prop](m2) | definitional_mask(m2))
-
-
 def _check_c5_2(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    branch = _discriminant_branch(m2)
-    rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
-    verdict = _mask_check(m2, "matrix", "pclean_iff_discriminant_square_of_1P", rhs)
+    verdict = _mask_check(m2, "matrix", "pclean_iff_discriminant_square_of_1P")
     if verdict[0] == COUNTEREXAMPLE:
         return verdict
     # the constructed half-roots must solve the characteristic equation
     _, tr, det, disc = m2_invariants(m2)
     half = np.int64(r.inverse(r.embed_int(2)))
-    sel = np.flatnonzero(branch)
+    sel = np.flatnonzero(_discriminant_branch(m2))
     u = _squares_of_one_plus_p(r)[1][disc[sel]]
     x1 = r.vmul(half, r.vsub(tr[sel], u))
     x2 = r.vmul(half, r.vadd(tr[sel], u))
@@ -737,37 +777,11 @@ def _check_c5_2(r: RingTable, env: VerifyEnv):
 
 def _check_e5_3(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
-    # the family [[p+1, p], [q, p]] on the grid of p in P (rows) and q in R
+    # the family's grid of p in P (rows) and q in R, row-major: least p, then least q
     p = np.flatnonzero(rad.prime_radical(r).mask)[:, None]
     q = np.arange(r.order, dtype=np.int64)[None, :]
-    one = np.int64(r.one)
-    want = _squares_of_one_plus_p(r)[0][r.vadd(one, r.vmul(r.embed_int(4), r.vmul(p, q)))]
-    aidx = m2.kernel.encode(np.broadcast_arrays(r.vadd(p, one), p, q, p))
-    got = _MASK_PROPS["family_pclean_iff_1_plus_4pq_square"](m2)[aidx]
-    differ = np.flatnonzero(want != got)  # row-major: least p, then least q
-    if differ.size:
-        i = int(differ[0])
-        return COUNTEREXAMPLE, _cex(
-            "matrix", m2, "family_pclean_iff_1_plus_4pq_square", bool(want.flat[i]),
-            bool(got.flat[i]), matrix=m2.fmt_index(int(aidx.flat[i])),
-        )
-    return HOLDS, None
-
-
-def _check_t5_4(r: RingTable, env: VerifyEnv):
-    m2 = matrix_ring(r)
-    d = m2_invariants(m2)[0]
-    qual = (d[0] == r.zero) & (d[2] == r.one) & _in_p_and_1p(r, d[1], d[3])
-    reach = _conjugation_reach(m2, qual) & dec.strongly_pi_regular_mask(m2)
-    rhs = entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | reach
-    return _mask_check(m2, "matrix", "pclean_iff_pi_regular_and_companion_similar", rhs)
-
-
-def _check_p5_6(r: RingTable, env: VerifyEnv):
-    m2 = matrix_ring(r)
-    rhs = m2.unit_mask | rad.nilpotent_mask(m2) | definitional_mask(m2)
-    prop = "pi_regular_iff_unit_or_nilpotent_or_pclean"
-    return _mask_check(m2, "matrix", prop, rhs)
+    grid = m2.kernel.encode(np.broadcast_arrays(r.vadd(p, np.int64(r.one)), p, q, p))
+    return _mask_check(m2, "matrix", "family_pclean_iff_1_plus_4pq_square", grid.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -815,14 +829,14 @@ _CHECKS: list[CheckDef] = [
     CheckDef("T2.1", "strongly P-clean iff strongly clean + Boolean mod J + J locally nilpotent", _check_t2_1),
     CheckDef("T2.4", "four characterizations incl. Boolean mod P and the idempotent lift", _check_t2_4),
     CheckDef("C2.5", "strongly P-clean iff periodic and 1+U(R) strongly nilpotent", _check_c2_5),
-    CheckDef("L2.6", "homomorphic images stay strongly P-clean", _check_l2_6, (_ideal_enum,)),
-    CheckDef("L2.7", "P-cleanness passes through quotients by nilpotent ideals", _check_l2_7, (_ideal_enum,)),
+    CheckDef("L2.6", "homomorphic images stay strongly P-clean", _ideal_run("quotient_strongly_pclean"), (_ideal_enum, _pclean_ring)),
+    CheckDef("L2.7", "P-cleanness passes through quotients by nilpotent ideals", _ideal_run("pclean_iff_quotient_by_nilpotent_pclean"), (_ideal_enum,)),
     CheckDef("T2.8", "R/I vs R/I^n strongly P-clean", _check_t2_8, (_ideal_enum,)),
     CheckDef("L2.9", "finite direct products (restricted form)", _check_l2_9, (_product_within_limit,), _each_pair),
     CheckDef("P2.10", "quotients by I, J vs IJ and their intersection", _check_p2_10, (_ideal_enum,)),
     CheckDef("T2.10", "uniquely P-clean iff abelian + strongly P-clean", _check_t2_10),
-    CheckDef("C2.11", "uniquely P-clean implies uniquely clean", _check_c2_11),
-    CheckDef("C2.12", "constant-diagonal triangular rings over uniquely P-clean bases", _check_c2_12),
+    CheckDef("C2.11", "uniquely P-clean implies uniquely clean", lambda r, env: _mask_check(r, "element", "uniquely_clean_count"), (_uniquely_pclean_ring,)),
+    CheckDef("C2.12", "constant-diagonal triangular rings over uniquely P-clean bases", _check_c2_12, (_uniquely_pclean_ring,)),
     CheckDef("T2.13", "uniquely P-clean iff strongly P-clean + uniquely nil clean", _check_t2_13),
     CheckDef(
         "C2.14", "Boolean iff uniquely P-clean + primary ideals prime",
@@ -833,17 +847,17 @@ _CHECKS: list[CheckDef] = [
     CheckDef("C3.3", "ring P-clean iff every corner is", _check_c3_3),
     CheckDef("T3.5", "local ring: P-clean iff uniquely iff residue Z_2 iff T_n P-clean", _check_t3_5, (_local,)),
     CheckDef("C3.6", "T2 elements: trivial classes or unit-diagonalizable", _check_c3_6, (_local, _budget("T", SIM_BUDGET))),
-    CheckDef("P3.7", "triangular matrix P-clean iff diagonal in P or 1+P", _check_p3_7, (_local, _budget("T"))),
-    CheckDef("L4.1", "P(M_2(R)) = M_2(P(R)) element-wise", _check_l4_1, (_budget("M", MASK_BUDGET),)),
-    CheckDef("T4.2", "split P-clean matrices are unit-diagonalizable", _check_t4_2, (_local, _budget("M", SIM_BUDGET))),
+    CheckDef("P3.7", "triangular matrix P-clean iff diagonal in P or 1+P", _mask_run("T", "pclean_iff_diagonal_in_P_or_1P"), (_local, _budget("T"))),
+    CheckDef("L4.1", "P(M_2(R)) = M_2(P(R)) element-wise", _mask_run("M", "radical_of_matrix_ring_is_matrix_of_radical"), (_budget("M", MASK_BUDGET),)),
+    CheckDef("T4.2", "split P-clean matrices are unit-diagonalizable", _mask_run("M", "pclean_iff_trivial_or_diag_similar"), (_local, _budget("M", SIM_BUDGET))),
     CheckDef("T4.4", "three 2x2 criteria agree on every matrix", _check_t4_4, (_commutative, _local, _budget("M", MASK_BUDGET))),
-    CheckDef("C4.5", "ratio-form quadratic criterion", _check_c4_5, (_commutative, _local, _budget("M", MASK_BUDGET))),
+    CheckDef("C4.5", "ratio-form quadratic criterion", _mask_run("M", "pclean_iff_ratio_equation_root_in_P"), (_commutative, _local, _budget("M", MASK_BUDGET))),
     CheckDef("E4.6", "worked example over Z_4", _check_e4_6, (_z4_only, _budget("M"))),
-    CheckDef("T5.1", "necessity of the discriminant-square condition", _check_t5_1, (_commutative, _local, _budget("M", MASK_BUDGET))),
+    CheckDef("T5.1", "necessity of the discriminant-square condition", _mask_run("M", "pclean_implies_discriminant_square_of_1P"), (_commutative, _local, _budget("M", MASK_BUDGET))),
     CheckDef("C5.2", "discriminant equivalence when 2 is a unit", _check_c5_2, (_commutative, _local, _two_is_unit, _budget("M", MASK_BUDGET))),
     CheckDef("E5.3", "the [[p+1,p],[q,p]] family", _check_e5_3, (_commutative, _local, _budget("M", MASK_BUDGET))),
-    CheckDef("T5.4", "P-clean iff pi-regular and companion-similar", _check_t5_4, (_commutative, _local, _budget("M", SIM_BUDGET))),
-    CheckDef("P5.6", "pi-regular trichotomy over residue-Z_2 rings", _check_p5_6, (_commutative, _residue_z2, _budget("M", SIM_BUDGET))),
+    CheckDef("T5.4", "P-clean iff pi-regular and companion-similar", _mask_run("M", "pclean_iff_pi_regular_and_companion_similar"), (_commutative, _local, _budget("M", SIM_BUDGET))),
+    CheckDef("P5.6", "pi-regular trichotomy over residue-Z_2 rings", _mask_run("M", "pi_regular_iff_unit_or_nilpotent_or_pclean"), (_commutative, _residue_z2, _budget("M", SIM_BUDGET))),
 ]
 
 CHECK_IDS = [c.id for c in _CHECKS]
@@ -926,14 +940,14 @@ def load_catalog_file(path: str) -> list[str]:
 
 
 def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) -> bool:
-    """Re-verify a serialized counterexample from its payload alone.
-
-    Returns True when the recorded violation is reproduced.  `ring` overrides
-    the payload's ring lookup (needed for fixture rings with no spec); a
-    `sides` payload names no ring, so it replays only on the `ring` given,
-    and only when every recorded side is a known property with that value.
-    Raises OrderLimitExceeded when a recorded side names a T_k(ring) above
-    DEFAULT_ORDER_LIMIT.
+    """Re-verify a serialized counterexample from its payload alone: every
+    recorded side is re-derived from its one definition in the side tables,
+    and the payload replays True only when each equals its record and the
+    sides disagree (so a payload from a ring where the claim holds does not).
+    `ring` overrides the payload's ring lookup (needed for fixture rings
+    with no spec); a `sides` payload names no ring, so it replays only on
+    the `ring` given.  Raises OrderLimitExceeded when a recorded side names
+    a T_k(ring) above DEFAULT_ORDER_LIMIT.
     """
     payload = check.counterexample
     kind = payload and payload.get("kind")
@@ -958,40 +972,20 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
     if kind == "ideal_pair":
         got = _pair_sides(r, *masks)
         return all(payload[k] == v for k, v in got.items()) and len(set(got.values())) > 1
-    if kind == "ideal":
-        (mask,) = masks
-        if int(mask.sum()) != payload["ideal_order"]:
-            return False
-        if payload["property"] == "pclean_quotient_stable_under_ideal_powers":
-            powers = list(rad.ideal_powers(r, mask))
-            order = payload["power_order"]
-            mask = next((p for p in powers[1:] if p.sum() == order), powers[-1])
-        return _quotient_pclean(r, mask) == payload["actual"]
-    idx = r.parse_element(payload.get("element") or payload["matrix"]).index
-    if "criteria" in payload:  # a three-way criterion disagreement
-        got = {name: bool(crit(r)[idx]) for name, crit in _CRITERIA.items()}
-        return got == payload["criteria"] and len(set(got.values())) > 1
     prop = payload["property"]
-    if prop in _MASK_PROPS:
-        return bool(_MASK_PROPS[prop](r)[idx]) == payload.get("actual")
-    recompute = _ELEMENT_PROPS.get(prop)
-    return recompute is not None and recompute(r, idx, payload) == payload.get("actual")
-
-
-def _lift_side(r: RingTable, idx: int, payload: dict) -> str:
-    try:
-        dec.idempotent_lift(r, idx)
-    except PcleanError as exc:
-        return repr(exc)
-    return "lift"
-
-
-# the properties a check evaluates one element at a time: their `actual`
-# side at the recorded element
-_ELEMENT_PROPS = {
-    "idempotent_lift": _lift_side,
-    "uniquely_clean_count": lambda r, x, p: dec.uniquely_clean_count(r, x),
-    "annihilators_carry_to_idempotent": lambda r, x, p: _annihilators_carry(
-        r, x, r.parse_element(p["idempotent"]).index
-    ),
-}
+    if kind == "ideal":
+        if int(masks[0].sum()) != payload["ideal_order"] or prop not in _IDEAL_SIDES:
+            return False
+        sides = _IDEAL_SIDES[prop](r, masks[0], payload)
+    else:
+        idx = r.parse_element(payload.get("element") or payload["matrix"]).index
+        if "criteria" in payload:  # a three-way criterion disagreement
+            got = {name: bool(crit(r)[idx]) for name, crit in _CRITERIA.items()}
+            return got == payload["criteria"] and len(set(got.values())) > 1
+        if prop in _MASK_SIDES:
+            sides = tuple(side[idx].item() for side in _MASK_SIDES[prop](r))
+        elif prop in _ELEMENT_SIDES:
+            sides = _ELEMENT_SIDES[prop](r, idx, payload)
+        else:
+            return False
+    return sides == (payload.get("expected"), payload.get("actual")) and sides[0] != sides[1]

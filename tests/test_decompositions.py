@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pclean import decompositions as dec
 from pclean import radicals as rad
 from pclean.errors import NotLiftable, PcleanError
-from pclean.rings import ProductKernel, RingTable, TriangularKernel, build_ring
+from pclean.rings import MatrixKernel, ProductKernel, RingTable, TriangularKernel, build_ring
 from pclean.verifier import DEFAULT_CATALOG
 
 from oracles import clean_oracle, gather_sweep, pi_regular_oracle
@@ -416,6 +416,35 @@ def test_counting_sweep_scatters_once_per_coset_class(monkeypatch):
     dec._sweep(r, p, commuting=False)
     assert r.idempotent_indices.size == 66
     assert lanes.count(int(p.sum())) == 4
+
+
+@pytest.mark.parametrize("kernel, base", [(MatrixKernel, "Z4"), (TriangularKernel, "Z8")])
+def test_unit_sweeps_scatter_once_per_coset_class_of_p(monkeypatch, kernel, base):
+    # U + P = U in a finite ring, so the idempotents of one coset of P(R)
+    # share one coset of the units, and a unit sweep scatters once per such
+    # class; the counting sweep visits every class, as x = 0 never reaches
+    # a count of 2 (only e = 1 has -e a unit)
+    r = RingTable(kernel(2, build_ring(base)), f"{kernel.family}2({base})")
+    units, pn = r.unit_mask, np.flatnonzero(rad.prime_radical(r).mask)
+    classes = {int(r.vadd(pn, np.int64(e)).min()) for e in r.idempotent_indices}
+    assert len(classes) < r.idempotent_indices.size
+    want = {commuting: gather_sweep(r, units, commuting) for commuting in (True, False)}
+    lanes = []
+    vadd = RingTable.vadd
+
+    def recording(self, a, b):
+        if self is r:
+            lanes.append(np.broadcast(a, b).size)
+        return vadd(self, a, b)
+
+    monkeypatch.setattr(RingTable, "vadd", recording)
+    scatters = {}
+    for commuting in (True, False):
+        lanes.clear()
+        got = dec._sweep(r, units, commuting)
+        assert got.dtype == want[commuting].dtype and np.array_equal(got, want[commuting])
+        scatters[commuting] = lanes.count(int(units.sum()))
+    assert 1 <= scatters[True] <= scatters[False] == len(classes)
 
 
 def test_certificates_of_one_element_share_one_commuting_filter(monkeypatch):

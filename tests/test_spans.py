@@ -19,12 +19,13 @@ from pclean.rings import (
 )
 from pclean.verifier import (
     DEFAULT_CATALOG,
-    TheoremCheck,
     enumerate_ideals,
     replay_counterexample,
+    verify,
 )
 
 from oracles import additive_span, ideal_nilpotency, ideals_by_subgroups
+from table_kernel import corrupted_zn
 
 
 def _corner():
@@ -168,20 +169,26 @@ def test_ideal_powers_stop_at_zero_or_where_they_stabilize():
 
 
 def test_replay_picks_the_ideal_power_named_by_its_order():
-    payload = {
+    # Z4 with 0 + 1 = 3 is no ring: its ideal {0, 2} has square {0}, and the
+    # quotient by the ideal is strongly P-clean while the one by its square
+    # (the zero ideal) is not
+    bad = corrupted_zn(0, 1, 3, "Z4add013", op="add")
+    (check,) = verify("T2.8", [bad])
+    assert check.counterexample == {
         "kind": "ideal",
-        "ring": "Z8",
+        "ring": "Z4add013",
         "ideal_gens": ["2"],
-        "ideal_order": 4,
-        "power_order": 2,  # (2)^2 = (4), and Z8/(4) = Z4 is strongly P-clean
+        "ideal_order": 2,
+        "power_order": 1,
         "property": "pclean_quotient_stable_under_ideal_powers",
-        "expected": False,
-        "actual": True,
+        "expected": True,
+        "actual": False,
     }
-    check = TheoremCheck("T2.8", "Z8", "COUNTEREXAMPLE", payload, 0.0)
-    assert replay_counterexample(check)
-    payload["actual"] = False
-    assert not replay_counterexample(check)
+    assert replay_counterexample(check, ring=bad)
+    # no power I^n, n >= 2, has order 2 or 4, so neither names a side
+    for order in (2, 4):
+        check.counterexample["power_order"] = order
+        assert not replay_counterexample(check, ring=bad)
 
 
 def _brute_force_reps(r, ideal):

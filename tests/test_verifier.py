@@ -18,6 +18,7 @@ from pclean.matrices import (
 from pclean.rings import RingTable, build_ring
 from pclean.verifier import (
     CHECK_IDS,
+    TheoremCheck,
     TheoremReport,
     VerifyEnv,
     load_catalog_file,
@@ -216,6 +217,42 @@ def test_counterexample_payloads_are_pinned_and_replay(name, tid, payload):
         assert not replay_counterexample(check, ring=ring)
 
 
+@pytest.mark.parametrize(
+    "name, tid, payload",
+    [p for p in PINNED_PAYLOADS if '"expected"' in p[2]],
+    ids=[tid for _, tid, payload in PINNED_PAYLOADS if '"expected"' in payload],
+)
+def test_a_payload_whose_expected_side_is_changed_does_not_replay(name, tid, payload):
+    # both recorded sides are re-derived: with `expected` set to the actual
+    # side (a flip, for the boolean ones) the payload does not replay
+    bad = corrupted_zn(*map(int, name[-3:]), name, n=int(name[1]))
+    cex = json.loads(payload)
+    cex["expected"] = cex["actual"]
+    check = TheoremCheck(tid, name, "COUNTEREXAMPLE", cex, 0.0)
+    assert not replay_counterexample(check, ring=_payload_ring(bad, cex["ring"]))
+
+
+# payloads recorded where the claim holds: each check HOLDS on its ring, so
+# re-deriving both sides finds them equal and none of these replays
+HOLDING_PAYLOADS = [
+    ("L4.1", "Z4", {"kind": "matrix", "ring": "M2(Z4)", "matrix": "[2,0;0,0]",
+                    "property": "radical_of_matrix_ring_is_matrix_of_radical",
+                    "expected": False, "actual": True}),
+    ("T4.2", "Z4", {"kind": "matrix", "ring": "M2(Z4)", "matrix": "[1,2;2,2]",
+                    "property": "pclean_iff_trivial_or_diag_similar",
+                    "expected": False, "actual": True}),
+    ("L2.7", "Z8", {"kind": "ideal", "ring": "Z8", "ideal_gens": ["2"], "ideal_order": 4,
+                    "property": "pclean_iff_quotient_by_nilpotent_pclean",
+                    "expected": False, "actual": True}),
+]
+
+
+@pytest.mark.parametrize("tid, base, payload", HOLDING_PAYLOADS, ids=[p[0] for p in HOLDING_PAYLOADS])
+def test_a_payload_from_a_ring_where_the_claim_holds_does_not_replay(tid, base, payload):
+    assert [c.verdict for c in verify(tid, [base])] == ["HOLDS"]
+    assert not replay_counterexample(TheoremCheck(tid, base, "COUNTEREXAMPLE", payload, 0.0))
+
+
 def test_corrupted_tables_give_typed_outcomes_and_payloads_that_replay():
     # every single-entry corruption of the multiplication tables of Z2, Z3
     # and Z4 and of Z4's addition table, through the mask-checked ids and the
@@ -258,7 +295,7 @@ def test_t5_1_side_matches_the_discriminant_record(name):
     from pclean import verifier
 
     m2 = matrix_ring(build_ring(name))
-    side = verifier._MASK_PROPS["pclean_implies_discriminant_square_of_1P"](m2)
+    side = verifier._MASK_SIDES["pclean_implies_discriminant_square_of_1P"](m2)[1]
     assert side.tolist() == [_t5_1_side_from_the_record(m2, i) for i in range(m2.order)]
 
 
@@ -268,7 +305,7 @@ def test_t5_1_side_matches_the_discriminant_record_sampled(name, data):
     from pclean import verifier
 
     m2 = matrix_ring(build_ring(name))
-    side = verifier._MASK_PROPS["pclean_implies_discriminant_square_of_1P"](m2)
+    side = verifier._MASK_SIDES["pclean_implies_discriminant_square_of_1P"](m2)[1]
     idx = data.draw(st.integers(0, m2.order - 1))
     assert side[idx] == _t5_1_side_from_the_record(m2, idx)
 
@@ -549,13 +586,13 @@ def test_c2_12_sweeps_the_catalogs_own_tc_ring(monkeypatch):
     from pclean import verifier
 
     swept = []
-    sweep = verifier._MASK_PROPS["strongly_pclean"]
+    sides = verifier._MASK_SIDES["strongly_pclean"]
 
-    def recording_sweep(r):
+    def recording_sides(r):
         swept.append(r)
-        return sweep(r)
+        return sides(r)
 
-    monkeypatch.setitem(verifier._MASK_PROPS, "strongly_pclean", recording_sweep)
+    monkeypatch.setitem(verifier._MASK_SIDES, "strongly_pclean", recording_sides)
     checks = verify("C2.12", ["Z4", "Tc2(Z4)"])
     assert [c.verdict for c in checks] == ["HOLDS", "HOLDS"]
     tc2 = [r for r in swept if r.name == "Tc2(Z4)"]

@@ -42,7 +42,6 @@ from .matrices import (
     Matrix2,
     SimilarityWitness,
     classify_pclean_2x2,
-    companion_form,
     diagonalize_split,
     discriminant_criteria,
     matrix_ring,
@@ -69,7 +68,6 @@ from .rings import (
     RingTable,
     build_ring,
     corner_ring,
-    quotient_ring,
 )
 from .specs import canon, parse_ring_spec, spec_order
 from .verifier import (

@@ -201,11 +201,11 @@ def _ring_analyze(args) -> tuple[dict, int]:
 
 def _element_analyze(args) -> tuple[dict, int]:
     r = build_ring(args.spec, limit=args.limit)
-    x = r.parse_element(args.element)
-    i = x.index
+    i = r.parse_element(args.element).index
     p = rad.prime_radical(r)  # computed on first use; the element scans read its mask
     nilp = rad.element_nilpotency(r, i)
-    sn, sn_idx = rad.is_strongly_nilpotent(r, i)
+    sn = p.contains(i)  # P(R) is the strongly nilpotent elements
+    sn_idx = rad.is_strongly_nilpotent(r, i)[1] if sn else None
     pcert, pcount = dec.strongly_pclean_element(r, i)
     try:  # both need the unit mask, which is not enumerated at every order
         ccert, ccount = dec.strongly_clean_element(r, i)
@@ -229,7 +229,7 @@ def _element_analyze(args) -> tuple[dict, int]:
         "unit": r.is_unit(i),
         "nilpotent": {"is": nilp is not None, "exponent": nilp},
         "strongly_nilpotent": {"is": sn, "ideal_nilpotency_index": sn_idx},
-        "in_prime_radical": p.contains(i),
+        "in_prime_radical": sn,
         "in_jacobson_radical": rad.jacobson_radical(r).contains(i),
         "strongly_pclean": {"holds": pcert is not None, "count": pcount,
                             "certificate": _cert_report(pcert)},

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import radicals
 from .errors import NotLiftable, PcleanError, RingTooLarge
-from .rings import DENSE_TABLE_LIMIT, Element, RingTable, cached
+from .rings import DENSE_TABLE_LIMIT, RingTable, cached
 
 STRONGLY_CLEAN = "STRONGLY_CLEAN"
 STRONGLY_NIL_CLEAN = "STRONGLY_NIL_CLEAN"
@@ -57,10 +57,6 @@ class CleanCertificate:
         return f"{self.kind}({f(self.element)} = {f(self.idempotent)} + {f(self.remainder)})"
 
 
-def _index_of(r: RingTable, a) -> int:
-    return a.index if isinstance(a, Element) else int(a)
-
-
 # per kind: the mask of the set a - e must lie in, the one membership test
 # (computed on first use, then read from the ring's cache), and the
 # certificate witness of w = a - e
@@ -92,9 +88,9 @@ def _hits(r: RingTable, kind: str, a: int, commuting: bool) -> np.ndarray:
     return idem[_KINDS[kind][0](r)[r.vadd(aa, neg)]]
 
 
-def _certificate(r: RingTable, kind: str, a) -> tuple[CleanCertificate | None, int]:
+def _certificate(r: RingTable, kind: str, a: int) -> tuple[CleanCertificate | None, int]:
     """Certificate from the least qualifying commuting idempotent, and their count."""
-    a = _index_of(r, a)
+    a = int(a)
     good = _hits(r, kind, a, commuting=True)
     if good.size == 0:
         return None, 0
@@ -103,39 +99,39 @@ def _certificate(r: RingTable, kind: str, a) -> tuple[CleanCertificate | None, i
     return CleanCertificate(kind, r, a, e, w, _KINDS[kind][1](r, w)), int(good.size)
 
 
-def strongly_pclean_element(r: RingTable, a) -> tuple[CleanCertificate | None, int]:
+def strongly_pclean_element(r: RingTable, a: int) -> tuple[CleanCertificate | None, int]:
     """First commuting idempotent e with a - e strongly nilpotent, and their count."""
     return _certificate(r, STRONGLY_P_CLEAN, a)
 
 
-def strongly_clean_element(r: RingTable, a) -> tuple[CleanCertificate | None, int]:
+def strongly_clean_element(r: RingTable, a: int) -> tuple[CleanCertificate | None, int]:
     return _certificate(r, STRONGLY_CLEAN, a)
 
 
-def strongly_nilclean_element(r: RingTable, a) -> tuple[CleanCertificate | None, int]:
+def strongly_nilclean_element(r: RingTable, a: int) -> tuple[CleanCertificate | None, int]:
     return _certificate(r, STRONGLY_NIL_CLEAN, a)
 
 
-def strongly_jclean_element(r: RingTable, a) -> tuple[CleanCertificate | None, int]:
+def strongly_jclean_element(r: RingTable, a: int) -> tuple[CleanCertificate | None, int]:
     return _certificate(r, STRONGLY_J_CLEAN, a)
 
 
-def uniquely_clean_count(r: RingTable, a) -> int:
+def uniquely_clean_count(r: RingTable, a: int) -> int:
     """Number of idempotents e with a - e a unit (no commutation requirement)."""
-    return int(_hits(r, STRONGLY_CLEAN, _index_of(r, a), commuting=False).size)
+    return int(_hits(r, STRONGLY_CLEAN, int(a), commuting=False).size)
 
 
-def uniquely_nilclean_count(r: RingTable, a) -> int:
+def uniquely_nilclean_count(r: RingTable, a: int) -> int:
     """Number of idempotents e with a - e nilpotent (no commutation requirement)."""
-    return int(_hits(r, STRONGLY_NIL_CLEAN, _index_of(r, a), commuting=False).size)
+    return int(_hits(r, STRONGLY_NIL_CLEAN, int(a), commuting=False).size)
 
 
-def uniquely_pclean_count(r: RingTable, a) -> int:
+def uniquely_pclean_count(r: RingTable, a: int) -> int:
     """Number of idempotents e with a - e in P(R) (no commutation requirement)."""
-    return int(_hits(r, STRONGLY_P_CLEAN, _index_of(r, a), commuting=False).size)
+    return int(_hits(r, STRONGLY_P_CLEAN, int(a), commuting=False).size)
 
 
-def strongly_pi_regular_element(r: RingTable, a) -> tuple[bool, int | None, int | None]:
+def strongly_pi_regular_element(r: RingTable, a: int) -> tuple[bool, int | None, int | None]:
     """Least n with a^n = a^(n+1) b for some b commuting with a, and the least
     such b: the CLI's per-element form and the oracle of the whole-ring mask.
 
@@ -145,7 +141,7 @@ def strongly_pi_regular_element(r: RingTable, a) -> tuple[bool, int | None, int 
     tests: row a^(n+1) holds a^(n+1) y for every y, read at the commutant of
     a for the first and whole for the second; its entry at a is the next power.
     """
-    a = _index_of(r, a)
+    a = int(a)
     row = r.mul_row(a)
     commutant = np.flatnonzero(row == r.mul_col(a))
     found = bare_found = None
@@ -193,14 +189,14 @@ def strongly_pi_regular_mask(r: RingTable) -> np.ndarray:
     return cached(r, "pi_regular_mask", make)
 
 
-def idempotent_lift(r: RingTable, a) -> int:
+def idempotent_lift(r: RingTable, a: int) -> int:
     """Lift a to an idempotent via f(a), f(t) = sum C(2n,i) t^(2n-i) (1-t)^i.
 
     Requires a - a^2 nilpotent with exponent n.  The result commutes with
     everything that commutes with a (it is a polynomial in a) and a - f(a)
     is nilpotent; when a - a^2 lies in P(R), so does a - f(a).
     """
-    a = _index_of(r, a)
+    a = int(a)
     d = r.sub(a, r.mul(a, a))
     n = radicals.element_nilpotency(r, d)
     if n is None:

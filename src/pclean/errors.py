@@ -27,7 +27,7 @@ class RingTooLarge(PcleanError):
 
 
 class MixedRingOperands(PcleanError):
-    """Elements of two different rings were combined."""
+    """Matrices over two different rings were combined."""
 
 
 class RadicalNotIdeal(PcleanError):

@@ -4,9 +4,11 @@ A `Matrix2` is an element of M2(R) (`rings.derived_ring("M", 2, R)`): its +,
 - and * are that ring's add, sub and mul (tables or the one-element codec).
 Covers the quadratic-root criterion, the A - A^2 radical-membership test,
 the definitional idempotent scan (the three criteria the classifier
-cross-checks per matrix, each also as a whole-ring mask), explicit diagonal
-and companion similarity witnesses, the Sylvester-style phi-map solver for
-triangular matrices, and the discriminant records.
+cross-checks per matrix, each also as a whole-ring mask), the explicit
+diagonal similarity witness of a split matrix (a `SimilarityWitness` also
+carries the companion form, whose transvection identity the tests build),
+the Sylvester-style phi-map solver for triangular matrices, and the
+discriminant records.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import radicals
 from .decompositions import (
     STRONGLY_P_CLEAN,
     CleanCertificate,
-    _index_of,
     strongly_pclean_element,
     strongly_pi_regular_element,
 )
@@ -287,10 +288,10 @@ def definitional_mask(m2: RingTable) -> np.ndarray:
 # single-matrix operations
 
 
-def quadratic_roots(r: RingTable, t, d) -> list[tuple[int, str]]:
+def quadratic_roots(r: RingTable, t: int, d: int) -> list[tuple[int, str]]:
     """All x with x^2 - t x + d = 0, classified against P(r)."""
     _require_commutative(r)
-    return _roots(r, _index_of(r, t), _index_of(r, d))
+    return _roots(r, int(t), int(d))
 
 
 def _roots(r: RingTable, t: int, d: int) -> list[tuple[int, str]]:
@@ -394,48 +395,9 @@ def diagonalize_split(A: Matrix2, cert: CleanCertificate) -> SimilarityWitness:
     raise PcleanError(f"no diagonalizing conjugator found for {A} over {r.name}")
 
 
-def companion_form(r: RingTable, alpha, beta) -> SimilarityWitness:
-    """The explicit transvection product taking diag(alpha, beta) to its
-    companion matrix [[0, -alpha*beta], [1, alpha+beta]].
-
-    The product is evaluated verbatim in its non-commutative order so the
-    displayed identity itself is regression-tested; pre: alpha - beta a unit.
-    """
-    _require_commutative(r)
-    alpha, beta = _index_of(r, alpha), _index_of(r, beta)
-    dinv = r.inverse(r.sub(alpha, beta))
-    if dinv is None:
-        raise NotInvertible(f"alpha - beta is not a unit in {r.name}")
-    delta = r.sub(alpha, beta)
-
-    def b12(x):
-        return Matrix2(r, r.one, x, r.zero, r.one)
-
-    def b21(x):
-        return Matrix2(r, r.one, r.zero, x, r.one)
-
-    c = r.mul(alpha, dinv)
-    H = Matrix2.diag(r, delta, r.one) * b12(r.neg(c)) * b21(r.one)
-    Hinv = b21(r.neg(r.one)) * b12(c) * Matrix2.diag(r, dinv, r.one)
-    D = Matrix2.diag(r, alpha, beta)
-    C = H * D * Hinv
-
-    # non-commutative forms from the displayed product, then simplified
-    lam_nc = r.neg(r.mul(r.mul(r.mul(delta, alpha), dinv), beta))
-    mu_nc = r.add(r.mul(r.mul(delta, alpha), dinv), beta)
-    lam = r.neg(r.mul(alpha, beta))
-    mu = r.add(alpha, beta)
-    if (lam, mu) != (lam_nc, mu_nc):
-        raise PcleanError("commutative simplification of the companion parameters failed")
-    expected = Matrix2(r, r.zero, lam, r.one, mu)
-    if C != expected or H * Hinv != Matrix2.identity(r):
-        raise PcleanError(f"transvection product identity failed over {r.name}")
-    return SimilarityWitness(H, Hinv, "COMPANION", lam, mu)
-
-
-def solve_phi(r: RingTable, a, b, v) -> int:
+def solve_phi(r: RingTable, a: int, b: int, v: int) -> int:
     """x = sum a^-(k+1) v b^k solving a x - x b = v (a a unit, b nilpotent)."""
-    a, b, v = _index_of(r, a), _index_of(r, b), _index_of(r, v)
+    a, b, v = int(a), int(b), int(v)
     ainv = r.inverse(a)
     if ainv is None:
         raise PreconditionFailed(f"{r.fmt_index(a)} is not a unit in {r.name}")
@@ -455,7 +417,7 @@ def solve_phi(r: RingTable, a, b, v) -> int:
 
 
 def triangular_pclean(
-    r: RingTable, a, b, v, limit: int = DEFAULT_ORDER_LIMIT
+    r: RingTable, a: int, b: int, v: int, limit: int = DEFAULT_ORDER_LIMIT
 ) -> CleanCertificate | None:
     """Strong P-cleanness of [[a, v], [0, b]] in T2(r) by the diagonal rule.
 
@@ -463,7 +425,7 @@ def triangular_pclean(
     phi-map in the mixed cases), or None when a or b avoids P and 1+P.
     """
     _require_local(r)
-    a, b, v = _index_of(r, a), _index_of(r, b), _index_of(r, v)
+    a, b, v = int(a), int(b), int(v)
     pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
     if not ((pm[a] or onep[a]) and (pm[b] or onep[b])):
         return None

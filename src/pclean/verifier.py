@@ -189,6 +189,8 @@ def enumerate_ideals(r: RingTable) -> list[np.ndarray]:
     Every ideal is a finite join of principal ideals, so the lattice is the
     distinct principal ideals closed under joins with them: each newly found
     ideal I is joined with each principal P as the additive span of I | P.
+    On a table that is no ring such a span need not be an ideal, so only the
+    spans `_certify_ideal` accepts are kept.
     """
 
     def make():
@@ -207,7 +209,8 @@ def enumerate_ideals(r: RingTable) -> list[np.ndarray]:
                             seen[m.tobytes()] = m
                             found.append(m)
             new = found
-        return sorted(seen.values(), key=lambda m: (int(m.sum()), m.tobytes()))
+        ideals = [m for m in seen.values() if rad._certify_ideal(r, m)]
+        return sorted(ideals, key=lambda m: (int(m.sum()), m.tobytes()))
 
     return cached(r, "ideal_enum", make)
 

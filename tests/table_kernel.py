@@ -52,11 +52,19 @@ class TableKernel:
             raise MalformedSpec(f"unknown element label {tok!r}", start) from None
 
 
+def corrupted(spec: str, op: str, row: int, col: int, val: int, name: str | None = None) -> RingTable:
+    """The Cayley tables of the ring `spec` with op[row][col] = val, where op
+    is "mul" or "add", as a TableKernel ring with numeric labels."""
+    r = build_ring(spec)
+    idx = np.arange(r.order, dtype=np.int64)
+    tables = {f: np.array(vop(idx[:, None], idx[None, :]), np.int64)
+              for f, vop in (("add", r.vadd), ("mul", r.vmul))}
+    tables[op][row, col] = val
+    name = name or f"{r.name}{op}{row},{col}:{val}"
+    return RingTable(TableKernel(tables["add"], tables["mul"], zero=r.zero, one=r.one), name)
+
+
 def corrupted_zn(row: int, col: int, val: int, name: str, n: int = 4, op: str = "mul") -> RingTable:
     """Z_n's tables (Z4 unless n is given) with op[row][col] = val, where op
     is "mul" or "add"."""
-    zn = build_ring(f"Z{n}")
-    tables = {f: np.array([[getattr(zn, f)(a, b) for b in range(n)] for a in range(n)])
-              for f in ("add", "mul")}
-    tables[op][row][col] = val
-    return RingTable(TableKernel(tables["add"], tables["mul"], zero=0, one=1), name)
+    return corrupted(f"Z{n}", op, row, col, val, name)

@@ -545,8 +545,8 @@ def test_size_one_matrix_families_degenerate_to_base():
         "T2(Z4xZ2)",
         "Z4x(Z2xZ3)",  # nested product
         "T2(Z4[i])",
-        "Z9xZ25xZ9",  # mixed radices, uneven last row block
-        "T1(M2(Z8))",  # a single digit split into row blocks
+        "Z9xZ25xZ9",  # mixed radices
+        "T1(M2(Z8))",  # a single digit of radix 4096
     ],
 )
 def test_dense_tables_match_kernel_ops(name):
@@ -638,7 +638,7 @@ def test_k_by_k_family_products_match_the_matrix_oracle(name, k, n):
     want = [mat_mul(mat(i), mat(j), n, k) for i, j in zip(x.tolist(), y.tolist())]
     for ops in (r, r.kernel):  # the tables (when dense) and the digit formulas
         assert [mat(p) for p in ops.vmul(x, y).tolist()] == want
-    row = r.kernel.mul_line(int(x[0]))  # the digit formulas on the open mesh
+    (row,) = r.kernel.lines("mul", int(x[0]))  # the digit formulas on the open mesh
     assert [mat(p) for p in row.tolist()] == [
         mat_mul(mat(int(x[0])), mat(j), n, k) for j in range(r.order)
     ]
@@ -727,5 +727,5 @@ def test_mul_row_and_col_match_vmul(name, dense):
         assert np.array_equal(row, r.vmul(np.int64(x), idx)), x
         assert np.array_equal(col, r.vmul(idx, np.int64(x))), x
         if isinstance(r.kernel, _DigitKernel):  # the digit mesh, on dense rings too
-            assert np.array_equal(r.kernel.mul_line(x), row), x
-            assert np.array_equal(r.kernel.mul_line(x, col=True), col), x
+            assert np.array_equal(r.kernel.lines("mul", x), [row]), x
+            assert np.array_equal(r.kernel.lines("mul", x, col=True), [col]), x

@@ -1,4 +1,4 @@
-"""The row-block producer of the Cayley tables and its consumers: the dense
+"""The one evaluator of Cayley-table lines and its consumers: the dense
 table build, the unit scan and the Jacobson scan; and the units and J(R) of
 rings by construction, which read no rows."""
 
@@ -42,42 +42,61 @@ def _ring(name):
 
 
 # one ring per kernel family; above DENSE_TABLE_LIMIT (1024) a ring has no
-# tables and several row blocks (mesh blocks of a digit kernel, chunks of the
-# vector op otherwise), while a ring with tables yields one slice of them, and
-# a digit kernel's mesh blocks are read on such a ring too
+# tables, and its lines come from the digit mesh of a digit kernel or from the
+# vector op on broadcast indices otherwise, while a ring with tables gathers
+# its rows, and a digit kernel's mesh is read on such a ring too
 PRODUCER_RINGS = [
     "Z1500",  # Zn
-    "Z4099",  # Zn above DENSE_TABLE_LIMIT: chunks of the kernel's vmul
+    "Z4099",  # Zn above DENSE_TABLE_LIMIT: the kernel's vmul
     "Z33[i]",  # QuadExt
-    "M2(Z6)",  # Matrix, mesh blocks of a partial digit run
+    "M2(Z6)",  # Matrix
     "T2(Z12)",  # Triangular
     "Tc2(Z36)",  # ConstDiag
-    "Z9xZ25xZ9",  # Product, uneven last block
-    "T2(Z8)xZ9",  # Product above DENSE_TABLE_LIMIT: mesh blocks only
-    "T2(Z4)xZ3",  # Product with tables: the slice and the mesh blocks
+    "Z9xZ25xZ9",  # Product, uneven last chunk
+    "T2(Z8)xZ9",  # Product above DENSE_TABLE_LIMIT: the digit mesh only
+    "T2(Z4)xZ3",  # Product with tables: the gather and the digit mesh
     "(Z64xZ64)/([8,0])",  # Quotient
     "M2(Z8)|e11",  # Subset
 ]
+WHOLE_TABLE_BUDGET = 2048  # orders whose every line is compared at once
 
 
 @pytest.mark.parametrize("name", PRODUCER_RINGS)
 def test_row_blocks_match_kernel_ops(name):
+    # blocks of rows (every row, one row, index-array chunks) and columns of
+    # both tables from `RingTable._lines` and `_DigitKernel.lines`
     r = _ring(name)
     n = r.order
     assert (r._mul_t is not None) == (n <= DENSE_TABLE_LIMIT)
     idx = np.arange(n, dtype=np.int64)
-    sources = [("mul", r.row_blocks()), ("add", r.row_blocks("add"))]
-    if r._mul_t is not None and isinstance(r.kernel, _DigitKernel):
-        sources += [("mul", r.kernel.row_blocks("mul")), ("add", r.kernel.row_blocks("add"))]
-    for op, blocks in sources:
+    rows = max(1, _CHUNK // n)
+    sample = np.random.default_rng(5).integers(0, n, size=7)
+    sources = [r._lines]
+    if isinstance(r.kernel, _DigitKernel):  # the digit mesh, on dense rings too
+        sources.append(r.kernel.lines)
+    for op in ("mul", "add"):
         vop = r.kernel.vmul if op == "mul" else r.kernel.vadd
-        covered = 0
-        for start, stop, block in blocks:
-            assert start == covered < stop  # ascending, contiguous rows
-            assert block.shape == (stop - start, n) and block.size <= max(n, _CHUNK)
-            assert np.array_equal(block, vop(idx[start:stop, None], idx[None, :]))
-            covered = stop
-        assert covered == n
+
+        def want(xs, col):
+            return vop(idx[None, :], xs[:, None]) if col else vop(xs[:, None], idx[None, :])
+
+        whole = {col: want(idx, col) for col in (False, True)} if n <= WHOLE_TABLE_BUDGET else {}
+        for lines in sources:
+            # every row, one lane-axis chunk at a time, as the unit scan reads them
+            for start in range(0, n, rows):
+                xs = idx[start : start + rows]
+                assert np.array_equal(lines(op, xs), want(xs, False))
+            for col in (False, True):
+                assert np.array_equal(lines(op, sample, col), want(sample, col))
+                for x in (r.zero, r.one, int(sample[0])):
+                    assert np.array_equal(lines(op, x, col), want(np.array([x]), col))
+                if col in whole:  # every row at once
+                    assert np.array_equal(lines(op, None, col), whole[col])
+        if isinstance(r.kernel, _DigitKernel):  # exact in any dtype holding order - 1
+            for xs in (None, r.one, sample) if whole else (r.one, sample):
+                narrow = r.kernel.lines(op, xs, dtype=np.uint16)
+                assert narrow.dtype == np.uint16
+                assert np.array_equal(narrow, r.kernel.lines(op, xs))
 
 
 @pytest.mark.parametrize("name", DEFAULT_CATALOG + ["T2(Z8)xZ9"])
@@ -242,13 +261,14 @@ def test_element_analyze_reads_no_rows_of_a_ring_by_construction(
     # a fresh registry, so the queried ring and its caches are built here
     monkeypatch.setattr(rings, "_LIVE_RINGS", weakref.WeakValueDictionary())
     monkeypatch.setattr(rings, "_RING_CACHE", OrderedDict())
-    calls, row_blocks = Counter(), RingTable.row_blocks
+    calls, lines = Counter(), RingTable._lines
 
-    def counted(self, *args, **kwargs):
-        calls[self.name] += 1
-        return row_blocks(self, *args, **kwargs)
+    def counted(self, op, xs=None, col=False):
+        if not isinstance(xs, (int, np.integer)):  # more than one row
+            calls[self.name] += 1
+        return lines(self, op, xs, col)
 
-    monkeypatch.setattr(RingTable, "row_blocks", counted)
+    monkeypatch.setattr(RingTable, "_lines", counted)
     assert main(["element", "analyze", name, literal, "--json"]) == 0
     assert '"unit"' in capsys.readouterr().out
     cache = rings._LIVE_RINGS[name].cache

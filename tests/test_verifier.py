@@ -28,7 +28,7 @@ from pclean.verifier import (
 )
 
 from oracles import conjugation_reach_oracle
-from table_kernel import corrupted_zn
+from table_kernel import corrupted, corrupted_zn
 
 
 def test_check_ids_cover_the_numbered_claims():
@@ -301,6 +301,22 @@ def test_corrupted_tables_give_typed_outcomes_and_payloads_that_replay():
     replays = [(case, tid, *r) for case in cases for tid in tids for r in run_case(case, tid)[1]]
     assert len(replays) == 288
     assert [r for r in replays if not (r[-2] and r[-1])] == []
+
+
+@pytest.mark.parametrize(
+    "spec, row, col, val", [("Z2[w]", 0, 1, 3), ("Z2[w]", 0, 2, 1), ("T2(Z2)", 4, 2, 4)]
+)
+def test_p2_10_reads_only_certified_ideals_of_a_table(spec, row, col, val):
+    # on these tables the additive span of a principal ideal is no ideal (on
+    # the first, {0, 3} holds 3 but not 3*1 = 2); P2.10 once recorded such a
+    # span as an ideal_pair payload, which replay then rejected
+    from pclean import radicals as rad
+    from pclean.verifier import enumerate_ideals
+
+    bad = corrupted(spec, "mul", row, col, val)
+    assert all(rad._certify_ideal(bad, m) for m in enumerate_ideals(bad))
+    (check,) = verify("P2.10", [bad])
+    assert check.verdict == "HOLDS"
 
 
 @pytest.mark.parametrize("tid", ["T2.4", "L2.6", "L2.7", "T2.8", "P2.10"])

@@ -11,12 +11,14 @@ or matrix property a mask check records has its pair of whole-ring masks
 (expected, actual) in `_MASK_SIDES` (T4.4's three criteria in `_CRITERIA`),
 and every ideal or per-element property its pair of sides in `_IDEAL_SIDES`
 or `_ELEMENT_SIDES`.  The checks and `replay_counterexample` both read these
-tables.  One driver, `_run_one`, times every check on every subject its
-`CheckDef.subjects` names (each ring, each unordered pair of rings, or once)
-and tries its guards.  Replay re-derives both recorded sides of every
-payload kind (ring-level sides, element/matrix literals, ideals as the span
-of their recorded additive basis) and reproduces only a disagreement, and
-only on a subject where the check's hypothesis guards pass.
+tables, and most checks are entries: a mask property (`_mask_run`), or
+ring-level sides and a witness (`_sides_run`).  One driver, `_run_one`,
+times every check on every subject its `CheckDef.subjects` names (each
+ring, each unordered pair of rings, or once) and tries its guards.  Replay
+re-derives every recorded side of every payload kind but E4.6's (ring-level
+sides, element/matrix literals, ideals as the span of their recorded
+additive basis) and reproduces only a violation of the claim's rule
+(`_claim_fails` for ring-level sides), only where the guards pass.
 """
 
 from __future__ import annotations
@@ -314,26 +316,33 @@ def _double_commutant_idempotent(r: RingTable) -> bool:
     return all(map(ok, range(r.order)))
 
 
-def _bad_corner(r: RingTable):
-    """(f, fRf, least failing index of fRf) for the first nonzero idempotent f
-    whose corner is not strongly P-clean; None when every corner is (the
-    zero corner is the zero ring, trivially clean)."""
+def _bad_corner(r: RingTable) -> dict | None:
+    """C3.3's witness: the first nonzero idempotent f whose corner fRf is not
+    strongly P-clean, and the least failing element of fRf; None when every
+    corner is (the zero corner is the zero ring, trivially clean)."""
     for f in r.idempotent_indices.tolist():
         if f != r.zero:
             corner, _ = corner_ring(r, f)
             ok, cex = dec.is_strongly_pclean_ring(corner)
             if not ok:
-                return f, corner, cex
+                return {"corner": r.fmt_index(f), "witness": corner.fmt_index(cex)}
     return None
 
 
-def _t2_trivial_or_diagonalizable(r: RingTable) -> tuple[RingTable, np.ndarray]:
-    """T2(r) and, per element, whether it lies in P, in 1+P, or is similar by
-    a unit to a diagonal matrix with one entry in P and the other in 1+P."""
+def _one_plus_units_outside_p(r: RingTable) -> np.ndarray:
+    """The 1+u outside P(r), u running over the units in ascending order."""
+    shifted = r.vadd(np.int64(r.one), r.unit_indices)
+    return shifted[~rad.prime_radical(r).mask[shifted]]
+
+
+def _t2_not_trivial_or_diagonalizable(r: RingTable) -> tuple[RingTable, np.ndarray]:
+    """T2(r) and its elements, ascending, neither in P nor in 1+P nor similar
+    by a unit to a diagonal matrix with one entry in P and the other in 1+P."""
     t2 = triangular_ring(r)
     d = t2.kernel.digits(np.arange(t2.order, dtype=np.int64))
     qual = (d[1] == r.zero) & (_in_p_and_1p(r, d[0], d[2]) | _in_p_and_1p(r, d[2], d[0]))
-    return t2, rad.prime_radical(t2).mask | rad.one_plus_p_mask(t2) | _conjugation_reach(t2, qual)
+    ok = rad.prime_radical(t2).mask | rad.one_plus_p_mask(t2) | _conjugation_reach(t2, qual)
+    return t2, np.flatnonzero(~ok)
 
 
 def _strongly_pclean(r: RingTable) -> bool:
@@ -351,9 +360,7 @@ _RING_PROPS = {
     "jacobson_locally_nilpotent": lambda r: rad.is_locally_nilpotent(
         rad.jacobson_radical(r)
     ),
-    "one_plus_units_strongly_nilpotent": lambda r: bool(
-        rad.prime_radical(r).mask[r.vadd(np.int64(r.one), r.unit_indices)].all()
-    ),
+    "one_plus_units_strongly_nilpotent": lambda r: _one_plus_units_outside_p(r).size == 0,
     # some idempotent e with x - e in P, commuting or not: the uniquely
     # P-clean pass counts them for every x
     "idempotent_within_radical_for_all": lambda r: bool(
@@ -368,9 +375,7 @@ _RING_PROPS = {
     # checks the order of T_k(r) first
     "triangular_2_strongly_pclean": lambda r: _strongly_pclean(derived_ring("T", 2, r)),
     "triangular_3_strongly_pclean": lambda r: _strongly_pclean(derived_ring("T", 3, r)),
-    "every_t2_matrix_trivial_or_diagonalizable": lambda r: bool(
-        _t2_trivial_or_diagonalizable(r)[1].all()
-    ),
+    "every_t2_matrix_trivial_or_diagonalizable": lambda r: _t2_not_trivial_or_diagonalizable(r)[1].size == 0,
     "product_strongly_pclean": _strongly_pclean,
     # None on a ring that is no direct product, so no recorded side matches
     "both_factors_strongly_pclean": lambda r: (
@@ -392,6 +397,20 @@ def _discriminant_branch(m2: RingTable) -> np.ndarray:
     """Per matrix: tr in 1+P and disc = tr^2 - 4 det the square of some u in 1+P."""
     r, (_, tr, _, disc) = m2.kernel.base, m2_invariants(m2)
     return rad.one_plus_p_mask(r)[tr] & _squares_of_one_plus_p(r)[0][disc]
+
+
+def _half_roots_sides(m2: RingTable) -> tuple[np.ndarray, np.ndarray]:
+    """C5.2's discriminant branch (2 a unit), and where in it the half roots
+    (tr - u)/2 in P and (tr + u)/2 in 1+P, u the least square root in 1+P of
+    disc, solve the characteristic equation."""
+    r, (_, tr, det, disc) = m2.kernel.base, m2_invariants(m2)
+    half, branch = np.int64(r.inverse(r.embed_int(2))), _discriminant_branch(m2)
+    sel = np.flatnonzero(branch)
+    u = _squares_of_one_plus_p(r)[1][disc[sel]]
+    ok, x1, x2 = branch.copy(), r.vmul(half, r.vsub(tr[sel], u)), r.vmul(half, r.vadd(tr[sel], u))
+    for roots, want in ((x1, rad.prime_radical(r).mask), (x2, rad.one_plus_p_mask(r))):
+        ok[sel] &= (quadratic(r, roots, tr[sel], det[sel]) == r.zero) & want[roots]
+    return branch, ok
 
 
 def _diagonal_in_p_or_1p(t2: RingTable) -> np.ndarray:
@@ -453,6 +472,7 @@ _MASK_SIDES = {
     "pclean_iff_discriminant_square_of_1P": _pclean_iff_trivial_or(_discriminant_branch),
     "pclean_iff_pi_regular_and_companion_similar": _pclean_iff_trivial_or(_companion_similar),
     "family_pclean_iff_1_plus_4pq_square": _e5_3_sides,
+    "half_roots_solve_characteristic_equation": _half_roots_sides,
     # necessity only: the side must hold wherever the definitional scan does
     "pclean_implies_discriminant_square_of_1P": lambda m2: (
         (side := trivial_or_mask(m2, _discriminant_branch(m2))) | definitional_mask(m2), side
@@ -505,6 +525,24 @@ def _lift_sides(r: RingTable, x: int, payload=None) -> tuple:
     return "lift", "lift"
 
 
+def _corner_sides(r: RingTable, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T3.2 at the corner fRf of a nonzero idempotent f: its members, and per
+    member whether it is strongly P-clean in r and in fRf."""
+    in_r = dec.strongly_pclean_mask(r)
+    corner, members = corner_ring(r, f)
+    return members, in_r[members], dec.strongly_pclean_mask(corner)
+
+
+def _corner_element_sides(r: RingTable, x: int, payload) -> tuple:
+    """T3.2's sides at x in the recorded corner, if a nonzero idempotent holding x."""
+    f = r.parse_element(payload["corner"]).index
+    if f == r.zero or not r.idempotent_mask[f]:
+        return None, None
+    members, expected, actual = _corner_sides(r, f)
+    pos = np.flatnonzero(members == x)
+    return (bool(expected[pos[0]]), bool(actual[pos[0]])) if pos.size else (None, None)
+
+
 # the properties a check evaluates one element at a time: (expected, actual)
 # at the recorded element, or (None, None) where the claim says nothing
 _ELEMENT_SIDES = {
@@ -514,33 +552,51 @@ _ELEMENT_SIDES = {
         if (e := r.parse_element(p["idempotent"]).index) in dec._hits(r, dec.STRONGLY_P_CLEAN, x, True)
         else (None, None)
     ),
+    "pclean_in_ring_iff_in_corner": _corner_element_sides,
 }
 
 
-def _side_verdict(r: RingTable, names, all_agree: bool = False, note: str | None = None):
-    """HOLDS (with `note`) when the first named side equals the AND of the
-    rest, or with `all_agree` when all sides agree; otherwise the `sides`
-    payload of every value, in the order of `names`."""
-    vals = {name: _RING_PROPS[name](r) for name in names}
+# the claims stated as "the following are equivalent", whose sides must all
+# agree; every other `sides` claim reads "the first side iff the AND of the rest"
+_ALL_AGREE = ("T2.4", "T3.5")
+
+
+def _claim_fails(tid: str, vals: dict) -> bool:
+    """Whether ring-level side values break the rule of claim `tid`."""
     first, *rest = vals.values()
-    holds = len(set(vals.values())) == 1 if all_agree else first == all(rest)
-    return (HOLDS, note) if holds else (COUNTEREXAMPLE, {"kind": "sides", "values": vals})
+    return len(set(vals.values())) > 1 if tid in _ALL_AGREE else first != all(rest)
+
+
+def _side_verdict(r: RingTable, tid: str, names, note: str | None = None):
+    """HOLDS (with `note`) when the named sides keep the rule of claim `tid`,
+    else the `sides` payload of every value, in the order of `names`."""
+    vals = {name: _RING_PROPS[name](r) for name in names}
+    return (COUNTEREXAMPLE, {"kind": "sides", "values": vals}) if _claim_fails(tid, vals) else (HOLDS, note)
+
+
+def _sides_run(tid: str, names, witness=lambda r: {}):
+    """Check `tid`'s run: `_side_verdict` of `names`, and on a counterexample
+    the fields `witness(r)` gives, merged in their order."""
+
+    def run(r: RingTable, env: VerifyEnv):
+        verdict, payload = _side_verdict(r, tid, names)
+        return verdict, ({**payload, **witness(r)} if verdict == COUNTEREXAMPLE else payload)
+
+    return run
+
+
+def _first(ring: RingTable, idx) -> dict:
+    """A `sides` witness field: the first index of `idx`, none when it is empty."""
+    return {"witness": ring.fmt_index(int(idx[0]))} if len(idx) else {}
+
+
+def _failures(*verdicts):
+    """A witness: the least counterexample of the first ring verdict that has one."""
+    return lambda r: _first(r, [c for c in (v(r)[1] for v in verdicts) if c is not None])
 
 
 # ---------------------------------------------------------------------------
 # section 2 checks
-
-
-def _check_t2_1(r: RingTable, env: VerifyEnv):
-    sides = ("strongly_pclean_ring", "strongly_clean_ring", "boolean_mod_jacobson",
-             "jacobson_locally_nilpotent")
-    verdict, cex = _side_verdict(r, sides)
-    if verdict == COUNTEREXAMPLE:
-        lhs_cex, sc_cex = dec.is_strongly_pclean_ring(r)[1], dec.is_strongly_clean_ring(r)[1]
-        wit = lhs_cex if lhs_cex is not None else sc_cex
-        if wit is not None:
-            cex["witness"] = r.fmt_index(wit)
-    return verdict, cex
 
 
 def _check_t2_4(r: RingTable, env: VerifyEnv):
@@ -549,7 +605,7 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
     if r.order <= COMMUTANT_BUDGET:
         sides.append("double_commutant_idempotent_for_all")
         note = None
-    verdict = _side_verdict(r, sides, all_agree=True)
+    verdict = _side_verdict(r, "T2.4", sides)
     if verdict[0] == COUNTEREXAMPLE:
         return verdict
     # constructive lifting: a - a^2 in P must lift to an idempotent inside P
@@ -560,17 +616,6 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
                 "element", r, "idempotent_lift", expected, actual, element=r.fmt_index(a)
             )
     return HOLDS, note
-
-
-def _check_c2_5(r: RingTable, env: VerifyEnv):
-    verdict, cex = _side_verdict(r, ("strongly_pclean_ring", "one_plus_units_strongly_nilpotent"))
-    if verdict == COUNTEREXAMPLE:
-        shifted = r.vadd(np.int64(r.one), r.unit_indices)
-        bad = shifted[~rad.prime_radical(r).mask[shifted]]
-        if bad.size:
-            cex["witness"] = r.fmt_index(int(bad[0]))
-        cex["note"] = "periodicity holds in every finite ring"
-    return verdict, cex
 
 
 def _ideal_run(prop: str):
@@ -626,14 +671,6 @@ def _check_p2_10(r: RingTable, env: VerifyEnv):
     return HOLDS, None
 
 
-def _check_t2_10(r: RingTable, env: VerifyEnv):
-    verdict, cex = _side_verdict(r, ("uniquely_pclean_ring", "abelian", "strongly_pclean_ring"))
-    lhs_cex = dec.is_uniquely_pclean_ring(r)[1]
-    if verdict == COUNTEREXAMPLE and lhs_cex is not None:
-        cex["witness"] = r.fmt_index(lhs_cex)
-    return verdict, cex
-
-
 def _check_c2_12(r: RingTable, env: VerifyEnv):
     sizes, note = _within_limit("Tc", r, env)
     for k in sizes:
@@ -641,11 +678,6 @@ def _check_c2_12(r: RingTable, env: VerifyEnv):
         if verdict[0] == COUNTEREXAMPLE:
             return verdict
     return HOLDS, note
-
-
-def _check_t2_13(r: RingTable, env: VerifyEnv):
-    sides = ("uniquely_pclean_ring", "strongly_pclean_ring", "uniquely_nilclean_ring")
-    return _side_verdict(r, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -671,32 +703,18 @@ def _check_l3_1(r: RingTable, env: VerifyEnv):
 
 
 def _check_t3_2(r: RingTable, env: VerifyEnv):
-    in_r = dec.strongly_pclean_mask(r)
-    for f in r.idempotent_indices:
-        f = int(f)
-        if f == r.zero:
-            continue
-        corner, members = corner_ring(r, f)
-        in_c = dec.strongly_pclean_mask(corner)
-        differ = np.flatnonzero(in_r[members] != in_c)
-        if differ.size:
-            pos = int(differ[0])
-            m = int(members[pos])
-            return COUNTEREXAMPLE, _cex(
-                "element", r, "pclean_in_ring_iff_in_corner", bool(in_r[m]),
-                bool(in_c[pos]), corner=r.fmt_index(f), element=r.fmt_index(m),
-            )
+    dec.strongly_pclean_mask(r)  # first: on a table that is no ring, its error is raised
+    for f in r.idempotent_indices.tolist():
+        if f != r.zero:
+            members, expected, actual = _corner_sides(r, f)
+            differ = np.flatnonzero(expected != actual)
+            if differ.size:
+                pos = int(differ[0])
+                return COUNTEREXAMPLE, _cex(
+                    "element", r, "pclean_in_ring_iff_in_corner", bool(expected[pos]),
+                    bool(actual[pos]), corner=r.fmt_index(f), element=r.fmt_index(int(members[pos])),
+                )
     return HOLDS, None
-
-
-def _check_c3_3(r: RingTable, env: VerifyEnv):
-    verdict, cex = _side_verdict(r, ("strongly_pclean_ring", "all_corners_strongly_pclean"))
-    bad = _bad_corner(r) if verdict == COUNTEREXAMPLE else None
-    if bad:
-        f, corner, w = bad
-        cex["corner"] = r.fmt_index(f)
-        cex["witness"] = corner.fmt_index(w)
-    return verdict, cex
 
 
 def _check_t3_5(r: RingTable, env: VerifyEnv):
@@ -705,18 +723,7 @@ def _check_t3_5(r: RingTable, env: VerifyEnv):
     sizes, note = _within_limit("T", r, env)
     sides = ["strongly_pclean_ring", "uniquely_pclean_ring", "residue_z2_and_locally_nilpotent"]
     sides += [f"triangular_{k}_strongly_pclean" for k in sizes]
-    return _side_verdict(r, sides, all_agree=True, note=note)
-
-
-def _check_c3_6(r: RingTable, env: VerifyEnv):
-    sides = ("strongly_pclean_ring", "every_t2_matrix_trivial_or_diagonalizable")
-    verdict, cex = _side_verdict(r, sides)
-    if verdict == COUNTEREXAMPLE:  # the orbit mask again, for the least failing matrix
-        t2, ok = _t2_trivial_or_diagonalizable(r)
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            cex["witness"] = t2.fmt_index(int(bad[0]))
-    return verdict, cex
+    return _side_verdict(r, "T3.5", sides, note)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +749,7 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
     diff = A - A * A
     if repr(diff) != "[0,0;0,2]":
         return COUNTEREXAMPLE, _cex(
-            "matrix", r, "A_minus_A_squared", "[0,0;0,2]", repr(diff), matrix=repr(A)
+            "matrix", A.m2, "A_minus_A_squared", "[0,0;0,2]", repr(diff), matrix=repr(A)
         )
     res = classify_pclean_2x2(A)
     cert, wit = res.certificate, res.witness
@@ -750,7 +757,7 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
     if split and wit is not None and wit.validate(A):
         return HOLDS, None
     prop = "worked_example_split_with_valid_certificate"
-    return COUNTEREXAMPLE, _cex("matrix", r, prop, True, res.kind, matrix=repr(A))
+    return COUNTEREXAMPLE, _cex("matrix", A.m2, prop, True, res.kind, matrix=repr(A))
 
 
 # ---------------------------------------------------------------------------
@@ -760,23 +767,9 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
 def _check_c5_2(r: RingTable, env: VerifyEnv):
     m2 = matrix_ring(r)
     verdict = _mask_check(m2, "matrix", "pclean_iff_discriminant_square_of_1P")
-    if verdict[0] == COUNTEREXAMPLE:
-        return verdict
-    # the constructed half-roots must solve the characteristic equation
-    _, tr, det, disc = m2_invariants(m2)
-    half = np.int64(r.inverse(r.embed_int(2)))
-    sel = np.flatnonzero(_discriminant_branch(m2))
-    u = _squares_of_one_plus_p(r)[1][disc[sel]]
-    x1 = r.vmul(half, r.vsub(tr[sel], u))
-    x2 = r.vmul(half, r.vadd(tr[sel], u))
-    offending = np.zeros(sel.size, dtype=bool)
-    for roots, want in ((x1, rad.prime_radical(r).mask), (x2, rad.one_plus_p_mask(r))):
-        offending |= (quadratic(r, roots, tr[sel], det[sel]) != r.zero) | ~want[roots]
-    if offending.any():
-        b = int(sel[np.flatnonzero(offending)[0]])
-        prop = "half_roots_solve_characteristic_equation"
-        return COUNTEREXAMPLE, _cex("matrix", m2, prop, True, False, matrix=m2.fmt_index(b))
-    return HOLDS, None
+    return verdict if verdict[0] == COUNTEREXAMPLE else _mask_check(
+        m2, "matrix", "half_roots_solve_characteristic_equation"
+    )
 
 
 def _check_e5_3(r: RingTable, env: VerifyEnv):
@@ -797,7 +790,7 @@ def _check_l2_9(pair, env: VerifyEnv):
     # built directly, outside the ring registry: no other check reads a
     # product, so it is dropped when this check returns
     prod = RingTable(ProductKernel([ra, rb]), f"{ra.name} x {rb.name}")
-    return _side_verdict(prod, ("product_strongly_pclean", "both_factors_strongly_pclean"))
+    return _side_verdict(prod, "L2.9", ("product_strongly_pclean", "both_factors_strongly_pclean"))
 
 
 def _product_within_limit(pair, env: VerifyEnv):
@@ -830,27 +823,30 @@ class CheckDef:
 
 
 _CHECKS: list[CheckDef] = [
-    CheckDef("T2.1", "strongly P-clean iff strongly clean + Boolean mod J + J locally nilpotent", _check_t2_1),
+    CheckDef("T2.1", "strongly P-clean iff strongly clean + Boolean mod J + J locally nilpotent", _sides_run(
+        "T2.1", ("strongly_pclean_ring", "strongly_clean_ring", "boolean_mod_jacobson", "jacobson_locally_nilpotent"), _failures(dec.is_strongly_pclean_ring, dec.is_strongly_clean_ring))),
     CheckDef("T2.4", "four characterizations incl. Boolean mod P and the idempotent lift", _check_t2_4),
-    CheckDef("C2.5", "strongly P-clean iff periodic and 1+U(R) strongly nilpotent", _check_c2_5),
+    CheckDef("C2.5", "strongly P-clean iff periodic and 1+U(R) strongly nilpotent", _sides_run(
+        "C2.5", ("strongly_pclean_ring", "one_plus_units_strongly_nilpotent"), lambda r: {**_first(r, _one_plus_units_outside_p(r)), "note": "periodicity holds in every finite ring"})),
     CheckDef("L2.6", "homomorphic images stay strongly P-clean", _ideal_run("quotient_strongly_pclean"), (_ideal_enum, _pclean_ring)),
     CheckDef("L2.7", "P-cleanness passes through quotients by nilpotent ideals", _ideal_run("pclean_iff_quotient_by_nilpotent_pclean"), (_ideal_enum,)),
     CheckDef("T2.8", "R/I vs R/I^n strongly P-clean", _check_t2_8, (_ideal_enum,)),
     CheckDef("L2.9", "finite direct products (restricted form)", _check_l2_9, (_product_within_limit,), _each_pair),
     CheckDef("P2.10", "quotients by I, J vs IJ and their intersection", _check_p2_10, (_ideal_enum,)),
-    CheckDef("T2.10", "uniquely P-clean iff abelian + strongly P-clean", _check_t2_10),
+    CheckDef("T2.10", "uniquely P-clean iff abelian + strongly P-clean", _sides_run("T2.10", ("uniquely_pclean_ring", "abelian", "strongly_pclean_ring"), _failures(dec.is_uniquely_pclean_ring))),
     CheckDef("C2.11", "uniquely P-clean implies uniquely clean", lambda r, env: _mask_check(r, "element", "uniquely_clean_count"), (_uniquely_pclean_ring,)),
     CheckDef("C2.12", "constant-diagonal triangular rings over uniquely P-clean bases", _check_c2_12, (_uniquely_pclean_ring,)),
-    CheckDef("T2.13", "uniquely P-clean iff strongly P-clean + uniquely nil clean", _check_t2_13),
+    CheckDef("T2.13", "uniquely P-clean iff strongly P-clean + uniquely nil clean", _sides_run("T2.13", ("uniquely_pclean_ring", "strongly_pclean_ring", "uniquely_nilclean_ring"))),
     CheckDef(
         "C2.14", "Boolean iff uniquely P-clean + primary ideals prime",
         lambda _, env: (SKIPPED, "primary-ideal machinery is out of scope"), (), _once,
     ),
     CheckDef("L3.1", "annihilators of a carry to its idempotent part", _check_l3_1),
     CheckDef("T3.2", "P-cleanness agrees between R and its corners fRf", _check_t3_2),
-    CheckDef("C3.3", "ring P-clean iff every corner is", _check_c3_3),
+    CheckDef("C3.3", "ring P-clean iff every corner is", _sides_run("C3.3", ("strongly_pclean_ring", "all_corners_strongly_pclean"), lambda r: _bad_corner(r) or {})),
     CheckDef("T3.5", "local ring: P-clean iff uniquely iff residue Z_2 iff T_n P-clean", _check_t3_5, (_local,)),
-    CheckDef("C3.6", "T2 elements: trivial classes or unit-diagonalizable", _check_c3_6, (_local, _budget("T", SIM_BUDGET))),
+    CheckDef("C3.6", "T2 elements: trivial classes or unit-diagonalizable", _sides_run(
+        "C3.6", ("strongly_pclean_ring", "every_t2_matrix_trivial_or_diagonalizable"), lambda r: _first(*_t2_not_trivial_or_diagonalizable(r))), (_local, _budget("T", SIM_BUDGET))),
     CheckDef("P3.7", "triangular matrix P-clean iff diagonal in P or 1+P", _mask_run("T", "pclean_iff_diagonal_in_P_or_1P"), (_local, _budget("T"))),
     CheckDef("L4.1", "P(M_2(R)) = M_2(P(R)) element-wise", _mask_run("M", "radical_of_matrix_ring_is_matrix_of_radical"), (_budget("M", MASK_BUDGET),)),
     CheckDef("T4.2", "split P-clean matrices are unit-diagonalizable", _mask_run("M", "pclean_iff_trivial_or_diag_similar"), (_local, _budget("M", SIM_BUDGET))),
@@ -960,7 +956,8 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
     """Re-verify a serialized counterexample from its payload alone: every
     recorded side is re-derived from its one definition in the side tables,
     and the payload replays True only when each equals its record and the
-    sides disagree (so a payload from a ring where the claim holds does not),
+    sides break the claim (differ, or for ring-level sides break the rule
+    of `check.id`), so a payload from a ring where the claim holds does not,
     and only where the claim's hypotheses hold (`_hypothesis_not_met`).
     `ring` overrides the payload's ring lookup (needed for fixture rings
     with no spec); a `sides` payload names no ring, so it replays only on
@@ -977,7 +974,8 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
             if f"triangular_{k}_strongly_pclean" in vals:
                 order = specs.derived_order("T", k, ring.order)
                 require_order(f"T{k}({ring.name})", order, DEFAULT_ORDER_LIMIT)
-        return all(name in _RING_PROPS and _RING_PROPS[name](ring) == v for name, v in vals.items())
+        recomputed = all(name in _RING_PROPS and _RING_PROPS[name](ring) == v for name, v in vals.items())
+        return recomputed and _claim_fails(check.id, vals)
     if kind not in ("element", "matrix", "ideal", "ideal_pair"):
         return False
     r = ring if ring is not None else build_ring(payload["ring"])

@@ -1,7 +1,9 @@
-"""Run every single-entry corruption of the Cayley tables of Z2, Z3 and Z4
-through the verifier's checks, and replay every counterexample they record.
+"""Run every single-entry corruption of the Cayley tables of small rings
+(Z2, Z3 and Z4 unless ring specs are given) through the verifier's checks,
+and replay every counterexample they record.
 
     PYTHONPATH=src python tests/corruption_sweep.py
+    PYTHONPATH=src python tests/corruption_sweep.py Z2xZ2 "Z2[w]" "Z2[i]"
 
 A table with one wrong entry is (almost always) no ring.  Each check must
 still give a verdict or raise a typed `PcleanError`, and each payload that
@@ -29,20 +31,21 @@ from pclean.errors import PcleanError
 from pclean.rings import build_ring, derived_ring
 from pclean.verifier import CHECK_IDS, COUNTEREXAMPLE, replay_counterexample, verify
 
-from table_kernel import corrupted_zn
+from table_kernel import corrupted
 
 WALL_BOUND_S = 5.0
+SPECS = ("Z2", "Z3", "Z4")  # the rings swept when none are given
 
 
-def corruptions(ns=(2, 3, 4), ops=("add", "mul")):
-    """(n, op, row, col, val) for every entry of Z_n's op table changed to
-    each other value."""
-    for n in ns:
-        zn = build_ring(f"Z{n}")
+def corruptions(specs=SPECS, ops=("add", "mul")):
+    """(spec, op, row, col, val) for every entry of the op table of each ring
+    in `specs` changed to each other value."""
+    for spec in specs:
+        r = build_ring(spec)
         for op in ops:
-            for row, col, val in np.ndindex(n, n, n):
-                if getattr(zn, op)(row, col) != val:
-                    yield n, op, row, col, val
+            for row, col, val in np.ndindex(r.order, r.order, r.order):
+                if getattr(r, op)(row, col) != val:
+                    yield spec, op, row, col, val
 
 
 def payload_ring(base, name: str):
@@ -62,10 +65,10 @@ def run_case(case, tid: str) -> tuple[str, list[tuple[str, bool, bool]]]:
     """Run check `tid` on the corrupted table `case`: its outcome (a verdict
     or the name of the exception raised) and, for every non-`sides`
     counterexample, (kind, replays warm, replays fresh)."""
-    n, op, row, col, val = case
-    name = f"Z{n}{op}{row}{col}{val}"
+    spec, op, row, col, val = case
+    name = f"{spec}{op}{row}{col}{val}"
     try:
-        bad = corrupted_zn(row, col, val, name, n, op)
+        bad = corrupted(spec, op, row, col, val, name)
         # held from before the check, so the check reads these very rings
         warm = [derived_ring(fam, 2, bad) for fam in ("M", "T", "Tc")]
         (check,) = verify(tid, [bad])
@@ -73,15 +76,15 @@ def run_case(case, tid: str) -> tuple[str, list[tuple[str, bool, bool]]]:
         return type(exc).__name__, []
     if check.verdict != COUNTEREXAMPLE or check.counterexample["kind"] == "sides":
         return check.verdict, []
-    fresh = corrupted_zn(row, col, val, name, n, op)
+    fresh = corrupted(spec, op, row, col, val, name)
     kind = check.counterexample["kind"]
     return check.verdict, [(kind, _replays(check, bad), _replays(check, fresh))]
 
 
-def main() -> int:
+def main(specs) -> int:
     outcomes, replayed, failures = Counter(), Counter(), []
     slowest, start = (0.0, None), time.perf_counter()
-    for case in corruptions():
+    for case in corruptions(specs):
         for tid in CHECK_IDS:
             t0 = time.perf_counter()
             try:
@@ -111,4 +114,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:] or SPECS))

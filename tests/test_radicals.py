@@ -23,7 +23,7 @@ from oracles import (
     two_sided_ideal,
     walk_nilpotency,
 )
-from table_kernel import corrupted_zn
+from table_kernel import corrupted
 
 
 def test_ideal_generated_z4():
@@ -294,9 +294,9 @@ def test_nilpotent_mask_matches_repeated_squaring_on_corrupted_tables():
     from corruption_sweep import corruptions
 
     built = 0
-    for n, op, row, col, val in corruptions():
+    for spec, op, row, col, val in corruptions():
         try:
-            r = corrupted_zn(row, col, val, f"Z{n}{op}{row}{col}{val}", n, op)
+            r = corrupted(spec, op, row, col, val, f"{spec}{op}{row}{col}{val}")
         except PcleanError:  # an addition table with no negative for some x
             continue
         built += 1

@@ -550,24 +550,23 @@ def test_size_one_matrix_families_degenerate_to_base():
     ],
 )
 def test_dense_tables_match_kernel_ops(name):
-    # the tables are filled on a digit mesh; the kernel ops run on coordinates
+    # the tables are filled on a digit mesh; the kernel ops run on coordinates.
+    # Above DENSE_TABLE_LIMIT a ring has no tables (the library never builds
+    # them), and its lines come from the same digit formulas with one lane
+    # per row: sampled rows and columns of those
     r = build_ring(name)
-    if r._add_t is None:  # above DENSE_TABLE_LIMIT: build them on a fresh copy
-        r = RingTable(r.kernel, name)
-        r._build_tables()
     n = r.order
     idx = np.arange(n, dtype=np.int64)
-    if n <= 1024:
-        starts = [0]
-        rows = n
+    if r._add_t is not None:
+        rows, starts = n, [0]
+        assert np.array_equal(r._neg_t, r.kernel.vneg(idx))
     else:
-        rows = 16
-        starts = np.linspace(0, n - rows, 9).astype(np.int64)
+        rows, starts = 16, np.linspace(0, n - 16, 9).astype(np.int64)
     for s in starts:
-        block = idx[s : s + rows, None]
-        assert np.array_equal(r._add_t[s : s + rows], r.kernel.vadd(block, idx[None, :]))
-        assert np.array_equal(r._mul_t[s : s + rows], r.kernel.vmul(block, idx[None, :]))
-    assert np.array_equal(r._neg_t, r.kernel.vneg(idx))
+        block = idx[s : s + rows]
+        for op, vop in (("add", r.kernel.vadd), ("mul", r.kernel.vmul)):
+            assert np.array_equal(r._lines(op, block), vop(block[:, None], idx[None, :]))
+            assert np.array_equal(r._lines(op, block, col=True), vop(idx[None, :], block[:, None]))
 
 
 # Z1024 is the largest ring with its own tables; M2(Z8) (order 4096) gets

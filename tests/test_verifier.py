@@ -285,6 +285,74 @@ def test_replay_does_not_reapply_a_skipping_guard(monkeypatch):
     assert replay_counterexample(check, ring=bad)
 
 
+def test_e4_6_payload_names_the_matrix_ring(monkeypatch):
+    # the worked example's matrix lives in M2(Z4): its payload names that
+    # ring, so replay parses the matrix and, with no registered sides for
+    # E4.6's property, returns False instead of raising MalformedSpec
+    from types import SimpleNamespace
+
+    from pclean import matrices
+
+    monkeypatch.setattr(matrices, "classify_pclean_2x2",
+                        lambda A: SimpleNamespace(kind="NOT_P_CLEAN", certificate=None, witness=None))
+    (check,) = verify("E4.6", ["Z4"])
+    assert check.verdict == "COUNTEREXAMPLE"
+    assert check.counterexample == {
+        "kind": "matrix", "ring": "M2(Z4)", "matrix": "[1,2;2,2]",
+        "property": "worked_example_split_with_valid_certificate", "expected": True,
+        "actual": "NOT_P_CLEAN",
+    }
+    assert replay_counterexample(check) is False
+
+
+def _replays_until_expected_changes(check: TheoremCheck, ring: RingTable) -> None:
+    assert replay_counterexample(check, ring=ring)
+    check.counterexample["expected"] = check.counterexample["actual"]
+    assert not replay_counterexample(check, ring=ring)
+
+
+def test_c5_2_half_root_payload_replays(monkeypatch):
+    # half roots that miss the characteristic equation: the payload keeps
+    # its shape and replays through its registered pair of masks
+    from pclean import verifier
+
+    monkeypatch.setattr(verifier, "quadratic", lambda r, x, tr, det: np.ones_like(x))
+    (check,) = verify("C5.2", ["Z3"])
+    assert check.verdict == "COUNTEREXAMPLE"
+    cex = check.counterexample
+    assert list(cex) == ["kind", "ring", "matrix", "property", "expected", "actual"]
+    assert (cex["ring"], cex["property"], cex["expected"], cex["actual"]) == (
+        "M2(Z3)", "half_roots_solve_characteristic_equation", True, False,
+    )
+    _replays_until_expected_changes(check, build_ring("M2(Z3)"))
+
+
+def test_t3_2_corner_payload_replays(monkeypatch):
+    # a corner mask that disagrees with the ring's at 0: the payload replays
+    # through T3.2's one pair of sides; a corner that is no idempotent, or
+    # an element outside the corner, replays False without raising
+    real = dec.strongly_pclean_mask
+
+    def flipped(r):
+        mask = real(r)
+        if "|" in r.name:  # a corner ring
+            mask = mask.copy()
+            mask[0] = not mask[0]
+        return mask
+
+    monkeypatch.setattr(dec, "strongly_pclean_mask", flipped)
+    (check,) = verify("T3.2", ["Z6"])
+    assert check.verdict == "COUNTEREXAMPLE"
+    cex = check.counterexample
+    assert cex == {"kind": "element", "ring": "Z6", "corner": "1", "element": "0",
+                   "property": "pclean_in_ring_iff_in_corner", "expected": True, "actual": False}
+    z6 = build_ring("Z6")
+    for corner, element in (("2", "0"), ("3", "1")):
+        other = TheoremCheck("T3.2", "Z6", "COUNTEREXAMPLE", {**cex, "corner": corner, "element": element}, 0.0)
+        assert replay_counterexample(other, ring=z6) is False
+    _replays_until_expected_changes(check, z6)
+
+
 def test_corrupted_tables_give_typed_outcomes_and_payloads_that_replay():
     # every single-entry corruption of the multiplication tables of Z2, Z3
     # and Z4 and of Z4's addition table, through the mask-checked ids and the
@@ -296,7 +364,7 @@ def test_corrupted_tables_give_typed_outcomes_and_payloads_that_replay():
 
     tids = ["C2.12", "P3.7", "L4.1", "T4.2", "T4.4", "C4.5", "T5.1", "C5.2", "E5.3", "T5.4", "P5.6"]
     tids += ["L2.6", "L2.7", "T2.8", "P2.10"]
-    cases = [*corruptions(ops=("mul",)), *corruptions(ns=(4,), ops=("add",))]
+    cases = [*corruptions(ops=("mul",)), *corruptions(("Z4",), ops=("add",))]
     assert len(cases) == 118
     replays = [(case, tid, *r) for case in cases for tid in tids for r in run_case(case, tid)[1]]
     assert len(replays) == 288
@@ -517,28 +585,48 @@ def test_pi_regular_mask_returns_on_a_table_that_is_no_ring():
     assert mask.shape == (m2.order,) and mask.dtype == bool and not mask.all()
 
 
-@pytest.mark.parametrize(
-    "ring, values",
-    [
-        ("Z4xZ2", {"product_strongly_pclean": True, "both_factors_strongly_pclean": False}),
-        ("Z4xZ2", {"product_strongly_pclean": False, "both_factors_strongly_pclean": True}),
-        ("Z4", {"strongly_pclean_ring": True, "all_corners_strongly_pclean": False}),
-        ("Z4", {"strongly_pclean_ring": True, "every_t2_matrix_trivial_or_diagonalizable": False}),
-        ("Z4", {"strongly_pclean_ring": True, "boolean_mod_prime": True,
-                "idempotent_within_radical_for_all": True,
-                "double_commutant_idempotent_for_all": False}),
-        ("Z4", {"strongly_pclean_ring": True, "no_such_property": False}),
-        ("Z4", {"product_strongly_pclean": True, "both_factors_strongly_pclean": True}),
-        ("Z4", {}),
-    ],
-)
-def test_made_up_sides_payloads_do_not_replay(ring, values):
-    # every recorded side is recomputed; a name without a definition, or a
-    # product side on a ring that is no product, never replays
-    from pclean.verifier import TheoremCheck
+MADE_UP_SIDES = [
+    ("T2.1", "Z4xZ2", {"product_strongly_pclean": True, "both_factors_strongly_pclean": False}),
+    ("T2.1", "Z4xZ2", {"product_strongly_pclean": False, "both_factors_strongly_pclean": True}),
+    ("T2.1", "Z4", {"strongly_pclean_ring": True, "all_corners_strongly_pclean": False}),
+    ("T2.1", "Z4", {"strongly_pclean_ring": True, "every_t2_matrix_trivial_or_diagonalizable": False}),
+    ("T2.1", "Z4", {"strongly_pclean_ring": True, "boolean_mod_prime": True,
+                    "idempotent_within_radical_for_all": True,
+                    "double_commutant_idempotent_for_all": False}),
+    ("T2.1", "Z4", {"strongly_pclean_ring": True, "no_such_property": False}),
+    ("T2.1", "Z4", {"product_strongly_pclean": True, "both_factors_strongly_pclean": True}),
+    ("T2.1", "Z4", {}),
+    # every side recomputes to its record, but the sides keep the claim's
+    # rule (on Z4 every claim holds): first iff the AND of the rest, or, for
+    # T2.4 and T3.5, all agree
+    ("T2.1", "Z4", {"strongly_pclean_ring": True, "strongly_clean_ring": True}),
+    ("T2.1", "Z4", {"strongly_pclean_ring": True}),
+    ("T3.5", "Z4", {"strongly_pclean_ring": True, "uniquely_pclean_ring": True}),
+    ("T3.5", "Z4", {"strongly_pclean_ring": True}),
+    ("C2.5", "Z4", {"strongly_pclean_ring": True, "one_plus_units_strongly_nilpotent": True}),
+    ("C2.5", "Z4", {"strongly_pclean_ring": True}),
+]
 
-    check = TheoremCheck("T2.1", ring, "COUNTEREXAMPLE", {"kind": "sides", "values": values}, 0.0)
+
+@pytest.mark.parametrize(
+    "tid, ring, values", MADE_UP_SIDES,
+    ids=[f"{ring}-values{i}" for i, (_, ring, _) in enumerate(MADE_UP_SIDES)],
+)
+def test_made_up_sides_payloads_do_not_replay(tid, ring, values):
+    # every recorded side is recomputed; a name without a definition, a
+    # product side on a ring that is no product, or sides that keep the
+    # claim's rule never replay
+    check = TheoremCheck(tid, ring, "COUNTEREXAMPLE", {"kind": "sides", "values": values}, 0.0)
     assert not replay_counterexample(check, ring=build_ring(ring))
+
+
+def test_sides_replay_applies_the_claims_rule():
+    # on Z6 these values recompute to their records; T2.1's first side equals
+    # the AND of the rest, so its claim holds, but T2.4's sides must all agree
+    vals = {"strongly_pclean_ring": False, "strongly_clean_ring": True, "boolean_mod_jacobson": False}
+    for tid, replays in (("T2.1", False), ("T2.4", True)):
+        check = TheoremCheck(tid, "Z6", "COUNTEREXAMPLE", {"kind": "sides", "values": vals}, 0.0)
+        assert replay_counterexample(check, ring=build_ring("Z6")) is replays
 
 
 # SHA-256 of the JSON list of every `sides` counterexample that the ten

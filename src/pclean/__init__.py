@@ -46,14 +46,12 @@ from .matrices import (
     discriminant_criteria,
     matrix_ring,
     pi_regular_trichotomy,
-    quadratic_roots,
     solve_phi,
     triangular_pclean,
     triangular_ring,
 )
 from .radicals import (
     Ideal,
-    ideal_generated,
     is_abelian,
     is_boolean,
     is_local,

@@ -288,12 +288,6 @@ def definitional_mask(m2: RingTable) -> np.ndarray:
 # single-matrix operations
 
 
-def quadratic_roots(r: RingTable, t: int, d: int) -> list[tuple[int, str]]:
-    """All x with x^2 - t x + d = 0, classified against P(r)."""
-    _require_commutative(r)
-    return _roots(r, int(t), int(d))
-
-
 def _roots(r: RingTable, t: int, d: int) -> list[tuple[int, str]]:
     val = quadratic(r, np.arange(r.order, dtype=np.int64), t, d)
     pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)

@@ -77,15 +77,6 @@ def _certify_ideal(r: RingTable, mask: np.ndarray) -> bool:
     return all(mask[r.vmul(g, idx)].all() and mask[r.vmul(idx, g)].all() for g in gens)
 
 
-def ideal_generated(r: RingTable, gens) -> Ideal:
-    """Smallest two-sided ideal containing `gens`, with its closure re-checked."""
-    idxs = [int(g) for g in gens]
-    mask = ideal_closure_mask(r, np.asarray(idxs, np.int64))
-    if not _certify_ideal(r, mask):
-        raise RadicalNotIdeal(f"closure of {idxs} in {r.name} failed certification")
-    return Ideal(r, mask)
-
-
 def nilpotency_index(I: Ideal) -> int | None:
     """Smallest k with I^k = 0, or None if the powers stabilize above zero."""
     if "nilpotency" not in I._memo:

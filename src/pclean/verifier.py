@@ -11,14 +11,21 @@ or matrix property a mask check records has its pair of whole-ring masks
 (expected, actual) in `_MASK_SIDES` (T4.4's three criteria in `_CRITERIA`),
 and every ideal or per-element property its pair of sides in `_IDEAL_SIDES`
 or `_ELEMENT_SIDES`.  The checks and `replay_counterexample` both read these
-tables, and most checks are entries: a mask property (`_mask_run`), or
-ring-level sides and a witness (`_sides_run`).  One driver, `_run_one`,
-times every check on every subject its `CheckDef.subjects` names (each
-ring, each unordered pair of rings, or once) and tries its guards.  Replay
-re-derives every recorded side of every payload kind but E4.6's (ring-level
-sides, element/matrix literals, ideals as the span of their recorded
-additive basis) and reproduces only a violation of the claim's rule
-(`_claim_fails` for ring-level sides), only where the guards pass.
+tables, and 20 of the 29 checks are rows of three runners: mask properties
+in turn on the family sizes within the limit, optionally at an index grid
+(`_mask_run`); ring-level sides, some depending on the order and limit, and
+a witness (`_sides_run`); or ideal sides per ideal, or along its powers
+(`_ideal_run`).  C2.11 is one mask check on R itself and C2.14 a constant
+SKIPPED.  T2.4 (its lift loop), L3.1 and T3.2 (per-element loops), P2.10,
+T4.4, E4.6 and L2.9 (payload shapes or pair subjects no runner takes) keep
+bodies.  One driver, `_run_one`, times every check on every subject its
+`CheckDef.subjects` names (each ring, each unordered pair of rings, or
+once), tries its guards, and reports a scan refused by a size guard
+(RingTooLarge) as SKIPPED.  Replay re-derives every recorded side of every
+payload kind but E4.6's (ring-level sides, element/matrix literals, ideals
+as the span of their recorded additive basis) and reproduces only a
+violation of the claim's rule (`_claim_fails` for ring-level sides), only
+where the guards pass.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 from . import decompositions as dec
 from . import radicals as rad
 from . import specs
-from .errors import PcleanError, UnknownTheoremId
+from .errors import PcleanError, RingTooLarge, UnknownTheoremId
 from .matrices import (
     Matrix2,
     definitional_mask,
@@ -249,10 +256,22 @@ def _mask_check(ring: RingTable, kind: str, prop: str, at: np.ndarray | None = N
     )
 
 
-def _mask_run(family: str, prop: str):
-    """A check's run as one mask check of `prop` on family_2(r), whose order its guards check."""
+def _mask_run(family: str, *props: str, ks=(2,), at=None):
+    """A check's run: the mask checks of `props` in turn on family_k(r), for
+    each k of `ks` whose ring fits env.limit (HOLDS notes the rest), at the
+    indices at(family_k(r)) (every index when `at` is None)."""
     kind = "matrix" if family == "M" else "element"
-    return lambda r, env: _mask_check(derived_ring(family, 2, r), kind, prop)
+
+    def run(r: RingTable, env: VerifyEnv):
+        sizes, note = _within_limit(family, ks, r, env)
+        for ring in (derived_ring(family, k, r) for k in sizes):
+            for prop in props:
+                verdict = _mask_check(ring, kind, prop, at and at(ring))
+                if verdict[0] == COUNTEREXAMPLE:
+                    return verdict
+        return HOLDS, note
+
+    return run
 
 
 # Guards: (subject, env) -> None, or the (verdict, note) that replaces the check.
@@ -277,9 +296,9 @@ _ideal_enum = _requires(
 _z4_only = _requires(lambda r: r.name == "Z4", "worked example is specific to Z4", SKIPPED)
 
 
-def _within_limit(family: str, r: RingTable, env: VerifyEnv) -> tuple[list[int], str | None]:
-    """The k in (2, 3) whose family_k(r) fits env.limit, and a note naming the rest."""
-    orders = {k: specs.derived_order(family, k, r.order) for k in (2, 3)}
+def _within_limit(family: str, ks, r: RingTable, env: VerifyEnv) -> tuple[list[int], str | None]:
+    """The k of `ks` whose family_k(r) fits env.limit, and a note naming the rest."""
+    orders = {k: specs.derived_order(family, k, r.order) for k in ks}
     over = [f"{family}{k} order {n} beyond limit" for k, n in orders.items() if n > env.limit]
     return [k for k, n in orders.items() if n <= env.limit], "; ".join(over) or None
 
@@ -443,6 +462,15 @@ def _companion_similar(m2: RingTable) -> np.ndarray:
     return _conjugation_reach(m2, qual) & dec.strongly_pi_regular_mask(m2)
 
 
+def _e5_3_grid(m2: RingTable) -> np.ndarray:
+    """E5.3's family [[p+1, p], [q, p]] in M2(r), p in P and q in r, row-major:
+    least p, then least q."""
+    r = m2.kernel.base
+    p = np.flatnonzero(rad.prime_radical(r).mask)[:, None]
+    q = np.arange(r.order, dtype=np.int64)[None, :]
+    return m2.kernel.encode(np.broadcast_arrays(r.vadd(p, np.int64(r.one)), p, q, p)).ravel()
+
+
 def _e5_3_sides(m2: RingTable) -> tuple[np.ndarray, np.ndarray]:
     """On the family [[p+1, p], [q, p]] with p in P (False elsewhere): 1+4pq
     the square of some u in 1+P, and strongly P-clean."""
@@ -574,15 +602,32 @@ def _side_verdict(r: RingTable, tid: str, names, note: str | None = None):
     return (COUNTEREXAMPLE, {"kind": "sides", "values": vals}) if _claim_fails(tid, vals) else (HOLDS, note)
 
 
-def _sides_run(tid: str, names, witness=lambda r: {}):
-    """Check `tid`'s run: `_side_verdict` of `names`, and on a counterexample
-    the fields `witness(r)` gives, merged in their order."""
+def _sides_run(tid: str, names, witness=lambda r: {}, more=lambda r, env: ((), None)):
+    """Check `tid`'s run: `_side_verdict` of `names` and of the sides that
+    depend on r's order and env.limit, more(r, env) = (names, the note HOLDS
+    carries); on a counterexample the fields `witness(r)` gives, merged in
+    their order."""
 
     def run(r: RingTable, env: VerifyEnv):
-        verdict, payload = _side_verdict(r, tid, names)
+        extra, note = more(r, env)
+        verdict, payload = _side_verdict(r, tid, [*names, *extra], note)
         return verdict, ({**payload, **witness(r)} if verdict == COUNTEREXAMPLE else payload)
 
     return run
+
+
+def _commutant_side(r: RingTable, env: VerifyEnv):
+    """T2.4's double-commutant side, a scan per element, up to COMMUTANT_BUDGET."""
+    if r.order <= COMMUTANT_BUDGET:
+        return ["double_commutant_idempotent_for_all"], None
+    return [], f"double-commutant side limited to order <= {COMMUTANT_BUDGET}"
+
+
+def _triangular_sides(r: RingTable, env: VerifyEnv):
+    """T3.5's T_k(r) sides, for the k whose T_k(r) fits env.limit."""
+    rad.jacobson_radical(r)  # first: on a table that is no ring, its error is the one raised
+    sizes, note = _within_limit("T", (2, 3), r, env)
+    return [f"triangular_{k}_strongly_pclean" for k in sizes], note
 
 
 def _first(ring: RingTable, idx) -> dict:
@@ -600,14 +645,10 @@ def _failures(*verdicts):
 
 
 def _check_t2_4(r: RingTable, env: VerifyEnv):
-    sides = ["strongly_pclean_ring", "boolean_mod_prime", "idempotent_within_radical_for_all"]
-    note = f"double-commutant side limited to order <= {COMMUTANT_BUDGET}"
-    if r.order <= COMMUTANT_BUDGET:
-        sides.append("double_commutant_idempotent_for_all")
-        note = None
-    verdict = _side_verdict(r, "T2.4", sides)
-    if verdict[0] == COUNTEREXAMPLE:
-        return verdict
+    sides = ("strongly_pclean_ring", "boolean_mod_prime", "idempotent_within_radical_for_all")
+    verdict, note = _sides_run("T2.4", sides, more=_commutant_side)(r, env)
+    if verdict == COUNTEREXAMPLE:
+        return verdict, note
     # constructive lifting: a - a^2 in P must lift to an idempotent inside P
     for a in range(r.order):
         expected, actual = _lift_sides(r, a)
@@ -618,31 +659,28 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
     return HOLDS, note
 
 
-def _ideal_run(prop: str):
-    """A check's run over the ideals I of r, in `enumerate_ideals` order: the first I where
-    the two sides of `prop` differ, skipping those the claim says nothing of (actual None)."""
+def _ideal_run(prop: str, walk=None):
+    """A check's run over the ideals I of r, in `enumerate_ideals` order: the
+    first I, and the first record p of I that walk(r, I) yields (one, None,
+    without a walk), where the two sides of `prop` differ, skipping those the
+    claim says nothing of (actual None); p's fields join the payload."""
 
     def run(r: RingTable, env: VerifyEnv):
-        _strongly_pclean(r)  # first: on a table that is no ring, P(R)'s error is raised
+        if walk is None:
+            _strongly_pclean(r)  # first: on a table that is no ring, P(R)'s error is raised
         for mask in enumerate_ideals(r):
-            expected, actual = _IDEAL_SIDES[prop](r, mask, None)
-            if actual is not None and actual != expected:
-                return COUNTEREXAMPLE, _ideal_cex(r, mask, prop, expected, actual)
+            for p in walk(r, mask) if walk else [None]:
+                expected, actual = _IDEAL_SIDES[prop](r, mask, p)
+                if actual is not None and actual != expected:
+                    return COUNTEREXAMPLE, _ideal_cex(r, mask, prop, expected, actual, **(p or {}))
         return HOLDS, None
 
     return run
 
 
-def _check_t2_8(r: RingTable, env: VerifyEnv):
-    for mask in enumerate_ideals(r):
-        v1 = _quotient_pclean(r, mask)
-        for cur in list(rad.ideal_powers(r, mask))[1:]:
-            if _quotient_pclean(r, cur) != v1:
-                prop = "pclean_quotient_stable_under_ideal_powers"
-                return COUNTEREXAMPLE, _ideal_cex(
-                    r, mask, prop, v1, not v1, power_order=int(cur.sum())
-                )
-    return HOLDS, None
+def _power_orders(r: RingTable, mask: np.ndarray):
+    """T2.8's records of I: the order of each power I^n, n >= 1, walked lazily."""
+    return ({"power_order": int(q.sum())} for q in rad.ideal_powers(r, mask))
 
 
 def _pair_sides(r: RingTable, ma: np.ndarray, mb: np.ndarray) -> dict:
@@ -669,15 +707,6 @@ def _check_p2_10(r: RingTable, env: VerifyEnv):
                     **sides,
                 }
     return HOLDS, None
-
-
-def _check_c2_12(r: RingTable, env: VerifyEnv):
-    sizes, note = _within_limit("Tc", r, env)
-    for k in sizes:
-        verdict = _mask_check(derived_ring("Tc", k, r), "element", "strongly_pclean")
-        if verdict[0] == COUNTEREXAMPLE:
-            return verdict
-    return HOLDS, note
 
 
 # ---------------------------------------------------------------------------
@@ -717,15 +746,6 @@ def _check_t3_2(r: RingTable, env: VerifyEnv):
     return HOLDS, None
 
 
-def _check_t3_5(r: RingTable, env: VerifyEnv):
-    # J(R) first: on a table that is no ring, its error is the one raised
-    rad.jacobson_radical(r)
-    sizes, note = _within_limit("T", r, env)
-    sides = ["strongly_pclean_ring", "uniquely_pclean_ring", "residue_z2_and_locally_nilpotent"]
-    sides += [f"triangular_{k}_strongly_pclean" for k in sizes]
-    return _side_verdict(r, "T3.5", sides, note)
-
-
 # ---------------------------------------------------------------------------
 # section 4 checks
 
@@ -758,27 +778,6 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
         return HOLDS, None
     prop = "worked_example_split_with_valid_certificate"
     return COUNTEREXAMPLE, _cex("matrix", A.m2, prop, True, res.kind, matrix=repr(A))
-
-
-# ---------------------------------------------------------------------------
-# section 5 checks
-
-
-def _check_c5_2(r: RingTable, env: VerifyEnv):
-    m2 = matrix_ring(r)
-    verdict = _mask_check(m2, "matrix", "pclean_iff_discriminant_square_of_1P")
-    return verdict if verdict[0] == COUNTEREXAMPLE else _mask_check(
-        m2, "matrix", "half_roots_solve_characteristic_equation"
-    )
-
-
-def _check_e5_3(r: RingTable, env: VerifyEnv):
-    m2 = matrix_ring(r)
-    # the family's grid of p in P (rows) and q in R, row-major: least p, then least q
-    p = np.flatnonzero(rad.prime_radical(r).mask)[:, None]
-    q = np.arange(r.order, dtype=np.int64)[None, :]
-    grid = m2.kernel.encode(np.broadcast_arrays(r.vadd(p, np.int64(r.one)), p, q, p))
-    return _mask_check(m2, "matrix", "family_pclean_iff_1_plus_4pq_square", grid.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -830,12 +829,12 @@ _CHECKS: list[CheckDef] = [
         "C2.5", ("strongly_pclean_ring", "one_plus_units_strongly_nilpotent"), lambda r: {**_first(r, _one_plus_units_outside_p(r)), "note": "periodicity holds in every finite ring"})),
     CheckDef("L2.6", "homomorphic images stay strongly P-clean", _ideal_run("quotient_strongly_pclean"), (_ideal_enum, _pclean_ring)),
     CheckDef("L2.7", "P-cleanness passes through quotients by nilpotent ideals", _ideal_run("pclean_iff_quotient_by_nilpotent_pclean"), (_ideal_enum,)),
-    CheckDef("T2.8", "R/I vs R/I^n strongly P-clean", _check_t2_8, (_ideal_enum,)),
+    CheckDef("T2.8", "R/I vs R/I^n strongly P-clean", _ideal_run("pclean_quotient_stable_under_ideal_powers", _power_orders), (_ideal_enum,)),
     CheckDef("L2.9", "finite direct products (restricted form)", _check_l2_9, (_product_within_limit,), _each_pair),
     CheckDef("P2.10", "quotients by I, J vs IJ and their intersection", _check_p2_10, (_ideal_enum,)),
     CheckDef("T2.10", "uniquely P-clean iff abelian + strongly P-clean", _sides_run("T2.10", ("uniquely_pclean_ring", "abelian", "strongly_pclean_ring"), _failures(dec.is_uniquely_pclean_ring))),
     CheckDef("C2.11", "uniquely P-clean implies uniquely clean", lambda r, env: _mask_check(r, "element", "uniquely_clean_count"), (_uniquely_pclean_ring,)),
-    CheckDef("C2.12", "constant-diagonal triangular rings over uniquely P-clean bases", _check_c2_12, (_uniquely_pclean_ring,)),
+    CheckDef("C2.12", "constant-diagonal triangular rings over uniquely P-clean bases", _mask_run("Tc", "strongly_pclean", ks=(2, 3)), (_uniquely_pclean_ring,)),
     CheckDef("T2.13", "uniquely P-clean iff strongly P-clean + uniquely nil clean", _sides_run("T2.13", ("uniquely_pclean_ring", "strongly_pclean_ring", "uniquely_nilclean_ring"))),
     CheckDef(
         "C2.14", "Boolean iff uniquely P-clean + primary ideals prime",
@@ -844,7 +843,8 @@ _CHECKS: list[CheckDef] = [
     CheckDef("L3.1", "annihilators of a carry to its idempotent part", _check_l3_1),
     CheckDef("T3.2", "P-cleanness agrees between R and its corners fRf", _check_t3_2),
     CheckDef("C3.3", "ring P-clean iff every corner is", _sides_run("C3.3", ("strongly_pclean_ring", "all_corners_strongly_pclean"), lambda r: _bad_corner(r) or {})),
-    CheckDef("T3.5", "local ring: P-clean iff uniquely iff residue Z_2 iff T_n P-clean", _check_t3_5, (_local,)),
+    CheckDef("T3.5", "local ring: P-clean iff uniquely iff residue Z_2 iff T_n P-clean", _sides_run(
+        "T3.5", ("strongly_pclean_ring", "uniquely_pclean_ring", "residue_z2_and_locally_nilpotent"), more=_triangular_sides), (_local,)),
     CheckDef("C3.6", "T2 elements: trivial classes or unit-diagonalizable", _sides_run(
         "C3.6", ("strongly_pclean_ring", "every_t2_matrix_trivial_or_diagonalizable"), lambda r: _first(*_t2_not_trivial_or_diagonalizable(r))), (_local, _budget("T", SIM_BUDGET))),
     CheckDef("P3.7", "triangular matrix P-clean iff diagonal in P or 1+P", _mask_run("T", "pclean_iff_diagonal_in_P_or_1P"), (_local, _budget("T"))),
@@ -854,8 +854,8 @@ _CHECKS: list[CheckDef] = [
     CheckDef("C4.5", "ratio-form quadratic criterion", _mask_run("M", "pclean_iff_ratio_equation_root_in_P"), (_commutative, _local, _budget("M", MASK_BUDGET))),
     CheckDef("E4.6", "worked example over Z_4", _check_e4_6, (_z4_only, _budget("M"))),
     CheckDef("T5.1", "necessity of the discriminant-square condition", _mask_run("M", "pclean_implies_discriminant_square_of_1P"), (_commutative, _local, _budget("M", MASK_BUDGET))),
-    CheckDef("C5.2", "discriminant equivalence when 2 is a unit", _check_c5_2, (_commutative, _local, _two_is_unit, _budget("M", MASK_BUDGET))),
-    CheckDef("E5.3", "the [[p+1,p],[q,p]] family", _check_e5_3, (_commutative, _local, _budget("M", MASK_BUDGET))),
+    CheckDef("C5.2", "discriminant equivalence when 2 is a unit", _mask_run("M", "pclean_iff_discriminant_square_of_1P", "half_roots_solve_characteristic_equation"), (_commutative, _local, _two_is_unit, _budget("M", MASK_BUDGET))),
+    CheckDef("E5.3", "the [[p+1,p],[q,p]] family", _mask_run("M", "family_pclean_iff_1_plus_4pq_square", at=_e5_3_grid), (_commutative, _local, _budget("M", MASK_BUDGET))),
     CheckDef("T5.4", "P-clean iff pi-regular and companion-similar", _mask_run("M", "pclean_iff_pi_regular_and_companion_similar"), (_commutative, _local, _budget("M", SIM_BUDGET))),
     CheckDef("P5.6", "pi-regular trichotomy over residue-Z_2 rings", _mask_run("M", "pi_regular_iff_unit_or_nilpotent_or_pclean"), (_commutative, _residue_z2, _budget("M", SIM_BUDGET))),
 ]
@@ -866,10 +866,14 @@ _CHECK_BY_ID = {c.id: c for c in _CHECKS}
 
 def _run_one(cd: CheckDef, name: str, subject, env: VerifyEnv) -> TheoremCheck:
     """The one driver: time check `cd` on `subject`, reported as `name`; the
-    first guard that fires replaces the check."""
+    first guard that fires replaces the check.  A guard or run that needs a
+    scan beyond a size guard (RingTooLarge) is SKIPPED with its message."""
     start = time.perf_counter()
-    hit = next(filter(None, (guard(subject, env) for guard in cd.applies)), None)
-    verdict, payload = hit or cd.run(subject, env)
+    try:
+        hit = next(filter(None, (guard(subject, env) for guard in cd.applies)), None)
+        verdict, payload = hit or cd.run(subject, env)
+    except RingTooLarge as exc:
+        verdict, payload = SKIPPED, str(exc)
     millis = (time.perf_counter() - start) * 1000
     cex = payload if verdict == COUNTEREXAMPLE else None
     note = payload if isinstance(payload, str) else None

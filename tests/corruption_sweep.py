@@ -13,12 +13,16 @@ T2 and Tc2 are held from before the check), and fresh, on a new `RingTable`
 over the same tables.  The script exits 1 on an untyped exception, on a
 case (one table, one id, its replays) slower than `WALL_BOUND_S`, or on
 such a payload that does not replay both ways.  It prints the outcome
-counts and the replay counts per payload kind.  `tests/test_verifier.py`
-runs `run_case` over a part of this sweep in tier-1.
+counts, the replay counts per payload kind, and one SHA-256 over every
+case's full outcome (`outcome_record`), so a change that keeps the counts
+but moves a payload or a note shows.  `tests/test_verifier.py` runs
+`run_case` over a part of this sweep in tier-1.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 import sys
 import time
@@ -61,10 +65,20 @@ def _replays(check, base) -> bool:
         return False
 
 
-def run_case(case, tid: str) -> tuple[str, list[tuple[str, bool, bool]]]:
+def outcome_record(check=None, exc=None) -> list:
+    """What the outcome digest reads of a case: the check's `to_dict()`
+    without `millis` (verdict, payload, note), or the exception's type and
+    message."""
+    if exc is not None:
+        return [type(exc).__name__, str(exc)]
+    return sorted((k, v) for k, v in check.to_dict().items() if k != "millis")
+
+
+def run_case(case, tid: str) -> tuple[str, list[tuple[str, bool, bool]], list]:
     """Run check `tid` on the corrupted table `case`: its outcome (a verdict
-    or the name of the exception raised) and, for every non-`sides`
-    counterexample, (kind, replays warm, replays fresh)."""
+    or the name of the exception raised), for every non-`sides`
+    counterexample (kind, replays warm, replays fresh), and its
+    `outcome_record`."""
     spec, op, row, col, val = case
     name = f"{spec}{op}{row}{col}{val}"
     try:
@@ -73,30 +87,32 @@ def run_case(case, tid: str) -> tuple[str, list[tuple[str, bool, bool]]]:
         warm = [derived_ring(fam, 2, bad) for fam in ("M", "T", "Tc")]
         (check,) = verify(tid, [bad])
     except PcleanError as exc:
-        return type(exc).__name__, []
+        return type(exc).__name__, [], outcome_record(exc=exc)
+    record = outcome_record(check)
     if check.verdict != COUNTEREXAMPLE or check.counterexample["kind"] == "sides":
-        return check.verdict, []
+        return check.verdict, [], record
     fresh = corrupted(spec, op, row, col, val, name)
     kind = check.counterexample["kind"]
-    return check.verdict, [(kind, _replays(check, bad), _replays(check, fresh))]
+    return check.verdict, [(kind, _replays(check, bad), _replays(check, fresh))], record
 
 
 def main(specs) -> int:
-    outcomes, replayed, failures = Counter(), Counter(), []
+    outcomes, replayed, failures, digest = Counter(), Counter(), [], hashlib.sha256()
     slowest, start = (0.0, None), time.perf_counter()
     for case in corruptions(specs):
         for tid in CHECK_IDS:
             t0 = time.perf_counter()
             try:
-                outcome, replays = run_case(case, tid)
-            except Exception:  # an untyped error is what this sweep looks for
-                outcome, replays = "untyped", []
+                outcome, replays, record = run_case(case, tid)
+            except Exception as exc:  # an untyped error is what this sweep looks for
+                outcome, replays, record = "untyped", [], outcome_record(exc=exc)
                 failures.append(f"{case} {tid}: untyped exception\n{traceback.format_exc()}")
             wall = time.perf_counter() - t0
             slowest = max(slowest, (wall, (case, tid)), key=lambda s: s[0])
             if wall > WALL_BOUND_S:
                 failures.append(f"{case} {tid}: {wall:.2f} s > {WALL_BOUND_S} s")
             outcomes[outcome] += 1
+            digest.update(json.dumps([case, tid, record]).encode() + b"\n")
             for kind, warm, fresh in replays:
                 replayed[kind, warm, fresh] += 1
                 if not (warm and fresh):
@@ -108,6 +124,7 @@ def main(specs) -> int:
     print("non-sides payloads (kind, replays warm, replays fresh):")
     for key, count in sorted(replayed.items()):
         print(f"  {key}: {count}")
+    print(f"outcome digest: {digest.hexdigest()}")
     for line in failures:
         print("FAIL", line)
     return 1 if failures else 0

@@ -85,6 +85,15 @@ def two_sided_ideal(gens, elements, mul, add, zero):
     return ideal
 
 
+def ideal_generated(r, gens) -> rad.Ideal:
+    """Smallest two-sided ideal of r containing `gens`, with its closure re-checked."""
+    idxs = [int(g) for g in gens]
+    mask = ideal_closure_mask(r, np.asarray(idxs, np.int64))
+    if not rad._certify_ideal(r, mask):
+        raise RadicalNotIdeal(f"closure of {idxs} in {r.name} failed certification")
+    return rad.Ideal(r, mask)
+
+
 def ideal_nilpotency(ideal, mul, add, zero, cap=64):
     """Smallest k with I^k = {0}, by direct power iteration on sets."""
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pclean import matrices
 from pclean import radicals as rad
 from pclean.decompositions import strongly_pclean_element
 from pclean.errors import (
@@ -32,7 +33,6 @@ from pclean.matrices import (
     matrix_ring,
     matrix_to_index,
     pi_regular_trichotomy,
-    quadratic_roots,
     roots_criterion_mask,
     solve_phi,
     triangular_pclean,
@@ -151,6 +151,12 @@ def test_paper_conjugation_identity():
     assert res.kind == SPLIT
     assert res.witness.validate(E)
     assert {res.witness.lam, res.witness.mu} == {r.zero, r.one}
+
+
+def quadratic_roots(r, t: int, d: int) -> list[tuple[int, str]]:
+    """All x with x^2 - t x + d = 0 in the commutative ring r, classified against P(r)."""
+    matrices._require_commutative(r)
+    return matrices._roots(r, int(t), int(d))
 
 
 def companion_form(r, alpha: int, beta: int) -> SimilarityWitness:

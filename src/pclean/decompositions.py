@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radicals
-from .errors import NotLiftable, PcleanError, RingTooLarge
-from .rings import DENSE_TABLE_LIMIT, RingTable, cached
+from .errors import NotInvertible, NotLiftable, PcleanError, RingTooLarge
+from .rings import _CHUNK, DENSE_TABLE_LIMIT, RingTable, cached
 
 STRONGLY_CLEAN = "STRONGLY_CLEAN"
 STRONGLY_NIL_CLEAN = "STRONGLY_NIL_CLEAN"
@@ -225,6 +225,20 @@ def idempotent_lift(r: RingTable, a: int) -> int:
 # ring-level aggregates
 
 
+def _conjugators(r: RingTable, e0: np.int64, es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per idempotent e of `es`, with e - e0 in P(R): u = e e0 + (1-e)(1-e0)
+    and its inverse v, so that e = u e0 v.  u lies in 1 + P and u e0 = e e0 =
+    e u; v is the series of 1 - u up to P's nilpotency index, checked on
+    both sides."""
+    one = np.int64(r.one)
+    u = r.vadd(r.vmul(es, e0), r.vmul(r.vsub(one, es), r.vsub(one, e0)))
+    m = radicals.nilpotency_index(radicals.prime_radical(r))
+    v = radicals.inverse_series(r, r.vsub(one, u), m or 0)
+    if not ((r.vmul(u, v) == one).all() and (r.vmul(v, u) == one).all()):
+        raise NotInvertible(f"{r.name}: a conjugator in 1 + P(R) is not a unit (bug trap)")
+    return u, v
+
+
 def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
     """Per element x: whether some idempotent marks x (bool), or else how many
     do (uint8, saturated at 2).  Memoized per member set: J = P always and
@@ -233,15 +247,19 @@ def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
     On any table: the idempotents go in classes, ascending, and a class with
     least member e0 scatters onto its coset x = w + e0 of the members w.
     Counting lets each e of the class mark every x of the coset (adding
-    min(|class|, 2) at once).  Commuting lets e mark the open x it commutes
-    with, tested as e0 w = w e0 for e0 and as ex = xe for the rest of the
-    class.  In a ring this is the per-x condition: some e with ex = xe has
-    x - e in `member` (or how many e have), as e0 w = w e0 there exactly
-    when e0 x = x e0.  In a ring by construction a class is every e with
-    e - e0 in P(R), computed on first use: each member set M here (P, J,
-    the units, the nilpotents) has M + P = M in a finite ring, so M + e =
-    M + e0.  On any other table each e is its own class.  A pass costs
-    |member| lanes per class and a row and a column of R per commuting e.
+    min(|class|, 2) at once).  Commuting lets e0 mark the open x it commutes
+    with, tested as e0 w = w e0, and every other e of the class mark the
+    conjugates u x u^-1 of e0's hits x, u = e e0 + (1-e)(1-e0) in 1 + P
+    (`_conjugators`): u e0 u^-1 = e, and M is closed under conjugation, so
+    these are the x of the coset that commute with e.  In a ring this is the
+    per-x condition: some e with ex = xe has x - e in `member` (or how many
+    e have), as e0 w = w e0 there exactly when e0 x = x e0.  In a ring by
+    construction a class is every e with e - e0 in P(R), computed on first
+    use: each member set M here (P, J, the units, the nilpotents) has M + P
+    = M in a finite ring, so M + e = M + e0.  On any other table each e is
+    its own class, tested by its own row and column.  A pass costs |member|
+    lanes per class, a row and a column of R per commuting class, and
+    (|class| - 1) |hits| lanes for the conjugates.
     """
 
     def make():
@@ -257,14 +275,16 @@ def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
             if not commuting:
                 count[x] = np.minimum(count[x] + min(cls.size, 2), 2)
                 continue
-            lanes = members  # e0 tests its remainders w, the rest of the class x
-            for e in cls.tolist():
-                todo = np.flatnonzero(count[x] == 0)
-                if not todo.size:
-                    break
-                t = lanes[todo]
-                count[x[todo[r.mul_row(e)[t] == r.mul_col(e)[t]]]] = 1
-                lanes = x
+            todo = np.flatnonzero(count[x] == 0)
+            if not todo.size:
+                continue
+            t = members[todo]
+            hits = x[todo[r.mul_row(e0)[t] == r.mul_col(e0)[t]]]
+            count[hits] = 1
+            step = max(1, _CHUNK // max(hits.size, 1))
+            for s in range(1, cls.size, step):
+                u, v = _conjugators(r, e0, cls[s : s + step])
+                count[r.vmul(r.vmul(u[:, None], hits[None, :]), v[:, None])] = 1
         return count.astype(bool) if commuting else count
 
     return cached(r, ("sweep", member.tobytes(), commuting), make)

@@ -257,16 +257,22 @@ def one_plus_p_mask(r: RingTable) -> np.ndarray:
     return cached(r, "one_plus_p", make)
 
 
+def inverse_series(r: RingTable, t: np.ndarray, m: int) -> np.ndarray:
+    """Per lane, sum_{i<m} t^i by Horner (v = 1 + t v): the two-sided inverse
+    of 1 - t when t^m = 0.  Callers check the inverse on both sides."""
+    v = np.full(np.shape(t), r.one, dtype=np.int64)
+    for _ in range(1, m):
+        v = r.vadd(r.one, r.vmul(t, v))
+    return v
+
+
 def _jacobson_mask(r: RingTable) -> np.ndarray:
     if r.order > UNIT_SCAN_LIMIT:
         # P(R) is a certified ideal, so only P <= J is left to check: 1 + p
         # has the two-sided inverse u = sum_{i<m} (-p)^i, as p^m = 0
         p = prime_radical(r)
         m = nilpotency_index(p)
-        one_plus, neg = r.vadd(r.one, p.indices), r.vneg(p.indices)
-        u = np.full(p.order, r.one, dtype=np.int64)
-        for _ in range(1, m or 0):  # Horner: u = 1 + (-p)u
-            u = r.vadd(r.one, r.vmul(neg, u))
+        one_plus, u = r.vadd(r.one, p.indices), inverse_series(r, r.vneg(p.indices), m or 0)
         inverse = (r.vmul(one_plus, u) == r.one).all() and (r.vmul(u, one_plus) == r.one).all()
         if m is None or not inverse:
             raise RadicalNotIdeal(

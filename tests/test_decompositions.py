@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 
 from pclean import decompositions as dec
 from pclean import radicals as rad
-from pclean.errors import NotLiftable, PcleanError
-from pclean.rings import MatrixKernel, ProductKernel, RingTable, TriangularKernel, build_ring
+from pclean.errors import NotInvertible, NotLiftable, PcleanError
+from pclean.rings import (
+    UNIT_SCAN_LIMIT,
+    MatrixKernel,
+    ProductKernel,
+    RingTable,
+    TriangularKernel,
+    build_ring,
+)
 from pclean.verifier import DEFAULT_CATALOG
 
 from oracles import clean_oracle, gather_sweep, pi_regular_oracle
@@ -384,14 +391,23 @@ def test_per_element_answers_read_the_prime_radical_mask(monkeypatch):
     assert cert.validate() and calls == [cert.remainder] * 2
 
 
-@pytest.mark.parametrize("name", [*DEFAULT_CATALOG, "T2(Z32)", "M2(Z8)", "T2(Z4[i])", "Z4add110"])
+_ORACLE_RINGS = [*DEFAULT_CATALOG, "T2(Z32)", "M2(Z8)", "T2(Z4[i])", "T3(Z4)", "M2(Z9)"]
+
+
+@pytest.mark.parametrize("name", [*_ORACLE_RINGS, "Z4add110"])
 def test_sweep_matches_gather_oracle(name):
-    # T2(Z32), M2(Z8) and T2(Z4[i]) lie above DENSE_TABLE_LIMIT, so their
-    # sweeps run on the coordinate path, and the last two have several
-    # idempotents per coset of P(R); Z4 with 1 + 1 = 0 is no ring, so each of
-    # its idempotents is a class of its own
+    # T2(Z32), M2(Z8), T2(Z4[i]), T3(Z4) and M2(Z9) lie above
+    # DENSE_TABLE_LIMIT, so their sweeps run on the coordinate path, and each
+    # has several idempotents per coset of P(R), reached by conjugation in
+    # the commuting sweep; Z4 with 1 + 1 = 0 is no ring, so each of its
+    # idempotents is a class of its own.  The unit mask joins the member
+    # sets on the rings within UNIT_SCAN_LIMIT, all but T2(Z32); on the
+    # non-ring the two differ there at x = 2, as the sweep reads the cosets
+    # w + e and the oracle reads x - e
     r = corrupted_zn(1, 1, 0, name, op="add") if name == "Z4add110" else build_ring(name)
-    masks = rad.prime_radical(r).mask, rad.jacobson_radical(r).mask, rad.nilpotent_mask(r)
+    masks = [rad.prime_radical(r).mask, rad.jacobson_radical(r).mask, rad.nilpotent_mask(r)]
+    if name in _ORACLE_RINGS and r.order <= UNIT_SCAN_LIMIT:
+        masks.append(r.unit_mask)
     for member in masks:
         for commuting in (True, False):
             got = dec._sweep(r, member, commuting)
@@ -416,6 +432,48 @@ def test_counting_sweep_scatters_once_per_coset_class(monkeypatch):
     dec._sweep(r, p, commuting=False)
     assert r.idempotent_indices.size == 66
     assert lanes.count(int(p.sum())) == 4
+
+
+def test_commuting_sweep_reads_one_row_and_column_per_coset_class(monkeypatch):
+    # the 66 idempotents of T2(Z32) fall into 4 cosets of P(R); only the
+    # least idempotent of each class is tested by its row and column, and
+    # the rest of the class is reached by conjugating its hits
+    r = RingTable(TriangularKernel(2, build_ring("Z32")), "T2(Z32)")
+    p = rad.prime_radical(r).mask
+    want = gather_sweep(r, p, commuting=True)
+    calls = []
+    for name in ("mul_row", "mul_col"):
+        line = getattr(RingTable, name)
+
+        def recording(self, x, name=name, line=line):
+            if self is r:
+                calls.append(name)
+            return line(self, x)
+
+        monkeypatch.setattr(RingTable, name, recording)
+    got = dec._sweep(r, p, commuting=True)
+    assert r.idempotent_indices.size == 66 and np.array_equal(got, want)
+    assert calls.count("mul_row") == calls.count("mul_col") == 4
+    # the identity the scatter rests on: u e0 u^-1 = e across each class
+    classes, pn = {}, np.flatnonzero(p)
+    for e in r.idempotent_indices.tolist():
+        classes.setdefault(int(r.vadd(pn, np.int64(e)).min()), []).append(e)
+    assert sorted(map(len, classes.values())) == [1, 1, 32, 32]
+    for e0, *es in classes.values():
+        u, v = dec._conjugators(r, np.int64(e0), np.asarray(es, np.int64))
+        assert np.array_equal(r.vmul(r.vmul(u, np.int64(e0)), v), es)
+
+
+def test_conjugators_with_a_wrong_nilpotency_index_raise(monkeypatch):
+    # the inverse series of a conjugator stops at P's nilpotency index; an
+    # index too small leaves a wrong inverse, which the two-sided check
+    # turns into a typed error rather than a wrong mask
+    r = RingTable(TriangularKernel(2, build_ring("Z32")), "T2(Z32)")
+    p = rad.prime_radical(r).mask
+    monkeypatch.setattr(rad, "nilpotency_index", lambda ideal: 1)
+    with pytest.raises(NotInvertible, match="conjugator"):
+        dec._sweep(r, p, commuting=True)
+    assert not any(k[0] == "sweep" for k in r.cache if isinstance(k, tuple))
 
 
 @pytest.mark.parametrize("kernel, base", [(MatrixKernel, "Z4"), (TriangularKernel, "Z8")])

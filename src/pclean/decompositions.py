@@ -287,7 +287,11 @@ def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
                 count[r.vmul(r.vmul(u[:, None], hits[None, :]), v[:, None])] = 1
         return count.astype(bool) if commuting else count
 
-    return cached(r, ("sweep", member.tobytes(), commuting), make)
+    return cached(r, _sweep_key(member, commuting), make)
+
+
+def _sweep_key(member: np.ndarray, commuting: bool) -> tuple:
+    return ("sweep", member.tobytes(), commuting)
 
 
 def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None]:
@@ -295,9 +299,12 @@ def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None
 
     def make():
         member, bad = _KINDS[kind][0](r), None
-        if commuting and r.order > DENSE_TABLE_LIMIT:
+        if (commuting and r.order > DENSE_TABLE_LIMIT
+                and _sweep_key(member, commuting) not in r.cache):
             # counterexamples in structured rings tend to sit at tiny indices;
-            # probing them against the member set avoids the full sweep
+            # probing them against the member set avoids the full sweep.  A
+            # cached sweep answers at once: in a ring the probe's first
+            # failure is the sweep's least gap
             bad = next((x for x in range(_PROBE) if not _hits(r, kind, x, True).size), None)
         if bad is None:
             cover = _sweep(r, member, commuting)

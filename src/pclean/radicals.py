@@ -62,19 +62,28 @@ class Ideal:
         return f"Ideal({self.ring.name}, order={self.order})"
 
 
-def _additively_closed(r: RingTable, mask: np.ndarray) -> bool:
-    """Whether the set `mask` is closed under addition.  Every member lies in
-    the span of the set's subgroup basis, so adding the basis is enough."""
+def _closed_basis(r: RingTable, mask: np.ndarray) -> np.ndarray | None:
+    """A subgroup basis of the set `mask` if it is closed under addition, else
+    None: every member lies in the basis's span, so adding it is enough."""
     idx = np.flatnonzero(mask)
-    return bool(mask[r.vadd(idx[:, None], subgroup_basis(r, idx)[None, :])].all())
+    basis = subgroup_basis(r, idx)
+    return basis if mask[r.vadd(idx[:, None], basis[None, :])].all() else None
+
+
+def _certified_basis(r: RingTable, mask: np.ndarray) -> np.ndarray | None:
+    """A subgroup basis of the set `mask` if it is a two-sided ideal (it holds
+    0 and is closed under negation, addition and multiplication by the
+    additive generators and 1 on either side), else None."""
+    idx = np.flatnonzero(mask)
+    if not (mask[r.zero] and mask[r.vneg(idx)].all()) or (basis := _closed_basis(r, mask)) is None:
+        return None
+    gens = sorted({*r.additive_generators, r.one})
+    closed = all(mask[r.vmul(g, idx)].all() and mask[r.vmul(idx, g)].all() for g in gens)
+    return basis if closed else None
 
 
 def _certify_ideal(r: RingTable, mask: np.ndarray) -> bool:
-    idx = np.flatnonzero(mask)
-    if not (mask[r.zero] and mask[r.vneg(idx)].all() and _additively_closed(r, mask)):
-        return False
-    gens = np.unique(np.append(np.asarray(r.additive_generators, np.int64), r.one))
-    return all(mask[r.vmul(g, idx)].all() and mask[r.vmul(idx, g)].all() for g in gens)
+    return _certified_basis(r, mask) is not None
 
 
 def nilpotency_index(I: Ideal) -> int | None:
@@ -84,20 +93,21 @@ def nilpotency_index(I: Ideal) -> int | None:
     return I._memo["nilpotency"]
 
 
-def _ideal_nilpotency(r: RingTable, mask: np.ndarray) -> int | None:
-    for k, power in enumerate(ideal_powers(r, mask), 1):
+def _ideal_nilpotency(r: RingTable, mask: np.ndarray, basis=None) -> int | None:
+    for k, power in enumerate(ideal_powers(r, mask, basis), 1):
         if power.sum() == 1:
             return k
     return None
 
 
-def ideal_powers(r: RingTable, mask: np.ndarray):
+def ideal_powers(r: RingTable, mask: np.ndarray, basis=None):
     """Masks of the powers I, I^2, ... of the ideal I with mask `mask`, each
     I^(k+1) = I * I^k, up to the first power equal to the next one.  Each
     span hands back the products it needed, which generate I^(k+1), so a
-    basis of I is the only basis computed.  In a ring I^(k+1) lies in I^k, so
-    a power that escapes the one before it raises RadicalNotIdeal (bug trap)."""
-    basis = gens = subgroup_basis(r, np.flatnonzero(mask))
+    basis of I is the only basis computed, or none when I's certificate
+    hands in its own (`basis`).  In a ring I^(k+1) lies in I^k, so a power
+    that escapes the one before it raises RadicalNotIdeal (bug trap)."""
+    basis = gens = subgroup_basis(r, np.flatnonzero(mask)) if basis is None else basis
     cur = mask
     while True:
         yield cur
@@ -146,17 +156,14 @@ def nilpotent_mask(r: RingTable) -> np.ndarray:
     (Rx^i = Rx^(i+1) with i < m gives x^i = s^m x^(i+m) = 0), so |R| >= 2^m
     and m <= 2^p.  The bound is tight: 2 has index k in Z_(2^k).
 
-    The squaring map sq[x] = x*x is evaluated once; p gathers y = sq[y] from
-    the identity give x^(2^p), each gather being the pass y = y*y.
+    p gathers y = sq[y] through the ring's one squaring map
+    (`RingTable.squares`, shared with the idempotents and the inverses)
+    from the identity give x^(2^p), each gather being the pass y = y*y.
     """
 
     def make():
         passes = ((r.order - 1).bit_length() - 1).bit_length()
-        sq = np.empty(r.order, dtype=np.int64)
-        for s in range(0, r.order, _CHUNK):
-            x = np.arange(s, min(s + _CHUNK, r.order), dtype=np.int64)
-            sq[s : s + x.size] = r.vmul(x, x)
-        y = np.arange(r.order, dtype=np.int64)
+        sq, y = r.squares, np.arange(r.order)
         for _ in range(passes):
             y = sq[y]
         return y == r.zero
@@ -198,7 +205,8 @@ def prime_radical(r: RingTable) -> Ideal:
 
 def _prime_mask(r: RingTable) -> tuple[np.ndarray, dict]:
     for mask in _filter(r, nilpotent_mask(r), _generator_rows(r)):
-        if _certify_ideal(r, mask) and (k := _ideal_nilpotency(r, mask)) is not None:
+        basis = _certified_basis(r, mask)
+        if basis is not None and (k := _ideal_nilpotency(r, mask, basis)) is not None:
             return mask, {"nilpotency": k}
     raise RadicalNotIdeal(f"strongly nilpotent elements of {r.name} are not an ideal")
 
@@ -242,9 +250,11 @@ def jacobson_radical(r: RingTable) -> Ideal:
     every row is read, which is the definition, and C is then certified.
     Above the guard the radical is produced from the prime radical: in a
     finite ring J(R) is nilpotent, hence equals P(R); the inclusion
-    P(R) <= J(R) is still verified by an explicit inverse of every 1 + p.
+    P(R) <= J(R) is still verified by an explicit inverse of every 1 + p
+    (`inverse_series`), and J's memo takes P's nilpotency index, as its
+    mask is P's copy.  Below the guard J's index is its own powers walk.
     """
-    return Ideal(r, *cached(r, "jacobson_ideal", lambda: (_jacobson_mask(r), {})))
+    return Ideal(r, *cached(r, "jacobson_ideal", lambda: _jacobson_mask(r)))
 
 
 def one_plus_p_mask(r: RingTable) -> np.ndarray:
@@ -258,15 +268,17 @@ def one_plus_p_mask(r: RingTable) -> np.ndarray:
 
 
 def inverse_series(r: RingTable, t: np.ndarray, m: int) -> np.ndarray:
-    """Per lane, sum_{i<m} t^i by Horner (v = 1 + t v): the two-sided inverse
-    of 1 - t when t^m = 0.  Callers check the inverse on both sides."""
+    """Per lane, sum_{i<m} t^i: the two-sided inverse of 1 - t when t^m = 0,
+    as the product (1 + t)(1 + t^2)(1 + t^4)... of ceil(log2 m) factors (the
+    sum up to t^(2^k - 1), 2^k >= m), each t^(2^i) gathered from the ring's
+    squaring map (`RingTable.squares`).  Callers check it on both sides."""
     v = np.full(np.shape(t), r.one, dtype=np.int64)
-    for _ in range(1, m):
-        v = r.vadd(r.one, r.vmul(t, v))
+    for _ in range(max(m - 1, 0).bit_length()):
+        v, t = r.vmul(v, r.vadd(r.one, t)), r.squares[t]
     return v
 
 
-def _jacobson_mask(r: RingTable) -> np.ndarray:
+def _jacobson_mask(r: RingTable) -> tuple[np.ndarray, dict]:
     if r.order > UNIT_SCAN_LIMIT:
         # P(R) is a certified ideal, so only P <= J is left to check: 1 + p
         # has the two-sided inverse u = sum_{i<m} (-p)^i, as p^m = 0
@@ -278,7 +290,7 @@ def _jacobson_mask(r: RingTable) -> np.ndarray:
             raise RadicalNotIdeal(
                 f"{r.name}: some 1 + p with p in P(R) is not a unit (bug trap)"
             )
-        return p.mask.copy()
+        return p.mask.copy(), {"nilpotency": m}
     # om[t] says whether 1 - t is a unit
     om = r.unit_mask[r.vsub(np.int64(r.one), np.arange(r.order))]
     if r.by_construction:
@@ -291,7 +303,7 @@ def _jacobson_mask(r: RingTable) -> np.ndarray:
         raise RadicalNotIdeal(f"Jacobson radical of {r.name} failed ideal closure")
     if not mask[prime_radical(r).indices].all():
         raise RadicalNotIdeal(f"{r.name}: prime radical not inside Jacobson radical")
-    return mask
+    return mask, {}
 
 
 def is_boolean(r: RingTable) -> bool:
@@ -310,7 +322,7 @@ def is_local(r: RingTable) -> bool:
 
     def make():
         if r.order <= UNIT_SCAN_LIMIT:
-            return _additively_closed(r, ~r.unit_mask)
+            return _closed_basis(r, ~r.unit_mask) is not None
         return r.idempotent_indices.size == 2
 
     return cached(r, "is_local", make)

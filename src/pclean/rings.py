@@ -22,7 +22,9 @@ quotients, corners, Z_n[t], M_k over a noncommutative base or with k > 2).
 The units of Z_n, products, T_k, Tc_k and M2 over a commutative base come
 from their rule (`_units_by_construction`) and Lagrange's theorem, and J(R)
 is filtered by vmul (`radicals.jacobson_radical`), so neither reads a
-chunk of rows.
+chunk of rows.  The squaring map `RingTable.squares` is the dense diagonal,
+or the digit formulas on a mesh of x's digits alone through the same
+place-weighted sum as the lines (`_DigitKernel._place_sum`).
 
 One kernel, `_MatrixFamilyKernel`, serves M_k, T_k and Tc_k: its identity
 and product follow from `specs.positions`, which states once which entries
@@ -199,12 +201,8 @@ class _DigitKernel:
 
         One evaluation of the digit formulas on an open mesh: y's digits on
         the last npos axes, and x's digits on npos axes of their own (None),
-        as Python ints (an int) or on one lane axis (an array).  Each output
-        digit, weighted by its place value, spans only the mesh axes it
-        reads (for every row, its y axes merged into one); terms of one
-        shape are summed first, so only the last add fills the whole block.
-        Every partial sum is at most order - 1, so any `dtype` that holds
-        order - 1 gives the exact indices."""
+        as Python ints (an int) or on one lane axis (an array), summed by
+        `_place_sum` (for every row, with its y axes merged into one)."""
         npos, rad = self.npos, self.radices
         if xs is None:
             lead = tuple(rad)
@@ -217,20 +215,38 @@ class _DigitKernel:
             dx = list(self.digits(xs).reshape((npos,) + lead + (1,) * npos))
         dy = [_on_axis(len(lead) + j, np.arange(r), len(lead) + npos) for j, r in enumerate(rad)]
         fn = self.add_digits if op == "add" else self.mul_digits
+        # a term spans only the x axes it reads, so merging its y axes costs
+        # little, and numpy iterates a few long axes far faster than many
+        # short ones; a lane spans every term, so it does not
+        merge = npos if xs is None else None
+        out = self._place_sum(fn(dy, dx) if col else fn(dx, dy), lead, dtype, merge)
+        return out.reshape(-1, self.order)
+
+    def squares(self, dtype) -> np.ndarray:
+        """x*x for every x, in `dtype`: the digit formulas on an open mesh of
+        x's digits alone (the diagonal digits of T_k span one axis each)."""
+        dx = [_on_axis(j, np.arange(r), self.npos) for j, r in enumerate(self.radices)]
+        return self._place_sum(self.mul_digits(dx, dx), (), dtype).reshape(-1)
+
+    def _place_sum(self, digits, lead: tuple, dtype, merge=None) -> np.ndarray:
+        """The indices of `digits` on an open mesh of shape lead + radices:
+        each digit times its place value spans only the axes it reads, and
+        terms of one shape are summed first, so only the last add fills the
+        whole block; with `merge`, each term's axes past its first `merge`
+        are merged into one.  Partial sums stay below order, so any `dtype`
+        that holds order - 1 gives the exact indices."""
+        rad = tuple(self.radices)
         terms: dict[tuple, np.ndarray] = {}
-        for d, w in zip(fn(dy, dx) if col else fn(dx, dy), self.places):
+        for d, w in zip(digits, self.places):
             t = np.asarray(d, dtype) * w
             terms[t.shape] = terms[t.shape] + t if t.shape in terms else t
-        shape = lead + tuple(rad)
-        if xs is None:
-            # a term spans only the x axes it reads, so merging its y axes
-            # costs little, and numpy iterates a few long axes far faster
-            # than many short ones; a lane spans every term, so it does not
+        shape = lead + rad
+        if merge is not None:
             shape = lead + (self.order,)
-            terms = {s: np.broadcast_to(t, s[:npos] + tuple(rad)).reshape(s[:npos] + (-1,))
+            terms = {s: np.broadcast_to(t, s[:merge] + rad).reshape(s[:merge] + (-1,))
                      for s, t in terms.items()}
         *head, last = sorted(terms.values(), key=np.size)
-        return np.add(sum(head), last, out=np.empty(shape, dtype)).reshape(-1, self.order)
+        return np.add(sum(head), last, out=np.empty(shape, dtype))
 
 
 class _PositionalKernel(_DigitKernel):
@@ -636,15 +652,30 @@ class RingTable:
     # -- cached structure
 
     @property
-    def idempotent_mask(self) -> np.ndarray:
-        def scan():
-            mask = np.zeros(self.order, dtype=bool)
-            for s in range(0, self.order, _CHUNK):
-                idx = np.arange(s, min(s + _CHUNK, self.order), dtype=np.int64)
-                mask[idx] = self.vmul(idx, idx) == idx
-            return mask
+    def squares(self) -> np.ndarray:
+        """x*x at index x, in the least unsigned dtype holding order - 1: the
+        dense table's diagonal, a digit kernel's formulas on the mesh of x's
+        digits, or the kernel's vmul(x, x) in chunks; each entry is what
+        vmul(x, x) reads, so the map is the same on any table.  The
+        idempotents, the nilpotents and the Lagrange and 1 + P inverses read it."""
 
-        return cached(self, "idempotent_mask", scan)
+        def make():
+            if self._mul_t is not None:
+                return self._mul_t.diagonal()
+            dtype = np.min_scalar_type(self.order - 1)
+            if isinstance(self.kernel, _DigitKernel):
+                return self.kernel.squares(dtype)
+            sq = np.empty(self.order, dtype)
+            for s in range(0, self.order, _CHUNK):
+                x = np.arange(s, min(s + _CHUNK, self.order), dtype=np.int64)
+                sq[s : s + x.size] = self.vmul(x, x)
+            return sq
+
+        return cached(self, "squares", make)
+
+    @property
+    def idempotent_mask(self) -> np.ndarray:
+        return cached(self, "idempotent_mask", lambda: self.squares == np.arange(self.order))
 
     @property
     def idempotent_indices(self) -> np.ndarray:
@@ -661,8 +692,9 @@ class RingTable:
 
         Where `_units_by_construction` has a rule, each unit u of U = U(R)
         gets u^(|U|-1) (Lagrange), by square-and-multiply over all units at
-        once, and u*u^-1 = 1 = u^-1*u is checked for every u.  Otherwise by
-        one scan of the multiplication rows: the least y with x*y = 1 = y*x."""
+        once, each square gathered from `squares`, and u*u^-1 = 1 = u^-1*u
+        is checked for every u.  Otherwise by one scan of the multiplication
+        rows: the least y with x*y = 1 = y*x."""
 
         def scan():
             if self.order > UNIT_SCAN_LIMIT:
@@ -679,7 +711,7 @@ class RingTable:
                         acc = self.vmul(acc, sq)
                     e >>= 1
                     if e:
-                        sq = self.vmul(sq, sq)
+                        sq = self.squares[sq]
                 if not (
                     mask[self.one]
                     and (self.vmul(units, acc) == self.one).all()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from pclean import cli
 from pclean.cli import main
@@ -197,3 +200,19 @@ def test_matrix_analyze_limit_caps_the_matrix_ring(capsys):
     assert err == "error: M2(Z9[w]) has order 43046721 > limit 100\n"
     status, doc, _ = run_json(capsys, "matrix", "analyze", "Z4[i]", "[1,i;2,1+i]")
     assert status == 0 and doc["matrix"] == "[1,i;2,1+i]"  # M2 order 65536 = default limit
+
+
+def test_large_ring_analyze_imports_no_numpy_ma():
+    # the first np.unique of a process imports numpy.ma (8-14 ms); a ring
+    # analyze dedupes its generators without it
+    code = (
+        "import contextlib, io, sys\n"
+        "from pclean import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['ring', 'analyze', 'T2(Z64)', '--limit', '540000', '--json'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -351,6 +351,18 @@ def test_probe_refutes_without_the_sweep(monkeypatch):
     assert dec.is_strongly_pclean_ring(prod) == (False, 4)
 
 
+def test_probe_is_skipped_when_the_sweep_is_cached(monkeypatch):
+    # on T2(Z64) J = P, so strongly J-clean reads the sweep strongly P-clean
+    # left in the cache instead of probing the 64 least indices again
+    r = RingTable(build_ring("T2(Z64)", limit=540_000).kernel, "T2(Z64)")
+    assert dec.is_strongly_pclean_ring(r) == (True, None)
+    calls = []
+    real = dec._hits
+    monkeypatch.setattr(dec, "_hits", lambda *a: calls.append(a) or real(*a))
+    assert dec.is_strongly_jclean_ring(r) == (True, None)
+    assert calls == []
+
+
 def test_probe_reads_the_prime_radical(monkeypatch):
     # the probe tests P-membership against the verdict's member set P(R),
     # computed once, not element by element through strong nilpotence

@@ -320,7 +320,7 @@ def test_prime_radical_of_m2_m2_z2_is_fast():
 
 def test_failed_certificate_raises_instead_of_looping(monkeypatch):
     r = RingTable(build_ring("Z8").kernel, "Z8")
-    monkeypatch.setattr(rad, "_certify_ideal", lambda r, mask: False)
+    monkeypatch.setattr(rad, "_certified_basis", lambda r, mask: None)
     with pytest.raises(RadicalNotIdeal, match="are not an ideal"):
         rad.prime_radical(r)
 
@@ -333,6 +333,45 @@ def test_jacobson_above_the_scan_limit_is_p(name):
     p = rad.prime_radical(r)
     assert rad.jacobson_radical(r) == p
     assert all_units_by_powers(r, r.vadd(r.one, p.indices))
+
+
+@pytest.mark.parametrize(
+    "name, m", [("Z2", 1), ("Z4", 2), ("Z8", 3), ("Z16", 4), ("Z32", 5), ("Z64", 6), ("T2(Z64)", 7)]
+)
+def test_inverse_series_product_form_matches_horner(name, m):
+    # (1 + t)(1 + t^2)(1 + t^4)... over ceil(log2 m) factors is the Horner
+    # sum_{i<m} t^i on every t with t^m = 0, lane by lane
+    r = build_ring(name, limit=540_000)
+    p = rad.prime_radical(r)
+    assert rad.nilpotency_index(p) == m
+    t = r.vneg(p.indices)
+    horner = np.full(t.shape, r.one, dtype=np.int64)
+    for _ in range(1, m):
+        horner = r.vadd(r.one, r.vmul(t, horner))
+    assert np.array_equal(rad.inverse_series(r, t, m), horner)
+
+
+@pytest.mark.parametrize("name", ["Z64", "M2(Z4)", "T2(Z64)"])
+def test_certified_prime_radical_computes_one_basis(monkeypatch, name):
+    # the certificate's subgroup basis of P is handed to the powers walk
+    r = RingTable(build_ring(name, limit=540_000).kernel, name)  # fresh caches
+    calls = []
+    real = rad.subgroup_basis
+    monkeypatch.setattr(rad, "subgroup_basis", lambda r, m: calls.append(np.sort(m)) or real(r, m))
+    p = rad.prime_radical(r)
+    assert sum(np.array_equal(c, p.indices) for c in calls) == 1
+
+
+def test_jacobson_above_the_scan_limit_reads_p_nilpotency_index(monkeypatch):
+    # above UNIT_SCAN_LIMIT J's mask is P's copy and its memo P's index, so
+    # the powers of the one ideal are walked once for both reports
+    r = RingTable(build_ring("T2(Z64)", limit=540_000).kernel, "T2(Z64)")
+    walks = []
+    real = rad.ideal_powers
+    monkeypatch.setattr(rad, "ideal_powers", lambda *a: walks.append(1) or real(*a))
+    p, j = rad.prime_radical(r), rad.jacobson_radical(r)
+    assert rad.nilpotency_index(p) == rad.nilpotency_index(j) == 7
+    assert len(walks) == 1
 
 
 def test_jacobson_traps_a_prime_radical_with_a_non_nilpotent_element():

@@ -99,6 +99,18 @@ def test_row_blocks_match_kernel_ops(name):
                 assert np.array_equal(narrow, r.kernel.lines(op, xs))
 
 
+@pytest.mark.parametrize("name", PRODUCER_RINGS + ["T2(Z9[w])", "T3(Z8)"])
+def test_squares_match_vmul(name):
+    # the one squaring map: the dense diagonal, the digit mesh of x's digits
+    # alone, or the kernel's vmul in chunks, each with vmul(x, x)'s values
+    r = _ring(name) if name in PRODUCER_RINGS else build_ring(name, limit=540_000)
+    r = r if r._mul_t is not None else RingTable(r.kernel, r.name)  # fresh caches
+    idx = np.arange(r.order, dtype=np.int64)
+    assert np.array_equal(r.squares, r.vmul(idx, idx))
+    if r._mul_t is None:
+        assert r.squares.dtype == np.min_scalar_type(r.order - 1)
+
+
 @pytest.mark.parametrize("name", DEFAULT_CATALOG + ["T2(Z8)xZ9"])
 def test_scans_match_lane_by_lane_oracles(name):
     r = build_ring(name)

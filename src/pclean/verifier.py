@@ -5,25 +5,26 @@ primitives (scans, closures, quotients); no side is derived from the other.
 Idempotents enter only through the sweep and hits of `decompositions`, 1+P
 through `radicals.one_plus_p_mask`, ideals through the exact lattice of
 `enumerate_ideals`, similarity by a unit through the orbit maps of
-`_conjugation_reach`, strong pi-regularity through the one whole-ring mask.
+`_conjugation_reach`, strong pi-regularity through the one whole-ring mask,
+a corner fRf through `_corner`, one fact per nonzero idempotent f cached on R.
 Every ring-level side has one definition, in `_RING_PROPS`; every element
 or matrix property a mask check records has its pair of whole-ring masks
 (expected, actual) in `_MASK_SIDES` (T4.4's three criteria in `_CRITERIA`),
-and every ideal or per-element property its pair of sides in `_IDEAL_SIDES`
-or `_ELEMENT_SIDES`.  The checks and `replay_counterexample` both read these
-tables, and 20 of the 29 checks are rows of three runners: mask properties
-in turn on the family sizes within the limit, optionally at an index grid
-(`_mask_run`); ring-level sides, some depending on the order and limit, and
-a witness (`_sides_run`); or ideal sides per ideal, or along its powers
-(`_ideal_run`).  C2.11 is one mask check on R itself and C2.14 a constant
-SKIPPED.  T2.4 (its lift loop), L3.1 and T3.2 (per-element loops), P2.10,
-T4.4, E4.6 and L2.9 (payload shapes or pair subjects no runner takes) keep
-bodies.  One driver, `_run_one`, times every check on every subject its
-`CheckDef.subjects` names (each ring, each unordered pair of rings, or
-once), tries its guards, and reports a scan refused by a size guard
-(RingTooLarge) as SKIPPED.  Replay re-derives every recorded side of every
-payload kind but E4.6's (ring-level sides, element/matrix literals, ideals
-as the span of their recorded additive basis) and reproduces only a
+and every property compared one record (an ideal, or elements) at a time its
+payload kind and pair of sides in `_RECORD_SIDES`.  The checks and
+`replay_counterexample` both read these tables, and 22 of the 29 checks are
+rows of three runners: mask properties in turn on the family sizes within
+the limit, optionally at an index grid (`_mask_run`); ring-level sides, some
+depending on the order and limit, and a witness (`_sides_run`); or record
+sides at each record a walk yields (`_record_run`).  C2.11 is one mask check
+on R, L2.9 one side verdict on a product and C2.14 a constant SKIPPED.  T2.4
+(sides, then its lift's records), P2.10, T4.4 and E4.6 (payload shapes no
+runner takes) keep bodies.  One driver, `_run_one`, times every check on
+every subject its `CheckDef.subjects` names (each ring, each unordered pair
+of rings, or once), tries its guards, and reports a scan refused by a size
+guard (RingTooLarge) as SKIPPED.  Replay re-derives every recorded side of
+every payload kind but E4.6's (ring-level sides, element/matrix literals,
+ideals as the span of their recorded additive basis) and reproduces only a
 violation of the claim's rule (`_claim_fails` for ring-level sides), only
 where the guards pass.
 """
@@ -96,7 +97,7 @@ DEFAULT_CATALOG = [
 IDEAL_ENUM_LIMIT = 64  # ring order for ideal-lattice enumeration
 MASK_BUDGET = 16384  # matrix-ring order for whole-space mask checks
 SIM_BUDGET = 4096  # matrix/triangular order for unit-conjugation orbit maps
-COMMUTANT_BUDGET = 4096  # ring order for T2.4's per-element double-commutant scan
+COMMUTANT_BUDGET = 4096  # ring order for per-element scans of whole rows (T2.4, L3.1)
 
 
 @dataclass
@@ -164,13 +165,6 @@ def _cex(kind: str, ring: RingTable, prop: str, expected, actual, **subject) -> 
         "kind": kind, "ring": ring.name, **subject,
         "property": prop, "expected": expected, "actual": actual,
     }
-
-
-def _ideal_cex(r: RingTable, mask: np.ndarray, prop: str, expected, actual, **extra) -> dict:
-    return _cex(
-        "ideal", r, prop, expected, actual,
-        ideal_gens=_ideal_gens(r, mask), ideal_order=int(mask.sum()), **extra,
-    )
 
 
 def _quotient_table(r: RingTable, mask: np.ndarray) -> RingTable | None:
@@ -293,6 +287,9 @@ _ideal_enum = _requires(
     f"ideal enumeration limited to order <= {IDEAL_ENUM_LIMIT}",
     SKIPPED,
 )
+_annihilator_scan = _requires(
+    lambda r: r.order <= COMMUTANT_BUDGET, f"annihilator scan limited to order <= {COMMUTANT_BUDGET}", SKIPPED
+)
 _z4_only = _requires(lambda r: r.name == "Z4", "worked example is specific to Z4", SKIPPED)
 
 
@@ -335,16 +332,27 @@ def _double_commutant_idempotent(r: RingTable) -> bool:
     return all(map(ok, range(r.order)))
 
 
+def _corner(r: RingTable, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """The corner fRf of a nonzero idempotent f, built and swept once per r:
+    its members, ascending, and its own strongly P-clean mask (C3.3's side
+    and witness and T3.2's sides all read this one fact)."""
+
+    def make():
+        corner, members = corner_ring(r, f)
+        return members, dec.strongly_pclean_mask(corner)
+
+    return cached(r, ("corner", f), make)
+
+
 def _bad_corner(r: RingTable) -> dict | None:
     """C3.3's witness: the first nonzero idempotent f whose corner fRf is not
-    strongly P-clean, and the least failing element of fRf; None when every
-    corner is (the zero corner is the zero ring, trivially clean)."""
+    strongly P-clean, and the least member of fRf that is not; None when
+    every corner is (the zero corner is the zero ring, trivially clean)."""
     for f in r.idempotent_indices.tolist():
         if f != r.zero:
-            corner, _ = corner_ring(r, f)
-            ok, cex = dec.is_strongly_pclean_ring(corner)
-            if not ok:
-                return {"corner": r.fmt_index(f), "witness": corner.fmt_index(cex)}
+            members, mask = _corner(r, f)
+            if not mask.all():
+                return {"corner": r.fmt_index(f), "witness": r.fmt_index(int(members[~mask][0]))}
     return None
 
 
@@ -524,26 +532,10 @@ _CRITERIA = {
     "quadratic_roots": roots_criterion_mask,
 }
 
-# ideal sides: per property an ideal payload records, (expected, actual) on
-# the recorded ideal; None where the claim says nothing, so no record matches
-_IDEAL_SIDES = {
-    "quotient_strongly_pclean": lambda r, mask, p: (_strongly_pclean(r), _quotient_pclean(r, mask)),
-    "pclean_iff_quotient_by_nilpotent_pclean": lambda r, mask, p: (
-        _strongly_pclean(r),
-        _quotient_pclean(r, mask) if rad.nilpotency_index(rad.Ideal(r, mask)) is not None else None,
-    ),
-    # R/I^n for the power I^n, n >= 2, of the recorded order
-    "pclean_quotient_stable_under_ideal_powers": lambda r, mask, p: (
-        _quotient_pclean(r, mask),
-        next((_quotient_pclean(r, q) for q in list(rad.ideal_powers(r, mask))[1:]
-              if q.sum() == p["power_order"]), None),
-    ),
-}
-
-
-def _lift_sides(r: RingTable, x: int, payload=None) -> tuple:
+def _lift_sides(r: RingTable, rec: dict) -> tuple:
     """T2.4's lift at x where x - x^2 lies in P: ("lift", "lift" or the error
     of the failed lift); elsewhere the claim says nothing: (None, None)."""
+    x = rec["element"]
     if not rad.prime_radical(r).mask[r.sub(x, r.mul(x, x))]:
         return None, None
     try:
@@ -553,34 +545,50 @@ def _lift_sides(r: RingTable, x: int, payload=None) -> tuple:
     return "lift", "lift"
 
 
-def _corner_sides(r: RingTable, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """T3.2 at the corner fRf of a nonzero idempotent f: its members, and per
-    member whether it is strongly P-clean in r and in fRf."""
-    in_r = dec.strongly_pclean_mask(r)
-    corner, members = corner_ring(r, f)
-    return members, in_r[members], dec.strongly_pclean_mask(corner)
+def _annihilators_carry(r: RingTable, a: int, e: int) -> bool:
+    """l.ann(a) <= l.ann(e) and r.ann(a) <= r.ann(e)."""
+    left = (r.mul_col(a) == r.zero) & (r.mul_col(e) != r.zero)
+    right = (r.mul_row(a) == r.zero) & (r.mul_row(e) != r.zero)
+    return not (left.any() or right.any())
 
 
-def _corner_element_sides(r: RingTable, x: int, payload) -> tuple:
-    """T3.2's sides at x in the recorded corner, if a nonzero idempotent holding x."""
-    f = r.parse_element(payload["corner"]).index
+def _corner_element_sides(r: RingTable, rec: dict) -> tuple:
+    """T3.2's sides at an element of the corner fRf of a nonzero idempotent
+    f: strongly P-clean in r, and in fRf; (None, None) where the recorded
+    corner is no such f or does not hold the element."""
+    f, x = rec["corner"], rec["element"]
     if f == r.zero or not r.idempotent_mask[f]:
         return None, None
-    members, expected, actual = _corner_sides(r, f)
-    pos = np.flatnonzero(members == x)
-    return (bool(expected[pos[0]]), bool(actual[pos[0]])) if pos.size else (None, None)
+    in_r = dec.strongly_pclean_mask(r)
+    members, in_corner = _corner(r, f)
+    pos = int(np.searchsorted(members, x))
+    return (bool(in_r[x]), bool(in_corner[pos])) if pos < members.size and members[pos] == x else (None, None)
 
 
-# the properties a check evaluates one element at a time: (expected, actual)
-# at the recorded element, or (None, None) where the claim says nothing
-_ELEMENT_SIDES = {
-    "idempotent_lift": _lift_sides,
-    "annihilators_carry_to_idempotent": lambda r, x, p: (
-        (True, _annihilators_carry(r, x, e))
-        if (e := r.parse_element(p["idempotent"]).index) in dec._hits(r, dec.STRONGLY_P_CLEAN, x, True)
+# record sides: per property a check compares one record at a time (an
+# ideal mask under "ideal", with T2.8's power order, or element indices), its
+# payload kind and its (expected, actual) at the record; None where the claim
+# says nothing, so no record matches; the checks and replay read them here
+_RECORD_SIDES = {
+    "quotient_strongly_pclean": ("ideal", lambda r, rec: (_strongly_pclean(r), _quotient_pclean(r, rec["ideal"]))),
+    "pclean_iff_quotient_by_nilpotent_pclean": ("ideal", lambda r, rec: (
+        _strongly_pclean(r),
+        _quotient_pclean(r, rec["ideal"])
+        if rad.nilpotency_index(rad.Ideal(r, rec["ideal"])) is not None else None,
+    )),
+    # R/I^n for the power I^n, n >= 2, of the recorded order
+    "pclean_quotient_stable_under_ideal_powers": ("ideal", lambda r, rec: (
+        _quotient_pclean(r, rec["ideal"]),
+        next((_quotient_pclean(r, q) for q in list(rad.ideal_powers(r, rec["ideal"]))[1:]
+              if q.sum() == rec["power_order"]), None),
+    )),
+    "idempotent_lift": ("element", _lift_sides),
+    "annihilators_carry_to_idempotent": ("element", lambda r, rec: (
+        (True, _annihilators_carry(r, a, e))
+        if (e := rec["idempotent"]) in dec._hits(r, dec.STRONGLY_P_CLEAN, (a := rec["element"]), True)
         else (None, None)
-    ),
-    "pclean_in_ring_iff_in_corner": _corner_element_sides,
+    )),
+    "pclean_in_ring_iff_in_corner": ("element", _corner_element_sides),
 }
 
 
@@ -612,6 +620,31 @@ def _sides_run(tid: str, names, witness=lambda r: {}, more=lambda r, env: ((), N
         extra, note = more(r, env)
         verdict, payload = _side_verdict(r, tid, [*names, *extra], note)
         return verdict, ({**payload, **witness(r)} if verdict == COUNTEREXAMPLE else payload)
+
+    return run
+
+
+def _record_fields(kind: str, r: RingTable, rec: dict) -> dict:
+    """A record as payload fields: element indices as literals, or the ideal
+    as its additive basis and order, then T2.8's power order as it is."""
+    if kind == "element":
+        return {k: r.fmt_index(v) for k, v in rec.items()}
+    mask, rest = rec["ideal"], {k: v for k, v in rec.items() if k != "ideal"}
+    return {"ideal_gens": _ideal_gens(r, mask), "ideal_order": int(mask.sum()), **rest}
+
+
+def _record_run(prop: str, records):
+    """A check's run: the first record of records(r) where the two sides of
+    `prop` in `_RECORD_SIDES` differ, skipping those the claim says nothing
+    of (actual None), as a payload of the property's kind."""
+    kind, sides = _RECORD_SIDES[prop]
+
+    def run(r: RingTable, env: VerifyEnv):
+        for rec in records(r):
+            expected, actual = sides(r, rec)
+            if actual is not None and actual != expected:
+                return COUNTEREXAMPLE, _cex(kind, r, prop, expected, actual, **_record_fields(kind, r, rec))
+        return HOLDS, None
 
     return run
 
@@ -650,37 +683,19 @@ def _check_t2_4(r: RingTable, env: VerifyEnv):
     if verdict == COUNTEREXAMPLE:
         return verdict, note
     # constructive lifting: a - a^2 in P must lift to an idempotent inside P
-    for a in range(r.order):
-        expected, actual = _lift_sides(r, a)
-        if actual != expected:
-            return COUNTEREXAMPLE, _cex(
-                "element", r, "idempotent_lift", expected, actual, element=r.fmt_index(a)
-            )
-    return HOLDS, note
+    lifted = _record_run("idempotent_lift", lambda r: ({"element": a} for a in range(r.order)))(r, env)
+    return lifted if lifted[0] == COUNTEREXAMPLE else (HOLDS, note)
 
 
-def _ideal_run(prop: str, walk=None):
-    """A check's run over the ideals I of r, in `enumerate_ideals` order: the
-    first I, and the first record p of I that walk(r, I) yields (one, None,
-    without a walk), where the two sides of `prop` differ, skipping those the
-    claim says nothing of (actual None); p's fields join the payload."""
-
-    def run(r: RingTable, env: VerifyEnv):
-        if walk is None:
-            _strongly_pclean(r)  # first: on a table that is no ring, P(R)'s error is raised
-        for mask in enumerate_ideals(r):
-            for p in walk(r, mask) if walk else [None]:
-                expected, actual = _IDEAL_SIDES[prop](r, mask, p)
-                if actual is not None and actual != expected:
-                    return COUNTEREXAMPLE, _ideal_cex(r, mask, prop, expected, actual, **(p or {}))
-        return HOLDS, None
-
-    return run
+def _ideals(r: RingTable):
+    """L2.6's and L2.7's records: each ideal, in `enumerate_ideals` order."""
+    _strongly_pclean(r)  # first: on a table that is no ring, P(R)'s error is raised
+    return ({"ideal": m} for m in enumerate_ideals(r))
 
 
-def _power_orders(r: RingTable, mask: np.ndarray):
-    """T2.8's records of I: the order of each power I^n, n >= 1, walked lazily."""
-    return ({"power_order": int(q.sum())} for q in rad.ideal_powers(r, mask))
+def _ideal_power_orders(r: RingTable):
+    """T2.8's records: each ideal I with the order of each power I^n, n >= 1."""
+    return ({"ideal": m, "power_order": int(q.sum())} for m in enumerate_ideals(r) for q in rad.ideal_powers(r, m))
 
 
 def _pair_sides(r: RingTable, ma: np.ndarray, mb: np.ndarray) -> dict:
@@ -713,37 +728,19 @@ def _check_p2_10(r: RingTable, env: VerifyEnv):
 # section 3 checks
 
 
-def _annihilators_carry(r: RingTable, a: int, e: int) -> bool:
-    """l.ann(a) <= l.ann(e) and r.ann(a) <= r.ann(e)."""
-    left = (r.mul_col(a) == r.zero) & (r.mul_col(e) != r.zero)
-    right = (r.mul_row(a) == r.zero) & (r.mul_row(e) != r.zero)
-    return not (left.any() or right.any())
+def _commuting_hits(r: RingTable):
+    """L3.1's records: each element a, ascending, with each idempotent e,
+    ascending, that commutes with a and has a - e in P."""
+    hits = (dec._hits(r, dec.STRONGLY_P_CLEAN, a, commuting=True).tolist() for a in range(r.order))
+    return ({"element": a, "idempotent": e} for a, es in enumerate(hits) for e in es)
 
 
-def _check_l3_1(r: RingTable, env: VerifyEnv):
-    for a in range(r.order):
-        for e in dec._hits(r, dec.STRONGLY_P_CLEAN, a, commuting=True).tolist():
-            if not _annihilators_carry(r, a, e):
-                return COUNTEREXAMPLE, _cex(
-                    "element", r, "annihilators_carry_to_idempotent", True, False,
-                    element=r.fmt_index(a), idempotent=r.fmt_index(e),
-                )
-    return HOLDS, None
-
-
-def _check_t3_2(r: RingTable, env: VerifyEnv):
+def _corner_members(r: RingTable):
+    """T3.2's records: each nonzero idempotent f, ascending, with each member
+    of its corner fRf, ascending."""
     dec.strongly_pclean_mask(r)  # first: on a table that is no ring, its error is raised
-    for f in r.idempotent_indices.tolist():
-        if f != r.zero:
-            members, expected, actual = _corner_sides(r, f)
-            differ = np.flatnonzero(expected != actual)
-            if differ.size:
-                pos = int(differ[0])
-                return COUNTEREXAMPLE, _cex(
-                    "element", r, "pclean_in_ring_iff_in_corner", bool(expected[pos]),
-                    bool(actual[pos]), corner=r.fmt_index(f), element=r.fmt_index(int(members[pos])),
-                )
-    return HOLDS, None
+    nonzero = (f for f in r.idempotent_indices.tolist() if f != r.zero)
+    return ({"corner": f, "element": x} for f in nonzero for x in _corner(r, f)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -784,12 +781,11 @@ def _check_e4_6(r: RingTable, env: VerifyEnv):
 # registry and drivers
 
 
-def _check_l2_9(pair, env: VerifyEnv):
+def _product(pair) -> RingTable:
     ra, rb = pair
     # built directly, outside the ring registry: no other check reads a
-    # product, so it is dropped when this check returns
-    prod = RingTable(ProductKernel([ra, rb]), f"{ra.name} x {rb.name}")
-    return _side_verdict(prod, "L2.9", ("product_strongly_pclean", "both_factors_strongly_pclean"))
+    # product, so it is dropped when its check returns
+    return RingTable(ProductKernel([ra, rb]), f"{ra.name} x {rb.name}")
 
 
 def _product_within_limit(pair, env: VerifyEnv):
@@ -827,10 +823,11 @@ _CHECKS: list[CheckDef] = [
     CheckDef("T2.4", "four characterizations incl. Boolean mod P and the idempotent lift", _check_t2_4),
     CheckDef("C2.5", "strongly P-clean iff periodic and 1+U(R) strongly nilpotent", _sides_run(
         "C2.5", ("strongly_pclean_ring", "one_plus_units_strongly_nilpotent"), lambda r: {**_first(r, _one_plus_units_outside_p(r)), "note": "periodicity holds in every finite ring"})),
-    CheckDef("L2.6", "homomorphic images stay strongly P-clean", _ideal_run("quotient_strongly_pclean"), (_ideal_enum, _pclean_ring)),
-    CheckDef("L2.7", "P-cleanness passes through quotients by nilpotent ideals", _ideal_run("pclean_iff_quotient_by_nilpotent_pclean"), (_ideal_enum,)),
-    CheckDef("T2.8", "R/I vs R/I^n strongly P-clean", _ideal_run("pclean_quotient_stable_under_ideal_powers", _power_orders), (_ideal_enum,)),
-    CheckDef("L2.9", "finite direct products (restricted form)", _check_l2_9, (_product_within_limit,), _each_pair),
+    CheckDef("L2.6", "homomorphic images stay strongly P-clean", _record_run("quotient_strongly_pclean", _ideals), (_ideal_enum, _pclean_ring)),
+    CheckDef("L2.7", "P-cleanness passes through quotients by nilpotent ideals", _record_run("pclean_iff_quotient_by_nilpotent_pclean", _ideals), (_ideal_enum,)),
+    CheckDef("T2.8", "R/I vs R/I^n strongly P-clean", _record_run("pclean_quotient_stable_under_ideal_powers", _ideal_power_orders), (_ideal_enum,)),
+    CheckDef("L2.9", "finite direct products (restricted form)", lambda pair, env: _side_verdict(
+        _product(pair), "L2.9", ("product_strongly_pclean", "both_factors_strongly_pclean")), (_product_within_limit,), _each_pair),
     CheckDef("P2.10", "quotients by I, J vs IJ and their intersection", _check_p2_10, (_ideal_enum,)),
     CheckDef("T2.10", "uniquely P-clean iff abelian + strongly P-clean", _sides_run("T2.10", ("uniquely_pclean_ring", "abelian", "strongly_pclean_ring"), _failures(dec.is_uniquely_pclean_ring))),
     CheckDef("C2.11", "uniquely P-clean implies uniquely clean", lambda r, env: _mask_check(r, "element", "uniquely_clean_count"), (_uniquely_pclean_ring,)),
@@ -840,8 +837,8 @@ _CHECKS: list[CheckDef] = [
         "C2.14", "Boolean iff uniquely P-clean + primary ideals prime",
         lambda _, env: (SKIPPED, "primary-ideal machinery is out of scope"), (), _once,
     ),
-    CheckDef("L3.1", "annihilators of a carry to its idempotent part", _check_l3_1),
-    CheckDef("T3.2", "P-cleanness agrees between R and its corners fRf", _check_t3_2),
+    CheckDef("L3.1", "annihilators of a carry to its idempotent part", _record_run("annihilators_carry_to_idempotent", _commuting_hits), (_annihilator_scan,)),
+    CheckDef("T3.2", "P-cleanness agrees between R and its corners fRf", _record_run("pclean_in_ring_iff_in_corner", _corner_members)),
     CheckDef("C3.3", "ring P-clean iff every corner is", _sides_run("C3.3", ("strongly_pclean_ring", "all_corners_strongly_pclean"), lambda r: _bad_corner(r) or {})),
     CheckDef("T3.5", "local ring: P-clean iff uniquely iff residue Z_2 iff T_n P-clean", _sides_run(
         "T3.5", ("strongly_pclean_ring", "uniquely_pclean_ring", "residue_z2_and_locally_nilpotent"), more=_triangular_sides), (_local,)),
@@ -987,27 +984,29 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
         return False
     if kind in ("ideal", "ideal_pair"):
         # `_ideal_gens` records an additive basis: its span, if an ideal of r
+        # (and of the recorded order)
         bases = payload["ideal_gens"] if kind == "ideal_pair" else [payload["ideal_gens"]]
         masks = [additive_closure_mask(r, [r.parse_element(g).index for g in b]) for b in bases]
-        if not all(rad._certify_ideal(r, m) for m in masks):
+        if not all(rad._certify_ideal(r, m) for m in masks) or (
+                kind == "ideal" and int(masks[0].sum()) != payload["ideal_order"]):
             return False
     if kind == "ideal_pair":
         got = _pair_sides(r, *masks)
         return all(payload[k] == v for k, v in got.items()) and len(set(got.values())) > 1
     prop = payload["property"]
-    if kind == "ideal":
-        if int(masks[0].sum()) != payload["ideal_order"] or prop not in _IDEAL_SIDES:
+    tag, record_sides = _RECORD_SIDES.get(prop, (None, None))
+    if kind == "ideal" or tag is not None:  # a record, of its property's kind
+        if tag != kind:
             return False
-        sides = _IDEAL_SIDES[prop](r, masks[0], payload)
+        rec = {**payload, "ideal": masks[0]} if kind == "ideal" else {
+            k: r.parse_element(payload[k]).index for k in ("corner", "element", "idempotent") if k in payload}
+        sides = record_sides(r, rec)
     else:
         idx = r.parse_element(payload.get("element") or payload["matrix"]).index
         if "criteria" in payload:  # a three-way criterion disagreement
             got = {name: bool(crit(r)[idx]) for name, crit in _CRITERIA.items()}
             return got == payload["criteria"] and len(set(got.values())) > 1
-        if prop in _MASK_SIDES:
-            sides = tuple(side[idx].item() for side in _MASK_SIDES[prop](r))
-        elif prop in _ELEMENT_SIDES:
-            sides = _ELEMENT_SIDES[prop](r, idx, payload)
-        else:
+        if prop not in _MASK_SIDES:
             return False
+        sides = tuple(side[idx].item() for side in _MASK_SIDES[prop](r))
     return sides == (payload.get("expected"), payload.get("actual")) and sides[0] != sides[1]

@@ -335,6 +335,17 @@ def test_jacobson_above_the_scan_limit_is_p(name):
     assert all_units_by_powers(r, r.vadd(r.one, p.indices))
 
 
+@pytest.mark.parametrize("name, local", [("Z32768", True), ("T2(Z32)", False)])
+def test_is_local_above_the_unit_scan_limit_counts_idempotents(name, local):
+    # above UNIT_SCAN_LIMIT the non-units are not scanned: a finite ring is
+    # local iff 0 and 1 are its only idempotents (T2(Z32) has e11 and e22)
+    from pclean.rings import UNIT_SCAN_LIMIT
+
+    r = RingTable(build_ring(name).kernel, name)  # fresh caches
+    assert r.order > UNIT_SCAN_LIMIT
+    assert rad.is_local(r) is local
+
+
 @pytest.mark.parametrize(
     "name, m", [("Z2", 1), ("Z4", 2), ("Z8", 3), ("Z16", 4), ("Z32", 5), ("Z64", 6), ("T2(Z64)", 7)]
 )

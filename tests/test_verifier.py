@@ -330,7 +330,9 @@ def test_c5_2_half_root_payload_replays(monkeypatch):
 def test_t3_2_corner_payload_replays(monkeypatch):
     # a corner mask that disagrees with the ring's at 0: the payload replays
     # through T3.2's one pair of sides; a corner that is no idempotent, or
-    # an element outside the corner, replays False without raising
+    # an element outside the corner, replays False without raising.  A fresh
+    # Z6: corner masks are cached on their ring, so the shared one may
+    # already hold them
     real = dec.strongly_pclean_mask
 
     def flipped(r):
@@ -341,12 +343,12 @@ def test_t3_2_corner_payload_replays(monkeypatch):
         return mask
 
     monkeypatch.setattr(dec, "strongly_pclean_mask", flipped)
-    (check,) = verify("T3.2", ["Z6"])
+    z6 = RingTable(build_ring("Z6").kernel, "Z6")
+    (check,) = verify("T3.2", [z6])
     assert check.verdict == "COUNTEREXAMPLE"
     cex = check.counterexample
     assert cex == {"kind": "element", "ring": "Z6", "corner": "1", "element": "0",
                    "property": "pclean_in_ring_iff_in_corner", "expected": True, "actual": False}
-    z6 = build_ring("Z6")
     for corner, element in (("2", "0"), ("3", "1")):
         other = TheoremCheck("T3.2", "Z6", "COUNTEREXAMPLE", {**cex, "corner": corner, "element": element}, 0.0)
         assert replay_counterexample(other, ring=z6) is False
@@ -796,3 +798,43 @@ def test_t2_4_notes_the_double_commutant_budget(monkeypatch):
     monkeypatch.setattr(verifier, "COMMUTANT_BUDGET", 4)
     (check,) = verify("T2.4", ["Z8"])
     assert (check.verdict, check.note) == ("HOLDS", "double-commutant side limited to order <= 4")
+
+
+def test_l3_1_skips_above_the_annihilator_scan_bound():
+    # the annihilator test reads a whole row and column per (a, e) pair, so
+    # L3.1 shares T2.4's bound on per-element scans instead of running for
+    # tens of seconds on Z32768
+    import time
+
+    t0 = time.perf_counter()
+    (check,) = verify("L3.1", ["Z32768"])
+    assert time.perf_counter() - t0 < 1.0
+    assert (check.verdict, check.note) == ("SKIPPED", "annihilator scan limited to order <= 4096")
+
+
+def test_c3_3_and_t3_2_build_each_corner_once(monkeypatch):
+    # one fact per nonzero idempotent f, cached on the ring: C3.3's side and
+    # T3.2's sides read the same corner fRf, built once (M2(Z4) has 25)
+    from pclean import verifier
+
+    built = []
+    real = verifier.corner_ring
+    monkeypatch.setattr(verifier, "corner_ring", lambda r, f: built.append(f) or real(r, f))
+    m2 = RingTable(build_ring("M2(Z4)").kernel, "M2(Z4)")  # fresh caches
+    assert int((m2.idempotent_indices != m2.zero).sum()) == 25
+    assert [c.verdict for c in verify("C3.3", [m2]) + verify("T3.2", [m2])] == ["HOLDS", "HOLDS"]
+    assert len(built) == len(set(built)) == 25
+
+
+def test_a_record_payload_of_another_kind_does_not_replay():
+    # a record property's payload replays only as the kind its side table
+    # names: L3.1's element record as a matrix, L2.7's ideal as an element
+    for tid, kind, key in (("L3.1", "matrix", "element"), ("L2.7", "element", None)):
+        name, _, payload = next(p for p in PINNED_PAYLOADS if p[1] == tid)
+        bad = corrupted_zn(*map(int, name[-3:]), name, n=int(name[1]))
+        cex = json.loads(payload)
+        assert replay_counterexample(TheoremCheck(tid, name, "COUNTEREXAMPLE", cex, 0.0), ring=bad)
+        cex["kind"] = kind
+        if key:
+            cex["matrix"] = cex.pop(key)
+        assert not replay_counterexample(TheoremCheck(tid, name, "COUNTEREXAMPLE", cex, 0.0), ring=bad)

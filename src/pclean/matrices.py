@@ -2,13 +2,14 @@
 
 A `Matrix2` is an element of M2(R) (`rings.derived_ring("M", 2, R)`): its +,
 - and * are that ring's add, sub and mul (tables or the one-element codec).
-Covers the quadratic-root criterion, the A - A^2 radical-membership test,
-the definitional idempotent scan (the three criteria the classifier
-cross-checks per matrix, each also as a whole-ring mask), the explicit
-diagonal similarity witness of a split matrix (a `SimilarityWitness` also
-carries the companion form, whose transvection identity the tests build),
-the Sylvester-style phi-map solver for triangular matrices, and the
-discriminant records.
+Each criterion is one formula of a matrix index or an index array alike
+(`entries_in_p`, `one_minus_in_p`, `diff_in_p`, `roots_criterion`); its
+whole-ring mask is its value at every index, cached on M2(R), and a matrix
+query evaluates it at its own index.  The base-ring formulas that the
+criteria, the discriminant records and the verifier's M2 and T2 sides share
+live here once as well.  Also: the definitional idempotent scan (the third
+criterion the classifier cross-checks), the diagonal similarity witness of a
+split matrix and the Sylvester-style phi-map solver for triangular matrices.
 """
 
 from __future__ import annotations
@@ -217,48 +218,21 @@ def m2_invariants(m2: RingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return cached(m2, "m2_invariants", make)
 
 
-def entries_in_p_mask(m2: RingTable) -> np.ndarray:
-    """Mask over M2(r) of matrices with every entry in P(r)."""
+def quadratic_zeros(r: RingTable) -> np.ndarray:
+    """zero[x, t, d]: x^2 - t x + d = 0 in r, for every x, t and d."""
 
     def make():
-        pm = radicals.prime_radical(m2.kernel.base).mask
-        return pm[m2_invariants(m2)[0]].all(axis=0)
+        idx = np.arange(r.order, dtype=np.int64)
+        return quadratic(r, idx[:, None, None], idx[None, :, None], idx[None, None, :]) == r.zero
 
-    return cached(m2, "entries_in_p", make)
-
-
-def one_minus_in_p_mask(m2: RingTable) -> np.ndarray:
-    """Mask over M2(r) of matrices A with I - A in M2(P(r))."""
-
-    def make():
-        idx = np.arange(m2.order, dtype=np.int64)
-        return entries_in_p_mask(m2)[m2.vsub(np.int64(m2.one), idx)]
-
-    return cached(m2, "one_minus_in_p", make)
-
-
-def trivial_or_mask(m2: RingTable, branch: np.ndarray) -> np.ndarray:
-    """Mask over M2(r): A in M2(P(r)), or I - A in M2(P(r)), or `branch`."""
-    return entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
-
-
-def diff_in_p_mask(m2: RingTable) -> np.ndarray:
-    """Criterion A - A^2 in M2(P(r)), vectorized over the whole matrix ring."""
-
-    def make():
-        idx = np.arange(m2.order, dtype=np.int64)
-        return entries_in_p_mask(m2)[m2.vsub(idx, m2.vmul(idx, idx))]
-
-    return cached(m2, "diff_in_p", make)
+    return cached(r, "quadratic_zeros", make)
 
 
 def root_pair_table(r: RingTable) -> tuple[np.ndarray, np.ndarray]:
     """For every (t, d): does x^2 - t x + d = 0 have a root in P / in 1+P."""
 
     def make():
-        idx = np.arange(r.order, dtype=np.int64)
-        # zero[x, t, d] <=> x^2 - t*x + d = 0
-        zero = quadratic(r, idx[:, None, None], idx[None, :, None], idx[None, None, :]) == r.zero
+        zero = quadratic_zeros(r)
         has_p = np.tensordot(radicals.prime_radical(r).mask.astype(np.int64), zero, axes=1) > 0
         has_1p = np.tensordot(radicals.one_plus_p_mask(r).astype(np.int64), zero, axes=1) > 0
         return (has_p, has_1p)
@@ -266,15 +240,75 @@ def root_pair_table(r: RingTable) -> tuple[np.ndarray, np.ndarray]:
     return cached(r, "root_pair_table", make)
 
 
-def roots_criterion_mask(m2: RingTable) -> np.ndarray:
-    """Trichotomy (3): in M2(P), or I - A in M2(P), or a root in P and in 1+P."""
+def squares_of_one_plus_p(r: RingTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per y: whether y = u^2 for some u in 1+P, and the least such u (else -1)."""
+    u = np.flatnonzero(radicals.one_plus_p_mask(r))
+    y, first = np.unique(r.squares[u], return_index=True)
+    least = np.full(r.order, -1, dtype=np.int64)
+    least[y] = u[first]
+    return least >= 0, least
 
-    def make():
-        has_p, has_1p = root_pair_table(m2.kernel.base)
-        _, tr, det, _ = m2_invariants(m2)
-        return trivial_or_mask(m2, has_p[tr, det] & has_1p[tr, det])
 
-    return cached(m2, "roots_criterion", make)
+def trace_ratio(r: RingTable, tr, det):
+    """det / tr^2 over r (arbitrary where tr is no unit), for indices or index arrays alike."""
+    return r.vmul(det, r.unit_inverses[r.vmul(tr, tr)] % r.order)
+
+
+def half_roots(r: RingTable, half, tr, u):
+    """((tr - u) / 2, (tr + u) / 2) over r, half = 2^-1, for indices or index
+    arrays alike: with u^2 = disc, the roots of x^2 - tr x + det."""
+    return r.vmul(half, r.vsub(tr, u)), r.vmul(half, r.vadd(tr, u))
+
+
+def diagonal_in_p_or_1p(r: RingTable, a, b):
+    """T2(r)'s diagonal rule: a and b each in P(r) or in 1+P(r), for indices or index arrays alike."""
+    p_or_1p = radicals.prime_radical(r).mask | radicals.one_plus_p_mask(r)
+    return p_or_1p[a] & p_or_1p[b]
+
+
+def entries_in_p(m2: RingTable, x):
+    """Every entry of x in P(r): x in M2(P(r))."""
+    return radicals.prime_radical(m2.kernel.base).mask[m2.kernel.digits(x)].all(axis=0)
+
+
+def one_minus_in_p(m2: RingTable, x):
+    """I - x in M2(P(r))."""
+    return entries_in_p(m2, m2.vsub(m2.one, x))
+
+
+def diff_in_p(m2: RingTable, x):
+    """x - x^2 in M2(P(r))."""
+    return entries_in_p(m2, m2.vsub(x, m2.vmul(x, x)))
+
+
+def roots_criterion(m2: RingTable, x):
+    """Trichotomy (3): x in M2(P), or I - x in M2(P), or x^2 - tr x + det has
+    a root in P and a root in 1+P."""
+    has_p, has_1p = root_pair_table(m2.kernel.base)
+    tr, det, _ = invariants(m2.kernel.base, *m2.kernel.digits(x))
+    return entries_in_p(m2, x) | one_minus_in_p(m2, x) | (has_p[tr, det] & has_1p[tr, det])
+
+
+def _whole_ring(criterion):
+    """The whole-ring mask of `criterion`: its value at every index of M2(r),
+    cached on M2(r) under the criterion's name."""
+
+    def mask(m2: RingTable) -> np.ndarray:
+        return cached(m2, criterion.__name__, lambda: criterion(m2, np.arange(m2.order, dtype=np.int64)))
+
+    mask.__name__ = mask.__qualname__ = f"{criterion.__name__}_mask"
+    return mask
+
+
+entries_in_p_mask = _whole_ring(entries_in_p)
+one_minus_in_p_mask = _whole_ring(one_minus_in_p)
+diff_in_p_mask = _whole_ring(diff_in_p)
+roots_criterion_mask = _whole_ring(roots_criterion)
+
+
+def trivial_or_mask(m2: RingTable, branch: np.ndarray) -> np.ndarray:
+    """Mask over M2(r): A in M2(P(r)), or I - A in M2(P(r)), or `branch`."""
+    return entries_in_p_mask(m2) | one_minus_in_p_mask(m2) | branch
 
 
 def definitional_mask(m2: RingTable) -> np.ndarray:
@@ -289,18 +323,11 @@ def definitional_mask(m2: RingTable) -> np.ndarray:
 
 
 def _roots(r: RingTable, t: int, d: int) -> list[tuple[int, str]]:
-    val = quadratic(r, np.arange(r.order, dtype=np.int64), t, d)
     pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
     return [
-        (int(x), CLASS_P if pm[x] else CLASS_ONE_PLUS_P if onep[x] else CLASS_OTHER)
-        for x in np.flatnonzero(val == r.zero)
+        (x, CLASS_P if pm[x] else CLASS_ONE_PLUS_P if onep[x] else CLASS_OTHER)
+        for x in np.flatnonzero(quadratic_zeros(r)[:, t, d]).tolist()
     ]
-
-
-def _in_p(M: Matrix2) -> bool:
-    """Every entry of M lies in P(r)."""
-    pm = radicals.prime_radical(M.ring).mask
-    return bool(all(pm[e] for e in M.entries()))
 
 
 @dataclass
@@ -312,42 +339,32 @@ class Classification:
     roots: list
 
 
-def _criteria(A: Matrix2) -> tuple[dict, CleanCertificate | None, list]:
-    """The three criteria for A: (i) the idempotent scan in M2(r), (ii) A - A^2
-    in M2(P(r)), (iii) A or I - A in M2(P(r)), or roots of the characteristic
-    polynomial in P and in 1+P; the scan's certificate; and the roots."""
-    r = A.ring
-    cert = strongly_pclean_element(A.m2, A.index)[0]
-    roots = _roots(r, A.trace, A.det)
-    trivial = _in_p(A) or _in_p(Matrix2.identity(r) - A)
-    criteria = {
-        "idempotent_scan": cert is not None,
-        "difference_in_radical": _in_p(A - A * A),
-        "quadratic_roots": trivial or {CLASS_P, CLASS_ONE_PLUS_P} <= {c for _, c in roots},
-    }
-    return criteria, cert, roots
-
-
 def classify_pclean_2x2(A: Matrix2) -> Classification:
-    """Evaluate the three criteria of `_criteria` for A and cross-check:
-    disagreement raises CriterionMismatch."""
-    r = A.ring
+    """Evaluate the three criteria for A and cross-check: (i) the idempotent
+    scan in M2(r), (ii) `diff_in_p`, (iii) `roots_criterion`; disagreement
+    raises CriterionMismatch."""
+    r, m2, x = A.ring, A.m2, A.index
     _require_commutative(r)
     _require_local(r)
-    criteria, cert, roots = _criteria(A)
+    cert = strongly_pclean_element(m2, x)[0]
+    criteria = {
+        "idempotent_scan": cert is not None,
+        "difference_in_radical": bool(diff_in_p(m2, x)),
+        "quadratic_roots": bool(roots_criterion(m2, x)),
+    }
     if len(set(criteria.values())) > 1:
         raise CriterionMismatch(f"criteria disagree for {A} over {r.name}: {criteria}")
     witness = None
     if cert is None:
         kind = NOT_PCLEAN
-    elif _in_p(A):
+    elif entries_in_p(m2, x):
         kind = IN_P
-    elif _in_p(Matrix2.identity(r) - A):
+    elif one_minus_in_p(m2, x):
         kind = ONE_MINUS_IN_P
     else:
         kind = SPLIT
         witness = diagonalize_split(A, cert)
-    return Classification(kind, criteria, cert, witness, roots)
+    return Classification(kind, criteria, cert, witness, _roots(r, A.trace, A.det))
 
 
 def diagonalize_split(A: Matrix2, cert: CleanCertificate) -> SimilarityWitness:
@@ -420,9 +437,9 @@ def triangular_pclean(
     """
     _require_local(r)
     a, b, v = int(a), int(b), int(v)
-    pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
-    if not ((pm[a] or onep[a]) and (pm[b] or onep[b])):
+    if not diagonal_in_p_or_1p(r, a, b):
         return None
+    pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
     if pm[a] and pm[b]:
         e11, e12, e22 = r.zero, r.zero, r.zero
     elif onep[a] and onep[b]:
@@ -466,34 +483,25 @@ def discriminant_criteria(A: Matrix2) -> DiscriminantRecord:
     _require_local(r)
     pm, onep = radicals.prime_radical(r).mask, radicals.one_plus_p_mask(r)
     tr, det, disc = map(int, invariants(r, *A.entries()))
-    idx = np.arange(r.order, dtype=np.int64)
-    squares = r.vmul(idx, idx)
-    sq_witnesses = [int(u) for u in np.flatnonzero(onep & (squares == disc))]
-
+    sq_witnesses = np.flatnonzero(onep & (r.squares == disc)).tolist()
     ratio_roots = []
-    trinv = r.inverse(tr)
-    if trinv is not None:
-        c = r.mul(det, r.mul(trinv, trinv))
-        val = quadratic(r, idx, r.one, c)  # x^2 - x + det/tr^2
-        ratio_roots = [int(x) for x in np.flatnonzero((val == r.zero) & pm)]
-
+    if r.is_unit(tr):  # roots in P of x^2 - x + det/tr^2
+        ratio_roots = np.flatnonzero(quadratic_zeros(r)[:, r.one, trace_ratio(r, tr, det)] & pm).tolist()
     half = r.inverse(r.embed_int(2))
-    half_roots = None
+    roots = None
     if half is not None and sq_witnesses:
-        u = sq_witnesses[0]
-        half_roots = (r.mul(half, r.sub(tr, u)), r.mul(half, r.add(tr, u)))
-
+        roots = tuple(map(int, half_roots(r, half, tr, sq_witnesses[0])))
     return DiscriminantRecord(
         trace=tr,
         det=det,
-        in_p=_in_p(A),
-        one_minus_in_p=_in_p(Matrix2.identity(r) - A),
+        in_p=bool(entries_in_p(A.m2, A.index)),
+        one_minus_in_p=bool(one_minus_in_p(A.m2, A.index)),
         trace_in_one_plus_p=bool(onep[tr]),
         disc=disc,
         square_witnesses=sq_witnesses,
         ratio_roots_in_p=ratio_roots,
         half=half,
-        half_roots=half_roots,
+        half_roots=roots,
     )
 
 

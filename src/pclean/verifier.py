@@ -10,6 +10,9 @@ a corner fRf through `_corner`, one fact per nonzero idempotent f cached on R.
 Every ring-level side has one definition, in `_RING_PROPS`; every element
 or matrix property a mask check records has its pair of whole-ring masks
 (expected, actual) in `_MASK_SIDES` (T4.4's three criteria in `_CRITERIA`),
+whose 2x2 formulas for T4.4, C4.5, T5.1, C5.2, E5.3 and P3.7 (`diff_in_p`,
+`roots_criterion`, `trace_ratio`, `squares_of_one_plus_p`, `half_roots`,
+`diagonal_in_p_or_1p`) are those of `matrices` that `matrix analyze` reads,
 and every property compared one record (an ideal, or elements) at a time its
 payload kind and pair of sides in `_RECORD_SIDES`.  The checks and
 `replay_counterexample` both read these tables, and 22 of the 29 checks are
@@ -43,13 +46,17 @@ from .errors import PcleanError, RingTooLarge, UnknownTheoremId
 from .matrices import (
     Matrix2,
     definitional_mask,
+    diagonal_in_p_or_1p,
     diff_in_p_mask,
     entries_in_p_mask,
+    half_roots,
     m2_invariants,
     matrix_ring,
     quadratic,
     root_pair_table,
     roots_criterion_mask,
+    squares_of_one_plus_p,
+    trace_ratio,
     triangular_ring,
     trivial_or_mask,
 )
@@ -411,19 +418,10 @@ _RING_PROPS = {
 }
 
 
-def _squares_of_one_plus_p(r: RingTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per y: whether y = u^2 for some u in 1+P, and the least such u (else -1)."""
-    u = np.flatnonzero(rad.one_plus_p_mask(r))
-    y, first = np.unique(r.vmul(u, u), return_index=True)
-    least = np.full(r.order, -1, dtype=np.int64)
-    least[y] = u[first]
-    return least >= 0, least
-
-
 def _discriminant_branch(m2: RingTable) -> np.ndarray:
     """Per matrix: tr in 1+P and disc = tr^2 - 4 det the square of some u in 1+P."""
     r, (_, tr, _, disc) = m2.kernel.base, m2_invariants(m2)
-    return rad.one_plus_p_mask(r)[tr] & _squares_of_one_plus_p(r)[0][disc]
+    return rad.one_plus_p_mask(r)[tr] & squares_of_one_plus_p(r)[0][disc]
 
 
 def _half_roots_sides(m2: RingTable) -> tuple[np.ndarray, np.ndarray]:
@@ -433,18 +431,10 @@ def _half_roots_sides(m2: RingTable) -> tuple[np.ndarray, np.ndarray]:
     r, (_, tr, det, disc) = m2.kernel.base, m2_invariants(m2)
     half, branch = np.int64(r.inverse(r.embed_int(2))), _discriminant_branch(m2)
     sel = np.flatnonzero(branch)
-    u = _squares_of_one_plus_p(r)[1][disc[sel]]
-    ok, x1, x2 = branch.copy(), r.vmul(half, r.vsub(tr[sel], u)), r.vmul(half, r.vadd(tr[sel], u))
+    ok, (x1, x2) = branch.copy(), half_roots(r, half, tr[sel], squares_of_one_plus_p(r)[1][disc[sel]])
     for roots, want in ((x1, rad.prime_radical(r).mask), (x2, rad.one_plus_p_mask(r))):
         ok[sel] &= (quadratic(r, roots, tr[sel], det[sel]) == r.zero) & want[roots]
     return branch, ok
-
-
-def _diagonal_in_p_or_1p(t2: RingTable) -> np.ndarray:
-    """Per element of T2(r): both diagonal entries in P(r) or in 1+P(r)."""
-    r, d = t2.kernel.base, t2.kernel.digits(np.arange(t2.order, dtype=np.int64))
-    p_or_1p = rad.prime_radical(r).mask | rad.one_plus_p_mask(r)
-    return p_or_1p[d[0]] & p_or_1p[d[2]]
 
 
 def _diag_similar(m2: RingTable) -> np.ndarray:
@@ -456,11 +446,9 @@ def _diag_similar(m2: RingTable) -> np.ndarray:
 
 def _ratio_branch(m2: RingTable) -> np.ndarray:
     """Per matrix: tr in 1+P and x^2 - x + det/tr^2 = 0 has a root in P."""
-    r = m2.kernel.base
+    r, (_, tr, det, _) = m2.kernel.base, m2_invariants(m2)
     ratio_root = root_pair_table(r)[0][r.one]  # per c: x^2 - x + c = 0 has a root in P
-    _, tr, det, _ = m2_invariants(m2)
-    c = r.vmul(det, r.unit_inverses[r.vmul(tr, tr)] % r.order)  # garbage where tr not a unit
-    return rad.one_plus_p_mask(r)[tr] & ratio_root[c]
+    return rad.one_plus_p_mask(r)[tr] & ratio_root[trace_ratio(r, tr, det)]
 
 
 def _companion_similar(m2: RingTable) -> np.ndarray:
@@ -486,7 +474,7 @@ def _e5_3_sides(m2: RingTable) -> tuple[np.ndarray, np.ndarray]:
     one = np.int64(r.one)
     family = rad.prime_radical(r).mask[d[1]] & (d[0] == r.vadd(d[1], one)) & (d[3] == d[1])
     four_pq = r.vmul(r.embed_int(4), r.vmul(d[1], d[2]))
-    return family & _squares_of_one_plus_p(r)[0][r.vadd(one, four_pq)], family & definitional_mask(m2)
+    return family & squares_of_one_plus_p(r)[0][r.vadd(one, four_pq)], family & definitional_mask(m2)
 
 
 def _pclean_iff_trivial_or(branch):
@@ -499,7 +487,10 @@ def _pclean_iff_trivial_or(branch):
 # at the recorded element are its sides; the checks and replay read them here
 _MASK_SIDES = {
     "strongly_pclean": lambda t: (np.ones(t.order, dtype=bool), dec.strongly_pclean_mask(t)),
-    "pclean_iff_diagonal_in_P_or_1P": lambda t: (_diagonal_in_p_or_1p(t), dec.strongly_pclean_mask(t)),
+    "pclean_iff_diagonal_in_P_or_1P": lambda t: (  # [::2]: the diagonal digits of T2(r)
+        diagonal_in_p_or_1p(t.kernel.base, *t.kernel.digits(np.arange(t.order))[::2]),
+        dec.strongly_pclean_mask(t),
+    ),
     "radical_of_matrix_ring_is_matrix_of_radical": lambda m2: (
         entries_in_p_mask(m2), rad.prime_radical(m2).mask
     ),
@@ -525,7 +516,7 @@ _MASK_SIDES = {
     ),
 }
 
-# T4.4's three criteria (see matrices._criteria), one whole-ring mask each
+# T4.4's three criteria (see matrices.classify_pclean_2x2), one whole-ring mask each
 _CRITERIA = {
     "idempotent_scan": definitional_mask,
     "difference_in_radical": diff_in_p_mask,

@@ -634,3 +634,25 @@ class M2Oracle:
         four = ad[ad[self.one][self.one]][ad[self.one][self.one]]
         disc = ad[mu[t][t]][self.neg[mu[four][det]]]
         return [u for u in sorted(self.one_plus_nil) if mu[u][u] == disc]
+
+    def _inverse(self, a):
+        """The b with a b = 1, else None."""
+        return next((b for b in range(self.n) if self.mul[a][b] == self.one), None)
+
+    def ratio_roots(self, A):
+        """x in P, ascending, with x^2 - x + det/tr^2 = 0; [] when tr is no unit."""
+        t, det = self.trace_det(A)
+        tinv = self._inverse(t)
+        if tinv is None:
+            return []
+        return [x for x, cls in self.roots(self.one, self.mul[det][self.mul[tinv][tinv]]) if cls == "P"]
+
+    def half_roots(self, A):
+        """((tr - u)/2, (tr + u)/2) for the least square witness u, when 2 is a
+        unit and a witness exists; else None."""
+        half = self._inverse(self.add[self.one][self.one])
+        witnesses = self.square_witnesses(A)
+        if half is None or not witnesses:
+            return None
+        t, u = self.trace_det(A)[0], witnesses[0]
+        return self.mul[half][self.add[t][self.neg[u]]], self.mul[half][self.add[t][u]]

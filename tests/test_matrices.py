@@ -29,9 +29,12 @@ from pclean.matrices import (
     diff_in_p_mask,
     definitional_mask,
     discriminant_criteria,
+    entries_in_p_mask,
+    m2_invariants,
     matrix_from_index,
     matrix_ring,
     matrix_to_index,
+    one_minus_in_p_mask,
     pi_regular_trichotomy,
     roots_criterion_mask,
     solve_phi,
@@ -473,3 +476,27 @@ def test_roots_and_square_witnesses_match_pure_python_oracle(name, data):
     assert (A.trace, A.det) == oracle.trace_det(entries)
     assert quadratic_roots(r, A.trace, A.det) == oracle.roots(A.trace, A.det)
     assert discriminant_criteria(A).square_witnesses == oracle.square_witnesses(entries)
+
+
+@pytest.mark.parametrize("name", M2_BASES)
+@given(data=st.data())
+def test_ratio_and_half_roots_match_pure_python_oracle(name, data):
+    r, entries = build_ring(name), data.draw(_entries(name))
+    oracle = _m2_oracle(name)
+    rec = discriminant_criteria(Matrix2(r, *entries))
+    assert rec.ratio_roots_in_p == oracle.ratio_roots(entries)
+    assert rec.half_roots == oracle.half_roots(entries)
+
+
+@pytest.mark.parametrize("name", ["Z4", "Z2[i]", "Z8"])
+def test_criterion_masks_match_pure_python_oracle_on_every_matrix(name):
+    # a matrix query and the whole-ring masks evaluate one formula per
+    # criterion, so the pure-Python oracle is the independent side here
+    m2, oracle = matrix_ring(build_ring(name)), _m2_oracle(name)
+    matrices_ = [tuple(A) for A in m2_invariants(m2)[0].T.tolist()]
+    ident = (oracle.one, oracle.zero, oracle.zero, oracle.one)
+    want = [oracle.criteria(A) for A in matrices_]
+    assert diff_in_p_mask(m2).tolist() == [w["difference_in_radical"] for w in want]
+    assert roots_criterion_mask(m2).tolist() == [w["quadratic_roots"] for w in want]
+    assert entries_in_p_mask(m2).tolist() == [oracle.in_p(A) for A in matrices_]
+    assert one_minus_in_p_mask(m2).tolist() == [oracle.in_p(oracle.msub(ident, A)) for A in matrices_]

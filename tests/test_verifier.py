@@ -542,7 +542,7 @@ def test_t2_4_reports_a_failed_lift_as_counterexample(monkeypatch):
 @pytest.mark.parametrize("name", ["Z8", "Z9", "Z16", "Z4[i]", "Z3[w]"])
 def test_squares_of_one_plus_p_match_a_loop_over_one_plus_p(name):
     from pclean import radicals as rad
-    from pclean.verifier import _squares_of_one_plus_p
+    from pclean.matrices import squares_of_one_plus_p as _squares_of_one_plus_p
 
     r = build_ring(name)
     pm = rad.prime_radical(r).mask

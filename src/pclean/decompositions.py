@@ -4,9 +4,9 @@ Strongly P-clean, clean, nil clean and J-clean differ only in the set a - e
 must lie in (P(R), units, nilpotents, J(R)); the "uniquely" notions count all
 idempotents e, commuting with a or not, which separates abelian rings from the
 rest.  Every test is a view on `_hits` (one element) or `_sweep` (the one
-loop over a ring's idempotents, by cosets of P(R)); both read membership
-from the kind's mask in `_KINDS`, computed on first use and cached on the
-ring, and a certificate re-validates through that mask and the kind's
+loop over a ring's idempotents, by cosets of P(R), keyed by kind); both read
+membership from the kind's mask in `_KINDS`, computed on first use and cached
+on the ring, and a certificate re-validates through that mask and the kind's
 witness map.  Aggregates report the least counterexample.
 """
 
@@ -239,10 +239,10 @@ def _conjugators(r: RingTable, e0: np.int64, es: np.ndarray) -> tuple[np.ndarray
     return u, v
 
 
-def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
+def _sweep(r: RingTable, kind: str, commuting: bool) -> np.ndarray:
     """Per element x: whether some idempotent marks x (bool), or else how many
-    do (uint8, saturated at 2).  Memoized per member set: J = P always and
-    Nil = P often share one pass, and T2.4 reads P's counts.
+    do (uint8, saturated at 2), x - e read in the set of `kind`.  Memoized
+    per (kind, commuting); T2.4 reads P's counts.
 
     On any table: the idempotents go in classes, ascending, and a class with
     least member e0 scatters onto its coset x = w + e0 of the members w.
@@ -252,7 +252,7 @@ def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
     conjugates u x u^-1 of e0's hits x, u = e e0 + (1-e)(1-e0) in 1 + P
     (`_conjugators`): u e0 u^-1 = e, and M is closed under conjugation, so
     these are the x of the coset that commute with e.  In a ring this is the
-    per-x condition: some e with ex = xe has x - e in `member` (or how many
+    per-x condition: some e with ex = xe has x - e in the set (or how many
     e have), as e0 w = w e0 there exactly when e0 x = x e0.  In a ring by
     construction a class is every e with e - e0 in P(R), computed on first
     use: each member set M here (P, J, the units, the nilpotents) has M + P
@@ -264,7 +264,7 @@ def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
 
     def make():
         need = 1 if commuting else 2
-        members = np.flatnonzero(member)
+        members = np.flatnonzero(_KINDS[kind][0](r))
         pm = radicals.prime_radical(r).mask if r.by_construction else None
         count = np.zeros(r.order, dtype=np.uint8)
         rest = r.idempotent_indices
@@ -287,27 +287,26 @@ def _sweep(r: RingTable, member: np.ndarray, commuting: bool) -> np.ndarray:
                 count[r.vmul(r.vmul(u[:, None], hits[None, :]), v[:, None])] = 1
         return count.astype(bool) if commuting else count
 
-    return cached(r, _sweep_key(member, commuting), make)
-
-
-def _sweep_key(member: np.ndarray, commuting: bool) -> tuple:
-    return ("sweep", member.tobytes(), commuting)
+    return cached(r, ("sweep", kind, commuting), make)
 
 
 def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None]:
-    """Strongly (some commuting e) or uniquely (exactly one e) `kind`-clean."""
+    """Strongly (some commuting e) or uniquely (exactly one e) `kind`-clean; a
+    J or Nil verdict whose set equals P(R) is P's, as a sweep reads only the set."""
 
     def make():
-        member, bad = _KINDS[kind][0](r), None
-        if (commuting and r.order > DENSE_TABLE_LIMIT
-                and _sweep_key(member, commuting) not in r.cache):
+        member, bad = _KINDS[kind][0](r), None  # first: the set's own error
+        if kind in (STRONGLY_J_CLEAN, STRONGLY_NIL_CLEAN) and np.array_equal(
+                member, _KINDS[STRONGLY_P_CLEAN][0](r)):
+            return _verdict(r, STRONGLY_P_CLEAN, commuting)
+        if commuting and r.order > DENSE_TABLE_LIMIT and ("sweep", kind, commuting) not in r.cache:
             # counterexamples in structured rings tend to sit at tiny indices;
             # probing them against the member set avoids the full sweep.  A
             # cached sweep answers at once: in a ring the probe's first
             # failure is the sweep's least gap
             bad = next((x for x in range(_PROBE) if not _hits(r, kind, x, True).size), None)
         if bad is None:
-            cover = _sweep(r, member, commuting)
+            cover = _sweep(r, kind, commuting)
             gaps = np.flatnonzero(~cover if commuting else cover != 1)
             bad = int(gaps[0]) if gaps.size else None
         return (bad is None, bad)
@@ -317,7 +316,7 @@ def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None
 
 def strongly_pclean_mask(r: RingTable) -> np.ndarray:
     """Per-element strongly P-clean verdicts for the whole ring."""
-    return _sweep(r, radicals.prime_radical(r).mask, commuting=True)
+    return _sweep(r, STRONGLY_P_CLEAN, commuting=True)
 
 
 def is_strongly_pclean_ring(r: RingTable) -> tuple[bool, int | None]:

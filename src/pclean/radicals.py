@@ -156,7 +156,7 @@ def nilpotent_mask(r: RingTable) -> np.ndarray:
     (Rx^i = Rx^(i+1) with i < m gives x^i = s^m x^(i+m) = 0), so |R| >= 2^m
     and m <= 2^p.  The bound is tight: 2 has index k in Z_(2^k).
 
-    p gathers y = sq[y] through the ring's one squaring map
+    p gathers y = sq.take(y) through the ring's one squaring map
     (`RingTable.squares`, shared with the idempotents and the inverses)
     from the identity give x^(2^p), each gather being the pass y = y*y.
     """
@@ -165,7 +165,7 @@ def nilpotent_mask(r: RingTable) -> np.ndarray:
         passes = ((r.order - 1).bit_length() - 1).bit_length()
         sq, y = r.squares, np.arange(r.order)
         for _ in range(passes):
-            y = sq[y]
+            y = sq.take(y)
         return y == r.zero
 
     return cached(r, "nilpotent_mask", make)

@@ -398,7 +398,7 @@ _RING_PROPS = {
     # some idempotent e with x - e in P, commuting or not: the uniquely
     # P-clean pass counts them for every x
     "idempotent_within_radical_for_all": lambda r: bool(
-        (dec._sweep(r, rad.prime_radical(r).mask, commuting=False) > 0).all()
+        (dec._sweep(r, dec.STRONGLY_P_CLEAN, commuting=False) > 0).all()
     ),
     "double_commutant_idempotent_for_all": _double_commutant_idempotent,
     "all_corners_strongly_pclean": lambda r: _bad_corner(r) is None,
@@ -508,7 +508,7 @@ _MASK_SIDES = {
     # at every x of a uniquely P-clean ring, and nothing (0) on other rings
     "uniquely_clean_count": lambda r: (
         np.full(r.order, dec.is_uniquely_pclean_ring(r)[0], np.uint8),
-        dec._sweep(r, r.unit_mask, commuting=False),
+        dec._sweep(r, dec.STRONGLY_CLEAN, commuting=False),
     ),
     "pi_regular_iff_unit_or_nilpotent_or_pclean": lambda m2: (
         m2.unit_mask | rad.nilpotent_mask(m2) | definitional_mask(m2),

@@ -165,7 +165,7 @@ def test_certificates_validate_exactly_the_decompositions_in_their_set(data):
     assert dec.CleanCertificate(kind, r, a, e, w, witness(r, w)).validate() == bool(member(r)[w])
     cert, count = _ELEMENT_FNS[kind](r, a)
     assert cert is None or cert.validate()
-    assert (cert is not None) == (count > 0) == bool(dec._sweep(r, member(r), commuting=True)[a])
+    assert (cert is not None) == (count > 0) == bool(dec._sweep(r, kind, commuting=True)[a])
 
 
 def test_nil_clean_certificate_needs_a_nilpotent_remainder():
@@ -417,13 +417,13 @@ def test_sweep_matches_gather_oracle(name):
     # non-ring the two differ there at x = 2, as the sweep reads the cosets
     # w + e and the oracle reads x - e
     r = corrupted_zn(1, 1, 0, name, op="add") if name == "Z4add110" else build_ring(name)
-    masks = [rad.prime_radical(r).mask, rad.jacobson_radical(r).mask, rad.nilpotent_mask(r)]
+    kinds = [dec.STRONGLY_P_CLEAN, dec.STRONGLY_J_CLEAN, dec.STRONGLY_NIL_CLEAN]
     if name in _ORACLE_RINGS and r.order <= UNIT_SCAN_LIMIT:
-        masks.append(r.unit_mask)
-    for member in masks:
+        kinds.append(dec.STRONGLY_CLEAN)
+    for kind in kinds:
         for commuting in (True, False):
-            got = dec._sweep(r, member, commuting)
-            want = gather_sweep(r, member, commuting)
+            got = dec._sweep(r, kind, commuting)
+            want = gather_sweep(r, dec._KINDS[kind][0](r), commuting)
             assert got.dtype == want.dtype and np.array_equal(got, want), commuting
 
 
@@ -441,7 +441,7 @@ def test_counting_sweep_scatters_once_per_coset_class(monkeypatch):
         return vadd(self, a, b)
 
     monkeypatch.setattr(RingTable, "vadd", recording)
-    dec._sweep(r, p, commuting=False)
+    dec._sweep(r, dec.STRONGLY_P_CLEAN, commuting=False)
     assert r.idempotent_indices.size == 66
     assert lanes.count(int(p.sum())) == 4
 
@@ -463,7 +463,7 @@ def test_commuting_sweep_reads_one_row_and_column_per_coset_class(monkeypatch):
             return line(self, x)
 
         monkeypatch.setattr(RingTable, name, recording)
-    got = dec._sweep(r, p, commuting=True)
+    got = dec._sweep(r, dec.STRONGLY_P_CLEAN, commuting=True)
     assert r.idempotent_indices.size == 66 and np.array_equal(got, want)
     assert calls.count("mul_row") == calls.count("mul_col") == 4
     # the identity the scatter rests on: u e0 u^-1 = e across each class
@@ -484,7 +484,7 @@ def test_conjugators_with_a_wrong_nilpotency_index_raise(monkeypatch):
     p = rad.prime_radical(r).mask
     monkeypatch.setattr(rad, "nilpotency_index", lambda ideal: 1)
     with pytest.raises(NotInvertible, match="conjugator"):
-        dec._sweep(r, p, commuting=True)
+        dec._sweep(r, dec.STRONGLY_P_CLEAN, commuting=True)
     assert not any(k[0] == "sweep" for k in r.cache if isinstance(k, tuple))
 
 
@@ -511,7 +511,7 @@ def test_unit_sweeps_scatter_once_per_coset_class_of_p(monkeypatch, kernel, base
     scatters = {}
     for commuting in (True, False):
         lanes.clear()
-        got = dec._sweep(r, units, commuting)
+        got = dec._sweep(r, dec.STRONGLY_CLEAN, commuting)
         assert got.dtype == want[commuting].dtype and np.array_equal(got, want[commuting])
         scatters[commuting] = lanes.count(int(units.sum()))
     assert 1 <= scatters[True] <= scatters[False] == len(classes)
@@ -541,3 +541,64 @@ def test_certificates_of_one_element_share_one_commuting_filter(monkeypatch):
             certificate(r, a)
         sizes.append(len(r.cache))
     assert lanes.count(idem.size) == 4 and sizes[0] == sizes[1]
+
+
+def _sweep_keys(r):
+    return {k for k in r.cache if isinstance(k, tuple) and k[0] == "sweep"}
+
+
+def test_ring_verdicts_sweep_each_kind_once_and_j_and_nil_read_p_where_equal():
+    # on T2(Z64) J = Nil = P, so the J and Nil verdicts are P's, and the
+    # units lie beyond UNIT_SCAN_LIMIT: P's commuting and counting sweeps
+    # are the only ones
+    r = RingTable(build_ring("T2(Z64)", limit=540_000).kernel, "T2(Z64)")
+    dec.ring_verdicts(r)
+    assert _sweep_keys(r) == {("sweep", dec.STRONGLY_P_CLEAN, True),
+                              ("sweep", dec.STRONGLY_P_CLEAN, False)}
+    # on M2(Z4) Nil != P ([0,1;0,0] is nilpotent, not in M2(2Z4)), so the
+    # uniquely nil clean verdict sweeps the nilpotents
+    m2 = RingTable(MatrixKernel(2, build_ring("Z4")), "M2(Z4)")
+    dec.ring_verdicts(m2)
+    assert ("sweep", dec.STRONGLY_NIL_CLEAN, False) in _sweep_keys(m2)
+    assert ("sweep", dec.STRONGLY_J_CLEAN, True) not in _sweep_keys(m2)
+
+
+def _bytes_in(key):
+    if isinstance(key, bytes):
+        yield key
+    elif isinstance(key, tuple):
+        for part in key:
+            yield from _bytes_in(part)
+
+
+def test_no_cache_key_holds_a_ring_sized_mask():
+    # sweeps are keyed by kind, so after the default suite the only bytes in
+    # a cache key are the ideal masks of rings within IDEAL_ENUM_LIMIT
+    from pclean.verifier import IDEAL_ENUM_LIMIT, run_suite
+
+    rings = [build_ring(name) for name in DEFAULT_CATALOG]
+    rings.append(build_ring("T2(Z64)", limit=540_000))
+    dec.ring_verdicts(rings[-1])
+    run_suite()
+    for r in rings:
+        sizes = [len(b) for key in r.cache for b in _bytes_in(key)]
+        assert max(sizes, default=0) <= IDEAL_ENUM_LIMIT, r.name
+
+
+_STRUCTURE_RINGS = [*DEFAULT_CATALOG, "T2(Z64)", "T3(Z8)", "M2(Z16)", "M2(Z4[i])",
+                    "T2(Z9[w])", "Z32768", "T3(Z6)"]
+
+
+@pytest.mark.parametrize("name", _STRUCTURE_RINGS)
+def test_strongly_pclean_iff_boolean_modulo_the_radical(name):
+    # J(R) is nilpotent in a finite ring, so J = P, and R is strongly P-clean
+    # iff R/J is Boolean iff x - x^2 lies in J for every x; every finite ring
+    # is strongly pi-regular, hence strongly clean (Nicholson 1999).  Read
+    # from the squaring map and J's mask, this checks the P sweep up to
+    # order 531441
+    r = build_ring(name, limit=540_000)
+    x = np.arange(r.order, dtype=np.int64)
+    boolean = bool(rad.jacobson_radical(r).mask[r.vsub(x, r.squares.astype(np.int64))].all())
+    assert dec.is_strongly_pclean_ring(r)[0] == boolean
+    if r.order <= UNIT_SCAN_LIMIT:
+        assert dec.is_strongly_clean_ring(r)[0]

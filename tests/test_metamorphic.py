@@ -1,6 +1,10 @@
 """Isomorphic specs must agree on every invariant and every verdict."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclean import decompositions as dec
 from pclean import radicals as rad
@@ -17,6 +21,23 @@ PAIRS = [
     ("(Z4xZ2)/([0,1])", "Z4"),
     ("Z4[i]/(2)", "Z2[i]"),
     ("T1(M2(Z2))", "M2(Z2)"),
+    # Chinese remainder theorem: Z_mn = Z_m x Z_n for coprime m, n
+    ("Z10", "Z2xZ5"),
+    ("Z12", "Z4xZ3"),
+    ("Z15", "Z3xZ5"),
+    # splitting: x^2 + 1 (x^2 + x + 1) has two roots mod 5 and 13 (mod 7)
+    ("Z5[i]", "Z5xZ5"),
+    ("Z13[i]", "Z13xZ13"),
+    ("Z7[w]", "Z7xZ7"),
+    # ramification: x^2 + 1 = (x + 1)^2 mod 2 and x^2 + x + 1 = (x - 1)^2
+    # mod 3, so Z_p[x]/((x - a)^2) is the constant-diagonal Tc2(Z_p)
+    ("Z2[i]", "Tc2(Z2)"),
+    ("Z3[w]", "Tc2(Z3)"),
+    # each family commutes with finite products: F(R x S) = F(R) x F(S)
+    ("M2(Z6)", "M2(Z2)xM2(Z3)"),
+    ("T2(Z6)", "T2(Z2)xT2(Z3)"),
+    ("Tc2(Z6)", "Tc2(Z2)xTc2(Z3)"),
+    ("M2(Z2xZ2)", "M2(Z2)xM2(Z2)"),
 ]
 
 
@@ -43,3 +64,15 @@ def _check_verdicts(name):
 def test_isomorphic_specs_agree(a, b):
     assert _invariants(a) == _invariants(b)
     assert _check_verdicts(a) == _check_verdicts(b)
+
+
+_COPRIME = [(m, n) for m in range(2, 33) for n in range(2, 33)
+            if m * n <= 64 and math.gcd(m, n) == 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(mn=st.sampled_from(_COPRIME))
+def test_chinese_remainder_pairs_agree(mn):
+    m, n = mn
+    assert _invariants(f"Z{m * n}") == _invariants(f"Z{m}xZ{n}")
+    assert _check_verdicts(f"Z{m * n}") == _check_verdicts(f"Z{m}xZ{n}")

@@ -135,19 +135,16 @@ class Matrix2:
 
 @dataclass(frozen=True)
 class SimilarityWitness:
-    """H with H A H^-1 equal to the tagged target form, bit-exact."""
+    """H with H A H^-1 equal to the target diag(lam, mu), bit-exact."""
 
     conjugator: Matrix2
     inverse: Matrix2
-    form: str  # "DIAGONAL" | "COMPANION"
+    form: str  # "DIAGONAL"
     lam: int
     mu: int
 
     def target(self) -> Matrix2:
-        r = self.conjugator.ring
-        if self.form == "DIAGONAL":
-            return Matrix2.diag(r, self.lam, self.mu)
-        return Matrix2(r, r.zero, self.lam, r.one, self.mu)
+        return Matrix2.diag(self.conjugator.ring, self.lam, self.mu)
 
     def validate(self, A: Matrix2) -> bool:
         ident = Matrix2.identity(A.ring)

@@ -130,19 +130,17 @@ def ideal_product_mask(r: RingTable, a: np.ndarray, b: np.ndarray) -> np.ndarray
 def element_nilpotency(r: RingTable, a: int) -> int | None:
     """Smallest e >= 1 with a^e = 0, or None if a is not nilpotent.
 
-    The walk stops at a repeated power or after a^top, top = floor(log2 |R|):
-    a nilpotent element of index m has 2^m <= |R| (see nilpotent_mask).  It
-    is skipped when nilpotent_mask is cached and rules a out.
+    The walk stops after a^top, top = floor(log2 |R|): a nilpotent element
+    of index m has 2^m <= |R| (see nilpotent_mask).  It is skipped when
+    nilpotent_mask is cached and rules a out.
     """
     nil = r.cache.get("nilpotent_mask")
     if nil is not None and not nil[a]:
         return None
-    seen = set()
     x, e, top = a, 1, r.order.bit_length() - 1
-    while e <= top and x not in seen:
+    while e <= top:
         if x == r.zero:
             return e
-        seen.add(x)
         x = r.mul(x, a)
         e += 1
     return None

@@ -7,29 +7,31 @@ through `radicals.one_plus_p_mask`, ideals through the exact lattice of
 `enumerate_ideals`, similarity by a unit through the orbit maps of
 `_conjugation_reach`, strong pi-regularity through the one whole-ring mask,
 a corner fRf through `_corner`, one fact per nonzero idempotent f cached on R.
-Every ring-level side has one definition, in `_RING_PROPS`; every element
-or matrix property a mask check records has its pair of whole-ring masks
-(expected, actual) in `_MASK_SIDES` (T4.4's three criteria in `_CRITERIA`),
-whose 2x2 formulas for T4.4, C4.5, T5.1, C5.2, E5.3 and P3.7 (`diff_in_p`,
-`roots_criterion`, `trace_ratio`, `squares_of_one_plus_p`, `half_roots`,
-`diagonal_in_p_or_1p`) are those of `matrices` that `matrix analyze` reads,
-and every property compared one record (an ideal, or elements) at a time its
-payload kind and pair of sides in `_RECORD_SIDES`.  The checks and
-`replay_counterexample` both read these tables, and 22 of the 29 checks are
-rows of three runners: mask properties in turn on the family sizes within
-the limit, optionally at an index grid (`_mask_run`); ring-level sides, some
-depending on the order and limit, and a witness (`_sides_run`); or record
-sides at each record a walk yields (`_record_run`).  C2.11 is one mask check
-on R, L2.9 one side verdict on a product and C2.14 a constant SKIPPED.  T2.4
-(sides, then its lift's records), P2.10, T4.4 and E4.6 (payload shapes no
-runner takes) keep bodies.  One driver, `_run_one`, times every check on
-every subject its `CheckDef.subjects` names (each ring, each unordered pair
-of rings, or once), tries its guards, and reports a scan refused by a size
-guard (RingTooLarge) as SKIPPED.  Replay re-derives every recorded side of
-every payload kind but E4.6's (ring-level sides, element/matrix literals,
-ideals as the span of their recorded additive basis) and reproduces only a
-violation of the claim's rule (`_claim_fails` for ring-level sides), only
-where the guards pass.
+Every side has one definition, in a side table: a ring-level side is a
+function of the ring (`_RING_PROPS`); a property a mask check records is an
+(expected, actual) pair of functions of the check's ring, each giving a
+whole-ring mask (`_MASK_SIDES`; T4.4's three criteria one mask each,
+`_CRITERIA`), whose 2x2 formulas (`diff_in_p`, `roots_criterion`,
+`trace_ratio`, `squares_of_one_plus_p`, `half_roots`, `diagonal_in_p_or_1p`)
+are those of `matrices` that `matrix analyze` reads; a property compared one
+record (an ideal, or elements) at a time is its payload kind and one
+function of (ring, record) giving both sides, which share the record's scope
+test (`_RECORD_SIDES`).  The checks and `replay_counterexample` both read
+these tables, and 22 of the 29 checks are rows of three runners: mask
+properties in turn on the family sizes within the limit, optionally at an
+index grid (`_mask_run`); ring-level sides, some depending on the order and
+limit, and a witness (`_sides_run`); or record sides at each record a walk
+yields (`_record_run`).  C2.11 is one mask check on R, L2.9 one side verdict
+on a product and C2.14 a constant SKIPPED.  T2.4 (sides, then its lift's
+records), P2.10, T4.4 and E4.6 (payload shapes no runner takes) keep bodies.
+One driver, `_run_one`, times every check on every subject its
+`CheckDef.subjects` names (each ring, each unordered pair of rings, or
+once), tries its guards, and reports a scan refused by a size guard
+(RingTooLarge) as SKIPPED.  Replay re-derives every recorded side of every
+payload kind but E4.6's (ring-level sides, mask sides at the recorded
+element or matrix, ideals as the span of their recorded additive basis) and
+reproduces only a violation of the claim's rule (`_claim_fails` for
+ring-level sides), only where the guards pass.
 """
 
 from __future__ import annotations
@@ -242,11 +244,11 @@ def _in_p_and_1p(r: RingTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _mask_check(ring: RingTable, kind: str, prop: str, at: np.ndarray | None = None):
-    """HOLDS when the two whole-ring masks of `prop` in `_MASK_SIDES`
-    (expected, actual) agree at the indices `at` (every index when None),
-    else the first index of `at` where they differ as a `kind` ("element"
-    or "matrix") counterexample."""
-    expected, actual = _MASK_SIDES[prop](ring)
+    """HOLDS when the sides of `prop` in `_MASK_SIDES`, computed expected
+    then actual, each a whole-ring mask of `ring`, agree at the indices `at`
+    (every index when None), else the first index of `at` where they differ
+    as a `kind` ("element" or "matrix") counterexample."""
+    expected, actual = (side(ring) for side in _MASK_SIDES[prop])
     differ = expected != actual
     bad = np.flatnonzero(differ) if at is None else at[differ[at]]
     if bad.size == 0:
@@ -284,8 +286,6 @@ def _requires(holds, note: str | None, verdict: str = HYPOTHESIS_NOT_MET):
 
 
 _local = _requires(rad.is_local, "ring is not local")
-_pclean_ring = _requires(lambda r: dec.is_strongly_pclean_ring(r)[0], None)
-_uniquely_pclean_ring = _requires(lambda r: dec.is_uniquely_pclean_ring(r)[0], None)
 _commutative = _requires(lambda r: r.commutative, "ring is not commutative")
 _two_is_unit = _requires(lambda r: r.is_unit(r.embed_int(2)), "2 is not a unit")
 _residue_z2 = _requires(rad.residue_is_z2, "needs R/J = Z_2 with J nilpotent")
@@ -417,6 +417,9 @@ _RING_PROPS = {
     ),
 }
 
+_pclean_ring = _requires(_RING_PROPS["strongly_pclean_ring"], None)
+_uniquely_pclean_ring = _requires(_RING_PROPS["uniquely_pclean_ring"], None)
+
 
 def _discriminant_branch(m2: RingTable) -> np.ndarray:
     """Per matrix: tr in 1+P and disc = tr^2 - 4 det the square of some u in 1+P."""
@@ -424,17 +427,17 @@ def _discriminant_branch(m2: RingTable) -> np.ndarray:
     return rad.one_plus_p_mask(r)[tr] & squares_of_one_plus_p(r)[0][disc]
 
 
-def _half_roots_sides(m2: RingTable) -> tuple[np.ndarray, np.ndarray]:
-    """C5.2's discriminant branch (2 a unit), and where in it the half roots
-    (tr - u)/2 in P and (tr + u)/2 in 1+P, u the least square root in 1+P of
-    disc, solve the characteristic equation."""
+def _half_roots_solve(m2: RingTable) -> np.ndarray:
+    """Where C5.2's discriminant branch holds (2 a unit), whether the half
+    roots (tr - u)/2 in P and (tr + u)/2 in 1+P, u the least square root in
+    1+P of disc, solve the characteristic equation; False elsewhere."""
     r, (_, tr, det, disc) = m2.kernel.base, m2_invariants(m2)
     half, branch = np.int64(r.inverse(r.embed_int(2))), _discriminant_branch(m2)
     sel = np.flatnonzero(branch)
     ok, (x1, x2) = branch.copy(), half_roots(r, half, tr[sel], squares_of_one_plus_p(r)[1][disc[sel]])
     for roots, want in ((x1, rad.prime_radical(r).mask), (x2, rad.one_plus_p_mask(r))):
         ok[sel] &= (quadratic(r, roots, tr[sel], det[sel]) == r.zero) & want[roots]
-    return branch, ok
+    return ok
 
 
 def _diag_similar(m2: RingTable) -> np.ndarray:
@@ -467,52 +470,50 @@ def _e5_3_grid(m2: RingTable) -> np.ndarray:
     return m2.kernel.encode(np.broadcast_arrays(r.vadd(p, np.int64(r.one)), p, q, p)).ravel()
 
 
-def _e5_3_sides(m2: RingTable) -> tuple[np.ndarray, np.ndarray]:
-    """On the family [[p+1, p], [q, p]] with p in P (False elsewhere): 1+4pq
-    the square of some u in 1+P, and strongly P-clean."""
+def _e5_3_family(m2: RingTable) -> np.ndarray:
+    """Per matrix: of E5.3's family [[p+1, p], [q, p]] with p in P."""
     r, d = m2.kernel.base, m2_invariants(m2)[0]
-    one = np.int64(r.one)
-    family = rad.prime_radical(r).mask[d[1]] & (d[0] == r.vadd(d[1], one)) & (d[3] == d[1])
+    return rad.prime_radical(r).mask[d[1]] & (d[0] == r.vadd(d[1], np.int64(r.one))) & (d[3] == d[1])
+
+
+def _one_plus_4pq_square(m2: RingTable) -> np.ndarray:
+    """On E5.3's family (False elsewhere): 1+4pq the square of some u in 1+P."""
+    r, d, family = m2.kernel.base, m2_invariants(m2)[0], _e5_3_family(m2)
     four_pq = r.vmul(r.embed_int(4), r.vmul(d[1], d[2]))
-    return family & squares_of_one_plus_p(r)[0][r.vadd(one, four_pq)], family & definitional_mask(m2)
+    return family & squares_of_one_plus_p(r)[0][r.vadd(np.int64(r.one), four_pq)]
 
 
-def _pclean_iff_trivial_or(branch):
-    """The sides of "A is strongly P-clean iff A is trivial or in `branch`"."""
-    return lambda m2: (trivial_or_mask(m2, branch(m2)), definitional_mask(m2))
-
-
-# element and matrix sides: per property a mask check records, its two
-# whole-ring masks (expected, actual), computed in that order, whose entries
-# at the recorded element are its sides; the checks and replay read them here
+# element and matrix sides: per property a mask check records, its sides
+# (expected, actual), each a whole-ring mask computed in that order, read by
+# the checks and by replay at the recorded element; a side calls functions by
+# their module-level names, which perfbench/tracer.py rebinds (not pairs)
 _MASK_SIDES = {
-    "strongly_pclean": lambda t: (np.ones(t.order, dtype=bool), dec.strongly_pclean_mask(t)),
-    "pclean_iff_diagonal_in_P_or_1P": lambda t: (  # [::2]: the diagonal digits of T2(r)
-        diagonal_in_p_or_1p(t.kernel.base, *t.kernel.digits(np.arange(t.order))[::2]),
-        dec.strongly_pclean_mask(t),
+    "strongly_pclean": (lambda t: np.ones(t.order, dtype=bool), lambda t: dec.strongly_pclean_mask(t)),
+    "pclean_iff_diagonal_in_P_or_1P": (  # [::2]: the diagonal digits of T2(r)
+        lambda t: diagonal_in_p_or_1p(t.kernel.base, *t.kernel.digits(np.arange(t.order))[::2]),
+        lambda t: dec.strongly_pclean_mask(t),
     ),
-    "radical_of_matrix_ring_is_matrix_of_radical": lambda m2: (
-        entries_in_p_mask(m2), rad.prime_radical(m2).mask
-    ),
-    "pclean_iff_trivial_or_diag_similar": _pclean_iff_trivial_or(_diag_similar),
-    "pclean_iff_ratio_equation_root_in_P": _pclean_iff_trivial_or(_ratio_branch),
-    "pclean_iff_discriminant_square_of_1P": _pclean_iff_trivial_or(_discriminant_branch),
-    "pclean_iff_pi_regular_and_companion_similar": _pclean_iff_trivial_or(_companion_similar),
-    "family_pclean_iff_1_plus_4pq_square": _e5_3_sides,
-    "half_roots_solve_characteristic_equation": _half_roots_sides,
+    "radical_of_matrix_ring_is_matrix_of_radical": (lambda m2: entries_in_p_mask(m2), lambda m2: rad.prime_radical(m2).mask),
+    # "A is strongly P-clean iff A is trivial or in the branch"
+    "pclean_iff_trivial_or_diag_similar": (lambda m2: trivial_or_mask(m2, _diag_similar(m2)), lambda m2: definitional_mask(m2)),
+    "pclean_iff_ratio_equation_root_in_P": (lambda m2: trivial_or_mask(m2, _ratio_branch(m2)), lambda m2: definitional_mask(m2)),
+    "pclean_iff_discriminant_square_of_1P": (lambda m2: trivial_or_mask(m2, _discriminant_branch(m2)), lambda m2: definitional_mask(m2)),
+    "pclean_iff_pi_regular_and_companion_similar": (lambda m2: trivial_or_mask(m2, _companion_similar(m2)), lambda m2: definitional_mask(m2)),
+    "family_pclean_iff_1_plus_4pq_square": (_one_plus_4pq_square, lambda m2: _e5_3_family(m2) & definitional_mask(m2)),
+    "half_roots_solve_characteristic_equation": (_discriminant_branch, _half_roots_solve),
     # necessity only: the side must hold wherever the definitional scan does
-    "pclean_implies_discriminant_square_of_1P": lambda m2: (
-        (side := trivial_or_mask(m2, _discriminant_branch(m2))) | definitional_mask(m2), side
+    "pclean_implies_discriminant_square_of_1P": (
+        lambda m2: trivial_or_mask(m2, _discriminant_branch(m2)) | definitional_mask(m2),
+        lambda m2: trivial_or_mask(m2, _discriminant_branch(m2)),
     ),
     # the counts the ring verdict reads (saturated at 2): the claim predicts 1
     # at every x of a uniquely P-clean ring, and nothing (0) on other rings
-    "uniquely_clean_count": lambda r: (
-        np.full(r.order, dec.is_uniquely_pclean_ring(r)[0], np.uint8),
-        dec._sweep(r, dec.STRONGLY_CLEAN, commuting=False),
+    "uniquely_clean_count": (
+        lambda r: np.full(r.order, dec.is_uniquely_pclean_ring(r)[0], np.uint8),
+        lambda r: dec._sweep(r, dec.STRONGLY_CLEAN, commuting=False),
     ),
-    "pi_regular_iff_unit_or_nilpotent_or_pclean": lambda m2: (
-        m2.unit_mask | rad.nilpotent_mask(m2) | definitional_mask(m2),
-        dec.strongly_pi_regular_mask(m2),
+    "pi_regular_iff_unit_or_nilpotent_or_pclean": (
+        lambda m2: m2.unit_mask | rad.nilpotent_mask(m2) | definitional_mask(m2), lambda m2: dec.strongly_pi_regular_mask(m2)
     ),
 }
 
@@ -999,5 +1000,5 @@ def replay_counterexample(check: TheoremCheck, ring: RingTable | None = None) ->
             return got == payload["criteria"] and len(set(got.values())) > 1
         if prop not in _MASK_SIDES:
             return False
-        sides = tuple(side[idx].item() for side in _MASK_SIDES[prop](r))
+        sides = tuple(side(r)[idx].item() for side in _MASK_SIDES[prop])
     return sides == (payload.get("expected"), payload.get("actual")) and sides[0] != sides[1]

@@ -162,7 +162,15 @@ def quadratic_roots(r, t: int, d: int) -> list[tuple[int, str]]:
     return matrices._roots(r, int(t), int(d))
 
 
-def companion_form(r, alpha: int, beta: int) -> SimilarityWitness:
+class CompanionWitness(SimilarityWitness):
+    """H with H A H^-1 equal to the companion matrix [[0, lam], [1, mu]]."""
+
+    def target(self) -> Matrix2:
+        r = self.conjugator.ring
+        return Matrix2(r, r.zero, self.lam, r.one, self.mu)
+
+
+def companion_form(r, alpha: int, beta: int) -> CompanionWitness:
     """The explicit transvection product taking diag(alpha, beta) to its
     companion matrix [[0, -alpha*beta], [1, alpha+beta]].
 
@@ -198,7 +206,7 @@ def companion_form(r, alpha: int, beta: int) -> SimilarityWitness:
     expected = Matrix2(r, r.zero, lam, r.one, mu)
     if C != expected or H * Hinv != Matrix2.identity(r):
         raise PcleanError(f"transvection product identity failed over {r.name}")
-    return SimilarityWitness(H, Hinv, "COMPANION", lam, mu)
+    return CompanionWitness(H, Hinv, "COMPANION", lam, mu)
 
 
 def test_companion_form_examples():

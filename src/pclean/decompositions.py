@@ -135,34 +135,30 @@ def strongly_pi_regular_element(r: RingTable, a: int) -> tuple[bool, int | None,
     """Least n with a^n = a^(n+1) b for some b commuting with a, and the least
     such b: the CLI's per-element form and the oracle of the whole-ring mask.
 
-    The bare form a^n in a^(n+1) R is computed alongside, and PcleanError is
-    raised if the two verdicts disagree (they agree in finite rings, where
-    powers eventually repeat).  One Cayley-table row per power serves both
-    tests: row a^(n+1) holds a^(n+1) y for every y, read at the commutant of
-    a for the first and whole for the second; its entry at a is the next power.
+    The bare form a^n in a^(n+1) R is the trap: PcleanError is raised if the
+    two verdicts disagree (they agree in finite rings, where powers
+    eventually repeat).  Each power a^(n+1) is evaluated on the lanes of the
+    commutant of a and a itself: a^(n+1) y for the commutant, then the next
+    power.  A commuting witness is a bare one, so the verdicts agree once
+    one appears; with none within |R| + 1 powers, the bare test reads the
+    whole row of each power.
     """
     a = int(a)
     row = r.mul_row(a)
-    commutant = np.flatnonzero(row == r.mul_col(a))
-    found = bare_found = None
-    x = a  # a^n, and row is its row
+    lanes = np.append(np.flatnonzero(row == r.mul_col(a)), a)
+    powers = [a, int(row[a])]  # a^1, a^2, ...
     for n in range(1, r.order + 2):
-        nxt = int(row[a])  # a^(n+1)
-        row = r.mul_row(nxt)
-        hits = commutant[row[commutant] == x]
-        if hits.size and found is None:
-            found = (n, int(hits[0]))
-        if bare_found is None and (row == x).any():
-            bare_found = n
-        if found is not None and bare_found is not None:
-            break
-        x = nxt
-    if (found is None) != (bare_found is None):
+        y = r.vmul(np.int64(powers[n]), lanes)
+        hits = lanes[:-1][y[:-1] == powers[n - 1]]
+        if hits.size:
+            return True, n, int(hits[0])
+        powers.append(int(y[-1]))
+    if any((r.mul_row(powers[n]) == powers[n - 1]).any() for n in range(1, r.order + 2)):
         raise PcleanError(
             f"{r.name}: commuting and bare strongly pi-regular tests disagree on "
             f"{r.fmt_index(a)}"
         )
-    return (False, None, None) if found is None else (True, *found)
+    return False, None, None
 
 
 def strongly_pi_regular_mask(r: RingTable) -> np.ndarray:
@@ -248,7 +244,8 @@ def _sweep(r: RingTable, kind: str, commuting: bool) -> np.ndarray:
     least member e0 scatters onto its coset x = w + e0 of the members w.
     Counting lets each e of the class mark every x of the coset (adding
     min(|class|, 2) at once).  Commuting lets e0 mark the open x it commutes
-    with, tested as e0 w = w e0, and every other e of the class mark the
+    with, tested as e0 w = w e0 (every open x of the coset when e0 is
+    central, by `radicals.is_central`), and every other e of the class mark the
     conjugates u x u^-1 of e0's hits x, u = e e0 + (1-e)(1-e0) in 1 + P
     (`_conjugators`): u e0 u^-1 = e, and M is closed under conjugation, so
     these are the x of the coset that commute with e.  In a ring this is the
@@ -258,8 +255,8 @@ def _sweep(r: RingTable, kind: str, commuting: bool) -> np.ndarray:
     use: each member set M here (P, J, the units, the nilpotents) has M + P
     = M in a finite ring, so M + e = M + e0.  On any other table each e is
     its own class, tested by its own row and column.  A pass costs |member|
-    lanes per class, a row and a column of R per commuting class, and
-    (|class| - 1) |hits| lanes for the conjugates.
+    lanes per class, a row and a column of R per commuting class whose e0 is
+    not central, and (|class| - 1) |hits| lanes for the conjugates.
     """
 
     def make():
@@ -278,8 +275,11 @@ def _sweep(r: RingTable, kind: str, commuting: bool) -> np.ndarray:
             todo = np.flatnonzero(count[x] == 0)
             if not todo.size:
                 continue
-            t = members[todo]
-            hits = x[todo[r.mul_row(e0)[t] == r.mul_col(e0)[t]]]
+            if radicals.is_central(r, e0):
+                hits = x[todo]
+            else:
+                t = members[todo]
+                hits = x[todo[r.mul_row(e0)[t] == r.mul_col(e0)[t]]]
             count[hits] = 1
             step = max(1, _CHUNK // max(hits.size, 1))
             for s in range(1, cls.size, step):
@@ -288,6 +288,17 @@ def _sweep(r: RingTable, kind: str, commuting: bool) -> np.ndarray:
         return count.astype(bool) if commuting else count
 
     return cached(r, ("sweep", kind, commuting), make)
+
+
+def _probe(r: RingTable, kind: str) -> int | None:
+    """The least x < _PROBE with no commuting idempotent e and x - e in the
+    set of `kind`: `_hits` of every such x at once, one (x, e) lane each."""
+    idem = r.idempotent_indices
+    neg = cached(r, "idempotent_negatives", lambda: r.vneg(idem))
+    x = np.arange(_PROBE, dtype=np.int64)[:, None]
+    hit = (r.vmul(x, idem) == r.vmul(idem, x)) & _KINDS[kind][0](r)[r.vadd(x, neg)]
+    miss = np.flatnonzero(~hit.any(axis=1))
+    return int(miss[0]) if miss.size else None
 
 
 def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None]:
@@ -304,7 +315,7 @@ def _verdict(r: RingTable, kind: str, commuting: bool) -> tuple[bool, int | None
             # probing them against the member set avoids the full sweep.  A
             # cached sweep answers at once: in a ring the probe's first
             # failure is the sweep's least gap
-            bad = next((x for x in range(_PROBE) if not _hits(r, kind, x, True).size), None)
+            bad = _probe(r, kind)
         if bad is None:
             cover = _sweep(r, kind, commuting)
             gaps = np.flatnonzero(~cover if commuting else cover != 1)

@@ -62,23 +62,41 @@ class Ideal:
         return f"Ideal({self.ring.name}, order={self.order})"
 
 
+def _by_generators(r: RingTable, gens, members):
+    """`gens` on a ring by construction, else `members()`: the elements a
+    closure or centrality test reads.  In a ring addition is a group and
+    multiplication is bilinear (Lam, A First Course in Noncommutative
+    Rings), so a set is closed under addition iff its span lies in it, and
+    a product law (x s in the set, x s = s x) holds on a span iff it holds
+    on its additive generators.  A table that may be no ring is tested on
+    every member, so its verdicts do not rest on either fact."""
+    return gens if r.by_construction else members()
+
+
 def _closed_basis(r: RingTable, mask: np.ndarray) -> np.ndarray | None:
     """A subgroup basis of the set `mask` if it is closed under addition, else
-    None: every member lies in the basis's span, so adding it is enough."""
+    None.  On a ring by construction the set is closed iff the span `_span`
+    builds from its members is the set; on any other table iff each member
+    plus each basis element lies in it, as every member lies in the basis's
+    span."""
     idx = np.flatnonzero(mask)
-    basis = subgroup_basis(r, idx)
-    return basis if mask[r.vadd(idx[:, None], basis[None, :])].all() else None
+    span, basis = _span(r, idx)
+    basis = np.asarray(basis, np.int64)
+    sums = _by_generators(r, np.flatnonzero(span), lambda: r.vadd(idx[:, None], basis[None, :]))
+    return basis if mask[sums].all() else None
 
 
 def _certified_basis(r: RingTable, mask: np.ndarray) -> np.ndarray | None:
     """A subgroup basis of the set `mask` if it is a two-sided ideal (it holds
     0 and is closed under negation, addition and multiplication by the
-    additive generators and 1 on either side), else None."""
+    additive generators and 1 on either side), else None.  The products
+    are read at the basis on a ring by construction, where the set is its
+    span, and at every member on any other table."""
     idx = np.flatnonzero(mask)
     if not (mask[r.zero] and mask[r.vneg(idx)].all()) or (basis := _closed_basis(r, mask)) is None:
         return None
-    gens = sorted({*r.additive_generators, r.one})
-    closed = all(mask[r.vmul(g, idx)].all() and mask[r.vmul(idx, g)].all() for g in gens)
+    gens, b = sorted({*r.additive_generators, r.one}), _by_generators(r, basis, lambda: idx)
+    closed = all(mask[r.vmul(g, b)].all() and mask[r.vmul(b, g)].all() for g in gens)
     return basis if closed else None
 
 
@@ -154,17 +172,24 @@ def nilpotent_mask(r: RingTable) -> np.ndarray:
     (Rx^i = Rx^(i+1) with i < m gives x^i = s^m x^(i+m) = 0), so |R| >= 2^m
     and m <= 2^p.  The bound is tight: 2 has index k in Z_(2^k).
 
-    p gathers y = sq.take(y) through the ring's one squaring map
-    (`RingTable.squares`, shared with the idempotents and the inverses)
-    from the identity give x^(2^p), each gather being the pass y = y*y.
+    x^(2^p) is the ring's one squaring map (`RingTable.squares`, shared
+    with the idempotents and the inverses) applied p times, composed by
+    square-and-multiply on the map: f = f.take(f) doubles the passes f
+    makes, and the set bits of p join the result, which starts at the
+    first set bit's f, so order 531441 (p = 5) takes 3 gathers, not 5.
+    Composing a map with itself is exact on any table.
     """
 
     def make():
-        passes = ((r.order - 1).bit_length() - 1).bit_length()
-        sq, y = r.squares, np.arange(r.order)
-        for _ in range(passes):
-            y = sq.take(y)
-        return y == r.zero
+        p = ((r.order - 1).bit_length() - 1).bit_length()
+        f, y = r.squares, None
+        while p:
+            if p & 1:
+                y = f if y is None else f.take(y)
+            p >>= 1
+            if p:
+                f = f.take(f)
+        return (np.arange(r.order) if y is None else y) == r.zero
 
     return cached(r, "nilpotent_mask", make)
 
@@ -326,10 +351,16 @@ def is_local(r: RingTable) -> bool:
     return cached(r, "is_local", make)
 
 
+def is_central(r: RingTable, x: int) -> bool:
+    """x y = y x for the additive generators y on a ring by construction, by
+    bilinearity for every y; for every y on any other table."""
+    y = _by_generators(r, np.asarray(r.additive_generators, np.int64), lambda: np.arange(r.order))
+    return bool(np.array_equal(r.vmul(np.int64(x), y), r.vmul(y, np.int64(x))))
+
+
 def is_abelian(r: RingTable) -> bool:
-    """Every idempotent is central."""
-    central = lambda e: np.array_equal(r.mul_row(e), r.mul_col(e))
-    return cached(r, "is_abelian", lambda: all(map(central, r.idempotent_indices)))
+    """Every idempotent is central (`is_central`)."""
+    return cached(r, "is_abelian", lambda: all(is_central(r, e) for e in r.idempotent_indices))
 
 
 def residue_is_z2(r: RingTable) -> bool:

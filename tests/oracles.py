@@ -13,7 +13,7 @@ import numpy as np
 
 from pclean import radicals as rad
 from pclean.errors import PcleanError, RadicalNotIdeal, RingTooLarge
-from pclean.rings import _CHUNK, additive_closure_mask, ideal_closure_mask
+from pclean.rings import _CHUNK, additive_closure_mask, ideal_closure_mask, subgroup_basis
 
 
 def mat_mul(A, B, mod, k=2):
@@ -445,6 +445,30 @@ def gather_sweep(r, member, commuting):
             x = x[r.vmul(x, ee) == r.vmul(ee, x)]
         count[x] += 1
     return count.astype(bool) if commuting else count
+
+
+def memberwise_certified_basis(r, mask):
+    """The member-wise ideal certificate: a subgroup basis of the set `mask`
+    if it holds 0, is closed under negation, holds each member plus each
+    basis element, and holds g*x and x*g for every member x and every g
+    among the additive generators and 1; else None.  What
+    `radicals._certified_basis` tests on a table that may be no ring, and
+    the oracle of its generator-level test on rings by construction."""
+    idx = np.flatnonzero(mask)
+    if not (mask[r.zero] and mask[r.vneg(idx)].all()):
+        return None
+    basis = subgroup_basis(r, idx)
+    if not mask[r.vadd(idx[:, None], basis[None, :])].all():
+        return None
+    gens = sorted({*r.additive_generators, r.one})
+    closed = all(mask[r.vmul(g, idx)].all() and mask[r.vmul(idx, g)].all() for g in gens)
+    return basis if closed else None
+
+
+def row_column_central(r, x):
+    """Whether row x equals column x of the multiplication table: x y = y x
+    for every y, the oracle of `radicals.is_central`."""
+    return bool(np.array_equal(r.mul_row(x), r.mul_col(x)))
 
 
 def divmod_digits(radices, a):

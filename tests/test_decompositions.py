@@ -18,8 +18,8 @@ from pclean.rings import (
 )
 from pclean.verifier import DEFAULT_CATALOG
 
-from oracles import clean_oracle, gather_sweep, pi_regular_oracle
-from table_kernel import TableKernel, corrupted_zn
+from oracles import clean_oracle, gather_sweep, pi_regular_oracle, row_column_central
+from table_kernel import TableKernel, corrupted, corrupted_zn
 
 
 def test_pclean_element_z4():
@@ -290,6 +290,40 @@ def test_pi_regular_matches_power_by_power_oracle(name, sample):
         assert dec.strongly_pi_regular_element(r, a) == pi_regular_oracle(r, a), a
 
 
+def test_pi_regular_matches_the_oracle_on_corrupted_tables():
+    # a commuting witness is a bare one, so reading whole rows only when no
+    # commuting witness appears moves no output and no raise on any table
+    from corruption_sweep import corruptions
+
+    def outcome(fn, r, a):
+        try:
+            return fn(r, a)
+        except PcleanError as exc:
+            return type(exc)
+
+    cases = raised = 0
+    for spec, op, row, col, val in corruptions(["Z2", "Z3", "Z4", "T2(Z2)"]):
+        try:
+            r = corrupted(spec, op, row, col, val, f"{spec}{op}{row}{col}{val}")
+        except PcleanError:  # an addition table with no negative for some x
+            continue
+        for a in range(r.order):
+            want = outcome(pi_regular_oracle, r, a)
+            assert outcome(dec.strongly_pi_regular_element, r, a) == want, (r.name, a)
+            cases, raised = cases + 1, raised + (want is PcleanError)
+    assert raised and cases > 7000
+
+
+@pytest.mark.parametrize("name", ["T2(Z64)", "T2(Z9[w])", "M2(Z8)"])
+def test_batched_probe_matches_the_per_element_probe(name):
+    r = build_ring(name, limit=540_000)
+    for kind in (dec.STRONGLY_P_CLEAN, dec.STRONGLY_NIL_CLEAN, dec.STRONGLY_J_CLEAN):
+        want = next((x for x in range(dec._PROBE) if not dec._hits(r, kind, x, True).size), None)
+        assert dec._probe(r, kind) == want, kind
+    if name == "T2(Z9[w])":  # refuted at [0,0;0,2w]
+        assert r.fmt_index(dec._probe(r, dec.STRONGLY_P_CLEAN)) == "[0,0;0,2w]"
+
+
 @pytest.mark.parametrize(
     "name, sample", [("M2(Z4)", None), ("T2(Z8)", None), ("M2(Z9)", 300), ("M2(Z4[i])", 300)]
 )
@@ -449,7 +483,8 @@ def test_counting_sweep_scatters_once_per_coset_class(monkeypatch):
 def test_commuting_sweep_reads_one_row_and_column_per_coset_class(monkeypatch):
     # the 66 idempotents of T2(Z32) fall into 4 cosets of P(R); only the
     # least idempotent of each class is tested by its row and column, and
-    # the rest of the class is reached by conjugating its hits
+    # the rest of the class is reached by conjugating its hits; a central
+    # least idempotent (0 and 1 here) takes its whole coset with no row
     r = RingTable(TriangularKernel(2, build_ring("Z32")), "T2(Z32)")
     p = rad.prime_radical(r).mask
     want = gather_sweep(r, p, commuting=True)
@@ -464,13 +499,17 @@ def test_commuting_sweep_reads_one_row_and_column_per_coset_class(monkeypatch):
 
         monkeypatch.setattr(RingTable, name, recording)
     got = dec._sweep(r, dec.STRONGLY_P_CLEAN, commuting=True)
+    swept = list(calls)
     assert r.idempotent_indices.size == 66 and np.array_equal(got, want)
-    assert calls.count("mul_row") == calls.count("mul_col") == 4
-    # the identity the scatter rests on: u e0 u^-1 = e across each class
     classes, pn = {}, np.flatnonzero(p)
     for e in r.idempotent_indices.tolist():
         classes.setdefault(int(r.vadd(pn, np.int64(e)).min()), []).append(e)
     assert sorted(map(len, classes.values())) == [1, 1, 32, 32]
+    heads = [min(es) for es in classes.values()]
+    central = [e0 for e0 in heads if row_column_central(r, e0)]
+    assert sorted(central) == sorted([r.zero, r.one])
+    assert swept.count("mul_row") == swept.count("mul_col") == len(heads) - len(central) == 2
+    # the identity the scatter rests on: u e0 u^-1 = e across each class
     for e0, *es in classes.values():
         u, v = dec._conjugators(r, np.int64(e0), np.asarray(es, np.int64))
         assert np.array_equal(r.vmul(r.vmul(u, np.int64(e0)), v), es)

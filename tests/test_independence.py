@@ -38,8 +38,8 @@ UP = "uniquely_pclean_ring"
 # base of a derived ring), the nilpotent mask and P, found from it and
 # certified; the idempotents; the squaring map, which the idempotents, the
 # nilpotent mask and the unit inverses read
-T2Z2_P = {("T2(Z2)", "additive_generators"), ("Z2", "additive_generators"),
-          ("T2(Z2)", "nilpotent_mask"), ("T2(Z2)", "prime_ideal")}
+T2Z2_GENERATORS = {("T2(Z2)", "additive_generators"), ("Z2", "additive_generators")}
+T2Z2_P = T2Z2_GENERATORS | {("T2(Z2)", "nilpotent_mask"), ("T2(Z2)", "prime_ideal")}
 T2Z2_IDEMPOTENTS = {("T2(Z2)", "idempotent_indices"), ("T2(Z2)", "idempotent_mask")}
 T2Z2_SQUARES = {("T2(Z2)", "squares")}
 Z4_P = {("Z4", "additive_generators"), ("Z4", "nilpotent_mask"), ("Z4", "prime_ideal")}
@@ -68,10 +68,11 @@ RING_LEVEL = {
     "C2.5": ("T2(Z2)", (SP, "one_plus_units_strongly_nilpotent"), {
         (SP, "one_plus_units_strongly_nilpotent"): T2Z2_P | T2Z2_SQUARES,
     }),
-    # "abelian" reads the idempotents only
+    # "abelian" reads the idempotents and the additive generators, on which
+    # it tests each idempotent's centrality (`radicals.is_central`)
     "T2.10": ("T2(Z2)", (UP, "abelian", SP), {
-        (UP, SP): T2Z2_P,
-        (UP, "abelian", SP): T2Z2_IDEMPOTENTS | T2Z2_SQUARES,
+        (UP, SP): T2Z2_P - T2Z2_GENERATORS,
+        (UP, "abelian", SP): T2Z2_IDEMPOTENTS | T2Z2_SQUARES | T2Z2_GENERATORS,
     }),
     # Nil(R) = P(R) here, so the uniquely nil clean verdict is P's uniquely
     # P-clean verdict and reads its sweep and memo (`decompositions._verdict`)

@@ -4,12 +4,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pclean import decompositions as dec
 from pclean import radicals as rad
 from pclean.errors import PcleanError, RadicalNotIdeal
-from pclean.rings import ProductKernel, RingTable, build_ring
-from pclean.verifier import DEFAULT_CATALOG, MASK_BUDGET
+from pclean.rings import ProductKernel, RingTable, additive_closure_mask, build_ring, corner_ring
+from pclean.verifier import DEFAULT_CATALOG, IDEAL_ENUM_LIMIT, MASK_BUDGET, _quotient_table, enumerate_ideals
 
 from oracles import (
     all_units_by_powers,
@@ -18,9 +20,11 @@ from oracles import (
     gauss_add,
     ideal_generated,
     ideal_nilpotency,
+    memberwise_certified_basis,
     order_powers,
     quad_mul,
     repeated_squaring_nilpotent_mask,
+    row_column_central,
     two_sided_ideal,
     walk_nilpotency,
 )
@@ -364,11 +368,12 @@ def test_inverse_series_product_form_matches_horner(name, m):
 
 @pytest.mark.parametrize("name", ["Z64", "M2(Z4)", "T2(Z64)"])
 def test_certified_prime_radical_computes_one_basis(monkeypatch, name):
-    # the certificate's subgroup basis of P is handed to the powers walk
+    # the certificate's subgroup basis of P, from the one span of P's
+    # members, is handed to the powers walk
     r = RingTable(build_ring(name, limit=540_000).kernel, name)  # fresh caches
     calls = []
-    real = rad.subgroup_basis
-    monkeypatch.setattr(rad, "subgroup_basis", lambda r, m: calls.append(np.sort(m)) or real(r, m))
+    real = rad._span
+    monkeypatch.setattr(rad, "_span", lambda r, m: calls.append(np.sort(np.ravel(m))) or real(r, m))
     p = rad.prime_radical(r)
     assert sum(np.array_equal(c, p.indices) for c in calls) == 1
 
@@ -419,3 +424,77 @@ def test_element_nilpotency_is_bounded_by_log2_order():
     assert time.perf_counter() - t0 <= 10.0
     assert [x for x, k in enumerate(got) if k is not None] == list(range(0, r.order, 2))
     assert max(k for k in got if k is not None) == 14
+
+
+def _same_certificate(r, mask):
+    got, want = rad._certified_basis(r, mask), memberwise_certified_basis(r, mask)
+    assert (got is None) == (want is None), (r.name, np.flatnonzero(mask).tolist())
+    assert got is None or np.array_equal(got, want), r.name
+    return got is not None
+
+
+def _fresh(r):
+    return RingTable(r.kernel, r.name)
+
+
+def _certificate_rings():
+    """The catalog rings, their L2.9 products up to order 4096, and their
+    quotients by proper nonzero ideals and corners by idempotents f != 0
+    up to order IDEAL_ENUM_LIMIT."""
+    cat = [build_ring(n) for n in DEFAULT_CATALOG]
+    out = list(cat)
+    out += [RingTable(ProductKernel([a, b]), f"{a.name} x {b.name}")
+            for i, a in enumerate(cat) for b in cat[i:] if a.order * b.order <= 4096]
+    for r in cat:
+        if r.order <= IDEAL_ENUM_LIMIT:
+            out += [_quotient_table(r, m) for m in enumerate_ideals(r)[1:-1]]
+            out += [corner_ring(r, int(f))[0] for f in r.idempotent_indices if f != r.zero]
+    return out
+
+
+def test_ideal_certificate_by_generators_matches_the_member_wise_one(monkeypatch):
+    # every set the radicals and the ideal lattice certify, and every
+    # candidate of P's and J's filters, on rings by construction
+    seen = []
+    real = rad._certified_basis
+    monkeypatch.setattr(rad, "_certified_basis", lambda r, m: seen.append((r, m.copy())) or real(r, m))
+    rings = [_fresh(r) for r in _certificate_rings()]
+    assert all(r.by_construction for r in rings)
+    for r in rings:
+        rad.prime_radical(r)
+        rad.jacobson_radical(r)
+        if r.order <= IDEAL_ENUM_LIMIT:
+            enumerate_ideals(r)
+            rows = rad._generator_rows(r)
+            seen += [(r, m) for keep in (rad.nilpotent_mask(r), r.unit_mask[r.vsub(r.one, np.arange(r.order))])
+                     for m in rad._filter(r, keep, rows)]
+    monkeypatch.undo()
+    assert {id(r) for r in rings} <= {id(r) for r, _ in seen}
+    accepted = [_same_certificate(r, mask) for r, mask in seen]
+    assert 0 < sum(accepted) < len(accepted)  # both outcomes are compared
+
+
+@given(st.sampled_from(["Z8", "Z4[i]", "T2(Z2)", "T2(Z4)", "Tc2(Z4)", "M2(Z2)", "Z4xZ2", "Z9[w]"]),
+       st.lists(st.integers(0, 1 << 16), min_size=1, max_size=4), st.booleans())
+def test_certificate_and_closure_of_spans_and_subsets_match_member_wise(name, seeds, span):
+    # spans of random seeds are additive subgroups, mostly no ideals; random
+    # subsets with 0 are mostly not even closed under addition
+    r = build_ring(name)
+    seeds = np.asarray(seeds, np.int64) % r.order
+    if span:
+        mask = additive_closure_mask(r, seeds)
+    else:
+        mask = np.zeros(r.order, dtype=bool)
+        mask[np.append(seeds, r.zero)] = True
+    _same_certificate(r, mask)
+    idx = np.flatnonzero(mask)
+    closed = bool(mask[r.vadd(idx[:, None], idx[None, :])].all())
+    assert (rad._closed_basis(r, mask) is not None) == closed
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG + ["T2(Z64)", "T3(Z6)"])
+def test_centrality_by_generators_matches_rows_and_columns(name):
+    r = build_ring(name, limit=540_000)
+    got = [rad.is_central(r, e) for e in r.idempotent_indices]
+    assert got == [row_column_central(r, e) for e in r.idempotent_indices]
+    assert rad.is_abelian(r) == all(got)

@@ -4,7 +4,8 @@ Strongly P-clean, clean, nil clean and J-clean differ only in the set a - e
 must lie in (P(R), units, nilpotents, J(R)); the "uniquely" notions count all
 idempotents e, commuting with a or not, which separates abelian rings from the
 rest.  Every test is a view on `_hits` (one element) or `_sweep` (the one
-loop over a ring's idempotents, by cosets of P(R), keyed by kind); both read
+pass over a ring's idempotents, keyed by kind: one broadcast on a ring with
+tables, else a loop by cosets of P(R)); both read
 membership from the kind's mask in `_KINDS`, computed on first use and cached
 on the ring, and a certificate re-validates through that mask and the kind's
 witness map.  Aggregates report the least counterexample.
@@ -240,17 +241,23 @@ def _sweep(r: RingTable, kind: str, commuting: bool) -> np.ndarray:
     do (uint8, saturated at 2), x - e read in the set of `kind`.  Memoized
     per (kind, commuting); T2.4 reads P's counts.
 
-    On any table: the idempotents go in classes, ascending, and a class with
-    least member e0 scatters onto its coset x = w + e0 of the members w.
-    Counting lets each e of the class mark every x of the coset (adding
-    min(|class|, 2) at once).  Commuting lets e0 mark the open x it commutes
-    with, tested as e0 w = w e0 (every open x of the coset when e0 is
-    central, by `radicals.is_central`), and every other e of the class mark the
+    Each idempotent e marks its coset x = w + e of the members w: counting,
+    each distinct x once; commuting, the x with e w = w e.  In a ring that
+    is the per-x condition (some e with ex = xe has x - e in the set, or how
+    many e have).  On a ring with tables (order <= DENSE_TABLE_LIMIT) every e
+    marks at once on one (idempotents, members) array of lanes, at most
+    1024^2; counting keeps a mask of the x each e has seen, as w + e can
+    repeat on a table that is no ring.
+
+    Without tables the idempotents go in classes, ascending, and a class
+    with least member e0 scatters onto its coset x = w + e0.  Counting lets
+    each e of the class mark every x of the coset (adding min(|class|, 2) at
+    once).  Commuting lets e0 mark the open x it commutes with, tested as
+    e0 w = w e0 (every open x of the coset when e0 is central, by
+    `radicals.is_central`), and every other e of the class mark the
     conjugates u x u^-1 of e0's hits x, u = e e0 + (1-e)(1-e0) in 1 + P
     (`_conjugators`): u e0 u^-1 = e, and M is closed under conjugation, so
-    these are the x of the coset that commute with e.  In a ring this is the
-    per-x condition: some e with ex = xe has x - e in the set (or how many
-    e have), as e0 w = w e0 there exactly when e0 x = x e0.  In a ring by
+    these are the x of the coset that commute with e.  In a ring by
     construction a class is every e with e - e0 in P(R), computed on first
     use: each member set M here (P, J, the units, the nilpotents) has M + P
     = M in a finite ring, so M + e = M + e0.  On any other table each e is
@@ -260,11 +267,21 @@ def _sweep(r: RingTable, kind: str, commuting: bool) -> np.ndarray:
     """
 
     def make():
-        need = 1 if commuting else 2
         members = np.flatnonzero(_KINDS[kind][0](r))
+        # read on both paths, so a sweep leaves P(R) cached with or without tables
         pm = radicals.prime_radical(r).mask if r.by_construction else None
-        count = np.zeros(r.order, dtype=np.uint8)
         rest = r.idempotent_indices
+        if r.order <= DENSE_TABLE_LIMIT:
+            e, w = rest[:, None], members[None, :]
+            x = r.vadd(w, e)
+            if commuting:
+                cover = np.zeros(r.order, dtype=bool)
+                cover[x[r.vmul(e, w) == r.vmul(w, e)]] = True
+                return cover
+            seen = np.zeros((rest.size, r.order), dtype=bool)
+            seen[np.arange(rest.size)[:, None], x] = True
+            return np.minimum(seen.sum(axis=0), 2).astype(np.uint8)
+        count, need = np.zeros(r.order, dtype=np.uint8), 1 if commuting else 2
         while rest.size and count.min() < need:
             e0 = np.int64(rest[0])
             same = rest == e0 if pm is None else pm[r.vsub(rest, e0)]

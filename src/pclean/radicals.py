@@ -91,13 +91,14 @@ def _certified_basis(r: RingTable, mask: np.ndarray) -> np.ndarray | None:
     0 and is closed under negation, addition and multiplication by the
     additive generators and 1 on either side), else None.  The products
     are read at the basis on a ring by construction, where the set is its
-    span, and at every member on any other table."""
+    span, and at every member on any other table: one vmul per side over
+    (generators and 1) x those elements."""
     idx = np.flatnonzero(mask)
     if not (mask[r.zero] and mask[r.vneg(idx)].all()) or (basis := _closed_basis(r, mask)) is None:
         return None
-    gens, b = sorted({*r.additive_generators, r.one}), _by_generators(r, basis, lambda: idx)
-    closed = all(mask[r.vmul(g, b)].all() and mask[r.vmul(b, g)].all() for g in gens)
-    return basis if closed else None
+    g = np.asarray(sorted({*r.additive_generators, r.one}), np.int64)[:, None]
+    b = _by_generators(r, basis, lambda: idx)[None, :]
+    return basis if mask[r.vmul(g, b)].all() and mask[r.vmul(b, g)].all() else None
 
 
 def _certify_ideal(r: RingTable, mask: np.ndarray) -> bool:

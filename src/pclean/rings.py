@@ -32,9 +32,10 @@ each family stores.  One kernel, `_RemapKernel`, serves quotient and subset
 rings: their ops run in the base ring on member indices.
 
 Every additive span is grown by one doubling step in `_span`: it adds x to
-a subgroup H, kept as its member list, by adding the shifted copy H + 2^k x
-for k = 0, 1, ... until no new element appears, so a cyclic span of order m
-costs log2(m) vector ops over the members.  Additive and ideal closures,
+a subgroup H, kept as its member list in one buffer of order size, by adding
+the shifted copy H + 2^k x for k = 0, 1, ... until no new element appears,
+so a cyclic span of order m costs log2(m) vector ops over the members: a
+step is one vadd over the members whose last lane yields the next shift.  Additive and ideal closures,
 subgroup bases, ideal products and powers are spans of their seeds, and
 quotient rings pick coset representatives (least indices) by the same
 doubling over a basis of the ideal.
@@ -860,26 +861,30 @@ def _span(r: RingTable, seeds) -> tuple[np.ndarray, list[int]]:
     """The mask of the additive span of `seeds` and the seeds that were new,
     in order.  Each new seed x joins the span H by doubling: H_k = H + {0..2^k
     - 1}x grows by its shifted copy H_k + 2^k x until 2^k x lies in H_k, which
-    makes H_k = H + <x>.  H is kept as its member list, so a step is one vadd
-    over the members whose last lane yields the next shift 2^(k+1) x.  Seeds
-    already in the span are dropped in bulk."""
+    makes H_k = H + <x>.  H is kept as its member list in one buffer of order
+    size, plus a slot for the shift, so a step is one vadd over the members
+    whose last lane yields the next shift 2^(k+1) x, and no step copies the
+    list.  Seeds already in the span are dropped in bulk."""
     mask = np.zeros(r.order, dtype=bool)
     mask[r.zero] = True
-    members, new = np.array([r.zero], np.int64), []
+    members = np.empty(r.order + 1, np.int64)
+    members[0], size, new = r.zero, 1, []
     seeds = np.asarray(seeds, np.int64).ravel()
     seeds = seeds[~mask[seeds]]
     while seeds.size:
         step = seeds[0]
         new.append(int(step))
         while not mask[step]:
-            shifted = r.vadd(np.append(members, step), step)
+            members[size] = step
+            shifted = r.vadd(members[: size + 1], step)
             step, shifted = shifted[-1], shifted[:-1]
             shifted = shifted[~mask[shifted]]
-            mask[shifted] = True
-            members = np.concatenate([members, shifted])
             # in a group a step adds at least 0 + step and never a member twice
-            if members.size > r.order or not shifted.size:
+            if size + shifted.size > r.order or not shifted.size:
                 raise PcleanError(f"{r.name}: addition is not a group")
+            mask[shifted] = True
+            members[size : size + shifted.size] = shifted
+            size += shifted.size
         seeds = seeds[1:][~mask[seeds[1:]]]
     return mask, new
 

@@ -447,6 +447,25 @@ def gather_sweep(r, member, commuting):
     return count.astype(bool) if commuting else count
 
 
+def scatter_sweep(r, member, commuting):
+    """The idempotent sweep as one scatter per idempotent, ascending: e marks
+    its coset x = w + e of the members w of `member`, each distinct x once
+    when counting (uint8 counts saturated at 2), and the x with e w = w e,
+    read from row and column e, when `commuting` (a bool mask).  What
+    `decompositions._sweep` computes by one broadcast on a ring with
+    tables, on any table, ring or not: on a table that is no ring w + e
+    can repeat, and a repeat still counts once."""
+    members = np.flatnonzero(member)
+    count = np.zeros(r.order, dtype=np.uint8)
+    for e in r.idempotent_indices:
+        x = r.vadd(members, np.int64(e))
+        if commuting:
+            count[x[r.mul_row(e)[members] == r.mul_col(e)[members]]] = 1
+        else:
+            count[x] = np.minimum(count[x] + 1, 2)
+    return count.astype(bool) if commuting else count
+
+
 def memberwise_certified_basis(r, mask):
     """The member-wise ideal certificate: a subgroup basis of the set `mask`
     if it holds 0, is closed under negation, holds each member plus each
@@ -537,6 +556,32 @@ def check_axioms(r, full_limit: int = 512, samples: int = 4096, seed: int = 0):
             r.vadd(r.vmul(aa, cc), r.vmul(bb, cc)),
         ):
             raise PcleanError(f"{r.name}: right distributivity fails")
+
+
+def appending_span(r, seeds):
+    """The appending form of `rings._span`: the mask of the additive span of
+    `seeds` and the seeds that were new, the members kept as a list grown by
+    concatenation, each step one vadd over the members and the shift, whose
+    last lane is the next shift.  The oracle of the buffered span, typed
+    errors included, on tables that are no ring."""
+    mask = np.zeros(r.order, dtype=bool)
+    mask[r.zero] = True
+    members, new = np.array([r.zero], np.int64), []
+    seeds = np.asarray(seeds, np.int64).ravel()
+    seeds = seeds[~mask[seeds]]
+    while seeds.size:
+        step = seeds[0]
+        new.append(int(step))
+        while not mask[step]:
+            shifted = r.vadd(np.append(members, step), step)
+            step, shifted = shifted[-1], shifted[:-1]
+            shifted = shifted[~mask[shifted]]
+            mask[shifted] = True
+            members = np.concatenate([members, shifted])
+            if members.size > r.order or not shifted.size:
+                raise PcleanError(f"{r.name}: addition is not a group")
+        seeds = seeds[1:][~mask[seeds[1:]]]
+    return mask, new
 
 
 def additive_span(r, seeds):

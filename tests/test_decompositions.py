@@ -7,18 +7,26 @@ from hypothesis import strategies as st
 
 from pclean import decompositions as dec
 from pclean import radicals as rad
-from pclean.errors import NotInvertible, NotLiftable, PcleanError
+from pclean.errors import NotInvertible, NotLiftable, PcleanError, RingTooLarge
 from pclean.rings import (
+    DENSE_TABLE_LIMIT,
     UNIT_SCAN_LIMIT,
     MatrixKernel,
     ProductKernel,
     RingTable,
     TriangularKernel,
     build_ring,
+    corner_ring,
 )
-from pclean.verifier import DEFAULT_CATALOG
+from pclean.verifier import DEFAULT_CATALOG, IDEAL_ENUM_LIMIT, _quotient_table, enumerate_ideals
 
-from oracles import clean_oracle, gather_sweep, pi_regular_oracle, row_column_central
+from oracles import (
+    clean_oracle,
+    gather_sweep,
+    pi_regular_oracle,
+    row_column_central,
+    scatter_sweep,
+)
 from table_kernel import TableKernel, corrupted, corrupted_zn
 
 
@@ -445,11 +453,11 @@ def test_sweep_matches_gather_oracle(name):
     # T2(Z32), M2(Z8), T2(Z4[i]), T3(Z4) and M2(Z9) lie above
     # DENSE_TABLE_LIMIT, so their sweeps run on the coordinate path, and each
     # has several idempotents per coset of P(R), reached by conjugation in
-    # the commuting sweep; Z4 with 1 + 1 = 0 is no ring, so each of its
-    # idempotents is a class of its own.  The unit mask joins the member
-    # sets on the rings within UNIT_SCAN_LIMIT, all but T2(Z32); on the
-    # non-ring the two differ there at x = 2, as the sweep reads the cosets
-    # w + e and the oracle reads x - e
+    # the commuting sweep; Z4 with 1 + 1 = 0 is no ring, and its sweep, like
+    # that of every ring with tables, is one broadcast.  The unit mask joins
+    # the member sets on the rings within UNIT_SCAN_LIMIT, all but T2(Z32);
+    # on the non-ring the two differ there at x = 2, as the sweep reads the
+    # cosets w + e and the oracle reads x - e
     r = corrupted_zn(1, 1, 0, name, op="add") if name == "Z4add110" else build_ring(name)
     kinds = [dec.STRONGLY_P_CLEAN, dec.STRONGLY_J_CLEAN, dec.STRONGLY_NIL_CLEAN]
     if name in _ORACLE_RINGS and r.order <= UNIT_SCAN_LIMIT:
@@ -459,6 +467,92 @@ def test_sweep_matches_gather_oracle(name):
             got = dec._sweep(r, kind, commuting)
             want = gather_sweep(r, dec._KINDS[kind][0](r), commuting)
             assert got.dtype == want.dtype and np.array_equal(got, want), commuting
+
+
+def _rings_with_tables():
+    """Fresh copies of the catalog rings, their L2.9 products up to
+    DENSE_TABLE_LIMIT, and their quotients by proper nonzero ideals and
+    corners by idempotents f != 0 up to order IDEAL_ENUM_LIMIT."""
+    cat = [build_ring(n) for n in DEFAULT_CATALOG]
+    out = list(cat)
+    out += [RingTable(ProductKernel([a, b]), f"{a.name} x {b.name}")
+            for i, a in enumerate(cat) for b in cat[i:] if a.order * b.order <= DENSE_TABLE_LIMIT]
+    for r in cat:
+        if r.order <= IDEAL_ENUM_LIMIT:
+            out += [_quotient_table(r, m) for m in enumerate_ideals(r)[1:-1]]
+            out += [corner_ring(r, int(f))[0] for f in r.idempotent_indices if f != r.zero]
+    return [RingTable(r.kernel, r.name) for r in out]
+
+
+def test_sweeps_on_rings_with_tables_are_one_broadcast(monkeypatch):
+    # every idempotent marks its coset at once: one vadd over (idempotents,
+    # members), and no row or column, on every ring with tables the suite
+    # builds from the catalog; each sweep is the per-x gather
+    rings = _rings_with_tables()
+    assert all(r.order <= DENSE_TABLE_LIMIT and r.by_construction for r in rings)
+    calls = []
+    for name in ("vadd", "mul_row", "mul_col"):
+        op = getattr(RingTable, name)
+
+        def recording(self, *args, name=name, op=op):
+            if self is ring:
+                calls.append(name)
+            return op(self, *args)
+
+        monkeypatch.setattr(RingTable, name, recording)
+    for ring in rings:
+        rad.prime_radical(ring)
+        members = {kind: dec._KINDS[kind][0](ring) for kind in dec._KINDS}
+        for kind, member in members.items():
+            for commuting in (True, False):
+                calls.clear()
+                got = dec._sweep(ring, kind, commuting)
+                assert calls == ["vadd"], (ring.name, kind, commuting)
+                want = gather_sweep(ring, member, commuting)
+                assert got.dtype == want.dtype and np.array_equal(got, want), ring.name
+    assert len(rings) > 100
+
+
+def test_broadcast_sweep_is_the_per_idempotent_scatter_on_corrupted_tables():
+    # on a table that is no ring, w + e can repeat over the members w of one
+    # idempotent e; the counting sweep still counts such an x once for e,
+    # as the per-idempotent scatter did, where counting every lane would
+    # not.  Every single-entry corruption of the Z2-Z4 tables, every kind
+    # whose member set the table gives
+    from corruption_sweep import corruptions
+
+    swept, trapped = 0, set()
+    for spec, op, row, col, val in corruptions():
+        try:
+            r = corrupted(spec, op, row, col, val)
+        except PcleanError:  # an element with no negative
+            continue
+        for kind in dec._KINDS:
+            try:
+                member = dec._KINDS[kind][0](r)
+            except PcleanError:
+                continue
+            for commuting in (True, False):
+                got, want = dec._sweep(r, kind, commuting), scatter_sweep(r, member, commuting)
+                assert got.dtype == want.dtype and np.array_equal(got, want), r.name
+                swept += 1
+            x = r.vadd(np.flatnonzero(member)[None, :], r.idempotent_indices[:, None])
+            if not np.array_equal(np.minimum(np.bincount(x.ravel(), minlength=r.order), 2), got):
+                trapped.add(r.name)
+    assert swept == 796 and len(trapped) == 8
+
+
+def test_strongly_clean_verdict_above_the_unit_scan_makes_no_vmul(monkeypatch):
+    # the verdict reads its member set first, so on T2(Z64), beyond
+    # UNIT_SCAN_LIMIT, the unit mask raises before the probe computes any
+    # commuting lane
+    r = RingTable(build_ring("T2(Z64)", limit=540_000).kernel, "T2(Z64)")
+    calls = []
+    vmul = RingTable.vmul
+    monkeypatch.setattr(RingTable, "vmul", lambda self, a, b: calls.append(self) or vmul(self, a, b))
+    with pytest.raises(RingTooLarge):
+        dec.is_strongly_clean_ring(r)
+    assert r.order > UNIT_SCAN_LIMIT and calls == []
 
 
 def test_counting_sweep_scatters_once_per_coset_class(monkeypatch):
@@ -527,12 +621,13 @@ def test_conjugators_with_a_wrong_nilpotency_index_raise(monkeypatch):
     assert not any(k[0] == "sweep" for k in r.cache if isinstance(k, tuple))
 
 
-@pytest.mark.parametrize("kernel, base", [(MatrixKernel, "Z4"), (TriangularKernel, "Z8")])
+@pytest.mark.parametrize("kernel, base", [(MatrixKernel, "Z8"), (TriangularKernel, "Z16")])
 def test_unit_sweeps_scatter_once_per_coset_class_of_p(monkeypatch, kernel, base):
     # U + P = U in a finite ring, so the idempotents of one coset of P(R)
     # share one coset of the units, and a unit sweep scatters once per such
     # class; the counting sweep visits every class, as x = 0 never reaches
-    # a count of 2 (only e = 1 has -e a unit)
+    # a count of 2 (only e = 1 has -e a unit).  M2(Z8) and T2(Z16) have
+    # order 4096, above DENSE_TABLE_LIMIT, so their sweeps go by classes
     r = RingTable(kernel(2, build_ring(base)), f"{kernel.family}2({base})")
     units, pn = r.unit_mask, np.flatnonzero(rad.prime_radical(r).mask)
     classes = {int(r.vadd(pn, np.int64(e)).min()) for e in r.idempotent_indices}

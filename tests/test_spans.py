@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pclean import radicals as rad
+from pclean.errors import PcleanError
 from pclean.rings import (
     QuotientKernel,
+    _span,
     additive_closure_mask,
     build_ring,
     corner_ring,
@@ -24,8 +26,8 @@ from pclean.verifier import (
     verify,
 )
 
-from oracles import additive_span, ideal_nilpotency, ideals_by_subgroups
-from table_kernel import corrupted_zn
+from oracles import additive_span, appending_span, ideal_nilpotency, ideals_by_subgroups
+from table_kernel import corrupted, corrupted_zn
 
 
 def _corner():
@@ -189,6 +191,37 @@ def test_replay_picks_the_ideal_power_named_by_its_order():
     for order in (2, 4):
         check.counterexample["power_order"] = order
         assert not replay_counterexample(check, ring=bad)
+
+
+def test_buffered_span_matches_the_appending_span_on_corrupted_tables():
+    # on a table that is no ring a doubling step can add one element twice
+    # or nothing new, and a full buffer can still miss elements; the span
+    # keeps its members in a buffer of order size plus a spare slot for the
+    # shift and raises "addition is not a group" before it writes past the
+    # end, as the appending span raised after growing its list.  The spans
+    # of 1 and of every element, on every single-entry corruption of the Z2,
+    # Z3, Z4 and Z2xZ2 tables: the same mask and new seeds or the same typed
+    # error, never an IndexError or ValueError
+    from corruption_sweep import corruptions
+
+    spans, errors = 0, 0
+    for spec, op, row, col, val in corruptions(("Z2", "Z3", "Z4", "Z2xZ2")):
+        try:
+            r = corrupted(spec, op, row, col, val)
+        except PcleanError:  # an element with no negative
+            continue
+        for seeds in ([1], np.arange(r.order)):
+            outcomes = []
+            for span in (_span, appending_span):
+                try:
+                    mask, new = span(r, seeds)
+                    outcomes.append((mask.tolist(), new))
+                except PcleanError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], r.name
+            spans += 1
+            errors += isinstance(outcomes[0][0], type)
+    assert spans == 408 and errors == 17
 
 
 def _brute_force_reps(r, ideal):

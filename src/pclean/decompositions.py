@@ -5,7 +5,7 @@ must lie in (P(R), units, nilpotents, J(R)); the "uniquely" notions count all
 idempotents e, commuting with a or not, which separates abelian rings from the
 rest.  Every test is a view on `_hits` (one element) or `_sweep` (the one
 pass over a ring's idempotents, keyed by kind: one broadcast on a ring with
-tables, else a loop by cosets of P(R)); both read
+tables, else groups of classes by cosets of P(R)); both read
 membership from the kind's mask in `_KINDS`, computed on first use and cached
 on the ring, and a certificate re-validates through that mask and the kind's
 witness map.  Aggregates report the least counterexample.
@@ -222,10 +222,11 @@ def idempotent_lift(r: RingTable, a: int) -> int:
 # ring-level aggregates
 
 
-def _conjugators(r: RingTable, e0: np.int64, es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per idempotent e of `es`, with e - e0 in P(R): u = e e0 + (1-e)(1-e0)
-    and its inverse v, so that e = u e0 v.  u lies in 1 + P and u e0 = e e0 =
-    e u; v is the series of 1 - u up to P's nilpotency index, checked on
+def _conjugators(r: RingTable, e0: np.ndarray, es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per idempotent e of `es`, with e - e0 in P(R) for the e0 at its place
+    in `e0` (an array aligned with es, or one index): u = e e0 + (1-e)(1-e0)
+    and its inverse v, so that e = u e0 v.  u lies in 1 + P and u e0 = e e0
+    = e u; v is the series of 1 - u up to P's nilpotency index, checked on
     both sides."""
     one = np.int64(r.one)
     u = r.vadd(r.vmul(es, e0), r.vmul(r.vsub(one, es), r.vsub(one, e0)))
@@ -234,6 +235,53 @@ def _conjugators(r: RingTable, e0: np.int64, es: np.ndarray) -> tuple[np.ndarray
     if not ((r.vmul(u, v) == one).all() and (r.vmul(v, u) == one).all()):
         raise NotInvertible(f"{r.name}: a conjugator in 1 + P(R) is not a unit (bug trap)")
     return u, v
+
+
+def _classes(r: RingTable, pm, rest: np.ndarray, lanes: int, most: int):
+    """The next classes of the ascending idempotents `rest`, at most `most`
+    of them, in ascending head order: (heads, classes, what is left of
+    rest).  The candidates are the first lanes // |rest| of rest (the first
+    alone when `most` is 1), and one vsub of them against rest marks their
+    classes.  In a ring e ~ e0 iff e - e0 in P(R) is an equivalence, so a
+    candidate heads its class iff no candidate before it lies in that
+    class.  With `pm` None each e is its own class."""
+    cand = rest[: 1 if most == 1 else max(1, lanes // rest.size)]
+    same = rest[None, :] == cand[:, None] if pm is None else pm[r.vsub(rest[None, :], cand[:, None])]
+    head = np.flatnonzero(~np.triu(same[:, : cand.size], 1).any(axis=0))[:most]
+    same = same[head]
+    return cand[head], [rest[s] for s in same], rest[~same.any(axis=0)]
+
+
+def _mark_commuting(r: RingTable, count: np.ndarray, members, heads, classes, x) -> None:
+    """Set count[x] for the open x of the cosets x = w + e0 (one row of `x`
+    per class head e0) that some e of the class commutes with: e0 by its
+    centrality or its row and column, the rest by conjugating e0's hits."""
+    hit = count[x] == 0
+    # a central head commutes with its whole coset; the others with open x
+    # read their rows and columns, as many per call as the unit scan reads
+    tested = np.flatnonzero(hit.any(axis=1) & ~radicals.is_central(r, heads))
+    step = max(1, _CHUNK // r.order)
+    for s in range(0, tested.size, step):
+        k = tested[s : s + step]
+        hit[k] &= r._lines("mul", heads[k])[:, members] == r._lines("mul", heads[k], col=True)[:, members]
+    count[x[hit]] = 1
+    # every other e of a class with hits marks u x u^-1 for its head's hits
+    # x, read from one row per such class: its hits, padded with its first
+    # hit (whose conjugates are marks too); a lone class's row broadcasts
+    n = hit.sum(axis=1)
+    grow = [k for k, c in enumerate(classes) if c.size > 1 and n[k]]
+    if not grow:
+        return
+    n, of = n[grow], np.repeat(np.arange(len(grow)), [classes[k].size - 1 for k in grow])
+    u, v = _conjugators(r, heads[grow][of], np.concatenate([classes[k][1:] for k in grow]))
+    pad = np.empty((len(grow), n.max()), np.int64)
+    filled = np.arange(n.max()) < n[:, None]
+    pad[filled] = x[grow][hit[grow]]
+    pad[~filled] = np.repeat(pad[:, 0], n.max() - n)
+    step = max(1, _CHUNK // n.max())
+    for s in range(0, of.size, step):
+        rows = pad if len(grow) == 1 else pad[of[s : s + step]]
+        count[r.vmul(r.vmul(u[s : s + step, None], rows), v[s : s + step, None])] = 1
 
 
 def _sweep(r: RingTable, kind: str, commuting: bool) -> np.ndarray:
@@ -249,21 +297,25 @@ def _sweep(r: RingTable, kind: str, commuting: bool) -> np.ndarray:
     1024^2; counting keeps a mask of the x each e has seen, as w + e can
     repeat on a table that is no ring.
 
-    Without tables the idempotents go in classes, ascending, and a class
-    with least member e0 scatters onto its coset x = w + e0.  Counting lets
-    each e of the class mark every x of the coset (adding min(|class|, 2) at
-    once).  Commuting lets e0 mark the open x it commutes with, tested as
-    e0 w = w e0 (every open x of the coset when e0 is central, by
-    `radicals.is_central`), and every other e of the class mark the
-    conjugates u x u^-1 of e0's hits x, u = e e0 + (1-e)(1-e0) in 1 + P
-    (`_conjugators`): u e0 u^-1 = e, and M is closed under conjugation, so
-    these are the x of the coset that commute with e.  In a ring by
+    Without tables the idempotents go in classes, and a class with least
+    member e0 (its head) scatters onto its coset x = w + e0.  In a ring by
     construction a class is every e with e - e0 in P(R), computed on first
     use: each member set M here (P, J, the units, the nilpotents) has M + P
     = M in a finite ring, so M + e = M + e0.  On any other table each e is
-    its own class, tested by its own row and column.  A pass costs |member|
-    lanes per class, a row and a column of R per commuting class whose e0 is
-    not central, and (|class| - 1) |hits| lanes for the conjugates.
+    its own class.  Classes go in groups, in ascending head order, as many
+    as keep a group's coset lanes within max(|M|, _PROBE |idempotents|):
+    one class's coset, or the lanes the probe reads.  A group finds its
+    classes with one vsub (`_classes`) and its cosets with one vadd, and
+    commuting makes a fixed number of vector calls however many classes it
+    holds (`_mark_commuting`).  Counting lets each e of a class mark every
+    x of the coset (adding min(|class|, 2), class by class, so an x counts
+    once per class on any table).  Commuting lets e0 mark the open x it
+    commutes with, tested as e0 w = w e0 (every open x of the coset when e0
+    is central, by `radicals.is_central`), and every other e of the class
+    mark the conjugates u x u^-1 of e0's hits x, u = e e0 + (1-e)(1-e0) in
+    1 + P (`_conjugators`): u e0 u^-1 = e, and M is closed under
+    conjugation, so these are the x of the coset that commute with e.  The
+    sweep stops after the group that leaves no x open.
     """
 
     def make():
@@ -282,26 +334,16 @@ def _sweep(r: RingTable, kind: str, commuting: bool) -> np.ndarray:
             seen[np.arange(rest.size)[:, None], x] = True
             return np.minimum(seen.sum(axis=0), 2).astype(np.uint8)
         count, need = np.zeros(r.order, dtype=np.uint8), 1 if commuting else 2
+        lanes = max(members.size, _PROBE * rest.size)
+        most = lanes // max(members.size, 1)
         while rest.size and count.min() < need:
-            e0 = np.int64(rest[0])
-            same = rest == e0 if pm is None else pm[r.vsub(rest, e0)]
-            cls, rest, x = rest[same], rest[~same], r.vadd(members, e0)
-            if not commuting:
-                count[x] = np.minimum(count[x] + min(cls.size, 2), 2)
+            heads, classes, rest = _classes(r, pm, rest, lanes, most)
+            x = r.vadd(members[None, :], heads[:, None])
+            if commuting:
+                _mark_commuting(r, count, members, heads, classes, x)
                 continue
-            todo = np.flatnonzero(count[x] == 0)
-            if not todo.size:
-                continue
-            if radicals.is_central(r, e0):
-                hits = x[todo]
-            else:
-                t = members[todo]
-                hits = x[todo[r.mul_row(e0)[t] == r.mul_col(e0)[t]]]
-            count[hits] = 1
-            step = max(1, _CHUNK // max(hits.size, 1))
-            for s in range(1, cls.size, step):
-                u, v = _conjugators(r, e0, cls[s : s + step])
-                count[r.vmul(r.vmul(u[:, None], hits[None, :]), v[:, None])] = 1
+            for xs, cls in zip(x, classes):
+                count[xs] = np.minimum(count[xs] + min(cls.size, 2), 2)
         return count.astype(bool) if commuting else count
 
     return cached(r, ("sweep", kind, commuting), make)

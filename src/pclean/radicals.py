@@ -108,15 +108,13 @@ def _certify_ideal(r: RingTable, mask: np.ndarray) -> bool:
 def nilpotency_index(I: Ideal) -> int | None:
     """Smallest k with I^k = 0, or None if the powers stabilize above zero."""
     if "nilpotency" not in I._memo:
-        I._memo["nilpotency"] = _ideal_nilpotency(I.ring, I.mask)
+        I._memo["nilpotency"] = _ideal_nilpotency(ideal_powers(I.ring, I.mask))
     return I._memo["nilpotency"]
 
 
-def _ideal_nilpotency(r: RingTable, mask: np.ndarray, basis=None) -> int | None:
-    for k, power in enumerate(ideal_powers(r, mask, basis), 1):
-        if power.sum() == 1:
-            return k
-    return None
+def _ideal_nilpotency(powers) -> int | None:
+    """The k of the first of the powers I, I^2, ... that is zero, or None."""
+    return next((k for k, power in enumerate(powers, 1) if power.sum() == 1), None)
 
 
 def ideal_powers(r: RingTable, mask: np.ndarray, basis=None):
@@ -138,11 +136,9 @@ def ideal_powers(r: RingTable, mask: np.ndarray, basis=None):
         cur = nxt
 
 
-def ideal_product_mask(r: RingTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the product AB of the ideals with masks a and b: the additive
-    span of the products of their bases."""
-    ga = subgroup_basis(r, np.flatnonzero(a))
-    gb = subgroup_basis(r, np.flatnonzero(b))
+def ideal_product_mask(r: RingTable, ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """Mask of the product AB of the ideals A and B with additive bases ga
+    and gb: the additive span of the products of the bases."""
     return additive_closure_mask(r, r.vmul(ga[:, None], gb[None, :]))
 
 
@@ -208,7 +204,7 @@ def is_strongly_nilpotent(r: RingTable, a: int) -> tuple[bool, int | None]:
         res = (False, None)
     else:
         mask = ideal_closure_mask(r, np.asarray([a], np.int64))
-        k = _ideal_nilpotency(r, mask)
+        k = _ideal_nilpotency(ideal_powers(r, mask))
         res = (k is not None, k)
     memo[a] = res
     return res
@@ -230,7 +226,7 @@ def prime_radical(r: RingTable) -> Ideal:
 def _prime_mask(r: RingTable) -> tuple[np.ndarray, dict]:
     for mask in _filter(r, nilpotent_mask(r), _generator_rows(r)):
         basis = _certified_basis(r, mask)
-        if basis is not None and (k := _ideal_nilpotency(r, mask, basis)) is not None:
+        if basis is not None and (k := _ideal_nilpotency(ideal_powers(r, mask, basis))) is not None:
             return mask, {"nilpotency": k}
     raise RadicalNotIdeal(f"strongly nilpotent elements of {r.name} are not an ideal")
 
@@ -352,16 +348,18 @@ def is_local(r: RingTable) -> bool:
     return cached(r, "is_local", make)
 
 
-def is_central(r: RingTable, x: int) -> bool:
-    """x y = y x for the additive generators y on a ring by construction, by
-    bilinearity for every y; for every y on any other table."""
+def is_central(r: RingTable, x) -> np.ndarray:
+    """Per x (an index, or each of an array): x y = y x for the additive
+    generators y on a ring by construction, by bilinearity for every y; for
+    every y on any other table."""
     y = _by_generators(r, np.asarray(r.additive_generators, np.int64), lambda: np.arange(r.order))
-    return bool(np.array_equal(r.vmul(np.int64(x), y), r.vmul(y, np.int64(x))))
+    x = np.asarray(x, np.int64)[..., None]
+    return (r.vmul(x, y) == r.vmul(y, x)).all(axis=-1)
 
 
 def is_abelian(r: RingTable) -> bool:
     """Every idempotent is central (`is_central`)."""
-    return cached(r, "is_abelian", lambda: all(is_central(r, e) for e in r.idempotent_indices))
+    return cached(r, "is_abelian", lambda: bool(is_central(r, r.idempotent_indices).all()))
 
 
 def residue_is_z2(r: RingTable) -> bool:

@@ -15,10 +15,12 @@ mesh of digits (`_DigitKernel.lines`); the other kernels (Z_n, quotient,
 subset) run their vmul or vadd on broadcast indices.  Its consumers: the
 constructor, which takes every row of a digit kernel in uint16 as the
 tables of rings of order <= DENSE_TABLE_LIMIT; `RingTable.mul_row` and
-`RingTable.mul_col`, the only way to get one whole row or column; and the
-unit scan (`RingTable.unit_inverses`), which reads index-array chunks of
-rows only on rings whose construction gives no unit rule (tables,
-quotients, corners, Z_n[t], M_k over a noncommutative base or with k > 2).
+`RingTable.mul_col`, the only way to get one whole row or column; the
+coset-class sweep (`decompositions._sweep`), which reads the rows and
+columns of several idempotents per call; and the unit scan
+(`RingTable.unit_inverses`), which reads index-array chunks of rows only
+on rings whose construction gives no unit rule (tables, quotients,
+corners, Z_n[t], M_k over a noncommutative base or with k > 2).
 The units of Z_n, products, T_k, Tc_k and M2 over a commutative base come
 from their rule (`_units_by_construction`) and Lagrange's theorem, and J(R)
 is filtered by vmul (`radicals.jacobson_radical`), so neither reads a
@@ -542,6 +544,15 @@ class RingTable:
         if self.zero == self.one:
             raise PcleanError(f"{name}: ring collapses to the zero ring (0 = 1)")
         self.cache: dict = {}
+        # whether the kernel's formulas make the ring axioms hold: Z_n, and
+        # the digit and remap kernels over such rings; never given tables.
+        # Set once, as a kernel and its parts never change
+        if isinstance(kernel, _DigitKernel):
+            self.by_construction = all(p.by_construction for p in kernel.parts)
+        elif isinstance(kernel, _RemapKernel):
+            self.by_construction = kernel.base.by_construction
+        else:
+            self.by_construction = isinstance(kernel, ZnKernel)
         self._add_t = self._mul_t = self._neg_t = self._add_f = self._mul_f = None
         if self.order <= DENSE_TABLE_LIMIT:
             self._build_tables()
@@ -799,17 +810,6 @@ class RingTable:
             return flag
 
         return cached(self, "commutative", test)
-
-    @property
-    def by_construction(self) -> bool:
-        """Whether the kernel's formulas make the ring axioms hold: Z_n, and
-        the digit and remap kernels over such rings; never given tables."""
-        k = self.kernel
-        if isinstance(k, _DigitKernel):
-            return all(p.by_construction for p in k.parts)
-        if isinstance(k, _RemapKernel):
-            return k.base.by_construction
-        return isinstance(k, ZnKernel)
 
     # -- element interface
 

@@ -445,15 +445,17 @@ def test_per_element_answers_read_the_prime_radical_mask(monkeypatch):
     assert cert.validate() and calls == [cert.remainder] * 2
 
 
-_ORACLE_RINGS = [*DEFAULT_CATALOG, "T2(Z32)", "M2(Z8)", "T2(Z4[i])", "T3(Z4)", "M2(Z9)"]
+_ORACLE_RINGS = [*DEFAULT_CATALOG, "T2(Z32)", "M2(Z8)", "T2(Z4[i])", "T3(Z4)", "M2(Z9)", "M2(Z3[w])",
+                 "T2(Z4)xT2(Z4)"]
 
 
 @pytest.mark.parametrize("name", [*_ORACLE_RINGS, "Z4add110"])
 def test_sweep_matches_gather_oracle(name):
-    # T2(Z32), M2(Z8), T2(Z4[i]), T3(Z4) and M2(Z9) lie above
-    # DENSE_TABLE_LIMIT, so their sweeps run on the coordinate path, and each
-    # has several idempotents per coset of P(R), reached by conjugation in
-    # the commuting sweep; Z4 with 1 + 1 = 0 is no ring, and its sweep, like
+    # T2(Z32), M2(Z8), T2(Z4[i]), T3(Z4), M2(Z9), M2(Z3[w]) and
+    # T2(Z4)xT2(Z4) lie above DENSE_TABLE_LIMIT, so their sweeps run on the
+    # coordinate path, several classes to a group, and each has several
+    # idempotents per coset of P(R), reached by conjugation in the
+    # commuting sweep; Z4 with 1 + 1 = 0 is no ring, and its sweep, like
     # that of every ring with tables, is one broadcast.  The unit mask joins
     # the member sets on the rings within UNIT_SCAN_LIMIT, all but T2(Z32);
     # on the non-ring the two differ there at x = 2, as the sweep reads the
@@ -578,20 +580,21 @@ def test_commuting_sweep_reads_one_row_and_column_per_coset_class(monkeypatch):
     # the 66 idempotents of T2(Z32) fall into 4 cosets of P(R); only the
     # least idempotent of each class is tested by its row and column, and
     # the rest of the class is reached by conjugating its hits; a central
-    # least idempotent (0 and 1 here) takes its whole coset with no row
+    # least idempotent (0 and 1 here) takes its whole coset with no row.
+    # Rows and columns are counted one per index read through
+    # `RingTable._lines`, which reads several per call
     r = RingTable(TriangularKernel(2, build_ring("Z32")), "T2(Z32)")
     p = rad.prime_radical(r).mask
     want = gather_sweep(r, p, commuting=True)
     calls = []
-    for name in ("mul_row", "mul_col"):
-        line = getattr(RingTable, name)
+    line = RingTable._lines
 
-        def recording(self, x, name=name, line=line):
-            if self is r:
-                calls.append(name)
-            return line(self, x)
+    def recording(self, op, xs=None, col=False):
+        if self is r and op == "mul":
+            calls.extend(["mul_col" if col else "mul_row"] * np.size(xs))
+        return line(self, op, xs, col)
 
-        monkeypatch.setattr(RingTable, name, recording)
+    monkeypatch.setattr(RingTable, "_lines", recording)
     got = dec._sweep(r, dec.STRONGLY_P_CLEAN, commuting=True)
     swept = list(calls)
     assert r.idempotent_indices.size == 66 and np.array_equal(got, want)
@@ -627,7 +630,8 @@ def test_unit_sweeps_scatter_once_per_coset_class_of_p(monkeypatch, kernel, base
     # share one coset of the units, and a unit sweep scatters once per such
     # class; the counting sweep visits every class, as x = 0 never reaches
     # a count of 2 (only e = 1 has -e a unit).  M2(Z8) and T2(Z16) have
-    # order 4096, above DENSE_TABLE_LIMIT, so their sweeps go by classes
+    # order 4096, above DENSE_TABLE_LIMIT, so their sweeps go by classes,
+    # several classes to one vadd: a scatter is one row of |units| lanes
     r = RingTable(kernel(2, build_ring(base)), f"{kernel.family}2({base})")
     units, pn = r.unit_mask, np.flatnonzero(rad.prime_radical(r).mask)
     classes = {int(r.vadd(pn, np.int64(e)).min()) for e in r.idempotent_indices}
@@ -638,7 +642,7 @@ def test_unit_sweeps_scatter_once_per_coset_class_of_p(monkeypatch, kernel, base
 
     def recording(self, a, b):
         if self is r:
-            lanes.append(np.broadcast(a, b).size)
+            lanes.append(np.broadcast(a, b).shape)
         return vadd(self, a, b)
 
     monkeypatch.setattr(RingTable, "vadd", recording)
@@ -647,8 +651,69 @@ def test_unit_sweeps_scatter_once_per_coset_class_of_p(monkeypatch, kernel, base
         lanes.clear()
         got = dec._sweep(r, dec.STRONGLY_CLEAN, commuting)
         assert got.dtype == want[commuting].dtype and np.array_equal(got, want[commuting])
-        scatters[commuting] = lanes.count(int(units.sum()))
+        scatters[commuting] = sum(math.prod(s[:-1]) for s in lanes if s[-1:] == (int(units.sum()),))
     assert 1 <= scatters[True] <= scatters[False] == len(classes)
+
+
+def test_a_table_copy_that_is_no_ring_by_construction_sweeps_one_class_per_idempotent(monkeypatch):
+    # M2 over a TableKernel copy of Z8's tables is the ring M2(Z8), but not
+    # by construction, so the sweep reads no classes of P(R): each
+    # idempotent is its own class, and every sweep gives M2(Z8)'s masks
+    z8 = build_ring("Z8")
+    idx = np.arange(z8.order, dtype=np.int64)
+    tables = [op(idx[:, None], idx[None, :]) for op in (z8.vadd, z8.vmul)]
+    copy = RingTable(TableKernel(*tables, zero=z8.zero, one=z8.one), "Z8 tables")
+    r, m2 = RingTable(MatrixKernel(2, copy), "M2(Z8 tables)"), RingTable(MatrixKernel(2, z8), "M2(Z8)")
+    assert not r.by_construction and m2.by_construction and r.order > DENSE_TABLE_LIMIT
+    sizes = []
+    classes = dec._classes
+
+    def recording(ring, *args):
+        out = classes(ring, *args)
+        if ring is r:
+            sizes.extend(c.size for c in out[1])
+        return out
+
+    monkeypatch.setattr(dec, "_classes", recording)
+    for kind in dec._KINDS:
+        for commuting in (True, False):
+            got, want = dec._sweep(r, kind, commuting), dec._sweep(m2, kind, commuting)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (kind, commuting)
+    assert sizes and set(sizes) == {1}
+
+
+def test_a_commuting_sweep_makes_as_many_vmuls_for_14_classes_as_for_8(monkeypatch):
+    # the 110 idempotents of M2(Z9) fall into 14 cosets of P(R), the 98 of
+    # M2(Z8) into 8, and each sweep takes all its classes in one group: one
+    # vmul pair for centrality, one conjugator call and one pair for the
+    # conjugate marks.  The inverse series inside the conjugators is left
+    # out, as its vmuls follow P's nilpotency index (3 on M2(Z8), 2 on M2(Z9))
+    calls, paused = {}, []
+    vmul, series = RingTable.vmul, rad.inverse_series
+
+    def recording(self, a, b):
+        if self.name in calls and not paused:
+            calls[self.name] += 1
+        return vmul(self, a, b)
+
+    def unrecorded(*args):
+        paused.append(True)
+        try:
+            return series(*args)
+        finally:
+            paused.pop()
+
+    monkeypatch.setattr(RingTable, "vmul", recording)
+    monkeypatch.setattr(rad, "inverse_series", unrecorded)
+    heads = {}
+    for base in ("Z8", "Z9"):
+        r = RingTable(MatrixKernel(2, build_ring(base)), f"M2({base})")
+        pn = np.flatnonzero(rad.prime_radical(r).mask)
+        heads[base] = {int(r.vadd(pn, np.int64(e)).min()) for e in r.idempotent_indices}
+        calls[r.name] = 0
+        dec._sweep(r, dec.STRONGLY_P_CLEAN, commuting=True)
+    assert len(heads["Z8"]) == 8 and len(heads["Z9"]) == 14
+    assert calls["M2(Z8)"] == calls["M2(Z9)"] > 0
 
 
 def test_certificates_of_one_element_share_one_commuting_filter(monkeypatch):

@@ -94,7 +94,7 @@ def test_ideal_powers_compute_one_basis(monkeypatch, name, gen):
     mask = ideal_generated(r, [r.parse_element(gen).index]).mask
     want = [mask]  # I^(k+1) = I * I^k, each product from two fresh bases
     while True:
-        nxt = rad.ideal_product_mask(r, mask, want[-1])
+        nxt = rad.ideal_product_mask(r, *(rad.subgroup_basis(r, np.flatnonzero(m)) for m in (mask, want[-1])))
         if np.array_equal(nxt, want[-1]):
             break
         want.append(nxt)

@@ -122,7 +122,7 @@ def test_ideal_product_matches_oracle(name, data):
     want = additive_span(
         r, {r.mul(x, y) for x in np.flatnonzero(a).tolist() for y in np.flatnonzero(b).tolist()}
     )
-    assert _members(rad.ideal_product_mask(r, a, b)) == want
+    assert _members(rad.ideal_product_mask(r, *(subgroup_basis(r, np.flatnonzero(m)) for m in (a, b)))) == want
 
 
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)

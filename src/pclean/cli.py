@@ -298,14 +298,9 @@ def _matrix_analyze(args) -> tuple[dict, int]:
         report["pi_regular_trichotomy"] = None
         report["pi_regular_note"] = str(exc)
     if A.is_upper_triangular():
-        try:
-            cert = triangular_pclean(r, A.a11, A.a22, A.a12, limit=args.limit)
-            report["triangular_rule"] = {
-                "strongly_pclean": cert is not None,
-                "certificate": _cert_report(cert),
-            }
-        except OrderLimitExceeded as exc:
-            report["triangular_rule"] = {"note": str(exc)}
+        # T2(r), of order |r|^3, is within the limit that admitted M2(r)
+        cert = triangular_pclean(r, A.a11, A.a22, A.a12, limit=args.limit)
+        report["triangular_rule"] = {"strongly_pclean": cert is not None, "certificate": _cert_report(cert)}
     return report, 0
 
 

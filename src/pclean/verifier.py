@@ -168,32 +168,15 @@ def _ideal_gens(r: RingTable, mask: np.ndarray) -> list[str]:
     return [r.fmt_index(int(i)) for i in _ideal_basis(r, mask)]
 
 
-def _ideal_facts(r: RingTable, mask: np.ndarray) -> tuple[np.ndarray, list] | None:
-    """An ideal's additive basis and its powers I, I^2, ...
-    (`radicals.ideal_powers`), walked once and kept under the mask's bytes
-    on rings within IDEAL_ENUM_LIMIT, whose ideals the ideal checks
-    enumerate.  None above it, or when the walk raises (on a table that is
-    no ring): each reader then walks it itself, meeting the error where it
-    did."""
-
-    def make():
-        try:
-            basis = subgroup_basis(r, np.flatnonzero(mask))
-            return basis, list(rad.ideal_powers(r, mask, basis))
-        except PcleanError:
-            return None
-
-    return cached(r, ("ideal", mask.tobytes()), make) if r.order <= IDEAL_ENUM_LIMIT else None
-
-
 def _ideal_basis(r: RingTable, mask: np.ndarray) -> np.ndarray:
-    facts = _ideal_facts(r, mask)
-    return subgroup_basis(r, np.flatnonzero(mask)) if facts is None else facts[0]
+    """An ideal's additive basis, kept under the mask's bytes."""
+    return cached(r, ("ideal_basis", mask.tobytes()), lambda: subgroup_basis(r, np.flatnonzero(mask)))
 
 
-def _ideal_powers(r: RingTable, mask: np.ndarray):
-    facts = _ideal_facts(r, mask)
-    return rad.ideal_powers(r, mask) if facts is None else iter(facts[1])
+def _ideal_powers(r: RingTable, mask: np.ndarray) -> list:
+    """An ideal's powers I, I^2, ... (`radicals.ideal_powers`) over its kept
+    basis, kept under the mask's bytes; a walk that raises keeps nothing."""
+    return cached(r, ("ideal_powers", mask.tobytes()), lambda: list(rad.ideal_powers(r, mask, _ideal_basis(r, mask))))
 
 
 def _cex(kind: str, ring: RingTable, prop: str, expected, actual, **subject) -> dict:
@@ -594,12 +577,12 @@ _RECORD_SIDES = {
     "pclean_iff_quotient_by_nilpotent_pclean": ("ideal", lambda r, rec: (
         _strongly_pclean(r),
         _quotient_pclean(r, rec["ideal"])
-        if rad._ideal_nilpotency(_ideal_powers(r, rec["ideal"])) is not None else None,
+        if _ideal_powers(r, rec["ideal"])[-1].sum() == 1 else None,
     )),
     # R/I^n for the power I^n, n >= 2, of the recorded order
     "pclean_quotient_stable_under_ideal_powers": ("ideal", lambda r, rec: (
         _quotient_pclean(r, rec["ideal"]),
-        next((_quotient_pclean(r, q) for q in list(_ideal_powers(r, rec["ideal"]))[1:]
+        next((_quotient_pclean(r, q) for q in _ideal_powers(r, rec["ideal"])[1:]
               if q.sum() == rec["power_order"]), None),
     )),
     "idempotent_lift": ("element", _lift_sides),
@@ -714,8 +697,10 @@ def _ideals(r: RingTable):
 
 
 def _ideal_power_orders(r: RingTable):
-    """T2.8's records: each ideal I with the order of each power I^n, n >= 1."""
-    return ({"ideal": m, "power_order": int(q.sum())} for m in enumerate_ideals(r) for q in _ideal_powers(r, m))
+    """T2.8's records: each ideal I with the order of each power I^n, n >= 1.
+    Walked lazily, not read from `_ideal_powers`: on a table that is no ring
+    each record's sides run, and may raise, before the walk goes on."""
+    return ({"ideal": m, "power_order": int(q.sum())} for m in enumerate_ideals(r) for q in rad.ideal_powers(r, m, _ideal_basis(r, m)))
 
 
 def _pair_sides(r: RingTable, ma: np.ndarray, mb: np.ndarray) -> dict:

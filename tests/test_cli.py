@@ -216,3 +216,54 @@ def test_large_ring_analyze_imports_no_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_matrix_analyze_at_the_smallest_limit_that_admits_m2(capsys):
+    # M2(Z2) has order 16 and T2(Z2) order 8, so the limit that admits M2(r)
+    # also admits the triangular rule's T2(r)
+    status, doc, _ = run_json(capsys, "matrix", "analyze", "Z2", "[1,1;0,0]", "--limit", "16")
+    assert status == 0
+    assert doc["triangular_rule"]["strongly_pclean"] is True
+    assert doc["triangular_rule"]["certificate"]["valid"] is True
+    status, out, err = run_cli(capsys, "matrix", "analyze", "Z2", "[1,1;0,0]", "--limit", "15", "--json")
+    assert status == 2 and out == ""
+    assert err == "error: M2(Z2) has order 16 > limit 15\n"
+
+
+def test_ring_analyze_above_the_unit_scan_limit(capsys):
+    status, doc, _ = run_json(capsys, "ring", "analyze", "Z32768")
+    assert status == 0
+    assert doc["units"] == {"count": None, "elements": None, "note": "order too large to enumerate"}
+    assert doc["cleanness"]["strongly_clean"] == {"holds": None, "counterexample": None, "skipped": "order"}
+
+
+def test_element_analyze_without_a_lift(capsys):
+    # 2 - 2^2 = 4 is not in P(Z6) = 0, so the lifting claim does not apply
+    status, doc, _ = run_json(capsys, "element", "analyze", "Z6", "2")
+    assert status == 0
+    assert doc["idempotent_lift"] == {"applicable": False, "idempotent": None}
+
+
+def test_matrix_analyze_of_a_matrix_in_p(capsys):
+    status, doc, _ = run_json(capsys, "matrix", "analyze", "Z4", "[0,0;0,0]")
+    assert status == 0
+    assert doc["classification"] == "IN_P" and doc["similarity"] is None
+
+
+def test_matrix_analyze_outside_the_trichotomy_hypothesis(capsys):
+    # Z9/J = Z3, not Z2: the pi-regular trichotomy says nothing, and the
+    # report says why
+    status, doc, _ = run_json(capsys, "matrix", "analyze", "Z9", "[1,0;0,0]")
+    assert status == 0
+    assert doc["pi_regular_trichotomy"] is None and doc["pi_regular_note"]
+
+
+def test_catalog_list_text(capsys):
+    from pclean import DEFAULT_CATALOG
+
+    status, out, _ = run_cli(capsys, "catalog", "list")
+    assert status == 0
+    lines = out.splitlines()
+    assert len(lines) == len(DEFAULT_CATALOG)
+    assert lines[0] == "Z2           order 2"
+    assert [line.split()[0] for line in lines] == list(DEFAULT_CATALOG)

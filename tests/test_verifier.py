@@ -373,6 +373,19 @@ def test_corrupted_tables_give_typed_outcomes_and_payloads_that_replay():
     assert [r for r in replays if not (r[-2] and r[-1])] == []
 
 
+@pytest.mark.parametrize("spec, entry", [("Z3", 2), ("Z4", 3)])
+def test_t2_8_walks_each_ideals_powers_record_by_record(spec, entry):
+    # add[x][x] = 0: the first record's expected side, R/I, collapses to the
+    # zero ring; the walk of I's powers raises RadicalNotIdeal further on, so
+    # walking all of them before the first record would raise that instead
+    from corruption_sweep import run_case
+
+    name = f"{spec}add{entry}{entry}0"
+    outcome, replays, record = run_case((spec, "add", entry, entry, 0), "T2.8")
+    assert (outcome, replays) == ("PcleanError", [])
+    assert record == ["PcleanError", f"{name}/I: ring collapses to the zero ring (0 = 1)"]
+
+
 @pytest.mark.parametrize(
     "spec, row, col, val", [("Z2[w]", 0, 1, 3), ("Z2[w]", 0, 2, 1), ("T2(Z2)", 4, 2, 4)]
 )
